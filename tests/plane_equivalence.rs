@@ -12,15 +12,17 @@
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use sachi::arch::config::{DesignKind, SachiConfig};
+use sachi::arch::config::{DesignKind, FaultProfile, SachiConfig};
 use sachi::arch::designs::{stationarity, ComputeContext, ComputeScratch};
 use sachi::arch::encoding::MixedEncoding;
 use sachi::arch::machine::SachiMachine;
 use sachi::arch::tuple::{SpinTuple, TuplePlanes};
 use sachi::ising::graph::topology;
+use sachi::ising::recovery::RecoveryPolicy;
 use sachi::ising::solver::SolveOptions;
 use sachi::ising::spin::{Spin, SpinVector};
 use sachi::mem::cache::{CacheGeometry, CacheHierarchy};
+use sachi::mem::fault::{FaultModel, FaultRate};
 use sachi::mem::sram::SramTile;
 
 /// Maps a raw draw into the R-bit two's-complement coefficient range.
@@ -430,6 +432,138 @@ fn banking_shrinks_load_without_touching_results_or_compute() {
             rep_8.total_cycles <= rep_1.total_cycles,
             "{design}: banked total exceeded unbanked"
         );
+    }
+}
+
+/// [`tiny_hierarchy`] with a 128-bit storage array: every round of the
+/// dense 36-spin workload streams its chunk from DRAM.
+fn streaming_hierarchy() -> CacheHierarchy {
+    CacheHierarchy {
+        storage: CacheGeometry::new(1, 2, 64, 2),
+        ..tiny_hierarchy()
+    }
+}
+
+/// Solves the dense 36-spin workload under one fault cell and renders
+/// every observable the goldens pin: final H, sweeps, flips, and
+/// `total_cycles`; the six `TileStats` counters; the energy total (its
+/// exact `f64`); and every `FaultReport` field.
+fn faulted_cell(design: DesignKind, ber_ppb: u64, retry: bool, streaming: bool) -> String {
+    let rate = FaultRate::from_ppb(ber_ppb);
+    let policy = if retry {
+        RecoveryPolicy::RefetchRetry { max_retries: 2 }
+    } else {
+        RecoveryPolicy::FailFast
+    };
+    let model = FaultModel::new(0x5AC4)
+        .with_read_ber(rate)
+        .with_dram_ber(rate);
+    let mut config =
+        SachiConfig::new(design).with_fault(FaultProfile::new(model).with_policy(policy));
+    if streaming {
+        config = config.with_hierarchy(streaming_hierarchy());
+    }
+    let (res, rep) = solve_workload(config);
+    let t = rep.tile;
+    let f = rep.faults;
+    format!(
+        "{design} ppb={ber_ppb} {} {} | H={} sweeps={} flips={} cycles={} | \
+         tile={}/{}/{}/{}/{}/{} | pJ={:?} | faults={}/{}/{}/{}/{}/{}/{} degraded={}",
+        if retry { "retry:2" } else { "failfast" },
+        if streaming { "stream" } else { "default" },
+        res.energy,
+        res.sweeps,
+        res.flips,
+        rep.total_cycles.get(),
+        t.rwl_activations,
+        t.rbl_discharges,
+        t.redundant_discharges,
+        t.bits_written,
+        t.bits_read,
+        t.compute_accesses,
+        rep.energy.total().get(),
+        f.injected_flips,
+        f.corrupted_fetches,
+        f.detected,
+        f.undetected,
+        f.retries,
+        f.refetch_cycles.get(),
+        f.dram_corrupted_bits,
+        f.degraded,
+    )
+}
+
+/// Faulted-run goldens: 4 designs × BER {0, 1e-4, 1e-2} × {fail-fast,
+/// retry:2} × {default hierarchy, DRAM-streaming multi-round hierarchy}.
+/// Each line is `faulted_cell`'s rendering; faults strike only at
+/// machine level (tuple-fetch parity, DRAM stream), so the kernel that
+/// computes `H_σ` cannot move any of these values.
+const FAULT_GOLDENS: &[&str] = &[
+    "SACHI(n1a) ppb=0 failfast default | H=-488 sweeps=50 flips=28 cycles=26488 | tile=504000/4470354/4341600/63000/0/252000 | pJ=443369.94 | faults=0/0/0/0/0/0/0 degraded=false",
+    "SACHI(n1a) ppb=0 failfast stream | H=-488 sweeps=50 flips=28 cycles=142394 | tile=504000/4470354/4341600/63000/0/252000 | pJ=1082397.7525 | faults=0/0/0/0/0/0/0 degraded=false",
+    "SACHI(n1a) ppb=0 retry:2 default | H=-488 sweeps=50 flips=28 cycles=26488 | tile=504000/4470354/4341600/63000/0/252000 | pJ=443369.94 | faults=0/0/0/0/0/0/0 degraded=false",
+    "SACHI(n1a) ppb=0 retry:2 stream | H=-488 sweeps=50 flips=28 cycles=142394 | tile=504000/4470354/4341600/63000/0/252000 | pJ=1082397.7525 | faults=0/0/0/0/0/0/0 degraded=false",
+    "SACHI(n1a) ppb=100000 failfast default | H=-472 sweeps=2 flips=13 cycles=1625 | tile=22120/195413/189768/2765/0/11060 | pJ=28113.078749999997 | faults=1/1/1/0/0/0/0 degraded=true",
+    "SACHI(n1a) ppb=100000 failfast stream | H=-470 sweeps=1 flips=9 cycles=4369 | tile=14560/128564/124846/1820/0/7280 | pJ=41363.90375 | faults=1/1/1/0/0/0/1 degraded=true",
+    "SACHI(n1a) ppb=100000 retry:2 default | H=-488 sweeps=50 flips=28 cycles=27160 | tile=504000/4470354/4341600/63000/0/252000 | pJ=449384.33999999997 | faults=34/33/32/1/32/672/0 degraded=false",
+    "SACHI(n1a) ppb=100000 retry:2 stream | H=-488 sweeps=50 flips=28 cycles=143003 | tile=504000/4470354/4341600/63000/0/252000 | pJ=1087848.3025 | faults=31/30/29/1/29/609/33 degraded=false",
+    "SACHI(n1a) ppb=10000000 failfast default | H=-270 sweeps=0 flips=0 cycles=427 | tile=560/4878/4730/70/0/280 | pJ=9510.3275 | faults=3/2/1/1/0/0/0 degraded=true",
+    "SACHI(n1a) ppb=10000000 failfast stream | H=-238 sweeps=0 flips=0 cycles=293 | tile=280/2446/2374/35/0/140 | pJ=11104.4225 | faults=3/1/1/0/0/0/28 degraded=true",
+    "SACHI(n1a) ppb=10000000 retry:2 default | H=-516 sweeps=50 flips=73 cycles=52465 | tile=504000/4383840/4256666/63000/0/252000 | pJ=673014.9750000001 | faults=5419/2515/1433/1082/1237/25977/0 degraded=true",
+    "SACHI(n1a) ppb=10000000 retry:2 stream | H=-516 sweeps=50 flips=61 cycles=170471 | tile=504000/4382838/4255598/63000/0/252000 | pJ=1330755.0175000005 | faults=5580/2625/1570/1055/1337/28077/3160 degraded=true",
+    "SACHI(n1b) ppb=0 failfast default | H=-488 sweeps=50 flips=28 cycles=21388 | tile=504000/4470354/4341600/63000/0/252000 | pJ=443369.94 | faults=0/0/0/0/0/0/0 degraded=false",
+    "SACHI(n1b) ppb=0 failfast stream | H=-488 sweeps=50 flips=28 cycles=127094 | tile=504000/4470354/4341600/63000/0/252000 | pJ=1082397.7525 | faults=0/0/0/0/0/0/0 degraded=false",
+    "SACHI(n1b) ppb=0 retry:2 default | H=-488 sweeps=50 flips=28 cycles=21388 | tile=504000/4470354/4341600/63000/0/252000 | pJ=443369.94 | faults=0/0/0/0/0/0/0 degraded=false",
+    "SACHI(n1b) ppb=0 retry:2 stream | H=-488 sweeps=50 flips=28 cycles=127094 | tile=504000/4470354/4341600/63000/0/252000 | pJ=1082397.7525 | faults=0/0/0/0/0/0/0 degraded=false",
+    "SACHI(n1b) ppb=100000 failfast default | H=-472 sweeps=2 flips=13 cycles=1039 | tile=22120/195413/189768/2765/0/11060 | pJ=28113.078749999997 | faults=1/1/1/0/0/0/0 degraded=true",
+    "SACHI(n1b) ppb=100000 failfast stream | H=-470 sweeps=1 flips=9 cycles=3719 | tile=14560/128564/124846/1820/0/7280 | pJ=41363.90375 | faults=1/1/1/0/0/0/1 degraded=true",
+    "SACHI(n1b) ppb=100000 retry:2 default | H=-488 sweeps=50 flips=28 cycles=22060 | tile=504000/4470354/4341600/63000/0/252000 | pJ=449384.33999999997 | faults=34/33/32/1/32/672/0 degraded=false",
+    "SACHI(n1b) ppb=100000 retry:2 stream | H=-488 sweeps=50 flips=28 cycles=127703 | tile=504000/4470354/4341600/63000/0/252000 | pJ=1087848.3025 | faults=31/30/29/1/29/609/33 degraded=false",
+    "SACHI(n1b) ppb=10000000 failfast default | H=-270 sweeps=0 flips=0 cycles=185 | tile=560/4878/4730/70/0/280 | pJ=9510.3275 | faults=3/2/1/1/0/0/0 degraded=true",
+    "SACHI(n1b) ppb=10000000 failfast stream | H=-238 sweeps=0 flips=0 cycles=191 | tile=280/2446/2374/35/0/140 | pJ=11104.4225 | faults=3/1/1/0/0/0/28 degraded=true",
+    "SACHI(n1b) ppb=10000000 retry:2 default | H=-516 sweeps=50 flips=73 cycles=47365 | tile=504000/4383840/4256666/63000/0/252000 | pJ=673014.9750000001 | faults=5419/2515/1433/1082/1237/25977/0 degraded=true",
+    "SACHI(n1b) ppb=10000000 retry:2 stream | H=-516 sweeps=50 flips=61 cycles=155171 | tile=504000/4382838/4255598/63000/0/252000 | pJ=1330755.0175000005 | faults=5580/2625/1570/1055/1337/28077/3160 degraded=true",
+    "SACHI(n2) ppb=0 failfast default | H=-488 sweeps=50 flips=28 cycles=5543 | tile=126000/128754/0/252000/0/63000 | pJ=87482.94 | faults=0/0/0/0/0/0/0 degraded=false",
+    "SACHI(n2) ppb=0 failfast stream | H=-488 sweeps=50 flips=28 cycles=45043 | tile=126000/128754/0/252000/0/63000 | pJ=731992.44 | faults=0/0/0/0/0/0/0 degraded=false",
+    "SACHI(n2) ppb=0 retry:2 default | H=-488 sweeps=50 flips=28 cycles=5543 | tile=126000/128754/0/252000/0/63000 | pJ=87482.94 | faults=0/0/0/0/0/0/0 degraded=false",
+    "SACHI(n2) ppb=0 retry:2 stream | H=-488 sweeps=50 flips=28 cycles=45043 | tile=126000/128754/0/252000/0/63000 | pJ=731992.44 | faults=0/0/0/0/0/0/0 degraded=false",
+    "SACHI(n2) ppb=100000 failfast default | H=-472 sweeps=2 flips=13 cycles=303 | tile=5530/5645/0/11060/0/2765 | pJ=16315.69875 | faults=1/1/1/0/0/0/0 degraded=true",
+    "SACHI(n2) ppb=100000 failfast stream | H=-472 sweeps=2 flips=13 cycles=2143 | tile=5880/5990/0/11760/0/2940 | pJ=41553.924999999996 | faults=1/1/1/0/0/0/2 degraded=true",
+    "SACHI(n2) ppb=100000 retry:2 default | H=-488 sweeps=50 flips=28 cycles=6215 | tile=126000/128754/0/252000/0/63000 | pJ=93497.34 | faults=34/33/32/1/32/672/0 degraded=false",
+    "SACHI(n2) ppb=100000 retry:2 stream | H=-488 sweeps=50 flips=28 cycles=45778 | tile=126000/128754/0/252000/0/63000 | pJ=738570.69 | faults=37/36/35/1/35/735/27 degraded=false",
+    "SACHI(n2) ppb=10000000 failfast default | H=-270 sweeps=0 flips=0 cycles=83 | tile=140/148/0/280/0/70 | pJ=13082.7775 | faults=3/2/1/1/0/0/0 degraded=true",
+    "SACHI(n2) ppb=10000000 failfast stream | H=-238 sweeps=0 flips=0 cycles=83 | tile=70/72/0/140/0/35 | pJ=8758.32875 | faults=1/1/1/0/0/0/7 degraded=true",
+    "SACHI(n2) ppb=10000000 retry:2 default | H=-516 sweeps=50 flips=73 cycles=31520 | tile=126000/127174/0/252000/0/63000 | pJ=320100.66500000015 | faults=5419/2515/1433/1082/1237/25977/0 degraded=true",
+    "SACHI(n2) ppb=10000000 retry:2 stream | H=-516 sweeps=53 flips=73 cycles=76345 | tile=133560/135246/0/267120/0/66780 | pJ=1031566.6800000005 | faults=5764/2708/1594/1114/1362/28602/3425 degraded=true",
+    "SACHI(n3) ppb=0 failfast default | H=-488 sweeps=50 flips=28 cycles=444 | tile=3600/161000/0/315000/0/1800 | pJ=22614.550000000003 | faults=0/0/0/0/0/0/0 degraded=false",
+    "SACHI(n3) ppb=0 failfast stream | H=-488 sweeps=50 flips=28 cycles=23424 | tile=10800/161000/0/315000/0/5400 | pJ=678310.675 | faults=0/0/0/0/0/0/0 degraded=false",
+    "SACHI(n3) ppb=0 retry:2 default | H=-488 sweeps=50 flips=28 cycles=444 | tile=3600/161000/0/315000/0/1800 | pJ=22614.550000000003 | faults=0/0/0/0/0/0/0 degraded=false",
+    "SACHI(n3) ppb=0 retry:2 stream | H=-488 sweeps=50 flips=28 cycles=23424 | tile=10800/161000/0/315000/0/5400 | pJ=678310.675 | faults=0/0/0/0/0/0/0 degraded=false",
+    "SACHI(n3) ppb=100000 failfast default | H=-472 sweeps=2 flips=13 cycles=66 | tile=158/7021/0/13825/0/79 | pJ=14732.25875 | faults=1/1/1/0/0/0/0 degraded=true",
+    "SACHI(n3) ppb=100000 failfast stream | H=-466 sweeps=1 flips=9 cycles=544 | tile=234/3432/0/6825/0/117 | pJ=22631.91875 | faults=1/1/1/0/0/0/0 degraded=true",
+    "SACHI(n3) ppb=100000 retry:2 default | H=-488 sweeps=50 flips=28 cycles=1116 | tile=3600/161000/0/315000/0/1800 | pJ=28628.95 | faults=34/33/32/1/32/672/0 degraded=false",
+    "SACHI(n3) ppb=100000 retry:2 stream | H=-488 sweeps=50 flips=28 cycles=24054 | tile=10800/161000/0/315000/0/5400 | pJ=683949.175 | faults=30/30/30/0/30/630/34 degraded=false",
+    "SACHI(n3) ppb=10000000 failfast default | H=-270 sweeps=0 flips=0 cycles=50 | tile=4/183/0/350/0/2 | pJ=14332.2025 | faults=3/2/1/1/0/0/0 degraded=true",
+    "SACHI(n3) ppb=10000000 failfast stream | H=-270 sweeps=0 flips=0 cycles=50 | tile=12/183/0/350/0/6 | pJ=8453.10375 | faults=5/2/1/1/0/0/3 degraded=true",
+    "SACHI(n3) ppb=10000000 retry:2 default | H=-516 sweeps=50 flips=73 cycles=26421 | tile=3600/158419/0/315000/0/1800 | pJ=255197.24000000017 | faults=5419/2515/1433/1082/1237/25977/0 degraded=true",
+    "SACHI(n3) ppb=10000000 retry:2 stream | H=-516 sweeps=54 flips=75 cycles=55956 | tile=11664/170955/0/340200/0/5832 | pJ=1006441.7550000007 | faults=6013/2847/1715/1132/1460/30660/3488 degraded=true",
+];
+
+#[test]
+fn faulted_runs_match_pinned_goldens() {
+    let mut cells = Vec::new();
+    for design in DesignKind::ALL {
+        for ber_ppb in [0u64, 100_000, 10_000_000] {
+            for retry in [false, true] {
+                for streaming in [false, true] {
+                    cells.push(faulted_cell(design, ber_ppb, retry, streaming));
+                }
+            }
+        }
+    }
+    assert_eq!(cells.len(), FAULT_GOLDENS.len(), "golden table size");
+    for (got, want) in cells.iter().zip(FAULT_GOLDENS) {
+        assert_eq!(got, want);
     }
 }
 
