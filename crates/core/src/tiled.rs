@@ -570,9 +570,6 @@ impl ResidentN3Machine {
             cross_tuple_rereads: tuples.cross_tuple_rereads(),
             prefetches: 0,
             faults: crate::machine::FaultReport::default(),
-            // The resident machine's compute_h is its only path.
-            fast_path_computes: annealer_decisions,
-            scalar_path_computes: 0,
             skipped_spin_writes: 0,
             tile: stats,
             dram: sachi_mem::dram::DramStats::default(),
