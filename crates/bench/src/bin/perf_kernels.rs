@@ -1,17 +1,20 @@
-//! Scalar vs bit-plane kernel timing for all four stationarity designs.
+//! Scalar oracle vs production kernel timing for all four stationarity
+//! designs.
 //!
-//! Four granularities, all on identical inputs through identical
-//! `SramTile`s so the comparison isolates the kernel:
+//! One pair is measured everywhere: `compute_tuple` (the scalar oracle)
+//! vs `compute_tuple_soa` (the kernel the machine runs) against prebuilt
+//! [`TuplePlanes`] SoA arenas and a reused [`ComputeScratch`], on
+//! identical inputs through identical `SramTile`s so the comparison
+//! isolates the kernel. The arenas are built outside the timed region —
+//! exactly the machine's usage, where encode work happens at solve setup,
+//! not per sweep. Four granularities:
 //!
-//! * **per H-compute** — a dense degree-256, R=8 tuple (the acceptance
-//!   shape for the bit-plane fast path), `compute_tuple` vs
-//!   `compute_tuple_fast` with a reused [`ComputeScratch`];
-//! * **per sweep** — one full update pass over every spin of a King's
-//!   graph, tuples prebuilt so the loop measures compute, not mapping;
-//! * **per dense sweep** — a full pass over a set of dense degree-256
-//!   tuples, `compute_tuple` vs `compute_tuple_soa` against prebuilt
-//!   [`TuplePlanes`] SoA arenas — the sweep-level figure the SoA
-//!   refactor exists to close (encode work hoisted out of the loop);
+//! * **per H-compute** (`kernel`) — one dense degree-256, R=8 tuple;
+//! * **per sweep** (`sweep`) — one full update pass over every spin of a
+//!   King's graph, tuples prebuilt so the loop measures compute, not
+//!   mapping;
+//! * **per dense sweep** (`sweep_dense`) — a full pass over a set of
+//!   distinct dense degree-256 tuples;
 //! * **banked sweeps** — metered machine cycles on multi-round King's
 //!   lattices, bank_count 1 vs 8, recording how much upload time the
 //!   sram22-style banking removes from the critical path.
@@ -99,69 +102,22 @@ fn graph_tuples(graph: &IsingGraph, spins: &SpinVector) -> Vec<SpinTuple> {
 struct Measurement {
     design: String,
     scalar_ns: f64,
-    plane_ns: f64,
+    soa_ns: f64,
 }
 
 impl Measurement {
     fn speedup(&self) -> f64 {
-        if self.plane_ns == 0.0 {
+        if self.soa_ns == 0.0 {
             f64::INFINITY
         } else {
-            self.scalar_ns / self.plane_ns
+            self.scalar_ns / self.soa_ns
         }
     }
 }
 
-/// Times one design on one tuple set; asserts H equality per tuple.
+/// Times one design's pass over `tuples` (ns per whole pass), scalar
+/// oracle vs SoA kernel; asserts H equality per tuple first.
 fn measure(kind: DesignKind, enc: &MixedEncoding, tuples: &[SpinTuple], iters: u32) -> Measurement {
-    let design = stationarity(kind);
-    let max_degree = tuples.iter().map(SpinTuple::degree).max().unwrap_or(1);
-    let (rows, cols) = design.tile_requirements(max_degree, enc.bits(), ROW_BITS);
-    let mut tile = SramTile::new(rows, cols);
-    let mut ctx = ComputeContext::new();
-    let mut scratch = ComputeScratch::new();
-
-    // Tripwire: both paths agree on H for every tuple before timing.
-    for tuple in tuples {
-        let hs = design.compute_tuple(&mut tile, enc, tuple, Spin::Up, &mut ctx);
-        let hf = design.compute_tuple_fast(&mut tile, enc, tuple, Spin::Up, &mut ctx, &mut scratch);
-        assert_eq!(hs, hf, "{kind}: fast path diverged from scalar");
-        assert_eq!(hs, tuple.local_field(), "{kind}: H diverged from golden");
-    }
-
-    // Warm up, then time. One "call" sweeps the whole tuple set, so the
-    // per-call figure divides by the set size afterwards.
-    let per_set = |ns: f64| ns / tuples.len().max(1) as f64;
-    let scalar_ns = ns_per_call(iters, || {
-        for tuple in tuples {
-            let h = design.compute_tuple(&mut tile, enc, tuple, Spin::Up, &mut ctx);
-            std::hint::black_box(h);
-        }
-    });
-    let plane_ns = ns_per_call(iters, || {
-        for tuple in tuples {
-            let h =
-                design.compute_tuple_fast(&mut tile, enc, tuple, Spin::Up, &mut ctx, &mut scratch);
-            std::hint::black_box(h);
-        }
-    });
-    Measurement {
-        design: kind.to_string(),
-        scalar_ns: per_set(scalar_ns),
-        plane_ns: per_set(plane_ns),
-    }
-}
-
-/// Times one design's full sweep, scalar vs SoA tuple planes; asserts H
-/// equality per tuple first. The `TuplePlanes` arenas are built once
-/// outside the timed region — exactly the machine's usage, where encode
-/// work happens at solve setup, not per sweep.
-fn measure_soa(
-    kind: DesignKind,
-    enc: &MixedEncoding,
-    tuples: &[SpinTuple],
-    iters: u32,
-) -> Measurement {
     let design = stationarity(kind);
     let max_degree = tuples.iter().map(SpinTuple::degree).max().unwrap_or(1);
     let (rows, cols) = design.tile_requirements(max_degree, enc.bits(), ROW_BITS);
@@ -169,20 +125,23 @@ fn measure_soa(
     let mut tile = SramTile::new(rows, cols);
     let mut ctx = ComputeContext::new();
     let mut scratch = ComputeScratch::new();
-
-    // Tripwire: the SoA path agrees with scalar on H for every tuple.
-    for (i, tuple) in tuples.iter().enumerate() {
-        let hs = design.compute_tuple(&mut tile, enc, tuple, Spin::Up, &mut ctx);
-        let ho = design.compute_tuple_soa(
-            &mut tile,
+    let mut soa = |tile: &mut SramTile, ctx: &mut ComputeContext, i: usize, tuple: &SpinTuple| {
+        design.compute_tuple_soa(
+            tile,
             enc,
             tuple,
             planes.view(i),
             Spin::Up,
-            &mut ctx,
+            ctx,
             &mut scratch,
-        );
-        assert_eq!(hs, ho, "{kind}: SoA path diverged from scalar");
+        )
+    };
+
+    // Tripwire: the SoA kernel agrees with scalar on H for every tuple.
+    for (i, tuple) in tuples.iter().enumerate() {
+        let hs = design.compute_tuple(&mut tile, enc, tuple, Spin::Up, &mut ctx);
+        let ho = soa(&mut tile, &mut ctx, i, tuple);
+        assert_eq!(hs, ho, "{kind}: SoA kernel diverged from scalar");
         assert_eq!(hs, tuple.local_field(), "{kind}: H diverged from golden");
     }
 
@@ -192,24 +151,15 @@ fn measure_soa(
             std::hint::black_box(h);
         }
     });
-    let plane_ns = ns_per_call(iters, || {
+    let soa_ns = ns_per_call(iters, || {
         for (i, tuple) in tuples.iter().enumerate() {
-            let h = design.compute_tuple_soa(
-                &mut tile,
-                enc,
-                tuple,
-                planes.view(i),
-                Spin::Up,
-                &mut ctx,
-                &mut scratch,
-            );
-            std::hint::black_box(h);
+            std::hint::black_box(soa(&mut tile, &mut ctx, i, tuple));
         }
     });
     Measurement {
         design: kind.to_string(),
         scalar_ns,
-        plane_ns,
+        soa_ns,
     }
 }
 
@@ -277,10 +227,10 @@ fn json_rows(rows: &[Measurement], unit: &str) -> String {
         .iter()
         .map(|m| {
             format!(
-                "    {{\"design\": \"{}\", \"scalar_{unit}\": {:.1}, \"plane_{unit}\": {:.1}, \"speedup\": {:.2}}}",
+                "    {{\"design\": \"{}\", \"scalar_{unit}\": {:.1}, \"soa_{unit}\": {:.1}, \"speedup\": {:.2}}}",
                 m.design,
                 m.scalar_ns,
-                m.plane_ns,
+                m.soa_ns,
                 m.speedup()
             )
         })
@@ -290,12 +240,12 @@ fn json_rows(rows: &[Measurement], unit: &str) -> String {
 
 fn print_table(title: &str, rows: &[Measurement]) {
     section(title);
-    let mut t = Table::new(["design", "scalar ns", "plane ns", "speedup"]);
+    let mut t = Table::new(["design", "scalar ns", "SoA ns", "speedup"]);
     for m in rows {
         t.row([
             m.design.clone(),
             format!("{:.1}", m.scalar_ns),
-            format!("{:.1}", m.plane_ns),
+            format!("{:.1}", m.soa_ns),
             format!("{:.2}x", m.speedup()),
         ]);
     }
@@ -326,15 +276,7 @@ fn main() {
     let tuples = graph_tuples(&graph, &spins);
     let sweep: Vec<Measurement> = DesignKind::ALL
         .into_iter()
-        .map(|kind| {
-            let m = measure(kind, &enc, &tuples, sweep_iters);
-            // Re-scale per-tuple ns back up to the full-sweep figure.
-            Measurement {
-                design: m.design,
-                scalar_ns: m.scalar_ns * tuples.len() as f64,
-                plane_ns: m.plane_ns * tuples.len() as f64,
-            }
-        })
+        .map(|kind| measure(kind, &enc, &tuples, sweep_iters))
         .collect();
     print_table(
         &format!(
@@ -344,29 +286,17 @@ fn main() {
         &sweep,
     );
 
-    // Per dense sweep: a full pass over many distinct dense tuples,
-    // scalar vs the SoA tuple-plane path (operands pre-encoded once, as
-    // the machine does at solve setup).
+    // Per dense sweep: a full pass over many distinct dense tuples.
     let (dense_count, dense_iters) = if smoke { (4, 2) } else { (64, 10) };
     let dense_set: Vec<SpinTuple> = (0..dense_count)
         .map(|k| dense_tuple_salted(DENSE_DEGREE, k))
         .collect();
     let sweep_dense: Vec<Measurement> = DesignKind::ALL
         .into_iter()
-        .map(|kind| {
-            let m = measure_soa(kind, &enc, &dense_set, dense_iters);
-            Measurement {
-                design: m.design,
-                scalar_ns: m.scalar_ns,
-                plane_ns: m.plane_ns,
-            }
-        })
+        .map(|kind| measure(kind, &enc, &dense_set, dense_iters))
         .collect();
     print_table(
-        &format!(
-            "ns per dense sweep: {dense_count} tuples of degree {DENSE_DEGREE}, R={DENSE_R} \
-             (scalar vs SoA planes)"
-        ),
+        &format!("ns per dense sweep: {dense_count} tuples of degree {DENSE_DEGREE}, R={DENSE_R}"),
         &sweep_dense,
     );
 
@@ -433,8 +363,8 @@ fn main() {
 
     if smoke {
         println!(
-            "smoke: fast==scalar and soa==scalar H equality held for every design at every \
-             granularity; banking left the H trajectory and compute cycles bit-identical"
+            "smoke: soa==scalar H equality held for every design at every granularity; \
+             banking left the H trajectory and compute cycles bit-identical"
         );
     } else {
         for m in &kernel {
@@ -448,14 +378,14 @@ fn main() {
         for m in &sweep_dense {
             assert!(
                 m.speedup() >= 6.0,
-                "{}: dense SoA sweep speedup {:.2}x is below the 6x acceptance bar",
+                "{}: dense sweep speedup {:.2}x is below the 6x acceptance bar",
                 m.design,
                 m.speedup()
             );
         }
         println!(
             "acceptance: every design >= 5x on the dense degree-{DENSE_DEGREE} kernel and \
-             >= 6x on the dense SoA sweep"
+             >= 6x on the dense sweep"
         );
     }
 }

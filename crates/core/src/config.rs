@@ -244,9 +244,9 @@ mod tests {
         let c = SachiConfig::default().with_fault(profile.clone());
         assert_eq!(c.fault, Some(profile));
         assert_eq!(c.without_faults().fault, None);
-        // Default profile: inert model, retry policy.
+        // Default profile: zero-rate model, retry policy.
         let d = FaultProfile::default();
-        assert!(d.model.is_inert());
+        assert!(d.model.read_ber.is_zero() && d.model.dram_ber.is_zero());
         assert_eq!(d.policy, RecoveryPolicy::default());
     }
 

@@ -199,13 +199,15 @@ impl MixedEncoding {
     /// Decodes lane `lane` from bit-plane form: gathers bit `lane` of each
     /// of the R planes (laid out as in [`MixedEncoding::encode_into`], or
     /// as produced by plane-at-a-time XNOR kernels) via shift/add and
-    /// sign-extends — the packed equivalent of [`MixedEncoding::decode`].
+    /// sign-extends — the per-lane oracle the tests check
+    /// [`MixedEncoding::decode_plane_sum`] and the SoA arenas against.
     ///
     /// # Panics
     ///
     /// Panics if `planes` holds fewer than `bits() * words_per_plane`
     /// words or `lane` lies beyond `words_per_plane * 64`.
-    pub fn decode_plane(&self, planes: &[u64], words_per_plane: usize, lane: usize) -> i64 {
+    #[cfg(test)]
+    pub(crate) fn decode_plane(&self, planes: &[u64], words_per_plane: usize, lane: usize) -> i64 {
         let (wi, bit) = (lane / 64, lane % 64);
         assert!(wi < words_per_plane, "lane {lane} beyond the plane width");
         let mut word = 0u64;
@@ -217,12 +219,11 @@ impl MixedEncoding {
 
     /// Sums the decoded value of **every** lane of a bit-plane block in
     /// one pass of word-parallel popcounts — the bulk equivalent of
-    /// calling [`MixedEncoding::decode_plane`] per lane and adding the
-    /// results. A lane's two's-complement value is
+    /// decoding every lane and adding the results. A lane's two's-complement value is
     /// `Σ_{b<R-1} bit_b·2^b − bit_{R-1}·2^{R-1}`, so the sum over lanes
     /// factors into one weighted popcount per plane: `R·w` popcounts
     /// replace `lanes·R` bit gathers. Lanes beyond the valid data must be
-    /// zero (they then contribute exactly 0, as `decode_plane` would),
+    /// zero (they then contribute exactly 0, as a per-lane decode would),
     /// which is what [`MixedEncoding::encode_into`] and the plane XNOR
     /// kernels guarantee.
     ///

@@ -2,17 +2,19 @@
 //!
 //! SACHI repurposes live SRAM as an in-situ XNOR array and an L2 as a
 //! tuple storage array — exactly the structures where real silicon
-//! suffers transient bit flips, read-disturb, and stuck-at faults. The
-//! architecture is *all-digital*, so unlike the analog Ising machines
-//! (BRIM, Ising-CIM) device noise is not absorbed intrinsically: every
-//! injected fault propagates deterministically through the discharge
-//! pattern. This module supplies the fault source:
+//! suffers transient bit flips. The architecture is *all-digital*, so
+//! unlike the analog Ising machines (BRIM, Ising-CIM) device noise is not
+//! absorbed intrinsically: every injected fault propagates
+//! deterministically into the computed local field. Faults strike where
+//! data moves — tuple-row fetches (guarded by parity) and DRAM streams —
+//! never inside the compute kernel. This module supplies the fault
+//! source:
 //!
 //! * [`FaultRate`] — a bit-error rate stored as an integer threshold
 //!   over the `u64` draw space, so fault decisions never involve
 //!   floating-point comparisons and are byte-identical everywhere;
 //! * [`FaultModel`] — the configuration: transient read BER, DRAM
-//!   stream BER, stuck-at cells, and the fault seed;
+//!   stream BER, and the fault seed;
 //! * [`FaultInjector`] — a per-replica SplitMix64 stream derived from
 //!   `(fault seed, stream salt)`. The solve layer salts the stream with
 //!   the replica's derived annealer seed, which is a pure function of
@@ -85,18 +87,6 @@ impl FaultRate {
     }
 }
 
-/// A cell whose read value is pinned regardless of the stored bit —
-/// the classic manufacturing stuck-at fault.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct StuckCell {
-    /// Tile row of the stuck cell.
-    pub row: usize,
-    /// Tile column of the stuck cell.
-    pub col: usize,
-    /// The value the cell always reads as.
-    pub value: bool,
-}
-
 /// Fault-model configuration: which faults exist and the seed that
 /// makes their placement reproducible.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
@@ -108,8 +98,6 @@ pub struct FaultModel {
     pub read_ber: FaultRate,
     /// Corruption probability per bit streamed from DRAM.
     pub dram_ber: FaultRate,
-    /// Stuck-at cells applied to SRAM reads.
-    pub stuck: Vec<StuckCell>,
 }
 
 impl FaultModel {
@@ -135,20 +123,6 @@ impl FaultModel {
         self
     }
 
-    /// Adds a stuck-at cell.
-    #[must_use]
-    pub fn with_stuck_cell(mut self, row: usize, col: usize, value: bool) -> Self {
-        self.stuck.push(StuckCell { row, col, value });
-        self
-    }
-
-    /// Whether the model can never perturb anything (all rates zero and
-    /// no stuck cells) — the configuration the zero-rate identity
-    /// contract covers.
-    pub fn is_inert(&self) -> bool {
-        self.read_ber.is_zero() && self.dram_ber.is_zero() && self.stuck.is_empty()
-    }
-
     /// Builds the injector for one consumer stream. `stream_salt`
     /// decouples independent consumers — the solve layer passes the
     /// replica's derived annealer seed, so every replica owns a
@@ -159,7 +133,6 @@ impl FaultModel {
             state: splitmix64_mix(self.seed.wrapping_add(splitmix64_mix(stream_salt))),
             read_threshold: self.read_ber.threshold,
             dram_threshold: self.dram_ber.threshold,
-            stuck: self.stuck.clone(),
             counters: FaultCounters::default(),
         }
     }
@@ -174,10 +147,6 @@ pub struct FaultCounters {
     pub reads_corrupted: u64,
     /// Bits corrupted in DRAM streams.
     pub dram_flips: u64,
-    /// Reads whose value was overridden by a stuck-at cell.
-    pub stuck_overrides: u64,
-    /// Cache lines upset by read disturb.
-    pub line_disturbs: u64,
 }
 
 /// A deterministic fault stream plus the model parameters it applies.
@@ -199,7 +168,6 @@ pub struct FaultInjector {
     state: u64,
     read_threshold: u64,
     dram_threshold: u64,
-    stuck: Vec<StuckCell>,
     counters: FaultCounters,
 }
 
@@ -256,19 +224,6 @@ impl FaultInjector {
         flips
     }
 
-    /// One read-disturb draw for a whole cache-line read. Zero rate
-    /// consumes no draws.
-    pub fn read_disturb(&mut self) -> bool {
-        if self.read_threshold == 0 {
-            return false;
-        }
-        let hit = self.next_u64() < self.read_threshold;
-        if hit {
-            self.counters.line_disturbs += 1;
-        }
-        hit
-    }
-
     /// Deterministically picks an index in `0..len` from the stream
     /// (`0` for an empty range). Used to localize a corruption to one
     /// neighbor slot of a tuple.
@@ -277,37 +232,6 @@ impl FaultInjector {
             return 0;
         }
         to_index(self.next_u64() % count_u64(len))
-    }
-
-    /// Applies the model to a just-read bit slice: per-bit transient
-    /// flips, then stuck-at overrides for cells inside the read window
-    /// (`row`, columns `start_col..start_col + bits.len()`). Returns
-    /// the number of transient flips applied.
-    pub fn corrupt_sram_read(&mut self, row: usize, start_col: usize, bits: &mut [bool]) -> u64 {
-        let mut flips = 0u64;
-        if self.read_threshold != 0 {
-            for bit in bits.iter_mut() {
-                if self.next_u64() < self.read_threshold {
-                    *bit = !*bit;
-                    flips += 1;
-                }
-            }
-            if flips > 0 {
-                self.counters.reads_corrupted += 1;
-                self.counters.transient_flips += flips;
-            }
-        }
-        for k in 0..self.stuck.len() {
-            let cell = self.stuck[k];
-            if cell.row == row && cell.col >= start_col && cell.col - start_col < bits.len() {
-                let i = cell.col - start_col;
-                if bits[i] != cell.value {
-                    bits[i] = cell.value;
-                    self.counters.stuck_overrides += 1;
-                }
-            }
-        }
-        flips
     }
 }
 
@@ -352,15 +276,10 @@ mod tests {
     #[test]
     fn zero_rate_consumes_no_draws() {
         let model = FaultModel::new(5);
-        assert!(model.is_inert());
         let mut inj = model.injector(3);
         let state = inj.stream_state();
         assert_eq!(inj.flips_in_read(10_000), 0);
         assert_eq!(inj.flips_in_dram_stream(10_000), 0);
-        assert!(!inj.read_disturb());
-        let mut bits = vec![true; 64];
-        assert_eq!(inj.corrupt_sram_read(0, 0, &mut bits), 0);
-        assert_eq!(bits, vec![true; 64]);
         assert_eq!(
             inj.stream_state(),
             state,
@@ -373,30 +292,9 @@ mod tests {
     fn certainty_rate_flips_every_bit() {
         let model = FaultModel::new(1).with_read_ber(FaultRate::from_ppb(PPB));
         let mut inj = model.injector(0);
-        let mut bits = vec![false; 32];
         // threshold is just below u64::MAX; a draw landing above it is a
         // ~3e-11 event per bit, so all 32 flip.
-        assert_eq!(inj.corrupt_sram_read(0, 0, &mut bits), 32);
-        assert_eq!(bits, vec![true; 32]);
-    }
-
-    #[test]
-    fn stuck_cells_override_reads_inside_the_window() {
-        let model = FaultModel::new(0)
-            .with_stuck_cell(2, 5, true)
-            .with_stuck_cell(2, 7, false)
-            .with_stuck_cell(3, 0, true);
-        assert!(!model.is_inert());
-        let mut inj = model.injector(0);
-        let mut bits = vec![false; 4]; // row 2, cols 4..8
-        inj.corrupt_sram_read(2, 4, &mut bits);
-        assert_eq!(bits, vec![false, true, false, false]);
-        // col 7 already read false: no override counted for it.
-        assert_eq!(inj.counters().stuck_overrides, 1);
-        // Wrong row: untouched.
-        let mut other = vec![false; 4];
-        inj.corrupt_sram_read(4, 4, &mut other);
-        assert_eq!(other, vec![false; 4]);
+        assert_eq!(inj.flips_in_read(32), 32);
     }
 
     #[test]

@@ -15,7 +15,6 @@
 //! flush-on-switch cost — the *real* price of repurposing, which the
 //! `disc_conventional` harness measures.
 
-use crate::fault::FaultInjector;
 use crate::units::convert::{count_u64, ratio_u64, to_index};
 use crate::units::Cycles;
 use std::fmt;
@@ -80,8 +79,6 @@ pub struct CacheStats {
     pub lines_flushed: u64,
     /// Accesses rejected for being in the wrong mode.
     pub rejected: u64,
-    /// Lines invalidated by injected read-disturb faults.
-    pub fault_invalidations: u64,
 }
 
 impl CacheStats {
@@ -94,7 +91,6 @@ impl CacheStats {
         reg.counter_add("l1_mode_switches", self.mode_switches);
         reg.counter_add("l1_lines_flushed", self.lines_flushed);
         reg.counter_add("l1_rejected", self.rejected);
-        reg.counter_add("l1_fault_invalidations", self.fault_invalidations);
         reg.gauge_set("l1_hit_rate", self.hit_rate());
     }
 
@@ -282,33 +278,6 @@ impl L1Cache {
         Ok(Access::Miss { evicted })
     }
 
-    /// Normal-mode read of `addr` through a [`FaultInjector`]: the
-    /// access proceeds exactly as [`L1Cache::read`] would; on a hit, one
-    /// read-disturb draw decides whether the accessed line is upset and
-    /// invalidated *after* the read (the data returned this time is
-    /// good; the next access to the line re-misses). With an inert model
-    /// this is bit-identical to `read` and consumes no RNG draws.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`WrongModeError`] in compute mode.
-    pub fn read_with_faults(
-        &mut self,
-        addr: u64,
-        inj: &mut FaultInjector,
-    ) -> Result<Access, WrongModeError> {
-        let access = self.access(addr)?;
-        if access == Access::Hit && inj.read_disturb() {
-            let (set, tag) = self.index(addr);
-            // Tags are unique per set: invalidate the single match and stop.
-            if let Some(way) = self.tags[set].iter().position(|&t| t == Some(tag)) {
-                self.tags[set][way] = None;
-                self.stats.fault_invalidations += 1;
-            }
-        }
-        Ok(access)
-    }
-
     /// Runs an address trace, returning `(hits, misses)`.
     ///
     /// # Errors
@@ -408,42 +377,6 @@ mod tests {
     #[should_panic(expected = "whole number of sets")]
     fn bad_geometry_rejected() {
         let _ = L1Cache::new(100, 3, 64);
-    }
-
-    #[test]
-    fn inert_faulted_reads_match_plain_reads() {
-        use crate::fault::FaultModel;
-        let mut inj = FaultModel::new(9).injector(0);
-        let mut faulted = L1Cache::new(1024, 2, 64);
-        let mut plain = L1Cache::new(1024, 2, 64);
-        for addr in [0u64, 64, 0, 128, 64, 0] {
-            let a = faulted.read_with_faults(addr, &mut inj).unwrap();
-            let b = plain.read(addr).unwrap();
-            assert_eq!(a, b);
-        }
-        assert_eq!(faulted.stats(), plain.stats());
-        assert_eq!(inj.counters().line_disturbs, 0);
-    }
-
-    #[test]
-    fn read_disturb_invalidates_the_hit_line() {
-        use crate::fault::{FaultModel, FaultRate};
-        let model = FaultModel::new(1).with_read_ber(FaultRate::from_ppb(1_000_000_000));
-        let mut inj = model.injector(0);
-        let mut l1 = L1Cache::new(1024, 2, 64);
-        assert!(matches!(
-            l1.read_with_faults(0, &mut inj).unwrap(),
-            Access::Miss { .. }
-        ));
-        // Hit — but the certainty-rate disturb upsets the line afterwards.
-        assert_eq!(l1.read_with_faults(4, &mut inj).unwrap(), Access::Hit);
-        assert_eq!(l1.stats().fault_invalidations, 1);
-        assert_eq!(inj.counters().line_disturbs, 1);
-        // The upset line must be re-fetched.
-        assert!(matches!(
-            l1.read_with_faults(0, &mut inj).unwrap(),
-            Access::Miss { .. }
-        ));
     }
 }
 

@@ -22,7 +22,6 @@
 //! SACHI's reuse-aware designs.
 
 use crate::energy::{EnergyComponent, EnergyLedger};
-use crate::fault::FaultInjector;
 use crate::lanes;
 use crate::params::TechnologyParams;
 use crate::units::convert::count_u64;
@@ -499,7 +498,7 @@ impl SramTile {
     /// allocating a `Vec<bool>`. The first `ceil(active.end / 64)` words
     /// of `out` are fully overwritten — every bit outside `sense` is zero
     /// — and words beyond that prefix are untouched. This is the
-    /// zero-allocation kernel behind the designs' bit-plane fast path.
+    /// zero-allocation kernel behind the designs' production SoA kernels.
     ///
     /// # Errors
     ///
@@ -706,7 +705,7 @@ impl SramTile {
     /// updates to one [`SramTile::compute_xnor_packed`] call per row —
     /// the per-row discharge, redundancy, access, and word-line sums are
     /// computed in the same order and merely accumulated across rows.
-    /// The batch exists so the IC-stationary fast path pays the bounds
+    /// The batch exists so the IC-stationary kernel pays the bounds
     /// checks once per *tuple* instead of once per *neighbor*.
     ///
     /// Restricted to single-word rows (`active.end <= 64`), which is the
@@ -1003,77 +1002,12 @@ impl SramTile {
     ) -> Result<Vec<bool>, AccessError> {
         self.compute_xnor(row, input, 0..self.cols)
     }
-
-    /// Normal-mode range read through a [`FaultInjector`]: the stored
-    /// bits are read exactly as [`SramTile::read_range`] would, then the
-    /// injector applies transient flips and stuck-at overrides to the
-    /// *returned* values (a read fault corrupts the sensed data, not the
-    /// cell contents). Returns the possibly-corrupted bits and the number
-    /// of transient flips injected. With an inert model this is
-    /// bit-identical to `read_range` and consumes no RNG draws.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`AccessError`] on out-of-bounds.
-    pub fn read_range_with_faults(
-        &mut self,
-        row: usize,
-        cols: Range<usize>,
-        inj: &mut FaultInjector,
-    ) -> Result<(Vec<bool>, u64), AccessError> {
-        let start = cols.start;
-        let mut bits = self.read_range(row, cols)?;
-        let flips = inj.corrupt_sram_read(row, start, &mut bits);
-        Ok((bits, flips))
-    }
-
-    /// Ising-compute access through a [`FaultInjector`]: the discharge
-    /// pattern is computed exactly as [`SramTile::compute_xnor`] would,
-    /// then transient flips / stuck-at overrides corrupt the *sensed*
-    /// outputs. Energy accounting is untouched — a flipped sense
-    /// amplifier output costs the same as a correct one. Returns the
-    /// sensed values plus the transient flip count.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`AccessError`] if `row` is out of bounds or `sense`
-    /// exceeds the row width.
-    pub fn compute_xnor_with_faults(
-        &mut self,
-        row: usize,
-        input: bool,
-        sense: Range<usize>,
-        inj: &mut FaultInjector,
-    ) -> Result<(Vec<bool>, u64), AccessError> {
-        let start = sense.start;
-        let mut out = self.compute_xnor(row, input, sense)?;
-        let flips = inj.corrupt_sram_read(row, start, &mut out);
-        Ok((out, flips))
-    }
-
-    /// Fault-injection hook: flips the stored bit at `(row, col)` without
-    /// booking any access energy, returning the new value. Models a
-    /// particle-strike/retention upset for resilience testing — the
-    /// all-digital compute path makes such faults *observable* (the
-    /// discharge pattern changes deterministically), unlike the analog
-    /// accumulation of BRIM/Ising-CIM where a flipped cell only shifts a
-    /// voltage.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`AccessError`] if `row`/`col` is out of bounds.
-    pub fn inject_bit_flip(&mut self, row: usize, col: usize) -> Result<bool, AccessError> {
-        self.check(row, col)?;
-        let new = !self.bit_unchecked(row, col);
-        self.set_bit_unchecked(row, col, new);
-        Ok(new)
-    }
 }
 
 /// Gathers `len` (≤ 64) bits starting at bit `start` from a packed
 /// LSB-first word slice, as produced by the packed compute kernels: bit
 /// `start + i` of the slice lands in bit `i` of the result. This is the
-/// shift/add decode primitive the bit-plane fast path uses in place of
+/// shift/add decode primitive the production kernels use in place of
 /// `Vec<bool>` round-trips.
 ///
 /// # Panics
@@ -1447,74 +1381,6 @@ mod tests {
     }
 
     #[test]
-    fn injected_fault_changes_the_discharge_pattern_deterministically() {
-        let mut healthy = tile_with_pattern();
-        let mut faulty = tile_with_pattern();
-        let flipped_to = faulty.inject_bit_flip(0, 2).unwrap();
-        assert!(!flipped_to, "row 0 col 2 stored 1, fault flips to 0");
-        let good = healthy.compute_xnor(0, true, 0..6).unwrap();
-        let bad = faulty.compute_xnor(0, true, 0..6).unwrap();
-        assert_ne!(good, bad, "fault must be observable in the XNOR output");
-        // Exactly one column differs — the digital path localizes it.
-        let diffs = good.iter().zip(bad.iter()).filter(|(a, b)| a != b).count();
-        assert_eq!(diffs, 1);
-        // Fault injection books no access energy.
-        assert_eq!(
-            healthy.stats().rwl_activations,
-            faulty.stats().rwl_activations
-        );
-        assert!(faulty.inject_bit_flip(9, 0).is_err());
-    }
-
-    #[test]
-    fn faulted_reads_are_identity_under_an_inert_model() {
-        use crate::fault::FaultModel;
-        let mut t = tile_with_pattern();
-        let mut clean = tile_with_pattern();
-        let mut inj = FaultModel::new(7).injector(0);
-        let (bits, flips) = t.read_range_with_faults(0, 0..6, &mut inj).unwrap();
-        assert_eq!(flips, 0);
-        assert_eq!(bits, clean.read_range(0, 0..6).unwrap());
-        let (out, flips) = t.compute_xnor_with_faults(0, true, 0..6, &mut inj).unwrap();
-        assert_eq!(flips, 0);
-        assert_eq!(out, clean.compute_xnor(0, true, 0..6).unwrap());
-        // Accounting identical to the fault-free path.
-        assert_eq!(t.stats(), clean.stats());
-    }
-
-    #[test]
-    fn faulted_reads_corrupt_outputs_not_cells() {
-        use crate::fault::{FaultModel, FaultRate};
-        let model = FaultModel::new(3).with_read_ber(FaultRate::from_ppb(1_000_000_000));
-        let mut inj = model.injector(0);
-        let mut t = tile_with_pattern();
-        let (bits, flips) = t.read_range_with_faults(0, 0..6, &mut inj).unwrap();
-        assert_eq!(flips, 6, "certainty BER flips every sensed bit");
-        assert_eq!(bits, vec![false, true, false, false, true, true]);
-        // The stored cells are untouched: a clean read still sees the truth.
-        assert_eq!(
-            t.read_range(0, 0..6).unwrap(),
-            vec![true, false, true, true, false, false]
-        );
-        let (out, flips) = t.compute_xnor_with_faults(0, true, 2..5, &mut inj).unwrap();
-        assert_eq!(flips, 3);
-        assert_eq!(out, vec![false, false, true]);
-    }
-
-    #[test]
-    fn stuck_cell_pins_the_sensed_window() {
-        use crate::fault::FaultModel;
-        let model = FaultModel::new(0).with_stuck_cell(0, 4, true);
-        let mut inj = model.injector(0);
-        let mut t = tile_with_pattern();
-        // Window 2..6 of row 0: stored [1, 1, 0, 0]; col 4 stuck at 1.
-        let (bits, flips) = t.read_range_with_faults(0, 2..6, &mut inj).unwrap();
-        assert_eq!(flips, 0);
-        assert_eq!(bits, vec![true, true, true, false]);
-        assert_eq!(inj.counters().stuck_overrides, 1);
-    }
-
-    #[test]
     fn wide_rows_cross_word_boundaries() {
         let mut t = SramTile::new(2, 130);
         t.write_bit(1, 129, true).unwrap();
@@ -1675,7 +1541,7 @@ mod proptests {
 
         /// `compute_xnor_plane` is bit-identical — packed outputs and
         /// `TileStats` deltas — to the per-column `compute_xnor_bit` loop
-        /// it replaces (the closed-form counter contract of the fast path).
+        /// it replaces (the closed-form counter contract of the SoA kernels).
         #[test]
         fn plane_kernel_matches_scalar_bit_loop(
             stored in prop::collection::vec(any::<bool>(), 1..150),

@@ -101,8 +101,8 @@ const FAULT_STRICT_SCOPE: &[&str] = &[
 /// are the per-sweep hot path: the designs' tuple kernels and spin-row
 /// upload/writeback helpers, the resident array's H-compute, the SoA
 /// tuple-plane writeback, and the SRAM compute kernels. Allocation there
-/// is an N·R-per-sweep tax the bit-plane fast path exists to remove; the
-/// scalar reference paths are excused by audited `lint.allow.toml`
+/// is an N·R-per-sweep tax the production SoA kernel must not pay; the
+/// scalar reference oracles are excused by audited `lint.allow.toml`
 /// entries.
 const HOT_PATH_SCOPE: &[&str] = &[
     "crates/core/src/designs.rs",

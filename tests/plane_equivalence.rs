@@ -1,19 +1,21 @@
-//! Differential proptests for the bit-plane fast path.
+//! Differential tests for the production kernel against its scalar
+//! oracle, plus machine-level goldens.
 //!
-//! The two-path kernel contract (DESIGN.md): for every design,
-//! `compute_tuple_fast` must be **bit-identical** to `compute_tuple` in
-//! its H value, its `ComputeContext` counters (cycles, RWL fetches, XNOR
-//! ops, adder ops, decisions, queue peaks), and the tile's `TileStats`
-//! (activations, discharges, redundancy, reads, writes) — across all four
-//! designs, random tuples, and every resolution R ∈ {2..32}, including
-//! empty and degree-1 tuples. The one sanctioned divergence is the
-//! spin-row residency elision, pinned by its own test below.
+//! The two-path kernel contract (DESIGN.md): for every design, the
+//! production kernel `compute_tuple_soa` must be **bit-identical** to the
+//! scalar oracle `compute_tuple` in its H value, its `ComputeContext`
+//! counters (cycles, RWL fetches, XNOR ops, adder ops, decisions, queue
+//! peaks), and the tile's `TileStats` (activations, discharges,
+//! redundancy, reads, writes) — across all four designs, random tuples,
+//! and every resolution R ∈ {2..32}, including empty and degree-1
+//! tuples. The one sanctioned divergence is the spin-row residency
+//! elision, pinned by its own tests below.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use sachi::arch::config::{DesignKind, FaultProfile, SachiConfig};
-use sachi::arch::designs::{stationarity, ComputeContext, ComputeScratch};
+use sachi::arch::designs::{stationarity, ComputeContext, ComputeScratch, Stationarity};
 use sachi::arch::encoding::MixedEncoding;
 use sachi::arch::machine::SachiMachine;
 use sachi::arch::tuple::{SpinTuple, TuplePlanes};
@@ -50,52 +52,44 @@ fn build_tuple(r: u32, pairs: &[(u64, bool)], field_raw: u64) -> SpinTuple {
     }
 }
 
-/// Runs all three paths (scalar, fast AoS, fast SoA) on freshly-sized
-/// twin tiles and asserts bit-exact equality of (H, `ComputeContext`,
-/// `TileStats`).
+/// Runs the SoA kernel on a single tuple, with the tuple's own one-slot
+/// `TuplePlanes` built fresh (so the planes always mirror `tuple`).
+fn soa_compute(
+    design: &dyn Stationarity,
+    tile: &mut SramTile,
+    enc: &MixedEncoding,
+    tuple: &SpinTuple,
+    target: Spin,
+    ctx: &mut ComputeContext,
+    scratch: &mut ComputeScratch,
+) -> i64 {
+    let planes = TuplePlanes::from_tuples([tuple], enc).expect("coefficients fit R bits");
+    design.compute_tuple_soa(tile, enc, tuple, planes.view(0), target, ctx, scratch)
+}
+
+/// Runs the scalar oracle and the SoA kernel on freshly-sized twin tiles
+/// and asserts bit-exact equality of (H, `ComputeContext`, `TileStats`).
 fn assert_paths_agree(kind: DesignKind, enc: &MixedEncoding, tuple: &SpinTuple, target: Spin) {
     let design = stationarity(kind);
     let (rows, cols) = design.tile_requirements(tuple.degree(), enc.bits(), 800);
     let mut tile_scalar = SramTile::new(rows, cols);
-    let mut tile_fast = SramTile::new(rows, cols);
     let mut tile_soa = SramTile::new(rows, cols);
     let mut ctx_scalar = ComputeContext::new();
-    let mut ctx_fast = ComputeContext::new();
     let mut ctx_soa = ComputeContext::new();
-    let mut scratch = ComputeScratch::new();
-    let mut scratch_soa = ComputeScratch::new();
-    let planes = TuplePlanes::from_tuples([tuple], enc).expect("coefficients fit R bits");
     let h_scalar = design.compute_tuple(&mut tile_scalar, enc, tuple, target, &mut ctx_scalar);
-    let h_fast = design.compute_tuple_fast(
-        &mut tile_fast,
-        enc,
-        tuple,
-        target,
-        &mut ctx_fast,
-        &mut scratch,
-    );
-    let h_soa = design.compute_tuple_soa(
+    let h_soa = soa_compute(
+        design,
         &mut tile_soa,
         enc,
         tuple,
-        planes.view(0),
         target,
         &mut ctx_soa,
-        &mut scratch_soa,
+        &mut ComputeScratch::new(),
     );
+    let (r, degree) = (enc.bits(), tuple.degree());
     assert_eq!(
-        h_scalar,
-        h_fast,
-        "{kind} H diverged (R={}, degree={})",
-        enc.bits(),
-        tuple.degree()
-    );
-    assert_eq!(
-        h_scalar,
-        h_soa,
-        "{kind} SoA H diverged (R={}, degree={})",
-        enc.bits(),
-        tuple.degree()
+        h_scalar, h_soa,
+        "{kind} H diverged (R={r}, degree={degree})"
     );
     assert_eq!(
         h_scalar,
@@ -103,42 +97,23 @@ fn assert_paths_agree(kind: DesignKind, enc: &MixedEncoding, tuple: &SpinTuple, 
         "{kind} H diverged from the tuple-local golden field"
     );
     assert_eq!(
-        ctx_scalar,
-        ctx_fast,
-        "{kind} ComputeContext diverged (R={}, degree={})",
-        enc.bits(),
-        tuple.degree()
-    );
-    assert_eq!(
-        ctx_scalar,
-        ctx_soa,
-        "{kind} SoA ComputeContext diverged (R={}, degree={})",
-        enc.bits(),
-        tuple.degree()
-    );
-    assert_eq!(
-        tile_scalar.stats(),
-        tile_fast.stats(),
-        "{kind} TileStats diverged (R={}, degree={})",
-        enc.bits(),
-        tuple.degree()
+        ctx_scalar, ctx_soa,
+        "{kind} ComputeContext diverged (R={r}, degree={degree})"
     );
     assert_eq!(
         tile_scalar.stats(),
         tile_soa.stats(),
-        "{kind} SoA TileStats diverged (R={}, degree={})",
-        enc.bits(),
-        tuple.degree()
+        "{kind} TileStats diverged (R={r}, degree={degree})"
     );
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Random tuples, every design, R ∈ {2..32}: the fast path is
-    /// bit-identical to the scalar path in H, counters, and tile stats.
+    /// Random tuples, every design, R ∈ {2..32}: the SoA kernel is
+    /// bit-identical to the scalar oracle in H, counters, and tile stats.
     #[test]
-    fn fast_path_matches_scalar_path(
+    fn soa_path_matches_scalar_path(
         r in 2u32..=32,
         pairs in prop::collection::vec((any::<u64>(), any::<bool>()), 0..48),
         target_up in any::<bool>(),
@@ -178,28 +153,19 @@ proptest! {
             let (rows, cols) = design.tile_requirements(max_degree, r, 800);
             let planes = TuplePlanes::from_tuples(tuples.iter(), &enc).expect("coefficients fit");
             let mut tile_scalar = SramTile::new(rows, cols);
-            let mut tile_fast = SramTile::new(rows, cols);
             let mut tile_soa = SramTile::new(rows, cols);
             let mut ctx_scalar = ComputeContext::new();
-            let mut ctx_fast = ComputeContext::new();
             let mut ctx_soa = ComputeContext::new();
             let mut scratch = ComputeScratch::new();
-            let mut scratch_soa = ComputeScratch::new();
             for (i, tuple) in tuples.iter().enumerate() {
                 let hs = design.compute_tuple(&mut tile_scalar, &enc, tuple, Spin::Up, &mut ctx_scalar);
-                let hf = design.compute_tuple_fast(
-                    &mut tile_fast, &enc, tuple, Spin::Up, &mut ctx_fast, &mut scratch,
-                );
                 let ho = design.compute_tuple_soa(
-                    &mut tile_soa, &enc, tuple, planes.view(i), Spin::Up, &mut ctx_soa, &mut scratch_soa,
+                    &mut tile_soa, &enc, tuple, planes.view(i), Spin::Up, &mut ctx_soa, &mut scratch,
                 );
-                prop_assert_eq!(hs, hf, "{} H diverged mid-stream", kind);
-                prop_assert_eq!(hs, ho, "{} SoA H diverged mid-stream", kind);
+                prop_assert_eq!(hs, ho, "{} H diverged mid-stream", kind);
             }
-            prop_assert_eq!(ctx_scalar, ctx_fast, "{} ComputeContext diverged", kind);
-            prop_assert_eq!(ctx_scalar, ctx_soa, "{} SoA ComputeContext diverged", kind);
-            prop_assert_eq!(tile_scalar.stats(), tile_fast.stats(), "{} TileStats diverged", kind);
-            prop_assert_eq!(tile_scalar.stats(), tile_soa.stats(), "{} SoA TileStats diverged", kind);
+            prop_assert_eq!(ctx_scalar, ctx_soa, "{} ComputeContext diverged", kind);
+            prop_assert_eq!(tile_scalar.stats(), tile_soa.stats(), "{} TileStats diverged", kind);
         }
     }
 }
@@ -241,11 +207,13 @@ fn extreme_coefficients_agree() {
 
 #[test]
 fn spin_row_elision_is_the_only_sanctioned_divergence() {
-    // Recomputing the SAME tuple on the spin-stationary designs: the fast
-    // path skips the redundant spin-row rewrite. Everything except
-    // bits_written stays bit-identical; bits_written drops by exactly the
-    // elided row width per skip — and the machine never bills layout
-    // writes, so the elision is unobservable in reports.
+    // Recomputing the SAME tuple on the spin-stationary designs: the
+    // scalar oracle rewrites the resident spin row every call, the SoA
+    // kernel writes it once and elides the rest (the spins are
+    // *stationary*). Everything except bits_written stays bit-identical;
+    // bits_written drops by exactly the elided row width per skip — and
+    // the machine never bills layout writes, so the elision is
+    // unobservable in reports.
     let enc = MixedEncoding::new(5).expect("valid resolution");
     let pairs: Vec<(u64, bool)> = (0..17).map(|k| (k * 31 + 5, k % 2 == 0)).collect();
     let tuple = build_tuple(5, &pairs, 3);
@@ -253,37 +221,52 @@ fn spin_row_elision_is_the_only_sanctioned_divergence() {
         let design = stationarity(kind);
         let (rows, cols) = design.tile_requirements(tuple.degree(), enc.bits(), 800);
         let mut tile_scalar = SramTile::new(rows, cols);
-        let mut tile_fast = SramTile::new(rows, cols);
+        let mut tile_soa = SramTile::new(rows, cols);
         let mut ctx_scalar = ComputeContext::new();
-        let mut ctx_fast = ComputeContext::new();
+        let mut ctx_soa = ComputeContext::new();
         let mut scratch = ComputeScratch::new();
         for pass in 0..3u64 {
             let hs =
                 design.compute_tuple(&mut tile_scalar, &enc, &tuple, Spin::Up, &mut ctx_scalar);
-            let hf = design.compute_tuple_fast(
-                &mut tile_fast,
+            let ho = soa_compute(
+                design,
+                &mut tile_soa,
                 &enc,
                 &tuple,
                 Spin::Up,
-                &mut ctx_fast,
+                &mut ctx_soa,
                 &mut scratch,
             );
-            assert_eq!(hs, hf, "{kind} H diverged on pass {pass}");
+            assert_eq!(hs, ho, "{kind} H diverged on pass {pass}");
             assert_eq!(
-                ctx_scalar, ctx_fast,
+                ctx_scalar, ctx_soa,
                 "{kind} counters diverged on pass {pass}"
             );
             assert_eq!(scratch.skipped_spin_writes, pass, "{kind} skip count");
         }
         let s = tile_scalar.stats();
-        let f = tile_fast.stats();
-        assert_eq!(s.rwl_activations, f.rwl_activations);
-        assert_eq!(s.rbl_discharges, f.rbl_discharges);
-        assert_eq!(s.redundant_discharges, f.redundant_discharges);
-        assert_eq!(s.compute_accesses, f.compute_accesses);
-        assert_eq!(s.bits_read, f.bits_read);
+        let o = tile_soa.stats();
+        assert_eq!(s.rwl_activations, o.rwl_activations);
+        assert_eq!(s.rbl_discharges, o.rbl_discharges);
+        assert_eq!(s.redundant_discharges, o.redundant_discharges);
+        assert_eq!(s.compute_accesses, o.compute_accesses);
+        assert_eq!(s.bits_read, o.bits_read);
         // Two skipped rewrites of the 17-bit spin row.
-        assert_eq!(s.bits_written, f.bits_written + 2 * 17);
+        assert_eq!(s.bits_written, o.bits_written + 2 * 17);
+        // A different tuple re-arms the full-row write: no new skip.
+        let other = build_tuple(5, &pairs[..16], 3);
+        let written = o.bits_written;
+        soa_compute(
+            design,
+            &mut tile_soa,
+            &enc,
+            &other,
+            Spin::Up,
+            &mut ctx_soa,
+            &mut scratch,
+        );
+        assert_eq!(tile_soa.stats().bits_written, written + 16, "{kind}");
+        assert_eq!(scratch.skipped_spin_writes, 2, "{kind}");
     }
 }
 
@@ -297,60 +280,63 @@ fn spin_row_elision_is_word_granular_across_word_boundaries() {
     // divergence — H and all ComputeContext counters stay bit-identical.
     let enc = MixedEncoding::new(4).expect("valid resolution");
     let pairs: Vec<(u64, bool)> = (0..100).map(|k| (k * 13 + 1, k % 2 == 0)).collect();
-    let mut tuple = build_tuple(4, &pairs, 3);
     for kind in [DesignKind::N1a, DesignKind::N1b] {
+        let mut tuple = build_tuple(4, &pairs, 3);
         let design = stationarity(kind);
         let (rows, cols) = design.tile_requirements(tuple.degree(), enc.bits(), 800);
         let mut tile_scalar = SramTile::new(rows, cols);
-        let mut tile_fast = SramTile::new(rows, cols);
+        let mut tile_soa = SramTile::new(rows, cols);
         let mut ctx_scalar = ComputeContext::new();
-        let mut ctx_fast = ComputeContext::new();
+        let mut ctx_soa = ComputeContext::new();
         let mut scratch = ComputeScratch::new();
         // Pass 0 is cold (full upload); pass 1 recomputes the identical
         // tuple, so both spin-row words are elided.
         for _ in 0..2 {
             let hs =
                 design.compute_tuple(&mut tile_scalar, &enc, &tuple, Spin::Up, &mut ctx_scalar);
-            let hf = design.compute_tuple_fast(
-                &mut tile_fast,
+            let ho = soa_compute(
+                design,
+                &mut tile_soa,
                 &enc,
                 &tuple,
                 Spin::Up,
-                &mut ctx_fast,
+                &mut ctx_soa,
                 &mut scratch,
             );
-            assert_eq!(hs, hf, "{kind} H diverged");
+            assert_eq!(hs, ho, "{kind} H diverged");
         }
         assert_eq!(
             scratch.skipped_spin_writes, 2,
             "{kind}: both words of an unchanged row must skip"
         );
         // Slot 70 lives in spin-row word 1 (bits 64..100); word 0 stays
-        // clean and must keep skipping.
+        // clean and must keep skipping. `soa_compute` rebuilds the planes
+        // from the flipped tuple.
         tuple.neighbor_spins[70] = tuple.neighbor_spins[70].flipped();
         let hs = design.compute_tuple(&mut tile_scalar, &enc, &tuple, Spin::Up, &mut ctx_scalar);
-        let hf = design.compute_tuple_fast(
-            &mut tile_fast,
+        let ho = soa_compute(
+            design,
+            &mut tile_soa,
             &enc,
             &tuple,
             Spin::Up,
-            &mut ctx_fast,
+            &mut ctx_soa,
             &mut scratch,
         );
-        assert_eq!(hs, hf, "{kind} H diverged after the word-1 flip");
-        assert_eq!(ctx_scalar, ctx_fast, "{kind} counters diverged");
+        assert_eq!(hs, ho, "{kind} H diverged after the word-1 flip");
+        assert_eq!(ctx_scalar, ctx_soa, "{kind} counters diverged");
         assert_eq!(
             scratch.skipped_spin_writes, 3,
             "{kind}: the clean word 0 must still skip after a word-1 flip"
         );
         let s = tile_scalar.stats();
-        let f = tile_fast.stats();
-        assert_eq!(s.bits_read, f.bits_read, "{kind} reads diverged");
+        let o = tile_soa.stats();
+        assert_eq!(s.bits_read, o.bits_read, "{kind} reads diverged");
         // Pass 1 elided the whole 100-bit row; pass 2 elided word 0
         // (64 bits) and rewrote only the 36-bit tail word.
         assert_eq!(
             s.bits_written,
-            f.bits_written + 100 + 64,
+            o.bits_written + 100 + 64,
             "{kind}: elision must be exactly word-granular"
         );
     }
