@@ -42,13 +42,23 @@ cargo test -q --test ensemble_determinism -- --test-threads=8
 echo "==> disc_faults --smoke"
 cargo run -q -p sachi-bench --bin disc_faults -- --smoke
 
-# Kernel/sweep equality tripwire: asserts H equality between scalar,
-# bit-plane fast, and SoA tuple-plane paths on the dense acceptance
-# tuple, a King's-graph sweep, and a dense SoA sweep — and that banked
-# multi-round sweeps keep the H trajectory and compute cycles
-# bit-identical (timing ratios are only gated in the full run).
+# Kernel/sweep equality tripwire: asserts H equality between the scalar
+# oracle and the SoA production kernel on the dense acceptance tuple, a
+# King's-graph sweep, and a dense sweep — and that banked multi-round
+# sweeps keep the H trajectory and compute cycles bit-identical (timing
+# ratios are only gated in the full run).
 echo "==> perf_kernels --smoke"
 cargo run -q -p sachi-bench --bin perf_kernels -- --smoke
+
+# End-to-end benchmark: perf_e2e is its own package (outside the
+# workspace), so its unit tests need their own leg. The smoke run drives
+# every workload through the real `sachi solve` / `sachi serve` binaries
+# with a tenth of the jobs and exits non-zero on any incorrect job.
+echo "==> perf_e2e unit tests"
+cargo test -q --manifest-path crates/bench/src/bin/perf_e2e/Cargo.toml
+
+echo "==> perf_e2e run.sh --smoke"
+bash crates/bench/src/bin/perf_e2e/run.sh --smoke
 
 # Model drift report: asserts the closed-form PerfModel reproduces the
 # functional machine's metered compute cycles exactly on uniform-degree

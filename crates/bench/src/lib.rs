@@ -29,11 +29,13 @@
 //! | `abl_residency` | ablation — analytic residency billing vs physical resident machine |
 //! | `abl_prefetch` | ablation — prefetcher on/off |
 //! | `abl_update_policy` | ablation — storage-update vs RMW local update |
-//! | `perf_kernels` | perf — scalar vs bit-plane kernel ns/H-compute and ns/sweep (writes `BENCH_perf.json`) |
+//! | `perf_kernels` | perf — scalar oracle vs SoA production kernel ns/H-compute and ns/sweep (writes `BENCH_perf.json`) |
 //! | `disc_quality` | quality — seeded corpus (SAT/coloring/scheduling) × designs, regression-gated (writes `BENCH_quality.json`) |
 //!
 //! The crate also ships Criterion micro-benchmarks over the hot kernels
-//! (`cargo bench -p sachi-bench`).
+//! (`cargo bench -p sachi-bench`). The end-to-end wall-clock benchmark
+//! of `sachi solve` / `sachi serve` lives in `src/bin/perf_e2e/`, a
+//! package of its own run through its `run.sh` (see EXPERIMENTS.md).
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
