@@ -219,7 +219,8 @@ impl MixedEncoding {
 
     /// Sums the decoded value of **every** lane of a bit-plane block in
     /// one pass of word-parallel popcounts — the bulk equivalent of
-    /// decoding every lane and adding the results. A lane's two's-complement value is
+    /// decoding every lane and adding the results. A lane's
+    /// two's-complement value is
     /// `Σ_{b<R-1} bit_b·2^b − bit_{R-1}·2^{R-1}`, so the sum over lanes
     /// factors into one weighted popcount per plane: `R·w` popcounts
     /// replace `lanes·R` bit gathers. Lanes beyond the valid data must be
