@@ -74,6 +74,14 @@ cargo run -q -p sachi-cli --bin sachi -- \
   solve --cop md --size 64 --restarts 2 --metrics json --trace-phases \
   | cargo run -q -p xtask -- validate-metrics
 
+# A tempered rung's report merges one solve per exchange segment; its
+# phase trace must still read as one ordered timeline (the validator
+# rejects spans that step back in cycle or sweep, or leave their round).
+echo "==> sachi solve --tempering --trace-phases --metrics json | xtask validate-metrics"
+cargo run -q -p sachi-cli --bin sachi -- \
+  solve --cop sat --size 20 --restarts 2 --tempering --trace-phases --metrics json \
+  | cargo run -q -p xtask -- validate-metrics
+
 # Solution-quality gate: the one-cell-per-family smoke subset of the
 # seeded corpus (3-SAT, coloring, scheduling) must stay within the
 # stated tolerances of the committed BENCH_quality.json — including the

@@ -84,11 +84,11 @@ impl ReplicaLedger {
     ///
     /// A replica that reports more than once — a parallel-tempering rung
     /// runs one constant-temperature solve segment per exchange round,
-    /// each through a fresh [`ReportingMachine`] — has its reports
-    /// merged with [`RunReport::absorb`], so the slot holds the rung's
-    /// whole-run accounting. Segments arrive in round order within one
-    /// rung (the tempering engine barriers between rounds), so the merge
-    /// is deterministic.
+    /// all through the one [`ReportingMachine`] the engine keeps for
+    /// that rung — has its reports merged with [`RunReport::absorb`],
+    /// so the slot holds the rung's whole-run accounting. Segments
+    /// arrive in round order within one rung (the tempering engine
+    /// barriers between rounds), so the merge is deterministic.
     ///
     /// # Panics
     ///

@@ -271,11 +271,18 @@ impl EnsembleRunner {
     /// Runs the ensemble over scoped worker threads. `factory(k)` builds
     /// the solver for replica `k`, so hardware machines can be
     /// instantiated per replica (and capture per-replica report sinks).
+    /// It is called once per replica, on the worker thread that runs
+    /// it. A replica-exchange run ([`SolveOptions::tempering`]) calls
+    /// its rung's solver once per exchange segment and once for the
+    /// quench, so a sink that sees more than one record per replica
+    /// must merge them.
     ///
     /// Workers pull replica indices from a shared atomic queue; each
     /// result lands in the slot named by its replica index, so the
     /// output is independent of thread count and work-stealing order
-    /// whenever the solver itself is deterministic per seed.
+    /// whenever the solver itself is deterministic per seed. Tempered
+    /// rungs are pinned instead: rung `r` runs on worker `r % threads`
+    /// for the whole run.
     ///
     /// # Panics
     ///

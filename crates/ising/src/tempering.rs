@@ -34,6 +34,12 @@
 //!    from its own salted SplitMix64 restart stream (the rung's
 //!    best-ever snapshot is kept and restored before the final quench).
 //!
+//! Each rung keeps one solver for the whole run, so a hardware machine
+//! maps the problem once and only re-seats the spins a swap or restart
+//! changed. Which thread owns a rung is fixed (`r % workers`), but
+//! since every segment is a pure function of its coordinates, that
+//! choice is as unobservable as the thread count.
+//!
 //! With exchange disabled ([`TemperingOptions::exchange`] `= false`)
 //! the runner routes to the plain independent-replica path and the
 //! output is byte-identical to the existing ensemble — segmenting a
@@ -49,8 +55,7 @@ use crate::solver::{IterativeSolver, SolveOptions, SolveResult};
 use crate::spin::SpinVector;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::mpsc;
 
 /// Salt folded into the master seed for the swap-decision stream.
 /// Distinct from every per-replica move seed by construction: move
@@ -446,11 +451,16 @@ fn segment_options(
     }
 }
 
-/// Runs the replica-exchange ensemble over scoped worker threads.
-/// `factory(r)` builds the solver for rung `r`'s segments (called once
-/// per segment, so per-replica report sinks see one record per segment
-/// and must merge). Byte-identical to [`run_exchange_sequential`] at
-/// every thread count.
+/// Runs the replica-exchange ensemble with one solver per rung, built
+/// once per run by `factory(r)` and kept for every round and the
+/// quench — so a machine keeps its rung's problem state resident, and a
+/// per-replica report sink sees one record per segment and must merge.
+///
+/// With one worker the segments run inline on the calling thread. With
+/// more, the workers live for the whole run: rung `r` belongs to worker
+/// `r % workers`, which builds that rung's solver on its own thread and
+/// runs its segments in the order they arrive. Byte-identical to
+/// [`run_exchange_sequential`] at every thread count.
 pub(crate) fn run_exchange<S, F>(
     threads: usize,
     replicas: usize,
@@ -465,32 +475,73 @@ where
     F: Fn(usize) -> S + Sync,
 {
     let workers = threads.min(replicas).max(1);
-    drive(replicas, graph, initial, base, topts, |jobs| {
-        let slots: Mutex<Vec<Option<SolveResult>>> =
-            Mutex::new((0..jobs.len()).map(|_| None).collect());
-        let next = AtomicUsize::new(0);
-        std::thread::scope(|scope| {
-            for _ in 0..workers.min(jobs.len()).max(1) {
-                scope.spawn(|| loop {
-                    let j = next.fetch_add(1, Ordering::Relaxed);
-                    let Some(job) = jobs.get(j) else { break };
-                    let mut solver = factory(job.rung);
-                    let result = solver.solve(graph, &job.spins, &job.opts);
-                    let mut guard = slots
-                        .lock()
-                        .expect("tempering slot mutex poisoned: a segment panicked");
-                    if let Some(slot) = guard.get_mut(j) {
-                        *slot = Some(result);
+    if workers == 1 {
+        let mut solvers: Vec<S> = (0..replicas).map(&factory).collect();
+        return drive(replicas, graph, initial, base, topts, |jobs| {
+            jobs.into_iter()
+                .map(|job| {
+                    solvers
+                        .get_mut(job.rung)
+                        .expect("one solver per rung")
+                        .solve(graph, &job.spins, &job.opts)
+                })
+                .collect()
+        });
+    }
+    std::thread::scope(|scope| {
+        // One (job, result) channel pair per worker. Results come back
+        // in the order the worker received its jobs, and a worker that
+        // died drops its result sender, failing the driver's receive
+        // instead of blocking it.
+        let lanes: Vec<_> = (0..workers)
+            .map(|w| {
+                let (job_tx, job_rx) = mpsc::channel::<SegmentJob>();
+                let (result_tx, result_rx) = mpsc::channel::<SolveResult>();
+                let factory = &factory;
+                scope.spawn(move || {
+                    let mut solvers: Vec<(usize, S)> = (w..replicas)
+                        .step_by(workers)
+                        .map(|r| (r, factory(r)))
+                        .collect();
+                    for job in job_rx {
+                        let (_, solver) = solvers
+                            .iter_mut()
+                            .find(|(r, _)| *r == job.rung)
+                            .expect("jobs reach the worker owning their rung");
+                        if result_tx
+                            .send(solver.solve(graph, &job.spins, &job.opts))
+                            .is_err()
+                        {
+                            break;
+                        }
                     }
                 });
+                (job_tx, result_rx)
+            })
+            .collect();
+        let lane_of = |rung: usize| {
+            rung.checked_rem(workers)
+                .and_then(|w| lanes.get(w))
+                .expect("every rung has a lane")
+        };
+        drive(replicas, graph, initial, base, topts, |jobs| {
+            let rungs: Vec<usize> = jobs.iter().map(|job| job.rung).collect();
+            for job in jobs {
+                lane_of(job.rung)
+                    .0
+                    .send(job)
+                    .expect("tempering worker alive: a segment panicked");
             }
-        });
-        slots
-            .into_inner()
-            .expect("tempering slot mutex poisoned: a segment panicked")
-            .into_iter()
-            .map(|slot| slot.expect("segment queue covers every job index"))
-            .collect()
+            rungs
+                .into_iter()
+                .map(|rung| {
+                    lane_of(rung)
+                        .1
+                        .recv()
+                        .expect("tempering worker alive: a segment panicked")
+                })
+                .collect()
+        })
     })
 }
 
@@ -507,7 +558,7 @@ pub(crate) fn run_exchange_sequential<S: IterativeSolver>(
     topts: &TemperingOptions,
 ) -> BestOf {
     drive(replicas, graph, initial, base, topts, |jobs| {
-        jobs.iter()
+        jobs.into_iter()
             .map(|job| solver.solve(graph, &job.spins, &job.opts))
             .collect()
     })
@@ -527,7 +578,7 @@ fn drive<E>(
     mut exec: E,
 ) -> BestOf
 where
-    E: FnMut(&[SegmentJob]) -> Vec<SolveResult>,
+    E: FnMut(Vec<SegmentJob>) -> Vec<SolveResult>,
 {
     assert!(replicas > 0, "need at least one replica");
     let ladder = topts.ladder.resampled(replicas);
@@ -605,7 +656,7 @@ where
                 ),
             })
             .collect();
-        let results = exec(&jobs);
+        let results = exec(jobs);
         for (st, result) in rungs.iter_mut().zip(results) {
             st.absorb(result);
         }
@@ -683,7 +734,7 @@ where
                 ),
             })
             .collect();
-        let results = exec(&jobs);
+        let results = exec(jobs);
         for (st, result) in rungs.iter_mut().zip(results) {
             st.absorb(result);
         }
@@ -806,6 +857,34 @@ mod tests {
             assert_eq!(got, reference, "threads = {threads}");
         }
         assert!(reference.stats.swap_attempts > 0);
+    }
+
+    /// The reference solver, or — when `poisoned` — a solver that
+    /// panics on its first segment.
+    struct MaybePoisoned {
+        poisoned: bool,
+    }
+
+    impl IterativeSolver for MaybePoisoned {
+        fn solve(&mut self, g: &IsingGraph, init: &SpinVector, opts: &SolveOptions) -> SolveResult {
+            assert!(!self.poisoned, "poisoned rung");
+            CpuReferenceSolver::new().solve(g, init, opts)
+        }
+    }
+
+    #[test]
+    fn a_panicking_rung_fails_the_run_instead_of_hanging_it() {
+        let g = frustrated_graph();
+        let init = SpinVector::filled(14, crate::spin::Spin::Up);
+        let opts = tempered_opts(&g, 3, LadderKind::Geometric);
+        for threads in [1, 2, 4] {
+            let outcome = std::panic::catch_unwind(|| {
+                EnsembleRunner::new(4)
+                    .with_threads(threads)
+                    .run(&g, &init, &opts, |r| MaybePoisoned { poisoned: r == 1 })
+            });
+            assert!(outcome.is_err(), "threads = {threads}");
+        }
     }
 
     #[test]

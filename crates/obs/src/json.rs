@@ -570,9 +570,11 @@ pub fn validate_snapshot(text: &str) -> Result<(), String> {
     validate_structure(&root)
 }
 
-/// Validates a snapshot from a full `sachi solve` run: structure plus
+/// Validates a snapshot from a full `sachi solve` run: structure,
 /// counter coverage of every subsystem in
-/// [`REQUIRED_COUNTER_PREFIXES`].
+/// [`REQUIRED_COUNTER_PREFIXES`], and span order — top-level spans
+/// (upload, round) never step back in start or sweep, and every round
+/// child lies inside the round before it.
 pub fn validate_solve_snapshot(text: &str) -> Result<(), String> {
     let root = parse(text)?;
     validate_structure(&root)?;
@@ -583,6 +585,48 @@ pub fn validate_solve_snapshot(text: &str) -> Result<(), String> {
     for prefix in REQUIRED_COUNTER_PREFIXES {
         if !counters.iter().any(|(name, _)| name.starts_with(prefix)) {
             return Err(format!("no counter with required prefix '{prefix}'"));
+        }
+    }
+    if let Some(spans) = root.get("spans").and_then(JsonValue::as_arr) {
+        validate_span_order(spans)?;
+    }
+    Ok(())
+}
+
+/// The span-order half of [`validate_solve_snapshot`]; `spans` passed
+/// [`validate_structure`] already.
+fn validate_span_order(spans: &[JsonValue]) -> Result<(), String> {
+    let num = |s: &JsonValue, field: &str| s.get(field).and_then(JsonValue::as_num).unwrap_or(0.0);
+    // (start, sweep) of the last top-level span, and the last round's
+    // (sweep, round, start, end).
+    let mut last_top: Option<(f64, f64)> = None;
+    let mut round: Option<(f64, f64, f64, f64)> = None;
+    for (i, s) in spans.iter().enumerate() {
+        let phase = s.get("phase").and_then(JsonValue::as_str).unwrap_or("");
+        let (start, end, sweep) = (num(s, "start"), num(s, "end"), num(s, "sweep"));
+        if end < start {
+            return Err(format!("span {i}: ends at {end} before its start {start}"));
+        }
+        if phase == "upload" || phase == "round" {
+            if let Some((prev_start, prev_sweep)) = last_top {
+                if start < prev_start || sweep < prev_sweep {
+                    return Err(format!(
+                        "span {i}: {phase} at sweep {sweep}, cycle {start} steps back from \
+                         sweep {prev_sweep}, cycle {prev_start}"
+                    ));
+                }
+            }
+            last_top = Some((start, sweep));
+            round = (phase == "round").then_some((sweep, num(s, "round"), start, end));
+            continue;
+        }
+        match round {
+            Some((r_sweep, r_round, r_start, r_end))
+                if sweep == r_sweep
+                    && num(s, "round") == r_round
+                    && start >= r_start
+                    && end <= r_end => {}
+            _ => return Err(format!("span {i}: {phase} lies outside its round")),
         }
     }
     Ok(())
@@ -720,5 +764,51 @@ mod tests {
             full.counter_add(&format!("{p}x"), 1);
         }
         validate_solve_snapshot(&write_snapshot(&full, &[])).expect("full coverage passes");
+    }
+
+    fn span(phase: SolvePhase, sweep: u64, start: u64, end: u64) -> PhaseSpan {
+        PhaseSpan {
+            phase,
+            sweep,
+            round: 0,
+            start,
+            end,
+            events: 1,
+        }
+    }
+
+    #[test]
+    fn solve_snapshot_rejects_disordered_spans() {
+        let mut full = MetricsRegistry::new();
+        for p in REQUIRED_COUNTER_PREFIXES {
+            full.counter_add(&format!("{p}x"), 1);
+        }
+        let check = |spans: &[PhaseSpan]| validate_solve_snapshot(&write_snapshot(&full, spans));
+        let ordered = [
+            span(SolvePhase::Upload, 0, 0, 10),
+            span(SolvePhase::Round, 0, 10, 30),
+            span(SolvePhase::HCompute, 0, 10, 25),
+            span(SolvePhase::Update, 0, 30, 30),
+            span(SolvePhase::Upload, 1, 30, 40),
+            span(SolvePhase::Round, 1, 40, 60),
+        ];
+        check(&ordered).expect("ordered spans pass");
+
+        let mut restarted = ordered;
+        restarted[4] = span(SolvePhase::Upload, 0, 0, 10);
+        let err = check(&restarted).expect_err("upload restarting at cycle 0");
+        assert!(err.contains("steps back"), "{err}");
+
+        let mut relabelled = ordered;
+        relabelled[5].sweep = 0;
+        assert!(check(&relabelled).is_err(), "sweep label steps back");
+
+        let mut overrun = ordered;
+        overrun[2].end = 31;
+        let err = check(&overrun).expect_err("child past its round's end");
+        assert!(err.contains("outside its round"), "{err}");
+
+        let orphan = [span(SolvePhase::HCompute, 0, 0, 5)];
+        assert!(check(&orphan).is_err(), "child without a round");
     }
 }

@@ -99,20 +99,25 @@ fn master_seed_of(opts: &SolveOptions) -> u64 {
     opts.seed
 }
 
-/// Runs a machine ensemble with an optional fault profile, returning the
-/// results plus the folded per-replica accounting.
+/// The SACHI(n3) machine config with an optional fault profile.
+fn n3_config(fault: Option<FaultProfile>) -> SachiConfig {
+    let config = SachiConfig::new(DesignKind::N3);
+    match fault {
+        Some(profile) => config.with_fault(profile),
+        None => config,
+    }
+}
+
+/// Runs a machine ensemble, returning the results plus the folded
+/// per-replica accounting.
 fn machine_ensemble(
     graph: &IsingGraph,
     init: &SpinVector,
     opts: &SolveOptions,
     replicas: usize,
     threads: usize,
-    fault: Option<FaultProfile>,
+    config: &SachiConfig,
 ) -> (sachi::ising::ensemble::BestOf, EnsembleReport) {
-    let mut config = SachiConfig::new(DesignKind::N3);
-    if let Some(profile) = fault {
-        config = config.with_fault(profile);
-    }
     let ledger = ReplicaLedger::new(replicas);
     let best_of = EnsembleRunner::new(replicas)
         .with_threads(threads)
@@ -138,10 +143,10 @@ proptest! {
         let replicas = 3usize;
 
         let (golden, golden_report) =
-            machine_ensemble(&graph, &init, &opts, replicas, 2, None);
+            machine_ensemble(&graph, &init, &opts, replicas, 2, &n3_config(None));
         let inert = FaultProfile::new(FaultModel::new(fault_seed));
         let (faulted, faulted_report) =
-            machine_ensemble(&graph, &init, &opts, replicas, 2, Some(inert));
+            machine_ensemble(&graph, &init, &opts, replicas, 2, &n3_config(Some(inert)));
 
         prop_assert_eq!(&faulted, &golden);
         for (got, want) in faulted_report.reports.iter().zip(&golden_report.reports) {
@@ -166,9 +171,9 @@ proptest! {
         );
 
         let (reference, reference_report) =
-            machine_ensemble(&graph, &init, &opts, replicas, 1, Some(profile.clone()));
+            machine_ensemble(&graph, &init, &opts, replicas, 1, &n3_config(Some(profile.clone())));
         let (threaded, threaded_report) =
-            machine_ensemble(&graph, &init, &opts, replicas, 8, Some(profile));
+            machine_ensemble(&graph, &init, &opts, replicas, 8, &n3_config(Some(profile)));
 
         prop_assert_eq!(&threaded, &reference);
         prop_assert_eq!(
@@ -182,6 +187,113 @@ proptest! {
         prop_assert_eq!(threaded_report.faults_detected, reference_report.faults_detected);
         prop_assert_eq!(threaded_report.fault_retries, reference_report.fault_retries);
         prop_assert_eq!(threaded_report.degraded_replicas, reference_report.degraded_replicas);
+    }
+}
+
+/// A 20-spin DRAM-streaming hierarchy: a compute array of a few tuples
+/// (multi-round sweeps) behind a 128-bit storage array.
+fn streaming_hierarchy() -> CacheHierarchy {
+    CacheHierarchy {
+        compute: CacheGeometry::new(2, 4, 64, 1),
+        storage: CacheGeometry::new(1, 2, 64, 2),
+    }
+}
+
+/// `g` with every coupling kept and spin `i`'s field set to `h`.
+fn with_field(g: &IsingGraph, i: u32, h: i32) -> IsingGraph {
+    let mut builder = GraphBuilder::new(g.num_spins());
+    for (a, b, w) in g.edges() {
+        builder.push_edge(a, b, w);
+    }
+    builder.field(i, h).build().expect("valid graph")
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// A machine keeps its problem state between calls, and that is
+    /// unobservable: one machine called again and again — continuing
+    /// from its own result, handed another rung's spins, handed a fresh
+    /// random state — returns exactly the `SolveResult` and `RunReport`
+    /// a fresh machine returns for the same call. Every design, with
+    /// tuple-rep on and off, phase tracing, a nonzero BER, and a
+    /// multi-round DRAM-streaming hierarchy.
+    #[test]
+    fn reused_machine_matches_a_fresh_machine_call_for_call(
+        salt in 0u64..500,
+        master in 0u64..500,
+        design in 0usize..4,
+        tuple_rep in any::<bool>(),
+        trace in any::<bool>(),
+        faulted in any::<bool>(),
+        streaming in any::<bool>(),
+        calls in 4u64..7,
+    ) {
+        let graph = frustrated_graph(4, 5, salt);
+        let n = graph.num_spins();
+        let mut config = SachiConfig::new(DesignKind::ALL[design]);
+        if !tuple_rep {
+            config = config.without_tuple_rep();
+        }
+        if trace {
+            config = config.with_phase_trace();
+        }
+        if faulted {
+            let model = FaultModel::new(salt ^ master)
+                .with_read_ber(FaultRate::from_probability(2e-3))
+                .with_dram_ber(FaultRate::from_probability(2e-3));
+            config = config.with_fault(
+                FaultProfile::new(model).with_policy(RecoveryPolicy::RefetchRetry { max_retries: 1 }),
+            );
+        }
+        if streaming {
+            config = config.with_hierarchy(streaming_hierarchy());
+        }
+        let mut rng = StdRng::seed_from_u64(salt ^ 0x4E5E);
+        let mut initial = SpinVector::random(n, &mut rng);
+        let mut partner = SpinVector::random(n, &mut rng);
+        let mut reused = SachiMachine::new(config.clone());
+        for call in 0..calls {
+            let opts = SolveOptions::for_graph(&graph, master.wrapping_add(call)).with_max_sweeps(6);
+            let got = reused.solve_detailed(&graph, &initial, &opts);
+            let want = SachiMachine::new(config.clone()).solve_detailed(&graph, &initial, &opts);
+            prop_assert_eq!(&got, &want, "call {}", call);
+            initial = match call % 3 {
+                0 => got.0.spins,
+                1 => std::mem::replace(&mut partner, got.0.spins),
+                _ => SpinVector::random(n, &mut rng),
+            };
+        }
+    }
+}
+
+/// A machine handed a graph with different content — other couplings,
+/// another field, another neighbor structure — at the same spin count
+/// rebuilds its resident state instead of computing on stale tuples.
+#[test]
+fn reused_machine_rebuilds_on_a_different_graph_of_the_same_size() {
+    let first = frustrated_graph(4, 5, 1);
+    let others = [
+        frustrated_graph(4, 5, 2),
+        with_field(&first, 7, 3),
+        topology::grid4(4, 5, |a, b| ((a * 3 + b) % 7) as i32 - 3).expect("grid graph"),
+    ];
+    let mut rng = StdRng::seed_from_u64(77);
+    let init = SpinVector::random(first.num_spins(), &mut rng);
+    for design in DesignKind::ALL {
+        let config = SachiConfig::new(design);
+        let mut machine = SachiMachine::new(config.clone());
+        let opts = SolveOptions::for_graph(&first, 5).with_max_sweeps(20);
+        let _ = machine.solve_detailed(&first, &init, &opts);
+        for (k, graph) in others.iter().enumerate() {
+            assert_eq!(graph.num_spins(), first.num_spins());
+            let opts = SolveOptions::for_graph(graph, 6).with_max_sweeps(20);
+            let got = machine.solve_detailed(graph, &init, &opts);
+            let want = SachiMachine::new(config.clone()).solve_detailed(graph, &init, &opts);
+            assert_eq!(got, want, "{design} graph {k}");
+            let golden = CpuReferenceSolver::new().solve(graph, &init, &opts);
+            assert_eq!(got.0, golden, "{design} graph {k} vs golden");
+        }
     }
 }
 
@@ -302,6 +414,33 @@ proptest! {
         let sequential = EnsembleRunner::new(rungs)
             .with_threads(4)
             .run_sequential(&mut solver, &graph, &init, &opts);
+        prop_assert_eq!(&sequential, &reference);
+
+        // Hardware rungs keep their machines resident for the whole run;
+        // neither that nor the worker layout may reach the results or
+        // the per-rung accounting.
+        let config = SachiConfig::new(DesignKind::N2).with_phase_trace();
+        let (machine_reference, machine_report) =
+            machine_ensemble(&graph, &init, &opts, rungs, 1, &config);
+        prop_assert_eq!(&machine_reference, &reference);
+        for threads in [2usize, 8] {
+            let (got, report) = machine_ensemble(&graph, &init, &opts, rungs, threads, &config);
+            prop_assert_eq!(&got, &reference, "machine threads = {}", threads);
+            prop_assert_eq!(&report.reports, &machine_report.reports);
+            prop_assert_eq!(report.serial_cycles, machine_report.serial_cycles);
+            prop_assert_eq!(report.max_replica_cycles, machine_report.max_replica_cycles);
+            prop_assert_eq!(&report.energy, &machine_report.energy);
+            prop_assert_eq!(report.faults_detected, machine_report.faults_detected);
+            prop_assert_eq!(report.faults_injected, machine_report.faults_injected);
+            prop_assert_eq!(report.fault_retries, machine_report.fault_retries);
+            prop_assert_eq!(report.degraded_replicas, machine_report.degraded_replicas);
+        }
+        // One borrowed machine serving every rung in turn re-seats its
+        // resident spins on each call and still matches.
+        let mut machine = SachiMachine::new(config);
+        let sequential = EnsembleRunner::new(rungs)
+            .with_threads(4)
+            .run_sequential(&mut machine, &graph, &init, &opts);
         prop_assert_eq!(&sequential, &reference);
     }
 

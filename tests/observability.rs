@@ -275,6 +275,70 @@ fn solve_snapshot_covers_every_subsystem() {
     );
 }
 
+/// A tempered rung's report merges one solve per exchange segment; its
+/// phase trace must read as one timeline: top-level spans ordered by
+/// start and sweep, children inside their round, nothing past
+/// `total_cycles` — and the solve-schema validator agrees.
+#[test]
+fn tempered_report_spans_form_one_ordered_timeline() {
+    let graph = frustrated_graph(4, 4, 3);
+    let mut rng = StdRng::seed_from_u64(5);
+    let init = SpinVector::random(graph.num_spins(), &mut rng);
+    let opts = SolveOptions::for_graph(&graph, 9)
+        .with_max_sweeps(40)
+        .with_tempering(TemperingOptions::for_graph(LadderKind::Adaptive, &graph, 3));
+    // A small compute array forces multi-round sweeps with prefetches.
+    let hierarchy = CacheHierarchy {
+        compute: CacheGeometry::new(1, 4, 64, 1),
+        storage: CacheGeometry::new(1, 2, 64, 2),
+    };
+    let config = SachiConfig::new(DesignKind::N2)
+        .with_hierarchy(hierarchy)
+        .with_phase_trace();
+    let ledger = ReplicaLedger::new(3);
+    let _ = EnsembleRunner::new(3)
+        .with_threads(2)
+        .run(&graph, &init, &opts, |k| {
+            ReportingMachine::new(SachiMachine::new(config.clone()), k, &ledger)
+        });
+    let ensemble = ledger.finish();
+    for (r, report) in ensemble.reports.iter().enumerate() {
+        let spans = &report.phase_spans;
+        let uploads = spans
+            .iter()
+            .filter(|s| s.phase == SolvePhase::Upload)
+            .count();
+        assert!(uploads > 1, "rung {r}: one upload per segment");
+        let top: Vec<&PhaseSpan> = spans.iter().filter(|s| !s.phase.is_round_child()).collect();
+        for pair in top.windows(2) {
+            assert!(
+                pair[1].start >= pair[0].start && pair[1].sweep >= pair[0].sweep,
+                "rung {r}: {:?} steps back from {:?}",
+                pair[1],
+                pair[0]
+            );
+        }
+        let last_sweep = spans.iter().map(|s| s.sweep).max().unwrap_or(0);
+        assert!(
+            last_sweep + 1 >= report.sweeps,
+            "rung {r}: sweep labels run on"
+        );
+        for s in spans {
+            assert!(
+                s.end <= report.total_cycles.get(),
+                "rung {r}: {s:?} ends past total_cycles {}",
+                report.total_cycles.get()
+            );
+        }
+        let mut reg = MetricsRegistry::new();
+        report.export_metrics(&mut reg);
+        reg.counter_add("l1_x", 0);
+        reg.counter_add("solver_x", 0);
+        json::validate_solve_snapshot(&write_snapshot(&reg, spans))
+            .unwrap_or_else(|e| panic!("rung {r}: {e}"));
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
