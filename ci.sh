@@ -116,16 +116,29 @@ for _ in $(seq 1 50); do
 done
 "$SACHI" submit --addr "127.0.0.1:$PORT" --ping
 
+# What both front ends print for one job, in one form: the result line,
+# the accuracy line, and the best replica's index (`solve` prints it on
+# its ensemble line, `submit` on its replica line).
+outcome_of() {
+  grep -E '^(result  :|accuracy:)' <<<"$1"
+  sed -nE -e 's/.*\(best: replica ([0-9]+),.*/best replica \1/p' \
+    -e 's/^replica : best index ([0-9]+)$/best replica \1/p' <<<"$1"
+}
+
 JOB=(--cop sat --size 12 --seed 9 --restarts 3 --step-budget 60000)
-REF=$("$SACHI" solve "${JOB[@]}" | grep 'result  : H =')
+REF=$(outcome_of "$("$SACHI" solve "${JOB[@]}")")
 # A co-tenant job runs concurrently so the determinism check exercises
 # real replica interleaving on the shared pool, not an idle daemon.
 "$SACHI" submit --addr "127.0.0.1:$PORT" \
   --cop md --size 24 --seed 4 --restarts 2 --step-budget 200000 \
   >/dev/null &
 COTENANT_PID=$!
-GOT=$("$SACHI" submit --addr "127.0.0.1:$PORT" "${JOB[@]}" | grep 'result  : H =')
+GOT=$(outcome_of "$("$SACHI" submit --addr "127.0.0.1:$PORT" "${JOB[@]}")")
 wait "$COTENANT_PID"
+if [ "$(wc -l <<<"$REF")" -ne 3 ]; then
+  echo "serve smoke: expected result, accuracy and best replica, got: $REF" >&2
+  exit 1
+fi
 if [ "$GOT" != "$REF" ]; then
   echo "serve smoke: daemon result diverged from one-shot CLI" >&2
   echo "  one-shot: $REF" >&2
@@ -138,8 +151,8 @@ echo "serve smoke: daemon result matches one-shot CLI"
 # byte-identical between the daemon's shared pool and the one-shot CLI.
 PTJOB=(--cop sat --size 12 --seed 9 --restarts 3 --step-budget 60000
        --tempering --ladder adaptive)
-PTREF=$("$SACHI" solve "${PTJOB[@]}" | grep 'result  : H =')
-PTGOT=$("$SACHI" submit --addr "127.0.0.1:$PORT" "${PTJOB[@]}" | grep 'result  : H =')
+PTREF=$(outcome_of "$("$SACHI" solve "${PTJOB[@]}")")
+PTGOT=$(outcome_of "$("$SACHI" submit --addr "127.0.0.1:$PORT" "${PTJOB[@]}")")
 if [ "$PTGOT" != "$PTREF" ]; then
   echo "serve smoke: tempered daemon result diverged from one-shot CLI" >&2
   echo "  one-shot: $PTREF" >&2
@@ -160,6 +173,30 @@ if [ "$CODE_PARSE" -ne 2 ] || [ "$CODE_LIMIT" -ne 5 ]; then
   exit 1
 fi
 echo "serve smoke: typed refusals answer codes 2 and 5"
+
+# Jobs outside the machine's range are refused with code 2 by both
+# front ends, and a refused job leaves its admission slot free: four
+# out-of-range requests against a queue depth of 4, then a valid job.
+set +e
+CODES=""
+for ARGS in "solve --cop md --size 0" "solve --cop md --size 16 --resolution 33" \
+            "submit --addr 127.0.0.1:$PORT --fault-ber 2.0"; do
+  # shellcheck disable=SC2086
+  "$SACHI" $ARGS >/dev/null 2>&1
+  CODES="$CODES $?"
+done
+for _ in 1 2 3 4; do
+  "$SACHI" submit --addr "127.0.0.1:$PORT" \
+    --raw '{"op":"solve","job":{"cop":"md","size":16,"resolution":40}}' >/dev/null 2>&1
+  CODES="$CODES $?"
+done
+set -e
+if [ "$CODES" != " 2 2 2 2 2 2 2" ]; then
+  echo "serve smoke: out-of-range jobs answered codes$CODES (want 2 each)" >&2
+  exit 1
+fi
+"$SACHI" submit --addr "127.0.0.1:$PORT" "${JOB[@]}" >/dev/null
+echo "serve smoke: out-of-range jobs answer code 2 and the daemon keeps admitting"
 
 "$SACHI" submit --addr "127.0.0.1:$PORT" --fetch-metrics \
   | cargo run -q -p xtask -- validate-exposition

@@ -1,13 +1,18 @@
 //! Hand-rolled argument parsing for the `sachi` CLI (no external parser
 //! dependency; the grammar is small and fully tested).
+//!
+//! The job flags (`--cop` … `--ladder`) have one parser,
+//! [`job_flag`], shared by `solve`, `compare` and `submit`; every job
+//! they build ends in [`JobSpec::validate`], the same check the daemon
+//! runs, so a job the CLI accepts is a job the daemon accepts.
 
 use sachi_core::config::DesignKind;
+use sachi_core::error::SachiError;
 use sachi_core::serve::JobSpec;
-use sachi_ising::recovery::RecoveryPolicy;
 use sachi_ising::tempering::LadderKind;
 use sachi_mem::cache::CacheHierarchy;
 use sachi_workloads::spec::CopKind;
-use std::fmt;
+use std::str::FromStr;
 
 /// Machine-readable metrics output format for `solve`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -116,75 +121,41 @@ impl Default for SubmitArgs {
     }
 }
 
-/// Arguments of `solve`/`compare`.
+/// Arguments of `solve`/`compare`: the job, parsed exactly as `submit`
+/// parses it, plus the settings only the one-shot CLI has, none of
+/// which is a `JobSpec` or wire field.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SolveArgs {
-    /// Which COP to build (mutually exclusive with `file`).
-    pub cop: Option<CopKind>,
-    /// Problem size (spins; lattice COPs round to a near-square grid).
-    pub size: usize,
-    /// DIMACS/Gset file to load instead of a generated COP.
+    /// The job. With `file` set, `job.cop` and `job.size` are unused.
+    pub job: JobSpec,
+    /// DIMACS/Gset/CNF file to load instead of the generated COP.
     pub file: Option<String>,
     /// Treat `file` as Gset max-cut format.
     pub gset: bool,
     /// Treat `file` as DIMACS CNF (3-SAT clause-penalty encoding).
     pub cnf: bool,
-    /// Stationarity design.
-    pub design: DesignKind,
-    /// IC resolution override.
-    pub resolution: Option<u32>,
-    /// RNG seed.
-    pub seed: u64,
-    /// Annealing restarts (ensemble replicas).
-    pub restarts: u64,
     /// Worker threads for the replica ensemble (0 = all available
     /// cores). Thread count never changes results, only wall-clock.
     pub threads: usize,
     /// Cache hierarchy preset.
     pub hierarchy: CacheHierarchy,
-    /// Transient read bit-error rate (None = perfect memory).
-    pub fault_ber: Option<f64>,
-    /// Seed of the fault stream (independent of the solve seed).
-    pub fault_seed: u64,
-    /// Recovery policy applied when parity detects a fault.
-    pub fault_policy: RecoveryPolicy,
-    /// Deterministic work-domain deadline: total spin updates across
-    /// the whole solve (divided among sweeps; see
-    /// `SolveOptions::step_budget`). Zero is rejected at parse time.
-    pub step_budget: Option<u64>,
     /// Machine-readable metrics output (replaces the human report).
     pub metrics: Option<MetricsFormat>,
     /// Record solve-phase spans and include them in the metrics output.
     pub trace_phases: bool,
-    /// Couple the restarts as parallel-tempering rungs with replica
-    /// exchange instead of independent runs.
-    pub tempering: bool,
-    /// Temperature-ladder construction used with `--tempering`.
-    pub ladder: LadderKind,
 }
 
 impl Default for SolveArgs {
     fn default() -> Self {
         SolveArgs {
-            cop: Some(CopKind::MolecularDynamics),
-            size: 256,
+            job: JobSpec::default(),
             file: None,
             gset: false,
             cnf: false,
-            design: DesignKind::N3,
-            resolution: None,
-            seed: 0,
-            restarts: 1,
             threads: 0,
             hierarchy: CacheHierarchy::hpca_default(),
-            fault_ber: None,
-            fault_seed: 0,
-            fault_policy: RecoveryPolicy::default(),
-            step_budget: None,
             metrics: None,
             trace_phases: false,
-            tempering: false,
-            ladder: LadderKind::Geometric,
         }
     }
 }
@@ -219,20 +190,8 @@ impl Default for EstimateArgs {
     }
 }
 
-/// A parse failure with a user-facing message.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ArgError(pub String);
-
-impl fmt::Display for ArgError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}", self.0)
-    }
-}
-
-impl std::error::Error for ArgError {}
-
-fn err(msg: impl Into<String>) -> ArgError {
-    ArgError(msg.into())
+fn err(msg: impl Into<String>) -> SachiError {
+    SachiError::Usage(msg.into())
 }
 
 /// The canonical short label for a COP — the first alias
@@ -250,7 +209,7 @@ pub(crate) fn cop_label(kind: CopKind) -> &'static str {
     }
 }
 
-pub(crate) fn parse_cop(s: &str) -> Result<CopKind, ArgError> {
+pub(crate) fn parse_cop(s: &str) -> Result<CopKind, String> {
     match s {
         "asset" | "asset-allocation" => Ok(CopKind::AssetAllocation),
         "imgseg" | "segmentation" | "image-segmentation" => Ok(CopKind::ImageSegmentation),
@@ -259,9 +218,9 @@ pub(crate) fn parse_cop(s: &str) -> Result<CopKind, ArgError> {
         "sat" | "3sat" | "3-sat" => Ok(CopKind::SatThree),
         "coloring" | "color" | "graph-coloring" => Ok(CopKind::GraphColoring),
         "sched" | "scheduling" | "job-scheduling" => Ok(CopKind::JobScheduling),
-        other => Err(err(format!(
+        other => Err(format!(
             "unknown COP '{other}' (asset|imgseg|tsp|md|sat|coloring|sched)"
-        ))),
+        )),
     }
 }
 
@@ -277,17 +236,17 @@ pub(crate) fn design_label(kind: DesignKind) -> &'static str {
     }
 }
 
-pub(crate) fn parse_design(s: &str) -> Result<DesignKind, ArgError> {
+pub(crate) fn parse_design(s: &str) -> Result<DesignKind, String> {
     match s {
         "n1a" => Ok(DesignKind::N1a),
         "n1b" => Ok(DesignKind::N1b),
         "n2" => Ok(DesignKind::N2),
         "n3" => Ok(DesignKind::N3),
-        other => Err(err(format!("unknown design '{other}' (n1a|n1b|n2|n3)"))),
+        other => Err(format!("unknown design '{other}' (n1a|n1b|n2|n3)")),
     }
 }
 
-fn parse_hierarchy(s: &str) -> Result<CacheHierarchy, ArgError> {
+fn parse_hierarchy(s: &str) -> Result<CacheHierarchy, SachiError> {
     match s {
         "default" | "hpca" => Ok(CacheHierarchy::hpca_default()),
         "desktop" => Ok(CacheHierarchy::desktop()),
@@ -298,76 +257,84 @@ fn parse_hierarchy(s: &str) -> Result<CacheHierarchy, ArgError> {
     }
 }
 
-fn take_value<'a>(flag: &str, it: &mut impl Iterator<Item = &'a str>) -> Result<&'a str, ArgError> {
+fn take_value<'a>(
+    flag: &str,
+    it: &mut impl Iterator<Item = &'a str>,
+) -> Result<&'a str, SachiError> {
     it.next()
         .ok_or_else(|| err(format!("{flag} needs a value")))
 }
 
-fn parse_solve_args<'a>(mut it: impl Iterator<Item = &'a str>) -> Result<SolveArgs, ArgError> {
+/// The next value, parsed as `T`; `what` names the expected value in
+/// the error.
+fn value<'a, T: FromStr>(
+    flag: &str,
+    it: &mut impl Iterator<Item = &'a str>,
+    what: &str,
+) -> Result<T, SachiError> {
+    take_value(flag, it)?
+        .parse()
+        .map_err(|_| err(format!("{flag} needs {what}")))
+}
+
+/// Applies one job flag to `spec`, taking its value from `it`. Returns
+/// false when `flag` is not a job flag. The one parser of the job
+/// flags for every subcommand.
+fn job_flag<'a>(
+    spec: &mut JobSpec,
+    flag: &str,
+    it: &mut impl Iterator<Item = &'a str>,
+) -> Result<bool, SachiError> {
+    match flag {
+        "--cop" => spec.cop = parse_cop(take_value(flag, it)?).map_err(err)?,
+        "--size" => spec.size = value(flag, it, "an integer")?,
+        "--seed" => spec.seed = value(flag, it, "an integer")?,
+        "--design" => spec.design = parse_design(take_value(flag, it)?).map_err(err)?,
+        "--restarts" => spec.restarts = value(flag, it, "an integer")?,
+        "--resolution" => spec.resolution = Some(value(flag, it, "an integer")?),
+        "--step-budget" => spec.step_budget = Some(value(flag, it, "an integer")?),
+        "--fault-ber" => spec.fault_ber = Some(value(flag, it, "a number in [0, 1]")?),
+        "--fault-seed" => spec.fault_seed = value(flag, it, "an integer")?,
+        "--fault-policy" => {
+            spec.fault_policy = take_value(flag, it)?
+                .parse()
+                .map_err(|e: String| err(format!("--fault-policy: {e}")))?
+        }
+        "--tempering" => spec.tempering = true,
+        "--ladder" => {
+            spec.ladder = take_value(flag, it)?
+                .parse()
+                .map_err(|e: String| err(format!("--ladder: {e}")))?
+        }
+        _ => return Ok(false),
+    }
+    Ok(true)
+}
+
+/// Finishes a job built from flags: the flag-level rule `--ladder`
+/// needs `--tempering`, then the daemon's own [`JobSpec::validate`].
+fn finish_job(spec: JobSpec) -> Result<JobSpec, SachiError> {
+    if !spec.tempering && spec.ladder != LadderKind::Geometric {
+        return Err(err("--ladder needs --tempering"));
+    }
+    spec.validate()?;
+    Ok(spec)
+}
+
+fn parse_solve_args<'a>(mut it: impl Iterator<Item = &'a str>) -> Result<SolveArgs, SachiError> {
     let mut args = SolveArgs::default();
+    let mut cop_given = false;
     while let Some(flag) = it.next() {
+        if job_flag(&mut args.job, flag, &mut it)? {
+            cop_given |= flag == "--cop";
+            continue;
+        }
         match flag {
-            "--cop" => {
-                if args.file.is_some() {
-                    return Err(err("--cop and --file are mutually exclusive"));
-                }
-                args.cop = Some(parse_cop(take_value(flag, &mut it)?)?);
-            }
-            "--size" => {
-                args.size = take_value(flag, &mut it)?
-                    .parse()
-                    .map_err(|_| err("--size needs an integer"))?
-            }
-            "--file" => {
-                args.file = Some(take_value(flag, &mut it)?.to_string());
-                // The generated-COP default gives way to the file.
-                args.cop = None;
-            }
+            "--file" => args.file = Some(take_value(flag, &mut it)?.to_string()),
             "--gset" => args.gset = true,
             "--cnf" => args.cnf = true,
-            "--design" => args.design = parse_design(take_value(flag, &mut it)?)?,
-            "--resolution" => {
-                args.resolution = Some(
-                    take_value(flag, &mut it)?
-                        .parse()
-                        .map_err(|_| err("--resolution needs an integer"))?,
-                )
-            }
-            "--seed" => {
-                args.seed = take_value(flag, &mut it)?
-                    .parse()
-                    .map_err(|_| err("--seed needs an integer"))?
-            }
-            "--restarts" => {
-                args.restarts = take_value(flag, &mut it)?
-                    .parse()
-                    .map_err(|_| err("--restarts needs an integer"))?
-            }
-            "--threads" => {
-                args.threads = take_value(flag, &mut it)?
-                    .parse()
-                    .map_err(|_| err("--threads needs an integer (0 = all cores)"))?
-            }
+            "--threads" => args.threads = value(flag, &mut it, "an integer (0 = all cores)")?,
             "--hierarchy" => args.hierarchy = parse_hierarchy(take_value(flag, &mut it)?)?,
-            "--fault-ber" => {
-                let ber: f64 = take_value(flag, &mut it)?
-                    .parse()
-                    .map_err(|_| err("--fault-ber needs a number in [0, 1]"))?;
-                if !(0.0..=1.0).contains(&ber) {
-                    return Err(err("--fault-ber needs a number in [0, 1]"));
-                }
-                args.fault_ber = Some(ber);
-            }
-            "--fault-seed" => {
-                args.fault_seed = take_value(flag, &mut it)?
-                    .parse()
-                    .map_err(|_| err("--fault-seed needs an integer"))?
-            }
-            "--fault-policy" => {
-                args.fault_policy = take_value(flag, &mut it)?
-                    .parse()
-                    .map_err(|e: String| err(format!("--fault-policy: {e}")))?
-            }
             "--metrics" => {
                 args.metrics = Some(match take_value(flag, &mut it)? {
                     "json" => MetricsFormat::Json,
@@ -377,86 +344,58 @@ fn parse_solve_args<'a>(mut it: impl Iterator<Item = &'a str>) -> Result<SolveAr
                     }
                 })
             }
-            "--step-budget" => {
-                args.step_budget = Some(
-                    take_value(flag, &mut it)?
-                        .parse()
-                        .map_err(|_| err("--step-budget needs an integer"))?,
-                )
-            }
             "--trace-phases" => args.trace_phases = true,
-            "--tempering" => args.tempering = true,
-            "--ladder" => {
-                args.ladder = take_value(flag, &mut it)?
-                    .parse()
-                    .map_err(|e: String| err(format!("--ladder: {e}")))?
-            }
             other => return Err(err(format!("unknown flag '{other}' for solve/compare"))),
         }
     }
-    if args.restarts == 0 {
-        return Err(err("--restarts must be at least 1"));
-    }
-    if args.step_budget == Some(0) {
-        return Err(err(
-            "--step-budget 0 would run zero sweeps; omit the flag for unbounded",
-        ));
-    }
-    if args.cop.is_none() && args.file.is_none() {
-        return Err(err("need --cop or --file"));
-    }
-    if !args.tempering && args.ladder != LadderKind::Geometric {
-        return Err(err("--ladder needs --tempering"));
+    if cop_given && args.file.is_some() {
+        return Err(err("--cop and --file are mutually exclusive"));
     }
     if args.gset && args.cnf {
         return Err(err("--gset and --cnf are mutually exclusive"));
     }
-    if args.cnf && args.file.is_none() {
-        return Err(err("--cnf needs --file"));
+    if (args.gset || args.cnf) && args.file.is_none() {
+        return Err(err("--gset and --cnf need --file"));
     }
+    args.job = finish_job(args.job)?;
     Ok(args)
 }
+
+/// The job flags `estimate` shares; the others have no meaning for an
+/// analytic estimate.
+const ESTIMATE_JOB_FLAGS: [&str; 3] = ["--cop", "--design", "--resolution"];
 
 fn parse_estimate_args<'a>(
     mut it: impl Iterator<Item = &'a str>,
-) -> Result<EstimateArgs, ArgError> {
+) -> Result<EstimateArgs, SachiError> {
     let mut args = EstimateArgs::default();
+    let mut job = JobSpec::default();
     while let Some(flag) = it.next() {
         match flag {
-            "--cop" => args.cop = parse_cop(take_value(flag, &mut it)?)?,
-            "--spins" => {
-                args.spins = take_value(flag, &mut it)?
-                    .parse()
-                    .map_err(|_| err("--spins needs an integer"))?
-            }
-            "--design" => args.design = parse_design(take_value(flag, &mut it)?)?,
-            "--resolution" => {
-                args.resolution = Some(
-                    take_value(flag, &mut it)?
-                        .parse()
-                        .map_err(|_| err("--resolution needs an integer"))?,
-                )
-            }
-            "--iterations" => {
-                args.iterations = take_value(flag, &mut it)?
-                    .parse()
-                    .map_err(|_| err("--iterations needs an integer"))?
-            }
+            "--spins" => args.spins = value(flag, &mut it, "an integer")?,
+            "--iterations" => args.iterations = value(flag, &mut it, "an integer")?,
             "--hierarchy" => args.hierarchy = parse_hierarchy(take_value(flag, &mut it)?)?,
+            shared if ESTIMATE_JOB_FLAGS.contains(&shared) => {
+                job_flag(&mut job, shared, &mut it)?;
+            }
             other => return Err(err(format!("unknown flag '{other}' for estimate"))),
         }
     }
+    job.validate()?;
+    args.cop = job.cop;
+    args.design = job.design;
+    args.resolution = job.resolution;
     Ok(args)
 }
 
-fn nonzero<T: PartialEq + From<u8>>(value: T, flag: &str) -> Result<T, ArgError> {
+fn nonzero<T: PartialEq + From<u8>>(value: T, flag: &str) -> Result<T, SachiError> {
     if value == T::from(0u8) {
         return Err(err(format!("{flag} must be at least 1")));
     }
     Ok(value)
 }
 
-fn parse_serve_args<'a>(mut it: impl Iterator<Item = &'a str>) -> Result<ServeArgs, ArgError> {
+fn parse_serve_args<'a>(mut it: impl Iterator<Item = &'a str>) -> Result<ServeArgs, SachiError> {
     let mut args = ServeArgs::default();
     while let Some(flag) = it.next() {
         let value = take_value(flag, &mut it)?;
@@ -498,12 +437,12 @@ fn parse_serve_args<'a>(mut it: impl Iterator<Item = &'a str>) -> Result<ServeAr
     Ok(args)
 }
 
-fn parse_submit_args<'a>(mut it: impl Iterator<Item = &'a str>) -> Result<SubmitArgs, ArgError> {
+fn parse_submit_args<'a>(mut it: impl Iterator<Item = &'a str>) -> Result<SubmitArgs, SachiError> {
     let mut args = SubmitArgs::default();
     let mut spec = JobSpec::default();
     let mut op_flag: Option<&str> = None;
-    let mut job_flag: Option<&str> = None;
-    fn set_op<'f>(current: &mut Option<&'f str>, flag: &'f str) -> Result<(), ArgError> {
+    let mut job_flag_seen: Option<&str> = None;
+    fn set_op<'f>(current: &mut Option<&'f str>, flag: &'f str) -> Result<(), SachiError> {
         if let Some(prev) = current {
             return Err(err(format!("{prev} and {flag} are mutually exclusive")));
         }
@@ -511,6 +450,10 @@ fn parse_submit_args<'a>(mut it: impl Iterator<Item = &'a str>) -> Result<Submit
         Ok(())
     }
     while let Some(flag) = it.next() {
+        if job_flag(&mut spec, flag, &mut it)? {
+            job_flag_seen = Some(flag);
+            continue;
+        }
         match flag {
             "--addr" => args.addr = take_value(flag, &mut it)?.to_string(),
             "--ping" | "--shutdown" | "--fetch-metrics" => set_op(&mut op_flag, flag)?,
@@ -518,127 +461,32 @@ fn parse_submit_args<'a>(mut it: impl Iterator<Item = &'a str>) -> Result<Submit
                 set_op(&mut op_flag, flag)?;
                 args.op = SubmitOp::Raw(take_value(flag, &mut it)?.to_string());
             }
-            "--cop" => {
-                job_flag = Some(flag);
-                spec.cop = parse_cop(take_value(flag, &mut it)?)?;
-            }
-            "--size" => {
-                job_flag = Some(flag);
-                spec.size = take_value(flag, &mut it)?
-                    .parse()
-                    .map_err(|_| err("--size needs an integer"))?;
-            }
-            "--seed" => {
-                job_flag = Some(flag);
-                spec.seed = take_value(flag, &mut it)?
-                    .parse()
-                    .map_err(|_| err("--seed needs an integer"))?;
-            }
-            "--design" => {
-                job_flag = Some(flag);
-                spec.design = parse_design(take_value(flag, &mut it)?)?;
-            }
-            "--restarts" => {
-                job_flag = Some(flag);
-                spec.restarts = take_value(flag, &mut it)?
-                    .parse()
-                    .map_err(|_| err("--restarts needs an integer"))?;
-            }
-            "--resolution" => {
-                job_flag = Some(flag);
-                spec.resolution = Some(
-                    take_value(flag, &mut it)?
-                        .parse()
-                        .map_err(|_| err("--resolution needs an integer"))?,
-                );
-            }
-            "--step-budget" => {
-                job_flag = Some(flag);
-                spec.step_budget = Some(
-                    take_value(flag, &mut it)?
-                        .parse()
-                        .map_err(|_| err("--step-budget needs an integer"))?,
-                );
-            }
-            "--fault-ber" => {
-                job_flag = Some(flag);
-                spec.fault_ber = Some(
-                    take_value(flag, &mut it)?
-                        .parse()
-                        .map_err(|_| err("--fault-ber needs a number in [0, 1]"))?,
-                );
-            }
-            "--fault-seed" => {
-                job_flag = Some(flag);
-                spec.fault_seed = take_value(flag, &mut it)?
-                    .parse()
-                    .map_err(|_| err("--fault-seed needs an integer"))?;
-            }
-            "--fault-policy" => {
-                job_flag = Some(flag);
-                spec.fault_policy = take_value(flag, &mut it)?
-                    .parse()
-                    .map_err(|e: String| err(format!("--fault-policy: {e}")))?;
-            }
-            "--tempering" => {
-                job_flag = Some(flag);
-                spec.tempering = true;
-            }
-            "--ladder" => {
-                job_flag = Some(flag);
-                spec.ladder = take_value(flag, &mut it)?
-                    .parse()
-                    .map_err(|e: String| err(format!("--ladder: {e}")))?;
-            }
             other => return Err(err(format!("unknown flag '{other}' for submit"))),
         }
     }
-    match (op_flag, job_flag) {
-        (Some(op), Some(job)) => Err(err(format!(
-            "{op} and job flag {job} are mutually exclusive"
-        ))),
-        (Some("--ping"), None) => {
-            args.op = SubmitOp::Ping;
-            Ok(args)
+    let op = match (op_flag, job_flag_seen) {
+        (Some(op), Some(job)) => {
+            return Err(err(format!(
+                "{op} and job flag {job} are mutually exclusive"
+            )))
         }
-        (Some("--shutdown"), None) => {
-            args.op = SubmitOp::Shutdown;
-            Ok(args)
-        }
-        (Some("--fetch-metrics"), None) => {
-            args.op = SubmitOp::FetchMetrics;
-            Ok(args)
-        }
-        (Some(_), None) => Ok(args), // --raw already stored its payload
-        (None, _) => {
-            // Job validation is deliberately deferred to the daemon
-            // (same admission path as every other client), but the
-            // local zero checks mirror `solve` for parity of error
-            // messages.
-            if spec.restarts == 0 {
-                return Err(err("--restarts must be at least 1"));
-            }
-            if spec.step_budget == Some(0) {
-                return Err(err(
-                    "--step-budget 0 would run zero sweeps; omit the flag for unbounded",
-                ));
-            }
-            if !spec.tempering && spec.ladder != LadderKind::Geometric {
-                return Err(err("--ladder needs --tempering"));
-            }
-            args.op = SubmitOp::Solve(spec);
-            Ok(args)
-        }
-    }
+        (Some("--ping"), None) => SubmitOp::Ping,
+        (Some("--shutdown"), None) => SubmitOp::Shutdown,
+        (Some("--fetch-metrics"), None) => SubmitOp::FetchMetrics,
+        (Some(_), None) => return Ok(args), // --raw already stored its payload
+        (None, _) => SubmitOp::Solve(finish_job(spec)?),
+    };
+    Ok(SubmitArgs { op, ..args })
 }
 
 /// Parses a full command line (without the program name).
 ///
 /// # Errors
 ///
-/// Returns [`ArgError`] with a user-facing message on any malformed
-/// input.
-pub fn parse<'a>(argv: impl IntoIterator<Item = &'a str>) -> Result<Command, ArgError> {
+/// [`SachiError::Usage`] with a user-facing message on any malformed
+/// input; a job the daemon would refuse fails with the daemon's own
+/// [`JobSpec::validate`] error.
+pub fn parse<'a>(argv: impl IntoIterator<Item = &'a str>) -> Result<Command, SachiError> {
     let mut it = argv.into_iter();
     match it.next() {
         None | Some("help") | Some("-h") | Some("--help") => Ok(Command::Help),
@@ -659,37 +507,20 @@ pub const USAGE: &str = "\
 sachi — stationarity-aware, all-digital, near-memory Ising architecture simulator
 
 USAGE:
-  sachi solve    [--cop asset|imgseg|tsp|md|sat|coloring|sched] [--size N]
-                 [--file PATH [--gset|--cnf]]
-                 [--design n1a|n1b|n2|n3] [--resolution R] [--seed S]
-                 [--restarts K] [--threads T] [--hierarchy default|desktop|server]
-                 [--fault-ber P] [--fault-seed S] [--fault-policy failfast|retry|retry:N]
+  sachi solve    [job flags] [--file PATH [--gset|--cnf]] [--threads T]
+                 [--hierarchy default|desktop|server]
                  [--metrics json|prom] [--trace-phases]
-                 [--tempering [--ladder geometric|adaptive]]
                  (--threads 0, the default, uses every core; restarts run
                   as a deterministic parallel replica ensemble — results
-                  are identical at any thread count. --tempering couples
-                  the restarts as replica-exchange parallel-tempering
-                  rungs on a temperature ladder (--ladder picks the
-                  construction: geometric spacing, or adaptive endpoints
-                  tuned from the problem's coefficient statistics);
-                  swap decisions come from a salted deterministic
-                  stream, so tempered runs stay thread-count
-                  independent. --fault-ber injects
-                  deterministic transient bit flips at probability P per
-                  read bit; parity-detected faults follow --fault-policy,
-                  retry:N by default. --metrics replaces the human report
-                  with one machine-readable snapshot on stdout — json is
-                  the sachi.metrics.v1 schema, prom is Prometheus text
+                  are identical at any thread count. --file loads a
+                  DIMACS graph instead of the generated --cop instance
+                  (--gset for Gset max-cut, --cnf for a DIMACS CNF 3-SAT
+                  instance). --metrics replaces the human report with
+                  one machine-readable snapshot on stdout — json is the
+                  sachi.metrics.v1 schema, prom is Prometheus text
                   exposition; --trace-phases adds hierarchical
                   upload/round/h_compute/update/writeback/prefetch spans,
-                  metered in solver cycles, to the snapshot.
-                  sat/coloring/sched are the seeded Lucas-library
-                  extension families: sat generates a critical-ratio
-                  3-SAT instance over --size variables, coloring a
-                  planted 3-colorable graph on --size vertices, sched a
-                  --size-job schedule on 3 machines; --cnf loads a 3-SAT
-                  instance from a DIMACS CNF file instead)
+                  metered in solver cycles, to the snapshot.)
   sachi compare  <same flags>         run every machine on one problem
   sachi estimate [--cop ...] [--spins N] [--design ...] [--resolution R]
                  [--iterations I] [--hierarchy ...]
@@ -706,19 +537,37 @@ USAGE:
                   past the admission deadline are rejected with typed
                   code-5 responses; GET /metrics on the same port serves
                   Prometheus text exposition. All bounds reject 0.)
-  sachi submit   [--addr HOST:PORT] [job flags: --cop --size --seed
-                 --design --restarts --resolution --step-budget
-                 --fault-ber --fault-seed --fault-policy
-                 --tempering --ladder]
+  sachi submit   [--addr HOST:PORT] [job flags]
                  | --ping | --shutdown | --fetch-metrics | --raw BODY
                  (one request to a running daemon; exits with the
                   daemon's response code — 0 ok, 2 usage/parse, 3 solve,
                   4 fault, 5 server rejection. Op flags are mutually
-                  exclusive with each other and with job flags.
-                  --step-budget also works on solve: it caps total spin
-                  updates deterministically, in the work domain.)
+                  exclusive with each other and with job flags.)
   sachi info                          print geometry and technology constants
   sachi help
+
+JOB FLAGS (one parser for solve, compare and submit; a job the CLI
+accepts is a job the daemon accepts):
+  --cop asset|imgseg|tsp|md|sat|coloring|sched   --size N   --seed S
+  --design n1a|n1b|n2|n3   --restarts K   --resolution R (2..=32)
+  --step-budget B   --fault-ber P   --fault-seed S
+  --fault-policy failfast|retry|retry:N   --tempering [--ladder geometric|adaptive]
+                 (sat/coloring/sched are the seeded Lucas-library
+                  extension families: sat generates a critical-ratio
+                  3-SAT instance over --size variables, coloring a
+                  planted 3-colorable graph on --size vertices, sched a
+                  --size-job schedule on 3 machines. --step-budget caps
+                  total spin updates deterministically, in the work
+                  domain. --fault-ber injects deterministic transient
+                  bit flips at probability P per read bit;
+                  parity-detected faults follow --fault-policy, retry:N
+                  by default. --tempering couples the restarts as
+                  replica-exchange parallel-tempering rungs on a
+                  temperature ladder (--ladder picks the construction:
+                  geometric spacing, or adaptive endpoints tuned from
+                  the problem's coefficient statistics); swap decisions
+                  come from a salted deterministic stream, so tempered
+                  runs stay thread-count independent.)
 
 EXAMPLES:
   sachi solve --cop md --size 1024 --design n3 --restarts 4
@@ -741,64 +590,134 @@ EXAMPLES:
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sachi_ising::recovery::RecoveryPolicy;
+
+    /// The error message `line` fails to parse with.
+    fn error_of(line: &str) -> String {
+        parse(line.split_whitespace()).unwrap_err().to_string()
+    }
+
+    fn solve_args(line: &str) -> SolveArgs {
+        match parse(line.split_whitespace()).unwrap() {
+            Command::Solve(a) => a,
+            other => panic!("wrong command {other:?}"),
+        }
+    }
+
+    fn submitted_spec(line: &str) -> JobSpec {
+        match parse(line.split_whitespace()).unwrap() {
+            Command::Submit(SubmitArgs {
+                op: SubmitOp::Solve(spec),
+                ..
+            }) => spec,
+            other => panic!("wrong command {other:?}"),
+        }
+    }
 
     #[test]
     fn parses_solve_with_all_flags() {
-        let cmd = parse(
-            "solve --cop tsp --size 64 --design n2 --resolution 8 --seed 9 --restarts 3 --threads 2 --hierarchy server"
-                .split_whitespace(),
-        )
-        .unwrap();
-        match cmd {
-            Command::Solve(a) => {
-                assert_eq!(a.cop, Some(CopKind::TravelingSalesman));
-                assert_eq!(a.size, 64);
-                assert_eq!(a.design, DesignKind::N2);
-                assert_eq!(a.resolution, Some(8));
-                assert_eq!(a.seed, 9);
-                assert_eq!(a.restarts, 3);
-                assert_eq!(a.threads, 2);
-                assert_eq!(a.hierarchy, CacheHierarchy::server());
+        let a = solve_args(
+            "solve --cop tsp --size 64 --design n2 --resolution 8 --seed 9 --restarts 3 --threads 2 --hierarchy server",
+        );
+        assert_eq!(a.job.cop, CopKind::TravelingSalesman);
+        assert_eq!(a.job.size, 64);
+        assert_eq!(a.job.design, DesignKind::N2);
+        assert_eq!(a.job.resolution, Some(8));
+        assert_eq!(a.job.seed, 9);
+        assert_eq!(a.job.restarts, 3);
+        assert_eq!(a.threads, 2);
+        assert_eq!(a.hierarchy, CacheHierarchy::server());
+    }
+
+    #[test]
+    fn solve_and_submit_build_the_same_job_from_the_same_flags() {
+        let flags = "--cop sat --size 40 --seed 9 --design n1b --restarts 8 --resolution 12 \
+                     --step-budget 60000 --fault-ber 1e-4 --fault-seed 3 --fault-policy failfast \
+                     --tempering --ladder adaptive";
+        let solve = solve_args(&format!("solve {flags}")).job;
+        assert_eq!(solve, submitted_spec(&format!("submit {flags}")));
+        assert_eq!(
+            solve,
+            JobSpec {
+                cop: CopKind::SatThree,
+                size: 40,
+                seed: 9,
+                design: DesignKind::N1b,
+                restarts: 8,
+                resolution: Some(12),
+                step_budget: Some(60_000),
+                fault_ber: Some(1e-4),
+                fault_seed: 3,
+                fault_policy: RecoveryPolicy::FailFast,
+                tempering: true,
+                ladder: LadderKind::Adaptive,
             }
-            other => panic!("wrong command {other:?}"),
+        );
+    }
+
+    #[test]
+    fn every_job_flag_is_parsed_once_and_documented() {
+        for (flag, value) in [
+            ("--cop", Some("sat")),
+            ("--size", Some("7")),
+            ("--seed", Some("7")),
+            ("--design", Some("n2")),
+            ("--restarts", Some("7")),
+            ("--resolution", Some("7")),
+            ("--step-budget", Some("7")),
+            ("--fault-ber", Some("0.5")),
+            ("--fault-seed", Some("7")),
+            ("--fault-policy", Some("failfast")),
+            ("--tempering", None),
+            ("--ladder", Some("adaptive")),
+        ] {
+            let mut spec = JobSpec::default();
+            let mut it = value.into_iter();
+            assert!(job_flag(&mut spec, flag, &mut it).unwrap(), "{flag}");
+            assert_ne!(spec, JobSpec::default(), "{flag} changed nothing");
+            assert!(USAGE.contains(flag), "USAGE lacks {flag}");
         }
+        let mut spec = JobSpec::default();
+        assert!(!job_flag(&mut spec, "--threads", &mut std::iter::empty::<&str>()).unwrap());
+    }
+
+    #[test]
+    fn jobs_the_daemon_refuses_fail_at_parse_with_exit_code_2() {
+        for line in [
+            "solve --size 0",
+            "solve --resolution 33",
+            "solve --resolution 1",
+            "solve --restarts 0",
+            "compare --resolution 64",
+            "submit --fault-ber 2.0",
+            "submit --resolution 40",
+            "estimate --resolution 33",
+        ] {
+            let e = parse(line.split_whitespace()).unwrap_err();
+            assert_eq!(e.exit_code(), 2, "{line}: {e}");
+        }
+        assert!(error_of("solve --resolution 33").contains("2..=32"));
+        assert!(parse("solve --resolution 32".split_whitespace()).is_ok());
+        assert!(parse("solve --resolution 2".split_whitespace()).is_ok());
     }
 
     #[test]
     fn threads_defaults_to_auto_and_rejects_garbage() {
-        let cmd = parse(["solve"]).unwrap();
-        match cmd {
-            Command::Solve(a) => assert_eq!(a.threads, 0),
-            other => panic!("wrong command {other:?}"),
-        }
-        assert!(parse(["solve", "--threads", "lots"])
-            .unwrap_err()
-            .0
-            .contains("--threads needs an integer"));
+        assert_eq!(solve_args("solve").threads, 0);
+        assert!(error_of("solve --threads lots").contains("--threads needs an integer"));
     }
 
     #[test]
-    fn file_mode_clears_cop() {
-        let cmd = parse("solve --file graph.txt --gset".split_whitespace()).unwrap();
-        match cmd {
-            Command::Solve(a) => {
-                assert_eq!(a.file.as_deref(), Some("graph.txt"));
-                assert!(a.gset);
-                assert_eq!(a.cop, None);
-            }
-            other => panic!("wrong command {other:?}"),
-        }
+    fn file_mode_keeps_the_default_cop_unused() {
+        let a = solve_args("solve --file graph.txt --gset");
+        assert_eq!(a.file.as_deref(), Some("graph.txt"));
+        assert!(a.gset);
     }
 
     #[test]
     fn defaults_are_sane() {
-        let cmd = parse(["solve"]).unwrap();
-        match cmd {
-            Command::Solve(a) => {
-                assert_eq!(a, SolveArgs::default());
-            }
-            other => panic!("wrong command {other:?}"),
-        }
+        assert_eq!(solve_args("solve"), SolveArgs::default());
+        assert_eq!(SolveArgs::default().job, JobSpec::default());
         assert_eq!(parse([] as [&str; 0]).unwrap(), Command::Help);
         assert_eq!(parse(["--help"]).unwrap(), Command::Help);
         assert_eq!(parse(["info"]).unwrap(), Command::Info);
@@ -806,167 +725,85 @@ mod tests {
 
     #[test]
     fn estimate_flags() {
-        let cmd = parse("estimate --cop imgseg --spins 200000 --iterations 50".split_whitespace())
-            .unwrap();
-        match cmd {
+        match parse(
+            "estimate --cop imgseg --spins 200000 --iterations 50 --resolution 8"
+                .split_whitespace(),
+        )
+        .unwrap()
+        {
             Command::Estimate(a) => {
                 assert_eq!(a.cop, CopKind::ImageSegmentation);
                 assert_eq!(a.spins, 200_000);
                 assert_eq!(a.iterations, 50);
+                assert_eq!(a.resolution, Some(8));
             }
             other => panic!("wrong command {other:?}"),
         }
+        assert!(error_of("estimate --seed 3").contains("unknown flag"));
     }
 
     #[test]
     fn error_messages_are_actionable() {
-        assert!(parse(["solve", "--cop", "sudoku"])
-            .unwrap_err()
-            .0
-            .contains("unknown COP"));
-        assert!(parse(["solve", "--design", "n9"])
-            .unwrap_err()
-            .0
-            .contains("unknown design"));
-        assert!(parse(["solve", "--size"])
-            .unwrap_err()
-            .0
-            .contains("needs a value"));
-        assert!(parse(["solve", "--size", "many"])
-            .unwrap_err()
-            .0
-            .contains("integer"));
-        assert!(parse(["solve", "--restarts", "0"])
-            .unwrap_err()
-            .0
-            .contains("at least 1"));
-        assert!(parse(["launch"]).unwrap_err().0.contains("unknown command"));
-        assert!(parse(["solve", "--hierarchy", "mainframe"])
-            .unwrap_err()
-            .0
-            .contains("unknown hierarchy"));
-        assert!(parse(["estimate", "--wat"])
-            .unwrap_err()
-            .0
-            .contains("unknown flag"));
-        assert!(parse(["solve", "--file", "g.txt", "--cop", "md"])
-            .unwrap_err()
-            .0
-            .contains("mutually exclusive"));
+        assert!(error_of("solve --cop sudoku").contains("unknown COP"));
+        assert!(error_of("solve --design n9").contains("unknown design"));
+        assert!(error_of("solve --size").contains("needs a value"));
+        assert!(error_of("solve --size many").contains("integer"));
+        assert!(error_of("solve --restarts 0").contains("at least 1"));
+        assert!(error_of("launch").contains("unknown command"));
+        assert!(error_of("solve --hierarchy mainframe").contains("unknown hierarchy"));
+        assert!(error_of("estimate --wat").contains("unknown flag"));
+        assert!(error_of("solve --file g.txt --cop md").contains("mutually exclusive"));
+        assert!(error_of("solve --cop md --file g.txt").contains("mutually exclusive"));
     }
 
     #[test]
     fn fault_flags_parse_and_validate() {
-        let cmd = parse(
-            "solve --fault-ber 1e-4 --fault-seed 42 --fault-policy retry:5".split_whitespace(),
-        )
-        .unwrap();
-        match cmd {
-            Command::Solve(a) => {
-                assert_eq!(a.fault_ber, Some(1e-4));
-                assert_eq!(a.fault_seed, 42);
-                assert_eq!(
-                    a.fault_policy,
-                    RecoveryPolicy::RefetchRetry { max_retries: 5 }
-                );
-            }
-            other => panic!("wrong command {other:?}"),
-        }
-        match parse(["solve", "--fault-policy", "failfast"]).unwrap() {
-            Command::Solve(a) => {
-                assert_eq!(a.fault_ber, None);
-                assert_eq!(a.fault_policy, RecoveryPolicy::FailFast);
-            }
-            other => panic!("wrong command {other:?}"),
-        }
-        assert!(parse(["solve", "--fault-ber", "2.0"])
-            .unwrap_err()
-            .0
-            .contains("[0, 1]"));
-        assert!(parse(["solve", "--fault-ber", "often"])
-            .unwrap_err()
-            .0
-            .contains("[0, 1]"));
-        assert!(parse(["solve", "--fault-policy", "hope"])
-            .unwrap_err()
-            .0
-            .contains("--fault-policy"));
+        let a = solve_args("solve --fault-ber 1e-4 --fault-seed 42 --fault-policy retry:5");
+        assert_eq!(a.job.fault_ber, Some(1e-4));
+        assert_eq!(a.job.fault_seed, 42);
+        assert_eq!(
+            a.job.fault_policy,
+            RecoveryPolicy::RefetchRetry { max_retries: 5 }
+        );
+        let a = solve_args("solve --fault-policy failfast");
+        assert_eq!(a.job.fault_ber, None);
+        assert_eq!(a.job.fault_policy, RecoveryPolicy::FailFast);
+        assert!(error_of("solve --fault-ber 2.0").contains("[0, 1]"));
+        assert!(error_of("solve --fault-ber often").contains("[0, 1]"));
+        assert!(error_of("solve --fault-policy hope").contains("--fault-policy"));
     }
 
     #[test]
     fn metrics_flags_parse_and_validate() {
-        match parse("solve --metrics json --trace-phases".split_whitespace()).unwrap() {
-            Command::Solve(a) => {
-                assert_eq!(a.metrics, Some(MetricsFormat::Json));
-                assert!(a.trace_phases);
-            }
-            other => panic!("wrong command {other:?}"),
-        }
-        match parse(["solve", "--metrics", "prometheus"]).unwrap() {
-            Command::Solve(a) => assert_eq!(a.metrics, Some(MetricsFormat::Prom)),
-            other => panic!("wrong command {other:?}"),
-        }
-        match parse(["solve"]).unwrap() {
-            Command::Solve(a) => {
-                assert_eq!(a.metrics, None);
-                assert!(!a.trace_phases);
-            }
-            other => panic!("wrong command {other:?}"),
-        }
-        assert!(parse(["solve", "--metrics", "xml"])
-            .unwrap_err()
-            .0
-            .contains("json|prom"));
-        assert!(parse(["solve", "--metrics"])
-            .unwrap_err()
-            .0
-            .contains("needs a value"));
+        let a = solve_args("solve --metrics json --trace-phases");
+        assert_eq!(a.metrics, Some(MetricsFormat::Json));
+        assert!(a.trace_phases);
+        assert_eq!(
+            solve_args("solve --metrics prometheus").metrics,
+            Some(MetricsFormat::Prom)
+        );
+        let a = solve_args("solve");
+        assert_eq!(a.metrics, None);
+        assert!(!a.trace_phases);
+        assert!(error_of("solve --metrics xml").contains("json|prom"));
+        assert!(error_of("solve --metrics").contains("needs a value"));
     }
 
     #[test]
     fn tempering_flags_parse_and_validate() {
-        match parse("solve --tempering --ladder adaptive --restarts 4".split_whitespace()).unwrap()
-        {
-            Command::Solve(a) => {
-                assert!(a.tempering);
-                assert_eq!(a.ladder, LadderKind::Adaptive);
-            }
-            other => panic!("wrong command {other:?}"),
-        }
-        match parse(["solve", "--tempering"]).unwrap() {
-            Command::Solve(a) => {
-                assert!(a.tempering);
-                assert_eq!(a.ladder, LadderKind::Geometric);
-            }
-            other => panic!("wrong command {other:?}"),
-        }
-        assert!(parse(["solve", "--ladder", "adaptive"])
-            .unwrap_err()
-            .0
-            .contains("--ladder needs --tempering"));
-        assert!(parse(["solve", "--tempering", "--ladder", "steep"])
-            .unwrap_err()
-            .0
-            .contains("unknown ladder"));
-        match parse("submit --tempering --ladder adaptive --restarts 4".split_whitespace()).unwrap()
-        {
-            Command::Submit(a) => match a.op {
-                SubmitOp::Solve(spec) => {
-                    assert!(spec.tempering);
-                    assert_eq!(spec.ladder, LadderKind::Adaptive);
-                }
-                other => panic!("wrong op {other:?}"),
-            },
-            other => panic!("wrong command {other:?}"),
-        }
-        assert!(parse(["submit", "--ladder", "adaptive"])
-            .unwrap_err()
-            .0
-            .contains("--ladder needs --tempering"));
-        assert!(parse(["submit", "--tempering", "--ping"])
-            .unwrap_err()
-            .0
-            .contains("mutually exclusive"));
+        let a = solve_args("solve --tempering --ladder adaptive --restarts 4");
+        assert!(a.job.tempering);
+        assert_eq!(a.job.ladder, LadderKind::Adaptive);
+        let a = solve_args("solve --tempering");
+        assert!(a.job.tempering);
+        assert_eq!(a.job.ladder, LadderKind::Geometric);
+        assert!(error_of("solve --ladder adaptive").contains("--ladder needs --tempering"));
+        assert!(error_of("solve --tempering --ladder steep").contains("unknown ladder"));
+        let spec = submitted_spec("submit --tempering --ladder adaptive --restarts 4");
+        assert!(spec.tempering);
+        assert_eq!(spec.ladder, LadderKind::Adaptive);
+        assert!(error_of("submit --ladder adaptive").contains("--ladder needs --tempering"));
+        assert!(error_of("submit --tempering --ping").contains("mutually exclusive"));
     }
 
     #[test]
@@ -989,16 +826,13 @@ mod tests {
     }
 
     #[test]
-    fn cnf_flag_rules() {
+    fn file_format_flag_rules() {
         assert!(parse("solve --cnf".split_whitespace()).is_err());
+        assert!(parse("solve --gset".split_whitespace()).is_err());
         assert!(parse("solve --file x.cnf --cnf --gset".split_whitespace()).is_err());
-        match parse("solve --file x.cnf --cnf".split_whitespace()).unwrap() {
-            Command::Solve(a) => {
-                assert!(a.cnf);
-                assert_eq!(a.file.as_deref(), Some("x.cnf"));
-            }
-            other => panic!("wrong command {other:?}"),
-        }
+        let a = solve_args("solve --file x.cnf --cnf");
+        assert!(a.cnf);
+        assert_eq!(a.file.as_deref(), Some("x.cnf"));
     }
 
     #[test]
@@ -1010,18 +844,12 @@ mod tests {
 
     #[test]
     fn step_budget_parses_and_rejects_zero() {
-        match parse("solve --step-budget 60000".split_whitespace()).unwrap() {
-            Command::Solve(a) => assert_eq!(a.step_budget, Some(60_000)),
-            other => panic!("wrong command {other:?}"),
-        }
-        assert!(parse(["solve", "--step-budget", "0"])
-            .unwrap_err()
-            .0
-            .contains("zero sweeps"));
-        assert!(parse(["submit", "--step-budget", "0"])
-            .unwrap_err()
-            .0
-            .contains("zero sweeps"));
+        assert_eq!(
+            solve_args("solve --step-budget 60000").job.step_budget,
+            Some(60_000)
+        );
+        assert!(error_of("solve --step-budget 0").contains("step_budget must be at least 1"));
+        assert!(error_of("submit --step-budget 0").contains("step_budget must be at least 1"));
     }
 
     #[test]
@@ -1056,9 +884,8 @@ mod tests {
 
     #[test]
     fn serve_rejects_every_zero_bound() {
-        // Satellite: a zero queue depth, port, timeout, or limit is a
-        // usage error at parse time, never a daemon that silently
-        // admits nothing.
+        // A zero queue depth, port, timeout, or limit is a usage error
+        // at parse time, never a daemon that silently admits nothing.
         for flag in [
             "--port",
             "--queue-depth",
@@ -1069,8 +896,8 @@ mod tests {
             "--max-size",
             "--max-restarts",
         ] {
-            let e = parse(["serve", flag, "0"]).unwrap_err();
-            assert!(e.0.contains("at least 1"), "{flag}: {e}");
+            let e = parse(["serve", flag, "0"]).unwrap_err().to_string();
+            assert!(e.contains("at least 1"), "{flag}: {e}");
         }
         // --threads 0 stays legal: it means "all cores".
         assert!(parse(["serve", "--threads", "0"]).is_ok());
@@ -1113,33 +940,15 @@ mod tests {
             Command::Submit(a) => assert_eq!(a.op, SubmitOp::Raw("not json".to_string())),
             other => panic!("wrong command {other:?}"),
         }
-        match parse(["submit"]).unwrap() {
-            Command::Submit(a) => assert_eq!(a.op, SubmitOp::Solve(JobSpec::default())),
-            other => panic!("wrong command {other:?}"),
-        }
+        assert_eq!(submitted_spec("submit"), JobSpec::default());
     }
 
     #[test]
     fn submit_op_flags_are_mutually_exclusive() {
-        assert!(parse(["submit", "--ping", "--shutdown"])
-            .unwrap_err()
-            .0
-            .contains("mutually exclusive"));
-        assert!(parse(["submit", "--fetch-metrics", "--raw", "x"])
-            .unwrap_err()
-            .0
-            .contains("mutually exclusive"));
-        assert!(parse(["submit", "--ping", "--cop", "md"])
-            .unwrap_err()
-            .0
-            .contains("mutually exclusive"));
-        assert!(parse(["submit", "--size", "8", "--shutdown"])
-            .unwrap_err()
-            .0
-            .contains("mutually exclusive"));
-        assert!(parse(["submit", "--restarts", "0"])
-            .unwrap_err()
-            .0
-            .contains("at least 1"));
+        assert!(error_of("submit --ping --shutdown").contains("mutually exclusive"));
+        assert!(error_of("submit --fetch-metrics --raw x").contains("mutually exclusive"));
+        assert!(error_of("submit --ping --cop md").contains("mutually exclusive"));
+        assert!(error_of("submit --size 8 --shutdown").contains("mutually exclusive"));
+        assert!(error_of("submit --restarts 0").contains("at least 1"));
     }
 }

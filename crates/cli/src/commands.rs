@@ -1,122 +1,79 @@
 //! Command implementations for the `sachi` CLI.
 
 use crate::args::{EstimateArgs, MetricsFormat, SolveArgs};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 use sachi_baselines::prelude::*;
 use sachi_bench::{percent, ratio, Table};
 use sachi_core::prelude::*;
+use sachi_core::serve::{worker_threads, AccuracyFn};
 use sachi_ising::prelude::*;
 use sachi_mem::l1cache::{CacheMode, L1Cache};
 use sachi_mem::prelude::*;
 use sachi_obs::prelude::*;
 use sachi_workloads::prelude::*;
 
-/// A built problem: graph plus an optional domain accuracy scorer.
-/// (The scorer type is shared with the `serve` session layer so the
-/// daemon and the one-shot CLI construct byte-identical problems.)
-type AccuracyFn = sachi_core::serve::AccuracyFn;
+/// A loaded problem file: name, graph, and its accuracy scorer when the
+/// file reads as a scored workload.
+type LoadedProblem = (String, IsingGraph, Option<AccuracyFn>);
 
-struct Problem {
-    name: String,
-    graph: IsingGraph,
-    accuracy: Option<AccuracyFn>,
+fn scored<W: Workload + Send + Sync + 'static>(w: W) -> LoadedProblem {
+    let (name, graph) = (w.name(), w.graph().clone());
+    (name, graph, Some(Box::new(move |s| w.accuracy(s))))
 }
 
-fn build_problem(args: &SolveArgs) -> Result<Problem, SachiError> {
-    if let Some(path) = &args.file {
-        let text = std::fs::read_to_string(path)
-            .map_err(|e| SachiError::Io(format!("cannot read {path}: {e}")))?;
-        if args.cnf {
-            let instance =
-                parse_dimacs_cnf(&text).map_err(|e| SachiError::Parse(format!("{path}: {e}")))?;
-            let w = SatWorkload::new(path.clone(), instance)
-                .map_err(|e| SachiError::Config(format!("{path}: {e}")))?;
-            let name = w.name();
-            let graph = w.graph().clone();
-            return Ok(Problem {
-                name,
-                graph,
-                accuracy: Some(Box::new(move |s| w.accuracy(s))),
-            });
-        }
-        let graph = if args.gset {
-            parse_gset(&text).map_err(|e| SachiError::Parse(format!("{path}: {e}")))?
-        } else {
-            parse_dimacs(&text).map_err(|e| SachiError::Parse(format!("{path}: {e}")))?
-        };
-        // A pure antiferromagnetic instance reads as weighted max-cut,
-        // which gives loaded files an accuracy metric.
-        if graph.num_edges() > 0 && graph.edges().all(|(_, _, w)| w <= 0) {
-            let w = GenericMaxCut::new(path.clone(), graph);
-            let name = w.name();
-            let graph = w.graph().clone();
-            return Ok(Problem {
-                name,
-                graph,
-                accuracy: Some(Box::new(move |s| w.accuracy(s))),
-            });
-        }
-        return Ok(Problem {
-            name: path.clone(),
-            graph,
-            accuracy: None,
-        });
+fn load_file(path: &str, args: &SolveArgs) -> Result<LoadedProblem, SachiError> {
+    let text = std::fs::read_to_string(path)
+        .map_err(|e| SachiError::Io(format!("cannot read {path}: {e}")))?;
+    if args.cnf {
+        let instance =
+            parse_dimacs_cnf(&text).map_err(|e| SachiError::Parse(format!("{path}: {e}")))?;
+        return SatWorkload::new(path.to_string(), instance)
+            .map(scored)
+            .map_err(|e| SachiError::Config(format!("{path}: {e}")));
     }
-    let kind = args
-        .cop
-        .ok_or_else(|| SachiError::Usage("need --cop or --file".to_string()))?;
-    // Generated COPs come from the shared session layer, so `sachi
-    // solve` and a `sachi serve` job with the same spec build the
-    // exact same instance (the determinism contract's first half).
-    let built = sachi_core::serve::build_cop_problem(kind, args.size, args.seed)?;
-    Ok(Problem {
-        name: built.name,
-        graph: built.graph,
-        accuracy: Some(built.accuracy),
+    let graph = if args.gset {
+        parse_gset(&text).map_err(|e| SachiError::Parse(format!("{path}: {e}")))?
+    } else {
+        parse_dimacs(&text).map_err(|e| SachiError::Parse(format!("{path}: {e}")))?
+    };
+    // A pure antiferromagnetic instance reads as weighted max-cut,
+    // which gives loaded files an accuracy metric.
+    if graph.num_edges() > 0 && graph.edges().all(|(_, _, w)| w <= 0) {
+        return Ok(scored(GenericMaxCut::new(path.to_string(), graph)));
+    }
+    Ok((path.to_string(), graph, None))
+}
+
+/// Lowers the command line through the one lowering the daemon uses
+/// (`JobPlan::from_spec` for a generated COP, `JobPlan::lower` for a
+/// problem file), then applies the machine settings only `solve` has.
+fn plan_for(args: &SolveArgs) -> Result<JobPlan, SachiError> {
+    let plan = match &args.file {
+        Some(path) => {
+            let (name, graph, accuracy) = load_file(path, args)?;
+            JobPlan::lower(&args.job, name, graph, accuracy)?
+        }
+        None => JobPlan::from_spec(&args.job)?,
+    }
+    .with_hierarchy(args.hierarchy);
+    Ok(if args.trace_phases {
+        plan.with_phase_trace()
+    } else {
+        plan
     })
-}
-
-fn config_for(args: &SolveArgs) -> SachiConfig {
-    let mut config = SachiConfig::new(args.design).with_hierarchy(args.hierarchy);
-    if let Some(r) = args.resolution {
-        config = config.with_resolution(r);
-    }
-    if args.trace_phases {
-        config = config.with_phase_trace();
-    }
-    if let Some(ber) = args.fault_ber {
-        let model =
-            FaultModel::new(args.fault_seed).with_read_ber(FaultRate::from_probability(ber));
-        config = config.with_fault(FaultProfile::new(model).with_policy(args.fault_policy));
-    }
-    config
-}
-
-fn check_resolution(args: &SolveArgs, graph: &IsingGraph) -> Result<(), SachiError> {
-    if let Some(r) = args.resolution {
-        let required = graph.bits_required();
-        if r < required {
-            return Err(SachiError::Config(format!(
-                "--resolution {r} cannot represent this problem's coefficients (needs {required}-bit); drop the flag or pass >= {required}"
-            )));
-        }
-    }
-    Ok(())
 }
 
 /// `sachi solve`.
 pub fn solve(args: &SolveArgs) -> Result<(), SachiError> {
-    let problem = build_problem(args)?;
-    let graph = &problem.graph;
-    check_resolution(args, graph)?;
+    let plan = plan_for(args)?;
+    let spec = plan.spec();
+    let graph = plan.graph();
     // --metrics replaces the whole human report with one machine-readable
     // snapshot, so scripts can pipe stdout straight into a parser.
     let human = args.metrics.is_none();
     if human {
         println!(
             "problem : {} ({} spins, {} edges, max degree {}, needs {}-bit ICs)",
-            problem.name,
+            plan.name(),
             graph.num_spins(),
             graph.num_edges(),
             graph.max_degree(),
@@ -124,53 +81,23 @@ pub fn solve(args: &SolveArgs) -> Result<(), SachiError> {
         );
     }
 
-    let mut rng = StdRng::seed_from_u64(args.seed ^ INIT_SEED_SALT);
-    let init = SpinVector::random(graph.num_spins(), &mut rng);
-    let mut opts = SolveOptions::for_graph(graph, args.seed.wrapping_add(1));
-    if let Some(budget) = args.step_budget {
-        opts = opts.with_step_budget(budget);
-    }
-    let config = config_for(args);
-
-    let replicas = usize::try_from(args.restarts.max(1))
-        .map_err(|_| SachiError::Usage("--restarts too large".to_string()))?;
-    if args.tempering {
-        opts = opts.with_tempering(sachi_ising::tempering::TemperingOptions::for_graph(
-            args.ladder,
-            graph,
-            replicas,
-        ));
-    }
-    let mut runner = EnsembleRunner::new(replicas);
-    if args.threads > 0 {
-        runner = runner.with_threads(args.threads);
-    }
     // SACHI repurposes the host's L1 data array as the compute substrate
     // (Sec. VII.1): claim it around the ensemble so the exported l1_*
     // metrics carry the real mode-switch and flush accounting of that
     // handover.
+    let threads = worker_threads(args.threads);
     let mut l1 = L1Cache::typical_l1();
     l1.set_mode(CacheMode::IsingCompute);
-    let ledger = ReplicaLedger::new(replicas);
-    let best_of = runner.run(graph, &init, &opts, |k| {
-        ReportingMachine::new(SachiMachine::new(config.clone()), k, &ledger)
-    });
-    let ensemble = ledger.finish();
+    let outcome = plan.run(threads);
     l1.set_mode(CacheMode::Normal);
-    let report = ensemble.reports[best_of.best_index].clone();
-    let stats = best_of.stats;
-    let best_index = best_of.best_index;
+    let best_index = outcome.best.best_index;
+    let report = &outcome.report.reports[best_index];
+    let stats = &outcome.best.stats;
 
     if let Some(format) = args.metrics {
         // Fold order is replica order, never completion order, so the
         // snapshot is identical at any --threads value.
-        let mut reg = ensemble.metrics();
-        for r in &best_of.replicas {
-            r.export_metrics(&mut reg);
-        }
-        for (name, value) in stats.export_tempering_metrics() {
-            reg.counter_add(name, value);
-        }
+        let mut reg = outcome.metrics();
         l1.stats().export(&mut reg);
         reg.counter_add(
             "workload_coeff_saturations",
@@ -182,22 +109,21 @@ pub fn solve(args: &SolveArgs) -> Result<(), SachiError> {
         }
     }
 
-    let result = best_of.into_best();
-
     if human {
+        let best = outcome.best.best();
         println!("design  : {}", report.design.label());
         println!(
             "ensemble: {} replicas over {} threads (best: replica {}, {} converged, {} sweeps total)",
-            replicas,
-            runner.threads(),
+            plan.replica_count(),
+            threads,
             best_index,
             stats.converged,
             stats.total_sweeps
         );
-        if args.tempering {
+        if spec.tempering {
             println!(
                 "temper  : {} ladder, {} swaps accepted / {} attempted, {} rung restarts",
-                args.ladder.label(),
+                spec.ladder.label(),
                 stats.swap_accepted,
                 stats.swap_attempts,
                 stats.tempering_restarts
@@ -205,20 +131,21 @@ pub fn solve(args: &SolveArgs) -> Result<(), SachiError> {
         }
         println!(
             "result  : H = {}  ({} iterations, converged: {})",
-            result.energy, result.sweeps, result.converged
+            best.energy, best.sweeps, best.converged
         );
-        if let Some(acc) = &problem.accuracy {
-            println!("accuracy: {}", percent(acc(&result.spins)));
+        if plan.is_scored() {
+            println!("accuracy: {}", percent(outcome.accuracy));
         }
-        if args.fault_ber.is_some() {
+        if spec.fault_ber.is_some() {
+            let ensemble = &outcome.report;
             println!(
                 "faults  : {} injected, {} detected, {} retries, {}/{} replicas degraded ({})",
                 ensemble.faults_injected,
                 ensemble.faults_detected,
                 ensemble.fault_retries,
                 ensemble.degraded_replicas,
-                replicas,
-                args.fault_policy
+                plan.replica_count(),
+                spec.fault_policy
             );
         }
         println!(
@@ -244,53 +171,35 @@ pub fn solve(args: &SolveArgs) -> Result<(), SachiError> {
             print!("{}", render_span_tree(&report.phase_spans));
         }
     }
-    if args.fault_ber.is_some() {
-        // Fault outcomes surface as typed errors (exit code 4) so sweep
-        // scripts can tell "solved despite faults" from "gave up".
-        if args.fault_policy == RecoveryPolicy::FailFast && ensemble.degraded_replicas > 0 {
-            return Err(SachiError::FaultDetected {
-                detected: ensemble.faults_detected,
-            });
-        }
-        let total = u64::try_from(replicas).unwrap_or(u64::MAX);
-        if ensemble.degraded_replicas >= total {
-            return Err(SachiError::FaultBudgetExhausted {
-                degraded: ensemble.degraded_replicas,
-                replicas: total,
-            });
-        }
+    // Fault outcomes surface as typed errors (exit code 4) so sweep
+    // scripts can tell "solved despite faults" from "gave up".
+    match outcome.fault_error(spec.fault_policy) {
+        Some(e) => Err(e),
+        None => Ok(()),
     }
-    Ok(())
 }
 
 /// `sachi compare`.
 pub fn compare(args: &SolveArgs) -> Result<(), SachiError> {
-    if args.fault_ber.is_some() {
+    if args.job.fault_ber.is_some() {
         return Err(SachiError::Config(
             "compare cross-checks machines against the golden model and needs a perfect \
              memory hierarchy; drop --fault-ber (use solve for fault sweeps)"
                 .to_string(),
         ));
     }
-    let problem = build_problem(args)?;
-    let graph = &problem.graph;
-    check_resolution(args, graph)?;
-    println!("problem: {} ({} spins)", problem.name, graph.num_spins());
-    let mut rng = StdRng::seed_from_u64(args.seed ^ INIT_SEED_SALT);
-    let init = SpinVector::random(graph.num_spins(), &mut rng);
-    let mut opts = SolveOptions::for_graph(graph, args.seed.wrapping_add(1));
-    if let Some(budget) = args.step_budget {
-        opts = opts.with_step_budget(budget);
-    }
+    let plan = plan_for(args)?;
+    let (graph, init, opts) = (plan.graph(), plan.init(), plan.options());
+    println!("problem: {} ({} spins)", plan.name(), graph.num_spins());
 
-    let golden = CpuReferenceSolver::new().solve(graph, &init, &opts);
+    let golden = CpuReferenceSolver::new().solve(graph, init, opts);
     let mut table = Table::new(["machine", "H", "iters", "cycles", "energy", "reuse"]);
     for design in DesignKind::ALL {
-        let mut config = SachiConfig::new(design).with_hierarchy(args.hierarchy);
-        if let Some(r) = args.resolution {
-            config = config.with_resolution(r);
-        }
-        let (result, report) = SachiMachine::new(config).solve_detailed(graph, &init, &opts);
+        let config = SachiConfig {
+            design,
+            ..plan.config().clone()
+        };
+        let (result, report) = SachiMachine::new(config).solve_detailed(graph, init, opts);
         assert_eq!(
             result.energy, golden.energy,
             "machines must match the golden model"
@@ -304,7 +213,7 @@ pub fn compare(args: &SolveArgs) -> Result<(), SachiError> {
             format!("{:.1}", report.reuse),
         ]);
     }
-    match BrimMachine::new().solve_detailed(graph, &init, &opts) {
+    match BrimMachine::new().solve_detailed(graph, init, opts) {
         Ok((result, report)) => {
             table.row([
                 "BRIM".to_string(),
@@ -317,7 +226,7 @@ pub fn compare(args: &SolveArgs) -> Result<(), SachiError> {
         }
         Err(e) => println!("BRIM skipped: {e}"),
     }
-    match CimMachine::new().solve_detailed(graph, &init, &opts) {
+    match CimMachine::new().solve_detailed(graph, init, opts) {
         Ok((result, report)) => {
             table.row([
                 "Ising-CIM".to_string(),

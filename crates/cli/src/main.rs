@@ -11,7 +11,6 @@ mod protocol;
 mod serve;
 
 use args::Command;
-use sachi_core::error::SachiError;
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
@@ -19,9 +18,6 @@ fn main() -> ExitCode {
     let parsed = match args::parse(argv.iter().map(String::as_str)) {
         Ok(cmd) => cmd,
         Err(e) => {
-            // Argument errors share the usage exit class (the `ArgError`
-            // type lives in this crate, so map instead of `From`).
-            let e = SachiError::Usage(e.0);
             eprintln!("error: {e}");
             eprintln!();
             eprintln!("{}", args::USAGE);

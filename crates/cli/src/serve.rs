@@ -188,10 +188,8 @@ impl Server {
             .lock()
             .expect("metrics registry lock poisoned")
             .merge(&outcome.metrics());
-        if spec.fault_ber.is_some() {
-            if let Some(e) = outcome.fault_error(spec.fault_policy) {
-                return Err(e);
-            }
+        if let Some(e) = outcome.fault_error(spec.fault_policy) {
+            return Err(e);
         }
         Ok(protocol::ok_solve_body(&name, edges, spec, &outcome))
     }
@@ -508,4 +506,45 @@ fn render_solve(doc: &sachi_obs::json::JsonValue) -> Result<(), SachiError> {
     let best = num_field(result, "best_replica")? as u64;
     println!("replica : best index {best}");
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn code_of(response: &str) -> Option<f64> {
+        sachi_obs::json::parse(response)
+            .ok()?
+            .get("code")
+            .and_then(sachi_obs::json::JsonValue::as_num)
+    }
+
+    #[test]
+    fn a_refused_job_releases_its_admission_slot() {
+        // One admission slot: a job that leaked it would make the next
+        // valid job answer `queue-full`.
+        let args = ServeArgs {
+            threads: 1,
+            queue_depth: 1,
+            ..ServeArgs::default()
+        };
+        let server = Arc::new(Server::new(&args, "127.0.0.1:1".to_string()));
+        let job = "{\"op\":\"solve\",\"job\":{\"cop\":\"md\",\"size\":9,\"restarts\":1,\
+                   \"step_budget\":2000";
+        for bad in [
+            ",\"resolution\":40}}",
+            ",\"resolution\":1}}",
+            ",\"fault_ber\":2}}",
+        ] {
+            let (response, keep_going) = server.respond(&format!("{job}{bad}"));
+            assert!(keep_going);
+            assert_eq!(code_of(&response), Some(2.0), "{bad}: {response}");
+        }
+        for _ in 0..2 {
+            let (response, _) = server.respond(&format!("{job}}}}}"));
+            assert!(response.contains("\"status\":\"ok\""), "{response}");
+        }
+        assert_eq!(server.active.load(Ordering::Acquire), 0);
+        server.pool.join();
+    }
 }

@@ -123,7 +123,7 @@ impl ReplicaLedger {
 }
 
 /// Aggregate accounting over every replica of an ensemble.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct EnsembleReport {
     /// Per-replica reports, in replica order.
     pub reports: Vec<RunReport>,

@@ -7,13 +7,15 @@
 //!
 //! A [`JobPlan`] freezes everything a solve depends on — graph, initial
 //! spins, [`SolveOptions`], machine config — as a pure function of the
-//! [`JobSpec`]. Replica `k` then runs with
+//! [`JobSpec`] (and, for `sachi solve --file`, the loaded problem).
+//! [`JobPlan::lower`] is the only place a solve is lowered: the daemon
+//! and the one-shot CLI both go through it. Replica `k` runs with
 //! [`EnsembleRunner::replica_options`], so its result is a pure
 //! function of `(spec, k)` alone: no thread identity, queue position,
 //! or co-tenant job can reach it. The pool writes each result into the
 //! slot named by its replica index and reduces with the same
 //! [`BestOf::reduce`] / [`EnsembleReport::fold`] the in-process runner
-//! uses, which makes a pooled job byte-identical to [`JobPlan::run_solo`]
+//! uses, which makes a pooled job byte-identical to [`JobPlan::run`]
 //! at any thread count and under any co-tenancy — the property
 //! `tests/ensemble_determinism.rs` proptests under mixed-workload
 //! batching.
@@ -39,6 +41,7 @@ use sachi_ising::prelude::{
     BestOf, CancelToken, EnsembleRunner, IsingGraph, LadderKind, RecoveryPolicy, SolveOptions,
     SolveResult, SpinVector, TemperingOptions,
 };
+use sachi_mem::cache::CacheHierarchy;
 use sachi_mem::fault::{FaultModel, FaultRate};
 use sachi_obs::registry::MetricsRegistry;
 use sachi_workloads::prelude::{
@@ -140,10 +143,13 @@ pub fn build_cop_problem(kind: CopKind, size: usize, seed: u64) -> Result<CopPro
     })
 }
 
-/// Everything a solve depends on, as submitted over the wire. The
-/// daemon and the one-shot CLI both lower a spec through
-/// [`JobPlan::from_spec`], so equality of specs implies byte-identical
-/// results.
+/// Everything a solve depends on, as submitted over the wire. `sachi
+/// solve` and `sachi submit` fill it with one shared job-flag parser,
+/// and the daemon and the one-shot CLI both lower it through
+/// [`JobPlan::lower`], so equality of specs implies byte-identical
+/// results. The settings only `sachi solve` has — a problem file
+/// (`--file`, `--gset`, `--cnf`), `--hierarchy`, `--threads`,
+/// `--metrics` and `--trace-phases` — are deliberately not fields.
 #[derive(Debug, Clone, PartialEq)]
 pub struct JobSpec {
     /// Generated COP family.
@@ -197,7 +203,8 @@ impl JobSpec {
     /// Intrinsic validity: things that can never work regardless of the
     /// server's limits. Zero sizes/restarts and a zero step budget are
     /// rejected here (a budget of 0 would otherwise be clamped to one
-    /// sweep and silently run, hiding the caller's bug).
+    /// sweep and silently run, hiding the caller's bug), as is a
+    /// resolution outside the machine's `2..=32` bits.
     ///
     /// # Errors
     ///
@@ -217,9 +224,9 @@ impl JobSpec {
             ));
         }
         if let Some(r) = self.resolution {
-            if r == 0 || r > 64 {
+            if !(2..=32).contains(&r) {
                 return Err(SachiError::Config(format!(
-                    "resolution {r} is outside the representable 1..=64 bit range"
+                    "resolution {r} is outside the machine's 2..=32 bit range"
                 )));
             }
         }
@@ -303,13 +310,21 @@ impl Default for JobLimits {
 
 /// A frozen, validated, ready-to-run job: the pure-function lowering of
 /// a [`JobSpec`]. Building the plan does all fallible work up front;
-/// running a replica afterwards is infallible (panics are the poison
-/// case the pool isolates).
+/// running it afterwards is infallible (panics are the poison case the
+/// pool isolates).
+///
+/// Both front ends build their plans with [`JobPlan::lower`]: the
+/// daemon through [`JobPlan::from_spec`], `sachi solve` through
+/// `from_spec` or, for a problem file, `lower` directly. The settings
+/// only `sachi solve` has reach the plan's machine config through
+/// [`JobPlan::with_hierarchy`] and [`JobPlan::with_phase_trace`], and
+/// the thread count through [`JobPlan::run`]; `--metrics` only chooses
+/// how the outcome is printed.
 pub struct JobPlan {
     spec: JobSpec,
     name: String,
     graph: IsingGraph,
-    accuracy: AccuracyFn,
+    accuracy: Option<AccuracyFn>,
     init: SpinVector,
     options: SolveOptions,
     config: SachiConfig,
@@ -328,42 +343,59 @@ impl std::fmt::Debug for JobPlan {
 }
 
 impl JobPlan {
-    /// Lowers a spec: validate, build the COP, check the resolution
-    /// against the graph's coefficient range, derive the initial spins
-    /// (`seed ^ INIT_SEED_SALT`) and annealer seed (`seed + 1`), and
-    /// freeze the machine config. Mirrors `sachi solve` exactly.
+    /// Builds the spec's generated COP ([`build_cop_problem`]) and
+    /// lowers it with [`JobPlan::lower`].
+    ///
+    /// # Errors
+    ///
+    /// COP encoding errors, and everything [`JobPlan::lower`] rejects.
+    pub fn from_spec(spec: &JobSpec) -> Result<JobPlan, SachiError> {
+        let problem = build_cop_problem(spec.cop, spec.size, spec.seed)?;
+        Self::lower(spec, problem.name, problem.graph, Some(problem.accuracy))
+    }
+
+    /// The one lowering of a solve, for a generated COP or a problem
+    /// the CLI loaded from a file (whose `spec.cop`/`spec.size` are then
+    /// unused): validate the spec, check the resolution against the
+    /// graph's coefficient range, derive the initial spins (`seed ^
+    /// INIT_SEED_SALT`) and annealer seed (`seed + 1`), and freeze the
+    /// solve options (budget, tempering) and machine config (design,
+    /// resolution, faults). `accuracy` is `None` for a problem without
+    /// a domain scorer.
     ///
     /// # Errors
     ///
     /// [`SachiError::Usage`] / [`SachiError::Config`] from
-    /// [`JobSpec::validate`], COP encoding, or a resolution that cannot
-    /// represent the graph's coefficients.
-    pub fn from_spec(spec: &JobSpec) -> Result<JobPlan, SachiError> {
+    /// [`JobSpec::validate`], or a resolution that cannot represent the
+    /// graph's coefficients.
+    pub fn lower(
+        spec: &JobSpec,
+        name: String,
+        graph: IsingGraph,
+        accuracy: Option<AccuracyFn>,
+    ) -> Result<JobPlan, SachiError> {
         spec.validate()?;
-        let problem = build_cop_problem(spec.cop, spec.size, spec.seed)?;
         if let Some(r) = spec.resolution {
-            let required = problem.graph.bits_required();
+            let required = graph.bits_required();
             if r < required {
                 return Err(SachiError::Config(format!(
                     "resolution {r} cannot represent this problem's coefficients (needs \
-                     {required}-bit); drop the field or pass >= {required}"
+                     {required}-bit); drop it or pass >= {required}"
                 )));
             }
         }
+        let replicas = usize::try_from(spec.restarts)
+            .map_err(|_| SachiError::Usage("restarts too large for this host".to_string()))?;
         let mut rng = StdRng::seed_from_u64(spec.seed ^ INIT_SEED_SALT);
-        let init = SpinVector::random(problem.graph.num_spins(), &mut rng);
-        let mut options = SolveOptions::for_graph(&problem.graph, spec.seed.wrapping_add(1))
+        let init = SpinVector::random(graph.num_spins(), &mut rng);
+        let mut options = SolveOptions::for_graph(&graph, spec.seed.wrapping_add(1))
             .with_cancel(CancelToken::new());
         if let Some(budget) = spec.step_budget {
             options = options.with_step_budget(budget);
         }
         if spec.tempering {
-            let rungs = usize::try_from(spec.restarts).unwrap_or(usize::MAX);
-            options = options.with_tempering(TemperingOptions::for_graph(
-                spec.ladder,
-                &problem.graph,
-                rungs,
-            ));
+            options =
+                options.with_tempering(TemperingOptions::for_graph(spec.ladder, &graph, replicas));
         }
         let mut config = SachiConfig::new(spec.design);
         if let Some(r) = spec.resolution {
@@ -374,18 +406,32 @@ impl JobPlan {
                 FaultModel::new(spec.fault_seed).with_read_ber(FaultRate::from_probability(ber));
             config = config.with_fault(FaultProfile::new(model).with_policy(spec.fault_policy));
         }
-        let replicas = usize::try_from(spec.restarts)
-            .map_err(|_| SachiError::Usage("restarts too large for this host".to_string()))?;
         Ok(JobPlan {
             spec: spec.clone(),
-            name: problem.name,
-            graph: problem.graph,
-            accuracy: problem.accuracy,
+            name,
+            graph,
+            accuracy,
             init,
             options,
             config,
             replicas,
         })
+    }
+
+    /// Runs the plan on `hierarchy`'s arrays instead of the paper's
+    /// default (`sachi solve --hierarchy`).
+    #[must_use]
+    pub fn with_hierarchy(mut self, hierarchy: CacheHierarchy) -> Self {
+        self.config = self.config.with_hierarchy(hierarchy);
+        self
+    }
+
+    /// Records solve-phase spans into every replica's report (`sachi
+    /// solve --trace-phases`).
+    #[must_use]
+    pub fn with_phase_trace(mut self) -> Self {
+        self.config = self.config.with_phase_trace();
+        self
     }
 
     /// The spec this plan was lowered from.
@@ -401,6 +447,27 @@ impl JobPlan {
     /// The encoded graph.
     pub fn graph(&self) -> &IsingGraph {
         &self.graph
+    }
+
+    /// The initial spins every replica starts from.
+    pub fn init(&self) -> &SpinVector {
+        &self.init
+    }
+
+    /// The base solve options (replica `k` derives its seed from them).
+    pub fn options(&self) -> &SolveOptions {
+        &self.options
+    }
+
+    /// The machine config every replica runs on.
+    pub fn config(&self) -> &SachiConfig {
+        &self.config
+    }
+
+    /// True when the problem has a domain scorer; otherwise
+    /// [`JobOutcome::accuracy`] is NaN.
+    pub fn is_scored(&self) -> bool {
+        self.accuracy.is_some()
     }
 
     /// Replica-ensemble width.
@@ -432,61 +499,56 @@ impl JobPlan {
         machine.solve_detailed(&self.graph, &self.init, &options)
     }
 
-    /// Runs the whole job as one coupled tempering run (single worker
-    /// thread — the run is deterministic at any thread count, and a
-    /// pooled coupled job occupies exactly one pool worker). Pure in
-    /// the plan alone.
-    fn run_coupled(&self) -> JobOutcome {
+    /// Runs the whole job in-process on `threads` workers (0 = every
+    /// core) and reduces it. Coupled (tempering) plans go through the
+    /// exchange engine. The outcome is the same at any thread count and
+    /// byte-identical to the pooled job.
+    pub fn run(&self, threads: usize) -> JobOutcome {
         let ledger = ReplicaLedger::new(self.replicas);
-        let best = EnsembleRunner::new(self.replicas).with_threads(1).run(
-            &self.graph,
-            &self.init,
-            &self.options,
-            |k| ReportingMachine::new(SachiMachine::new(self.config.clone()), k, &ledger),
-        );
-        let report = ledger.finish();
-        let accuracy = (self.accuracy)(&best.best().spins);
+        let best = EnsembleRunner::new(self.replicas)
+            .with_threads(worker_threads(threads))
+            .run(&self.graph, &self.init, &self.options, |k| {
+                ReportingMachine::new(SachiMachine::new(self.config.clone()), k, &ledger)
+            });
+        self.outcome(best, ledger.finish())
+    }
+
+    /// [`JobPlan::run`] on one thread: the reference the pooled path
+    /// must match byte-for-byte, and what a pooled coupled job runs on
+    /// its one worker.
+    pub fn run_solo(&self) -> JobOutcome {
+        self.run(1)
+    }
+
+    /// Scores the reduced ensemble into the job outcome.
+    fn outcome(&self, best: BestOf, report: EnsembleReport) -> JobOutcome {
+        let accuracy = self
+            .accuracy
+            .as_ref()
+            .map_or(f64::NAN, |score| score(&best.best().spins));
         JobOutcome {
             best,
             report,
             accuracy,
         }
     }
+}
 
-    /// Runs every replica in-process, sequentially, and reduces — the
-    /// reference the pooled path must match byte-for-byte. Coupled
-    /// (tempering) plans route through the exchange engine; both the
-    /// solo and pooled paths call the same engine, so their equality is
-    /// by construction.
-    pub fn run_solo(&self) -> JobOutcome {
-        if self.is_coupled() {
-            return self.run_coupled();
-        }
-        let mut pairs = Vec::with_capacity(self.replicas);
-        for k in 0..self.replicas {
-            pairs.push(self.run_replica(k));
-        }
-        reduce_outcome(self, pairs)
+/// The worker count for a requested thread count: 0 means every
+/// available core.
+pub fn worker_threads(requested: usize) -> usize {
+    if requested == 0 {
+        EnsembleRunner::available_threads()
+    } else {
+        requested
     }
 }
 
 /// Reduces per-replica `(result, report)` pairs, in replica order, to
 /// the job outcome via the same folds the in-process runner uses.
 fn reduce_outcome(plan: &JobPlan, pairs: Vec<(SolveResult, RunReport)>) -> JobOutcome {
-    let mut results = Vec::with_capacity(pairs.len());
-    let mut reports = Vec::with_capacity(pairs.len());
-    for (result, report) in pairs {
-        results.push(result);
-        reports.push(report);
-    }
-    let best = BestOf::reduce(results);
-    let report = EnsembleReport::fold(reports);
-    let accuracy = (plan.accuracy)(&best.best().spins);
-    JobOutcome {
-        best,
-        report,
-        accuracy,
-    }
+    let (results, reports): (Vec<_>, Vec<_>) = pairs.into_iter().unzip();
+    plan.outcome(BestOf::reduce(results), EnsembleReport::fold(reports))
 }
 
 /// The completed job: ensemble verdict, folded report, and the domain
@@ -497,7 +559,8 @@ pub struct JobOutcome {
     pub best: BestOf,
     /// Folded per-replica reports (cycles, energy, fault aggregates).
     pub report: EnsembleReport,
-    /// Domain accuracy of the best replica's spins (1.0 = optimal).
+    /// Domain accuracy of the best replica's spins (1.0 = optimal; NaN
+    /// when the plan has no scorer, see [`JobPlan::is_scored`]).
     pub accuracy: f64,
 }
 
@@ -626,11 +689,7 @@ impl SolverPool {
     /// this constructor's worker spawn would drag the whole solve path
     /// into every constructor's reachability set.)
     pub fn with_workers(threads: usize) -> SolverPool {
-        let threads = if threads == 0 {
-            EnsembleRunner::available_threads()
-        } else {
-            threads
-        };
+        let threads = worker_threads(threads);
         let shared = Arc::new(PoolShared {
             state: Mutex::new(PoolQueue {
                 tasks: VecDeque::new(),
@@ -897,14 +956,25 @@ mod tests {
         let err = zero_budget.validate().unwrap_err();
         assert!(matches!(&err, SachiError::Usage(m) if m.contains("step_budget")));
         assert_eq!(err.exit_code(), 2);
-        let bad_resolution = JobSpec {
-            resolution: Some(0),
-            ..JobSpec::default()
-        };
-        assert!(matches!(
-            bad_resolution.validate(),
-            Err(SachiError::Config(_))
-        ));
+        // The machine's resolution range is 2..=32 bits; anything else
+        // is a typed config error (code 2), never a panic further down.
+        for bits in [0, 1, 33, 40, 64] {
+            let err = JobSpec {
+                resolution: Some(bits),
+                ..JobSpec::default()
+            }
+            .validate()
+            .unwrap_err();
+            assert!(matches!(&err, SachiError::Config(m) if m.contains("2..=32")));
+            assert_eq!(err.exit_code(), 2);
+        }
+        for bits in [2, 32] {
+            let spec = JobSpec {
+                resolution: Some(bits),
+                ..JobSpec::default()
+            };
+            assert!(spec.validate().is_ok(), "resolution {bits}");
+        }
         let bad_ber = JobSpec {
             fault_ber: Some(1.5),
             ..JobSpec::default()
@@ -962,11 +1032,26 @@ mod tests {
     #[test]
     fn plan_rejects_unrepresentable_resolution() {
         let spec = JobSpec {
-            resolution: Some(1),
+            resolution: Some(2),
             ..small_spec(CopKind::MolecularDynamics, 3)
         };
         let err = JobPlan::from_spec(&spec).unwrap_err();
-        assert!(matches!(&err, SachiError::Config(m) if m.contains("resolution")));
+        assert!(matches!(&err, SachiError::Config(m) if m.contains("cannot represent")));
+    }
+
+    #[test]
+    fn a_loaded_problem_lowers_like_the_generated_one() {
+        // `sachi solve --file` hands `lower` a problem it built itself;
+        // without a scorer the plan still runs, with NaN accuracy.
+        let spec = small_spec(CopKind::MolecularDynamics, 4);
+        let problem = build_cop_problem(spec.cop, spec.size, spec.seed).unwrap();
+        let generated = JobPlan::from_spec(&spec).unwrap();
+        let loaded = JobPlan::lower(&spec, problem.name, problem.graph, None).unwrap();
+        assert!(generated.is_scored() && !loaded.is_scored());
+        let (want, got) = (generated.run_solo(), loaded.run(2));
+        assert_eq!(got.best, want.best);
+        assert_eq!(got.report, want.report);
+        assert!(got.accuracy.is_nan() && want.accuracy.is_finite());
     }
 
     #[test]

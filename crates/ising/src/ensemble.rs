@@ -136,6 +136,7 @@ impl BestOf {
     pub fn reduce(replicas: Vec<SolveResult>) -> Self {
         debug_assert!(!replicas.is_empty(), "ensembles have >= 1 replica");
         let mut best_index = 0;
+        let mut best_key = None;
         let mut stats = EnsembleStats {
             replicas: replicas.len() as u64,
             ..EnsembleStats::default()
@@ -143,14 +144,15 @@ impl BestOf {
         // The winner is the replica minimizing the totally ordered key
         // `(degraded, energy)` — health dominates energy — and on exact
         // key ties the LOWEST replica index wins. Strict `<` against the
-        // incumbent makes the index rule explicit: a later replica can
-        // displace an earlier one only by a strictly smaller key, so the
-        // verdict is invariant under reduction order and identical for
-        // any permutation of equal-key replicas.
+        // incumbent's key makes the index rule explicit: a later replica
+        // can displace an earlier one only by a strictly smaller key, so
+        // the verdict is invariant under reduction order and identical
+        // for any permutation of equal-key replicas.
         for (k, r) in replicas.iter().enumerate() {
-            let best = &replicas[best_index];
-            if (r.degraded, r.energy) < (best.degraded, best.energy) {
+            let key = (r.degraded, r.energy);
+            if best_key.is_none_or(|best| key < best) {
                 best_index = k;
+                best_key = Some(key);
             }
             stats.converged += u64::from(r.converged);
             stats.total_sweeps += r.sweeps;
@@ -309,9 +311,6 @@ impl EnsembleRunner {
                 &factory,
             );
         }
-        let per_replica: Vec<SolveOptions> = (0..self.replicas)
-            .map(|k| Self::replica_options(base, k))
-            .collect();
         let slots: Mutex<Vec<Option<SolveResult>>> = Mutex::new(vec![None; self.replicas]);
         let next = AtomicUsize::new(0);
         let workers = self.threads.min(self.replicas);
@@ -324,11 +323,14 @@ impl EnsembleRunner {
                         break;
                     }
                     let mut solver = factory(k);
-                    let result = solver.solve(graph, initial, &per_replica[k]);
-                    slots
+                    let result = solver.solve(graph, initial, &Self::replica_options(base, k));
+                    if let Some(slot) = slots
                         .lock()
-                        .expect("ensemble slot mutex poisoned: a replica panicked")[k] =
-                        Some(result);
+                        .expect("ensemble slot mutex poisoned: a replica panicked")
+                        .get_mut(k)
+                    {
+                        *slot = Some(result);
+                    }
                 });
             }
         });

@@ -144,6 +144,24 @@ pub fn load(root: &Path) -> Result<Vec<AllowEntry>, String> {
     parse(&text).map_err(|e| format!("lint.allow.toml: {e}"))
 }
 
+/// The most entries `lint.allow.toml` may hold.
+pub const BUDGET: usize = 80;
+
+/// A whole-file finding when `entries` exceed [`BUDGET`], so the budget
+/// is enforced rather than only documented.
+pub fn over_budget(entries: &[AllowEntry]) -> Option<Finding> {
+    (entries.len() > BUDGET).then(|| Finding {
+        lint: "allowlist-budget",
+        path: "lint.allow.toml".into(),
+        line: 0,
+        message: format!(
+            "{} entries exceed the budget of {BUDGET}; fix the code instead of vouching for it",
+            entries.len()
+        ),
+        raw: String::new(),
+    })
+}
+
 /// True when `entry` suppresses `finding`.
 fn allows(entry: &AllowEntry, finding: &Finding) -> bool {
     entry.lint == finding.lint
@@ -275,6 +293,21 @@ mod tests {
         assert!(parse("[[allow]]\nwat = \"x\"\n")
             .unwrap_err()
             .contains("unknown key"));
+    }
+
+    #[test]
+    fn an_over_budget_allowlist_fails() {
+        let entry = "[[allow]]\nlint = \"x\"\npath = \"p\"\ncontains = \"c\"\nreason = \"r\"\n";
+        let at_budget = parse(&entry.repeat(BUDGET)).expect("parses");
+        assert!(over_budget(&at_budget).is_none());
+        let over = parse(&entry.repeat(BUDGET + 1)).expect("parses");
+        let finding = over_budget(&over).expect("over budget");
+        assert_eq!(finding.lint, "allowlist-budget");
+        assert!(
+            finding.message.contains("81 entries"),
+            "{}",
+            finding.message
+        );
     }
 
     #[test]

@@ -173,6 +173,7 @@ pub fn run_all(root: &Path) -> Result<LintOutcome, String> {
     let mut families: Vec<&str> = CLASSIC_FAMILIES.to_vec();
     families.extend_from_slice(crate::analyze::FAMILIES);
     let stale = allowlist::apply(root, &entries, &families, &mut findings);
+    findings.extend(allowlist::over_budget(&entries));
     findings.sort_by(|a, b| (a.path.as_str(), a.line).cmp(&(b.path.as_str(), b.line)));
     Ok((findings, entries, stale))
 }

@@ -13,7 +13,8 @@
 //! overflow-audit — see [`analyze`]) — over the workspace and exits
 //! non-zero if any unsuppressed finding remains. Exceptions live in
 //! `lint.allow.toml` at the workspace root; every entry needs a
-//! one-line `reason` and stale entries are themselves errors.
+//! one-line `reason`; stale entries, and more entries than the
+//! 80-entry budget, are themselves errors.
 //! `--fix-allowlist` rewrites `lint.allow.toml` with the stale entries
 //! pruned (other findings still fail the run).
 //!
