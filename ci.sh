@@ -174,6 +174,20 @@ if [ "$CODE_PARSE" -ne 2 ] || [ "$CODE_LIMIT" -ne 5 ]; then
 fi
 echo "serve smoke: typed refusals answer codes 2 and 5"
 
+# A body nested far past the JSON decoder's depth bound is a code-2
+# refusal, not a stack overflow that takes the daemon down.
+set +e
+"$SACHI" submit --addr "127.0.0.1:$PORT" --raw "$(printf '[%.0s' $(seq 1 100000))" \
+  >/dev/null 2>&1
+CODE_DEEP=$?
+set -e
+if [ "$CODE_DEEP" -ne 2 ]; then
+  echo "serve smoke: deeply nested body answered code $CODE_DEEP (want 2)" >&2
+  exit 1
+fi
+"$SACHI" submit --addr "127.0.0.1:$PORT" --ping >/dev/null
+echo "serve smoke: deeply nested body answers code 2 and the daemon keeps serving"
+
 # Jobs outside the machine's range are refused with code 2 by both
 # front ends, and a refused job leaves its admission slot free: four
 # out-of-range requests against a queue depth of 4, then a valid job.

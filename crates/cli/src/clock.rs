@@ -20,6 +20,14 @@ pub fn millis(ms: u64) -> Duration {
     Duration::from_millis(ms)
 }
 
+/// Starts a stopwatch; the closure returns the wall time since. Tests
+/// of the server's latency read the clock through this.
+#[cfg(test)]
+pub fn stopwatch() -> impl Fn() -> Duration {
+    let start = std::time::Instant::now();
+    move || start.elapsed()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

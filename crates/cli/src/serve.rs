@@ -547,4 +547,55 @@ mod tests {
         assert_eq!(server.active.load(Ordering::Acquire), 0);
         server.pool.join();
     }
+
+    #[test]
+    fn a_deeply_nested_request_is_refused_and_serving_continues() {
+        let server = Arc::new(Server::new(
+            &ServeArgs::default(),
+            "127.0.0.1:1".to_string(),
+        ));
+        let (response, keep_going) = server.respond(&"[".repeat(200_000));
+        assert!(keep_going);
+        assert_eq!(code_of(&response), Some(2.0), "{response}");
+        let (response, keep_going) = server.respond("{\"op\":\"ping\"}");
+        assert!(keep_going);
+        assert!(response.contains("\"status\":\"ok\""), "{response}");
+        server.pool.join();
+    }
+
+    #[test]
+    fn a_persistent_connection_answers_without_a_delayed_ack_stall() {
+        // Linux delays an ACK by at least 40 ms; a frame whose body waits
+        // on the ACK of its own prefix shows up as a ~40 ms round trip.
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let server = Arc::new(Server::new(&ServeArgs::default(), addr.to_string()));
+        let daemon = {
+            let server = Arc::clone(&server);
+            thread::spawn(move || {
+                let (mut stream, _) = listener.accept().unwrap();
+                server.serve_conn(&mut stream);
+            })
+        };
+        let mut client = TcpStream::connect(addr).unwrap();
+        let ping = protocol::simple_request_body("ping");
+        let mut round_trips: Vec<_> = (0..20)
+            .map(|_| {
+                let elapsed = clock::stopwatch();
+                write_frame(&mut client, &ping).unwrap();
+                let reply = read_frame(&mut client, MAX_FRAME_LEN).unwrap().unwrap();
+                assert!(reply.contains("\"op\":\"ping\""), "{reply}");
+                elapsed()
+            })
+            .collect();
+        drop(client);
+        daemon.join().unwrap();
+        server.pool.join();
+        round_trips.sort();
+        let median = round_trips[round_trips.len() / 2];
+        assert!(
+            median < clock::millis(20),
+            "median ping round trip {median:?}"
+        );
+    }
 }

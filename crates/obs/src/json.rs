@@ -26,7 +26,10 @@
 //! cumulative one). The parser is a strict recursive-descent RFC 8259
 //! subset (no comments, no trailing commas) used by the golden tests
 //! and `xtask validate-metrics` — it exists so validation needs no
-//! external dependency.
+//! external dependency. It also decodes every daemon request, so its
+//! recursion is bounded: arrays and objects nested deeper than
+//! [`MAX_DEPTH`] are a typed [`JsonError::TooDeep`], never a stack
+//! overflow.
 
 use crate::registry::{Histogram, MetricsRegistry, HISTOGRAM_BUCKETS};
 use crate::span::PhaseSpan;
@@ -222,14 +225,60 @@ impl JsonValue {
     }
 }
 
+/// How deep arrays and objects may nest. The deepest document the repo
+/// writes or validates nests 5 levels (a histogram bucket in a metrics
+/// snapshot); the bound keeps the recursive descent's stack use small
+/// on any thread, whatever the input.
+pub const MAX_DEPTH: usize = 128;
+
+/// A JSON parse failure, at byte offset `pos` of the input.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum JsonError {
+    /// The input is not well-formed JSON.
+    Syntax {
+        /// Byte offset of the failure.
+        pos: usize,
+        /// What was wrong there.
+        msg: String,
+    },
+    /// Arrays and objects nest deeper than [`MAX_DEPTH`].
+    TooDeep {
+        /// Byte offset of the bracket that went one level too deep.
+        pos: usize,
+    },
+}
+
+impl std::fmt::Display for JsonError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            JsonError::Syntax { pos, msg } => write!(f, "json parse error at byte {pos}: {msg}"),
+            JsonError::TooDeep { pos } => write!(
+                f,
+                "json parse error at byte {pos}: nesting deeper than {MAX_DEPTH} levels"
+            ),
+        }
+    }
+}
+
+impl From<JsonError> for String {
+    fn from(e: JsonError) -> String {
+        e.to_string()
+    }
+}
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
-    fn err(&self, msg: &str) -> String {
-        format!("json parse error at byte {}: {}", self.pos, msg)
+    fn err(&self, msg: &str) -> JsonError {
+        JsonError::Syntax {
+            pos: self.pos,
+            msg: msg.to_string(),
+        }
     }
 
     fn skip_ws(&mut self) {
@@ -246,7 +295,7 @@ impl<'a> Parser<'a> {
         self.bytes.get(self.pos).copied()
     }
 
-    fn expect(&mut self, b: u8) -> Result<(), String> {
+    fn expect(&mut self, b: u8) -> Result<(), JsonError> {
         if self.peek() == Some(b) {
             self.pos += 1;
             Ok(())
@@ -255,11 +304,22 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn parse_value(&mut self) -> Result<JsonValue, String> {
+    fn parse_value(&mut self) -> Result<JsonValue, JsonError> {
         self.skip_ws();
         match self.peek() {
-            Some(b'{') => self.parse_object(),
-            Some(b'[') => self.parse_array(),
+            Some(open @ (b'{' | b'[')) => {
+                if self.depth == MAX_DEPTH {
+                    return Err(JsonError::TooDeep { pos: self.pos });
+                }
+                self.depth += 1;
+                let v = if open == b'{' {
+                    self.parse_object()
+                } else {
+                    self.parse_array()
+                };
+                self.depth -= 1;
+                v
+            }
             Some(b'"') => Ok(JsonValue::Str(self.parse_string()?)),
             Some(b't') => self.parse_lit("true", JsonValue::Bool(true)),
             Some(b'f') => self.parse_lit("false", JsonValue::Bool(false)),
@@ -270,7 +330,7 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn parse_lit(&mut self, lit: &str, v: JsonValue) -> Result<JsonValue, String> {
+    fn parse_lit(&mut self, lit: &str, v: JsonValue) -> Result<JsonValue, JsonError> {
         if self.bytes[self.pos..].starts_with(lit.as_bytes()) {
             self.pos += lit.len();
             Ok(v)
@@ -279,7 +339,7 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn parse_number(&mut self) -> Result<JsonValue, String> {
+    fn parse_number(&mut self) -> Result<JsonValue, JsonError> {
         let start = self.pos;
         if self.peek() == Some(b'-') {
             self.pos += 1;
@@ -309,7 +369,7 @@ impl<'a> Parser<'a> {
             .map_err(|_| self.err(&format!("invalid number '{text}'")))
     }
 
-    fn parse_string(&mut self) -> Result<String, String> {
+    fn parse_string(&mut self) -> Result<String, JsonError> {
         self.expect(b'"')?;
         let mut out = String::new();
         loop {
@@ -365,7 +425,7 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn parse_array(&mut self) -> Result<JsonValue, String> {
+    fn parse_array(&mut self) -> Result<JsonValue, JsonError> {
         self.expect(b'[')?;
         let mut items = Vec::new();
         self.skip_ws();
@@ -389,7 +449,7 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn parse_object(&mut self) -> Result<JsonValue, String> {
+    fn parse_object(&mut self) -> Result<JsonValue, JsonError> {
         self.expect(b'{')?;
         let mut members = Vec::new();
         self.skip_ws();
@@ -420,10 +480,16 @@ impl<'a> Parser<'a> {
 }
 
 /// Parses a JSON document (strict RFC 8259 subset, no trailing input).
-pub fn parse(text: &str) -> Result<JsonValue, String> {
+///
+/// # Errors
+///
+/// [`JsonError::Syntax`] on malformed input, [`JsonError::TooDeep`]
+/// past [`MAX_DEPTH`] levels of nesting. Never panics.
+pub fn parse(text: &str) -> Result<JsonValue, JsonError> {
     let mut p = Parser {
         bytes: text.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     let v = p.parse_value()?;
     p.skip_ws();
