@@ -124,18 +124,6 @@ fn bench_machines(c: &mut Criterion) {
 fn bench_extensions(c: &mut Criterion) {
     let mut group = c.benchmark_group("extensions");
     group.sample_size(10);
-    // Resident tiled machine vs scratch machine on the same solve.
-    let w = MolecularDynamics::new(12, 12, 5);
-    let graph = w.graph().clone();
-    let mut rng = StdRng::seed_from_u64(9);
-    let init = SpinVector::random(graph.num_spins(), &mut rng);
-    let opts = SolveOptions::for_graph(&graph, 6).with_max_sweeps(20);
-    group.bench_function("resident_n3_md144_20sweeps", |b| {
-        b.iter(|| {
-            let mut machine = ResidentN3Machine::new(SachiConfig::new(DesignKind::N3));
-            black_box(machine.solve_detailed(&graph, &init, &opts))
-        })
-    });
     // L1 cache trace throughput.
     let trace: Vec<u64> = (0..10_000u64)
         .map(|i| (i.wrapping_mul(2654435761) % (1 << 18)) & !0x7)

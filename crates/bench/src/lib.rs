@@ -26,11 +26,15 @@
 //! | `disc_faults` | robustness — quality vs injected read BER, parity + retry recovery |
 //! | `disc_drift` | model audit — PerfModel closed form vs functional-sim metered cycles |
 //! | `abl_tuple_rep` | ablation — tuple-rep on/off |
-//! | `abl_residency` | ablation — analytic residency billing vs physical resident machine |
 //! | `abl_prefetch` | ablation — prefetcher on/off |
 //! | `abl_update_policy` | ablation — storage-update vs RMW local update |
 //! | `perf_kernels` | perf — scalar oracle vs SoA production kernel ns/H-compute and ns/sweep (writes `BENCH_perf.json`) |
 //! | `disc_quality` | quality — seeded corpus (SAT/coloring/scheduling) × designs, regression-gated (writes `BENCH_quality.json`) |
+//!
+//! The residency ablation (`abl_residency` in EXPERIMENTS.md) has no
+//! binary: it is the tier-1 test `tests/property_machines.rs`, which runs
+//! `SachiMachine` against the physical-residency oracle in
+//! `tests/support/tiled.rs`.
 //!
 //! The crate also ships Criterion micro-benchmarks over the hot kernels
 //! (`cargo bench -p sachi-bench`). The end-to-end wall-clock benchmark

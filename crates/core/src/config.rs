@@ -106,8 +106,9 @@ pub struct SachiConfig {
     pub tuple_rep: bool,
     /// Optional fault-injection profile. `None` (the default) is a
     /// perfect memory hierarchy; honored by [`crate::machine::SachiMachine`]
-    /// (the fully bit-accurate pipeline). The resident-optimized
-    /// [`crate::tiled::ResidentN3Machine`] models a fault-free hierarchy.
+    /// (the fully bit-accurate pipeline). The physical-residency oracle
+    /// in the test tree (`tests/support/tiled.rs`) ignores this field and
+    /// always models a fault-free hierarchy.
     pub fault: Option<FaultProfile>,
     /// Record hierarchical solve-phase spans (cycle-domain timestamps)
     /// into the run report. Off by default: a disabled trace allocates
@@ -137,13 +138,6 @@ impl SachiConfig {
     #[must_use]
     pub fn with_hierarchy(mut self, hierarchy: CacheHierarchy) -> Self {
         self.hierarchy = hierarchy;
-        self
-    }
-
-    /// Replaces the technology parameters.
-    #[must_use]
-    pub fn with_tech(mut self, tech: TechnologyParams) -> Self {
-        self.tech = tech;
         self
     }
 
@@ -195,13 +189,6 @@ impl SachiConfig {
         self
     }
 
-    /// Removes any fault profile (back to the perfect hierarchy).
-    #[must_use]
-    pub fn without_faults(mut self) -> Self {
-        self.fault = None;
-        self
-    }
-
     /// Enables solve-phase span tracing (`--trace-phases` on the CLI).
     #[must_use]
     pub fn with_phase_trace(mut self) -> Self {
@@ -243,7 +230,6 @@ mod tests {
         assert_eq!(profile.policy, RecoveryPolicy::FailFast);
         let c = SachiConfig::default().with_fault(profile.clone());
         assert_eq!(c.fault, Some(profile));
-        assert_eq!(c.without_faults().fault, None);
         // Default profile: zero-rate model, retry policy.
         let d = FaultProfile::default();
         assert!(d.model.read_ber.is_zero() && d.model.dram_ber.is_zero());

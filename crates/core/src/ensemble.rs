@@ -22,40 +22,6 @@ use sachi_mem::units::Cycles;
 use sachi_obs::MetricsRegistry;
 use std::sync::Mutex;
 
-/// Anything that can run the solve protocol *and* report accounting —
-/// the functional machines, as opposed to the golden CPU solver.
-pub trait DetailedSolver {
-    /// Runs the solve and returns the outcome plus its [`RunReport`].
-    fn solve_with_report(
-        &mut self,
-        graph: &IsingGraph,
-        initial: &SpinVector,
-        options: &SolveOptions,
-    ) -> (SolveResult, RunReport);
-}
-
-impl DetailedSolver for SachiMachine {
-    fn solve_with_report(
-        &mut self,
-        graph: &IsingGraph,
-        initial: &SpinVector,
-        options: &SolveOptions,
-    ) -> (SolveResult, RunReport) {
-        self.solve_detailed(graph, initial, options)
-    }
-}
-
-impl DetailedSolver for crate::tiled::ResidentN3Machine {
-    fn solve_with_report(
-        &mut self,
-        graph: &IsingGraph,
-        initial: &SpinVector,
-        options: &SolveOptions,
-    ) -> (SolveResult, RunReport) {
-        self.solve_detailed(graph, initial, options)
-    }
-}
-
 /// Thread-safe collection point for per-replica [`RunReport`]s.
 ///
 /// Reports land in the slot named by their replica index, so the
@@ -243,20 +209,20 @@ impl EnsembleReport {
     }
 }
 
-/// An [`IterativeSolver`] adapter that runs a [`DetailedSolver`] and
+/// An [`IterativeSolver`] adapter that runs a [`SachiMachine`] and
 /// deposits its [`RunReport`] into a [`ReplicaLedger`] — the factory
 /// product that lets `EnsembleRunner::run` drive hardware machines
 /// while their accounting is folded thread-safely on the side.
 #[derive(Debug)]
-pub struct ReportingMachine<'a, M: DetailedSolver> {
-    machine: M,
+pub struct ReportingMachine<'a> {
+    machine: SachiMachine,
     replica: usize,
     ledger: &'a ReplicaLedger,
 }
 
-impl<'a, M: DetailedSolver> ReportingMachine<'a, M> {
+impl<'a> ReportingMachine<'a> {
     /// Wraps `machine` as replica `replica`, reporting into `ledger`.
-    pub fn new(machine: M, replica: usize, ledger: &'a ReplicaLedger) -> Self {
+    pub fn new(machine: SachiMachine, replica: usize, ledger: &'a ReplicaLedger) -> Self {
         ReportingMachine {
             machine,
             replica,
@@ -265,14 +231,14 @@ impl<'a, M: DetailedSolver> ReportingMachine<'a, M> {
     }
 }
 
-impl<M: DetailedSolver> IterativeSolver for ReportingMachine<'_, M> {
+impl IterativeSolver for ReportingMachine<'_> {
     fn solve(
         &mut self,
         graph: &IsingGraph,
         initial: &SpinVector,
         options: &SolveOptions,
     ) -> SolveResult {
-        let (result, report) = self.machine.solve_with_report(graph, initial, options);
+        let (result, report) = self.machine.solve_detailed(graph, initial, options);
         self.ledger.record(self.replica, report);
         result
     }

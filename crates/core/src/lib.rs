@@ -57,7 +57,6 @@ pub mod perf;
 pub mod phases;
 pub mod runtime;
 pub mod serve;
-pub mod tiled;
 pub mod tuple;
 
 /// Convenient glob-import of the crate's main types.
@@ -65,7 +64,7 @@ pub mod prelude {
     pub use crate::config::{DesignKind, FaultProfile, SachiConfig};
     pub use crate::designs::{stationarity, ComputeContext, ComputeScratch, Stationarity};
     pub use crate::encoding::MixedEncoding;
-    pub use crate::ensemble::{DetailedSolver, EnsembleReport, ReplicaLedger, ReportingMachine};
+    pub use crate::ensemble::{EnsembleReport, ReplicaLedger, ReportingMachine};
     pub use crate::error::{SachiError, ServerReason};
     pub use crate::isa::{FistSubop, Instruction, MicroExecutor};
     pub use crate::machine::{FaultReport, RunReport, SachiMachine};
@@ -77,6 +76,5 @@ pub mod prelude {
         build_cop_problem, CopProblem, JobHandle, JobLimits, JobOutcome, JobPlan, JobResult,
         JobSpec, SolverPool, INIT_SEED_SALT,
     };
-    pub use crate::tiled::{Placement, PlacementError, ResidentN3Machine, TiledComputeArray};
     pub use crate::tuple::{SpinTuple, TuplePlaneView, TuplePlanes, TupleStore};
 }

@@ -53,42 +53,25 @@ pub struct SolveEstimate {
     pub wall_time: Nanoseconds,
 }
 
+/// Flip fraction assumed for update-path energy (the functional machine
+/// measures it; the analytic model must assume one).
+const ASSUMED_FLIP_FRACTION: f64 = 0.05;
+
 /// The analytic model for one configuration.
 #[derive(Debug, Clone)]
 pub struct PerfModel {
     config: SachiConfig,
-    /// Flip fraction assumed for update-path energy (the functional
-    /// machine measures it; the analytic model must assume one).
-    assumed_flip_fraction: f64,
 }
 
 impl PerfModel {
     /// Creates a model for a configuration.
     pub fn new(config: SachiConfig) -> Self {
-        PerfModel {
-            config,
-            assumed_flip_fraction: 0.05,
-        }
+        PerfModel { config }
     }
 
     /// The configuration being modeled.
     pub fn config(&self) -> &SachiConfig {
         &self.config
-    }
-
-    /// Overrides the assumed flip fraction used for update-path energy.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `fraction` is within `[0, 1]`.
-    #[must_use]
-    pub fn with_flip_fraction(mut self, fraction: f64) -> Self {
-        assert!(
-            (0.0..=1.0).contains(&fraction),
-            "flip fraction must be in [0, 1]"
-        );
-        self.assumed_flip_fraction = fraction;
-        self
     }
 
     /// Tuple storage bits in the storage array (Fig. 7a layout) for one
@@ -234,7 +217,7 @@ impl PerfModel {
         }
         // Update path at the assumed flip rate: adjacency read + copy
         // writes (a spin has ~n copies).
-        let flips = scale_by_fraction(spins, self.assumed_flip_fraction);
+        let flips = scale_by_fraction(spins, ASSUMED_FLIP_FRACTION);
         let copies = flips * n;
         energy.record(
             EnergyComponent::SramRead,
@@ -595,11 +578,5 @@ mod tests {
         // stream in its load and loses the load/compute overlap.
         assert_eq!(with.compute_cycles, without.compute_cycles);
         assert!(without.load_cycles >= with.load_cycles);
-    }
-
-    #[test]
-    #[should_panic(expected = "flip fraction")]
-    fn flip_fraction_validated() {
-        let _ = PerfModel::new(SachiConfig::default()).with_flip_fraction(1.5);
     }
 }

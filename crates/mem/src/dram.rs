@@ -10,7 +10,7 @@
 use crate::energy::{EnergyComponent, EnergyLedger};
 use crate::fault::FaultInjector;
 use crate::params::TechnologyParams;
-use crate::units::{Bits, Cycles, Picojoules};
+use crate::units::{Bits, Cycles};
 
 /// Counter-based prefetch unit.
 ///
@@ -246,13 +246,6 @@ impl DramController {
     pub fn stats(&self) -> DramStats {
         self.stats
     }
-
-    /// Energy to initially place `payload` bits into DRAM (the paper charges
-    /// this "(a) storing input variables and ICs onto DRAM" phase to every
-    /// design, SACHI and baselines alike).
-    pub fn initial_store_energy(&self, payload: Bits) -> Picojoules {
-        self.params.movement_energy_per_bit() * payload.get()
-    }
 }
 
 #[cfg(test)]
@@ -356,12 +349,5 @@ mod tests {
         assert_eq!(cycles, faulted.stream_cycles(Bits::new(100)));
         assert_eq!(corrupted, 100);
         assert_eq!(inj.counters().dram_flips, 100);
-    }
-
-    #[test]
-    fn initial_store_energy_is_1pj_per_bit() {
-        let ctrl = DramController::new(TechnologyParams::default());
-        let e = ctrl.initial_store_energy(Bits::new(100));
-        assert!((e.get() - 100.0).abs() < 1e-9);
     }
 }

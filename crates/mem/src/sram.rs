@@ -258,11 +258,6 @@ impl SramTile {
         &self.stats
     }
 
-    /// Resets the event counters (not the stored data).
-    pub fn reset_stats(&mut self) {
-        self.stats = TileStats::default();
-    }
-
     #[inline]
     fn check(&self, row: usize, col: usize) -> Result<(), AccessError> {
         if row >= self.rows {
@@ -359,23 +354,6 @@ impl SramTile {
         self.check(row, col)?;
         self.stats.bits_read += 1;
         Ok(self.bit_unchecked(row, col))
-    }
-
-    /// Reads a column range of a row in normal mode.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`AccessError`] on out-of-bounds.
-    pub fn read_range(&mut self, row: usize, cols: Range<usize>) -> Result<Vec<bool>, AccessError> {
-        if cols.end > self.cols {
-            return Err(AccessError::new(format!(
-                "read range end {} > {} cols",
-                cols.end, self.cols
-            )));
-        }
-        self.check(row, 0)?;
-        self.stats.bits_read += count_u64(cols.len());
-        Ok(cols.map(|c| self.bit_unchecked(row, c)).collect())
     }
 
     /// Peeks a bit without booking any access energy (testing/debug).
@@ -1059,10 +1037,8 @@ mod tests {
         let mut t = tile_with_pattern();
         assert!(t.read_bit(0, 0).unwrap());
         assert!(!t.read_bit(0, 1).unwrap());
-        assert_eq!(
-            t.read_range(0, 0..6).unwrap(),
-            vec![true, false, true, true, false, false]
-        );
+        let row: Vec<bool> = (0..6).map(|c| t.read_bit(0, c).unwrap()).collect();
+        assert_eq!(row, vec![true, false, true, true, false, false]);
     }
 
     #[test]
@@ -1161,17 +1137,13 @@ mod tests {
     }
 
     #[test]
-    fn stats_merge_and_reset() {
+    fn stats_merge_accumulates() {
         let mut a = tile_with_pattern();
         a.compute_xnor_full_row(0, true).unwrap();
         let mut s = TileStats::default();
         s.merge(a.stats());
         s.merge(a.stats());
         assert_eq!(s.rwl_activations, 4);
-        a.reset_stats();
-        assert_eq!(a.stats().rwl_activations, 0);
-        // Data survives a stats reset.
-        assert_eq!(a.peek(0, 0), Some(true));
     }
 
     #[test]

@@ -145,7 +145,7 @@ pub fn load(root: &Path) -> Result<Vec<AllowEntry>, String> {
 }
 
 /// The most entries `lint.allow.toml` may hold.
-pub const BUDGET: usize = 80;
+pub const BUDGET: usize = 74;
 
 /// A whole-file finding when `entries` exceed [`BUDGET`], so the budget
 /// is enforced rather than only documented.
@@ -304,7 +304,7 @@ mod tests {
         let finding = over_budget(&over).expect("over budget");
         assert_eq!(finding.lint, "allowlist-budget");
         assert!(
-            finding.message.contains("81 entries"),
+            finding.message.contains(&format!("{} entries", BUDGET + 1)),
             "{}",
             finding.message
         );

@@ -53,6 +53,14 @@ const DOMAIN: &[&str] = &[
     "crates/workloads/src",
 ];
 
+/// Every scope list this module scans, by family (checked for stale
+/// entries by [`crate::lints::missing_scope_paths`]).
+pub const SCOPES: &[(&str, &[&str])] = &[
+    ("determinism", DETERMINISM_SCOPE),
+    ("determinism", SERVER_DETERMINISM_SCOPE),
+    ("analyze domain", DOMAIN),
+];
+
 /// Unordered-container identifiers banned by the determinism lint.
 const UNORDERED_TYPES: &[&str] = &["HashMap", "HashSet", "RandomState", "DefaultHasher"];
 

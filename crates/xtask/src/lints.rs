@@ -64,13 +64,12 @@ impl std::fmt::Display for Finding {
 
 /// Files whose energy/cycle arithmetic must go through the `units.rs`
 /// newtypes. All of `sachi-mem`, plus the accounting paths of
-/// `sachi-core` (closed-form model, functional machine, tiled machine,
-/// per-design schedules).
+/// `sachi-core` (closed-form model, functional machine, per-design
+/// schedules, replica-ensemble folding).
 const UNIT_SAFETY_SCOPE: &[&str] = &[
     "crates/mem/src",
     "crates/core/src/perf.rs",
     "crates/core/src/machine.rs",
-    "crates/core/src/tiled.rs",
     "crates/core/src/designs.rs",
     "crates/core/src/ensemble.rs",
 ];
@@ -99,16 +98,22 @@ const FAULT_STRICT_SCOPE: &[&str] = &[
 
 /// Files whose `compute_*` / `upload_*` / `writeback_*` function bodies
 /// are the per-sweep hot path: the designs' tuple kernels and spin-row
-/// upload/writeback helpers, the resident array's H-compute, the SoA
-/// tuple-plane writeback, and the SRAM compute kernels. Allocation there
-/// is an N·R-per-sweep tax the production SoA kernel must not pay; the
-/// scalar reference oracles are excused by audited `lint.allow.toml`
-/// entries.
+/// upload/writeback helpers, the SoA tuple-plane writeback, and the SRAM
+/// compute kernels. Allocation there is an N·R-per-sweep tax the
+/// production SoA kernel must not pay; the scalar reference oracles are
+/// excused by audited `lint.allow.toml` entries.
 const HOT_PATH_SCOPE: &[&str] = &[
     "crates/core/src/designs.rs",
-    "crates/core/src/tiled.rs",
     "crates/core/src/tuple.rs",
     "crates/mem/src/sram.rs",
+];
+
+/// Every scope list the classic lints scan, by family.
+const SCOPES: &[(&str, &[&str])] = &[
+    ("unit-safety", UNIT_SAFETY_SCOPE),
+    ("panic-freedom", PANIC_FREEDOM_SCOPE),
+    ("fault-strict", FAULT_STRICT_SCOPE),
+    ("hot-path", HOT_PATH_SCOPE),
 ];
 
 /// Function-name prefixes that mark a body as per-sweep hot path.
@@ -174,6 +179,8 @@ pub fn run_all(root: &Path) -> Result<LintOutcome, String> {
     families.extend_from_slice(crate::analyze::FAMILIES);
     let stale = allowlist::apply(root, &entries, &families, &mut findings);
     findings.extend(allowlist::over_budget(&entries));
+    findings.extend(missing_scope_paths(root, SCOPES));
+    findings.extend(missing_scope_paths(root, crate::analyze::SCOPES));
     findings.sort_by(|a, b| (a.path.as_str(), a.line).cmp(&(b.path.as_str(), b.line)));
     Ok((findings, entries, stale))
 }
@@ -185,10 +192,32 @@ pub fn run(root: &Path) -> Result<Vec<Finding>, String> {
     run_all(root).map(|(findings, _, _)| findings)
 }
 
+/// One finding per scope path that does not exist under `root`.
+/// [`rust_files`] yields nothing for a missing path, so without this a
+/// stale scope entry (a moved or deleted file) would silently lint
+/// nothing.
+pub fn missing_scope_paths(root: &Path, scopes: &[(&str, &[&str])]) -> Vec<Finding> {
+    let mut findings = Vec::new();
+    for &(family, paths) in scopes {
+        for path in paths.iter().filter(|p| !root.join(p).exists()) {
+            findings.push(Finding {
+                lint: "lint-scope",
+                path: (*path).to_string(),
+                line: 0,
+                message: format!(
+                    "the {family} scope names `{path}`, which does not exist; drop it from the scope"
+                ),
+                raw: String::new(),
+            });
+        }
+    }
+    findings
+}
+
 /// Recursively collects `.rs` files under `dir` (or the file itself),
-/// sorted for deterministic output. A missing path yields no files: lint
-/// scopes name paths that may not exist in every tree (self-test trees,
-/// future crate removals).
+/// sorted for deterministic output. A missing path yields no files, so
+/// self-test trees need not mirror the workspace; [`run_all`] reports
+/// stale scope entries through [`missing_scope_paths`].
 pub(crate) fn rust_files(dir: &Path) -> Result<Vec<PathBuf>, String> {
     let mut out = Vec::new();
     if dir.is_file() {
@@ -629,6 +658,25 @@ mod tests {
         assert!(stale.iter().any(|f| f.lint == "allowlist"), "{stale:?}");
 
         std::fs::remove_dir_all(&root).expect("clean up self-test tree");
+    }
+
+    /// Every lint and analyze scope names a path in this workspace, and a
+    /// scope entry for a file that is gone is reported.
+    #[test]
+    fn stale_scope_paths_are_reported() {
+        let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+        assert!(missing_scope_paths(&root, SCOPES).is_empty());
+        assert!(missing_scope_paths(&root, crate::analyze::SCOPES).is_empty());
+        let stale = missing_scope_paths(
+            &root,
+            &[(
+                "hot-path",
+                &["crates/core/src/designs.rs", "crates/core/src/tiled.rs"],
+            )],
+        );
+        assert_eq!(stale.len(), 1, "{stale:?}");
+        assert_eq!(stale[0].lint, "lint-scope");
+        assert_eq!(stale[0].path, "crates/core/src/tiled.rs");
     }
 
     #[test]

@@ -2,9 +2,12 @@
 //! the path that licenses the analytic model at millions. These run in
 //! release CI in seconds; the `#[ignore]`d giant run is a manual soak.
 
+mod support;
+
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use sachi::prelude::*;
+use support::tiled::ResidentN3Machine;
 
 #[test]
 fn functional_n3_solves_10k_atoms() {

@@ -1,24 +1,28 @@
 //! Physically-resident tiled compute array for the mixed-stationary
-//! design.
+//! design — the differential oracle for [`SachiMachine`]'s residency
+//! billing.
 //!
-//! [`crate::machine::SachiMachine`] computes through a *scratch* tile: it
-//! re-lays each tuple before computing it and bills residency traffic
-//! analytically. This module is the fully physical alternative for
-//! SACHI(n3): a [`TiledComputeArray`] with one [`SramTile`] per paper
-//! tile, tuples laid out **once per round** at real bit addresses, spin
-//! updates written **into the resident bitcells** through the Fig. 8b
-//! path, and every write observable in the tiles' own counters.
+//! [`SachiMachine`] computes through a *scratch* tile: it re-lays each
+//! tuple before computing it and bills residency traffic analytically.
+//! This module is the fully physical alternative for SACHI(n3): a
+//! [`TiledComputeArray`] with one [`SramTile`] per paper tile, tuples laid
+//! out **once per round** at real bit addresses (one tuple per run of
+//! whole rows, Sec. IV.B), spin updates written **into the resident
+//! bitcells** through the Fig. 8b path, and every write observable in the
+//! tiles' own counters.
 //!
 //! [`ResidentN3Machine`] runs the shared iterative protocol on top of it
 //! and must match the golden trajectory exactly — which it can only do
 //! because the update path keeps resident `σ_j` copies fresh, the very
 //! mechanism the paper's storage-array-based update exists to provide.
+//!
+//! [`SachiMachine`]: sachi_core::machine::SachiMachine
 
-use crate::config::SachiConfig;
-use crate::designs::ComputeContext;
-use crate::encoding::MixedEncoding;
-use crate::machine::RunReport;
-use crate::tuple::{SpinTuple, TupleStore};
+use sachi_core::config::SachiConfig;
+use sachi_core::designs::ComputeContext;
+use sachi_core::encoding::MixedEncoding;
+use sachi_core::machine::RunReport;
+use sachi_core::tuple::{SpinTuple, TupleStore};
 use sachi_ising::anneal::Annealer;
 use sachi_ising::graph::IsingGraph;
 use sachi_ising::hamiltonian::energy;
@@ -301,7 +305,7 @@ impl ResidentN3Machine {
     }
 
     /// Runs a solve with real residency. See
-    /// [`crate::machine::SachiMachine::solve_detailed`] for the report's
+    /// [`sachi_core::machine::SachiMachine::solve_detailed`] for the report's
     /// semantics; here `SramWrite` energy comes from *actual* bitcell
     /// writes (layout + update path), not an analytic reload estimate.
     ///
@@ -551,7 +555,7 @@ impl ResidentN3Machine {
         );
 
         let report = RunReport {
-            design: crate::config::DesignKind::N3,
+            design: sachi_core::config::DesignKind::N3,
             resolution_bits: enc.bits(),
             sweeps,
             rounds_per_sweep,
@@ -569,7 +573,7 @@ impl ResidentN3Machine {
             adjacency_reads: tuples.adjacency_reads(),
             cross_tuple_rereads: tuples.cross_tuple_rereads(),
             prefetches: 0,
-            faults: crate::machine::FaultReport::default(),
+            faults: sachi_core::machine::FaultReport::default(),
             skipped_spin_writes: 0,
             tile: stats,
             dram: sachi_mem::dram::DramStats::default(),
@@ -604,10 +608,10 @@ impl IterativeSolver for ResidentN3Machine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::{DesignKind, SachiConfig};
-    use crate::machine::SachiMachine;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+    use sachi_core::config::{DesignKind, SachiConfig};
+    use sachi_core::machine::SachiMachine;
     use sachi_ising::graph::topology;
     use sachi_ising::solver::CpuReferenceSolver;
     use sachi_mem::cache::CacheHierarchy;
