@@ -1,13 +1,15 @@
 //! Scalar oracle vs production kernel timing for all four stationarity
 //! designs.
 //!
-//! One pair is measured everywhere: `compute_tuple` (the scalar oracle)
-//! vs `compute_tuple_soa` (the kernel the machine runs) against prebuilt
-//! [`TuplePlanes`] SoA arenas and a reused [`ComputeScratch`], on
-//! identical inputs through identical `SramTile`s so the comparison
-//! isolates the kernel. The arenas are built outside the timed region —
-//! exactly the machine's usage, where encode work happens at solve setup,
-//! not per sweep. Four granularities:
+//! One pair is measured everywhere: `compute_tuple` (the scalar oracle,
+//! which lays each tuple into the tile and senses it bit by bit) vs
+//! `compute_tuple_soa` (the kernel the machine runs, which computes `H_σ`
+//! arithmetically from prebuilt [`TuplePlanes`] words and books the
+//! oracle's tile events in closed form), on identical inputs through
+//! identical `SramTile`s so the comparison isolates the kernel. The
+//! arenas are built outside the timed region — exactly the machine's
+//! usage, where encode work happens at solve setup, not per sweep. Four
+//! granularities:
 //!
 //! * **per H-compute** (`kernel`) — one dense degree-256, R=8 tuple;
 //! * **per sweep** (`sweep`) — one full update pass over every spin of a

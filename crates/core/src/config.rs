@@ -105,8 +105,8 @@ pub struct SachiConfig {
     /// Tuple-rep enabled (Sec. IV.B.1). Disable for `abl_tuple_rep`.
     pub tuple_rep: bool,
     /// Optional fault-injection profile. `None` (the default) is a
-    /// perfect memory hierarchy; honored by [`crate::machine::SachiMachine`]
-    /// (the fully bit-accurate pipeline). The physical-residency oracle
+    /// perfect memory hierarchy; honored by [`crate::machine::SachiMachine`].
+    /// The physical-residency oracle
     /// in the test tree (`tests/support/tiled.rs`) ignores this field and
     /// always models a fault-free hierarchy.
     pub fault: Option<FaultProfile>,

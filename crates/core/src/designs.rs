@@ -12,13 +12,18 @@
 //! | n2  | ICs (one per row) | neighbor spins | N | R |
 //! | n3  | ICs + neighbor spins | target spin σ_i | ⌈N/(row capacity)⌉ | N·R |
 //!
-//! Every design computes *functionally*: it lays the stationary data into
-//! a real [`SramTile`], pulses the word-lines, and assembles `H_σ` from
-//! the sensed discharge pattern — so every design is checked bit-for-bit
-//! against the golden local field. Each design has exactly two compute
-//! methods: [`Stationarity::compute_tuple_soa`], the word-parallel
-//! production kernel the machine runs, and [`Stationarity::compute_tuple`],
-//! the cell-by-cell scalar oracle it is proven against. The closed-form
+//! Each design has exactly two compute methods.
+//! [`Stationarity::compute_tuple`] is the scalar oracle: it lays the
+//! stationary data into a real [`SramTile`], pulses the word-lines in the
+//! design's schedule order, and assembles `H_σ` from the sensed discharge
+//! pattern, bit for bit as Figs. 11–13 draw it.
+//! [`Stationarity::compute_tuple_soa`] is the production kernel the
+//! machine runs. A read bit-line discharges exactly when
+//! `stored XNOR driven` is 1, so every count the oracle books follows
+//! from popcounts of the stored and driven bits: the kernel makes one
+//! pass over the tuple's packed words, computes `H_σ` arithmetically, and
+//! books the oracle's [`ComputeContext`] and tile-event deltas in closed
+//! form. Differential proptests hold the two equal. The closed-form
 //! schedule methods (`phase1_cycles`, `idle_cycles`, `xnor_queue_bits`,
 //! `max_reuse`, footprints) feed the analytic performance model of
 //! [`crate::perf`].
@@ -27,8 +32,7 @@ use crate::config::DesignKind;
 use crate::encoding::MixedEncoding;
 use crate::tuple::{SpinTuple, TuplePlaneView};
 use sachi_ising::spin::Spin;
-use sachi_mem::lanes;
-use sachi_mem::sram::{gather_bits, SramTile};
+use sachi_mem::sram::{SramTile, TileStats};
 use sachi_mem::units::convert::{count_u64, ratio_u64, to_index};
 
 /// Per-solve counters a design accumulates while computing tuples.
@@ -70,103 +74,16 @@ impl ComputeContext {
     }
 }
 
-/// Reusable buffers for the designs' production kernel
-/// ([`Stationarity::compute_tuple_soa`]): XNOR result planes, a packed
-/// output row, and the spin-row residency tag that lets the
-/// spin-stationary designs skip redundant spin-row rewrites.
-///
-/// Create one per machine and hoist it out of the sweep loop: buffers grow
-/// on demand and are reused across calls, so the steady-state kernel
-/// performs no heap allocation.
-///
-/// The residency tag assumes the scratch stays paired with **one** tile:
-/// it remembers what was last written to that tile's row 0 and elides the
-/// write when the identical packed spin row reappears. Call
-/// [`ComputeScratch::invalidate`] if the paired tile's row 0 is written
-/// through any other path (the n2/n3 kernels do this themselves).
-#[derive(Debug, Clone, Default)]
-pub struct ComputeScratch {
-    /// XNOR result planes: R planes of `plane_words(n)` words.
-    xnor: Vec<u64>,
-    /// Packed sensed-output row for the single-access kernels (n2/n3).
-    row_out: Vec<u64>,
-    /// Packed spin row as last written to the paired tile's row 0.
-    resident_row: Vec<u64>,
-    /// Packed n3 row image, assembled from group words before upload.
-    packed_row: Vec<u64>,
-    /// `(target, degree)` of the tuple whose spin row is resident.
-    resident: Option<(u32, usize)>,
-    /// Redundant spin-row *words* elided by the residency check (word-
-    /// granular: a partially changed row rewrites only its dirty words and
-    /// counts each clean word here).
-    pub skipped_spin_writes: u64,
-}
+/// Scratch for [`Stationarity::compute_tuple_soa`]. The closed-form
+/// kernel needs no buffers, so this holds nothing; it stays in the trait
+/// signature only for existing callers.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct ComputeScratch;
 
 impl ComputeScratch {
-    /// Creates an empty scratch; buffers are sized on first use.
+    /// Creates the (empty) scratch.
     pub fn new() -> Self {
-        ComputeScratch::default()
-    }
-
-    /// Forgets the spin-row residency tag. Call when the paired tile's
-    /// row 0 may have been written outside [`ComputeScratch`]'s control.
-    pub fn invalidate(&mut self) {
-        self.resident = None;
-    }
-
-    fn ensure_xnor(&mut self, r: u32, words: usize) {
-        let need = to_index(r) * words;
-        if self.xnor.len() < need {
-            self.xnor.resize(need, 0);
-        }
-    }
-
-    fn ensure_row_out(&mut self, words: usize) {
-        if self.row_out.len() < words {
-            self.row_out.resize(words, 0);
-        }
-    }
-
-    fn ensure_packed_row(&mut self, words: usize) {
-        if self.packed_row.len() < words {
-            self.packed_row.resize(words, 0);
-        }
-    }
-
-    /// Uploads a pre-packed spin row (the SoA `spin_words` arena) to the
-    /// tile's row 0 with word-granular rewrite elision: a word whose
-    /// resident copy already equals the new value is skipped (the write
-    /// and its `bits_written` accounting are elided — re-driving write
-    /// word-lines with unchanged data is work the silicon never does), and
-    /// a partially changed row rewrites only its dirty words. A tuple
-    /// change re-arms the full-row write.
-    fn upload_spin_row_words(
-        &mut self,
-        tile: &mut SramTile,
-        target: u32,
-        n: usize,
-        spin_words: &[u64],
-    ) {
-        let words = MixedEncoding::plane_words(n);
-        let row = &spin_words[..words];
-        if self.resident == Some((target, n)) {
-            for (wi, (&new, resident)) in row.iter().zip(&mut self.resident_row).enumerate() {
-                if *resident == new {
-                    self.skipped_spin_writes += 1;
-                    continue;
-                }
-                let width = (n - wi * 64).min(64);
-                tile.write_bits_from_word(0, wi * 64, width, new)
-                    .expect("tile sized by tile_requirements");
-                *resident = new;
-            }
-            return;
-        }
-        tile.write_row_words(0, row, n)
-            .expect("tile sized by tile_requirements");
-        self.resident_row.clear();
-        self.resident_row.extend_from_slice(row);
-        self.resident = Some((target, n));
+        ComputeScratch
     }
 }
 
@@ -205,30 +122,21 @@ pub trait Stationarity {
     ) -> i64;
 
     /// The production kernel, the one [`crate::machine::SachiMachine`]
-    /// runs: word-parallel plane accesses over structure-of-arrays
-    /// operands. Every encoded operand comes pre-computed from `view` — no
-    /// per-compute `MixedEncoding` encode, no spin re-pack — and all
-    /// buffers live in `scratch`, so the steady state performs no heap
-    /// allocation. `view` must be the [`crate::tuple::TuplePlanes`] view
-    /// of `tuple` at `enc`'s resolution, kept current under spin updates
-    /// via [`crate::tuple::TuplePlanes::writeback_spin`].
+    /// runs. One pass over the packed words in `view` computes
+    /// `H_σ = −(h + Σ J_k·σ_k)` together with the popcount sums the
+    /// design's schedule is priced from; the kernel then books, in closed
+    /// form, the [`ComputeContext`] and [`TileStats`] deltas
+    /// [`Stationarity::compute_tuple`] produces on a tile sized by
+    /// [`Stationarity::tile_requirements`]. It writes no bitcell: `tile`
+    /// only receives the booked events and, for n3, supplies its row
+    /// width. `view` must be the [`crate::tuple::TuplePlanes`] view of
+    /// `tuple` at `enc`'s resolution, kept current under spin updates via
+    /// [`crate::tuple::TuplePlanes::writeback_spin`]; `scratch` is unused.
     ///
-    /// Contract against the scalar oracle [`Stationarity::compute_tuple`]
-    /// (proven by differential proptests): identical `H_σ`, identical
-    /// [`ComputeContext`] updates, and identical
-    /// [`sachi_mem::sram::TileStats`] deltas. The one sanctioned
-    /// divergence: the spin-stationary designs elide rewriting a spin row
-    /// that is already resident in the paired tile (the residency tag
-    /// lives in `scratch`), so `bits_written` can advance less than the
-    /// oracle when the same tuple is recomputed against unchanged
-    /// spins. Stored tile bits, H, and every compute counter still match
-    /// exactly.
-    ///
-    /// # Panics
-    ///
-    /// Panics under the same conditions as
-    /// [`Stationarity::compute_tuple`], or if `view` does not match
-    /// `tuple`.
+    /// Contract against the scalar oracle (proven by differential
+    /// proptests for every design, every R in 2..=32, and n3 tuples that
+    /// span several rows): identical `H_σ`, identical [`ComputeContext`]
+    /// updates, and identical [`TileStats`] deltas.
     #[allow(clippy::too_many_arguments)]
     fn compute_tuple_soa(
         &self,
@@ -301,63 +209,110 @@ fn layout_spins(tile: &mut SramTile, tuple: &SpinTuple) {
         .expect("tile sized by tile_requirements");
 }
 
-/// Shared phase-1 of the n1 kernels: upload the pre-packed spin row
-/// (skipping a redundant rewrite) and run one word-parallel plane access
-/// per IC bit, driving the pre-encoded coupling planes straight out of
-/// the SoA arena. The scalar n1a/n1b oracles issue the same *multiset* of
-/// single-column accesses in different orders; tile counters are additive
-/// and order-independent, so one plane schedule serves both designs
-/// bit-exactly — only their queue notes differ. Returns the words per
-/// plane.
-fn n1_plane_phase1_soa(
-    tile: &mut SramTile,
-    enc: &MixedEncoding,
-    tuple: &SpinTuple,
-    view: TuplePlaneView<'_>,
-    ctx: &mut ComputeContext,
-    scratch: &mut ComputeScratch,
-) -> usize {
-    let n = tuple.degree();
-    let r = enc.bits();
-    scratch.upload_spin_row_words(tile, tuple.target, n, view.spin_words);
-    let words = MixedEncoding::plane_words(n);
-    scratch.ensure_xnor(r, words);
-    for b in 0..to_index(r) {
-        let plane = &view.coupling_planes[b * words..(b + 1) * words];
-        let out = &mut scratch.xnor[b * words..(b + 1) * words];
-        tile.compute_xnor_plane(0, plane, 0..n, out)
-            .expect("in-bounds by layout");
-        ctx.cycles += count_u64(n);
-        ctx.rwl_bits_fetched += count_u64(n);
-        ctx.xnor_ops += count_u64(n);
-    }
-    words
+/// One pass over a tuple's packed words: `H_σ` plus the popcount sums
+/// every design's closed-form ledger is built from.
+#[derive(Debug, Clone, Copy)]
+struct TupleSums {
+    /// `H_σ = −(h + Σ_k J_k·σ_k)`.
+    h: i64,
+    /// Degree `n`.
+    n: u64,
+    /// Up neighbours, `P = popcount(spin_words)`.
+    up: u64,
+    /// Stored coupling one-bits, `C1 = Σ_k ones_k` with
+    /// `ones_k = popcount(coupling_words[k])`.
+    ones: u64,
+    /// Coupling bits equal to their own neighbour's spin bit,
+    /// `U = Σ_k (σ_k up ? ones_k : R − ones_k)`.
+    matches: u64,
 }
 
-/// Shared finale for the n1 SoA paths: fold the whole XNOR plane set in
-/// one popcount-weighted pass. Per lane `k`, the product is
-/// `decode(xnor lane k) + [σ_k == Down]`; summed over lanes that is
-/// `Σ_b ±2^b·popcount(plane_b)` ([`MixedEncoding::decode_plane_sum`])
-/// plus the Down-spin count (`n − popcount(spin row)`) — the same integer
-/// sum the per-lane loop computes, in O(R·words) popcounts instead of
-/// O(N·R) shift/adds. Counter totals are the per-lane ones, batched.
-fn n1_finish_soa(
-    enc: &MixedEncoding,
-    tuple: &SpinTuple,
-    view: TuplePlaneView<'_>,
-    words: usize,
-    ctx: &mut ComputeContext,
-    scratch: &ComputeScratch,
-) -> i64 {
-    let n = tuple.degree();
-    let r = enc.bits();
-    let nn = count_u64(n);
-    let downs = nn - lanes::popcount(&view.spin_words[..words]);
-    let downs = i64::try_from(downs).expect("spin-down count bounded by degree");
-    let sum = enc.decode_plane_sum(&scratch.xnor[..to_index(r) * words], words);
-    ctx.adder_bit_ops += nn * (u64::from(r) + 2);
-    ctx.decisions += nn;
-    -(i64::from(tuple.field) + sum + downs)
+impl TupleSums {
+    fn of(enc: &MixedEncoding, tuple: &SpinTuple, view: TuplePlaneView<'_>) -> Self {
+        // The spin bits are as random as the annealer makes them, so they
+        // feed arithmetic and a select rather than a branch that would
+        // mispredict half the time.
+        let (mut dot, mut up, mut ones, mut up_ones) = (0i64, 0u64, 0u64, 0u64);
+        for (words, &spins) in view.coupling_words.chunks(64).zip(view.spin_words) {
+            for (b, &word) in words.iter().enumerate() {
+                let bit = (spins >> b) & 1;
+                let k_ones = u64::from(word.count_ones());
+                up += bit;
+                ones += k_ones;
+                up_ones += bit * k_ones;
+                let j = enc.decode_word(word);
+                dot += if bit == 1 { j } else { -j };
+            }
+        }
+        let n = count_u64(tuple.degree());
+        TupleSums {
+            h: -(i64::from(tuple.field) + dot),
+            n,
+            up,
+            ones,
+            // Up neighbours match their coupling's one-bits, down
+            // neighbours its zero-bits.
+            matches: up_ones + ((n - up) * u64::from(enc.bits()) - (ones - up_ones)),
+        }
+    }
+}
+
+/// One tuple's closed-form events: what the design's scalar schedule
+/// books on its tile.
+#[derive(Debug, Clone, Copy)]
+struct Ledger {
+    /// Single-cycle compute accesses; each fetches one RWL bit and pulses
+    /// two word-lines (the stored row and its complement).
+    accesses: u64,
+    /// Useful XNOR bit computations.
+    xnor_ops: u64,
+    /// Bit-line discharges, useful and redundant.
+    discharges: u64,
+    /// Discharges on columns that were not sensed.
+    redundant: u64,
+    /// Layout bits written through the write port.
+    bits_written: u64,
+}
+
+impl Ledger {
+    /// Books the events into `ctx` and `tile`, together with the adder
+    /// and decision work of the tuple's `n` products at resolution `r`,
+    /// and returns `H_σ`.
+    fn book(self, s: &TupleSums, r: u32, ctx: &mut ComputeContext, tile: &mut SramTile) -> i64 {
+        ctx.cycles += self.accesses;
+        ctx.rwl_bits_fetched += self.accesses;
+        ctx.xnor_ops += self.xnor_ops;
+        ctx.adder_bit_ops += s.n * (u64::from(r) + 2);
+        ctx.decisions += s.n;
+        tile.book(&TileStats {
+            rwl_activations: 2 * self.accesses,
+            rbl_discharges: self.discharges,
+            redundant_discharges: self.redundant,
+            bits_written: self.bits_written,
+            bits_read: 0,
+            compute_accesses: self.accesses,
+        });
+        s.h
+    }
+}
+
+/// The n1a/n1b ledger. The spin row is written once (`n` bits), then
+/// each of the `nR` coupling bits drives the row's RWL pair while one
+/// column is sensed. A driven 1 discharges the `P` stored up-spins and a
+/// driven 0 the `n − P` down-spins, so `P·C1 + (n−P)·(nR−C1)` bit-lines
+/// discharge; the `U` sensed columns that discharge are useful, the rest
+/// redundant. The two designs issue the same multiset of accesses in
+/// different orders, so only their queue notes differ.
+fn n1_ledger(s: &TupleSums, r: u32) -> Ledger {
+    let nr = s.n * u64::from(r);
+    let discharges = s.up * s.ones + (s.n - s.up) * (nr - s.ones);
+    Ledger {
+        accesses: nr,
+        xnor_ops: nr,
+        discharges,
+        redundant: discharges - s.matches,
+        bits_written: s.n,
+    }
 }
 
 /// SACHI(n1a): spin stationary, bit-major XNOR order (Fig. 11a.1).
@@ -434,16 +389,14 @@ impl Stationarity for SpinStationaryBitMajor {
         view: TuplePlaneView<'_>,
         _target: Spin,
         ctx: &mut ComputeContext,
-        scratch: &mut ComputeScratch,
+        _scratch: &mut ComputeScratch,
     ) -> i64 {
-        let n = tuple.degree();
-        let r = enc.bits();
-        if n == 0 {
+        if tuple.degree() == 0 {
             return -(i64::from(tuple.field));
         }
-        let words = n1_plane_phase1_soa(tile, enc, tuple, view, ctx, scratch);
-        ctx.note_queue(count_u64(n) * (u64::from(r) + 1));
-        n1_finish_soa(enc, tuple, view, words, ctx, scratch)
+        let s = TupleSums::of(enc, tuple, view);
+        ctx.note_queue(s.n * (u64::from(enc.bits()) + 1));
+        n1_ledger(&s, enc.bits()).book(&s, enc.bits(), ctx, tile)
     }
 
     fn phase1_cycles(&self, n: u64, r: u32, _row_bits: u64) -> u64 {
@@ -539,16 +492,14 @@ impl Stationarity for SpinStationaryIcMajor {
         view: TuplePlaneView<'_>,
         _target: Spin,
         ctx: &mut ComputeContext,
-        scratch: &mut ComputeScratch,
+        _scratch: &mut ComputeScratch,
     ) -> i64 {
-        let n = tuple.degree();
-        let r = enc.bits();
-        if n == 0 {
+        if tuple.degree() == 0 {
             return -(i64::from(tuple.field));
         }
-        let words = n1_plane_phase1_soa(tile, enc, tuple, view, ctx, scratch);
-        ctx.note_queue(u64::from(r) + 1);
-        n1_finish_soa(enc, tuple, view, words, ctx, scratch)
+        let s = TupleSums::of(enc, tuple, view);
+        ctx.note_queue(u64::from(enc.bits()) + 1);
+        n1_ledger(&s, enc.bits()).book(&s, enc.bits(), ctx, tile)
     }
 
     fn phase1_cycles(&self, n: u64, r: u32, _row_bits: u64) -> u64 {
@@ -639,44 +590,24 @@ impl Stationarity for IcStationary {
         view: TuplePlaneView<'_>,
         _target: Spin,
         ctx: &mut ComputeContext,
-        scratch: &mut ComputeScratch,
+        _scratch: &mut ComputeScratch,
     ) -> i64 {
-        let n = tuple.degree();
-        let r = enc.bits();
-        if n == 0 {
+        if tuple.degree() == 0 {
             return -(i64::from(tuple.field));
         }
-        // The coupling rows overwrite whatever the tile held; any spin-row
-        // residency another design recorded is void.
-        scratch.invalidate();
-        let cols = tile.cols();
-        let rbits = to_index(r);
-        let drive_words = MixedEncoding::plane_words(n);
-        scratch.ensure_row_out(n);
-        // Layout and drive both come straight out of the SoA arenas: the
-        // encoded coupling rows upload as one batched write, the packed
-        // spin row drives the batch — no per-compute encode or re-pack.
-        tile.write_rows_from_words(0, 0, rbits, &view.coupling_words[..n])
-            .expect("tile sized by tile_requirements");
-        tile.compute_xnor_row_batch(
-            0,
-            n,
-            &view.spin_words[..drive_words],
-            0..cols,
-            0..rbits,
-            &mut scratch.row_out[..n],
-        )
-        .expect("in-bounds by layout");
-        let nn = count_u64(n);
-        ctx.cycles += nn;
-        ctx.rwl_bits_fetched += nn;
-        ctx.xnor_ops += nn * u64::from(r);
-        ctx.adder_bit_ops += nn * (u64::from(r) + 2);
-        ctx.decisions += nn;
-        // Σ_k (decode(out_k) + [σ_k == Down]) in one bulk pass.
-        let downs = nn - lanes::popcount(&view.spin_words[..drive_words]);
-        let downs = i64::try_from(downs).expect("spin-down count bounded by degree");
-        -(i64::from(tuple.field) + enc.decode_word_sum(&scratch.row_out[..n]) + downs)
+        // One row per coupling (`nR` bits written). Each neighbour's spin
+        // drives its own row with all R columns sensed, so exactly the `U`
+        // coupling bits equal to that spin discharge, none redundantly.
+        let s = TupleSums::of(enc, tuple, view);
+        let nr = s.n * u64::from(enc.bits());
+        Ledger {
+            accesses: s.n,
+            xnor_ops: nr,
+            discharges: s.matches,
+            redundant: 0,
+            bits_written: nr,
+        }
+        .book(&s, enc.bits(), ctx, tile)
     }
 
     fn phase1_cycles(&self, n: u64, _r: u32, _row_bits: u64) -> u64 {
@@ -800,70 +731,34 @@ impl Stationarity for MixedStationary {
         view: TuplePlaneView<'_>,
         target: Spin,
         ctx: &mut ComputeContext,
-        scratch: &mut ComputeScratch,
+        _scratch: &mut ComputeScratch,
     ) -> i64 {
-        let n = tuple.degree();
-        let r = enc.bits();
-        if n == 0 {
+        if tuple.degree() == 0 {
             return -(i64::from(tuple.field));
         }
-        scratch.invalidate();
-        let rbits = to_index(r);
-        let group = rbits + 1;
-        let per_row = (tile.cols() / group).max(1);
-        let row_words = tile.cols().div_ceil(64);
-        scratch.ensure_row_out(row_words);
-        scratch.ensure_packed_row(row_words);
-        // Layout: the pre-maintained (R+1)-bit group words pack into whole
-        // row images — one row-wide write per occupied row instead of one
-        // sub-word write per neighbor. Same cells, same bits_written total
-        // (groups fill contiguously from column 0).
-        let rows = n.div_ceil(per_row);
-        let mut acc = i64::from(tuple.field);
-        for row in 0..rows {
-            let in_row = per_row.min(n - row * per_row);
-            let width = in_row * group;
-            let wwords = width.div_ceil(64);
-            for w in &mut scratch.packed_row[..wwords] {
-                *w = 0;
-            }
-            for (g, &gw) in view.group_words[row * per_row..row * per_row + in_row]
-                .iter()
-                .enumerate()
-            {
-                let pos = g * group;
-                let (wi, off) = (pos / 64, pos % 64);
-                scratch.packed_row[wi] |= gw << off;
-                if off + group > 64 {
-                    // off > 0 here, so the shift below stays < 64.
-                    scratch.packed_row[wi + 1] |= gw >> (64 - off);
-                }
-            }
-            tile.write_row_words(row, &scratch.packed_row[..wwords], width)
-                .expect("tile sized by tile_requirements");
-            // Phase 1: σ_i on the RWL, the whole used width sensed, each
-            // group's product decoded by shift/add (eqn. 5 select on the
-            // word).
-            tile.compute_xnor_packed(row, target.bit(), 0..width, 0..width, &mut scratch.row_out)
-                .expect("in-bounds by layout");
-            ctx.cycles += 1;
-            ctx.rwl_bits_fetched += 1;
-            ctx.xnor_ops += count_u64(width);
-            for g in 0..in_row {
-                let x = gather_bits(&scratch.row_out, g * group, rbits);
-                let equal = gather_bits(&scratch.row_out, g * group + rbits, 1) == 1;
-                let sigma_j = if equal { target } else { target.flipped() };
-                let selected = if equal { x } else { !x };
-                let mut v = enc.decode_word(selected);
-                if sigma_j == Spin::Down {
-                    v += 1;
-                }
-                acc += v;
-                ctx.adder_bit_ops += u64::from(r) + 2;
-                ctx.decisions += 1;
-            }
+        // Every neighbour's (R+1)-bit group `[J bits, σ_j]` is written
+        // (`n(R+1)` bits). σ_i drives each occupied row with the whole used
+        // width sensed, so every stored bit equal to σ_i discharges, and
+        // usefully: the `C1 + P` stored ones when σ_i is up, the other
+        // bits when it is down.
+        let s = TupleSums::of(enc, tuple, view);
+        let width = s.n * (u64::from(enc.bits()) + 1);
+        let stored_ones = s.ones + s.up;
+        let discharges = if target == Spin::Up {
+            stored_ones
+        } else {
+            width - stored_ones
+        };
+        let rows =
+            s.n.div_ceil(n3_groups_per_row(enc.bits(), count_u64(tile.cols())));
+        Ledger {
+            accesses: rows,
+            xnor_ops: width,
+            discharges,
+            redundant: 0,
+            bits_written: width,
         }
-        -acc
+        .book(&s, enc.bits(), ctx, tile)
     }
 
     fn phase1_cycles(&self, n: u64, r: u32, row_bits: u64) -> u64 {

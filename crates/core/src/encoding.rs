@@ -155,107 +155,11 @@ impl MixedEncoding {
         Ok((value as u64) & self.mask())
     }
 
-    /// Number of `u64` words one bit-plane needs to hold `lanes` lanes.
+    /// Number of `u64` words that hold `lanes` packed bits (one per
+    /// neighbour: the tuple's spin row).
     #[must_use]
     pub fn plane_words(lanes: usize) -> usize {
         lanes.div_ceil(64).max(1)
-    }
-
-    /// Encodes `values` into bit-plane form without allocating: bit `b` of
-    /// the encoding of `values[k]` lands in lane `k` of plane `b`, where
-    /// plane `b` occupies `planes[b * w..(b + 1) * w]` with
-    /// `w = plane_words(values.len())`. The used plane region is zeroed
-    /// first, so stale lanes never leak between tuples.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`EncodingError::ValueOutOfRange`] on the first value that
-    /// does not fit.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `planes` holds fewer than `bits() * w` words.
-    pub fn encode_into(&self, values: &[i32], planes: &mut [u64]) -> Result<(), EncodingError> {
-        let w = Self::plane_words(values.len());
-        let r = self.bits as usize;
-        assert!(
-            planes.len() >= r * w,
-            "plane buffer of {} words < {r} planes x {w} words",
-            planes.len()
-        );
-        for word in &mut planes[..r * w] {
-            *word = 0;
-        }
-        for (lane, &v) in values.iter().enumerate() {
-            let enc = self.encode_word(i64::from(v))?;
-            let (wi, bit) = (lane / 64, lane % 64);
-            for b in 0..r {
-                planes[b * w + wi] |= ((enc >> b) & 1) << bit;
-            }
-        }
-        Ok(())
-    }
-
-    /// Decodes lane `lane` from bit-plane form: gathers bit `lane` of each
-    /// of the R planes (laid out as in [`MixedEncoding::encode_into`], or
-    /// as produced by plane-at-a-time XNOR kernels) via shift/add and
-    /// sign-extends — the per-lane oracle the tests check
-    /// [`MixedEncoding::decode_plane_sum`] and the SoA arenas against.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `planes` holds fewer than `bits() * words_per_plane`
-    /// words or `lane` lies beyond `words_per_plane * 64`.
-    #[cfg(test)]
-    pub(crate) fn decode_plane(&self, planes: &[u64], words_per_plane: usize, lane: usize) -> i64 {
-        let (wi, bit) = (lane / 64, lane % 64);
-        assert!(wi < words_per_plane, "lane {lane} beyond the plane width");
-        let mut word = 0u64;
-        for b in 0..self.bits as usize {
-            word |= ((planes[b * words_per_plane + wi] >> bit) & 1) << b;
-        }
-        self.decode_word(word)
-    }
-
-    /// Sums the decoded value of **every** lane of a bit-plane block in
-    /// one pass of word-parallel popcounts — the bulk equivalent of
-    /// decoding every lane and adding the results. A lane's
-    /// two's-complement value is
-    /// `Σ_{b<R-1} bit_b·2^b − bit_{R-1}·2^{R-1}`, so the sum over lanes
-    /// factors into one weighted popcount per plane: `R·w` popcounts
-    /// replace `lanes·R` bit gathers. Lanes beyond the valid data must be
-    /// zero (they then contribute exactly 0, as a per-lane decode would),
-    /// which is what [`MixedEncoding::encode_into`] and the plane XNOR
-    /// kernels guarantee.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `planes` holds fewer than `bits() * words_per_plane`
-    /// words.
-    pub fn decode_plane_sum(&self, planes: &[u64], words_per_plane: usize) -> i64 {
-        let w = words_per_plane;
-        let r = self.bits as usize;
-        assert!(
-            planes.len() >= r * w,
-            "plane buffer of {} words < {r} planes x {w} words",
-            planes.len()
-        );
-        let mut sum = 0i64;
-        for b in 0..r {
-            let ones = sachi_mem::lanes::popcount(&planes[b * w..(b + 1) * w]) as i64;
-            if b == r - 1 {
-                sum -= ones << b; // MSB plane carries the sign weight
-            } else {
-                sum += ones << b;
-            }
-        }
-        sum
-    }
-
-    /// Sums [`MixedEncoding::decode_word`] over a slice of LSB-aligned
-    /// words — the bulk finale of the row-batch kernels.
-    pub fn decode_word_sum(&self, words: &[u64]) -> i64 {
-        words.iter().map(|&word| self.decode_word(word)).sum()
     }
 
     /// Decodes LSB-first two's-complement bits (sign-extending the MSB).
@@ -540,70 +444,10 @@ mod tests {
         }
 
         #[test]
-        fn plane_roundtrip_matches_scalar_encode_decode(
-            bits in 2u32..=32,
-            raw in prop::collection::vec(any::<i64>(), 0..100),
-        ) {
-            let enc = MixedEncoding::new(bits).unwrap();
-            let span = enc.max_value() - enc.min_value() + 1;
-            let values: Vec<i32> = raw
-                .iter()
-                .map(|&v| {
-                    i32::try_from(v.rem_euclid(span) + enc.min_value())
-                        .expect("R <= 32 keeps coefficients in i32")
-                })
-                .collect();
-            let w = MixedEncoding::plane_words(values.len());
-            let mut planes = vec![u64::MAX; bits as usize * w];
-            enc.encode_into(&values, &mut planes).unwrap();
-            for (lane, &v) in values.iter().enumerate() {
-                prop_assert_eq!(enc.decode_plane(&planes, w, lane), i64::from(v));
-            }
-            // Lanes beyond the tuple decode from zeroed bits.
-            for lane in values.len()..w * 64 {
-                prop_assert_eq!(enc.decode_plane(&planes, w, lane), 0);
-            }
-        }
-
-        #[test]
         fn decode_word_agrees_with_bitwise_decode(bits in 2u32..=32, word in any::<u64>()) {
             let enc = MixedEncoding::new(bits).unwrap();
             let lanes: Vec<bool> = (0..bits).map(|b| (word >> b) & 1 == 1).collect();
             prop_assert_eq!(enc.decode(&lanes), enc.decode_word(word));
-        }
-
-        #[test]
-        fn plane_sum_matches_per_lane_decode(
-            bits in 2u32..=32,
-            raw in prop::collection::vec(any::<i64>(), 0..150),
-        ) {
-            let enc = MixedEncoding::new(bits).unwrap();
-            let span = enc.max_value() - enc.min_value() + 1;
-            let values: Vec<i32> = raw
-                .iter()
-                .map(|&v| {
-                    i32::try_from(v.rem_euclid(span) + enc.min_value())
-                        .expect("R <= 32 keeps coefficients in i32")
-                })
-                .collect();
-            let w = MixedEncoding::plane_words(values.len());
-            let mut planes = vec![0u64; bits as usize * w];
-            enc.encode_into(&values, &mut planes).unwrap();
-            let per_lane: i64 = (0..values.len())
-                .map(|lane| enc.decode_plane(&planes, w, lane))
-                .sum();
-            prop_assert_eq!(enc.decode_plane_sum(&planes, w), per_lane);
-            prop_assert_eq!(per_lane, values.iter().map(|&v| i64::from(v)).sum::<i64>());
-        }
-
-        #[test]
-        fn word_sum_matches_per_word_decode(
-            bits in 2u32..=32,
-            words in prop::collection::vec(any::<u64>(), 0..80),
-        ) {
-            let enc = MixedEncoding::new(bits).unwrap();
-            let per_word: i64 = words.iter().map(|&wd| enc.decode_word(wd)).sum();
-            prop_assert_eq!(enc.decode_word_sum(&words), per_word);
         }
     }
 }

@@ -11,8 +11,10 @@
 //! * [`mod@tuple`] — tuple mapping and tuple-rep (Sec. IV.B, Figs. 7–8) with
 //!   the adjacency-matrix update path;
 //! * [`designs`] — the four stationarity designs SACHI(n1a/n1b/n2/n3)
-//!   (Sec. IV.D, Figs. 11–13), each computing functionally through a real
-//!   SRAM tile;
+//!   (Sec. IV.D, Figs. 11–13): a bit-level scalar oracle that computes
+//!   through a real SRAM tile, and the production kernel that computes
+//!   `H_σ` arithmetically and books the oracle's tile events in closed
+//!   form;
 //! * [`phases`] — the five-phase pipeline timing (Fig. 11f);
 //! * [`machine`] — [`machine::SachiMachine`], a fully-accounted functional
 //!   machine implementing the shared iterative-solver protocol;

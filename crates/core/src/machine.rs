@@ -1,20 +1,22 @@
 //! The SACHI machine: functional, fully-accounted solves.
 //!
 //! [`SachiMachine`] executes the shared iterative protocol of
-//! [`sachi_ising::solver`] with every `H_σ` computed *through the
-//! hardware*: tuples laid into an 8T SRAM tile, word-lines pulsed, products
-//! assembled from the sensed discharge pattern (bit-exact, enforced by a
-//! debug assertion against the golden local field). Alongside the solve it
-//! keeps the books the paper's evaluation needs: cycles (compute, loading,
-//! DRAM, with prefetch overlap), a per-component energy ledger, reuse,
-//! redundant discharges, queue occupancy, and update-path traffic.
+//! [`sachi_ising::solver`] with every `H_σ` computed by the design's
+//! production kernel ([`crate::designs::Stationarity::compute_tuple_soa`]):
+//! `H_σ` from the tuple's packed words (exact, enforced by a debug
+//! assertion against the golden local field), and the word-line,
+//! discharge and write events of the design's bit-level schedule booked
+//! on the tile in closed form. Alongside the solve it keeps the books the
+//! paper's evaluation needs: cycles (compute, loading, DRAM, with
+//! prefetch overlap), a per-component energy ledger, reuse, redundant
+//! discharges, queue occupancy, and update-path traffic.
 //!
 //! ### Accounting conventions
 //!
-//! * The scratch tile's *layout writes* are not billed per compute —
-//!   resident data is written once per round, which the machine bills
-//!   explicitly as reload traffic. Only the tile's word-line activations
-//!   and bit-line discharges are harvested.
+//! * The tile's *layout writes* are not billed per compute — resident
+//!   data is written once per round, which the machine bills explicitly
+//!   as reload traffic. Only the tile's word-line activations and
+//!   bit-line discharges are harvested.
 //! * Spin updates follow the Fig. 8b path: an adjacency read plus one
 //!   copy-write per relevant tuple, billed to the storage array.
 //! * When the problem exceeds the storage array, each round streams its
@@ -134,8 +136,6 @@ pub struct RunReport {
     /// Fault-injection and recovery accounting (all zeros without a
     /// fault profile).
     pub faults: FaultReport,
-    /// Redundant spin-row rewrites elided by the scratch residency tag.
-    pub skipped_spin_writes: u64,
     /// Raw SRAM tile counters (discharges, reads, writes).
     pub tile: TileStats,
     /// DRAM controller counters including prefetch lead/late accounting.
@@ -174,7 +174,6 @@ impl RunReport {
         reg.counter_add("machine_adjacency_reads", self.adjacency_reads);
         reg.counter_add("machine_cross_tuple_rereads", self.cross_tuple_rereads);
         reg.counter_add("machine_prefetches", self.prefetches);
-        reg.counter_add("machine_skipped_spin_writes", self.skipped_spin_writes);
         reg.observe("machine_queue_peak_bits", self.queue_peak_bits);
         reg.observe("replica_total_cycles", self.total_cycles.get());
         reg.observe("replica_rounds_per_sweep", self.rounds_per_sweep);
@@ -228,19 +227,8 @@ impl RunReport {
         self.adjacency_reads += other.adjacency_reads;
         self.cross_tuple_rereads += other.cross_tuple_rereads;
         self.prefetches += other.prefetches;
-        self.skipped_spin_writes += other.skipped_spin_writes;
-        self.tile.rwl_activations += other.tile.rwl_activations;
-        self.tile.rbl_discharges += other.tile.rbl_discharges;
-        self.tile.redundant_discharges += other.tile.redundant_discharges;
-        self.tile.bits_written += other.tile.bits_written;
-        self.tile.bits_read += other.tile.bits_read;
-        self.tile.compute_accesses += other.tile.compute_accesses;
-        self.dram.loads += other.dram.loads;
-        self.dram.bits_loaded += other.dram.bits_loaded;
-        self.dram.prefetches_issued += other.dram.prefetches_issued;
-        self.dram.prefetch_hidden_cycles += other.dram.prefetch_hidden_cycles;
-        self.dram.prefetch_exposed_cycles += other.dram.prefetch_exposed_cycles;
-        self.dram.prefetch_late_arrivals += other.dram.prefetch_late_arrivals;
+        self.tile.merge(&other.tile);
+        self.dram.merge(&other.dram);
         self.faults.injected_flips += other.faults.injected_flips;
         self.faults.corrupted_fetches += other.faults.corrupted_fetches;
         self.faults.detected += other.faults.detected;
@@ -526,10 +514,9 @@ impl SachiMachine {
         let (tile_rows, tile_cols) =
             design.tile_requirements(max_degree, enc.bits(), geometry.row_bits());
         let tile_params = TileParams::new(tile_rows, tile_cols).with_banks(self.config.bank_count);
+        // The tile the kernel books its events on; it is sized by
+        // `tile_requirements` because the closed forms assume that shape.
         let mut tile = SramTile::with_params(tile_params);
-        // Per-machine kernel scratch, hoisted out of the sweep loop so the
-        // hot path never allocates.
-        let mut scratch = ComputeScratch::new();
         let rounds_per_sweep = count_u64(chunks.len());
 
         // Storage-array pressure decides whether rounds stream from DRAM.
@@ -663,7 +650,7 @@ impl SachiMachine {
                             soa.view(i),
                             spins.get(i),
                             &mut ctx,
-                            &mut scratch,
+                            &mut ComputeScratch,
                         )
                     };
                     let tuple_cycles = ctx.cycles - cycles_before_tuple;
@@ -927,7 +914,6 @@ impl SachiMachine {
             cross_tuple_rereads: tuples.cross_tuple_rereads() - rereads_at_start,
             prefetches: dram.prefetches_issued(),
             faults: fault_report,
-            skipped_spin_writes: scratch.skipped_spin_writes,
             tile: *stats,
             dram: dram.stats(),
             phase_spans: spans,

@@ -11,7 +11,9 @@
 //! region of the storage array holds the adjacency matrix; the update path
 //! reads it to find the relevant tuples (Fig. 8b). [`TupleStore`] is that
 //! pair of structures, and its counters feed the machine's cycle/energy
-//! accounting.
+//! accounting. [`TuplePlanes`] mirrors the store as two packed word
+//! arenas — encoded couplings and neighbor-spin rows — which is all the
+//! designs' production kernel reads.
 
 use crate::encoding::{EncodingError, MixedEncoding};
 use sachi_ising::graph::IsingGraph;
@@ -249,11 +251,8 @@ impl TupleStore {
 /// Per-tuple offsets into the [`TuplePlanes`] arenas.
 #[derive(Debug, Clone, Copy)]
 struct PlaneSlot {
-    /// Word offset into `coupling_planes` (the tuple owns `r * words`
-    /// words starting here, `words = plane_words(degree)`).
-    planes: usize,
-    /// Word offset into `coupling_words` / `group_words` (the tuple owns
-    /// `degree` words starting here).
+    /// Word offset into `coupling_words` (the tuple owns `degree` words
+    /// starting here).
     words: usize,
     /// Word offset into `spin_words` (the tuple owns
     /// `plane_words(degree)` words starting here).
@@ -262,49 +261,38 @@ struct PlaneSlot {
     degree: usize,
 }
 
-/// Structure-of-arrays mirror of a [`TupleStore`]: every encoding the four
-/// design kernels consume, pre-computed once and stored as contiguous u64
+/// Structure-of-arrays mirror of a [`TupleStore`]: the two operands the
+/// design kernel consumes, pre-computed once and stored as contiguous u64
 /// word arenas.
 ///
 /// The AoS tuples keep one `Vec<i32>`/`Vec<Spin>` pair per tuple, so a
-/// kernel reading them would re-run `MixedEncoding` encode over the
-/// couplings and re-pack the spin bits on every compute — a per-tuple
-/// gather that dominates the sweep once the XNOR kernels are fast. The
-/// SoA mirror hoists all of that out of the sweep loop:
+/// kernel reading them would re-run the `MixedEncoding` encode over the
+/// couplings and re-pack the spin bits on every compute. The SoA mirror
+/// hoists both out of the sweep loop:
 ///
-/// * `coupling_planes` — bit-transposed coupling planes (`r` planes of
-///   `plane_words(N)` words per tuple): the n1a/n1b drive operand,
-///   consumed plane-at-a-time by `compute_xnor_plane`.
-/// * `coupling_words` — one sign-magnitude-encoded word per coupling: the
-///   n2 row image, uploaded whole with `write_rows_from_words`.
-/// * `group_words` — `encode(J) | σ_j << r` per coupling: the n3 packed
-///   group image, maintained under spin updates.
+/// * `coupling_words` — one R-bit two's-complement word per coupling:
+///   the stored bits whose popcounts price every design's discharges,
+///   and the `J` the kernel sums.
 /// * `spin_words` — the packed neighbor-spin row (`plane_words(N)` words
-///   per tuple): the spin-stationary upload operand and the n2 drive row.
+///   per tuple, padding bits zero).
 ///
-/// Couplings and fields are stationary for a whole solve, so only the
-/// spin-dependent arenas (`spin_words`, `group_words`) ever change after
-/// construction; [`TuplePlanes::writeback_spin`] applies a spin flip by
-/// walking the same adjacency entries as [`TupleStore::update_spin`].
+/// Couplings are stationary for a whole solve, so only `spin_words` ever
+/// changes after construction; [`TuplePlanes::writeback_spin`] applies a
+/// spin flip by walking the same adjacency entries as
+/// [`TupleStore::update_spin`].
 #[derive(Debug, Clone)]
 pub struct TuplePlanes {
     bits: u32,
     slots: Vec<PlaneSlot>,
-    coupling_planes: Vec<u64>,
     coupling_words: Vec<u64>,
-    group_words: Vec<u64>,
     spin_words: Vec<u64>,
 }
 
 /// Borrowed view of one tuple's SoA data — what a design kernel receives.
 #[derive(Debug, Clone, Copy)]
 pub struct TuplePlaneView<'a> {
-    /// `r` bit-planes of `plane_words(degree)` words each.
-    pub coupling_planes: &'a [u64],
     /// One encoded word per coupling (`degree` words).
     pub coupling_words: &'a [u64],
-    /// One `encode(J) | σ_j << r` group word per coupling (`degree` words).
-    pub group_words: &'a [u64],
     /// Packed neighbor-spin bits (`plane_words(degree)` words).
     pub spin_words: &'a [u64],
 }
@@ -329,38 +317,29 @@ impl TuplePlanes {
     where
         I: IntoIterator<Item = &'a SpinTuple>,
     {
-        let r = enc.bits() as usize;
         let mut planes = Self {
             bits: enc.bits(),
             slots: Vec::new(),
-            coupling_planes: Vec::new(),
             coupling_words: Vec::new(),
-            group_words: Vec::new(),
             spin_words: Vec::new(),
         };
         for tuple in tuples {
             let n = tuple.degree();
-            let words = MixedEncoding::plane_words(n);
             let slot = PlaneSlot {
-                planes: planes.coupling_planes.len(),
                 words: planes.coupling_words.len(),
                 spins: planes.spin_words.len(),
                 degree: n,
             };
-            planes.coupling_planes.resize(slot.planes + r * words, 0);
-            enc.encode_into(&tuple.couplings, &mut planes.coupling_planes[slot.planes..])?;
-            planes.spin_words.resize(slot.spins + words, 0);
+            planes
+                .spin_words
+                .resize(slot.spins + MixedEncoding::plane_words(n), 0);
             for (k, (&j, &s)) in tuple
                 .couplings
                 .iter()
                 .zip(tuple.neighbor_spins.iter())
                 .enumerate()
             {
-                let word = enc.encode_word(i64::from(j))?;
-                planes.coupling_words.push(word);
-                planes
-                    .group_words
-                    .push(word | (s.bit() as u64) << enc.bits());
+                planes.coupling_words.push(enc.encode_word(i64::from(j))?);
                 if s.bit() {
                     planes.spin_words[slot.spins + k / 64] |= 1u64 << (k % 64);
                 }
@@ -392,21 +371,18 @@ impl TuplePlanes {
     /// Panics if `i` is out of range.
     pub fn view(&self, i: usize) -> TuplePlaneView<'_> {
         let slot = self.slots[i];
-        let r = self.bits as usize;
         let words = MixedEncoding::plane_words(slot.degree);
         TuplePlaneView {
-            coupling_planes: &self.coupling_planes[slot.planes..slot.planes + r * words],
             coupling_words: &self.coupling_words[slot.words..slot.words + slot.degree],
-            group_words: &self.group_words[slot.words..slot.words + slot.degree],
             spin_words: &self.spin_words[slot.spins..slot.spins + words],
         }
     }
 
-    /// Mirrors a spin flip: refreshes `σ_j`'s bit in the spin row and group
-    /// word of every tuple that holds a copy, walking the same adjacency
-    /// entries as [`TupleStore::update_spin`]. Call with the *store that
-    /// built this mirror* (before or after its own update — the adjacency
-    /// index is immutable).
+    /// Mirrors a spin flip: refreshes `σ_j`'s bit in the spin row of every
+    /// tuple that holds a copy, walking the same adjacency entries as
+    /// [`TupleStore::update_spin`]. Call with the *store that built this
+    /// mirror* (before or after its own update — the adjacency index is
+    /// immutable).
     ///
     /// # Panics
     ///
@@ -422,10 +398,8 @@ impl TuplePlanes {
             );
             if new.bit() {
                 self.spin_words[ps.spins + k] |= 1u64 << bit;
-                self.group_words[ps.words + slot as usize] |= 1u64 << self.bits;
             } else {
                 self.spin_words[ps.spins + k] &= !(1u64 << bit);
-                self.group_words[ps.words + slot as usize] &= !(1u64 << self.bits);
             }
         }
     }
@@ -549,9 +523,7 @@ mod tests {
             let v = planes.view(i);
             let n = tuple.degree();
             let w = MixedEncoding::plane_words(n);
-            assert_eq!(v.coupling_planes.len(), enc.bits() as usize * w);
             assert_eq!(v.coupling_words.len(), n);
-            assert_eq!(v.group_words.len(), n);
             assert_eq!(v.spin_words.len(), w);
             for (k, (&j, &s)) in tuple
                 .couplings
@@ -559,16 +531,11 @@ mod tests {
                 .zip(tuple.neighbor_spins.iter())
                 .enumerate()
             {
-                assert_eq!(enc.decode_plane(v.coupling_planes, w, k), i64::from(j));
                 assert_eq!(enc.decode_word(v.coupling_words[k]), i64::from(j));
-                assert_eq!(
-                    v.group_words[k],
-                    v.coupling_words[k] | (s.bit() as u64) << enc.bits()
-                );
                 assert_eq!((v.spin_words[k / 64] >> (k % 64)) & 1 == 1, s.bit());
             }
             // Padding bits beyond the degree stay zero (the popcount-based
-            // Down-spin count depends on this).
+            // up-neighbour count depends on this).
             for k in n..w * 64 {
                 assert_eq!((v.spin_words[k / 64] >> (k % 64)) & 1, 0, "lane {k}");
             }
@@ -609,7 +576,6 @@ mod tests {
             let fresh = TuplePlanes::new(&store, &enc).unwrap();
             for i in 0..store.len() {
                 assert_eq!(planes.view(i).spin_words, fresh.view(i).spin_words);
-                assert_eq!(planes.view(i).group_words, fresh.view(i).group_words);
             }
         }
     }
@@ -632,10 +598,9 @@ mod tests {
         let planes = TuplePlanes::from_tuples([&tuple], &enc).unwrap();
         let v = planes.view(0);
         assert_eq!(v.spin_words.len(), 2);
-        let w = MixedEncoding::plane_words(n as usize);
         for k in 0..n as usize {
             assert_eq!(
-                enc.decode_plane(v.coupling_planes, w, k),
+                enc.decode_word(v.coupling_words[k]),
                 i64::from(tuple.couplings[k])
             );
             assert_eq!(

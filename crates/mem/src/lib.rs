@@ -42,7 +42,6 @@ pub mod dram;
 pub mod energy;
 pub mod fault;
 pub mod l1cache;
-pub mod lanes;
 pub mod params;
 pub mod sram;
 pub mod units;

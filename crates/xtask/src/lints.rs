@@ -445,9 +445,9 @@ fn hot_path(root: &Path, findings: &mut Vec<Finding>) -> Result<(), String> {
                                 line: line.number,
                                 message: format!(
                                     "heap allocation `{pattern}…` inside hot-path kernel \
-                                     `{}`; use the caller-provided scratch buffers \
-                                     (ComputeScratch, compute_xnor_packed/plane) — the \
-                                     scalar reference path is excused via lint.allow.toml",
+                                     `{}`; compute from caller-provided words and \
+                                     book counters in closed form — the scalar \
+                                     reference path is excused via lint.allow.toml",
                                     f.name
                                 ),
                                 raw: line.raw.clone(),

@@ -13,8 +13,9 @@
 //! overflow-audit — see [`analyze`]) — over the workspace and exits
 //! non-zero if any unsuppressed finding remains. Exceptions live in
 //! `lint.allow.toml` at the workspace root; every entry needs a
-//! one-line `reason`; stale entries, more entries than the 74-entry
-//! budget, and scope paths that do not exist are themselves errors.
+//! one-line `reason`; stale entries, an entry count other than the
+//! 59-entry budget, and scope paths that do not exist are themselves
+//! errors.
 //! `--fix-allowlist` rewrites `lint.allow.toml` with the stale entries
 //! pruned (other findings still fail the run).
 //!

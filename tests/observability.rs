@@ -204,7 +204,7 @@ fn prom_exposition_is_golden() {
 }
 
 /// A small frustrated instance (mixed-sign king graph) so annealing
-/// bookkeeping — accepts, uphill moves, skipped writes — is live.
+/// bookkeeping — accepts, uphill moves, spin-copy writebacks — is live.
 fn frustrated_graph(rows: usize, cols: usize, salt: u64) -> IsingGraph {
     let mut k = salt;
     topology::king(rows, cols, |i, j| {

@@ -2,20 +2,21 @@
 //! oracle, plus machine-level goldens.
 //!
 //! The two-path kernel contract (DESIGN.md): for every design, the
-//! production kernel `compute_tuple_soa` must be **bit-identical** to the
-//! scalar oracle `compute_tuple` in its H value, its `ComputeContext`
-//! counters (cycles, RWL fetches, XNOR ops, adder ops, decisions, queue
-//! peaks), and the tile's `TileStats` (activations, discharges,
-//! redundancy, reads, writes) — across all four designs, random tuples,
-//! and every resolution R ∈ {2..32}, including empty and degree-1
-//! tuples. The one sanctioned divergence is the spin-row residency
-//! elision, pinned by its own tests below.
+//! production kernel `compute_tuple_soa` — `H_σ` computed arithmetically,
+//! tile events booked in closed form — must be **bit-identical** to the
+//! scalar oracle `compute_tuple`, which lays the tuple into a real tile
+//! and senses it, in its H value, its `ComputeContext` counters (cycles,
+//! RWL fetches, XNOR ops, adder ops, decisions, queue peaks), and the
+//! tile's `TileStats` (activations, discharges, redundancy, reads,
+//! writes). That holds across all four designs, random tuples, every
+//! resolution R ∈ {2..32}, empty and degree-1 tuples, and row widths
+//! narrow enough that n3 tuples span several rows.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use sachi::arch::config::{DesignKind, FaultProfile, SachiConfig};
-use sachi::arch::designs::{stationarity, ComputeContext, ComputeScratch, Stationarity};
+use sachi::arch::designs::{stationarity, ComputeContext, ComputeScratch};
 use sachi::arch::encoding::MixedEncoding;
 use sachi::arch::machine::SachiMachine;
 use sachi::arch::tuple::{SpinTuple, TuplePlanes};
@@ -52,36 +53,36 @@ fn build_tuple(r: u32, pairs: &[(u64, bool)], field_raw: u64) -> SpinTuple {
     }
 }
 
-/// Runs the SoA kernel on a single tuple, with the tuple's own one-slot
-/// `TuplePlanes` built fresh (so the planes always mirror `tuple`).
-fn soa_compute(
-    design: &dyn Stationarity,
-    tile: &mut SramTile,
+/// The physical row widths the differential tests size tiles with: one
+/// n3 group per row, a single 64-bit word, and the default 800-bit row.
+/// The narrow widths make n3 tuples span several rows at every R.
+fn row_widths(r: u32) -> [usize; 3] {
+    [r as usize + 1, 64, 800]
+}
+
+/// Runs the scalar oracle and the production kernel on freshly-sized
+/// twin tiles of `row_bits`-bit rows and asserts bit-exact equality of
+/// (H, `ComputeContext`, `TileStats`).
+fn assert_paths_agree(
+    kind: DesignKind,
     enc: &MixedEncoding,
     tuple: &SpinTuple,
     target: Spin,
-    ctx: &mut ComputeContext,
-    scratch: &mut ComputeScratch,
-) -> i64 {
-    let planes = TuplePlanes::from_tuples([tuple], enc).expect("coefficients fit R bits");
-    design.compute_tuple_soa(tile, enc, tuple, planes.view(0), target, ctx, scratch)
-}
-
-/// Runs the scalar oracle and the SoA kernel on freshly-sized twin tiles
-/// and asserts bit-exact equality of (H, `ComputeContext`, `TileStats`).
-fn assert_paths_agree(kind: DesignKind, enc: &MixedEncoding, tuple: &SpinTuple, target: Spin) {
+    row_bits: usize,
+) {
     let design = stationarity(kind);
-    let (rows, cols) = design.tile_requirements(tuple.degree(), enc.bits(), 800);
+    let (rows, cols) = design.tile_requirements(tuple.degree(), enc.bits(), row_bits);
+    let planes = TuplePlanes::from_tuples([tuple], enc).expect("coefficients fit R bits");
     let mut tile_scalar = SramTile::new(rows, cols);
     let mut tile_soa = SramTile::new(rows, cols);
     let mut ctx_scalar = ComputeContext::new();
     let mut ctx_soa = ComputeContext::new();
     let h_scalar = design.compute_tuple(&mut tile_scalar, enc, tuple, target, &mut ctx_scalar);
-    let h_soa = soa_compute(
-        design,
+    let h_soa = design.compute_tuple_soa(
         &mut tile_soa,
         enc,
         tuple,
+        planes.view(0),
         target,
         &mut ctx_soa,
         &mut ComputeScratch::new(),
@@ -89,7 +90,7 @@ fn assert_paths_agree(kind: DesignKind, enc: &MixedEncoding, tuple: &SpinTuple, 
     let (r, degree) = (enc.bits(), tuple.degree());
     assert_eq!(
         h_scalar, h_soa,
-        "{kind} H diverged (R={r}, degree={degree})"
+        "{kind} H diverged (R={r}, degree={degree}, row={row_bits})"
     );
     assert_eq!(
         h_scalar,
@@ -98,47 +99,50 @@ fn assert_paths_agree(kind: DesignKind, enc: &MixedEncoding, tuple: &SpinTuple, 
     );
     assert_eq!(
         ctx_scalar, ctx_soa,
-        "{kind} ComputeContext diverged (R={r}, degree={degree})"
+        "{kind} ComputeContext diverged (R={r}, degree={degree}, row={row_bits})"
     );
     assert_eq!(
         tile_scalar.stats(),
         tile_soa.stats(),
-        "{kind} TileStats diverged (R={r}, degree={degree})"
+        "{kind} TileStats diverged (R={r}, degree={degree}, row={row_bits})"
     );
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Random tuples, every design, R ∈ {2..32}: the SoA kernel is
-    /// bit-identical to the scalar oracle in H, counters, and tile stats.
+    /// Random tuples, every design, R ∈ {2..32}, every row width: the
+    /// production kernel is bit-identical to the scalar oracle in H,
+    /// counters, and tile stats.
     #[test]
     fn soa_path_matches_scalar_path(
         r in 2u32..=32,
         pairs in prop::collection::vec((any::<u64>(), any::<bool>()), 0..48),
         target_up in any::<bool>(),
         field_raw in any::<u64>(),
+        width in 0usize..3,
     ) {
         let enc = MixedEncoding::new(r).expect("2 <= R <= 32 is valid");
         let tuple = build_tuple(r, &pairs, field_raw);
         let target = if target_up { Spin::Up } else { Spin::Down };
         for kind in DesignKind::ALL {
-            assert_paths_agree(kind, &enc, &tuple, target);
+            assert_paths_agree(kind, &enc, &tuple, target, row_widths(r)[width]);
         }
     }
 
-    /// Streaming many tuples through ONE shared scratch (the machine's
-    /// usage pattern) stays bit-identical to per-tuple scalar computes —
-    /// the scratch carries no state that can leak between tuples.
+    /// Streaming tuples of different degrees through ONE tile, context and
+    /// scratch (the machine's usage pattern) stays bit-identical to the
+    /// scalar oracle after every tuple: nothing leaks between tuples.
     #[test]
     fn shared_scratch_stream_matches_scalar(
-        r in 2u32..=8,
+        r in 2u32..=32,
         seeds in prop::collection::vec((any::<u64>(), any::<bool>()), 1..6),
+        width in 0usize..3,
     ) {
         let enc = MixedEncoding::new(r).expect("valid resolution");
+        let row_bits = row_widths(r)[width];
         for kind in DesignKind::ALL {
             let design = stationarity(kind);
-            // Distinct degrees per tuple so buffers must re-size mid-stream.
             let tuples: Vec<SpinTuple> = seeds
                 .iter()
                 .enumerate()
@@ -150,7 +154,7 @@ proptest! {
                 })
                 .collect();
             let max_degree = tuples.iter().map(SpinTuple::degree).max().unwrap_or(1);
-            let (rows, cols) = design.tile_requirements(max_degree, r, 800);
+            let (rows, cols) = design.tile_requirements(max_degree, r, row_bits);
             let planes = TuplePlanes::from_tuples(tuples.iter(), &enc).expect("coefficients fit");
             let mut tile_scalar = SramTile::new(rows, cols);
             let mut tile_soa = SramTile::new(rows, cols);
@@ -158,21 +162,22 @@ proptest! {
             let mut ctx_soa = ComputeContext::new();
             let mut scratch = ComputeScratch::new();
             for (i, tuple) in tuples.iter().enumerate() {
-                let hs = design.compute_tuple(&mut tile_scalar, &enc, tuple, Spin::Up, &mut ctx_scalar);
+                let target = if i % 2 == 0 { Spin::Up } else { Spin::Down };
+                let hs = design.compute_tuple(&mut tile_scalar, &enc, tuple, target, &mut ctx_scalar);
                 let ho = design.compute_tuple_soa(
-                    &mut tile_soa, &enc, tuple, planes.view(i), Spin::Up, &mut ctx_soa, &mut scratch,
+                    &mut tile_soa, &enc, tuple, planes.view(i), target, &mut ctx_soa, &mut scratch,
                 );
                 prop_assert_eq!(hs, ho, "{} H diverged mid-stream", kind);
+                prop_assert_eq!(ctx_scalar, ctx_soa, "{} ComputeContext diverged", kind);
+                prop_assert_eq!(tile_scalar.stats(), tile_soa.stats(), "{} TileStats diverged", kind);
             }
-            prop_assert_eq!(ctx_scalar, ctx_soa, "{} ComputeContext diverged", kind);
-            prop_assert_eq!(tile_scalar.stats(), tile_soa.stats(), "{} TileStats diverged", kind);
         }
     }
 }
 
 #[test]
 fn empty_and_degree_one_tuples_agree_at_every_resolution() {
-    for r in [2u32, 3, 7, 8, 31, 32] {
+    for r in 2u32..=32 {
         let enc = MixedEncoding::new(r).expect("valid resolution");
         let empty = build_tuple(r, &[], 12345);
         let single_pos = build_tuple(r, &[(u64::MAX, true)], 7);
@@ -180,7 +185,9 @@ fn empty_and_degree_one_tuples_agree_at_every_resolution() {
         for kind in DesignKind::ALL {
             for tuple in [&empty, &single_pos, &single_neg] {
                 for target in [Spin::Up, Spin::Down] {
-                    assert_paths_agree(kind, &enc, tuple, target);
+                    for row_bits in row_widths(r) {
+                        assert_paths_agree(kind, &enc, tuple, target, row_bits);
+                    }
                 }
             }
         }
@@ -191,7 +198,7 @@ fn empty_and_degree_one_tuples_agree_at_every_resolution() {
 fn extreme_coefficients_agree() {
     // Most-negative / most-positive coefficients stress the sign bit and
     // the complement (XOR) decode of eqn. 5.
-    for r in [2u32, 4, 16, 32] {
+    for r in 2u32..=32 {
         let enc = MixedEncoding::new(r).expect("valid resolution");
         let span = 1u64 << r;
         // raw = 0 -> min coefficient; raw = span - 1 -> max coefficient.
@@ -200,145 +207,12 @@ fn extreme_coefficients_agree() {
             .collect();
         let tuple = build_tuple(r, &pairs, span - 1);
         for kind in DesignKind::ALL {
-            assert_paths_agree(kind, &enc, &tuple, Spin::Down);
+            for target in [Spin::Up, Spin::Down] {
+                for row_bits in row_widths(r) {
+                    assert_paths_agree(kind, &enc, &tuple, target, row_bits);
+                }
+            }
         }
-    }
-}
-
-#[test]
-fn spin_row_elision_is_the_only_sanctioned_divergence() {
-    // Recomputing the SAME tuple on the spin-stationary designs: the
-    // scalar oracle rewrites the resident spin row every call, the SoA
-    // kernel writes it once and elides the rest (the spins are
-    // *stationary*). Everything except bits_written stays bit-identical;
-    // bits_written drops by exactly the elided row width per skip — and
-    // the machine never bills layout writes, so the elision is
-    // unobservable in reports.
-    let enc = MixedEncoding::new(5).expect("valid resolution");
-    let pairs: Vec<(u64, bool)> = (0..17).map(|k| (k * 31 + 5, k % 2 == 0)).collect();
-    let tuple = build_tuple(5, &pairs, 3);
-    for kind in [DesignKind::N1a, DesignKind::N1b] {
-        let design = stationarity(kind);
-        let (rows, cols) = design.tile_requirements(tuple.degree(), enc.bits(), 800);
-        let mut tile_scalar = SramTile::new(rows, cols);
-        let mut tile_soa = SramTile::new(rows, cols);
-        let mut ctx_scalar = ComputeContext::new();
-        let mut ctx_soa = ComputeContext::new();
-        let mut scratch = ComputeScratch::new();
-        for pass in 0..3u64 {
-            let hs =
-                design.compute_tuple(&mut tile_scalar, &enc, &tuple, Spin::Up, &mut ctx_scalar);
-            let ho = soa_compute(
-                design,
-                &mut tile_soa,
-                &enc,
-                &tuple,
-                Spin::Up,
-                &mut ctx_soa,
-                &mut scratch,
-            );
-            assert_eq!(hs, ho, "{kind} H diverged on pass {pass}");
-            assert_eq!(
-                ctx_scalar, ctx_soa,
-                "{kind} counters diverged on pass {pass}"
-            );
-            assert_eq!(scratch.skipped_spin_writes, pass, "{kind} skip count");
-        }
-        let s = tile_scalar.stats();
-        let o = tile_soa.stats();
-        assert_eq!(s.rwl_activations, o.rwl_activations);
-        assert_eq!(s.rbl_discharges, o.rbl_discharges);
-        assert_eq!(s.redundant_discharges, o.redundant_discharges);
-        assert_eq!(s.compute_accesses, o.compute_accesses);
-        assert_eq!(s.bits_read, o.bits_read);
-        // Two skipped rewrites of the 17-bit spin row.
-        assert_eq!(s.bits_written, o.bits_written + 2 * 17);
-        // A different tuple re-arms the full-row write: no new skip.
-        let other = build_tuple(5, &pairs[..16], 3);
-        let written = o.bits_written;
-        soa_compute(
-            design,
-            &mut tile_soa,
-            &enc,
-            &other,
-            Spin::Up,
-            &mut ctx_soa,
-            &mut scratch,
-        );
-        assert_eq!(tile_soa.stats().bits_written, written + 16, "{kind}");
-        assert_eq!(scratch.skipped_spin_writes, 2, "{kind}");
-    }
-}
-
-#[test]
-fn spin_row_elision_is_word_granular_across_word_boundaries() {
-    // A degree-100 tuple packs its spin row into two u64 words. The
-    // residency tag works per word: recomputing an unchanged tuple skips
-    // BOTH words; flipping a neighbor that lives in the second word
-    // rewrites only that word while the clean first word still skips.
-    // As with the single-word elision above, bits_written is the only
-    // divergence — H and all ComputeContext counters stay bit-identical.
-    let enc = MixedEncoding::new(4).expect("valid resolution");
-    let pairs: Vec<(u64, bool)> = (0..100).map(|k| (k * 13 + 1, k % 2 == 0)).collect();
-    for kind in [DesignKind::N1a, DesignKind::N1b] {
-        let mut tuple = build_tuple(4, &pairs, 3);
-        let design = stationarity(kind);
-        let (rows, cols) = design.tile_requirements(tuple.degree(), enc.bits(), 800);
-        let mut tile_scalar = SramTile::new(rows, cols);
-        let mut tile_soa = SramTile::new(rows, cols);
-        let mut ctx_scalar = ComputeContext::new();
-        let mut ctx_soa = ComputeContext::new();
-        let mut scratch = ComputeScratch::new();
-        // Pass 0 is cold (full upload); pass 1 recomputes the identical
-        // tuple, so both spin-row words are elided.
-        for _ in 0..2 {
-            let hs =
-                design.compute_tuple(&mut tile_scalar, &enc, &tuple, Spin::Up, &mut ctx_scalar);
-            let ho = soa_compute(
-                design,
-                &mut tile_soa,
-                &enc,
-                &tuple,
-                Spin::Up,
-                &mut ctx_soa,
-                &mut scratch,
-            );
-            assert_eq!(hs, ho, "{kind} H diverged");
-        }
-        assert_eq!(
-            scratch.skipped_spin_writes, 2,
-            "{kind}: both words of an unchanged row must skip"
-        );
-        // Slot 70 lives in spin-row word 1 (bits 64..100); word 0 stays
-        // clean and must keep skipping. `soa_compute` rebuilds the planes
-        // from the flipped tuple.
-        tuple.neighbor_spins[70] = tuple.neighbor_spins[70].flipped();
-        let hs = design.compute_tuple(&mut tile_scalar, &enc, &tuple, Spin::Up, &mut ctx_scalar);
-        let ho = soa_compute(
-            design,
-            &mut tile_soa,
-            &enc,
-            &tuple,
-            Spin::Up,
-            &mut ctx_soa,
-            &mut scratch,
-        );
-        assert_eq!(hs, ho, "{kind} H diverged after the word-1 flip");
-        assert_eq!(ctx_scalar, ctx_soa, "{kind} counters diverged");
-        assert_eq!(
-            scratch.skipped_spin_writes, 3,
-            "{kind}: the clean word 0 must still skip after a word-1 flip"
-        );
-        let s = tile_scalar.stats();
-        let o = tile_soa.stats();
-        assert_eq!(s.bits_read, o.bits_read, "{kind} reads diverged");
-        // Pass 1 elided the whole 100-bit row; pass 2 elided word 0
-        // (64 bits) and rewrote only the 36-bit tail word.
-        assert_eq!(
-            s.bits_written,
-            o.bits_written + 100 + 64,
-            "{kind}: elision must be exactly word-granular"
-        );
     }
 }
 

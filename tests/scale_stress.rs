@@ -12,7 +12,8 @@ use support::tiled::ResidentN3Machine;
 #[test]
 fn functional_n3_solves_10k_atoms() {
     // 100x100 King's lattice: 10,000 spins, ~39,600 edges, through the
-    // real SRAM datapath with a capped sweep budget.
+    // production kernel (tile events booked in closed form) with a capped
+    // sweep budget.
     let w = MolecularDynamics::new(100, 100, 1);
     let graph = w.graph();
     let mut rng = StdRng::seed_from_u64(2);

@@ -30,7 +30,7 @@ use sachi_ising::solver::{decide_update, IterativeSolver, SolveOptions, SolveRes
 use sachi_ising::spin::{Spin, SpinVector};
 use sachi_mem::cache::CacheGeometry;
 use sachi_mem::energy::{EnergyComponent, EnergyLedger};
-use sachi_mem::sram::{gather_bits, SramTile};
+use sachi_mem::sram::SramTile;
 use sachi_mem::units::convert::{count_u64, to_index};
 use sachi_mem::units::{Bits, Cycles};
 use std::fmt;
@@ -86,9 +86,6 @@ pub struct TiledComputeArray {
     groups_per_row: usize,
     group_bits: usize,
     resolution: u32,
-    // Reusable sense buffer for the packed compute kernel — sized once
-    // for a full row so the hot loop never allocates.
-    out_buf: Vec<u64>,
 }
 
 impl TiledComputeArray {
@@ -114,7 +111,6 @@ impl TiledComputeArray {
             groups_per_row,
             group_bits,
             resolution,
-            out_buf: vec![0u64; geometry.row_bits().div_ceil(64).max(1)],
         }
     }
 
@@ -184,7 +180,6 @@ impl TiledComputeArray {
         let placement = self.plan_tuple(tuple.degree())?;
         let (tile_idx, base_row) = (usize::from(placement.tile), to_index(placement.base_row));
         let tile = &mut self.tiles[tile_idx];
-        let rbits = to_index(self.resolution);
         for (k, (&j, &s)) in tuple
             .couplings
             .iter()
@@ -193,11 +188,11 @@ impl TiledComputeArray {
         {
             let row = base_row + k / self.groups_per_row;
             let col = (k % self.groups_per_row) * self.group_bits;
-            let word = enc
-                .encode_word(i64::from(j))
-                .expect("coefficient fits the configured resolution")
-                | (u64::from(s.bit()) << rbits);
-            tile.write_bits_from_word(row, col, self.group_bits, word)
+            let mut group = enc
+                .encode(i64::from(j))
+                .expect("coefficient fits the configured resolution");
+            group.push(s.bit());
+            tile.write_slice(row, col, &group)
                 .expect("placement validated");
         }
         Ok(placement)
@@ -246,10 +241,7 @@ impl TiledComputeArray {
             placement.rows,
             "placement/degree mismatch"
         );
-        // Split borrow: the owning tile and the reusable sense buffer are
-        // disjoint fields.
-        let TiledComputeArray { tiles, out_buf, .. } = self;
-        let tile = &mut tiles[usize::from(placement.tile)];
+        let tile = &mut self.tiles[usize::from(placement.tile)];
         let r = to_index(enc.bits());
         let mut acc = i64::from(tuple.field);
         let mut k = 0usize;
@@ -257,17 +249,20 @@ impl TiledComputeArray {
             let in_row = self.groups_per_row.min(n - row_off * self.groups_per_row);
             let row = to_index(placement.base_row) + row_off;
             let width = in_row * self.group_bits;
-            tile.compute_xnor_packed(row, target.bit(), 0..width, 0..width, out_buf)
+            let out = tile
+                .compute_xnor_windowed(row, target.bit(), 0..width, 0..width)
                 .expect("placement validated");
             ctx.cycles += 1;
             ctx.rwl_bits_fetched += 1;
             ctx.xnor_ops += count_u64(width);
-            for g in 0..in_row {
-                let x = gather_bits(out_buf, g * self.group_bits, r);
-                let equal = gather_bits(out_buf, g * self.group_bits + r, 1) == 1;
+            for group in out.chunks(self.group_bits) {
+                // The equality bit σ_j XNOR σ_i came out with the same
+                // pulse; eqn. 5 keeps the XNOR bits when the spins are
+                // equal and takes their complement (the XOR) otherwise.
+                let equal = group[r];
                 let sigma_j = if equal { target } else { target.flipped() };
-                let selected = if equal { x } else { !x };
-                let mut v = enc.decode_word(selected);
+                let selected: Vec<bool> = group[..r].iter().map(|&b| b == equal).collect();
+                let mut v = enc.decode(&selected);
                 if sigma_j == Spin::Down {
                     v += 1;
                 }
@@ -574,7 +569,6 @@ impl ResidentN3Machine {
             cross_tuple_rereads: tuples.cross_tuple_rereads(),
             prefetches: 0,
             faults: sachi_core::machine::FaultReport::default(),
-            skipped_spin_writes: 0,
             tile: stats,
             dram: sachi_mem::dram::DramStats::default(),
             phase_spans: Vec::new(),
