@@ -66,6 +66,33 @@ bash crates/bench/src/bin/perf_e2e/run.sh --smoke
 echo "==> disc_drift --smoke"
 cargo run -q -p sachi-bench --bin disc_drift -- --smoke
 
+# One sweep protocol: every machine `compare` prints (the four SACHI
+# designs and BRIM here; Ising-CIM when its envelope admits the problem)
+# runs the shared sweep driver, so each row's H and iters must equal the
+# `CPU golden` row's.
+echo "==> sachi compare --cop md --size 64 (every machine row matches CPU golden)"
+COMPARE=$(cargo run -q -p sachi-cli --bin sachi -- compare --cop md --size 64)
+echo "$COMPARE"
+awk '
+  /^-+$/ { table = 1; next }
+  !table { next }
+  $1 == "CPU" && $2 == "golden" { gh = $3; gi = $4; next }
+  { n++; name[n] = $1; h[n] = $2; it[n] = $3 }
+  END {
+    if (gh == "" || n < 5) {
+      printf "compare: want a CPU golden row and >= 5 machine rows, got %d\n", n > "/dev/stderr"
+      exit 1
+    }
+    for (k = 1; k <= n; k++) {
+      if (h[k] != gh || it[k] != gi) {
+        printf "compare: %s H=%s iters=%s, CPU golden H=%s iters=%s\n", \
+          name[k], h[k], it[k], gh, gi > "/dev/stderr"
+        bad = 1
+      }
+    }
+    exit bad
+  }' <<<"$COMPARE"
+
 # Observability smoke: a real solve's --metrics json snapshot must pass
 # the sachi.metrics.v1 schema validation, including counter coverage of
 # every subsystem (sram/l1/dram/machine/solver/recovery).

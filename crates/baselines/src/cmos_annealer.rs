@@ -18,10 +18,9 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use sachi_ising::anneal::Annealer;
 use sachi_ising::graph::IsingGraph;
-use sachi_ising::hamiltonian::{energy, local_field, update_rule};
-use sachi_ising::solver::{SolveOptions, SolveResult};
+use sachi_ising::hamiltonian::{local_field, update_rule};
+use sachi_ising::solver::{run_sweeps, SolveOptions, SolveResult};
 use sachi_ising::spin::SpinVector;
 use sachi_mem::energy::{EnergyComponent, EnergyLedger};
 use sachi_mem::params::TechnologyParams;
@@ -156,12 +155,13 @@ impl CmosAnnealer {
         4 * self.cycles_per_phase
     }
 
-    /// Runs a group-parallel annealed solve. NOTE: this machine does
-    /// *not* follow the shared sequential protocol — within a phase every
-    /// cell sees the pre-phase state of its own group (they are never
-    /// adjacent, so this equals the sequential result *within* the
-    /// group), but groups see each other's latest values only between
-    /// phases.
+    /// Runs a group-parallel annealed solve. The sweep cap, cancellation,
+    /// convergence and result come from the shared [`run_sweeps`] driver,
+    /// but the per-sweep body does *not* follow the sequential update
+    /// order — within a phase every cell sees the pre-phase state of its
+    /// own group (they are never adjacent, so this equals the sequential
+    /// result *within* the group), but groups see each other's latest
+    /// values only between phases.
     ///
     /// # Errors
     ///
@@ -177,14 +177,7 @@ impl CmosAnnealer {
         options: &SolveOptions,
     ) -> Result<(SolveResult, CmosAnnealerReport), CmosAnnealerError> {
         self.check_limits(graph)?;
-        assert_eq!(
-            initial.len(),
-            graph.num_spins(),
-            "initial spins must match graph size"
-        );
         let n = graph.num_spins();
-        let mut spins = initial.clone();
-        let mut annealer = Annealer::new(options.schedule, options.seed);
         let mut rng = StdRng::seed_from_u64(options.seed ^ 0xc3_05);
         let mut ledger = EnergyLedger::new();
 
@@ -200,19 +193,14 @@ impl CmosAnnealer {
             self.tech.sram_write_energy_per_bit() * payload_bits,
         );
 
-        let mut sweeps = 0u64;
-        let mut total_flips = 0u64;
-        let mut converged = false;
-        let mut trace = Vec::new();
-        let max_sweeps = options.effective_max_sweeps(graph.num_spins());
-        while sweeps < max_sweeps {
-            let mut flips_this_sweep = 0u64;
+        let result = run_sweeps(graph, initial, options, |_, spins, annealer| {
+            let mut flips = 0u64;
             for group in 0..4usize {
                 // All cells of one group update in parallel from the
                 // current state (no intra-group adjacency).
                 let mut updates = Vec::new();
                 for i in (0..n).filter(|&i| self.group_of(i) == group) {
-                    let h = local_field(graph, &spins, i);
+                    let h = local_field(graph, spins, i);
                     let current = spins.get(i);
                     let mut new = update_rule(h, current);
                     // Hitachi-style annealing: random bit injection with
@@ -229,7 +217,7 @@ impl CmosAnnealer {
                 }
                 for &(i, new) in &updates {
                     spins.set(i, new);
-                    flips_this_sweep += 1;
+                    flips += 1;
                     // Local update write.
                     ledger.record(
                         EnergyComponent::SramWrite,
@@ -253,36 +241,15 @@ impl CmosAnnealer {
                 self.tech.annealer_energy_per_decision() * n as u64,
             );
             total_cycles += Cycles::new(self.cycles_per_sweep());
-            sweeps += 1;
-            total_flips += flips_this_sweep;
-            if options.record_trace {
-                trace.push(energy(graph, &spins));
-            }
-            let frozen = annealer.is_frozen();
-            annealer.cool();
-            if flips_this_sweep == 0 && frozen {
-                converged = true;
-                break;
-            }
-        }
+            Some(flips)
+        });
 
         let report = CmosAnnealerReport {
-            sweeps,
+            sweeps: result.sweeps,
             total_cycles,
             wall_time: total_cycles.to_time(self.tech.cycle_time),
             energy: ledger,
             groups: 4,
-        };
-        let result = SolveResult {
-            energy: energy(graph, &spins),
-            spins,
-            sweeps,
-            flips: total_flips,
-            converged,
-            trace,
-            uphill_accepted: annealer.uphill_accepted(),
-            uphill_rejected: annealer.uphill_rejected(),
-            degraded: false,
         };
         Ok((result, report))
     }

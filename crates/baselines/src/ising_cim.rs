@@ -20,10 +20,9 @@
 //! * partitioned graphs duplicate edge cells into adjacent arrays and
 //!   broadcast updated edge spins (Fig. 8a).
 
-use sachi_ising::anneal::Annealer;
 use sachi_ising::graph::IsingGraph;
-use sachi_ising::hamiltonian::{energy, local_field};
-use sachi_ising::solver::{decide_update, IterativeSolver, SolveOptions, SolveResult};
+use sachi_ising::hamiltonian::local_field;
+use sachi_ising::solver::{decide_update, run_sweeps, IterativeSolver, SolveOptions, SolveResult};
 use sachi_ising::spin::SpinVector;
 use sachi_mem::energy::{EnergyComponent, EnergyLedger};
 use sachi_mem::params::TechnologyParams;
@@ -224,18 +223,11 @@ impl CimMachine {
         options: &SolveOptions,
     ) -> Result<(SolveResult, CimReport), CimError> {
         self.check_limits(graph)?;
-        assert_eq!(
-            initial.len(),
-            graph.num_spins(),
-            "initial spins must match graph size"
-        );
         let tech = &self.config.tech;
         let n = graph.num_spins();
         let r = CIM_MAX_RESOLUTION as u64;
         let edram = tech.edram_xnor_power_factor;
 
-        let mut spins = initial.clone();
-        let mut annealer = Annealer::new(options.schedule, options.seed);
         let mut ledger = EnergyLedger::new();
 
         let (arrays_used, duplicated) = self.partitioning(n as u64);
@@ -253,16 +245,10 @@ impl CimMachine {
         );
 
         let cycles_per_sweep = self.cycles_per_sweep(n as u64);
-        let mut sweeps = 0u64;
-        let mut total_flips = 0u64;
-        let mut converged = false;
-        let mut trace = Vec::new();
-
-        let max_sweeps = options.effective_max_sweeps(graph.num_spins());
-        while sweeps < max_sweeps {
-            let mut flips_this_sweep = 0u64;
+        let result = run_sweeps(graph, initial, options, |_, spins, annealer| {
+            let mut flips = 0u64;
             for i in 0..n {
-                let h_sigma = local_field(graph, &spins, i);
+                let h_sigma = local_field(graph, spins, i);
                 let degree = graph.degree(i) as u64;
                 // Per compute: the full array row discharges (reuse 1 and
                 // redundant columns, at eDRAM's 1.2x power), word-lines
@@ -282,10 +268,10 @@ impl CimMachine {
                     tech.sram_write_energy_per_bit() * (1.0 * edram),
                 );
                 let current = spins.get(i);
-                let new = decide_update(current, h_sigma, &mut annealer);
+                let new = decide_update(current, h_sigma, annealer);
                 if new != current {
                     spins.set(i, new);
-                    flips_this_sweep += 1;
+                    flips += 1;
                     // Edge-cell broadcast to adjacent arrays when the spin
                     // is duplicated.
                     if arrays_used > 1 {
@@ -301,39 +287,17 @@ impl CimMachine {
                 tech.annealer_energy_per_decision() * n as u64,
             );
             total_cycles += Cycles::new(cycles_per_sweep);
-
-            sweeps += 1;
-            total_flips += flips_this_sweep;
-            if options.record_trace {
-                trace.push(energy(graph, &spins));
-            }
-            let frozen = annealer.is_frozen();
-            annealer.cool();
-            if flips_this_sweep == 0 && frozen {
-                converged = true;
-                break;
-            }
-        }
+            Some(flips)
+        });
 
         let report = CimReport {
-            sweeps,
+            sweeps: result.sweeps,
             total_cycles,
             wall_time: total_cycles.to_time(tech.cycle_time),
             energy: ledger,
             reuse: 1.0,
             arrays_used,
             duplicated_edge_cells: duplicated,
-        };
-        let result = SolveResult {
-            energy: energy(graph, &spins),
-            spins,
-            sweeps,
-            flips: total_flips,
-            converged,
-            trace,
-            uphill_accepted: annealer.uphill_accepted(),
-            uphill_rejected: annealer.uphill_rejected(),
-            degraded: false,
         };
         Ok((result, report))
     }

@@ -16,9 +16,14 @@
 //!   Edmonds-Karp min-cut (Ford-Fulkerson), Karmarkar-Karp partitioning,
 //!   and greedy lattice descent (LAMMPS stand-in).
 //!
-//! The two Ising machines run the *same* iterative protocol as
-//! `sachi-core`'s machine and the golden CPU solver, so comparisons vary
-//! only the architecture model, never the algorithm.
+//! Every Ising machine here — BRIM, Ising-CIM and the CMOS annealer —
+//! runs the *same* iterative protocol as `sachi-core`'s machine and the
+//! golden CPU solver, shared by construction: each passes only its
+//! per-sweep body to `sachi_ising::solver::run_sweeps`, which owns the
+//! sweep cap, cancellation, counters, trace, convergence and result. So
+//! comparisons vary only the architecture model, never the algorithm
+//! (the CMOS annealer's body is group-parallel, so its trajectory is
+//! its own; its protocol is not).
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]

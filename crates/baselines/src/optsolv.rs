@@ -13,6 +13,8 @@
 //! * [`lattice_descent`] — greedy spin relaxation (LAMMPS stand-in for
 //!   the ferromagnetic ground-state search).
 
+use sachi_ising::anneal::Schedule;
+use sachi_ising::solver::{run_sweeps, SolveOptions};
 use sachi_ising::spin::{Spin, SpinVector};
 use sachi_workloads::molecular::MolecularDynamics;
 use sachi_workloads::segmentation::ImageSegmentation;
@@ -190,30 +192,33 @@ pub fn edmonds_karp_segmentation(image: &ImageSegmentation) -> (SpinVector, i64)
 /// LAMMPS stand-in: greedy lattice relaxation — repeated deterministic
 /// sweeps of the sign rule until quiescent. Returns the spins and the
 /// number of sweeps used.
+///
+/// The sweeps run through [`run_sweeps`] under a frozen hold, so the
+/// quiescence test and the sweep cap are the shared protocol's.
 pub fn lattice_descent(
     md: &MolecularDynamics,
     initial: &SpinVector,
     max_sweeps: u64,
 ) -> (SpinVector, u64) {
     let graph = md.graph();
-    let mut spins = initial.clone();
-    let mut sweeps = 0;
-    while sweeps < max_sweeps {
+    let frozen = SolveOptions {
+        max_sweeps,
+        schedule: Schedule::constant(0.5, 1.0),
+        ..SolveOptions::default()
+    };
+    let result = run_sweeps(graph, initial, &frozen, |_, spins, _| {
         let mut flips = 0;
         for i in 0..graph.num_spins() {
-            let h = sachi_ising::hamiltonian::local_field(graph, &spins, i);
+            let h = sachi_ising::hamiltonian::local_field(graph, spins, i);
             let new = sachi_ising::hamiltonian::update_rule(h, spins.get(i));
             if new != spins.get(i) {
                 spins.set(i, new);
                 flips += 1;
             }
         }
-        sweeps += 1;
-        if flips == 0 {
-            break;
-        }
-    }
-    (spins, sweeps)
+        Some(flips)
+    });
+    (result.spins, result.sweeps)
 }
 
 #[cfg(test)]

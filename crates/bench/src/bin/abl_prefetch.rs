@@ -99,7 +99,7 @@ fn main() {
     model_table.print();
     println!();
     println!("the prefetcher converts round loading from additive to overlapped;");
-    println!("its threshold covers DRAM-to-storage plus storage-to-compute latency");
-    println!("(PrefetchCounter in sachi-mem::dram), so data arrives exactly when");
-    println!("the previous round drains.");
+    println!("its threshold covers DRAM-to-storage plus storage-to-compute latency,");
+    println!("so data arrives exactly when the previous round drains");
+    println!("(DramController::effective_round_cycles in sachi-mem::dram).");
 }

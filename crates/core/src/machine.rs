@@ -1,8 +1,9 @@
 //! The SACHI machine: functional, fully-accounted solves.
 //!
-//! [`SachiMachine`] executes the shared iterative protocol of
-//! [`sachi_ising::solver`] with every `H_σ` computed by the design's
-//! production kernel ([`crate::designs::Stationarity::compute_tuple_soa`]):
+//! [`SachiMachine`] executes the shared iterative protocol
+//! ([`sachi_ising::solver::run_sweeps`]) with every `H_σ` computed by the
+//! design's production kernel
+//! ([`crate::designs::Stationarity::compute_tuple_soa`]):
 //! `H_σ` from the tuple's packed words (exact, enforced by a debug
 //! assertion against the golden local field), and the word-line,
 //! discharge and write events of the design's bit-level schedule booked
@@ -27,11 +28,9 @@ use crate::config::{DesignKind, SachiConfig};
 use crate::designs::{stationarity, ComputeContext, ComputeScratch};
 use crate::encoding::MixedEncoding;
 use crate::tuple::{TuplePlanes, TupleStore};
-use sachi_ising::anneal::Annealer;
 use sachi_ising::graph::IsingGraph;
-use sachi_ising::hamiltonian::energy;
 use sachi_ising::recovery::RecoveryPolicy;
-use sachi_ising::solver::{decide_update, IterativeSolver, SolveOptions, SolveResult};
+use sachi_ising::solver::{decide_update, run_sweeps, IterativeSolver, SolveOptions, SolveResult};
 use sachi_ising::spin::SpinVector;
 use sachi_mem::dram::{DramController, DramStats};
 use sachi_mem::energy::{EnergyComponent, EnergyLedger};
@@ -458,11 +457,6 @@ impl SachiMachine {
         initial: &SpinVector,
         options: &SolveOptions,
     ) -> (SolveResult, RunReport) {
-        assert_eq!(
-            initial.len(),
-            graph.num_spins(),
-            "initial spins must match graph size"
-        );
         let required = graph.bits_required();
         let resolution = match self.config.resolution {
             Some(r) => {
@@ -493,14 +487,13 @@ impl SachiMachine {
             mut soa,
             chunks,
             storage_bits_needed,
-            mut spins,
+            spins: _,
         } = resident;
         // The store's update-path counters run across calls; this call
         // reports what it adds after the re-seat.
         let copies_at_start = tuples.spin_copy_updates();
         let adjacency_reads_at_start = tuples.adjacency_reads();
         let rereads_at_start = tuples.cross_tuple_rereads();
-        let mut annealer = Annealer::new(options.schedule, options.seed);
         let mut ledger = EnergyLedger::new();
         let mut ctx = ComputeContext::new();
         let mut dram = if self.config.prefetch {
@@ -509,7 +502,6 @@ impl SachiMachine {
             DramController::new(tech.clone()).without_prefetch()
         };
 
-        let n = graph.num_spins();
         let max_degree = graph.max_degree().max(1);
         let (tile_rows, tile_cols) =
             design.tile_requirements(max_degree, enc.bits(), geometry.row_bits());
@@ -550,10 +542,6 @@ impl SachiMachine {
         let mut compute_cycles = Cycles::ZERO;
         let mut load_cycles = Cycles::ZERO;
         let mut annealer_decisions = 0u64;
-        let mut total_flips = 0u64;
-        let mut sweeps = 0u64;
-        let mut converged = false;
-        let mut trace = Vec::new();
         let schedule_fill = design.idle_cycles(count_u64(max_degree), enc.bits()) + 3;
         // Per-tile cycle sums, hoisted out of the sweep loop (zeroed per
         // round) so the hot path never allocates.
@@ -570,15 +558,9 @@ impl SachiMachine {
             .as_ref()
             .map(|profile| (profile.model.injector(options.seed), profile.policy));
         let mut fault_report = FaultReport::default();
-        let mut fail_fast = false;
 
-        let max_sweeps = options.effective_max_sweeps(n);
-        while sweeps < max_sweeps {
-            // Job-level cancellation (the serve daemon's drain path):
-            // stop at a sweep boundary, return the partial state.
-            if options.is_cancelled() {
-                break;
-            }
+        let mut result = run_sweeps(graph, initial, options, |sweep, spins, annealer| {
+            let mut fail_fast = false;
             let mut flips_this_sweep = 0u64;
             for (round, chunk) in chunks.iter().enumerate() {
                 let round_start = total_cycles;
@@ -586,7 +568,7 @@ impl SachiMachine {
                 let copies_before_round = tuples.spin_copy_updates();
                 // --- loading for this round ---
                 let chunk_resident = chunk.resident_bits;
-                let reload = sweeps == 0 || rounds_per_sweep > 1;
+                let reload = sweep == 0 || rounds_per_sweep > 1;
                 let mut round_load = Cycles::ZERO;
                 if reload && chunk_resident > 0 {
                     // Storage -> compute: fixed movement latency plus one
@@ -661,7 +643,7 @@ impl SachiMachine {
                     tile_sums[assigned.min(num_tiles - 1)] += tuple_cycles;
                     debug_assert_eq!(
                         h_sigma,
-                        sachi_ising::hamiltonian::local_field(graph, &spins, i),
+                        sachi_ising::hamiltonian::local_field(graph, spins, i),
                         "hardware H_σ diverged from golden model at spin {i}"
                     );
                     if !self.config.tuple_rep {
@@ -734,7 +716,7 @@ impl SachiMachine {
                         }
                     }
                     let current = spins.get(i);
-                    let new = decide_update(current, h_sigma, &mut annealer);
+                    let new = decide_update(current, h_sigma, annealer);
                     annealer_decisions += 1;
                     if new != current {
                         spins.set(i, new);
@@ -763,7 +745,7 @@ impl SachiMachine {
                 load_cycles += round_load;
                 // The first round of the solve cannot overlap with anything;
                 // later rounds overlap their (pre)load with compute.
-                let serialized = sweeps == 0 && round == 0;
+                let serialized = sweep == 0 && round == 0;
                 if serialized {
                     total_cycles += round_load + round_compute;
                 } else {
@@ -774,7 +756,7 @@ impl SachiMachine {
                     let tuples_in_round = count_u64(chunk.spins.len());
                     spans.push(PhaseSpan {
                         phase: SolvePhase::Round,
-                        sweep: sweeps,
+                        sweep,
                         round: round_no,
                         start: round_start.get(),
                         end: total_cycles.get(),
@@ -789,7 +771,7 @@ impl SachiMachine {
                     };
                     spans.push(PhaseSpan {
                         phase: SolvePhase::HCompute,
-                        sweep: sweeps,
+                        sweep,
                         round: round_no,
                         start: compute_start.get(),
                         end: (compute_start + round_compute).get(),
@@ -798,7 +780,7 @@ impl SachiMachine {
                     if round_load > Cycles::ZERO && self.config.prefetch && !serialized {
                         spans.push(PhaseSpan {
                             phase: SolvePhase::Prefetch,
-                            sweep: sweeps,
+                            sweep,
                             round: round_no,
                             start: round_start.get(),
                             end: (round_start + round_load).get(),
@@ -807,7 +789,7 @@ impl SachiMachine {
                     }
                     spans.push(PhaseSpan {
                         phase: SolvePhase::Update,
-                        sweep: sweeps,
+                        sweep,
                         round: round_no,
                         start: total_cycles.get(),
                         end: total_cycles.get(),
@@ -817,7 +799,7 @@ impl SachiMachine {
                     if copies > 0 {
                         spans.push(PhaseSpan {
                             phase: SolvePhase::Writeback,
-                            sweep: sweeps,
+                            sweep,
                             round: round_no,
                             start: total_cycles.get(),
                             end: total_cycles.get(),
@@ -829,24 +811,11 @@ impl SachiMachine {
                     break;
                 }
             }
-            if fail_fast {
-                // Fail-fast abort: the partial sweep's cycles are booked,
-                // but it does not count as a completed iteration.
-                break;
-            }
-
-            sweeps += 1;
-            total_flips += flips_this_sweep;
-            if options.record_trace {
-                trace.push(energy(graph, &spins));
-            }
-            let frozen = annealer.is_frozen();
-            annealer.cool();
-            if flips_this_sweep == 0 && frozen {
-                converged = true;
-                break;
-            }
-        }
+            // Fail-fast abort: the partial sweep's cycles are booked,
+            // but it does not count as a completed iteration.
+            (!fail_fast).then_some(flips_this_sweep)
+        });
+        result.degraded = fault_report.degraded;
 
         // Harvest the tile's compute events (layout writes intentionally
         // excluded — billed as reload traffic above).
@@ -897,7 +866,7 @@ impl SachiMachine {
         let report = RunReport {
             design: self.config.design,
             resolution_bits: enc.bits(),
-            sweeps,
+            sweeps: result.sweeps,
             rounds_per_sweep,
             compute_cycles,
             load_cycles,
@@ -918,23 +887,12 @@ impl SachiMachine {
             dram: dram.stats(),
             phase_spans: spans,
         };
-        let result = SolveResult {
-            energy: energy(graph, &spins),
-            spins: spins.clone(),
-            sweeps,
-            flips: total_flips,
-            converged,
-            trace,
-            uphill_accepted: annealer.uphill_accepted(),
-            uphill_rejected: annealer.uphill_rejected(),
-            degraded: fault_report.degraded,
-        };
         self.resident = Some(Resident {
             tuples,
             soa,
             chunks,
             storage_bits_needed,
-            spins,
+            spins: result.spins.clone(),
         });
         (result, report)
     }

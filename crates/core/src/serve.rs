@@ -485,7 +485,7 @@ impl JobPlan {
     /// boundaries, so they cannot be decomposed into independent
     /// per-replica tasks — the pool runs them as one unit of work.
     pub fn is_coupled(&self) -> bool {
-        self.options.tempering.as_ref().is_some_and(|t| t.exchange)
+        self.options.tempering.is_some()
     }
 
     /// Runs replica `k` on a fresh machine. Pure in `(plan, k)`: the

@@ -300,7 +300,7 @@ impl EnsembleRunner {
         S: IterativeSolver,
         F: Fn(usize) -> S + Sync,
     {
-        if let Some(topts) = base.tempering.as_ref().filter(|t| t.exchange) {
+        if let Some(topts) = base.tempering.as_ref() {
             return crate::tempering::run_exchange(
                 self.threads,
                 self.replicas,
@@ -365,7 +365,7 @@ impl EnsembleRunner {
         initial: &SpinVector,
         base: &SolveOptions,
     ) -> BestOf {
-        if let Some(topts) = base.tempering.as_ref().filter(|t| t.exchange) {
+        if let Some(topts) = base.tempering.as_ref() {
             return crate::tempering::run_exchange_sequential(
                 solver,
                 self.replicas,

@@ -12,9 +12,9 @@
 //! * [`hamiltonian`] — eqns. 1–3: global energy, local field `H_σ`, the
 //!   sign update rule, and incremental flip deltas;
 //! * [`anneal`] — geometric schedules and the Metropolis annealer block;
-//! * [`solver`] — the shared solve protocol, the per-spin
-//!   [`solver::decide_update`] every machine uses, and the golden-model
-//!   [`solver::CpuReferenceSolver`];
+//! * [`solver`] — the shared solve protocol ([`solver::run_sweeps`]),
+//!   the per-spin [`solver::decide_update`] every machine uses, and the
+//!   golden-model [`solver::CpuReferenceSolver`];
 //! * [`ensemble`] — the deterministic parallel replica-ensemble engine
 //!   (`R` independent replicas over `T` scoped threads, bit-identical
 //!   at every `T`);
@@ -66,8 +66,8 @@ pub mod prelude {
     pub use crate::io::{parse_dimacs, parse_gset, to_dimacs, ParseError};
     pub use crate::recovery::RecoveryPolicy;
     pub use crate::solver::{
-        decide_update, solve_multi_start, CancelToken, CpuReferenceSolver, IterativeSolver,
-        SolveOptions, SolveResult,
+        decide_update, run_sweeps, solve_multi_start, CancelToken, CpuReferenceSolver,
+        IterativeSolver, SolveOptions, SolveResult,
     };
     pub use crate::spin::{Spin, SpinVector};
     pub use crate::tempering::{

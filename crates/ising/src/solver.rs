@@ -6,9 +6,12 @@
 //! annealer block propose Metropolis uphill flips. The paper leans on this
 //! ("the number of iterations across SACHI designs is the same, as they all
 //! arrive at the same H at the end of each iteration"), and we enforce it:
-//! the per-spin decision lives in [`decide_update`], and integration tests
-//! assert that every machine's H trajectory equals
-//! [`CpuReferenceSolver`]'s.
+//! the per-spin decision lives in [`decide_update`], and the protocol
+//! around it — sweep cap, cancellation, counters, trace, convergence and
+//! the [`SolveResult`] — lives in [`run_sweeps`], which every machine
+//! calls with only its per-sweep body. The protocol is shared by
+//! construction; integration tests check the bodies by asserting that
+//! every machine's H trajectory equals [`CpuReferenceSolver`]'s.
 //!
 //! Update visibility is *sequential within a sweep* (an updated spin is
 //! seen by later spins of the same sweep). In SACHI hardware this is the
@@ -25,8 +28,8 @@ use rand::Rng;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
-/// A shared job-level cancellation flag, checked by every solver at
-/// sweep boundaries.
+/// A shared job-level cancellation flag, checked by [`run_sweeps`] (and
+/// so by every solver) before every sweep.
 ///
 /// Cancellation is a *control-plane* mechanism for long-lived hosts
 /// (the `sachi serve` daemon): when the flag is raised mid-solve the
@@ -250,6 +253,76 @@ pub fn decide_update(current: Spin, h_sigma: i64, annealer: &mut Annealer) -> Sp
     current
 }
 
+/// Runs the iterative solve protocol around one machine's per-sweep body.
+///
+/// The driver owns everything that is not architecture: the spin state
+/// (a copy of `initial`), the [`Annealer`] built from the options'
+/// schedule and seed, the [`SolveOptions::effective_max_sweeps`] cap, a
+/// cancel check before every sweep, the sweep and flip counters, the
+/// energy trace, the convergence rule (no flips in a sweep that started
+/// with the annealer frozen) and the [`SolveResult`], which it returns
+/// with `degraded: false`.
+///
+/// `sweep(index, spins, annealer)` runs sweep `index` (counting from 0)
+/// in place and returns its flip count. `None` aborts the solve without
+/// counting the sweep: a fail-fast fault abort books the partial sweep's
+/// costs, but it is not a completed iteration.
+///
+/// # Panics
+///
+/// Panics if `initial` does not match the graph's size.
+pub fn run_sweeps<F>(
+    graph: &IsingGraph,
+    initial: &SpinVector,
+    options: &SolveOptions,
+    mut sweep: F,
+) -> SolveResult
+where
+    F: FnMut(u64, &mut SpinVector, &mut Annealer) -> Option<u64>,
+{
+    assert_eq!(
+        initial.len(),
+        graph.num_spins(),
+        "initial spins must match graph size"
+    );
+    let mut spins = initial.clone();
+    let mut annealer = Annealer::new(options.schedule, options.seed);
+    let mut trace = Vec::new();
+    let mut total_flips = 0u64;
+    let mut sweeps = 0u64;
+    let mut converged = false;
+
+    let max_sweeps = options.effective_max_sweeps(graph.num_spins());
+    while sweeps < max_sweeps && !options.is_cancelled() {
+        let Some(flips_this_sweep) = sweep(sweeps, &mut spins, &mut annealer) else {
+            break;
+        };
+        sweeps += 1;
+        total_flips += flips_this_sweep;
+        if options.record_trace {
+            trace.push(energy(graph, &spins));
+        }
+        let frozen = annealer.is_frozen();
+        annealer.cool();
+        if flips_this_sweep == 0 && frozen {
+            converged = true;
+            break;
+        }
+    }
+
+    SolveResult {
+        energy: energy(graph, &spins),
+        spins,
+        sweeps,
+        flips: total_flips,
+        converged,
+        trace,
+        uphill_accepted: annealer.uphill_accepted(),
+        uphill_rejected: annealer.uphill_rejected(),
+        degraded: false,
+    }
+}
+
 /// An iterative Ising machine: anything that can run the solve protocol.
 pub trait IterativeSolver {
     /// Runs the solve from `initial` and returns the outcome.
@@ -281,57 +354,19 @@ impl IterativeSolver for CpuReferenceSolver {
         initial: &SpinVector,
         options: &SolveOptions,
     ) -> SolveResult {
-        assert_eq!(
-            initial.len(),
-            graph.num_spins(),
-            "initial spins must match graph size"
-        );
-        let mut spins = initial.clone();
-        let mut annealer = Annealer::new(options.schedule, options.seed);
-        let mut trace = Vec::new();
-        let mut total_flips = 0u64;
-        let mut sweeps = 0u64;
-        let mut converged = false;
-
-        let max_sweeps = options.effective_max_sweeps(graph.num_spins());
-        while sweeps < max_sweeps {
-            if options.is_cancelled() {
-                break;
-            }
-            let mut flips_this_sweep = 0u64;
+        run_sweeps(graph, initial, options, |_, spins, annealer| {
+            let mut flips = 0u64;
             for i in 0..graph.num_spins() {
-                let h_sigma = local_field(graph, &spins, i);
+                let h_sigma = local_field(graph, spins, i);
                 let current = spins.get(i);
-                let new = decide_update(current, h_sigma, &mut annealer);
+                let new = decide_update(current, h_sigma, annealer);
                 if new != current {
                     spins.set(i, new);
-                    flips_this_sweep += 1;
+                    flips += 1;
                 }
             }
-            sweeps += 1;
-            total_flips += flips_this_sweep;
-            if options.record_trace {
-                trace.push(energy(graph, &spins));
-            }
-            let frozen = annealer.is_frozen();
-            annealer.cool();
-            if flips_this_sweep == 0 && frozen {
-                converged = true;
-                break;
-            }
-        }
-
-        SolveResult {
-            energy: energy(graph, &spins),
-            spins,
-            sweeps,
-            flips: total_flips,
-            converged,
-            trace,
-            uphill_accepted: annealer.uphill_accepted(),
-            uphill_rejected: annealer.uphill_rejected(),
-            degraded: false,
-        }
+            Some(flips)
+        })
     }
 }
 

@@ -39,13 +39,6 @@
 //! changed. Which thread owns a rung is fixed (`r % workers`), but
 //! since every segment is a pure function of its coordinates, that
 //! choice is as unobservable as the thread count.
-//!
-//! With exchange disabled ([`TemperingOptions::exchange`] `= false`)
-//! the runner routes to the plain independent-replica path and the
-//! output is byte-identical to the existing ensemble — segmenting a
-//! continuous anneal is observable through the RNG stream, so identity
-//! is guaranteed by delegation, not by re-derivation (pinned in
-//! `tests/ensemble_determinism.rs`).
 
 use crate::anneal::Schedule;
 use crate::ensemble::{derive_replica_seed, splitmix64_mix, BestOf, SPLITMIX64_GAMMA};
@@ -325,21 +318,8 @@ pub struct TemperingOptions {
     /// Sweeps between exchange points (one segment). Clamped to at
     /// least 1.
     pub swap_interval: u64,
-    /// When false, the runner routes to the plain independent-replica
-    /// path — byte-identical to an ensemble without tempering.
-    pub exchange: bool,
     /// Restart policy for stalled rungs.
     pub restart: RestartPolicy,
-    /// Run a final greedy quench segment (frozen hold below the freeze
-    /// threshold) on every rung after the exchange rounds, within the
-    /// reserved sweep budget.
-    pub quench: bool,
-    /// Start every rung above 0 from an independent deterministic
-    /// sample of its restart stream instead of the caller's state
-    /// (rung 0 always keeps the caller's spins, so warm starts stay
-    /// usable). Matches the initial-state diversity of independent
-    /// restarts; disable for pure warm-start refinement.
-    pub diversify_inits: bool,
 }
 
 impl TemperingOptions {
@@ -349,18 +329,8 @@ impl TemperingOptions {
         TemperingOptions {
             ladder: TemperatureLadder::for_graph(kind, graph, rungs.max(1)),
             swap_interval: 4,
-            exchange: true,
             restart: RestartPolicy::Reseed { stall_rounds: 4 },
-            quench: true,
-            diversify_inits: true,
         }
-    }
-
-    /// Same options with exchange disabled (plain-ensemble delegation).
-    #[must_use]
-    pub fn without_exchange(mut self) -> Self {
-        self.exchange = false;
-        self
     }
 }
 
@@ -584,11 +554,9 @@ where
     let ladder = topts.ladder.resampled(replicas);
     let budget = base.effective_max_sweeps(graph.num_spins()).max(1);
     let interval = topts.swap_interval.max(1).min(budget);
-    let quench_reserve = if topts.quench {
-        interval.min(budget.saturating_sub(interval))
-    } else {
-        0
-    };
+    // A final greedy quench segment (a frozen hold below the freeze
+    // threshold) runs on every rung within this reserved budget.
+    let quench_reserve = interval.min(budget.saturating_sub(interval));
     let rounds = budget
         .saturating_sub(quench_reserve)
         .checked_div(interval)
@@ -603,7 +571,7 @@ where
             // Rung 0 refines the caller's state; higher rungs draw the
             // 0th sample of their restart stream so the ensemble has
             // the same initial diversity as independent restarts.
-            let (spins, e) = if topts.diversify_inits && r > 0 {
+            let (spins, e) = if r > 0 {
                 let seed = derive_replica_seed(splitmix64_mix(move_seed ^ RESTART_SEED_SALT), 0);
                 let mut rng = StdRng::seed_from_u64(seed);
                 let spins = SpinVector::random(graph.num_spins(), &mut rng);
@@ -898,22 +866,6 @@ mod tests {
         let mut solver = CpuReferenceSolver::new();
         let sequential = runner.run_sequential(&mut solver, &g, &init, &opts);
         assert_eq!(parallel, sequential);
-    }
-
-    #[test]
-    fn exchange_disabled_delegates_to_the_plain_ensemble() {
-        let g = frustrated_graph();
-        let mut rng = StdRng::seed_from_u64(7);
-        let init = SpinVector::random(14, &mut rng);
-        let plain = SolveOptions::for_graph(&g, 31).with_max_sweeps(400);
-        let mut disabled = plain.clone();
-        disabled.tempering =
-            Some(TemperingOptions::for_graph(LadderKind::Adaptive, &g, 4).without_exchange());
-        let runner = EnsembleRunner::new(4).with_threads(2);
-        assert_eq!(
-            runner.run_reference(&g, &init, &plain),
-            runner.run_reference(&g, &init, &disabled),
-        );
     }
 
     #[test]

@@ -1,81 +1,19 @@
-//! DRAM controller with the counter-based prefetcher of Sec. IV.A.
+//! DRAM controller with the prefetcher of Sec. IV.A.
 //!
 //! CIM accesses have structured, predictable address patterns: the compute
 //! array is consumed top-to-bottom, one row per cycle. SACHI's DRAM
-//! controller therefore keeps a counter of the rows not yet computed; when
-//! it drops to a threshold equal to the DRAM→storage + storage→compute
-//! movement latency, a prefetch is issued so the next round's data arrives
-//! exactly when the current round drains.
+//! controller counts the rows not yet computed and issues the next
+//! round's prefetch once the count drops to the DRAM→storage +
+//! storage→compute movement latency, so the next round's data arrives
+//! exactly when the current round drains. The model books that outcome
+//! in closed form per round ([`DramController::effective_round_cycles`]):
+//! the load hides behind the round's compute, and only a load longer than
+//! the round shows on the critical path.
 
 use crate::energy::{EnergyComponent, EnergyLedger};
 use crate::fault::FaultInjector;
 use crate::params::TechnologyParams;
 use crate::units::{Bits, Cycles};
-
-/// Counter-based prefetch unit.
-///
-/// ```
-/// use sachi_mem::dram::PrefetchCounter;
-///
-/// // 10 rows left to compute, prefetch must lead by 4 cycles.
-/// let mut pf = PrefetchCounter::new(10, 4);
-/// let mut issued_at = None;
-/// for cycle in 0..10 {
-///     if pf.consume_row() {
-///         issued_at = Some(cycle);
-///     }
-/// }
-/// assert_eq!(issued_at, Some(5)); // fired when remaining hit the threshold
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PrefetchCounter {
-    remaining_rows: u64,
-    threshold: u64,
-    issued: bool,
-}
-
-impl PrefetchCounter {
-    /// Creates a counter for a round of `rows` compute-array rows with the
-    /// given lead `threshold` (in rows == cycles, since one row is consumed
-    /// per cycle).
-    pub fn new(rows: u64, threshold: u64) -> Self {
-        PrefetchCounter {
-            remaining_rows: rows,
-            threshold,
-            issued: false,
-        }
-    }
-
-    /// Rows not yet consumed.
-    pub fn remaining(&self) -> u64 {
-        self.remaining_rows
-    }
-
-    /// Whether the prefetch for the next round has been issued.
-    pub fn issued(&self) -> bool {
-        self.issued
-    }
-
-    /// Consumes one row (one compute cycle). Returns `true` on the cycle
-    /// the prefetch request fires.
-    pub fn consume_row(&mut self) -> bool {
-        if self.remaining_rows == 0 {
-            return false;
-        }
-        self.remaining_rows -= 1;
-        if !self.issued && self.remaining_rows <= self.threshold {
-            self.issued = true;
-            return true;
-        }
-        false
-    }
-
-    /// Re-arms the counter for the next round.
-    pub fn rearm(&mut self, rows: u64) {
-        self.remaining_rows = rows;
-        self.issued = false;
-    }
-}
 
 /// Cumulative controller statistics, snapshot for metrics export.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -156,12 +94,6 @@ impl DramController {
     /// Cycles to stream `payload` from DRAM over the 64 B/cycle bus.
     pub fn stream_cycles(&self, payload: Bits) -> Cycles {
         self.params.dram_stream_cycles(payload.to_bytes_ceil())
-    }
-
-    /// The prefetch threshold in rows: the counter must fire early enough
-    /// to cover DRAM→storage streaming plus storage→compute movement.
-    pub fn prefetch_threshold_rows(&self, next_round_payload: Bits) -> u64 {
-        (self.stream_cycles(next_round_payload) + self.params.storage_to_compute_cycles()).get()
     }
 
     /// Books one load of `payload` bits and returns the cycles it occupies
@@ -253,39 +185,10 @@ mod tests {
     use super::*;
 
     #[test]
-    fn prefetch_counter_fires_at_threshold() {
-        let mut pf = PrefetchCounter::new(5, 2);
-        assert!(!pf.consume_row()); // remaining 4
-        assert!(!pf.consume_row()); // remaining 3
-        assert!(pf.consume_row()); // remaining 2 == threshold -> fire
-        assert!(pf.issued());
-        assert!(!pf.consume_row()); // already issued
-        assert!(!pf.consume_row());
-        assert_eq!(pf.remaining(), 0);
-        assert!(!pf.consume_row()); // drained
-        pf.rearm(3);
-        assert!(!pf.issued());
-        assert_eq!(pf.remaining(), 3);
-    }
-
-    #[test]
-    fn threshold_larger_than_round_fires_immediately() {
-        let mut pf = PrefetchCounter::new(3, 10);
-        assert!(pf.consume_row());
-    }
-
-    #[test]
     fn stream_cycles_uses_bus_width() {
         let ctrl = DramController::new(TechnologyParams::default());
         assert_eq!(ctrl.stream_cycles(Bits::from_bytes(64)), Cycles::new(1));
         assert_eq!(ctrl.stream_cycles(Bits::from_bytes(100)), Cycles::new(2));
-    }
-
-    #[test]
-    fn prefetch_threshold_covers_both_hops() {
-        let ctrl = DramController::new(TechnologyParams::default());
-        // 640 B -> 10 bus cycles; +20 cycles storage->compute movement.
-        assert_eq!(ctrl.prefetch_threshold_rows(Bits::from_bytes(640)), 30);
     }
 
     #[test]

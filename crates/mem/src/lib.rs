@@ -12,7 +12,8 @@
 //!   modes, including redundant-discharge accounting (Fig. 5c / Fig. 10);
 //! * [`cache`] — geometry/capacity arithmetic for the repurposed L1/L2
 //!   (Fig. 4, Fig. 17 overflow, Sec. VII.2 scaling presets);
-//! * [`dram`] — DRAM controller with the Sec. IV.A prefetch counter;
+//! * [`dram`] — DRAM controller with the Sec. IV.A prefetcher, booked in
+//!   closed form per round;
 //! * [`fault`] — deterministic seeded fault injection (transient read
 //!   BER, DRAM stream corruption) for the robustness layer.
 //!
@@ -49,7 +50,7 @@ pub mod units;
 /// Convenient glob-import of the crate's main types.
 pub mod prelude {
     pub use crate::cache::{CacheGeometry, CacheHierarchy};
-    pub use crate::dram::{DramController, PrefetchCounter};
+    pub use crate::dram::DramController;
     pub use crate::energy::{EnergyComponent, EnergyLedger};
     pub use crate::fault::{FaultCounters, FaultInjector, FaultModel, FaultRate};
     pub use crate::l1cache::{Access, CacheMode, CacheStats, L1Cache};

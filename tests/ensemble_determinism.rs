@@ -396,37 +396,10 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// Golden agreement for the tempering upgrade: installing a
-    /// tempering config with `exchange = false` must be *byte-identical*
-    /// to the plain independent-replica ensemble — the swap machinery
-    /// is provably inert until switched on, so every pre-tempering
-    /// golden result stays valid.
-    #[test]
-    fn swaps_disabled_tempering_is_byte_identical_to_plain_ensemble(
-        salt in 0u64..500,
-        master in 0u64..500,
-        replicas in 2usize..6,
-        kind_adaptive in any::<bool>(),
-    ) {
-        let graph = frustrated_graph(4, 4, salt);
-        let mut rng = StdRng::seed_from_u64(salt ^ 0x7E41);
-        let init = SpinVector::random(graph.num_spins(), &mut rng);
-        let kind = if kind_adaptive { LadderKind::Adaptive } else { LadderKind::Geometric };
-        let plain = SolveOptions::for_graph(&graph, master).with_max_sweeps(100);
-        let disabled = plain.clone().with_tempering(
-            TemperingOptions::for_graph(kind, &graph, replicas).without_exchange(),
-        );
-        let runner = EnsembleRunner::new(replicas).with_threads(2);
-        let want = runner.run_reference(&graph, &init, &plain);
-        let got = runner.run_reference(&graph, &init, &disabled);
-        prop_assert_eq!(&got, &want);
-    }
-
-    /// The tempering determinism contract: with exchange *enabled*, the
-    /// swap decisions and segment streams are pure functions of the
-    /// master seed, so thread count stays unobservable — and the
-    /// borrowed-solver sequential path is the same function as the
-    /// thread-pool path.
+    /// The tempering determinism contract: the swap decisions and
+    /// segment streams are pure functions of the master seed, so thread
+    /// count stays unobservable — and the borrowed-solver sequential
+    /// path is the same function as the thread-pool path.
     #[test]
     fn tempered_ensembles_are_thread_count_independent(
         salt in 0u64..500,

@@ -3,7 +3,9 @@
 //! golden CPU solver's Hamiltonian trajectory exactly, on every workload
 //! family. This is the paper's premise that architecture changes the
 //! cost of an iteration, never its result ("they all arrive at the same H
-//! at the end of each iteration").
+//! at the end of each iteration"). The protocol around each machine's
+//! sweep body is the shared `run_sweeps` driver; these tests check the
+//! bodies, and that every machine honors the driver's cancel check.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -204,4 +206,43 @@ fn geometry_never_changes_results() {
     let got = SachiMachine::new(SachiConfig::new(DesignKind::N3).with_hierarchy(tiny))
         .solve(graph, &init, &opts);
     assert_matches("tiny hierarchy", &reference, &got);
+}
+
+#[test]
+fn a_cancelled_token_stops_every_machine_before_its_first_sweep() {
+    // Cancellation lives in the shared sweep driver, so every machine —
+    // the CMOS annealer's group-parallel body included — honors a
+    // pre-cancelled token the same way: no sweep, no flip, the initial
+    // spins back, not converged.
+    let graph = topology::king(6, 6, |_, _| 1).unwrap();
+    let mut rng = StdRng::seed_from_u64(47);
+    let init = SpinVector::random(graph.num_spins(), &mut rng);
+    let token = CancelToken::new();
+    token.cancel();
+    let opts = SolveOptions::for_graph(&graph, 53).with_cancel(token);
+
+    let mut results = vec![("CPU golden", golden(&graph, &init, &opts))];
+    for design in DesignKind::ALL {
+        let got = SachiMachine::new(SachiConfig::new(design)).solve(&graph, &init, &opts);
+        results.push((design.label(), got));
+    }
+    let (brim, _) = BrimMachine::new()
+        .solve_detailed(&graph, &init, &opts)
+        .expect("BRIM envelope");
+    results.push(("BRIM", brim));
+    let (cim, _) = CimMachine::new()
+        .solve_detailed(&graph, &init, &opts)
+        .expect("CIM envelope");
+    results.push(("Ising-CIM", cim));
+    let (cmos, _) = CmosAnnealer::new(6)
+        .solve_detailed(&graph, &init, &opts)
+        .expect("CMOS annealer envelope");
+    results.push(("CMOS annealer", cmos));
+
+    for (label, got) in &results {
+        assert_eq!(got.sweeps, 0, "{label}: sweeps after cancel");
+        assert_eq!(got.flips, 0, "{label}: flips after cancel");
+        assert!(!got.converged, "{label}: converged after cancel");
+        assert_eq!(got.spins, init, "{label}: spins after cancel");
+    }
 }
