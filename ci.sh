@@ -143,13 +143,19 @@ for _ in $(seq 1 50); do
 done
 "$SACHI" submit --addr "127.0.0.1:$PORT" --ping
 
-# What both front ends print for one job, in one form: the result line,
-# the accuracy line, and the best replica's index (`solve` prints it on
-# its ensemble line, `submit` on its replica line).
+# What both front ends print for one job, in one form: the result and
+# accuracy lines; the ensemble line (replicas, best replica, converged
+# replicas, total sweeps); on tempered jobs the swap and restart
+# counts; and the best replica's cycle split. `solve` adds the thread
+# count, the ladder and rounds per iteration, which `submit` cannot
+# know, so those are cut from both.
 outcome_of() {
   grep -E '^(result  :|accuracy:)' <<<"$1"
-  sed -nE -e 's/.*\(best: replica ([0-9]+),.*/best replica \1/p' \
-    -e 's/^replica : best index ([0-9]+)$/best replica \1/p' <<<"$1"
+  sed -nE \
+    -e 's/^ensemble: ([0-9]+) replicas.*\(best: replica ([0-9]+), ([0-9]+) converged, ([0-9]+) sweeps total\)$/ensemble \1 replicas, best \2, \3 converged, \4 sweeps/p' \
+    -e 's/^temper  : (.*, )?([0-9]+) swaps accepted \/ ([0-9]+) attempted, ([0-9]+) rung restarts$/temper \2 of \3 swaps, \4 restarts/p' \
+    -e 's/^cycles  : ([0-9]+) total \(([0-9]+) compute, ([0-9]+) loading.*$/cycles \1 total, \2 compute, \3 loading/p' \
+    <<<"$1"
 }
 
 JOB=(--cop sat --size 12 --seed 9 --restarts 3 --step-budget 60000)
@@ -162,8 +168,8 @@ REF=$(outcome_of "$("$SACHI" solve "${JOB[@]}")")
 COTENANT_PID=$!
 GOT=$(outcome_of "$("$SACHI" submit --addr "127.0.0.1:$PORT" "${JOB[@]}")")
 wait "$COTENANT_PID"
-if [ "$(wc -l <<<"$REF")" -ne 3 ]; then
-  echo "serve smoke: expected result, accuracy and best replica, got: $REF" >&2
+if [ "$(wc -l <<<"$REF")" -ne 4 ]; then
+  echo "serve smoke: expected result, accuracy, ensemble and cycles, got: $REF" >&2
   exit 1
 fi
 if [ "$GOT" != "$REF" ]; then
@@ -180,6 +186,10 @@ PTJOB=(--cop sat --size 12 --seed 9 --restarts 3 --step-budget 60000
        --tempering --ladder adaptive)
 PTREF=$(outcome_of "$("$SACHI" solve "${PTJOB[@]}")")
 PTGOT=$(outcome_of "$("$SACHI" submit --addr "127.0.0.1:$PORT" "${PTJOB[@]}")")
+if [ "$(wc -l <<<"$PTREF")" -ne 5 ]; then
+  echo "serve smoke: expected result, accuracy, ensemble, temper and cycles, got: $PTREF" >&2
+  exit 1
+fi
 if [ "$PTGOT" != "$PTREF" ]; then
   echo "serve smoke: tempered daemon result diverged from one-shot CLI" >&2
   echo "  one-shot: $PTREF" >&2

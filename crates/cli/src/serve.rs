@@ -477,16 +477,22 @@ fn render_response(response: &str) -> Result<u8, SachiError> {
     Ok(0)
 }
 
-/// Prints a solve response. The result line is byte-identical to the
-/// one-shot `sachi solve` report line, so scripts (and the CI smoke
-/// test) can diff the two front ends directly.
+/// Prints a solve response. The ensemble, temper, result and cycles
+/// lines carry the one-shot `sachi solve` report's fields in its
+/// layout (minus what the response does not carry: thread count,
+/// ladder, rounds per iteration), so scripts (and the CI smoke test)
+/// can diff the two front ends directly.
 fn render_solve(doc: &sachi_obs::json::JsonValue) -> Result<(), SachiError> {
-    let result = doc
-        .get("result")
-        .ok_or_else(|| SachiError::Parse("solve response missing 'result'".to_string()))?;
-    let job = doc
-        .get("job")
-        .ok_or_else(|| SachiError::Parse("solve response missing 'job'".to_string()))?;
+    let section = |key: &str| {
+        doc.get(key)
+            .ok_or_else(|| SachiError::Parse(format!("solve response missing '{key}'")))
+    };
+    let (result, job, ensemble, report) = (
+        section("result")?,
+        section("job")?,
+        section("ensemble")?,
+        section("report")?,
+    );
     let energy = num_field(result, "energy")? as i64;
     let sweeps = num_field(result, "sweeps")? as u64;
     let converged = matches!(
@@ -500,11 +506,30 @@ fn render_solve(doc: &sachi_obs::json::JsonValue) -> Result<(), SachiError> {
     let spins = num_field(job, "spins")? as u64;
     let edges = num_field(job, "edges")? as u64;
     println!("problem : {name} ({spins} spins, {edges} couplings)");
+    println!(
+        "ensemble: {} replicas (best: replica {}, {} converged, {} sweeps total)",
+        num_field(ensemble, "replicas")? as u64,
+        num_field(result, "best_replica")? as u64,
+        num_field(ensemble, "converged")? as u64,
+        num_field(ensemble, "total_sweeps")? as u64,
+    );
+    if let Some(tempering) = doc.get("tempering") {
+        println!(
+            "temper  : {} swaps accepted / {} attempted, {} rung restarts",
+            num_field(tempering, "swap_accepted")? as u64,
+            num_field(tempering, "swap_attempts")? as u64,
+            num_field(tempering, "restarts")? as u64,
+        );
+    }
     println!("result  : H = {energy}  ({sweeps} iterations, converged: {converged})");
     let accuracy = num_field(doc, "accuracy")?;
     println!("accuracy: {:.1}%", accuracy * 100.0);
-    let best = num_field(result, "best_replica")? as u64;
-    println!("replica : best index {best}");
+    println!(
+        "cycles  : {} total ({} compute, {} loading)",
+        num_field(report, "total_cycles")? as u64,
+        num_field(report, "compute_cycles")? as u64,
+        num_field(report, "load_cycles")? as u64,
+    );
     Ok(())
 }
 

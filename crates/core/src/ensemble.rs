@@ -252,7 +252,6 @@ mod tests {
     use rand::SeedableRng;
     use sachi_ising::ensemble::EnsembleRunner;
     use sachi_ising::graph::topology;
-    use sachi_ising::solver::CpuReferenceSolver;
 
     fn setup() -> (IsingGraph, SpinVector, SolveOptions) {
         let g = topology::king(8, 8, |i, j| ((i + 2 * j) % 5) as i32 - 2).unwrap();
@@ -273,10 +272,11 @@ mod tests {
             .run(&g, &init, &opts, |k| {
                 ReportingMachine::new(SachiMachine::new(config.clone()), k, &ledger)
             });
-        // Machines through the threaded ensemble equal the sequential
+        // Machines through the threaded ensemble equal the one-thread
         // golden ensemble bit-for-bit.
-        let mut golden = CpuReferenceSolver::new();
-        let reference = EnsembleRunner::new(replicas).run_sequential(&mut golden, &g, &init, &opts);
+        let reference = EnsembleRunner::new(replicas)
+            .with_threads(1)
+            .run_reference(&g, &init, &opts);
         assert_eq!(best_of, reference);
 
         let report = ledger.finish();

@@ -9,16 +9,19 @@
 //! spins, [`SolveOptions`], machine config — as a pure function of the
 //! [`JobSpec`] (and, for `sachi solve --file`, the loaded problem).
 //! [`JobPlan::lower`] is the only place a solve is lowered: the daemon
-//! and the one-shot CLI both go through it. Replica `k` runs with
-//! [`EnsembleRunner::replica_options`], so its result is a pure
+//! and the one-shot CLI both go through it. Replica `k` of an uncoupled
+//! job is one [`JobPlan::run_replica`] call, whose result is a pure
 //! function of `(spec, k)` alone: no thread identity, queue position,
-//! or co-tenant job can reach it. The pool writes each result into the
-//! slot named by its replica index and reduces with the same
-//! [`BestOf::reduce`] / [`EnsembleReport::fold`] the in-process runner
-//! uses, which makes a pooled job byte-identical to [`JobPlan::run`]
-//! at any thread count and under any co-tenancy — the property
-//! `tests/ensemble_determinism.rs` proptests under mixed-workload
-//! batching.
+//! or co-tenant job can reach it. Both front ends run that call and
+//! reduce with the one fold (`reduce_outcome`: [`BestOf::reduce`] and
+//! [`EnsembleReport::fold`], in replica order). [`JobPlan::run`] maps
+//! it over [`EnsembleRunner::map`]; the pool queues it per replica and
+//! writes each result into the slot named by its index. A pooled job is
+//! therefore byte-identical to [`JobPlan::run`] by construction, at any
+//! thread count and under any co-tenancy. A coupled (tempering) job
+//! runs [`JobPlan::run_solo`] on one pool worker, the same exchange
+//! engine `sachi solve` runs. `tests/ensemble_determinism.rs`
+//! proptests both under mixed-workload batching.
 //!
 //! # Isolation
 //!
@@ -500,16 +503,20 @@ impl JobPlan {
     }
 
     /// Runs the whole job in-process on `threads` workers (0 = every
-    /// core) and reduces it. Coupled (tempering) plans go through the
-    /// exchange engine. The outcome is the same at any thread count and
-    /// byte-identical to the pooled job.
+    /// core) and reduces it. An uncoupled plan maps
+    /// [`JobPlan::run_replica`] over its replicas and folds them with the
+    /// pool's own reduction, so it is the pooled job by construction;
+    /// coupled (tempering) plans go through the exchange engine. The
+    /// outcome is the same at any thread count.
     pub fn run(&self, threads: usize) -> JobOutcome {
+        let runner = EnsembleRunner::new(self.replicas).with_threads(worker_threads(threads));
+        if !self.is_coupled() {
+            return reduce_outcome(self, runner.map(|k| self.run_replica(k)));
+        }
         let ledger = ReplicaLedger::new(self.replicas);
-        let best = EnsembleRunner::new(self.replicas)
-            .with_threads(worker_threads(threads))
-            .run(&self.graph, &self.init, &self.options, |k| {
-                ReportingMachine::new(SachiMachine::new(self.config.clone()), k, &ledger)
-            });
+        let best = runner.run(&self.graph, &self.init, &self.options, |k| {
+            ReportingMachine::new(SachiMachine::new(self.config.clone()), k, &ledger)
+        });
         self.outcome(best, ledger.finish())
     }
 
@@ -545,7 +552,8 @@ pub fn worker_threads(requested: usize) -> usize {
 }
 
 /// Reduces per-replica `(result, report)` pairs, in replica order, to
-/// the job outcome via the same folds the in-process runner uses.
+/// the job outcome: the one fold of an uncoupled job, whether its
+/// replicas ran in [`JobPlan::run`] or on the pool.
 fn reduce_outcome(plan: &JobPlan, pairs: Vec<(SolveResult, RunReport)>) -> JobOutcome {
     let (results, reports): (Vec<_>, Vec<_>) = pairs.into_iter().unzip();
     plan.outcome(BestOf::reduce(results), EnsembleReport::fold(reports))

@@ -15,14 +15,12 @@ use rand::{Rng, SeedableRng};
 pub enum Cooling {
     /// Multiply by a factor in `(0, 1)` each sweep.
     Geometric(f64),
-    /// Subtract a positive step each sweep (clamped at zero).
-    Linear(f64),
     /// Hold the temperature constant (a parallel-tempering rung; never
     /// descends on its own).
     Hold,
 }
 
-/// Cooling schedule: geometric (the paper's) or linear.
+/// Cooling schedule: geometric (the paper's) or a constant hold.
 ///
 /// Temperature starts at `initial_temperature` and descends after every
 /// sweep until it falls below `freeze_threshold`, after which the
@@ -35,10 +33,6 @@ pub enum Cooling {
 /// let temps: Vec<f64> = s.temperatures().take(4).collect();
 /// assert_eq!(temps, vec![8.0, 4.0, 2.0, 1.0]);
 /// assert_eq!(s.sweeps_until_frozen(), 7); // 8 * 0.5^7 = 0.0625 < 0.1
-///
-/// let lin = Schedule::linear(8.0, 2.0, 0.1);
-/// let temps: Vec<f64> = lin.temperatures().take(4).collect();
-/// assert_eq!(temps, vec![8.0, 6.0, 4.0, 2.0]);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Schedule {
@@ -67,26 +61,6 @@ impl Schedule {
         Schedule {
             initial_temperature,
             cooling: Cooling::Geometric(cooling_factor),
-            freeze_threshold,
-        }
-    }
-
-    /// Creates a linear schedule (temperature falls by `step` per sweep).
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `initial_temperature > 0`, `step > 0`, and
-    /// `freeze_threshold > 0`.
-    pub fn linear(initial_temperature: f64, step: f64, freeze_threshold: f64) -> Self {
-        assert!(
-            initial_temperature > 0.0,
-            "initial temperature must be positive"
-        );
-        assert!(step > 0.0, "linear cooling step must be positive");
-        assert!(freeze_threshold > 0.0, "freeze threshold must be positive");
-        Schedule {
-            initial_temperature,
-            cooling: Cooling::Linear(step),
             freeze_threshold,
         }
     }
@@ -134,7 +108,6 @@ impl Schedule {
     pub fn cool_once(&self, temperature: f64) -> f64 {
         match self.cooling {
             Cooling::Geometric(f) => temperature * f,
-            Cooling::Linear(step) => (temperature - step).max(0.0),
             Cooling::Hold => temperature,
         }
     }
@@ -228,8 +201,8 @@ impl Annealer {
 
     /// Probability of accepting a move with energy change `delta`.
     ///
-    /// The `t = 0` path (a `Cooling::Linear` schedule clamps to exactly
-    /// `0.0`) is reached only through the frozen arm: `Schedule`
+    /// The `t = 0` path (after [`Annealer::freeze`]) is reached only
+    /// through the frozen arm: `Schedule`
     /// constructors assert `freeze_threshold > 0`, so `temperature = 0 <
     /// threshold` always satisfies [`Annealer::is_frozen`] first and the
     /// division never sees a zero denominator. The explicit
@@ -372,81 +345,25 @@ mod tests {
         assert!(accepted > 80, "hot annealer accepted only {accepted}/100");
     }
 
-    #[test]
-    fn linear_schedule_descends_and_freezes() {
-        let s = Schedule::linear(10.0, 3.0, 0.5);
-        let temps: Vec<f64> = s.temperatures().take(5).collect();
-        assert_eq!(temps, vec![10.0, 7.0, 4.0, 1.0, 0.0]);
-        assert_eq!(s.sweeps_until_frozen(), 4);
-        assert_eq!(s.cooling(), Cooling::Linear(3.0));
-        // Linear cooling clamps at zero, never negative.
-        assert_eq!(s.cool_once(1.0), 0.0);
-        let mut a = Annealer::new(s, 1);
-        for _ in 0..10 {
-            a.cool();
-        }
-        assert!(a.is_frozen());
-        assert!(a.temperature() >= 0.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "step must be positive")]
-    fn linear_schedule_validates_step() {
-        let _ = Schedule::linear(1.0, 0.0, 0.1);
-    }
-
-    #[test]
-    fn linear_and_geometric_solve_equally_well_on_easy_instances() {
-        use crate::graph::topology;
-        use crate::solver::{CpuReferenceSolver, IterativeSolver, SolveOptions};
-        use crate::spin::SpinVector;
-        use rand::rngs::StdRng;
-        use rand::SeedableRng;
-        let g = topology::king(5, 5, |_, _| 1).unwrap();
-        let mut rng = StdRng::seed_from_u64(2);
-        let init = SpinVector::random(25, &mut rng);
-        let mut solver = CpuReferenceSolver::new();
-        for schedule in [
-            Schedule::new(4.0, 0.9, 0.05),
-            Schedule::linear(4.0, 0.2, 0.05),
-        ] {
-            let opts = SolveOptions {
-                schedule,
-                ..SolveOptions::for_graph(&g, 3)
-            };
-            let r = solver.solve(&g, &init, &opts);
-            assert!(r.converged);
-            let ups = r.spins.count_up();
-            assert!(
-                ups <= 3 || ups >= 22,
-                "{schedule:?} left mixed state: {ups}"
-            );
-        }
-    }
-
-    /// ISSUE 10 satellite: pin the acceptance probability at and below
-    /// `freeze_threshold`, including the exact-`0.0` temperature a
-    /// `Cooling::Linear` schedule clamps to — never NaN/inf, never a
-    /// live `exp(Δ/0)`.
+    /// Pins the acceptance probability at and below
+    /// `freeze_threshold`, including the exact-`0.0` temperature
+    /// [`Annealer::freeze`] sets — never NaN/inf, never a live
+    /// `exp(Δ/0)`.
     #[test]
     fn acceptance_probability_pinned_at_and_below_freeze_threshold() {
-        // Linear schedule that clamps to exactly 0.0 after four steps.
-        let s = Schedule::linear(10.0, 3.0, 0.5);
-        let mut a = Annealer::new(s, 1);
         // At the threshold itself (t == 0.5 is *not* frozen: `<` test),
         // the probability is live, finite, and in (0, 1).
-        while a.temperature() > s.freeze_threshold() {
-            a.cool();
-        }
-        assert_eq!(a.temperature(), 0.0); // 10 → 7 → 4 → 1 → 0 skips 0.5
-                                          // Rebuild to land exactly on a just-below-threshold point.
-        let s = Schedule::linear(1.0, 0.75, 0.5);
+        let s = Schedule::new(1.0, 0.5, 0.5);
         let mut a = Annealer::new(s, 1);
+        a.cool(); // t = 0.5
+        assert!(!a.is_frozen());
+        let p = a.acceptance_probability(1);
+        assert!(p > 0.0 && p < 1.0, "live at the threshold: p={p}");
         a.cool(); // t = 0.25, below threshold but above zero
         assert!(a.is_frozen());
         let p = a.acceptance_probability(3);
         assert_eq!(p, 0.0, "frozen-but-warm annealer must reject uphill");
-        a.cool(); // t = 0.0 exactly (linear clamp)
+        a.freeze(); // t = 0.0 exactly
         assert_eq!(a.temperature(), 0.0);
         for delta in [1, 5, i64::MAX] {
             let p = a.acceptance_probability(delta);
@@ -456,9 +373,6 @@ mod tests {
         // Downhill stays certain at t = 0.
         assert_eq!(a.acceptance_probability(-1), 1.0);
         assert_eq!(a.acceptance_probability(0), 1.0);
-        // And the hard-frozen path agrees.
-        a.freeze();
-        assert_eq!(a.acceptance_probability(1), 0.0);
     }
 
     #[test]

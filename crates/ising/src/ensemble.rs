@@ -4,9 +4,12 @@
 //! the multi-start solves behind Fig. 16/19 and the multicore study of
 //! Sec. IV.B.2 — and replica-level parallelism is the cheapest
 //! throughput lever: replicas share the problem read-only and never
-//! exchange state mid-solve. [`EnsembleRunner`] fans `R` replicas out
-//! over `T` scoped worker threads (std-only: the workspace is offline)
-//! and reduces to a [`BestOf`].
+//! exchange state mid-solve. [`EnsembleRunner::map`] is the one fan-out:
+//! it runs a per-replica task over `T` scoped worker threads (std-only:
+//! the workspace is offline) and returns the outputs in replica order.
+//! [`EnsembleRunner::run`] maps a solve over the replicas and reduces to
+//! a [`BestOf`]; `sachi-core`'s `JobPlan::run` maps its per-replica
+//! machine call the same way and folds with the daemon's reduction.
 //!
 //! ## The determinism contract
 //!
@@ -19,9 +22,9 @@
 //!    injective in the index (for a fixed master seed), so no two
 //!    replicas ever share an annealer stream.
 //! 2. **Workers share an atomic queue of replica indices** and write
-//!    each finished [`SolveResult`] into the slot named by its index;
-//!    the reduction then scans slots in replica order, so work-stealing
-//!    order is unobservable.
+//!    each finished output into the slot named by its index
+//!    ([`EnsembleRunner::map`]); the reduction then scans slots in
+//!    replica order, so work-stealing order is unobservable.
 //! 3. **Ties in the best-energy reduction break toward the lowest
 //!    replica index**, a rule independent of which replica finished
 //!    first.
@@ -91,7 +94,7 @@ pub struct EnsembleStats {
     pub swap_attempts: u64,
     /// Replica-exchange swaps accepted by the Metropolis criterion.
     pub swap_accepted: u64,
-    /// Stalled tempering rungs reseeded by the restart policy.
+    /// Stalled tempering rungs reseeded from their restart streams.
     pub tempering_restarts: u64,
 }
 
@@ -279,12 +282,11 @@ impl EnsembleRunner {
     /// quench, so a sink that sees more than one record per replica
     /// must merge them.
     ///
-    /// Workers pull replica indices from a shared atomic queue; each
-    /// result lands in the slot named by its replica index, so the
-    /// output is independent of thread count and work-stealing order
-    /// whenever the solver itself is deterministic per seed. Tempered
-    /// rungs are pinned instead: rung `r` runs on worker `r % threads`
-    /// for the whole run.
+    /// Plain replicas run through [`EnsembleRunner::map`] and reduce
+    /// with [`BestOf::reduce`], so the output is independent of thread
+    /// count and work-stealing order whenever the solver itself is
+    /// deterministic per seed. Tempered rungs are pinned instead: rung
+    /// `r` runs on worker `r % threads` for the whole run.
     ///
     /// # Panics
     ///
@@ -311,7 +313,27 @@ impl EnsembleRunner {
                 &factory,
             );
         }
-        let slots: Mutex<Vec<Option<SolveResult>>> = Mutex::new(vec![None; self.replicas]);
+        BestOf::reduce(
+            self.map(|k| factory(k).solve(graph, initial, &Self::replica_options(base, k))),
+        )
+    }
+
+    /// Runs `task(k)` for every replica index `k` over scoped worker
+    /// threads and returns the outputs in index order. Workers pull
+    /// indices from a shared atomic queue and each output lands in the
+    /// slot named by its index, so the vector is independent of thread
+    /// count and work-stealing order whenever `task` is a pure function
+    /// of `k`. Each index runs exactly once.
+    ///
+    /// # Panics
+    ///
+    /// Panics (poisoning aside) only if a task panics.
+    pub fn map<T, F>(&self, task: F) -> Vec<T>
+    where
+        T: Send,
+        F: Fn(usize) -> T + Sync,
+    {
+        let slots: Mutex<Vec<Option<T>>> = Mutex::new((0..self.replicas).map(|_| None).collect());
         let next = AtomicUsize::new(0);
         let workers = self.threads.min(self.replicas);
 
@@ -322,26 +344,24 @@ impl EnsembleRunner {
                     if k >= self.replicas {
                         break;
                     }
-                    let mut solver = factory(k);
-                    let result = solver.solve(graph, initial, &Self::replica_options(base, k));
+                    let output = task(k);
                     if let Some(slot) = slots
                         .lock()
                         .expect("ensemble slot mutex poisoned: a replica panicked")
                         .get_mut(k)
                     {
-                        *slot = Some(result);
+                        *slot = Some(output);
                     }
                 });
             }
         });
 
-        let replicas: Vec<SolveResult> = slots
+        slots
             .into_inner()
             .expect("ensemble slot mutex poisoned: a replica panicked")
             .into_iter()
             .map(|slot| slot.expect("work queue covers every replica index"))
-            .collect();
-        BestOf::reduce(replicas)
+            .collect()
     }
 
     /// Runs the ensemble on the golden-model CPU solver.
@@ -352,33 +372,6 @@ impl EnsembleRunner {
         base: &SolveOptions,
     ) -> BestOf {
         self.run(graph, initial, base, |_| CpuReferenceSolver::new())
-    }
-
-    /// Runs the replicas strictly sequentially (in replica order) on one
-    /// borrowed solver. For deterministic solvers this produces exactly
-    /// the [`BestOf`] that [`EnsembleRunner::run`] produces at any
-    /// thread count — the property the conformance suite asserts.
-    pub fn run_sequential<S: IterativeSolver>(
-        &self,
-        solver: &mut S,
-        graph: &IsingGraph,
-        initial: &SpinVector,
-        base: &SolveOptions,
-    ) -> BestOf {
-        if let Some(topts) = base.tempering.as_ref() {
-            return crate::tempering::run_exchange_sequential(
-                solver,
-                self.replicas,
-                graph,
-                initial,
-                base,
-                topts,
-            );
-        }
-        let replicas: Vec<SolveResult> = (0..self.replicas)
-            .map(|k| solver.solve(graph, initial, &Self::replica_options(base, k)))
-            .collect();
-        BestOf::reduce(replicas)
     }
 }
 
@@ -424,19 +417,6 @@ mod tests {
                 .run_reference(&g, &init, &opts);
             assert_eq!(got, reference, "threads = {threads}");
         }
-    }
-
-    #[test]
-    fn sequential_run_matches_parallel_run() {
-        let g = frustrated_graph();
-        let mut rng = StdRng::seed_from_u64(4);
-        let init = SpinVector::random(12, &mut rng);
-        let opts = SolveOptions::for_graph(&g, 23);
-        let runner = EnsembleRunner::new(6).with_threads(4);
-        let parallel = runner.run_reference(&g, &init, &opts);
-        let mut solver = CpuReferenceSolver::new();
-        let sequential = runner.run_sequential(&mut solver, &g, &init, &opts);
-        assert_eq!(parallel, sequential);
     }
 
     #[test]
@@ -547,5 +527,23 @@ mod tests {
     #[should_panic(expected = "at least one thread")]
     fn zero_threads_rejected() {
         let _ = EnsembleRunner::new(1).with_threads(0);
+    }
+
+    #[test]
+    fn map_returns_outputs_in_index_order_and_runs_each_index_once() {
+        for threads in [1, 3, 8] {
+            for replicas in [1, 5, 7] {
+                let calls = AtomicUsize::new(0);
+                let out = EnsembleRunner::new(replicas)
+                    .with_threads(threads)
+                    .map(|k| {
+                        calls.fetch_add(1, Ordering::Relaxed);
+                        k * 10
+                    });
+                let want: Vec<usize> = (0..replicas).map(|k| k * 10).collect();
+                assert_eq!(out, want, "threads = {threads}, replicas = {replicas}");
+                assert_eq!(calls.into_inner(), replicas, "threads = {threads}");
+            }
+        }
     }
 }

@@ -20,8 +20,8 @@
 //!   at every `T`);
 //! * [`tempering`] — replica-exchange parallel tempering over the
 //!   ensemble: temperature ladders, deterministic Metropolis swaps from
-//!   a salted SplitMix64 stream, and restart policies for stalled
-//!   rungs;
+//!   a salted SplitMix64 stream, and deterministic restarts of
+//!   stalled rungs;
 //! * [`recovery`] — the fault-recovery policy (`FailFast` /
 //!   `RefetchRetry`) the machines apply when parity detects a
 //!   corrupted tuple fetch.
@@ -66,11 +66,11 @@ pub mod prelude {
     pub use crate::io::{parse_dimacs, parse_gset, to_dimacs, ParseError};
     pub use crate::recovery::RecoveryPolicy;
     pub use crate::solver::{
-        decide_update, run_sweeps, solve_multi_start, CancelToken, CpuReferenceSolver,
-        IterativeSolver, SolveOptions, SolveResult,
+        decide_update, run_sweeps, CancelToken, CpuReferenceSolver, IterativeSolver, SolveOptions,
+        SolveResult,
     };
     pub use crate::spin::{Spin, SpinVector};
     pub use crate::tempering::{
-        swap_stream_seed, swap_unit, LadderKind, RestartPolicy, TemperatureLadder, TemperingOptions,
+        swap_stream_seed, swap_unit, LadderKind, TemperatureLadder, TemperingOptions,
     };
 }

@@ -370,34 +370,6 @@ impl IterativeSolver for CpuReferenceSolver {
     }
 }
 
-/// Runs `restarts` independent solves and returns the best-energy
-/// result. Standard practice for simulated annealing, used by the
-/// examples and the Fig. 16/19 harnesses.
-///
-/// Restart `k` runs with the seed
-/// [`crate::ensemble::derive_replica_seed`]`(options.seed, k)` — the
-/// same derivation the parallel [`crate::ensemble::EnsembleRunner`]
-/// uses, so a sequential multi-start through one borrowed solver is
-/// bit-identical to a threaded ensemble of the same solver (the
-/// conformance suite asserts this).
-///
-/// # Panics
-///
-/// Panics if `restarts == 0` or `restarts` overflows `usize`.
-pub fn solve_multi_start<S: IterativeSolver>(
-    solver: &mut S,
-    graph: &IsingGraph,
-    initial: &SpinVector,
-    options: &SolveOptions,
-    restarts: u64,
-) -> SolveResult {
-    assert!(restarts > 0, "need at least one restart");
-    let replicas = usize::try_from(restarts).expect("restart count fits in usize");
-    crate::ensemble::EnsembleRunner::new(replicas)
-        .run_sequential(solver, graph, initial, options)
-        .into_best()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -581,27 +553,6 @@ mod tests {
             hits >= 12,
             "annealing found ground state only {hits}/20 times"
         );
-    }
-
-    #[test]
-    fn multi_start_never_worse_than_single() {
-        let g = topology::complete(14, |i, j| ((i * 7 + j * 3) % 13) as i32 - 6).unwrap();
-        let mut rng = StdRng::seed_from_u64(21);
-        let init = SpinVector::random(14, &mut rng);
-        let mut solver = CpuReferenceSolver::new();
-        let opts = SolveOptions::for_graph(&g, 5);
-        let single = solver.solve(&g, &init, &opts);
-        let multi = solve_multi_start(&mut solver, &g, &init, &opts, 8);
-        assert!(multi.energy <= single.energy);
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one restart")]
-    fn zero_restarts_rejected() {
-        let g = GraphBuilder::new(2).edge(0, 1, 1).build().unwrap();
-        let init = SpinVector::filled(2, Spin::Up);
-        let mut solver = CpuReferenceSolver::new();
-        let _ = solve_multi_start(&mut solver, &g, &init, &SolveOptions::default(), 0);
     }
 
     #[test]

@@ -17,9 +17,9 @@
 //! mechanisms enforce it:
 //!
 //! 1. **Segmented moves.** A tempered solve is a sequence of *segments*
-//!    — ordinary [`IterativeSolver::solve`] calls of
-//!    [`TemperingOptions::swap_interval`] sweeps at the rung's constant
-//!    ladder temperature ([`crate::anneal::Cooling::Hold`]). Segment
+//!    — ordinary [`IterativeSolver::solve`] calls of `SWAP_INTERVAL`
+//!    (4) sweeps at the rung's constant ladder temperature
+//!    ([`crate::anneal::Cooling::Hold`]). Segment
 //!    `t` of rung `r` runs with seed `derive_replica_seed(
 //!    derive_replica_seed(master, r), t)` — a pure function of the
 //!    coordinates, so segments can execute on any worker in any order.
@@ -30,15 +30,17 @@
 //!    round's segments complete (a barrier), single-threaded, in pair
 //!    order — thread count stays provably unobservable.
 //! 3. **Deterministic restarts.** A rung whose segment made zero flips
-//!    for [`RestartPolicy::Reseed`] consecutive rounds is re-randomized
-//!    from its own salted SplitMix64 restart stream (the rung's
-//!    best-ever snapshot is kept and restored before the final quench).
+//!    for `STALL_ROUNDS` (4) consecutive rounds is re-randomized from
+//!    its own salted SplitMix64 restart stream (the rung's best-ever
+//!    snapshot is kept and restored before the final quench).
 //!
 //! Each rung keeps one solver for the whole run, so a hardware machine
 //! maps the problem once and only re-seats the spins a swap or restart
 //! changed. Which thread owns a rung is fixed (`r % workers`), but
 //! since every segment is a pure function of its coordinates, that
-//! choice is as unobservable as the thread count.
+//! choice is as unobservable as the thread count. The same engine
+//! serves `sachi solve` and the daemon: a coupled job runs it through
+//! `EnsembleRunner::run` on both front ends.
 
 use crate::anneal::Schedule;
 use crate::ensemble::{derive_replica_seed, splitmix64_mix, BestOf, SPLITMIX64_GAMMA};
@@ -66,6 +68,13 @@ const SWAP_PAIR_GAMMA: u64 = 0xD1B5_4A32_D192_ED03;
 
 /// 2⁻⁵³: scales a 53-bit integer into `[0, 1)`.
 const UNIT_53: f64 = 1.0 / 9_007_199_254_740_992.0;
+
+/// Sweeps between exchange points (one segment), clamped to the budget.
+const SWAP_INTERVAL: u64 = 4;
+
+/// Consecutive zero-flip rounds after which a rung is re-randomized
+/// from its restart stream (its best-ever snapshot is preserved).
+const STALL_ROUNDS: u32 = 4;
 
 /// How ladder rung temperatures are generated.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -293,20 +302,6 @@ fn interpolate_geometric(cold: f64, hot: f64, rungs: usize) -> Vec<f64> {
         .collect()
 }
 
-/// What to do with a rung that has stopped moving.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RestartPolicy {
-    /// Leave stalled rungs alone.
-    Never,
-    /// Re-randomize a rung's spins after this many consecutive
-    /// zero-flip rounds, from the rung's deterministic restart stream.
-    /// The rung's best-ever snapshot is preserved.
-    Reseed {
-        /// Consecutive zero-flip rounds before the reseed fires.
-        stall_rounds: u32,
-    },
-}
-
 /// Options controlling a replica-exchange run. Carried inside
 /// [`SolveOptions::tempering`]; `None` there means the plain
 /// independent-replica ensemble.
@@ -315,11 +310,6 @@ pub struct TemperingOptions {
     /// The rung temperatures (resampled to the replica count if the
     /// lengths disagree).
     pub ladder: TemperatureLadder,
-    /// Sweeps between exchange points (one segment). Clamped to at
-    /// least 1.
-    pub swap_interval: u64,
-    /// Restart policy for stalled rungs.
-    pub restart: RestartPolicy,
 }
 
 impl TemperingOptions {
@@ -328,8 +318,6 @@ impl TemperingOptions {
     pub fn for_graph(kind: LadderKind, graph: &IsingGraph, rungs: usize) -> Self {
         TemperingOptions {
             ladder: TemperatureLadder::for_graph(kind, graph, rungs.max(1)),
-            swap_interval: 4,
-            restart: RestartPolicy::Reseed { stall_rounds: 4 },
         }
     }
 }
@@ -429,8 +417,8 @@ fn segment_options(
 /// With one worker the segments run inline on the calling thread. With
 /// more, the workers live for the whole run: rung `r` belongs to worker
 /// `r % workers`, which builds that rung's solver on its own thread and
-/// runs its segments in the order they arrive. Byte-identical to
-/// [`run_exchange_sequential`] at every thread count.
+/// runs its segments in the order they arrive. Byte-identical at every
+/// thread count.
 pub(crate) fn run_exchange<S, F>(
     threads: usize,
     replicas: usize,
@@ -515,30 +503,11 @@ where
     })
 }
 
-/// Runs the replica-exchange ensemble strictly sequentially on one
-/// borrowed solver, in rung order within each round. For deterministic
-/// solvers this produces exactly what [`run_exchange`] produces at any
-/// thread count.
-pub(crate) fn run_exchange_sequential<S: IterativeSolver>(
-    solver: &mut S,
-    replicas: usize,
-    graph: &IsingGraph,
-    initial: &SpinVector,
-    base: &SolveOptions,
-    topts: &TemperingOptions,
-) -> BestOf {
-    drive(replicas, graph, initial, base, topts, |jobs| {
-        jobs.into_iter()
-            .map(|job| solver.solve(graph, &job.spins, &job.opts))
-            .collect()
-    })
-}
-
 /// The shared round engine: plans segments, applies swaps and restarts
 /// between rounds, restores per-rung bests, quenches, and reduces.
 /// `exec` runs one round's segment jobs and returns results in job
-/// order — the only part that differs between the parallel and
-/// sequential front ends.
+/// order — the only part that differs between the inline and the
+/// per-rung-lane executors.
 fn drive<E>(
     replicas: usize,
     graph: &IsingGraph,
@@ -553,7 +522,7 @@ where
     assert!(replicas > 0, "need at least one replica");
     let ladder = topts.ladder.resampled(replicas);
     let budget = base.effective_max_sweeps(graph.num_spins()).max(1);
-    let interval = topts.swap_interval.max(1).min(budget);
+    let interval = SWAP_INTERVAL.min(budget);
     // A final greedy quench segment (a frozen hold below the freeze
     // threshold) runs on every rung within this reserved budget.
     let quench_reserve = interval.min(budget.saturating_sub(interval));
@@ -657,21 +626,19 @@ where
             i += 2;
         }
 
-        // Restart phase: reseed rungs stalled past the policy's limit.
-        if let RestartPolicy::Reseed { stall_rounds } = topts.restart {
-            for st in rungs.iter_mut() {
-                if st.stall >= stall_rounds {
-                    st.restarts += 1;
-                    restarts_total += 1;
-                    let seed = derive_replica_seed(
-                        splitmix64_mix(st.move_seed ^ RESTART_SEED_SALT),
-                        st.restarts,
-                    );
-                    let mut rng = StdRng::seed_from_u64(seed);
-                    st.spins = SpinVector::random(graph.num_spins(), &mut rng);
-                    st.energy = energy(graph, &st.spins);
-                    st.stall = 0;
-                }
+        // Restart phase: reseed rungs stalled for `STALL_ROUNDS`.
+        for st in rungs.iter_mut() {
+            if st.stall >= STALL_ROUNDS {
+                st.restarts += 1;
+                restarts_total += 1;
+                let seed = derive_replica_seed(
+                    splitmix64_mix(st.move_seed ^ RESTART_SEED_SALT),
+                    st.restarts,
+                );
+                let mut rng = StdRng::seed_from_u64(seed);
+                st.spins = SpinVector::random(graph.num_spins(), &mut rng);
+                st.energy = energy(graph, &st.spins);
+                st.stall = 0;
             }
         }
     }
@@ -856,19 +823,6 @@ mod tests {
     }
 
     #[test]
-    fn tempered_sequential_matches_parallel() {
-        let g = frustrated_graph();
-        let mut rng = StdRng::seed_from_u64(5);
-        let init = SpinVector::random(14, &mut rng);
-        let opts = tempered_opts(&g, 23, LadderKind::Geometric);
-        let runner = EnsembleRunner::new(4).with_threads(4);
-        let parallel = runner.run_reference(&g, &init, &opts);
-        let mut solver = CpuReferenceSolver::new();
-        let sequential = runner.run_sequential(&mut solver, &g, &init, &opts);
-        assert_eq!(parallel, sequential);
-    }
-
-    #[test]
     fn tempered_best_never_loses_to_its_own_rungs_and_respects_budget() {
         let g = frustrated_graph();
         let mut rng = StdRng::seed_from_u64(11);
@@ -919,10 +873,7 @@ mod tests {
         let g = topology::complete(9, |_, _| 1000).expect("valid graph");
         let init = SpinVector::filled(9, crate::spin::Spin::Up);
         let mut opts = SolveOptions::for_graph(&g, 3).with_max_sweeps(600);
-        let mut topts = TemperingOptions::for_graph(LadderKind::Geometric, &g, 3);
-        topts.swap_interval = 8;
-        topts.restart = RestartPolicy::Reseed { stall_rounds: 4 };
-        opts.tempering = Some(topts.clone());
+        opts.tempering = Some(TemperingOptions::for_graph(LadderKind::Geometric, &g, 3));
         let with_restarts = EnsembleRunner::new(3).run_reference(&g, &init, &opts);
         assert!(with_restarts.stats.tempering_restarts > 0);
         // Reseeding never loses the best-ever state: the ground state
@@ -932,11 +883,5 @@ mod tests {
             energy(&g, &init),
             "restart discarded the best-ever snapshot"
         );
-        opts.tempering = Some(TemperingOptions {
-            restart: RestartPolicy::Never,
-            ..topts
-        });
-        let without = EnsembleRunner::new(3).run_reference(&g, &init, &opts);
-        assert_eq!(without.stats.tempering_restarts, 0);
     }
 }

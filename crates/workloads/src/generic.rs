@@ -101,14 +101,15 @@ mod tests {
 
         let mut rng = StdRng::seed_from_u64(1);
         let init = SpinVector::random(8, &mut rng);
-        let mut solver = CpuReferenceSolver::new();
         // Unit couplings freeze fast; a slower schedule plus restarts
         // reliably reaches the bipartition.
         let opts = SolveOptions {
             schedule: Schedule::new(4.0, 0.95, 0.05),
             ..SolveOptions::for_graph(w.graph(), 2)
         };
-        let r = solve_multi_start(&mut solver, w.graph(), &init, &opts, 12);
+        let r = EnsembleRunner::new(12)
+            .run_reference(w.graph(), &init, &opts)
+            .into_best();
         assert!(
             (w.accuracy(&r.spins) - 1.0).abs() < 1e-12,
             "cut {}",

@@ -170,16 +170,11 @@ mod tests {
         let w = MolecularDynamics::new(6, 6, 3);
         let mut rng = StdRng::seed_from_u64(4);
         let init = SpinVector::random(36, &mut rng);
-        let mut solver = CpuReferenceSolver::new();
         // Best of a few restarts: single SA runs land in domain-wall
         // local optima now and then.
-        let r = solve_multi_start(
-            &mut solver,
-            w.graph(),
-            &init,
-            &SolveOptions::for_graph(w.graph(), 5),
-            4,
-        );
+        let r = EnsembleRunner::new(4)
+            .run_reference(w.graph(), &init, &SolveOptions::for_graph(w.graph(), 5))
+            .into_best();
         assert!(r.converged);
         let acc = w.accuracy(&r.spins);
         assert!(acc > 0.98, "accuracy {acc}");

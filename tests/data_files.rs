@@ -42,14 +42,9 @@ fn random64_gset_loads_and_solves() {
     let w = GenericMaxCut::new("random64", graph);
     let mut rng = StdRng::seed_from_u64(2);
     let init = SpinVector::random(64, &mut rng);
-    let mut solver = CpuReferenceSolver::new();
-    let r = solve_multi_start(
-        &mut solver,
-        w.graph(),
-        &init,
-        &SolveOptions::for_graph(w.graph(), 3),
-        6,
-    );
+    let r = EnsembleRunner::new(6)
+        .run_reference(w.graph(), &init, &SolveOptions::for_graph(w.graph(), 3))
+        .into_best();
     assert!(
         w.accuracy(&r.spins) > 0.95,
         "accuracy {}",

@@ -398,8 +398,7 @@ proptest! {
 
     /// The tempering determinism contract: the swap decisions and
     /// segment streams are pure functions of the master seed, so thread
-    /// count stays unobservable — and the borrowed-solver sequential
-    /// path is the same function as the thread-pool path.
+    /// count stays unobservable.
     #[test]
     fn tempered_ensembles_are_thread_count_independent(
         salt in 0u64..500,
@@ -411,11 +410,9 @@ proptest! {
         let mut rng = StdRng::seed_from_u64(salt ^ 0x7E42);
         let init = SpinVector::random(graph.num_spins(), &mut rng);
         let kind = if kind_adaptive { LadderKind::Adaptive } else { LadderKind::Geometric };
-        let mut topts = TemperingOptions::for_graph(kind, &graph, rungs);
-        topts.swap_interval = 8;
         let opts = SolveOptions::for_graph(&graph, master)
             .with_max_sweeps(96)
-            .with_tempering(topts);
+            .with_tempering(TemperingOptions::for_graph(kind, &graph, rungs));
         let reference = EnsembleRunner::new(rungs)
             .with_threads(1)
             .run_reference(&graph, &init, &opts);
@@ -425,11 +422,6 @@ proptest! {
                 .run_reference(&graph, &init, &opts);
             prop_assert_eq!(&got, &reference, "threads = {}", threads);
         }
-        let mut solver = CpuReferenceSolver::new();
-        let sequential = EnsembleRunner::new(rungs)
-            .with_threads(4)
-            .run_sequential(&mut solver, &graph, &init, &opts);
-        prop_assert_eq!(&sequential, &reference);
 
         // Hardware rungs keep their machines resident for the whole run;
         // neither that nor the worker layout may reach the results or
@@ -450,13 +442,6 @@ proptest! {
             prop_assert_eq!(report.fault_retries, machine_report.fault_retries);
             prop_assert_eq!(report.degraded_replicas, machine_report.degraded_replicas);
         }
-        // One borrowed machine serving every rung in turn re-seats its
-        // resident spins on each call and still matches.
-        let mut machine = SachiMachine::new(config);
-        let sequential = EnsembleRunner::new(rungs)
-            .with_threads(4)
-            .run_sequential(&mut machine, &graph, &init, &opts);
-        prop_assert_eq!(&sequential, &reference);
     }
 
     /// `BestOf::reduce` is permutation-stable in the *winning key*:
@@ -523,25 +508,4 @@ fn best_of_reduce_breaks_ties_to_the_lowest_index() {
     let reduced = sachi::ising::ensemble::BestOf::reduce(stacked);
     assert_eq!(reduced.best_index, 1);
     assert_eq!(reduced.best(), &winner);
-}
-
-/// Sequential (borrowed-solver) ensembles and threaded ensembles are the
-/// same function — the bridge that lets `solve_multi_start` share the
-/// determinism contract.
-#[test]
-fn sequential_and_threaded_ensembles_agree() {
-    let graph = frustrated_graph(5, 5, 31);
-    let mut rng = StdRng::seed_from_u64(32);
-    let init = SpinVector::random(graph.num_spins(), &mut rng);
-    let opts = SolveOptions::for_graph(&graph, 33);
-    let runner = EnsembleRunner::new(6).with_threads(4);
-    let threaded = runner.run_reference(&graph, &init, &opts);
-    let mut solver = CpuReferenceSolver::new();
-    let sequential = runner.run_sequential(&mut solver, &graph, &init, &opts);
-    assert_eq!(threaded, sequential);
-
-    // And solve_multi_start is exactly "best of that ensemble".
-    let mut solver = CpuReferenceSolver::new();
-    let multi = solve_multi_start(&mut solver, &graph, &init, &opts, 6);
-    assert_eq!(&multi, sequential.best());
 }

@@ -162,8 +162,10 @@ fn multi_start_helper_works_with_hardware_machines() {
     let mut rng = StdRng::seed_from_u64(12);
     let init = SpinVector::random(graph.num_spins(), &mut rng);
     let opts = SolveOptions::for_graph(graph, 13);
-    let mut machine = SachiMachine::new(SachiConfig::new(DesignKind::N3));
-    let single = machine.solve(graph, &init, &opts);
-    let multi = solve_multi_start(&mut machine, graph, &init, &opts, 6);
+    let config = SachiConfig::new(DesignKind::N3);
+    let single = SachiMachine::new(config.clone()).solve(graph, &init, &opts);
+    let multi = EnsembleRunner::new(6)
+        .run(graph, &init, &opts, |_| SachiMachine::new(config.clone()))
+        .into_best();
     assert!(multi.energy <= single.energy);
 }

@@ -89,7 +89,7 @@ fn resident_machine_handles_5k_spins_with_rounds() {
 }
 
 /// Fast tier-1 cousin of the soak below: a 4-thread SACHI(n3) replica
-/// ensemble at 1,600 spins, checked bit-for-bit against the sequential
+/// ensemble at 1,600 spins, checked bit-for-bit against the one-thread
 /// golden ensemble and sanity-checked for quality and accounting.
 #[test]
 fn ensemble_smoke_4_threads_at_1600_atoms() {
@@ -108,8 +108,9 @@ fn ensemble_smoke_4_threads_at_1600_atoms() {
             ReportingMachine::new(SachiMachine::new(config.clone()), k, &ledger)
         });
 
-    let mut solver = CpuReferenceSolver::new();
-    let reference = EnsembleRunner::new(replicas).run_sequential(&mut solver, graph, &init, &opts);
+    let reference = EnsembleRunner::new(replicas)
+        .with_threads(1)
+        .run_reference(graph, &init, &opts);
     assert_eq!(best_of, reference);
 
     assert_eq!(best_of.stats.replicas as usize, replicas);

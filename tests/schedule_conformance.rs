@@ -144,7 +144,8 @@ fn phase_schedule_struct_mirrors_design_formulas() {
 /// once *after* each sweep and checks frozen-ness *before* cooling, so a
 /// run that never flips a spin converges on sweep
 /// `sweeps_until_frozen() + 1` — the first sweep observed frozen. The
-/// differential is checked for both cooling families.
+/// differential is checked for geometric cooling and for a hold below
+/// the freeze threshold.
 #[test]
 fn sweeps_until_frozen_matches_the_solver_sweep_loop() {
     use sachi::ising::anneal::{Annealer, Schedule};
@@ -153,9 +154,7 @@ fn sweeps_until_frozen_matches_the_solver_sweep_loop() {
         Schedule::new(8.0, 0.5, 0.1),    // geometric, doc example
         Schedule::new(100.0, 0.9, 0.05), // geometric, long tail
         Schedule::new(1.0, 0.25, 0.9),   // geometric, frozen almost at once
-        Schedule::linear(8.0, 2.0, 0.1), // linear, exact multiples
-        Schedule::linear(7.3, 1.7, 0.2), // linear, non-integral steps
-        Schedule::linear(0.5, 1.0, 0.6), // linear, frozen from sweep 0
+        Schedule::constant(0.01, 0.05),  // hold, frozen from sweep 0
     ];
 
     for schedule in schedules {
