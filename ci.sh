@@ -143,60 +143,44 @@ for _ in $(seq 1 50); do
 done
 "$SACHI" submit --addr "127.0.0.1:$PORT" --ping
 
-# What both front ends print for one job, in one form: the result and
-# accuracy lines; the ensemble line (replicas, best replica, converged
-# replicas, total sweeps); on tempered jobs the swap and restart
-# counts; and the best replica's cycle split. `solve` adds the thread
-# count, the ladder and rounds per iteration, which `submit` cannot
-# know, so those are cut from both.
-outcome_of() {
-  grep -E '^(result  :|accuracy:)' <<<"$1"
-  sed -nE \
-    -e 's/^ensemble: ([0-9]+) replicas.*\(best: replica ([0-9]+), ([0-9]+) converged, ([0-9]+) sweeps total\)$/ensemble \1 replicas, best \2, \3 converged, \4 sweeps/p' \
-    -e 's/^temper  : (.*, )?([0-9]+) swaps accepted \/ ([0-9]+) attempted, ([0-9]+) rung restarts$/temper \2 of \3 swaps, \4 restarts/p' \
-    -e 's/^cycles  : ([0-9]+) total \(([0-9]+) compute, ([0-9]+) loading.*$/cycles \1 total, \2 compute, \3 loading/p' \
-    <<<"$1"
+# Both front ends print the one renderer's report of the one response
+# body, so their whole stdout must match byte for byte. The reference
+# must hold a result line, so two empty outputs cannot pass.
+REPORTS=$(mktemp -d)
+trap 'kill "$SERVE_PID" 2>/dev/null || true; rm -rf "$REPORTS"' EXIT
+same_report() {
+  local what=$1
+  if ! grep -q '^result  : H = ' "$REPORTS/$what.solve"; then
+    echo "serve smoke: $what one-shot report has no result line" >&2
+    exit 1
+  fi
+  if ! cmp -s "$REPORTS/$what.solve" "$REPORTS/$what.submit"; then
+    echo "serve smoke: $what daemon report diverged from one-shot CLI" >&2
+    diff "$REPORTS/$what.solve" "$REPORTS/$what.submit" >&2 || true
+    exit 1
+  fi
+  echo "serve smoke: $what daemon report matches one-shot CLI byte for byte"
 }
 
 JOB=(--cop sat --size 12 --seed 9 --restarts 3 --step-budget 60000)
-REF=$(outcome_of "$("$SACHI" solve "${JOB[@]}")")
+"$SACHI" solve "${JOB[@]}" >"$REPORTS/plain.solve"
 # A co-tenant job runs concurrently so the determinism check exercises
 # real replica interleaving on the shared pool, not an idle daemon.
 "$SACHI" submit --addr "127.0.0.1:$PORT" \
   --cop md --size 24 --seed 4 --restarts 2 --step-budget 200000 \
   >/dev/null &
 COTENANT_PID=$!
-GOT=$(outcome_of "$("$SACHI" submit --addr "127.0.0.1:$PORT" "${JOB[@]}")")
+"$SACHI" submit --addr "127.0.0.1:$PORT" "${JOB[@]}" >"$REPORTS/plain.submit"
 wait "$COTENANT_PID"
-if [ "$(wc -l <<<"$REF")" -ne 4 ]; then
-  echo "serve smoke: expected result, accuracy, ensemble and cycles, got: $REF" >&2
-  exit 1
-fi
-if [ "$GOT" != "$REF" ]; then
-  echo "serve smoke: daemon result diverged from one-shot CLI" >&2
-  echo "  one-shot: $REF" >&2
-  echo "  daemon:   $GOT" >&2
-  exit 1
-fi
-echo "serve smoke: daemon result matches one-shot CLI"
+same_report plain
 
 # Same contract for a replica-exchange job: the coupled rungs must be
 # byte-identical between the daemon's shared pool and the one-shot CLI.
 PTJOB=(--cop sat --size 12 --seed 9 --restarts 3 --step-budget 60000
        --tempering --ladder adaptive)
-PTREF=$(outcome_of "$("$SACHI" solve "${PTJOB[@]}")")
-PTGOT=$(outcome_of "$("$SACHI" submit --addr "127.0.0.1:$PORT" "${PTJOB[@]}")")
-if [ "$(wc -l <<<"$PTREF")" -ne 5 ]; then
-  echo "serve smoke: expected result, accuracy, ensemble, temper and cycles, got: $PTREF" >&2
-  exit 1
-fi
-if [ "$PTGOT" != "$PTREF" ]; then
-  echo "serve smoke: tempered daemon result diverged from one-shot CLI" >&2
-  echo "  one-shot: $PTREF" >&2
-  echo "  daemon:   $PTGOT" >&2
-  exit 1
-fi
-echo "serve smoke: tempered daemon result matches one-shot CLI"
+"$SACHI" solve "${PTJOB[@]}" >"$REPORTS/tempered.solve"
+"$SACHI" submit --addr "127.0.0.1:$PORT" "${PTJOB[@]}" >"$REPORTS/tempered.submit"
+same_report tempered
 
 set +e
 "$SACHI" submit --addr "127.0.0.1:$PORT" --raw 'this is not json' >/dev/null 2>&1
@@ -254,6 +238,7 @@ echo "serve smoke: out-of-range jobs answer code 2 and the daemon keeps admittin
 
 "$SACHI" submit --addr "127.0.0.1:$PORT" --shutdown
 wait "$SERVE_PID"
+rm -rf "$REPORTS"
 trap - EXIT
 echo "serve smoke: daemon drained cleanly"
 

@@ -539,7 +539,8 @@ USAGE:
                   Prometheus text exposition. All bounds reject 0.)
   sachi submit   [--addr HOST:PORT] [job flags]
                  | --ping | --shutdown | --fetch-metrics | --raw BODY
-                 (one request to a running daemon; exits with the
+                 (one request to a running daemon; a job prints the
+                  report sachi solve prints for it; exits with the
                   daemon's response code — 0 ok, 2 usage/parse, 3 solve,
                   4 fault, 5 server rejection. Op flags are mutually
                   exclusive with each other and with job flags.)

@@ -1,10 +1,11 @@
 //! Command implementations for the `sachi` CLI.
 
 use crate::args::{EstimateArgs, MetricsFormat, SolveArgs};
+use crate::protocol;
 use sachi_baselines::prelude::*;
-use sachi_bench::{percent, ratio, Table};
+use sachi_bench::{ratio, Table};
 use sachi_core::prelude::*;
-use sachi_core::serve::{worker_threads, AccuracyFn};
+use sachi_core::serve::AccuracyFn;
 use sachi_ising::prelude::*;
 use sachi_mem::l1cache::{CacheMode, L1Cache};
 use sachi_mem::prelude::*;
@@ -65,115 +66,46 @@ fn plan_for(args: &SolveArgs) -> Result<JobPlan, SachiError> {
 /// `sachi solve`.
 pub fn solve(args: &SolveArgs) -> Result<(), SachiError> {
     let plan = plan_for(args)?;
-    let spec = plan.spec();
-    let graph = plan.graph();
-    // --metrics replaces the whole human report with one machine-readable
-    // snapshot, so scripts can pipe stdout straight into a parser.
-    let human = args.metrics.is_none();
-    if human {
-        println!(
-            "problem : {} ({} spins, {} edges, max degree {}, needs {}-bit ICs)",
-            plan.name(),
-            graph.num_spins(),
-            graph.num_edges(),
-            graph.max_degree(),
-            graph.bits_required()
-        );
-    }
-
     // SACHI repurposes the host's L1 data array as the compute substrate
     // (Sec. VII.1): claim it around the ensemble so the exported l1_*
     // metrics carry the real mode-switch and flush accounting of that
     // handover.
-    let threads = worker_threads(args.threads);
     let mut l1 = L1Cache::typical_l1();
     l1.set_mode(CacheMode::IsingCompute);
-    let outcome = plan.run(threads);
+    let outcome = plan.run(args.threads);
     l1.set_mode(CacheMode::Normal);
-    let best_index = outcome.best.best_index;
-    let report = &outcome.report.reports[best_index];
-    let stats = &outcome.best.stats;
+    let report = &outcome.report.reports[outcome.best.best_index];
 
-    if let Some(format) = args.metrics {
-        // Fold order is replica order, never completion order, so the
-        // snapshot is identical at any --threads value.
-        let mut reg = outcome.metrics();
-        l1.stats().export(&mut reg);
-        reg.counter_add(
-            "workload_coeff_saturations",
-            sachi_workloads::encode::saturation_count(),
-        );
-        match format {
-            MetricsFormat::Json => print!("{}", write_snapshot(&reg, &report.phase_spans)),
-            MetricsFormat::Prom => print!("{}", write_exposition(&reg)),
+    match args.metrics {
+        // --metrics replaces the whole human report with one
+        // machine-readable snapshot, so scripts can pipe stdout straight
+        // into a parser. Fold order is replica order, never completion
+        // order, so the snapshot is identical at any --threads value.
+        Some(format) => {
+            let mut reg = outcome.metrics();
+            l1.stats().export(&mut reg);
+            match format {
+                MetricsFormat::Json => print!("{}", write_snapshot(&reg, &report.phase_spans)),
+                MetricsFormat::Prom => print!("{}", write_exposition(&reg)),
+            }
         }
-    }
-
-    if human {
-        let best = outcome.best.best();
-        println!("design  : {}", report.design.label());
-        println!(
-            "ensemble: {} replicas over {} threads (best: replica {}, {} converged, {} sweeps total)",
-            plan.replica_count(),
-            threads,
-            best_index,
-            stats.converged,
-            stats.total_sweeps
-        );
-        if spec.tempering {
-            println!(
-                "temper  : {} ladder, {} swaps accepted / {} attempted, {} rung restarts",
-                spec.ladder.label(),
-                stats.swap_accepted,
-                stats.swap_attempts,
-                stats.tempering_restarts
-            );
-        }
-        println!(
-            "result  : H = {}  ({} iterations, converged: {})",
-            best.energy, best.sweeps, best.converged
-        );
-        if plan.is_scored() {
-            println!("accuracy: {}", percent(outcome.accuracy));
-        }
-        if spec.fault_ber.is_some() {
-            let ensemble = &outcome.report;
-            println!(
-                "faults  : {} injected, {} detected, {} retries, {}/{} replicas degraded ({})",
-                ensemble.faults_injected,
-                ensemble.faults_detected,
-                ensemble.fault_retries,
-                ensemble.degraded_replicas,
-                plan.replica_count(),
-                spec.fault_policy
-            );
-        }
-        println!(
-            "cycles  : {} total ({} compute, {} loading, {} rounds/iter)",
-            report.total_cycles.get(),
-            report.compute_cycles.get(),
-            report.load_cycles.get(),
-            report.rounds_per_sweep
-        );
-        println!(
-            "time    : {}  energy: {}  reuse: {:.1}",
-            report.wall_time,
-            report.energy.total(),
-            report.reuse
-        );
-        let mut breakdown = Table::new(["component", "energy"]);
-        for (c, e) in report.energy.iter() {
-            breakdown.row([c.label().to_string(), format!("{e}")]);
-        }
-        breakdown.print();
-        if args.trace_phases && !report.phase_spans.is_empty() {
-            println!("phases  : (best replica, cycle domain)");
-            print!("{}", render_span_tree(&report.phase_spans));
+        // The report is the daemon's response for this job, rendered
+        // as `sachi submit` renders it: both front ends print the same
+        // bytes by construction.
+        None => {
+            let body = protocol::ok_solve_body(&protocol::job_echo(&plan), plan.spec(), &outcome);
+            let doc = sachi_obs::json::parse(&body)
+                .map_err(|e| SachiError::Parse(format!("solve response: {e}")))?;
+            print!("{}", protocol::render_solve(&doc)?);
+            if args.trace_phases && !report.phase_spans.is_empty() {
+                println!("phases  : (best replica, cycle domain)");
+                print!("{}", render_span_tree(&report.phase_spans));
+            }
         }
     }
     // Fault outcomes surface as typed errors (exit code 4) so sweep
     // scripts can tell "solved despite faults" from "gave up".
-    match outcome.fault_error(spec.fault_policy) {
+    match outcome.fault_error(plan.spec().fault_policy) {
         Some(e) => Err(e),
         None => Ok(()),
     }
@@ -194,6 +126,17 @@ pub fn compare(args: &SolveArgs) -> Result<(), SachiError> {
 
     let golden = CpuReferenceSolver::new().solve(graph, init, opts);
     let mut table = Table::new(["machine", "H", "iters", "cycles", "energy", "reuse"]);
+    let mut machine_row =
+        |machine: &str, result: SolveResult, cycles: Cycles, energy: Picojoules, reuse: f64| {
+            table.row([
+                machine.to_string(),
+                result.energy.to_string(),
+                result.sweeps.to_string(),
+                cycles.get().to_string(),
+                energy.to_string(),
+                format!("{reuse:.1}"),
+            ]);
+        };
     for design in DesignKind::ALL {
         let config = SachiConfig {
             design,
@@ -204,39 +147,21 @@ pub fn compare(args: &SolveArgs) -> Result<(), SachiError> {
             result.energy, golden.energy,
             "machines must match the golden model"
         );
-        table.row([
-            design.label().to_string(),
-            result.energy.to_string(),
-            result.sweeps.to_string(),
-            report.total_cycles.get().to_string(),
-            format!("{}", report.energy.total()),
-            format!("{:.1}", report.reuse),
-        ]);
+        let (cycles, energy) = (report.total_cycles, report.energy.total());
+        machine_row(design.label(), result, cycles, energy, report.reuse);
     }
     match BrimMachine::new().solve_detailed(graph, init, opts) {
-        Ok((result, report)) => {
-            table.row([
-                "BRIM".to_string(),
-                result.energy.to_string(),
-                result.sweeps.to_string(),
-                report.total_cycles.get().to_string(),
-                format!("{}", report.energy.total()),
-                format!("{:.1}", report.reuse),
-            ]);
-        }
+        Ok((result, r)) => machine_row("BRIM", result, r.total_cycles, r.energy.total(), r.reuse),
         Err(e) => println!("BRIM skipped: {e}"),
     }
     match CimMachine::new().solve_detailed(graph, init, opts) {
-        Ok((result, report)) => {
-            table.row([
-                "Ising-CIM".to_string(),
-                result.energy.to_string(),
-                result.sweeps.to_string(),
-                report.total_cycles.get().to_string(),
-                format!("{}", report.energy.total()),
-                format!("{:.1}", report.reuse),
-            ]);
-        }
+        Ok((result, r)) => machine_row(
+            "Ising-CIM",
+            result,
+            r.total_cycles,
+            r.energy.total(),
+            r.reuse,
+        ),
         Err(e) => println!("Ising-CIM skipped: {e}"),
     }
     table.row([

@@ -18,8 +18,10 @@
 //! empty body, bad UTF-8, bad JSON).
 
 use crate::args::{cop_label, design_label, parse_cop, parse_design};
-use sachi_core::prelude::{JobOutcome, JobSpec, SachiError};
+use sachi_bench::{percent, Table};
+use sachi_core::prelude::{JobOutcome, JobPlan, JobSpec, SachiError};
 use sachi_ising::prelude::{LadderKind, RecoveryPolicy, Spin};
+use sachi_mem::units::{Nanoseconds, Picojoules, UnitRangeError};
 use sachi_obs::json::{escape, parse, JsonValue};
 use std::fmt;
 use std::io::{Read, Write};
@@ -333,12 +335,7 @@ pub fn solve_request_body(spec: &JobSpec) -> String {
     if let Some(b) = spec.step_budget {
         body.push_str(&format!(",\"step_budget\":{b}"));
     }
-    if let Some(ber) = spec.fault_ber {
-        body.push_str(&format!(
-            ",\"fault_ber\":{ber},\"fault_seed\":{},\"fault_policy\":\"{}\"",
-            spec.fault_seed, spec.fault_policy
-        ));
-    }
+    body.push_str(&fault_fields(spec));
     if spec.tempering {
         body.push_str(&format!(
             ",\"tempering\":true,\"ladder\":\"{}\"",
@@ -347,6 +344,17 @@ pub fn solve_request_body(spec: &JobSpec) -> String {
     }
     body.push_str("}}");
     body
+}
+
+/// The fault-injection job fields, written only when a BER is set.
+fn fault_fields(spec: &JobSpec) -> String {
+    match spec.fault_ber {
+        Some(ber) => format!(
+            ",\"fault_ber\":{ber},\"fault_seed\":{},\"fault_policy\":\"{}\"",
+            spec.fault_seed, spec.fault_policy
+        ),
+        None => String::new(),
+    }
 }
 
 /// Encodes a no-payload request (`ping`, `metrics`, `shutdown`).
@@ -390,11 +398,36 @@ pub fn ok_metrics_body(exposition: &str) -> String {
     )
 }
 
-/// Encodes a completed job: the echoed spec, the best replica's result
+/// The `job` object of a solve response: the echoed spec and the shape
+/// of the lowered problem. Built from the plan before it runs, since
+/// the daemon hands its plan to the pool.
+pub fn job_echo(plan: &JobPlan) -> String {
+    let (spec, graph) = (plan.spec(), plan.graph());
+    let mut job = format!(
+        "{{\"name\":\"{}\",\"cop\":\"{}\",\"size\":{},\"seed\":{},\"design\":\"{}\",\
+         \"restarts\":{},\"spins\":{},\"edges\":{},\"max_degree\":{},\"bits_required\":{}",
+        escape(plan.name()),
+        cop_label(spec.cop),
+        spec.size,
+        spec.seed,
+        design_label(spec.design),
+        spec.restarts,
+        graph.num_spins(),
+        graph.num_edges(),
+        graph.max_degree(),
+        graph.bits_required(),
+    );
+    job.push_str(&fault_fields(spec));
+    job.push('}');
+    job
+}
+
+/// Encodes a completed job: the [`job_echo`], the best replica's result
 /// (with its spins as a `+`/`-` string), the ensemble statistics, and
-/// the folded report — the full `RunReport` surface of the one-shot
-/// CLI, so a daemon response is comparable field-for-field.
-pub fn ok_solve_body(name: &str, edges: usize, spec: &JobSpec, outcome: &JobOutcome) -> String {
+/// the folded report with the best replica's cycles, time, energy
+/// breakdown and reuse. [`render_solve`] prints it; this body is the
+/// only serialization of a finished job.
+pub fn ok_solve_body(job: &str, spec: &JobSpec, outcome: &JobOutcome) -> String {
     let best = outcome.best.best();
     let spins: String = best
         .spins
@@ -403,19 +436,8 @@ pub fn ok_solve_body(name: &str, edges: usize, spec: &JobSpec, outcome: &JobOutc
         .collect();
     let stats = &outcome.best.stats;
     let report = &outcome.report;
-    let mut body = format!(
-        "{{\"schema\":\"{SCHEMA}\",\"status\":\"ok\",\"op\":\"solve\",\
-         \"job\":{{\"name\":\"{}\",\"cop\":\"{}\",\"size\":{},\"seed\":{},\"design\":\"{}\",\
-         \"restarts\":{},\"spins\":{},\"edges\":{}}}",
-        escape(name),
-        cop_label(spec.cop),
-        spec.size,
-        spec.seed,
-        design_label(spec.design),
-        spec.restarts,
-        best.spins.len(),
-        edges,
-    );
+    let mut body =
+        format!("{{\"schema\":\"{SCHEMA}\",\"status\":\"ok\",\"op\":\"solve\",\"job\":{job}");
     body.push_str(&format!(
         ",\"result\":{{\"energy\":{},\"sweeps\":{},\"converged\":{},\"flips\":{},\
          \"uphill_accepted\":{},\"uphill_rejected\":{},\"degraded\":{},\"best_replica\":{},\
@@ -436,18 +458,17 @@ pub fn ok_solve_body(name: &str, edges: usize, spec: &JobSpec, outcome: &JobOutc
     ));
     if spec.tempering {
         body.push_str(&format!(
-            ",\"tempering\":{{\"swap_attempts\":{},\"swap_accepted\":{},\"restarts\":{}}}",
-            stats.swap_attempts, stats.swap_accepted, stats.tempering_restarts,
+            ",\"tempering\":{{\"ladder\":\"{}\",\"swap_attempts\":{},\"swap_accepted\":{},\
+             \"restarts\":{}}}",
+            spec.ladder.label(),
+            stats.swap_attempts,
+            stats.swap_accepted,
+            stats.tempering_restarts,
         ));
     }
-    let best_report = report.reports.get(outcome.best.best_index);
     body.push_str(&format!(
-        ",\"report\":{{\"total_cycles\":{},\"compute_cycles\":{},\"load_cycles\":{},\
-         \"serial_cycles\":{},\"max_replica_cycles\":{},\"faults_detected\":{},\
-         \"faults_injected\":{},\"fault_retries\":{},\"degraded_replicas\":{}}}",
-        best_report.map_or(0, |r| r.total_cycles.get()),
-        best_report.map_or(0, |r| r.compute_cycles.get()),
-        best_report.map_or(0, |r| r.load_cycles.get()),
+        ",\"report\":{{\"serial_cycles\":{},\"max_replica_cycles\":{},\"faults_detected\":{},\
+         \"faults_injected\":{},\"fault_retries\":{},\"degraded_replicas\":{}",
         report.serial_cycles.get(),
         report.max_replica_cycles.get(),
         report.faults_detected,
@@ -455,8 +476,139 @@ pub fn ok_solve_body(name: &str, edges: usize, spec: &JobSpec, outcome: &JobOutc
         report.fault_retries,
         report.degraded_replicas,
     ));
-    body.push_str(&format!(",\"accuracy\":{}}}", outcome.accuracy));
+    if let Some(r) = report.reports.get(outcome.best.best_index) {
+        let energy: Vec<String> = r
+            .energy
+            .iter()
+            .map(|(c, e)| format!("\"{}\":{}", c.label(), e.get()))
+            .collect();
+        body.push_str(&format!(
+            ",\"total_cycles\":{},\"compute_cycles\":{},\"load_cycles\":{},\
+             \"rounds_per_sweep\":{},\"wall_time_ns\":{},\"energy_pj\":{},\"reuse\":{},\
+             \"energy\":{{{}}}",
+            r.total_cycles.get(),
+            r.compute_cycles.get(),
+            r.load_cycles.get(),
+            r.rounds_per_sweep,
+            r.wall_time.get(),
+            r.energy.total().get(),
+            r.reuse,
+            energy.join(","),
+        ));
+    }
+    // An unscored plan has no accuracy, and JSON has no NaN.
+    match outcome.accuracy {
+        a if a.is_finite() => body.push_str(&format!("}},\"accuracy\":{a}}}")),
+        _ => body.push_str("},\"accuracy\":null}"),
+    }
     body
+}
+
+/// Reads `key` of a response object through `read` (`Some`,
+/// `JsonValue::as_num`, `as_str`, ...). Responses arrive off the
+/// network: a missing or mistyped field is a parse error.
+pub fn field<'a, T>(
+    v: &'a JsonValue,
+    key: &str,
+    read: fn(&'a JsonValue) -> Option<T>,
+) -> Result<T, SachiError> {
+    v.get(key)
+        .and_then(read)
+        .ok_or_else(|| SachiError::Parse(format!("response field '{key}' missing or mistyped")))
+}
+
+fn count(v: &JsonValue, key: &str) -> Result<u64, SachiError> {
+    let n = field(v, key, JsonValue::as_num)?;
+    if n < 0.0 || n.fract() != 0.0 {
+        return Err(SachiError::Parse(format!(
+            "response field '{key}' is not a count"
+        )));
+    }
+    Ok(n as u64)
+}
+
+/// Renders an [`ok_solve_body`] as the human report. `sachi solve`
+/// and `sachi submit` both print exactly this, so the two front ends
+/// print the same bytes for one job. A missing field or an
+/// out-of-range number is a typed [`SachiError::Parse`], never a panic.
+pub fn render_solve(doc: &JsonValue) -> Result<String, SachiError> {
+    let (job, result, ensemble, report) = (
+        field(doc, "job", Some)?,
+        field(doc, "result", Some)?,
+        field(doc, "ensemble", Some)?,
+        field(doc, "report", Some)?,
+    );
+    let design =
+        parse_design(field(job, "design", JsonValue::as_str)?).map_err(SachiError::Parse)?;
+    let replicas = count(ensemble, "replicas")?;
+    let mut out = format!(
+        "problem : {} ({} spins, {} edges, max degree {}, needs {}-bit ICs)\ndesign  : {}\n",
+        field(job, "name", JsonValue::as_str)?,
+        count(job, "spins")?,
+        count(job, "edges")?,
+        count(job, "max_degree")?,
+        count(job, "bits_required")?,
+        design.label(),
+    );
+    out.push_str(&format!(
+        "ensemble: {replicas} replicas (best: replica {}, {} converged, {} sweeps total)\n",
+        count(result, "best_replica")?,
+        count(ensemble, "converged")?,
+        count(ensemble, "total_sweeps")?,
+    ));
+    if let Some(tempering) = doc.get("tempering") {
+        out.push_str(&format!(
+            "temper  : {} ladder, {} swaps accepted / {} attempted, {} rung restarts\n",
+            field(tempering, "ladder", JsonValue::as_str)?,
+            count(tempering, "swap_accepted")?,
+            count(tempering, "swap_attempts")?,
+            count(tempering, "restarts")?,
+        ));
+    }
+    out.push_str(&format!(
+        "result  : H = {}  ({} iterations, converged: {})\n",
+        field(result, "energy", JsonValue::as_num)? as i64,
+        count(result, "sweeps")?,
+        field(result, "converged", JsonValue::as_bool)?,
+    ));
+    if doc.get("accuracy") != Some(&JsonValue::Null) {
+        let accuracy = field(doc, "accuracy", JsonValue::as_num)?;
+        out.push_str(&format!("accuracy: {}\n", percent(accuracy)));
+    }
+    if job.get("fault_ber").is_some() {
+        out.push_str(&format!(
+            "faults  : {} injected, {} detected, {} retries, {}/{replicas} replicas degraded ({})\n",
+            count(report, "faults_injected")?,
+            count(report, "faults_detected")?,
+            count(report, "fault_retries")?,
+            count(report, "degraded_replicas")?,
+            field(job, "fault_policy", JsonValue::as_str)?,
+        ));
+    }
+    out.push_str(&format!(
+        "cycles  : {} total ({} compute, {} loading, {} rounds/iter)\n",
+        count(report, "total_cycles")?,
+        count(report, "compute_cycles")?,
+        count(report, "load_cycles")?,
+        count(report, "rounds_per_sweep")?,
+    ));
+    let range = |e: UnitRangeError| SachiError::Parse(format!("response: {e}"));
+    let energy = |pj: f64| Picojoules::try_from(pj).map_err(range);
+    out.push_str(&format!(
+        "time    : {}  energy: {}  reuse: {:.1}\n",
+        Nanoseconds::try_from(field(report, "wall_time_ns", JsonValue::as_num)?).map_err(range)?,
+        energy(field(report, "energy_pj", JsonValue::as_num)?)?,
+        field(report, "reuse", JsonValue::as_num)?,
+    ));
+    let mut breakdown = Table::new(["component", "energy"]);
+    for (component, pj) in field(report, "energy", JsonValue::as_obj)? {
+        let pj = pj
+            .as_num()
+            .ok_or_else(|| SachiError::Parse(format!("energy '{component}'")))?;
+        breakdown.row([component.clone(), energy(pj)?.to_string()]);
+    }
+    out.push_str(&breakdown.render());
+    Ok(out)
 }
 
 #[cfg(test)]
@@ -631,6 +783,83 @@ mod tests {
         assert!(sachi_obs::json::parse(&body).is_ok());
     }
 
+    /// Runs `plan` on one thread and encodes its response body.
+    fn body_of(plan: &JobPlan) -> String {
+        ok_solve_body(&job_echo(plan), plan.spec(), &plan.run_solo())
+    }
+
+    fn small_spec() -> JobSpec {
+        JobSpec {
+            cop: CopKind::MolecularDynamics,
+            size: 16,
+            restarts: 2,
+            step_budget: Some(20_000),
+            ..JobSpec::default()
+        }
+    }
+
+    #[test]
+    fn solve_bodies_parse_and_render_only_the_lines_that_apply() {
+        let plain = small_spec();
+        let tempered = JobSpec {
+            cop: CopKind::SatThree,
+            size: 8,
+            tempering: true,
+            ..small_spec()
+        };
+        let faulty = JobSpec {
+            fault_ber: Some(1e-3),
+            ..small_spec()
+        };
+        // A ferromagnetic file has no scorer: its accuracy is NaN.
+        let ferro = sachi_ising::graph::GraphBuilder::new(4)
+            .edge(0, 1, 1)
+            .edge(1, 2, 1)
+            .edge(2, 3, 1)
+            .build()
+            .unwrap();
+        let plans = [
+            JobPlan::from_spec(&plain).unwrap(),
+            JobPlan::from_spec(&tempered).unwrap(),
+            JobPlan::from_spec(&faulty).unwrap(),
+            JobPlan::lower(&plain, "ferro".to_string(), ferro, None).unwrap(),
+        ];
+        assert!(!plans[3].is_scored());
+        for plan in &plans {
+            let body = body_of(plan);
+            let doc = parse(&body).unwrap_or_else(|e| panic!("{e}: {body}"));
+            let text = render_solve(&doc).unwrap();
+            let has = |prefix: &str| text.lines().any(|l| l.starts_with(prefix));
+            assert!(has("result  : H = "), "{text}");
+            assert_eq!(has("temper  :"), plan.spec().tempering, "{text}");
+            assert_eq!(has("faults  :"), plan.spec().fault_ber.is_some(), "{text}");
+            assert_eq!(has("accuracy:"), plan.is_scored(), "{text}");
+        }
+    }
+
+    #[test]
+    fn hostile_numbers_in_a_solve_response_are_parse_errors() {
+        let body = body_of(&JobPlan::from_spec(&small_spec()).unwrap());
+        assert!(render_solve(&parse(&body).unwrap()).is_ok());
+        for (field, bad) in [
+            ("\"energy_pj\":", "-1"),
+            ("\"wall_time_ns\":", "1e999"),
+            ("\"rwl\":", "-0.5"),
+            ("\"total_cycles\":", "-3"),
+            ("\"spins\":", "1.5"),
+            ("\"design\":", "\"n9\""),
+            ("\"adder\":", "\"lots\""),
+        ] {
+            let at = body.find(field).unwrap() + field.len();
+            let end = at + body[at..].find([',', '}']).unwrap();
+            let hostile = format!("{}{bad}{}", &body[..at], &body[end..]);
+            let err = render_solve(&parse(&hostile).unwrap()).unwrap_err();
+            assert!(matches!(err, SachiError::Parse(_)), "{field}{bad}: {err}");
+        }
+        let err = render_solve(&parse("{\"job\":{}}").unwrap()).unwrap_err();
+        assert!(matches!(err, SachiError::Parse(_)), "{err}");
+    }
+
     /// A `Write` double that accepts every buffer whole and counts the
     /// `write` calls it sees.
     #[derive(Default)]
@@ -694,8 +923,10 @@ mod tests {
             match decode(&bytes) {
                 Ok(Some(body)) => {
                     // Whatever decoded must flow through request
-                    // parsing without a panic either.
+                    // parsing and the response renderer without a
+                    // panic either.
                     let _ = parse_request(&body);
+                    let _ = parse(&body).map(|doc| render_solve(&doc));
                 }
                 Ok(None) => {}
                 Err(e) => {

@@ -37,6 +37,7 @@ use crate::protocol::{
     self, error_body, read_frame, read_frame_body, write_frame, FrameError, Request, MAX_FRAME_LEN,
 };
 use sachi_core::prelude::{JobLimits, JobPlan, JobSpec, SachiError, ServerReason, SolverPool};
+use sachi_obs::json::JsonValue;
 use sachi_obs::{prom, MetricsRegistry};
 use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
@@ -162,8 +163,7 @@ impl Server {
     /// The post-admission path; the caller owns the queue slot.
     fn run_admitted(&self, spec: &JobSpec) -> Result<String, SachiError> {
         let plan = JobPlan::from_spec(spec)?;
-        let name = plan.name().to_string();
-        let edges = plan.graph().num_edges();
+        let job = protocol::job_echo(&plan);
         self.bump("server_jobs_admitted_total");
         let handle = self.pool.submit(plan);
         // Wall-clock admission deadline: a job the pool has not
@@ -191,7 +191,7 @@ impl Server {
         if let Some(e) = outcome.fault_error(spec.fault_policy) {
             return Err(e);
         }
-        Ok(protocol::ok_solve_body(&name, edges, spec, &outcome))
+        Ok(protocol::ok_solve_body(&job, spec, &outcome))
     }
 
     /// Handles one decoded request body; returns the response body and
@@ -429,25 +429,15 @@ fn http_get_metrics(addr: &str) -> Result<String, SachiError> {
     Ok(body.to_string())
 }
 
-fn num_field(doc: &sachi_obs::json::JsonValue, key: &str) -> Result<f64, SachiError> {
-    doc.get(key)
-        .and_then(sachi_obs::json::JsonValue::as_num)
-        .ok_or_else(|| SachiError::Parse(format!("response missing numeric '{key}'")))
-}
-
 /// Renders a framed response for the terminal and extracts its code.
 fn render_response(response: &str) -> Result<u8, SachiError> {
     let doc = sachi_obs::json::parse(response)
         .map_err(|e| SachiError::Parse(format!("daemon response: {e}")))?;
-    let status = doc
-        .get("status")
-        .and_then(sachi_obs::json::JsonValue::as_str)
-        .ok_or_else(|| SachiError::Parse("response missing 'status'".to_string()))?;
-    if status == "error" {
-        let code = num_field(&doc, "code")?;
+    if protocol::field(&doc, "status", JsonValue::as_str)? == "error" {
+        let code = protocol::field(&doc, "code", JsonValue::as_num)?;
         let message = doc
             .get("message")
-            .and_then(sachi_obs::json::JsonValue::as_str)
+            .and_then(JsonValue::as_str)
             .unwrap_or("(no message)");
         eprintln!("error: {message}");
         let code = if (2.0..=255.0).contains(&code) && code.fract() == 0.0 {
@@ -457,80 +447,19 @@ fn render_response(response: &str) -> Result<u8, SachiError> {
         };
         return Ok(code);
     }
-    let op = doc
-        .get("op")
-        .and_then(sachi_obs::json::JsonValue::as_str)
-        .unwrap_or("");
-    match op {
+    match doc.get("op").and_then(JsonValue::as_str).unwrap_or("") {
         "ping" => println!("pong"),
         "shutdown" => println!("daemon draining"),
         "metrics" => {
-            let exposition = doc
-                .get("exposition")
-                .and_then(sachi_obs::json::JsonValue::as_str)
-                .ok_or_else(|| SachiError::Parse("metrics response missing body".to_string()))?;
-            print!("{exposition}");
+            print!(
+                "{}",
+                protocol::field(&doc, "exposition", JsonValue::as_str)?
+            );
         }
-        "solve" => render_solve(&doc)?,
+        "solve" => print!("{}", protocol::render_solve(&doc)?),
         other => println!("ok ({other})"),
     }
     Ok(0)
-}
-
-/// Prints a solve response. The ensemble, temper, result and cycles
-/// lines carry the one-shot `sachi solve` report's fields in its
-/// layout (minus what the response does not carry: thread count,
-/// ladder, rounds per iteration), so scripts (and the CI smoke test)
-/// can diff the two front ends directly.
-fn render_solve(doc: &sachi_obs::json::JsonValue) -> Result<(), SachiError> {
-    let section = |key: &str| {
-        doc.get(key)
-            .ok_or_else(|| SachiError::Parse(format!("solve response missing '{key}'")))
-    };
-    let (result, job, ensemble, report) = (
-        section("result")?,
-        section("job")?,
-        section("ensemble")?,
-        section("report")?,
-    );
-    let energy = num_field(result, "energy")? as i64;
-    let sweeps = num_field(result, "sweeps")? as u64;
-    let converged = matches!(
-        result.get("converged"),
-        Some(sachi_obs::json::JsonValue::Bool(true))
-    );
-    let name = job
-        .get("name")
-        .and_then(sachi_obs::json::JsonValue::as_str)
-        .unwrap_or("?");
-    let spins = num_field(job, "spins")? as u64;
-    let edges = num_field(job, "edges")? as u64;
-    println!("problem : {name} ({spins} spins, {edges} couplings)");
-    println!(
-        "ensemble: {} replicas (best: replica {}, {} converged, {} sweeps total)",
-        num_field(ensemble, "replicas")? as u64,
-        num_field(result, "best_replica")? as u64,
-        num_field(ensemble, "converged")? as u64,
-        num_field(ensemble, "total_sweeps")? as u64,
-    );
-    if let Some(tempering) = doc.get("tempering") {
-        println!(
-            "temper  : {} swaps accepted / {} attempted, {} rung restarts",
-            num_field(tempering, "swap_accepted")? as u64,
-            num_field(tempering, "swap_attempts")? as u64,
-            num_field(tempering, "restarts")? as u64,
-        );
-    }
-    println!("result  : H = {energy}  ({sweeps} iterations, converged: {converged})");
-    let accuracy = num_field(doc, "accuracy")?;
-    println!("accuracy: {:.1}%", accuracy * 100.0);
-    println!(
-        "cycles  : {} total ({} compute, {} loading)",
-        num_field(report, "total_cycles")? as u64,
-        num_field(report, "compute_cycles")? as u64,
-        num_field(report, "load_cycles")? as u64,
-    );
-    Ok(())
 }
 
 #[cfg(test)]

@@ -6,23 +6,10 @@
 //! encoded Hamiltonian without a trace (the solver then happily
 //! optimizes a *different* problem). This module makes the conversion
 //! loud: [`checked_coefficient`] returns a typed [`EncodeError`]
-//! (mapped to `SachiError::Config`, exit code 2, by `sachi-core`) and
-//! bumps a process-wide saturation counter that the CLI exports as the
-//! `workload_coeff_saturations` metric.
+//! (mapped to `SachiError::Config`, exit code 2, by `sachi-core`).
 
 use sachi_ising::graph::GraphError;
 use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering};
-
-/// Process-wide count of rejected (out-of-`i32`-range) coefficient
-/// conversions. Monotonic; exported as `workload_coeff_saturations`.
-static SATURATIONS: AtomicU64 = AtomicU64::new(0);
-
-/// Number of coefficient conversions rejected for overflow so far in
-/// this process.
-pub fn saturation_count() -> u64 {
-    SATURATIONS.load(Ordering::Relaxed)
-}
 
 /// Errors from encoding a workload into an Ising graph.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -68,12 +55,9 @@ impl From<GraphError> for EncodeError {
 }
 
 /// Converts an `i64` coefficient to the graph's `i32` domain, erroring
-/// (and bumping [`saturation_count`]) when the value does not fit.
+/// when the value does not fit.
 pub fn checked_coefficient(what: &'static str, value: i64) -> Result<i32, EncodeError> {
-    i32::try_from(value).map_err(|_| {
-        SATURATIONS.fetch_add(1, Ordering::Relaxed);
-        EncodeError::CoefficientOverflow { what, value }
-    })
+    i32::try_from(value).map_err(|_| EncodeError::CoefficientOverflow { what, value })
 }
 
 #[cfg(test)]
@@ -81,8 +65,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn in_range_values_convert_without_counting() {
-        let before = saturation_count();
+    fn in_range_values_convert() {
         assert_eq!(checked_coefficient("coupling", 0), Ok(0));
         assert_eq!(
             checked_coefficient("coupling", i64::from(i32::MAX)),
@@ -92,12 +75,10 @@ mod tests {
             checked_coefficient("field", i64::from(i32::MIN)),
             Ok(i32::MIN)
         );
-        assert_eq!(saturation_count(), before);
     }
 
     #[test]
-    fn overflow_errors_and_counts() {
-        let before = saturation_count();
+    fn overflow_is_a_typed_error() {
         let err =
             checked_coefficient("coupling", i64::from(i32::MAX) + 1).expect_err("out of range");
         assert_eq!(
@@ -109,9 +90,6 @@ mod tests {
         );
         let err = checked_coefficient("field", i64::from(i32::MIN) - 1).expect_err("out of range");
         assert!(format!("{err}").contains("field coefficient"));
-        // Other tests run concurrently against the same process-wide
-        // counter, so assert growth, not an exact value.
-        assert!(saturation_count() >= before + 2);
     }
 
     #[test]

@@ -66,7 +66,7 @@ pub mod prelude {
     pub use crate::asset::AssetAllocation;
     pub use crate::coloring::{ColoringInstance, ColoringWorkload};
     pub use crate::corpus::{corpus, smoke_corpus, CorpusCase, SplitMix64, CORPUS_MASTER_SEED};
-    pub use crate::encode::{checked_coefficient, saturation_count, EncodeError};
+    pub use crate::encode::{checked_coefficient, EncodeError};
     pub use crate::generic::GenericMaxCut;
     pub use crate::lucas::{self, InputGraph};
     pub use crate::maxcut::{best_cut_reference, cut_weight, flip_gain};

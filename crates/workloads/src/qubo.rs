@@ -316,13 +316,4 @@ mod tests {
             EncodeError::CoefficientOverflow { what: "field", .. }
         ));
     }
-
-    #[test]
-    fn build_failure_increments_saturation_counter() {
-        let before = crate::encode::saturation_count();
-        let mut q = QuboBuilder::new(2);
-        q.quadratic(0, 1, i64::from(i32::MIN));
-        assert!(q.build().is_err());
-        assert!(crate::encode::saturation_count() > before);
-    }
 }

@@ -257,7 +257,6 @@ fn solve_snapshot_covers_every_subsystem() {
     let _ = l1.set_mode(CacheMode::IsingCompute);
     let _ = l1.set_mode(CacheMode::Normal);
     l1.stats().export(&mut reg);
-    reg.counter_add("workload_coeff_saturations", 0);
 
     let doc = write_snapshot(&reg, &spans);
     json::validate_solve_snapshot(&doc).expect("solve snapshot covers every subsystem");
