@@ -1,41 +1,47 @@
 //! Scalar oracle vs production kernel timing for all four stationarity
-//! designs.
+//! designs, plus the annealer decision.
 //!
 //! One pair is measured everywhere: `compute_tuple` (the scalar oracle,
 //! which lays each tuple into the tile and senses it bit by bit) vs
-//! `compute_tuple_soa` (the kernel the machine runs, which computes `H_σ`
-//! arithmetically from prebuilt [`TuplePlanes`] words and books the
-//! oracle's tile events in closed form), on identical inputs through
-//! identical `SramTile`s so the comparison isolates the kernel. The
-//! arenas are built outside the timed region — exactly the machine's
-//! usage, where encode work happens at solve setup, not per sweep. Four
-//! granularities:
+//! `compute_tuple_soa` (the kernel the machine runs, which reads the
+//! tuple's maintained [`TupleSums`] from its [`TuplePlanes`] view and
+//! books the oracle's tile events in closed form), on identical inputs
+//! through identical `SramTile`s. The kernel reads in O(1) because the
+//! update path keeps the sums current, so the sweep rows time what the
+//! machine pays per sweep: the kernel *and* the update path. Both sides
+//! replay one fixed, seeded flip sequence — the SoA side through
+//! `update_spin` + `writeback_spin`, the scalar side by refreshing its
+//! AoS copies with `update_spin`. Five granularities:
 //!
 //! * **per H-compute** (`kernel`) — one dense degree-256, R=8 tuple;
 //! * **per sweep** (`sweep`) — one full update pass over every spin of a
-//!   King's graph, tuples prebuilt so the loop measures compute, not
-//!   mapping;
-//! * **per dense sweep** (`sweep_dense`) — a full pass over a set of
-//!   distinct dense degree-256 tuples;
+//!   King's graph, with the flip sequence's flips;
+//! * **per dense sweep** (`sweep_dense`) — the same over a complete
+//!   graph of degree 256;
 //! * **banked sweeps** — metered machine cycles on multi-round King's
 //!   lattices, bank_count 1 vs 8, recording how much upload time the
-//!   sram22-style banking removes from the critical path.
+//!   sram22-style banking removes from the critical path;
+//! * **decision** (`decide`) — `Annealer::accept` over the ΔH stream of a
+//!   recorded King's-graph anneal, against the same stream's `exp` calls
+//!   alone: how the decision's time splits between `exp` and the draw.
+//!   This row is measurement only, with no bar.
 //!
-//! Every timed pair is asserted H-identical first (the differential
+//! Every timed pair is asserted H-identical first, after every flip of
+//! the sequence and against the golden local field (the differential
 //! proptests in `tests/plane_equivalence.rs` prove the full counter
 //! contract; this harness re-checks H as a cheap tripwire), then the
 //! measured ns/call and speedups are printed and written to
 //! `BENCH_perf.json`. The full run asserts the ≥5× acceptance bar on
 //! the dense kernel and the ≥6× bar on the dense SoA sweep for every
-//! design; `--smoke` runs reduced reps for CI, checks equality only
-//! (CI machines are too noisy to gate on a timing ratio), and never
-//! writes the baseline — its reduced shapes would replace the
+//! design; `--smoke` runs reduced reps and shapes for CI, checks
+//! equality only (CI machines are too noisy to gate on a timing ratio),
+//! and never writes the baseline — its reduced shapes would replace the
 //! committed full-run numbers.
 
 use std::time::Instant;
 
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 use sachi_bench::{section, Table};
 use sachi_core::prelude::*;
 use sachi_ising::prelude::*;
@@ -46,6 +52,12 @@ const DENSE_DEGREE: usize = 256;
 const DENSE_R: u32 = 8;
 /// Row-bit budget for `tile_requirements` (mirrors the proptest suite).
 const ROW_BITS: usize = 800;
+/// The production side repeats each timed pass this many times as often
+/// as the scalar side: it is orders of magnitude cheaper, and a reading
+/// of a few microseconds would time the clock and the warm-up.
+const SOA_REPS: u32 = 50;
+/// Alternating rounds of the decision row's two timed passes.
+const DECIDE_ROUNDS: u32 = 5;
 
 /// Nanoseconds per call of `f`, amortized over `iters` runs.
 fn ns_per_call(iters: u32, mut f: impl FnMut()) -> f64 {
@@ -56,21 +68,19 @@ fn ns_per_call(iters: u32, mut f: impl FnMut()) -> f64 {
     start.elapsed().as_secs_f64() * 1e9 / f64::from(iters)
 }
 
-/// A dense tuple with coefficients spanning the full R-bit range. `salt`
-/// varies the contents so a sweep over many dense tuples cannot collapse
-/// into one memoizable compute.
-fn dense_tuple_salted(degree: usize, salt: u64) -> SpinTuple {
+/// A dense tuple with coefficients spanning the full R-bit range.
+fn dense_tuple(degree: usize) -> SpinTuple {
     let span = 1i64 << DENSE_R;
     let min = -(1i64 << (DENSE_R - 1));
     SpinTuple {
         target: 0,
         neighbors: (1..=degree).map(|j| j as u32).collect(),
         couplings: (0..degree)
-            .map(|k| ((k as i64 * 37 + 11 + salt as i64 * 13).rem_euclid(span) + min) as i32)
+            .map(|k| ((k as i64 * 37 + 11).rem_euclid(span) + min) as i32)
             .collect(),
         neighbor_spins: (0..degree)
             .map(|k| {
-                if (k as u64 + salt).is_multiple_of(3) {
+                if k.is_multiple_of(3) {
                     Spin::Down
                 } else {
                     Spin::Up
@@ -81,24 +91,46 @@ fn dense_tuple_salted(degree: usize, salt: u64) -> SpinTuple {
     }
 }
 
-fn dense_tuple(degree: usize) -> SpinTuple {
-    dense_tuple_salted(degree, 0)
+/// One flip in this many updates: about the dense coloring's flip ratio
+/// under the production anneal (6.6%; 3.8% on the lattice).
+const FLIP_ONE_IN: u32 = 16;
+
+/// The seeded flip sequence both sides of a sweep replay: step `i` of
+/// every sweep flips spin `i` when `flips[i]` is set.
+fn flip_sequence(n: usize, seed: u64) -> Vec<bool> {
+    let mut rng = StdRng::seed_from_u64(seed);
+    (0..n).map(|_| rng.gen_range(0..FLIP_ONE_IN) == 0).collect()
 }
 
-/// Prebuilds one tuple per spin of `graph` from `spins`.
-fn graph_tuples(graph: &IsingGraph, spins: &SpinVector) -> Vec<SpinTuple> {
-    (0..graph.num_spins())
-        .map(|i| {
-            let (neighbors, weights) = graph.neighbor_slices(i);
-            SpinTuple {
-                target: i as u32,
-                neighbors: neighbors.to_vec(),
-                couplings: weights.to_vec(),
-                neighbor_spins: neighbors.iter().map(|&j| spins.get(j as usize)).collect(),
-                field: graph.field(i),
-            }
-        })
-        .collect()
+/// The state one side of a sweep evolves: spins and their tuple copies,
+/// plus (SoA side) the maintained sums.
+struct SweepState {
+    spins: SpinVector,
+    store: TupleStore,
+    planes: TuplePlanes,
+}
+
+impl SweepState {
+    fn new(graph: &IsingGraph, init: &SpinVector, enc: &MixedEncoding) -> Self {
+        let store = TupleStore::new(graph, init);
+        let planes = TuplePlanes::new(&store, enc).expect("bench coefficients fit R");
+        SweepState {
+            spins: init.clone(),
+            store,
+            planes,
+        }
+    }
+
+    /// Flips spin `i` and refreshes its AoS copies; the SoA side also
+    /// writes the flip back into the sums.
+    fn flip(&mut self, i: usize, soa: bool) {
+        let new = self.spins.get(i).flipped();
+        self.spins.set(i, new);
+        self.store.update_spin(i, new);
+        if soa {
+            self.planes.writeback_spin(&self.store, i, new);
+        }
+    }
 }
 
 struct Measurement {
@@ -117,9 +149,15 @@ impl Measurement {
     }
 }
 
-/// Times one design's pass over `tuples` (ns per whole pass), scalar
-/// oracle vs SoA kernel; asserts H equality per tuple first.
-fn measure(kind: DesignKind, enc: &MixedEncoding, tuples: &[SpinTuple], iters: u32) -> Measurement {
+/// Times one design's H-compute of each of `tuples` (ns per whole
+/// pass), scalar oracle vs SoA kernel; asserts H equality per tuple
+/// first.
+fn measure_kernel(
+    kind: DesignKind,
+    enc: &MixedEncoding,
+    tuples: &[SpinTuple],
+    iters: u32,
+) -> Measurement {
     let design = stationarity(kind);
     let max_degree = tuples.iter().map(SpinTuple::degree).max().unwrap_or(1);
     let (rows, cols) = design.tile_requirements(max_degree, enc.bits(), ROW_BITS);
@@ -153,7 +191,7 @@ fn measure(kind: DesignKind, enc: &MixedEncoding, tuples: &[SpinTuple], iters: u
             std::hint::black_box(h);
         }
     });
-    let soa_ns = ns_per_call(iters, || {
+    let soa_ns = ns_per_call(iters * SOA_REPS, || {
         for (i, tuple) in tuples.iter().enumerate() {
             std::hint::black_box(soa(&mut tile, &mut ctx, i, tuple));
         }
@@ -162,6 +200,78 @@ fn measure(kind: DesignKind, enc: &MixedEncoding, tuples: &[SpinTuple], iters: u
         design: kind.to_string(),
         scalar_ns,
         soa_ns,
+    }
+}
+
+/// Times one design's sweep over every spin of `graph` (ns per sweep):
+/// each step computes the spin's H, then applies the step's flip from
+/// `flips`. The scalar side runs the oracle and refreshes its AoS
+/// copies; the SoA side runs the kernel and also writes the flip back
+/// into the sums. Two untimed lockstep sweeps first assert that both
+/// sides' H equal the golden local field at every step.
+fn measure_sweep(
+    kind: DesignKind,
+    enc: &MixedEncoding,
+    graph: &IsingGraph,
+    init: &SpinVector,
+    flips: &[bool],
+    iters: u32,
+) -> Measurement {
+    let design = stationarity(kind);
+    let (rows, cols) = design.tile_requirements(graph.max_degree().max(1), enc.bits(), ROW_BITS);
+    let mut tile = SramTile::new(rows, cols);
+    let mut ctx = ComputeContext::new();
+    let mut scratch = ComputeScratch::new();
+    // H of spin `i`: the production kernel on the SoA side, the oracle on
+    // the scalar side.
+    let mut h_of = |st: &SweepState, soa: bool, i: usize| {
+        let (tuple, current) = (st.store.tuple(i), st.spins.get(i));
+        if soa {
+            let view = st.planes.view(i);
+            design.compute_tuple_soa(&mut tile, enc, tuple, view, current, &mut ctx, &mut scratch)
+        } else {
+            design.compute_tuple(&mut tile, enc, tuple, current, &mut ctx)
+        }
+    };
+
+    // Tripwire: two sweeps in lockstep, so every flipped spin flips back
+    // and the sums are checked on both sides of each flip.
+    let mut scalar_st = SweepState::new(graph, init, enc);
+    let mut soa_st = SweepState::new(graph, init, enc);
+    for _ in 0..2 {
+        for (i, &flip) in flips.iter().enumerate() {
+            let (hs, ho) = (h_of(&scalar_st, false, i), h_of(&soa_st, true, i));
+            assert_eq!(
+                hs, ho,
+                "{kind}: SoA kernel diverged from scalar at spin {i}"
+            );
+            assert_eq!(
+                hs,
+                local_field(graph, &scalar_st.spins, i),
+                "{kind}: H diverged from golden at spin {i}"
+            );
+            if flip {
+                scalar_st.flip(i, false);
+                soa_st.flip(i, true);
+            }
+        }
+    }
+
+    let mut time = |soa: bool, reps: u32| {
+        let mut st = SweepState::new(graph, init, enc);
+        ns_per_call(reps, || {
+            for (i, &flip) in flips.iter().enumerate() {
+                std::hint::black_box(h_of(&st, soa, i));
+                if flip {
+                    st.flip(i, soa);
+                }
+            }
+        })
+    };
+    Measurement {
+        design: kind.to_string(),
+        scalar_ns: time(false, iters),
+        soa_ns: time(true, iters * SOA_REPS),
     }
 }
 
@@ -224,6 +334,91 @@ fn measure_banked(kind: DesignKind, lattice: usize, banks: usize) -> BankedRow {
     }
 }
 
+/// The annealer decision over one recorded ΔH stream.
+struct DecideRow {
+    decisions: usize,
+    exp_calls: usize,
+    /// `Annealer::accept` per decision.
+    accept_ns: f64,
+    /// The stream's `exp` calls alone, per decision.
+    exp_ns: f64,
+}
+
+/// Records the ΔH stream an anneal of `graph` presents to the annealer
+/// (`−2·σ·H` of every update, one chunk per sweep, as `decide_update`
+/// forms it), then times `Annealer::accept` over it against the `exp`
+/// calls `accept` makes on it: one per uphill ΔH while the annealer is
+/// live, at that sweep's temperature.
+fn measure_decide(
+    graph: &IsingGraph,
+    init: &SpinVector,
+    enc: &MixedEncoding,
+    iters: u32,
+) -> DecideRow {
+    let n = graph.num_spins();
+    let options = SolveOptions::for_graph(graph, 41);
+    let mut st = SweepState::new(graph, init, enc);
+    let mut annealer = Annealer::new(options.schedule, options.seed);
+    let (mut deltas, mut temps) = (Vec::new(), Vec::new());
+    for _ in 0..options.effective_max_sweeps(n) {
+        let frozen = annealer.is_frozen();
+        temps.push((!frozen).then(|| annealer.temperature()));
+        let mut flips = 0u32;
+        for i in 0..n {
+            let (current, h) = (st.spins.get(i), st.planes.view(i).sums().h);
+            deltas.push(-2 * current.value() * h);
+            if decide_update(current, h, &mut annealer) != current {
+                st.flip(i, true);
+                flips += 1;
+            }
+        }
+        annealer.cool();
+        if flips == 0 && frozen {
+            break;
+        }
+    }
+    let exp_calls = deltas
+        .chunks_exact(n)
+        .zip(&temps)
+        .map(|(sweep, t)| t.map_or(0, |_| sweep.iter().filter(|&&d| d > 0).count()))
+        .sum();
+
+    // The two passes differ by a few ns per decision, less than a noisy
+    // neighbour moves either, so they alternate and each keeps its
+    // fastest reading.
+    let per_decision = 1.0 / deltas.len() as f64;
+    let (mut accept_ns, mut exp_ns) = (f64::INFINITY, f64::INFINITY);
+    for _ in 0..DECIDE_ROUNDS {
+        let accept = ns_per_call(iters, || {
+            let mut annealer = Annealer::new(options.schedule, options.seed);
+            for sweep in deltas.chunks_exact(n) {
+                for &d in sweep {
+                    std::hint::black_box(annealer.accept(std::hint::black_box(d)));
+                }
+                annealer.cool();
+            }
+        });
+        let exp = ns_per_call(iters, || {
+            for (sweep, &t) in deltas.chunks_exact(n).zip(&temps) {
+                let Some(t) = t else { continue };
+                for &d in sweep {
+                    if d > 0 {
+                        std::hint::black_box((-(std::hint::black_box(d) as f64) / t).exp());
+                    }
+                }
+            }
+        });
+        accept_ns = accept_ns.min(accept * per_decision);
+        exp_ns = exp_ns.min(exp * per_decision);
+    }
+    DecideRow {
+        decisions: deltas.len(),
+        exp_calls,
+        accept_ns,
+        exp_ns,
+    }
+}
+
 fn json_rows(rows: &[Measurement], unit: &str) -> String {
     let cells: Vec<String> = rows
         .iter()
@@ -263,42 +458,59 @@ fn main() {
     let dense = [dense_tuple(DENSE_DEGREE)];
     let kernel: Vec<Measurement> = DesignKind::ALL
         .into_iter()
-        .map(|kind| measure(kind, &enc, &dense, kernel_iters))
+        .map(|kind| measure_kernel(kind, &enc, &dense, kernel_iters))
         .collect();
     print_table(
         &format!("ns per H-compute: dense degree-{DENSE_DEGREE}, R={DENSE_R} tuple"),
         &kernel,
     );
 
-    // Per sweep: every spin of a King's graph, tuples prebuilt.
+    // Per sweep: every spin of a King's graph, with the flip sequence.
     let graph = topology::king(lattice, lattice, |i, j| ((i + 3 * j) % 7) as i32 - 3)
         .expect("king lattice weights fit R=8");
     let mut rng = StdRng::seed_from_u64(41);
     let spins = SpinVector::random(graph.num_spins(), &mut rng);
-    let tuples = graph_tuples(&graph, &spins);
+    let flips = flip_sequence(graph.num_spins(), 43);
     let sweep: Vec<Measurement> = DesignKind::ALL
         .into_iter()
-        .map(|kind| measure(kind, &enc, &tuples, sweep_iters))
+        .map(|kind| measure_sweep(kind, &enc, &graph, &spins, &flips, sweep_iters))
         .collect();
     print_table(
         &format!(
-            "ns per sweep: {lattice}x{lattice} King's graph ({} spins)",
+            "ns per sweep: {lattice}x{lattice} King's graph ({} spins), one flip in {FLIP_ONE_IN} updates",
             graph.num_spins()
         ),
         &sweep,
     );
 
-    // Per dense sweep: a full pass over many distinct dense tuples.
-    let (dense_count, dense_iters) = if smoke { (4, 2) } else { (64, 10) };
-    let dense_set: Vec<SpinTuple> = (0..dense_count)
-        .map(|k| dense_tuple_salted(DENSE_DEGREE, k))
-        .collect();
+    // Per dense sweep: a complete graph whose couplings span the R-bit
+    // range, with the flip sequence.
+    let (dense_degree, dense_iters) = if smoke { (64, 2) } else { (DENSE_DEGREE, 10) };
+    let span = 1u32 << DENSE_R;
+    let dense_graph = topology::complete(dense_degree + 1, |i, j| {
+        ((i * 37 + j * 11 + 13) % span) as i32 - (1 << (DENSE_R - 1))
+    })
+    .expect("dense weights fit R=8");
+    let dense_spins = SpinVector::random(dense_graph.num_spins(), &mut rng);
+    let dense_flips = flip_sequence(dense_graph.num_spins(), 47);
     let sweep_dense: Vec<Measurement> = DesignKind::ALL
         .into_iter()
-        .map(|kind| measure(kind, &enc, &dense_set, dense_iters))
+        .map(|kind| {
+            measure_sweep(
+                kind,
+                &enc,
+                &dense_graph,
+                &dense_spins,
+                &dense_flips,
+                dense_iters,
+            )
+        })
         .collect();
     print_table(
-        &format!("ns per dense sweep: {dense_count} tuples of degree {DENSE_DEGREE}, R={DENSE_R}"),
+        &format!(
+            "ns per dense sweep: complete graph of degree {dense_degree}, R={DENSE_R}, \
+             one flip in {FLIP_ONE_IN} updates"
+        ),
         &sweep_dense,
     );
 
@@ -330,6 +542,33 @@ fn main() {
     }
     t.print();
 
+    // The annealer decision on the King's graph's anneal: accept vs the
+    // same stream's exp calls alone.
+    let decide = measure_decide(&graph, &spins, &enc, if smoke { 1 } else { 40 });
+    section(&format!(
+        "ns per annealer decision: {lattice}x{lattice} King's anneal, {} decisions",
+        decide.decisions
+    ));
+    let mut t = Table::new(["layer", "ns per decision", "share"]);
+    for (name, ns) in [
+        ("Annealer::accept", decide.accept_ns),
+        (
+            &*format!("exp calls alone ({} calls)", decide.exp_calls),
+            decide.exp_ns,
+        ),
+        (
+            "accept minus exp (draw, branches)",
+            decide.accept_ns - decide.exp_ns,
+        ),
+    ] {
+        t.row([
+            name.to_string(),
+            format!("{ns:.2}"),
+            format!("{:.0}%", 100.0 * ns / decide.accept_ns),
+        ]);
+    }
+    t.print();
+
     let banked_json: Vec<String> = banked
         .iter()
         .map(|b| {
@@ -348,12 +587,17 @@ fn main() {
         })
         .collect();
     let json = format!(
-        "{{\n  \"kernel\": {{\"degree\": {DENSE_DEGREE}, \"r\": {DENSE_R}, \"rows\": [\n{}\n  ]}},\n  \"sweep\": {{\"lattice\": {lattice}, \"spins\": {}, \"rows\": [\n{}\n  ]}},\n  \"sweep_dense\": {{\"degree\": {DENSE_DEGREE}, \"r\": {DENSE_R}, \"tuples\": {dense_count}, \"rows\": [\n{}\n  ]}},\n  \"sweep_banked\": {{\"rows\": [\n{}\n  ]}}\n}}\n",
+        "{{\n  \"kernel\": {{\"degree\": {DENSE_DEGREE}, \"r\": {DENSE_R}, \"rows\": [\n{}\n  ]}},\n  \"sweep\": {{\"lattice\": {lattice}, \"spins\": {}, \"flip_one_in\": {FLIP_ONE_IN}, \"rows\": [\n{}\n  ]}},\n  \"sweep_dense\": {{\"degree\": {dense_degree}, \"r\": {DENSE_R}, \"tuples\": {}, \"flip_one_in\": {FLIP_ONE_IN}, \"rows\": [\n{}\n  ]}},\n  \"sweep_banked\": {{\"rows\": [\n{}\n  ]}},\n  \"decide\": {{\"lattice\": {lattice}, \"decisions\": {}, \"exp_calls\": {}, \"accept_ns\": {:.2}, \"exp_ns\": {:.2}}}\n}}\n",
         json_rows(&kernel, "ns"),
         graph.num_spins(),
         json_rows(&sweep, "ns"),
+        dense_graph.num_spins(),
         json_rows(&sweep_dense, "ns"),
         banked_json.join(",\n"),
+        decide.decisions,
+        decide.exp_calls,
+        decide.accept_ns,
+        decide.exp_ns,
     );
     // Only the full run rebaselines: the smoke subset measures reduced
     // shapes (8-lattice, 3 reps) whose timings would silently replace

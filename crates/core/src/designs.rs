@@ -20,17 +20,19 @@
 //! [`Stationarity::compute_tuple_soa`] is the production kernel the
 //! machine runs. A read bit-line discharges exactly when
 //! `stored XNOR driven` is 1, so every count the oracle books follows
-//! from popcounts of the stored and driven bits: the kernel makes one
-//! pass over the tuple's packed words, computes `H_σ` arithmetically, and
-//! books the oracle's [`ComputeContext`] and tile-event deltas in closed
-//! form. Differential proptests hold the two equal. The closed-form
-//! schedule methods (`phase1_cycles`, `idle_cycles`, `xnor_queue_bits`,
-//! `max_reuse`, footprints) feed the analytic performance model of
-//! [`crate::perf`].
+//! from popcounts of the stored and driven bits. Those popcounts and
+//! `H_σ` are sums that are linear in the neighbour spins, and the update
+//! path keeps them current per tuple ([`crate::tuple::TupleSums`]): the
+//! kernel reads its tuple's sums in O(1) and books the oracle's
+//! [`ComputeContext`] and tile-event deltas in closed form. Differential
+//! proptests hold the two equal, also after every flip of a random flip
+//! sequence. The closed-form schedule methods (`phase1_cycles`,
+//! `idle_cycles`, `xnor_queue_bits`, `max_reuse`, footprints) feed the
+//! analytic performance model of [`crate::perf`].
 
 use crate::config::DesignKind;
 use crate::encoding::MixedEncoding;
-use crate::tuple::{SpinTuple, TuplePlaneView};
+use crate::tuple::{SpinTuple, TuplePlaneView, TupleSums};
 use sachi_ising::spin::Spin;
 use sachi_mem::sram::{SramTile, TileStats};
 use sachi_mem::units::convert::{count_u64, ratio_u64, to_index};
@@ -122,20 +124,22 @@ pub trait Stationarity {
     ) -> i64;
 
     /// The production kernel, the one [`crate::machine::SachiMachine`]
-    /// runs. One pass over the packed words in `view` computes
-    /// `H_σ = −(h + Σ J_k·σ_k)` together with the popcount sums the
-    /// design's schedule is priced from; the kernel then books, in closed
-    /// form, the [`ComputeContext`] and [`TileStats`] deltas
+    /// runs. It reads the tuple's maintained [`crate::tuple::TupleSums`]
+    /// from `view` in O(1) — `H_σ = −(h + Σ J_k·σ_k)` together with the
+    /// popcount sums the design's schedule is priced from — and books, in
+    /// closed form, the [`ComputeContext`] and [`TileStats`] deltas
     /// [`Stationarity::compute_tuple`] produces on a tile sized by
     /// [`Stationarity::tile_requirements`]. It writes no bitcell: `tile`
     /// only receives the booked events and, for n3, supplies its row
     /// width. `view` must be the [`crate::tuple::TuplePlanes`] view of
     /// `tuple` at `enc`'s resolution, kept current under spin updates via
-    /// [`crate::tuple::TuplePlanes::writeback_spin`]; `scratch` is unused.
+    /// [`crate::tuple::TuplePlanes::writeback_spin`]. `tuple` is read only
+    /// by a debug check that the view is its own; `scratch` is unused.
     ///
     /// Contract against the scalar oracle (proven by differential
-    /// proptests for every design, every R in 2..=32, and n3 tuples that
-    /// span several rows): identical `H_σ`, identical [`ComputeContext`]
+    /// proptests for every design, every R in 2..=32, n3 tuples that
+    /// span several rows, and after every flip of random flip
+    /// sequences): identical `H_σ`, identical [`ComputeContext`]
     /// updates, and identical [`TileStats`] deltas.
     #[allow(clippy::too_many_arguments)]
     fn compute_tuple_soa(
@@ -209,52 +213,15 @@ fn layout_spins(tile: &mut SramTile, tuple: &SpinTuple) {
         .expect("tile sized by tile_requirements");
 }
 
-/// One pass over a tuple's packed words: `H_σ` plus the popcount sums
-/// every design's closed-form ledger is built from.
-#[derive(Debug, Clone, Copy)]
-struct TupleSums {
-    /// `H_σ = −(h + Σ_k J_k·σ_k)`.
-    h: i64,
-    /// Degree `n`.
-    n: u64,
-    /// Up neighbours, `P = popcount(spin_words)`.
-    up: u64,
-    /// Stored coupling one-bits, `C1 = Σ_k ones_k` with
-    /// `ones_k = popcount(coupling_words[k])`.
-    ones: u64,
-    /// Coupling bits equal to their own neighbour's spin bit,
-    /// `U = Σ_k (σ_k up ? ones_k : R − ones_k)`.
-    matches: u64,
-}
-
-impl TupleSums {
-    fn of(enc: &MixedEncoding, tuple: &SpinTuple, view: TuplePlaneView<'_>) -> Self {
-        // The spin bits are as random as the annealer makes them, so they
-        // feed arithmetic and a select rather than a branch that would
-        // mispredict half the time.
-        let (mut dot, mut up, mut ones, mut up_ones) = (0i64, 0u64, 0u64, 0u64);
-        for (words, &spins) in view.coupling_words.chunks(64).zip(view.spin_words) {
-            for (b, &word) in words.iter().enumerate() {
-                let bit = (spins >> b) & 1;
-                let k_ones = u64::from(word.count_ones());
-                up += bit;
-                ones += k_ones;
-                up_ones += bit * k_ones;
-                let j = enc.decode_word(word);
-                dot += if bit == 1 { j } else { -j };
-            }
-        }
-        let n = count_u64(tuple.degree());
-        TupleSums {
-            h: -(i64::from(tuple.field) + dot),
-            n,
-            up,
-            ones,
-            // Up neighbours match their coupling's one-bits, down
-            // neighbours its zero-bits.
-            matches: up_ones + ((n - up) * u64::from(enc.bits()) - (ones - up_ones)),
-        }
-    }
+/// The tuple's maintained sums, read in O(1) from `view`.
+fn sums_of(tuple: &SpinTuple, view: TuplePlaneView<'_>) -> TupleSums {
+    let s = view.sums();
+    debug_assert_eq!(
+        s.n,
+        count_u64(tuple.degree()),
+        "kernel handed the view of a different tuple"
+    );
+    s
 }
 
 /// One tuple's closed-form events: what the design's scalar schedule
@@ -391,10 +358,10 @@ impl Stationarity for SpinStationaryBitMajor {
         ctx: &mut ComputeContext,
         _scratch: &mut ComputeScratch,
     ) -> i64 {
-        if tuple.degree() == 0 {
-            return -(i64::from(tuple.field));
+        let s = sums_of(tuple, view);
+        if s.n == 0 {
+            return s.h;
         }
-        let s = TupleSums::of(enc, tuple, view);
         ctx.note_queue(s.n * (u64::from(enc.bits()) + 1));
         n1_ledger(&s, enc.bits()).book(&s, enc.bits(), ctx, tile)
     }
@@ -494,10 +461,10 @@ impl Stationarity for SpinStationaryIcMajor {
         ctx: &mut ComputeContext,
         _scratch: &mut ComputeScratch,
     ) -> i64 {
-        if tuple.degree() == 0 {
-            return -(i64::from(tuple.field));
+        let s = sums_of(tuple, view);
+        if s.n == 0 {
+            return s.h;
         }
-        let s = TupleSums::of(enc, tuple, view);
         ctx.note_queue(u64::from(enc.bits()) + 1);
         n1_ledger(&s, enc.bits()).book(&s, enc.bits(), ctx, tile)
     }
@@ -592,13 +559,13 @@ impl Stationarity for IcStationary {
         ctx: &mut ComputeContext,
         _scratch: &mut ComputeScratch,
     ) -> i64 {
-        if tuple.degree() == 0 {
-            return -(i64::from(tuple.field));
+        let s = sums_of(tuple, view);
+        if s.n == 0 {
+            return s.h;
         }
         // One row per coupling (`nR` bits written). Each neighbour's spin
         // drives its own row with all R columns sensed, so exactly the `U`
         // coupling bits equal to that spin discharge, none redundantly.
-        let s = TupleSums::of(enc, tuple, view);
         let nr = s.n * u64::from(enc.bits());
         Ledger {
             accesses: s.n,
@@ -733,15 +700,15 @@ impl Stationarity for MixedStationary {
         ctx: &mut ComputeContext,
         _scratch: &mut ComputeScratch,
     ) -> i64 {
-        if tuple.degree() == 0 {
-            return -(i64::from(tuple.field));
+        let s = sums_of(tuple, view);
+        if s.n == 0 {
+            return s.h;
         }
         // Every neighbour's (R+1)-bit group `[J bits, σ_j]` is written
         // (`n(R+1)` bits). σ_i drives each occupied row with the whole used
         // width sensed, so every stored bit equal to σ_i discharges, and
         // usefully: the `C1 + P` stored ones when σ_i is up, the other
         // bits when it is down.
-        let s = TupleSums::of(enc, tuple, view);
         let width = s.n * (u64::from(enc.bits()) + 1);
         let stored_ones = s.ones + s.up;
         let discharges = if target == Spin::Up {
@@ -749,8 +716,14 @@ impl Stationarity for MixedStationary {
         } else {
             width - stored_ones
         };
-        let rows =
-            s.n.div_ceil(n3_groups_per_row(enc.bits(), count_u64(tile.cols())));
+        // A tuple whose groups fit one row (the common case) needs no
+        // division to count its rows.
+        let cols = count_u64(tile.cols());
+        let rows = if width <= cols {
+            1
+        } else {
+            s.n.div_ceil(n3_groups_per_row(enc.bits(), cols))
+        };
         Ledger {
             accesses: rows,
             xnor_ops: width,

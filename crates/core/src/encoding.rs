@@ -155,13 +155,6 @@ impl MixedEncoding {
         Ok((value as u64) & self.mask())
     }
 
-    /// Number of `u64` words that hold `lanes` packed bits (one per
-    /// neighbour: the tuple's spin row).
-    #[must_use]
-    pub fn plane_words(lanes: usize) -> usize {
-        lanes.div_ceil(64).max(1)
-    }
-
     /// Decodes LSB-first two's-complement bits (sign-extending the MSB).
     ///
     /// # Panics

@@ -78,5 +78,5 @@ pub mod prelude {
         build_cop_problem, CopProblem, JobHandle, JobLimits, JobOutcome, JobPlan, JobResult,
         JobSpec, SolverPool, INIT_SEED_SALT,
     };
-    pub use crate::tuple::{SpinTuple, TuplePlaneView, TuplePlanes, TupleStore};
+    pub use crate::tuple::{SpinTuple, TuplePlaneView, TuplePlanes, TupleStore, TupleSums};
 }

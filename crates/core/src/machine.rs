@@ -4,7 +4,7 @@
 //! ([`sachi_ising::solver::run_sweeps`]) with every `H_σ` computed by the
 //! design's production kernel
 //! ([`crate::designs::Stationarity::compute_tuple_soa`]):
-//! `H_σ` from the tuple's packed words (exact, enforced by a debug
+//! `H_σ` from the tuple's maintained sums (exact, enforced by a debug
 //! assertion against the golden local field), and the word-line,
 //! discharge and write events of the design's bit-level schedule booked
 //! on the tile in closed form. Alongside the solve it keeps the books the
@@ -362,11 +362,10 @@ impl Resident {
     ) -> Self {
         let design = stationarity(config.design);
         let tuples = TupleStore::with_tuple_rep(graph, initial, config.tuple_rep);
-        // SoA mirror of the tuple store: every encoded operand the kernel
-        // needs, computed once here instead of per compute. Faults never
-        // reach the kernel — they are drawn after it returns (tuple-fetch
-        // parity and the DRAM stream) — so one kernel serves clean and
-        // faulted runs alike.
+        // Per-tuple sums the kernel reads, built once here and kept
+        // current by the update path. Faults never reach the kernel —
+        // they are drawn after it returns (tuple-fetch parity and the DRAM
+        // stream) — so one kernel serves clean and faulted runs alike.
         let soa = TuplePlanes::new(&tuples, enc).expect("encoding sized from graph coefficients");
 
         // Partition spins into compute-array rounds by resident footprint,
@@ -646,10 +645,9 @@ impl SachiMachine {
                         sachi_ising::hamiltonian::local_field(graph, spins, i),
                         "hardware H_σ diverged from golden model at spin {i}"
                     );
-                    if !self.config.tuple_rep {
-                        // Count the cross-tuple re-reads the ablation incurs.
-                        tuples.local_field(i);
-                    }
+                    // Count the cross-tuple re-reads the no-tuple-rep
+                    // ablation incurs (none with tuple-rep on).
+                    tuples.count_rereads(i);
                     // --- fault injection + parity + recovery ---
                     // The hardware compute above is exact; faults strike
                     // the tuple-row *fetch*. One parity bit per tuple row

@@ -11,13 +11,16 @@
 //! region of the storage array holds the adjacency matrix; the update path
 //! reads it to find the relevant tuples (Fig. 8b). [`TupleStore`] is that
 //! pair of structures, and its counters feed the machine's cycle/energy
-//! accounting. [`TuplePlanes`] mirrors the store as two packed word
-//! arenas — encoded couplings and neighbor-spin rows — which is all the
-//! designs' production kernel reads.
+//! accounting. [`TuplePlanes`] mirrors the store as one set of
+//! [`TupleSums`] per tuple (`H`, up neighbours `P`, matching bits `U`, and
+//! the static degree and coupling one-bits), built at map time and kept
+//! current on the same update path. Those sums are all the designs'
+//! production kernel reads.
 
 use crate::encoding::{EncodingError, MixedEncoding};
 use sachi_ising::graph::IsingGraph;
 use sachi_ising::spin::{Spin, SpinVector};
+use sachi_mem::units::convert::count_u64;
 
 /// One spin's tuple: the storage-array row of Fig. 7a.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -70,6 +73,10 @@ pub struct TupleStore {
     /// disables it, which forces cross-tuple re-reads (counted, not
     /// simulated structurally).
     tuple_rep: bool,
+    /// Per tuple, the cross-tuple re-reads one compute of it costs
+    /// without tuple-rep (see [`TupleStore::count_rereads`]); empty with
+    /// tuple-rep on.
+    rereads: Vec<u64>,
     spin_copy_updates: u64,
     adjacency_reads: u64,
     cross_tuple_rereads: u64,
@@ -119,21 +126,35 @@ impl TupleStore {
             });
         }
         // Tuple-rep invariant: every adjacency entry for spin j must name
-        // a (tuple, slot) that actually stores a copy of σ_j, and there is
-        // exactly one copy per adjacent tuple.
+        // a (tuple, slot) that actually stores a copy of σ_j, there is
+        // exactly one copy per adjacent tuple, and the entries follow
+        // tuple j's own (sorted) neighbour order.
         debug_assert!(
             adjacency.iter().enumerate().all(|(j, entries)| {
                 entries.len() == graph.degree(j)
                     && entries
                         .iter()
-                        .all(|&(t, slot)| tuples[t as usize].neighbors[slot as usize] as usize == j)
+                        .zip(&tuples[j].neighbors)
+                        .all(|(&(t, slot), &k)| {
+                            t == k && tuples[t as usize].neighbors[slot as usize] as usize == j
+                        })
             }),
             "tuple-rep construction broke the adjacency/copy correspondence"
         );
+        let rereads = if tuple_rep {
+            Vec::new()
+        } else {
+            tuples
+                .iter()
+                .enumerate()
+                .map(|(i, t)| count_u64(t.neighbors.iter().filter(|&&j| (j as usize) < i).count()))
+                .collect()
+        };
         TupleStore {
             tuples,
             adjacency,
             tuple_rep,
+            rereads,
             spin_copy_updates: 0,
             adjacency_reads: 0,
             cross_tuple_rereads: 0,
@@ -169,25 +190,32 @@ impl TupleStore {
         self.tuples.iter()
     }
 
-    /// Computes the local field of spin `i`, counting the cross-tuple
-    /// re-reads that would be needed *without* tuple-rep (one per neighbor
-    /// whose shared IC would live only in the neighbor's tuple — on
-    /// average half of them under the paper's single-copy alternative;
-    /// we count the worst-case "J stored with the lower-indexed endpoint"
-    /// convention: a re-read for every neighbor with a smaller index).
-    pub fn local_field(&mut self, i: usize) -> i64 {
-        if !self.tuple_rep {
-            let t = &self.tuples[i];
-            let rereads = t.neighbors.iter().filter(|&&j| (j as usize) < i).count() as u64;
+    /// Counts the cross-tuple re-reads one compute of tuple `i` needs
+    /// *without* tuple-rep (one per neighbor whose shared IC would live
+    /// only in the neighbor's tuple — on average half of them under the
+    /// paper's single-copy alternative; we count the worst-case "J stored
+    /// with the lower-indexed endpoint" convention: a re-read for every
+    /// neighbor with a smaller index). The count is fixed at build time;
+    /// with tuple-rep on this books nothing.
+    pub fn count_rereads(&mut self, i: usize) {
+        if let Some(&rereads) = self.rereads.get(i) {
             self.cross_tuple_rereads += rereads;
         }
+    }
+
+    /// Computes the local field of spin `i` from its tuple, counting the
+    /// re-reads of [`TupleStore::count_rereads`].
+    pub fn local_field(&mut self, i: usize) -> i64 {
+        self.count_rereads(i);
         self.tuples[i].local_field()
     }
 
     /// The adjacency entries of spin `j`: every `(tuple_index, slot)` pair
-    /// holding a copy of `σ_j`. This is the read the Fig. 8b update path
-    /// performs; exposing it lets mirrored stores ([`TuplePlanes`]) follow
-    /// the same walk without duplicating the index.
+    /// holding a copy of `σ_j`, in ascending tuple order — so entry `k`
+    /// is the tuple of neighbour `k` of `σ_j`'s own tuple. This is the
+    /// read the Fig. 8b update path performs; exposing it lets mirrored
+    /// stores ([`TuplePlanes`]) follow the same walk without duplicating
+    /// the index.
     ///
     /// # Panics
     ///
@@ -248,57 +276,66 @@ impl TupleStore {
     }
 }
 
-/// Per-tuple offsets into the [`TuplePlanes`] arenas.
-#[derive(Debug, Clone, Copy)]
-struct PlaneSlot {
-    /// Word offset into `coupling_words` (the tuple owns `degree` words
-    /// starting here).
-    words: usize,
-    /// Word offset into `spin_words` (the tuple owns
-    /// `plane_words(degree)` words starting here).
-    spins: usize,
-    /// Neighbor count of the tuple.
-    degree: usize,
+/// One tuple's running sums: everything the designs' closed-form ledgers
+/// need besides the schedule constants.
+///
+/// `H`, `P` and `U` are linear in the neighbour spins, so a flip of `σ_j`
+/// moves each tuple holding a copy by constants of that one edge
+/// (`ΔH = ∓2·J`, `ΔP = ±1`, `ΔU = ±(2·ones − R)`, upper signs for a copy
+/// turning up); `n` and `C1` never change.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct TupleSums {
+    /// `H_σ = −(h + Σ_k J_k·σ_k)`.
+    pub h: i64,
+    /// Degree `n`.
+    pub n: u64,
+    /// Up neighbours `P`.
+    pub up: u64,
+    /// Stored coupling one-bits `C1 = Σ_k ones_k`, where `ones_k` is the
+    /// popcount of `J_k`'s R-bit two's-complement word.
+    pub ones: u64,
+    /// Coupling bits equal to their own neighbour's spin bit,
+    /// `U = Σ_k (σ_k up ? ones_k : R − ones_k)`.
+    pub matches: u64,
 }
 
-/// Structure-of-arrays mirror of a [`TupleStore`]: the two operands the
-/// design kernel consumes, pre-computed once and stored as contiguous u64
-/// word arenas.
+/// The kernel-side mirror of a [`TupleStore`]: each tuple's
+/// [`TupleSums`], kept current under spin flips.
 ///
-/// The AoS tuples keep one `Vec<i32>`/`Vec<Spin>` pair per tuple, so a
-/// kernel reading them would re-run the `MixedEncoding` encode over the
-/// couplings and re-pack the spin bits on every compute. The SoA mirror
-/// hoists both out of the sweep loop:
-///
-/// * `coupling_words` — one R-bit two's-complement word per coupling:
-///   the stored bits whose popcounts price every design's discharges,
-///   and the `J` the kernel sums.
-/// * `spin_words` — the packed neighbor-spin row (`plane_words(N)` words
-///   per tuple, padding bits zero).
-///
-/// Couplings are stationary for a whole solve, so only `spin_words` ever
-/// changes after construction; [`TuplePlanes::writeback_spin`] applies a
-/// spin flip by walking the same adjacency entries as
-/// [`TupleStore::update_spin`].
+/// The mirror is built once at map time, which validates every coupling
+/// against the encoding. After that, [`TuplePlanes::writeback_spin`]
+/// walks the same adjacency entries as [`TupleStore::update_spin`] (the
+/// Fig. 8b update path) and applies one edge's constants to each tuple
+/// holding a copy of the flipped spin, so a design kernel reads its
+/// tuple's sums in O(1) instead of re-reading every edge on every sweep.
+/// Tuple-rep stores each edge's coupling in both endpoints' tuples, so
+/// the flipped spin's own tuple supplies every constant of the walk, in
+/// adjacency order. The mirror also records the spin value its copies
+/// hold, so a writeback that changes no copy changes nothing.
 #[derive(Debug, Clone)]
 pub struct TuplePlanes {
     bits: u32,
-    slots: Vec<PlaneSlot>,
-    coupling_words: Vec<u64>,
-    spin_words: Vec<u64>,
+    sums: Vec<TupleSums>,
+    /// One bit per spin id: the value the mirrored copies of that spin
+    /// hold (up = 1).
+    spin_bits: Vec<u64>,
 }
 
-/// Borrowed view of one tuple's SoA data — what a design kernel receives.
+/// Borrowed view of one tuple's sums — what a design kernel receives.
 #[derive(Debug, Clone, Copy)]
 pub struct TuplePlaneView<'a> {
-    /// One encoded word per coupling (`degree` words).
-    pub coupling_words: &'a [u64],
-    /// Packed neighbor-spin bits (`plane_words(degree)` words).
-    pub spin_words: &'a [u64],
+    sums: &'a TupleSums,
+}
+
+impl TuplePlaneView<'_> {
+    /// The tuple's current sums.
+    pub fn sums(&self) -> TupleSums {
+        *self.sums
+    }
 }
 
 impl TuplePlanes {
-    /// Builds the SoA mirror of `store` at the encoding's resolution.
+    /// Builds the mirror of `store` at the encoding's resolution.
     ///
     /// # Errors
     ///
@@ -317,36 +354,44 @@ impl TuplePlanes {
     where
         I: IntoIterator<Item = &'a SpinTuple>,
     {
-        let mut planes = Self {
-            bits: enc.bits(),
-            slots: Vec::new(),
-            coupling_words: Vec::new(),
-            spin_words: Vec::new(),
-        };
+        let r = u64::from(enc.bits());
+        let mut sums = Vec::new();
+        let mut spin_bits = Vec::new();
         for tuple in tuples {
-            let n = tuple.degree();
-            let slot = PlaneSlot {
-                words: planes.coupling_words.len(),
-                spins: planes.spin_words.len(),
-                degree: n,
+            let mut s = TupleSums {
+                h: -i64::from(tuple.field),
+                n: count_u64(tuple.degree()),
+                ..TupleSums::default()
             };
-            planes
-                .spin_words
-                .resize(slot.spins + MixedEncoding::plane_words(n), 0);
-            for (k, (&j, &s)) in tuple
+            for ((&j, &spin), &neighbor) in tuple
                 .couplings
                 .iter()
                 .zip(tuple.neighbor_spins.iter())
-                .enumerate()
+                .zip(tuple.neighbors.iter())
             {
-                planes.coupling_words.push(enc.encode_word(i64::from(j))?);
-                if s.bit() {
-                    planes.spin_words[slot.spins + k / 64] |= 1u64 << (k % 64);
+                let ones = u64::from(enc.encode_word(i64::from(j))?.count_ones());
+                s.h -= i64::from(j) * spin.value();
+                s.ones += ones;
+                let (word, bit) = (neighbor as usize / 64, 1u64 << (neighbor % 64));
+                if word >= spin_bits.len() {
+                    spin_bits.resize(word + 1, 0);
+                }
+                if spin.bit() {
+                    s.up += 1;
+                    s.matches += ones;
+                    spin_bits[word] |= bit;
+                } else {
+                    s.matches += r - ones;
+                    spin_bits[word] &= !bit;
                 }
             }
-            planes.slots.push(slot);
+            sums.push(s);
         }
-        Ok(planes)
+        Ok(Self {
+            bits: enc.bits(),
+            sums,
+            spin_bits,
+        })
     }
 
     /// Encoding resolution the mirror was built at.
@@ -356,50 +401,67 @@ impl TuplePlanes {
 
     /// Number of mirrored tuples.
     pub fn len(&self) -> usize {
-        self.slots.len()
+        self.sums.len()
     }
 
     /// True if no tuples are mirrored.
     pub fn is_empty(&self) -> bool {
-        self.slots.is_empty()
+        self.sums.is_empty()
     }
 
-    /// The SoA view of tuple `i`.
+    /// The view of tuple `i`.
     ///
     /// # Panics
     ///
     /// Panics if `i` is out of range.
     pub fn view(&self, i: usize) -> TuplePlaneView<'_> {
-        let slot = self.slots[i];
-        let words = MixedEncoding::plane_words(slot.degree);
         TuplePlaneView {
-            coupling_words: &self.coupling_words[slot.words..slot.words + slot.degree],
-            spin_words: &self.spin_words[slot.spins..slot.spins + words],
+            sums: &self.sums[i],
         }
     }
 
-    /// Mirrors a spin flip: refreshes `σ_j`'s bit in the spin row of every
-    /// tuple that holds a copy, walking the same adjacency entries as
-    /// [`TupleStore::update_spin`]. Call with the *store that built this
-    /// mirror* (before or after its own update — the adjacency index is
-    /// immutable).
+    /// Mirrors a spin flip: if the copies of `σ_j` change, walks the same
+    /// adjacency entries as [`TupleStore::update_spin`] and applies the
+    /// edge's constants to every tuple holding a copy. Call with the
+    /// *store that built this mirror* (before or after its own update —
+    /// the adjacency index and couplings are immutable).
     ///
     /// # Panics
     ///
-    /// Panics if `j` is out of range for `store`, or if `store` does not
-    /// match the tuples this mirror was built from.
+    /// Panics if `store` does not match the tuples this mirror was built
+    /// from.
     pub fn writeback_spin(&mut self, store: &TupleStore, j: usize, new: Spin) {
-        for &(t, slot) in store.adjacency_of(j) {
-            let ps = self.slots[t as usize];
-            let (k, bit) = (slot as usize / 64, slot as usize % 64);
-            assert!(
-                (slot as usize) < ps.degree,
-                "adjacency slot out of range for mirrored tuple {t}"
-            );
+        // A spin no tuple holds a copy of has nothing to write back.
+        let Some(word) = self.spin_bits.get_mut(j / 64) else {
+            return;
+        };
+        let bit = 1u64 << (j % 64);
+        if (*word & bit != 0) == new.bit() {
+            return;
+        }
+        *word ^= bit;
+        let r = u64::from(self.bits);
+        let mask = u32::MAX >> (32 - self.bits);
+        // Adjacency entry k is the tuple of σ_j's neighbour k, and tuple-rep
+        // stores their coupling in σ_j's own tuple too, at slot k.
+        let own = store.tuple(j);
+        for (&(t, _), (&neighbor, &coupling)) in store
+            .adjacency_of(j)
+            .iter()
+            .zip(own.neighbors.iter().zip(own.couplings.iter()))
+        {
+            debug_assert_eq!(t, neighbor, "adjacency of spin {j} out of neighbour order");
+            // `ones` of the R-bit two's-complement word, as built.
+            let ones = u64::from((coupling as u32 & mask).count_ones());
+            let s = &mut self.sums[t as usize];
             if new.bit() {
-                self.spin_words[ps.spins + k] |= 1u64 << bit;
+                s.h -= 2 * i64::from(coupling);
+                s.up += 1;
+                s.matches = s.matches + 2 * ones - r;
             } else {
-                self.spin_words[ps.spins + k] &= !(1u64 << bit);
+                s.h += 2 * i64::from(coupling);
+                s.up -= 1;
+                s.matches = s.matches + r - 2 * ones;
             }
         }
     }
@@ -517,28 +579,30 @@ mod tests {
         assert_eq!(store.spin_copy_updates(), 0);
     }
 
+    /// The sums of `tuple` recomputed from its AoS copies.
+    fn recompute(tuple: &SpinTuple, enc: &MixedEncoding) -> TupleSums {
+        let r = u64::from(enc.bits());
+        let ones: Vec<u64> = tuple
+            .couplings
+            .iter()
+            .map(|&j| u64::from(enc.encode_word(i64::from(j)).unwrap().count_ones()))
+            .collect();
+        let up = |k: usize| tuple.neighbor_spins[k] == Spin::Up;
+        TupleSums {
+            h: tuple.local_field(),
+            n: tuple.degree() as u64,
+            up: (0..tuple.degree()).filter(|&k| up(k)).count() as u64,
+            ones: ones.iter().sum(),
+            matches: (0..tuple.degree())
+                .map(|k| if up(k) { ones[k] } else { r - ones[k] })
+                .sum(),
+        }
+    }
+
     fn assert_planes_mirror_store(planes: &TuplePlanes, store: &TupleStore, enc: &MixedEncoding) {
         assert_eq!(planes.len(), store.len());
         for (i, tuple) in store.iter().enumerate() {
-            let v = planes.view(i);
-            let n = tuple.degree();
-            let w = MixedEncoding::plane_words(n);
-            assert_eq!(v.coupling_words.len(), n);
-            assert_eq!(v.spin_words.len(), w);
-            for (k, (&j, &s)) in tuple
-                .couplings
-                .iter()
-                .zip(tuple.neighbor_spins.iter())
-                .enumerate()
-            {
-                assert_eq!(enc.decode_word(v.coupling_words[k]), i64::from(j));
-                assert_eq!((v.spin_words[k / 64] >> (k % 64)) & 1 == 1, s.bit());
-            }
-            // Padding bits beyond the degree stay zero (the popcount-based
-            // up-neighbour count depends on this).
-            for k in n..w * 64 {
-                assert_eq!((v.spin_words[k / 64] >> (k % 64)) & 1, 0, "lane {k}");
-            }
+            assert_eq!(planes.view(i).sums(), recompute(tuple, enc), "tuple {i}");
         }
     }
 
@@ -555,8 +619,8 @@ mod tests {
 
     #[test]
     fn soa_writeback_tracks_spin_updates() {
-        // King graph: degree 8 exercises multi-neighbor rows; then a wide
-        // complete-ish update sequence to cross word boundaries elsewhere.
+        // King graph: degree 8 exercises multi-neighbor rows, and the
+        // copy bits of later tuples cross word boundaries.
         let g = topology::king(4, 4, |a, b| ((a + 2 * b) % 7) as i32 - 3).unwrap();
         let mut s = SpinVector::filled(16, Spin::Up);
         let mut store = TupleStore::new(&g, &s);
@@ -567,6 +631,7 @@ mod tests {
             (0, Spin::Down),
             (5, Spin::Up),
             (10, Spin::Down),
+            (10, Spin::Down),
         ] {
             s.set(j, flip);
             store.update_spin(j, flip);
@@ -575,15 +640,15 @@ mod tests {
             // The incremental mirror equals a from-scratch rebuild.
             let fresh = TuplePlanes::new(&store, &enc).unwrap();
             for i in 0..store.len() {
-                assert_eq!(planes.view(i).spin_words, fresh.view(i).spin_words);
+                assert_eq!(planes.view(i).sums(), fresh.view(i).sums());
             }
         }
     }
 
     #[test]
     fn soa_mirror_spans_word_boundaries() {
-        // A 100-neighbor tuple needs two spin words; every encoding arena
-        // must stay aligned across the boundary.
+        // A 100-neighbor tuple owns two words of copy bits; its sums must
+        // count every copy on both sides of the boundary.
         let n = 100u32;
         let tuple = SpinTuple {
             target: 0,
@@ -595,18 +660,12 @@ mod tests {
             field: 2,
         };
         let enc = MixedEncoding::new(4).unwrap();
-        let planes = TuplePlanes::from_tuples([&tuple], &enc).unwrap();
-        let v = planes.view(0);
-        assert_eq!(v.spin_words.len(), 2);
-        for k in 0..n as usize {
-            assert_eq!(
-                enc.decode_word(v.coupling_words[k]),
-                i64::from(tuple.couplings[k])
-            );
-            assert_eq!(
-                (v.spin_words[k / 64] >> (k % 64)) & 1 == 1,
-                tuple.neighbor_spins[k].bit()
-            );
+        let planes = TuplePlanes::from_tuples([&tuple, &tuple], &enc).unwrap();
+        for i in 0..2 {
+            let sums = planes.view(i).sums();
+            assert_eq!(sums, recompute(&tuple, &enc));
+            assert_eq!(sums.n, 100);
+            assert_eq!(sums.up, 66);
         }
     }
 

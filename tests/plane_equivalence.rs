@@ -10,7 +10,12 @@
 //! tile's `TileStats` (activations, discharges, redundancy, reads,
 //! writes). That holds across all four designs, random tuples, every
 //! resolution R ∈ {2..32}, empty and degree-1 tuples, and row widths
-//! narrow enough that n3 tuples span several rows.
+//! narrow enough that n3 tuples span several rows — and on whole dense
+//! and King's graphs after every flip of a random flip sequence, where
+//! the kernel reads sums the update path has kept current.
+
+#[path = "support/sums.rs"]
+mod sums;
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -19,8 +24,8 @@ use sachi::arch::config::{DesignKind, FaultProfile, SachiConfig};
 use sachi::arch::designs::{stationarity, ComputeContext, ComputeScratch};
 use sachi::arch::encoding::MixedEncoding;
 use sachi::arch::machine::SachiMachine;
-use sachi::arch::tuple::{SpinTuple, TuplePlanes};
-use sachi::ising::graph::topology;
+use sachi::arch::tuple::{SpinTuple, TuplePlaneView, TuplePlanes, TupleStore};
+use sachi::ising::graph::{topology, GraphBuilder, IsingGraph};
 use sachi::ising::recovery::RecoveryPolicy;
 use sachi::ising::solver::SolveOptions;
 use sachi::ising::spin::{Spin, SpinVector};
@@ -70,9 +75,22 @@ fn assert_paths_agree(
     target: Spin,
     row_bits: usize,
 ) {
+    let planes = TuplePlanes::from_tuples([tuple], enc).expect("coefficients fit R bits");
+    assert_kernel_matches_oracle(kind, enc, tuple, planes.view(0), target, row_bits);
+}
+
+/// [`assert_paths_agree`] with the kernel reading `view`, which must be
+/// `tuple`'s view.
+fn assert_kernel_matches_oracle(
+    kind: DesignKind,
+    enc: &MixedEncoding,
+    tuple: &SpinTuple,
+    view: TuplePlaneView<'_>,
+    target: Spin,
+    row_bits: usize,
+) {
     let design = stationarity(kind);
     let (rows, cols) = design.tile_requirements(tuple.degree(), enc.bits(), row_bits);
-    let planes = TuplePlanes::from_tuples([tuple], enc).expect("coefficients fit R bits");
     let mut tile_scalar = SramTile::new(rows, cols);
     let mut tile_soa = SramTile::new(rows, cols);
     let mut ctx_scalar = ComputeContext::new();
@@ -82,7 +100,7 @@ fn assert_paths_agree(
         &mut tile_soa,
         enc,
         tuple,
-        planes.view(0),
+        view,
         target,
         &mut ctx_soa,
         &mut ComputeScratch::new(),
@@ -170,6 +188,106 @@ proptest! {
                 prop_assert_eq!(hs, ho, "{} H diverged mid-stream", kind);
                 prop_assert_eq!(ctx_scalar, ctx_soa, "{} ComputeContext diverged", kind);
                 prop_assert_eq!(tile_scalar.stats(), tile_soa.stats(), "{} TileStats diverged", kind);
+            }
+        }
+    }
+}
+
+/// Deterministic coefficient in the R-bit range for edge `(i, j)` of a
+/// graph drawn from `salt`.
+fn edge_coeff(salt: u64, i: u32, j: u32, r: u32) -> i32 {
+    let x = (salt ^ (u64::from(i) << 32) ^ u64::from(j))
+        .wrapping_mul(0x9e37_79b9_7f4a_7c15)
+        .rotate_left(29)
+        .wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    coeff_in_range(x >> 7, r)
+}
+
+/// A complete graph (`king == false`) or a King's lattice on `side`
+/// spins a side, with R-bit couplings and fields drawn from `salt`.
+fn sums_graph(king: bool, side: usize, r: u32, salt: u64) -> IsingGraph {
+    let n = if king { side * side } else { side };
+    let mut b = GraphBuilder::new(n);
+    let mut edge = |i: usize, j: usize| {
+        let (i, j) = (i as u32, j as u32);
+        b.push_edge(i, j, edge_coeff(salt, i, j, r));
+    };
+    if king {
+        for row in 0..side {
+            for col in 0..side {
+                let i = row * side + col;
+                if col + 1 < side {
+                    edge(i, i + 1);
+                }
+                if row + 1 < side {
+                    edge(i, i + side);
+                    if col + 1 < side {
+                        edge(i, i + side + 1);
+                    }
+                    if col > 0 {
+                        edge(i, i + side - 1);
+                    }
+                }
+            }
+        }
+    } else {
+        for i in 0..n {
+            for j in i + 1..n {
+                edge(i, j);
+            }
+        }
+    }
+    let b = (0..n).fold(b, |b, i| {
+        let i = i as u32;
+        b.field(i, edge_coeff(salt, i, i, r))
+    });
+    b.build().expect("a valid graph")
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(40))]
+
+    /// The kernel reads sums the update path keeps current. Over a random
+    /// flip sequence driven through `update_spin` + `writeback_spin`, after
+    /// every flip: every tuple's maintained sums equal a recompute from
+    /// its AoS copies, every design's kernel is bit-identical to the
+    /// scalar oracle on that tuple, and a second writeback of the same
+    /// spin changes nothing.
+    #[test]
+    fn maintained_sums_track_every_flip(
+        king in any::<bool>(),
+        side in 2usize..=5,
+        r in 2u32..=32,
+        salt in any::<u64>(),
+        flips in prop::collection::vec(any::<u64>(), 1..10),
+        width in 0usize..3,
+    ) {
+        let side = if king { side } else { side * 3 };
+        let graph = sums_graph(king, side, r, salt);
+        let n = graph.num_spins();
+        let enc = MixedEncoding::new(r).expect("2 <= R <= 32 is valid");
+        let row_bits = row_widths(r)[width];
+        let mut rng = StdRng::seed_from_u64(salt);
+        let mut spins = SpinVector::random(n, &mut rng);
+        let mut store = TupleStore::new(&graph, &spins);
+        let mut planes = TuplePlanes::new(&store, &enc).expect("couplings fit R bits");
+        for raw in flips {
+            let j = (raw % n as u64) as usize;
+            let new = spins.get(j).flipped();
+            spins.set(j, new);
+            store.update_spin(j, new);
+            planes.writeback_spin(&store, j, new);
+            let before: Vec<_> = (0..n).map(|i| planes.view(i).sums()).collect();
+            planes.writeback_spin(&store, j, new);
+            for (i, tuple) in store.iter().enumerate() {
+                let sums = planes.view(i).sums();
+                prop_assert_eq!(sums, before[i], "repeat writeback of {} moved tuple {}", j, i);
+                prop_assert_eq!(sums, sums::recompute(&enc, tuple), "tuple {}", i);
+                for kind in DesignKind::ALL {
+                    assert_kernel_matches_oracle(
+                        kind, &enc, tuple, planes.view(i), spins.get(i), row_bits,
+                    );
+                }
             }
         }
     }
