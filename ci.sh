@@ -61,8 +61,8 @@ echo "==> perf_e2e run.sh --smoke"
 bash crates/bench/src/bin/perf_e2e/run.sh --smoke
 
 # Model drift report: asserts the closed-form PerfModel reproduces the
-# functional machine's metered compute cycles exactly on uniform-degree
-# graphs, and prints the load-side cycle deltas for the record.
+# functional machine's metered compute, load and total cycles exactly on
+# uniform-degree graphs, banked multi-round sweeps included.
 echo "==> disc_drift --smoke"
 cargo run -q -p sachi-bench --bin disc_drift -- --smoke
 

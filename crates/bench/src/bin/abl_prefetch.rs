@@ -101,5 +101,5 @@ fn main() {
     println!("the prefetcher converts round loading from additive to overlapped;");
     println!("its threshold covers DRAM-to-storage plus storage-to-compute latency,");
     println!("so data arrives exactly when the previous round drains");
-    println!("(DramController::effective_round_cycles in sachi-mem::dram).");
+    println!("(RoundPlan::critical_path in sachi-core::rounds).");
 }

@@ -4,17 +4,20 @@
 //! The repo carries two cycle accounts of the same architecture: the
 //! closed-form `PerfModel` (used by `sachi estimate` and the
 //! scalability figures) and the functional `SachiMachine` (which meters
-//! every round it actually executes). On **uniform-degree** graphs the
-//! closed form's uniform-`N` assumption holds exactly, so its per-sweep
-//! compute cycles must reproduce the machine's metered
-//! `machine_compute_cycles` to the cycle — any drift there is a model
-//! bug, and this harness asserts it to zero. Load cycles legitimately
-//! differ (the machine meters cold first-sweep fills and actual
-//! round-by-round storage traffic), so the load-side drift is reported
-//! as a signed cycle delta rather than asserted.
+//! every round it actually executes). Both price rounds through one
+//! `RoundPlan`: the machine's is built from per-tuple degrees, the
+//! model's from a uniform shape. On **uniform-degree** graphs the two
+//! plans coincide, so the model must reproduce the machine's metered
+//! compute, load and total cycles to the cycle — any drift is a model
+//! bug, and this harness asserts it to zero. The load side is the
+//! plan's per-sweep load times the sweeps plus its first fill (sweep
+//! 0's fill of a resident problem); the total is `PerfModel::solve` at
+//! the machine's sweep count.
 //!
-//! `--smoke` runs a reduced sweep for CI; the drift table doubles as
-//! the CI drift report.
+//! Besides the default hierarchy, complete(36) runs on a 2×4×64-bit
+//! compute array at several bank counts, where every sweep reloads round
+//! by round under prefetch overlap. `--smoke` runs a reduced sweep for
+//! CI; the drift table doubles as the CI drift report.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -52,170 +55,133 @@ fn main() {
     } else {
         &[24, 64, 128, 256]
     };
-
-    section("PerfModel vs functional machine: cycle drift on uniform-degree graphs");
-    let mut table = Table::new([
-        "graph",
-        "design",
-        "N",
-        "R",
-        "sweeps",
-        "compute",
-        "closed",
-        "drift",
-        "load delta",
-    ]);
-    let mut worst_load_delta = 0i64;
-    for &n in sizes {
-        let complete = topology::complete(n, |i, j| if (i + j) % 2 == 0 { 1 } else { -1 })
-            .expect("complete graph builds");
-        for (name, graph) in [("complete", complete), ("ring", ring(n))] {
-            // Uniform degree is the precondition for exactness; make the
-            // harness fail loudly if a topology edit breaks it.
-            assert!(
-                (0..graph.num_spins()).all(|i| graph.degree(i) == graph.max_degree()),
-                "{name} graph must be uniform-degree"
-            );
-            let shape = WorkloadShape::new(
-                u64::try_from(graph.num_spins()).expect("bench sizes fit u64"),
-                u64::try_from(graph.max_degree()).expect("degrees fit u64"),
-                graph.bits_required(),
-            );
-            for design in DesignKind::ALL {
-                let config = SachiConfig::new(design);
-                let mut machine = SachiMachine::new(config.clone());
-                let mut rng = StdRng::seed_from_u64(0xD21F);
-                let init = SpinVector::random(graph.num_spins(), &mut rng);
-                let opts = SolveOptions::for_graph(&graph, 17);
-                let (_, report) = machine.solve_detailed(&graph, &init, &opts);
-
-                let est = PerfModel::new(config).iteration(&shape);
-                let predicted_compute = est.compute_cycles.get() * report.sweeps;
-                let measured_compute = report.compute_cycles.get();
-                let compute_drift = drift_percent(measured_compute, predicted_compute);
-                // The load account has no exactness claim: the machine
-                // meters cold first-sweep fills and real round traffic
-                // the per-sweep closed form amortizes away. Report the
-                // signed cycle delta instead of a ratio (the closed
-                // form is legitimately zero for resident problems).
-                let load_delta = i64::try_from(report.load_cycles.get()).unwrap_or(i64::MAX)
-                    - i64::try_from(est.load_cycles.get() * report.sweeps).unwrap_or(i64::MAX);
-                worst_load_delta = worst_load_delta.max(load_delta.abs());
-                table.row([
-                    format!("{name}({n})"),
-                    design.label().to_string(),
-                    shape.neighbors_per_spin.to_string(),
-                    shape.resolution_bits.to_string(),
-                    report.sweeps.to_string(),
-                    measured_compute.to_string(),
-                    predicted_compute.to_string(),
-                    format!("{compute_drift:+.2}%"),
-                    format!("{load_delta:+}"),
-                ]);
-                assert_eq!(
-                    measured_compute,
-                    predicted_compute,
-                    "{name}({n})/{}: closed-form compute cycles must be exact on \
-                     uniform-degree graphs ({compute_drift:+.3}% drift)",
-                    design.label()
-                );
-                assert_eq!(
-                    report.rounds_per_sweep,
-                    est.rounds,
-                    "{name}({n})/{}: round count must agree",
-                    design.label()
-                );
-            }
-        }
-    }
-    table.print();
-    println!();
-    println!(
-        "compute drift: 0.00% everywhere (asserted); worst |load delta|: {worst_load_delta} \
-         cycles (expected nonzero: the machine meters cold fills the per-sweep closed form \
-         amortizes)"
-    );
-
-    // --- banked + prefetch overlap: the multi-round regime ---
-    //
-    // With a compute array too small for the problem, every sweep
-    // reloads round by round and the prefetcher overlaps round k+1's
-    // upload with round k's compute. Here BOTH accounts are exact: the
-    // closed form's per-chunk load (rows / banks, sram22-style banking)
-    // must reproduce the machine's metered load cycles to the cycle, at
-    // every bank count, with overlap enabled.
-    section("Banked + prefetch overlap: drift on multi-round sweeps");
+    // Multi-round regime: a compute array too small for complete(36), so
+    // every sweep reloads round by round and the prefetcher overlaps round
+    // k+1's upload (rows / banks, sram22-style banking) with round k's
+    // compute.
     let small = CacheHierarchy {
         compute: CacheGeometry::new(2, 4, 64, 1),
         storage: CacheGeometry::sachi_storage_default(),
     };
     let bank_counts: &[usize] = if smoke { &[1, 4] } else { &[1, 2, 4, 8] };
-    let mut banked = Table::new([
+    let complete = |n| {
+        topology::complete(n, |i, j| if (i + j) % 2 == 0 { 1 } else { -1 })
+            .expect("complete graph builds")
+    };
+    let mut cases = Vec::new();
+    for &n in sizes {
+        let default = CacheHierarchy::hpca_default();
+        cases.push((format!("complete({n})"), complete(n), default, 1));
+        cases.push((format!("ring({n})"), ring(n), default, 1));
+    }
+    for &banks in bank_counts {
+        cases.push((
+            "complete(36) 2x4x64".to_string(),
+            complete(36),
+            small,
+            banks,
+        ));
+    }
+
+    section("PerfModel vs functional machine: cycle drift on uniform-degree graphs");
+    let mut table = Table::new([
+        "graph",
         "banks",
         "design",
+        "N",
+        "R",
         "rounds",
         "sweeps",
         "compute",
+        "closed",
+        "drift",
         "load",
         "closed load",
-        "drift",
+        "total",
+        "closed total",
     ]);
-    let graph = topology::complete(36, |i, j| if (i + j) % 2 == 0 { 1 } else { -1 })
-        .expect("complete graph builds");
-    let shape = WorkloadShape::new(36, 35, graph.bits_required());
-    for &banks in bank_counts {
+    for (name, graph, hierarchy, banks) in &cases {
+        // Uniform degree is the precondition for exactness; make the
+        // harness fail loudly if a topology edit breaks it.
+        assert!(
+            (0..graph.num_spins()).all(|i| graph.degree(i) == graph.max_degree()),
+            "{name} graph must be uniform-degree"
+        );
+        let shape = WorkloadShape::new(
+            u64::try_from(graph.num_spins()).expect("bench sizes fit u64"),
+            u64::try_from(graph.max_degree()).expect("degrees fit u64"),
+            graph.bits_required(),
+        );
         for design in DesignKind::ALL {
             let config = SachiConfig::new(design)
-                .with_hierarchy(small)
-                .with_banks(banks);
+                .with_hierarchy(*hierarchy)
+                .with_banks(*banks);
             let mut machine = SachiMachine::new(config.clone());
             let mut rng = StdRng::seed_from_u64(0xD21F);
             let init = SpinVector::random(graph.num_spins(), &mut rng);
-            let opts = SolveOptions::for_graph(&graph, 17);
-            let (_, report) = machine.solve_detailed(&graph, &init, &opts);
+            let opts = SolveOptions::for_graph(graph, 17);
+            let (_, report) = machine.solve_detailed(graph, &init, &opts);
 
-            let est = PerfModel::new(config).iteration(&shape);
+            let plan = RoundPlan::uniform(&config, &shape);
+            let model = PerfModel::new(config);
+            let est = model.iteration(&shape);
             assert!(
-                est.rounds > 1,
-                "banked section must exercise multi-round sweeps"
+                *hierarchy != small || est.rounds > 1,
+                "the small-array cases must exercise multi-round sweeps"
             );
             let predicted_compute = est.compute_cycles.get() * report.sweeps;
-            let predicted_load = est.load_cycles.get() * report.sweeps;
             let measured_compute = report.compute_cycles.get();
-            let measured_load = report.load_cycles.get();
-            let load_drift = drift_percent(measured_load, predicted_load);
-            banked.row([
+            let compute_drift = drift_percent(measured_compute, predicted_compute);
+            // Sweep 0 pays a resident problem's fill on top of the steady
+            // per-sweep load (every sweep reloads a multi-round one).
+            let first_fill = plan.sweep_load(0) - plan.sweep_load(1);
+            let measured = [report.load_cycles, report.total_cycles];
+            let predicted = [
+                est.load_cycles * report.sweeps + first_fill,
+                model.solve(&shape, report.sweeps).total_cycles,
+            ];
+            table.row([
+                name.clone(),
                 banks.to_string(),
                 design.label().to_string(),
+                shape.neighbors_per_spin.to_string(),
+                shape.resolution_bits.to_string(),
                 report.rounds_per_sweep.to_string(),
                 report.sweeps.to_string(),
                 measured_compute.to_string(),
-                measured_load.to_string(),
-                predicted_load.to_string(),
-                format!("{load_drift:+.2}%"),
+                predicted_compute.to_string(),
+                format!("{compute_drift:+.2}%"),
+                measured[0].get().to_string(),
+                predicted[0].get().to_string(),
+                measured[1].get().to_string(),
+                predicted[1].get().to_string(),
             ]);
-            assert_eq!(
-                report.rounds_per_sweep,
-                est.rounds,
-                "banks={banks}/{}: round count must agree",
-                design.label()
-            );
             assert_eq!(
                 measured_compute,
                 predicted_compute,
-                "banks={banks}/{}: banking must not perturb compute cycles",
+                "{name}/{}: closed-form compute cycles must be exact on \
+                 uniform-degree graphs ({compute_drift:+.3}% drift)",
                 design.label()
             );
             assert_eq!(
-                measured_load,
-                predicted_load,
-                "banks={banks}/{}: closed-form banked load must be exact \
-                 ({load_drift:+.3}% drift)",
+                report.rounds_per_sweep,
+                est.rounds,
+                "{name}/{}: round count must agree",
+                design.label()
+            );
+            assert_eq!(
+                measured,
+                predicted,
+                "{name} x{banks}/{}: load (per sweep x sweeps + first fill) and solve \
+                 total must be exact",
                 design.label()
             );
         }
     }
-    banked.print();
+    table.print();
     println!();
-    println!("banked load drift: 0.00% everywhere (asserted) with prefetch overlap enabled");
+    println!(
+        "compute, load and total drift: 0.00% everywhere (asserted), banked multi-round \
+         sweeps with prefetch overlap included"
+    );
 }

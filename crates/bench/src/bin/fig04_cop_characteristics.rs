@@ -29,19 +29,23 @@ fn main() {
         "8-bit footprint",
         "8-bit fit",
     ]);
+    // Every tuple's storage footprint (Fig. 7a layout).
+    let bits = |s: WorkloadShape| {
+        s.spins * SpinTuple::storage_bits(s.neighbors_per_spin, s.resolution_bits)
+    };
     for kind in CopKind::ALL {
         let (lo, hi) = kind.typical_size_range();
-        let native = kind.standard_shape(1_000);
-        let eight = native.with_resolution(8);
+        let native = bits(kind.standard_shape(1_000));
+        let eight = bits(kind.standard_shape(1_000).with_resolution(8));
         table.row([
             kind.label().to_string(),
             format!("{lo}-{hi}"),
             kind.connectivity().to_string(),
-            native.resolution_bits.to_string(),
-            format!("{}", Bits::new(native.total_bits())),
-            fit_label(native.total_bits(), l1).to_string(),
-            format!("{}", Bits::new(eight.total_bits())),
-            fit_label(eight.total_bits(), l1).to_string(),
+            kind.standard_shape(1_000).resolution_bits.to_string(),
+            format!("{}", Bits::new(native)),
+            fit_label(native, l1).to_string(),
+            format!("{}", Bits::new(eight)),
+            fit_label(eight, l1).to_string(),
         ]);
     }
     table.print();

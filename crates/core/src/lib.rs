@@ -16,6 +16,9 @@
 //!   `H_σ` arithmetically and books the oracle's tile events in closed
 //!   form;
 //! * [`phases`] — the five-phase pipeline timing (Fig. 11f);
+//! * [`rounds`] — [`rounds::RoundPlan`], the one cost model of a sweep's
+//!   compute-array rounds (partition, compute, load, overlap) that the
+//!   machine bills and the closed-form model sums;
 //! * [`machine`] — [`machine::SachiMachine`], a fully-accounted functional
 //!   machine implementing the shared iterative-solver protocol;
 //! * [`perf`] — the closed-form CPI/energy model used for million-spin
@@ -57,6 +60,7 @@ pub mod machine;
 pub mod multicore;
 pub mod perf;
 pub mod phases;
+pub mod rounds;
 pub mod runtime;
 pub mod serve;
 pub mod tuple;
@@ -73,6 +77,7 @@ pub mod prelude {
     pub use crate::multicore::{MulticoreEstimate, MulticoreModel, Partition};
     pub use crate::perf::{IterationEstimate, PerfModel, SolveEstimate};
     pub use crate::phases::PhaseSchedule;
+    pub use crate::rounds::RoundPlan;
     pub use crate::runtime::{Launch, ProblemHandle, SachiContext};
     pub use crate::serve::{
         build_cop_problem, CopProblem, JobHandle, JobLimits, JobOutcome, JobPlan, JobResult,

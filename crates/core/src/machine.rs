@@ -27,7 +27,8 @@
 use crate::config::{DesignKind, SachiConfig};
 use crate::designs::{stationarity, ComputeContext, ComputeScratch};
 use crate::encoding::MixedEncoding;
-use crate::tuple::{TuplePlanes, TupleStore};
+use crate::rounds::RoundPlan;
+use crate::tuple::{SpinTuple, TuplePlanes, TupleStore};
 use sachi_ising::graph::IsingGraph;
 use sachi_ising::recovery::RecoveryPolicy;
 use sachi_ising::solver::{decide_update, run_sweeps, IterativeSolver, SolveOptions, SolveResult};
@@ -35,7 +36,7 @@ use sachi_ising::spin::SpinVector;
 use sachi_mem::dram::{DramController, DramStats};
 use sachi_mem::energy::{EnergyComponent, EnergyLedger};
 use sachi_mem::fault::FaultInjector;
-use sachi_mem::sram::{SramTile, TileParams, TileStats};
+use sachi_mem::sram::{SramTile, TileStats};
 use sachi_mem::units::convert::{count_u64, ratio_u64, to_index};
 use sachi_mem::units::{Bits, Cycles, Nanoseconds};
 use sachi_obs::{MetricsRegistry, PhaseSpan, SolvePhase};
@@ -328,76 +329,37 @@ pub struct SachiMachine {
     resident: Option<Resident>,
 }
 
-/// One compute-array round: a contiguous spin range plus its footprint,
-/// both fixed by the chunking.
-#[derive(Debug, Clone)]
-struct Chunk {
-    spins: std::ops::Range<usize>,
-    /// Compute-array bits the round's tuples occupy.
-    resident_bits: u64,
-    /// Storage bits the round streams when the problem lives in DRAM.
-    storage_bits: u64,
-}
-
 /// The graph-derived state a machine keeps between calls.
 #[derive(Debug, Clone)]
 struct Resident {
     tuples: TupleStore,
     soa: TuplePlanes,
-    chunks: Vec<Chunk>,
-    /// Tuple plus adjacency bits of the whole problem.
-    storage_bits_needed: u64,
+    /// The round partition and each round's price.
+    plan: RoundPlan,
     /// The spins the tuple copies currently hold.
     spins: SpinVector,
 }
 
 impl Resident {
-    /// Maps `graph` at `initial` into the storage array and partitions
-    /// it into rounds that each fit the compute array.
+    /// Maps `graph` at `initial` into the storage array and plans its
+    /// rounds through the compute array.
     fn map_graph(
         config: &SachiConfig,
         graph: &IsingGraph,
         initial: &SpinVector,
         enc: &MixedEncoding,
     ) -> Self {
-        let design = stationarity(config.design);
         let tuples = TupleStore::with_tuple_rep(graph, initial, config.tuple_rep);
         // Per-tuple sums the kernel reads, built once here and kept
         // current by the update path. Faults never reach the kernel —
         // they are drawn after it returns (tuple-fetch parity and the DRAM
         // stream) — so one kernel serves clean and faulted runs alike.
         let soa = TuplePlanes::new(&tuples, enc).expect("encoding sized from graph coefficients");
-
-        // Partition spins into compute-array rounds by resident footprint,
-        // summing each round's bits once here rather than per round.
-        let capacity_bits = config.hierarchy.compute.total_bits().get();
-        let empty_at = |i: usize| Chunk {
-            spins: i..i,
-            resident_bits: 0,
-            storage_bits: 0,
-        };
-        let mut chunks = Vec::new();
-        let mut chunk = empty_at(0);
-        let mut used = 0u64;
-        for i in 0..graph.num_spins() {
-            let resident = design.resident_bits_per_tuple(count_u64(graph.degree(i)), enc.bits());
-            let bits = resident.max(1);
-            if used + bits > capacity_bits && !chunk.spins.is_empty() {
-                chunks.push(std::mem::replace(&mut chunk, empty_at(i)));
-                used = 0;
-            }
-            used += bits;
-            chunk.spins.end = i + 1;
-            chunk.resident_bits += resident;
-            chunk.storage_bits += tuples.tuple(i).storage_bits(enc.bits());
-        }
-        chunks.push(chunk);
-        let storage_bits_needed = tuples.total_storage_bits(enc.bits()) + tuples.adjacency_bits();
+        let degrees: Vec<u64> = tuples.iter().map(|t| count_u64(t.degree())).collect();
         Resident {
+            plan: RoundPlan::for_degrees(config, enc.bits(), &degrees),
             tuples,
             soa,
-            chunks,
-            storage_bits_needed,
             spins: initial.clone(),
         }
     }
@@ -471,8 +433,6 @@ impl SachiMachine {
         let enc = MixedEncoding::new(resolution).expect("resolution validated by config");
         let design = stationarity(self.config.design);
         let tech = &self.config.tech;
-        let geometry = self.config.hierarchy.compute;
-        let storage = self.config.hierarchy.storage;
 
         let resident = match self.resident.take() {
             Some(mut kept) if kept.holds(graph) => {
@@ -484,8 +444,7 @@ impl SachiMachine {
         let Resident {
             mut tuples,
             mut soa,
-            chunks,
-            storage_bits_needed,
+            plan,
             spins: _,
         } = resident;
         // The store's update-path counters run across calls; this call
@@ -501,25 +460,16 @@ impl SachiMachine {
             DramController::new(tech.clone()).without_prefetch()
         };
 
-        let max_degree = graph.max_degree().max(1);
-        let (tile_rows, tile_cols) =
-            design.tile_requirements(max_degree, enc.bits(), geometry.row_bits());
-        let tile_params = TileParams::new(tile_rows, tile_cols).with_banks(self.config.bank_count);
         // The tile the kernel books its events on; it is sized by
         // `tile_requirements` because the closed forms assume that shape.
-        let mut tile = SramTile::with_params(tile_params);
-        let rounds_per_sweep = count_u64(chunks.len());
-
-        // Storage-array pressure decides whether rounds stream from DRAM.
-        let uses_dram = storage_bits_needed > storage.total_bits().get();
+        let mut tile = SramTile::with_params(plan.tile_params);
 
         // Initial placement of the whole problem into DRAM (phase (a) of
         // the Sec. V.5 cost model, charged to every machine).
-        let mut total_cycles =
-            tech.dram_stream_cycles(Bits::new(storage_bits_needed).to_bytes_ceil());
+        let mut total_cycles = plan.placement;
         ledger.record(
             EnergyComponent::DramAccess,
-            tech.movement_energy_per_bit() * storage_bits_needed,
+            tech.movement_energy_per_bit() * plan.storage_bits,
         );
 
         // Phase spans: cycle-domain timestamps from the accounting this
@@ -541,11 +491,6 @@ impl SachiMachine {
         let mut compute_cycles = Cycles::ZERO;
         let mut load_cycles = Cycles::ZERO;
         let mut annealer_decisions = 0u64;
-        let schedule_fill = design.idle_cycles(count_u64(max_degree), enc.bits()) + 3;
-        // Per-tile cycle sums, hoisted out of the sweep loop (zeroed per
-        // round) so the hot path never allocates.
-        let num_tiles = geometry.tiles();
-        let mut tile_sums = vec![0u64; num_tiles];
 
         // Fault layer: the injector's stream is salted with the solve
         // seed (the per-replica derived seed in an ensemble), so fault
@@ -561,59 +506,33 @@ impl SachiMachine {
         let mut result = run_sweeps(graph, initial, options, |sweep, spins, annealer| {
             let mut fail_fast = false;
             let mut flips_this_sweep = 0u64;
-            for (round, chunk) in chunks.iter().enumerate() {
+            for (index, (range, round)) in plan.iter().enumerate() {
                 let round_start = total_cycles;
                 let flips_before_round = flips_this_sweep;
                 let copies_before_round = tuples.spin_copy_updates();
-                // --- loading for this round ---
-                let chunk_resident = chunk.resident_bits;
-                let reload = sweep == 0 || rounds_per_sweep > 1;
-                let mut round_load = Cycles::ZERO;
-                if reload && chunk_resident > 0 {
-                    // Storage -> compute: fixed movement latency plus one
-                    // row per cycle per bank — a B-bank array accepts B
-                    // row uploads per cycle, so the upload of round k+1
-                    // overlaps the H-compute of round k that much sooner.
-                    let rows = chunk_resident.div_ceil(count_u64(geometry.row_bits()));
-                    round_load = tech.storage_to_compute_cycles()
-                        + Cycles::new(tile_params.upload_cycles(rows));
+                // --- loading for this round: its bits move storage ->
+                // compute, streamed from DRAM first when the problem
+                // overflows the storage array; the plan prices both ---
+                let round_load = plan.load(sweep, round);
+                if round_load > Cycles::ZERO {
                     ledger.record(
                         EnergyComponent::DataMovement,
-                        tech.movement_energy_per_bit() * chunk_resident,
+                        tech.movement_energy_per_bit() * round.resident_bits,
                     );
                     ledger.record(
                         EnergyComponent::SramWrite,
-                        tech.sram_write_energy_per_bit() * chunk_resident,
+                        tech.sram_write_energy_per_bit() * round.resident_bits,
                     );
-                    if uses_dram {
-                        let chunk_storage = Bits::new(chunk.storage_bits);
-                        let dram_cycles = match fault.as_mut() {
-                            Some((inj, _)) => {
-                                let (cycles, corrupted) =
-                                    dram.load_with_faults(chunk_storage, &mut ledger, inj);
-                                fault_report.dram_corrupted_bits += corrupted;
-                                cycles
-                            }
-                            None => dram.load(chunk_storage, &mut ledger),
-                        };
-                        // The Sec. IV.A prefetcher hides the DRAM stream
-                        // entirely; without it, the stream serializes.
-                        if !self.config.prefetch {
-                            round_load += dram_cycles;
-                        }
+                    if plan.uses_dram {
+                        let inj = fault.as_mut().map(|(inj, _)| inj);
+                        fault_report.dram_corrupted_bits +=
+                            dram.load(Bits::new(round.storage_bits), &mut ledger, inj);
                     }
                 }
 
                 // --- compute for this round ---
-                // Tiles process disjoint tuples concurrently; the round
-                // takes as long as its busiest tile. SACHI(n1a) fills
-                // tiles blockwise ("successive spins in the same tile"),
-                // which is the load imbalance Fig. 17(iii) calls out;
-                // n1b/n2/n3 interleave.
-                let chunk_len = chunk.spins.len().max(1);
-                tile_sums.fill(0);
-                for (pos, i) in chunk.spins.clone().enumerate() {
-                    let cycles_before_tuple = ctx.cycles;
+                let mut reached = range.len();
+                for (pos, i) in range.clone().enumerate() {
                     let h_sigma = {
                         let tuple = tuples.tuple(i);
                         debug_assert!(
@@ -634,12 +553,6 @@ impl SachiMachine {
                             &mut ComputeScratch,
                         )
                     };
-                    let tuple_cycles = ctx.cycles - cycles_before_tuple;
-                    let assigned = match self.config.design {
-                        DesignKind::N1a => pos * num_tiles / chunk_len,
-                        _ => pos % num_tiles,
-                    };
-                    tile_sums[assigned.min(num_tiles - 1)] += tuple_cycles;
                     debug_assert_eq!(
                         h_sigma,
                         sachi_ising::hamiltonian::local_field(graph, spins, i),
@@ -656,7 +569,10 @@ impl SachiMachine {
                     // and corrupt the computed local field.
                     let mut h_sigma = h_sigma;
                     if let Some((inj, policy)) = fault.as_mut() {
-                        let tuple_bits = tuples.tuple(i).storage_bits(enc.bits());
+                        let tuple_bits = SpinTuple::storage_bits(
+                            count_u64(tuples.tuple(i).degree()),
+                            enc.bits(),
+                        );
                         let mut flips = inj.flips_in_read(tuple_bits);
                         let mut attempts = 0u32;
                         while flips % 2 == 1 {
@@ -697,6 +613,9 @@ impl SachiMachine {
                             break;
                         }
                         if fail_fast {
+                            // The aborting tuple's compute ran and is
+                            // billed; the rest of the round never starts.
+                            reached = pos + 1;
                             break;
                         }
                         if flips > 0 {
@@ -707,9 +626,11 @@ impl SachiMachine {
                             let t = tuples.tuple(i);
                             if !t.neighbors.is_empty() {
                                 let slot = inj.pick_index(t.neighbors.len());
-                                h_sigma -= 2
-                                    * i64::from(t.couplings[slot])
-                                    * t.neighbor_spins[slot].value();
+                                if let (Some(&j), Some(s)) =
+                                    (t.couplings.get(slot), t.neighbor_spins.get(slot))
+                                {
+                                    h_sigma -= 2 * i64::from(j) * s.value();
+                                }
                             }
                         }
                     }
@@ -737,21 +658,21 @@ impl SachiMachine {
                         );
                     }
                 }
-                let round_compute =
-                    Cycles::new(tile_sums.iter().copied().max().unwrap_or(0) + schedule_fill);
+                let round_compute = if fail_fast {
+                    plan.partial_compute(range.clone(), reached)
+                } else {
+                    round.compute
+                };
                 compute_cycles += round_compute;
                 load_cycles += round_load;
-                // The first round of the solve cannot overlap with anything;
-                // later rounds overlap their (pre)load with compute.
-                let serialized = sweep == 0 && round == 0;
-                if serialized {
-                    total_cycles += round_load + round_compute;
-                } else {
-                    total_cycles += dram.effective_round_cycles(round_compute, round_load);
+                let serialized = plan.serialized(sweep, index);
+                if !serialized {
+                    dram.record_round(round_compute, round_load);
                 }
+                total_cycles += plan.critical_path(sweep, index, round_compute, round_load);
                 if trace_phases {
-                    let round_no = count_u64(round);
-                    let tuples_in_round = count_u64(chunk.spins.len());
+                    let round_no = count_u64(index);
+                    let tuples_in_round = round.tuples;
                     spans.push(PhaseSpan {
                         phase: SolvePhase::Round,
                         sweep,
@@ -830,7 +751,7 @@ impl SachiMachine {
             EnergyComponent::DataMovement,
             tech.movement_energy_per_bit() * ctx.rwl_bits_fetched,
         );
-        if uses_dram {
+        if plan.uses_dram {
             // Driven data the storage array cannot cache re-streams from
             // DRAM every sweep.
             ledger.record(
@@ -865,7 +786,7 @@ impl SachiMachine {
             design: self.config.design,
             resolution_bits: enc.bits(),
             sweeps: result.sweeps,
-            rounds_per_sweep,
+            rounds_per_sweep: plan.rounds_per_sweep,
             compute_cycles,
             load_cycles,
             total_cycles,
@@ -879,7 +800,7 @@ impl SachiMachine {
             spin_copy_updates: tuples.spin_copy_updates() - copies_at_start,
             adjacency_reads: tuples.adjacency_reads() - adjacency_reads_at_start,
             cross_tuple_rereads: tuples.cross_tuple_rereads() - rereads_at_start,
-            prefetches: dram.prefetches_issued(),
+            prefetches: dram.stats().prefetches_issued,
             faults: fault_report,
             tile: *stats,
             dram: dram.stats(),
@@ -888,8 +809,7 @@ impl SachiMachine {
         self.resident = Some(Resident {
             tuples,
             soa,
-            chunks,
-            storage_bits_needed,
+            plan,
             spins: result.spins.clone(),
         });
         (result, report)

@@ -16,7 +16,7 @@
 //! than interleaved ones, which is the whole scaling argument.
 
 use crate::config::SachiConfig;
-use crate::perf::PerfModel;
+use crate::perf::{PerfModel, ASSUMED_FLIP_FRACTION};
 use sachi_ising::graph::IsingGraph;
 use sachi_mem::units::Cycles;
 use sachi_workloads::spec::WorkloadShape;
@@ -147,19 +147,15 @@ pub struct MulticoreModel {
     config: SachiConfig,
     /// Spin-update messages the interconnect moves per cycle.
     pub interconnect_msgs_per_cycle: u64,
-    /// Fraction of spins assumed to flip per sweep (same knob as the
-    /// perf model's update-energy estimate).
-    pub assumed_flip_fraction: f64,
 }
 
 impl MulticoreModel {
-    /// Creates a model with a 16-message/cycle interconnect and a 5% flip
-    /// assumption.
+    /// Creates a model with a 16-message/cycle interconnect; flips follow
+    /// [`ASSUMED_FLIP_FRACTION`].
     pub fn new(config: SachiConfig) -> Self {
         MulticoreModel {
             config,
             interconnect_msgs_per_cycle: 16,
-            assumed_flip_fraction: 0.05,
         }
     }
 
@@ -178,7 +174,7 @@ impl MulticoreModel {
         // Cross-core update traffic: every cut edge is a remote tuple-rep
         // copy; a flipped endpoint sends one message per remote copy.
         let cut = partition.cut_edges(graph);
-        let messages = (2.0 * cut as f64 * self.assumed_flip_fraction).ceil() as u64;
+        let messages = (2.0 * cut as f64 * ASSUMED_FLIP_FRACTION).ceil() as u64;
         let interconnect = Cycles::new(messages.div_ceil(self.interconnect_msgs_per_cycle.max(1)));
 
         // Update messages overlap compute like the prefetcher overlaps

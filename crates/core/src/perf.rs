@@ -4,17 +4,18 @@
 //! what a functional bit-level simulation should chew through. Because
 //! SACHI's access patterns are fully structured, its cycle counts are a
 //! deterministic function of the workload *shape* (spins, `N`, `R`) and
-//! the geometry; [`PerfModel`] evaluates exactly the arithmetic the
-//! functional [`crate::machine::SachiMachine`] performs, and the test
-//! suite pins the two against each other on uniform-degree graphs (the
-//! licence for using the model at scale — verification strategy #3 in
-//! DESIGN.md).
+//! the geometry; [`PerfModel`] sums the same [`RoundPlan`] the functional
+//! [`crate::machine::SachiMachine`] bills, built from the uniform shape,
+//! and the test suite pins the two against each other on uniform-degree
+//! graphs (the licence for using the model at scale — verification
+//! strategy #3 in DESIGN.md).
 
 use crate::config::SachiConfig;
 use crate::designs::stationarity;
+use crate::rounds::RoundPlan;
 use sachi_mem::energy::{EnergyComponent, EnergyLedger};
 use sachi_mem::units::convert::{approx_f64, count_u64, scale_by_fraction};
-use sachi_mem::units::{Bits, Cycles, Nanoseconds};
+use sachi_mem::units::{Cycles, Nanoseconds};
 use sachi_workloads::spec::WorkloadShape;
 
 /// Per-iteration (per-sweep) estimate for a workload shape.
@@ -54,8 +55,8 @@ pub struct SolveEstimate {
 }
 
 /// Flip fraction assumed for update-path energy (the functional machine
-/// measures it; the analytic model must assume one).
-const ASSUMED_FLIP_FRACTION: f64 = 0.05;
+/// measures it; the analytic models must assume one).
+pub const ASSUMED_FLIP_FRACTION: f64 = 0.05;
 
 /// The analytic model for one configuration.
 #[derive(Debug, Clone)]
@@ -74,87 +75,17 @@ impl PerfModel {
         &self.config
     }
 
-    /// Tuple storage bits in the storage array (Fig. 7a layout) for one
-    /// tuple of this shape.
-    fn tuple_storage_bits(shape: &WorkloadShape) -> u64 {
-        shape.tuple_bits()
-    }
-
     /// Estimates one sweep of the given shape.
     pub fn iteration(&self, shape: &WorkloadShape) -> IterationEstimate {
+        let plan = RoundPlan::uniform(&self.config, shape);
         let design = stationarity(self.config.design);
         let tech = &self.config.tech;
-        let geometry = self.config.hierarchy.compute;
-        let storage = self.config.hierarchy.storage;
         let n = shape.neighbors_per_spin;
         let r = shape.resolution_bits;
         let spins = shape.spins;
-        let row_bits = count_u64(geometry.row_bits());
-        let tiles = count_u64(geometry.tiles());
-        let banks = count_u64(self.config.bank_count);
-
+        let row_bits = count_u64(self.config.hierarchy.compute.row_bits());
         let per_tuple = design.phase1_cycles(n, r, row_bits).max(1);
-        let resident = design.resident_bits_per_tuple(n, r).max(1);
-        let fill = design.idle_cycles(n, r) + 3;
-
-        let capacity_bits = geometry.total_bits().get();
-        let capacity_tuples = (capacity_bits / resident).max(1);
-        let rounds = spins.div_ceil(capacity_tuples).max(1);
-        let fits_in_compute = rounds == 1;
-
-        // Chunk sizes: full chunks of `capacity_tuples`, then a remainder.
-        let full_chunks = spins / capacity_tuples;
-        let remainder = spins % capacity_tuples;
-        let chunk_compute = |len: u64| -> u64 {
-            if len == 0 {
-                0
-            } else {
-                len.div_ceil(tiles) * per_tuple + fill
-            }
-        };
-        let compute_per_sweep: u64 =
-            full_chunks * chunk_compute(capacity_tuples) + chunk_compute(remainder);
-
-        // Loading per chunk (only charged per-sweep when reloads happen).
-        let storage_bits_total = spins * Self::tuple_storage_bits(shape) + spins * n; // tuples + adjacency
-        let uses_dram = storage_bits_total > storage.total_bits().get();
-        // DRAM -> storage streaming is fully hidden by the Sec. IV.A
-        // prefetcher ("timely arrival of DRAM-requested data"); with the
-        // prefetcher ablated it serializes onto the round.
-        let chunk_load = |len: u64| -> u64 {
-            if len == 0 {
-                return 0;
-            }
-            let resident_bits = len * resident;
-            let rows = resident_bits.div_ceil(row_bits);
-            // A B-bank array uploads B rows per cycle — mirrors
-            // `TileParams::upload_cycles` in the functional machine.
-            let l2 = tech.storage_to_compute_cycles().get() + rows.div_ceil(banks);
-            if uses_dram && !self.config.prefetch {
-                let dram = tech.dram_stream_cycles(
-                    Bits::new(len * Self::tuple_storage_bits(shape)).to_bytes_ceil(),
-                );
-                l2 + dram.get()
-            } else {
-                l2
-            }
-        };
-        let load_per_sweep: u64 = if rounds > 1 {
-            full_chunks * chunk_load(capacity_tuples) + chunk_load(remainder)
-        } else {
-            0
-        };
-
-        // Effective critical path with the prefetcher overlapping each
-        // round's load against its compute.
-        let effective: u64 = if rounds == 1 {
-            compute_per_sweep
-        } else if self.config.prefetch {
-            full_chunks * chunk_compute(capacity_tuples).max(chunk_load(capacity_tuples))
-                + chunk_compute(remainder).max(chunk_load(remainder))
-        } else {
-            compute_per_sweep + load_per_sweep
-        };
+        let rounds = plan.rounds_per_sweep;
 
         // --- energy per sweep ---
         let mut energy = EnergyLedger::new();
@@ -178,7 +109,7 @@ impl PerfModel {
             EnergyComponent::DataMovement,
             tech.movement_energy_per_bit() * driven,
         );
-        if uses_dram {
+        if plan.uses_dram {
             // Driven data that the storage array cannot hold re-streams
             // from DRAM every sweep — reuse directly shrinks this term.
             energy.record(
@@ -199,7 +130,7 @@ impl PerfModel {
             tech.annealer_energy_per_decision() * spins,
         );
         if rounds > 1 {
-            let reload_bits = spins * resident;
+            let reload_bits = plan.per_sweep(|_, round| round.resident_bits);
             energy.record(
                 EnergyComponent::DataMovement,
                 tech.movement_energy_per_bit() * reload_bits,
@@ -208,10 +139,10 @@ impl PerfModel {
                 EnergyComponent::SramWrite,
                 tech.sram_write_energy_per_bit() * reload_bits,
             );
-            if uses_dram {
+            if plan.uses_dram {
                 energy.record(
                     EnergyComponent::DramAccess,
-                    tech.movement_energy_per_bit() * (spins * Self::tuple_storage_bits(shape)),
+                    tech.movement_energy_per_bit() * plan.per_sweep(|_, round| round.storage_bits),
                 );
             }
         }
@@ -233,55 +164,43 @@ impl PerfModel {
         );
 
         IterationEstimate {
-            compute_cycles: Cycles::new(compute_per_sweep),
-            load_cycles: Cycles::new(load_per_sweep),
-            effective_cycles: Cycles::new(effective),
+            compute_cycles: plan.sweep_compute(),
+            load_cycles: plan.sweep_load(1),
+            effective_cycles: plan.sweep_cycles(1),
             rounds,
-            fits_in_compute,
-            uses_dram,
+            fits_in_compute: rounds == 1,
+            uses_dram: plan.uses_dram,
             energy,
             reuse: design.max_reuse(n, r),
         }
     }
 
-    /// Estimates a whole solve of `iterations` sweeps, including the
-    /// initial DRAM placement and first-sweep fill.
+    /// Estimates a whole solve of `iterations` sweeps (at least one),
+    /// including the initial DRAM placement and sweep 0's fill — what
+    /// the functional machine bills for the same shape and sweep count.
     pub fn solve(&self, shape: &WorkloadShape, iterations: u64) -> SolveEstimate {
         let tech = &self.config.tech;
+        let plan = RoundPlan::uniform(&self.config, shape);
         let iter = self.iteration(shape);
-        let storage_bits_total =
-            shape.spins * Self::tuple_storage_bits(shape) + shape.spins * shape.neighbors_per_spin;
-        let initial_store = tech.dram_stream_cycles(Bits::new(storage_bits_total).to_bytes_ceil());
-
-        // First sweep additionally pays its (serial) first-round load even
-        // when everything fits.
-        let resident = stationarity(self.config.design)
-            .resident_bits_per_tuple(shape.neighbors_per_spin, shape.resolution_bits)
-            .max(1);
-        let first_fill_bits =
-            (shape.spins * resident).min(self.config.hierarchy.compute.total_bits().get());
-        let first_fill_rows =
-            first_fill_bits.div_ceil(count_u64(self.config.hierarchy.compute.row_bits()));
-        let first_fill = tech.storage_to_compute_cycles().get()
-            + first_fill_rows.div_ceil(count_u64(self.config.bank_count));
-
-        let total = initial_store
-            + Cycles::new(first_fill)
-            + Cycles::new(iter.effective_cycles.get() * iterations.max(1));
+        let total = plan.solve_cycles(iterations);
 
         let mut energy = EnergyLedger::new();
         energy.record(
             EnergyComponent::DramAccess,
-            tech.movement_energy_per_bit() * storage_bits_total,
+            tech.movement_energy_per_bit() * plan.storage_bits,
         );
-        energy.record(
-            EnergyComponent::DataMovement,
-            tech.movement_energy_per_bit() * first_fill_bits,
-        );
-        energy.record(
-            EnergyComponent::SramWrite,
-            tech.sram_write_energy_per_bit() * first_fill_bits,
-        );
+        // A resident problem fills the array once, in sweep 0; a
+        // multi-round one reloads every sweep, already in `iter`.
+        if plan.rounds_per_sweep == 1 {
+            energy.record(
+                EnergyComponent::DataMovement,
+                tech.movement_energy_per_bit() * plan.per_sweep(|_, round| round.resident_bits),
+            );
+            energy.record(
+                EnergyComponent::SramWrite,
+                tech.sram_write_energy_per_bit() * plan.per_sweep(|_, round| round.resident_bits),
+            );
+        }
         for _ in 0..iterations {
             energy.merge(&iter.energy);
         }
@@ -436,6 +355,47 @@ mod tests {
                     expected_load,
                     "{design} x{banks} load cycles"
                 );
+            }
+        }
+    }
+
+    /// A solve estimate bills what the metered machine bills for the same
+    /// shape and sweep count, round by round: the initial placement,
+    /// sweep 0's serialized first round and every later overlap — down
+    /// to a lone spin of degree 0, whose kernel books no phase-1 cycles.
+    #[test]
+    fn model_solve_bills_what_the_machine_bills() {
+        let small = CacheHierarchy {
+            compute: CacheGeometry::new(2, 4, 64, 1),
+            storage: CacheGeometry::sachi_storage_default(),
+        };
+        for hierarchy in [small, CacheHierarchy::hpca_default()] {
+            for n_spins in [1usize, 12, 36, 64] {
+                let g = topology::complete(n_spins, |i, j| ((i + j) % 5) as i32 - 2).unwrap();
+                let mut rng = StdRng::seed_from_u64(21);
+                let init = SpinVector::random(n_spins, &mut rng);
+                let opts = SolveOptions::for_graph(&g, 6);
+                for design in DesignKind::ALL {
+                    for prefetch in [true, false] {
+                        let mut config = SachiConfig::new(design).with_hierarchy(hierarchy);
+                        if !prefetch {
+                            config = config.without_prefetch();
+                        }
+                        let mut machine = SachiMachine::new(config.clone());
+                        let (_, report) = machine.solve_detailed(&g, &init, &opts);
+                        let shape = WorkloadShape::new(
+                            n_spins as u64,
+                            (n_spins - 1) as u64,
+                            report.resolution_bits,
+                        );
+                        let est = PerfModel::new(config).solve(&shape, report.sweeps);
+                        assert_eq!(
+                            est.total_cycles, report.total_cycles,
+                            "K{n_spins}/{design}/prefetch={prefetch}/{} rounds",
+                            report.rounds_per_sweep
+                        );
+                    }
+                }
             }
         }
     }

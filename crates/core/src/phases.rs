@@ -51,15 +51,6 @@ impl PhaseSchedule {
             total_latency_cycles: total,
         }
     }
-
-    /// Cycles to stream `tuples` tuples through one tile, with phases
-    /// overlapped: one pipeline fill plus steady-state phase-1 throughput.
-    pub fn round_cycles(&self, tuples: u64) -> u64 {
-        if tuples == 0 {
-            return 0;
-        }
-        self.idle_cycles + tuples * self.phase1_cycles.max(1) + 3
-    }
 }
 
 #[cfg(test)]
@@ -90,18 +81,6 @@ mod tests {
         assert_eq!(t(DesignKind::N2), 4);
         // n3 reads the whole tuple in one cycle: N*(R+1) = 40 bits/cycle.
         assert_eq!(t(DesignKind::N3), 40);
-    }
-
-    #[test]
-    fn round_cycles_scale_with_tuples() {
-        let s = PhaseSchedule::new(DesignKind::N2, 8, 4, 800);
-        assert_eq!(s.round_cycles(0), 0);
-        let ten = s.round_cycles(10);
-        let twenty = s.round_cycles(20);
-        // Steady-state slope is phase1 per tuple.
-        assert_eq!(twenty - ten, 10 * s.phase1_cycles);
-        // Fill cost appears once.
-        assert_eq!(ten, s.idle_cycles + 10 * s.phase1_cycles + 3);
     }
 
     #[test]

@@ -54,10 +54,11 @@ impl SpinTuple {
         self.neighbors.len()
     }
 
-    /// Storage bits of this tuple at resolution `r`: `N` neighbor-spin
-    /// bits + `N` R-bit ICs + one R-bit field.
-    pub fn storage_bits(&self, r: u32) -> u64 {
-        self.degree() as u64 * (r as u64 + 1) + r as u64
+    /// Storage bits of a tuple of `n` neighbors at resolution `r`
+    /// (Fig. 7a): `n` neighbor-spin bits + `n` R-bit ICs + one R-bit
+    /// field.
+    pub fn storage_bits(n: u64, r: u32) -> u64 {
+        n * (u64::from(r) + 1) + u64::from(r)
     }
 }
 
@@ -262,17 +263,6 @@ impl TupleStore {
     /// Cross-tuple re-reads that the no-tuple-rep ablation would incur.
     pub fn cross_tuple_rereads(&self) -> u64 {
         self.cross_tuple_rereads
-    }
-
-    /// Total storage bits of all tuples at resolution `r`.
-    pub fn total_storage_bits(&self, r: u32) -> u64 {
-        self.tuples.iter().map(|t| t.storage_bits(r)).sum()
-    }
-
-    /// Bits of the adjacency-matrix region: one bit per (spin, tuple)
-    /// membership.
-    pub fn adjacency_bits(&self) -> u64 {
-        self.adjacency.iter().map(|v| v.len() as u64).sum()
     }
 }
 
@@ -561,13 +551,13 @@ mod tests {
         let s = SpinVector::filled(9, Spin::Up);
         let store = TupleStore::new(&g, &s);
         // Center tuple: 8 neighbors, R=4 -> 8*5 + 4 = 44 bits.
-        assert_eq!(store.tuple(4).storage_bits(4), 44);
-        // Adjacency bits = directed edge count = 2 * edges.
-        assert_eq!(store.adjacency_bits(), 2 * g.num_edges() as u64);
         assert_eq!(
-            store.total_storage_bits(4),
-            (0..9).map(|i| store.tuple(i).storage_bits(4)).sum::<u64>()
+            SpinTuple::storage_bits(store.tuple(4).degree() as u64, 4),
+            44
         );
+        // Adjacency bits = directed edge count = 2 * edges.
+        let adjacency: usize = (0..9).map(|j| store.adjacency_of(j).len()).sum();
+        assert_eq!(adjacency, 2 * g.num_edges());
     }
 
     #[test]

@@ -5,10 +5,11 @@
 //! controller counts the rows not yet computed and issues the next
 //! round's prefetch once the count drops to the DRAM→storage +
 //! storage→compute movement latency, so the next round's data arrives
-//! exactly when the current round drains. The model books that outcome
-//! in closed form per round ([`DramController::effective_round_cycles`]):
-//! the load hides behind the round's compute, and only a load longer than
-//! the round shows on the critical path.
+//! exactly when the current round drains: the load hides behind the
+//! round's compute, and only a load longer than the round shows on the
+//! critical path. The round plan in `sachi-core` prices that overlap;
+//! the controller keeps its statistics
+//! ([`DramController::record_round`]).
 
 use crate::energy::{EnergyComponent, EnergyLedger};
 use crate::fault::FaultInjector;
@@ -81,65 +82,38 @@ impl DramController {
         self
     }
 
-    /// Whether prefetching is enabled.
-    pub fn prefetch_enabled(&self) -> bool {
-        self.prefetch_enabled
-    }
-
-    /// Technology parameters in use.
-    pub fn params(&self) -> &TechnologyParams {
-        &self.params
-    }
-
-    /// Cycles to stream `payload` from DRAM over the 64 B/cycle bus.
-    pub fn stream_cycles(&self, payload: Bits) -> Cycles {
-        self.params.dram_stream_cycles(payload.to_bytes_ceil())
-    }
-
-    /// Books one load of `payload` bits and returns the cycles it occupies
-    /// on the bus. Call [`DramController::effective_round_cycles`] to decide
-    /// how much of that shows up on the critical path.
-    pub fn load(&mut self, payload: Bits, ledger: &mut EnergyLedger) -> Cycles {
+    /// Books one load of `payload` bits: its DRAM energy plus one
+    /// controller counter update, priced as an adder op, per 64-byte
+    /// beat. With an injector the stream also draws per-bit corruption
+    /// (an inert model draws nothing); the corrupted bit count is
+    /// returned. Corrupted beats cost the same. The round plan in
+    /// `sachi-core` prices the stream's cycles.
+    pub fn load(
+        &mut self,
+        payload: Bits,
+        ledger: &mut EnergyLedger,
+        inj: Option<&mut FaultInjector>,
+    ) -> u64 {
         self.stats.loads += 1;
         self.stats.bits_loaded += payload.get();
         ledger.record(
             EnergyComponent::DramAccess,
             self.params.movement_energy_per_bit() * payload.get(),
         );
-        // Controller bookkeeping: one counter update per streamed beat,
-        // priced as an adder op per 64-byte beat.
-        let beats = self.stream_cycles(payload).get();
+        let beats = self.params.dram_stream_cycles(payload.to_bytes_ceil());
         ledger.record(
             EnergyComponent::DramController,
-            self.params.adder_energy_per_bit() * beats,
+            self.params.adder_energy_per_bit() * beats.get(),
         );
-        self.stream_cycles(payload)
+        inj.map_or(0, |inj| inj.flips_in_dram_stream(payload.get()))
     }
 
-    /// [`DramController::load`] through a [`FaultInjector`]: cycle and
-    /// energy accounting are identical to a clean load (corrupted beats
-    /// still occupy the bus and burn the same energy); the injector
-    /// additionally draws per-bit stream corruption and the corrupted
-    /// bit count is returned alongside the cycles. With an inert model
-    /// this is bit-identical to `load` and consumes no RNG draws.
-    pub fn load_with_faults(
-        &mut self,
-        payload: Bits,
-        ledger: &mut EnergyLedger,
-        inj: &mut FaultInjector,
-    ) -> (Cycles, u64) {
-        let cycles = self.load(payload, ledger);
-        let corrupted = inj.flips_in_dram_stream(payload.get());
-        (cycles, corrupted)
-    }
-
-    /// Critical-path cycles of a compute round of `compute` cycles whose
-    /// *next* round needs `load` cycles of DRAM streaming.
-    ///
-    /// With the prefetcher, the load overlaps compute and only the excess
-    /// (if the load is longer than the round) is exposed. Without it, the
-    /// full load serializes after the round.
-    pub fn effective_round_cycles(&mut self, compute: Cycles, load: Cycles) -> Cycles {
+    /// Books the prefetch statistics of a compute round of `compute`
+    /// cycles that overlaps a load of `load` cycles: with the prefetcher,
+    /// the load hides behind compute and only the excess (if the load is
+    /// longer than the round) is exposed. Without it nothing overlaps and
+    /// nothing is booked.
+    pub fn record_round(&mut self, compute: Cycles, load: Cycles) {
         if load > Cycles::ZERO && self.prefetch_enabled {
             self.stats.prefetches_issued += 1;
             if load <= compute {
@@ -152,26 +126,6 @@ impl DramController {
                 self.stats.prefetch_late_arrivals += 1;
             }
         }
-        if self.prefetch_enabled {
-            compute.max(load)
-        } else {
-            compute + load
-        }
-    }
-
-    /// Number of `load` calls so far.
-    pub fn loads(&self) -> u64 {
-        self.stats.loads
-    }
-
-    /// Total bits loaded so far.
-    pub fn bits_loaded(&self) -> Bits {
-        Bits::new(self.stats.bits_loaded)
-    }
-
-    /// Number of prefetches issued so far.
-    pub fn prefetches_issued(&self) -> u64 {
-        self.stats.prefetches_issued
     }
 
     /// Snapshot of the cumulative controller statistics.
@@ -185,43 +139,32 @@ mod tests {
     use super::*;
 
     #[test]
-    fn stream_cycles_uses_bus_width() {
-        let ctrl = DramController::new(TechnologyParams::default());
-        assert_eq!(ctrl.stream_cycles(Bits::from_bytes(64)), Cycles::new(1));
-        assert_eq!(ctrl.stream_cycles(Bits::from_bytes(100)), Cycles::new(2));
-    }
-
-    #[test]
     fn load_books_energy_and_stats() {
         let mut ctrl = DramController::new(TechnologyParams::default());
         let mut ledger = EnergyLedger::new();
-        let cycles = ctrl.load(Bits::from_bytes(128), &mut ledger);
-        assert_eq!(cycles, Cycles::new(2));
-        assert_eq!(ctrl.loads(), 1);
-        assert_eq!(ctrl.bits_loaded(), Bits::from_bytes(128));
+        assert_eq!(ctrl.load(Bits::from_bytes(128), &mut ledger, None), 0);
+        assert_eq!(ctrl.stats().loads, 1);
+        assert_eq!(ctrl.stats().bits_loaded, Bits::from_bytes(128).get());
         // 1024 bits at 1 pJ/bit.
         assert!((ledger.component(EnergyComponent::DramAccess).get() - 1024.0).abs() < 1e-9);
         assert!(ledger.component(EnergyComponent::DramController).get() > 0.0);
     }
 
     #[test]
-    fn prefetch_overlaps_load_with_compute() {
+    fn prefetch_stats_split_hidden_and_exposed_load() {
         let mut with = DramController::new(TechnologyParams::default());
         let mut without = DramController::new(TechnologyParams::default()).without_prefetch();
-        let compute = Cycles::new(100);
-        let load = Cycles::new(30);
-        assert_eq!(with.effective_round_cycles(compute, load), Cycles::new(100));
-        assert_eq!(
-            without.effective_round_cycles(compute, load),
-            Cycles::new(130)
-        );
-        assert_eq!(with.prefetches_issued(), 1);
-        assert_eq!(without.prefetches_issued(), 0);
-        // A load longer than the round exposes only the excess... i.e. max.
-        assert_eq!(
-            with.effective_round_cycles(Cycles::new(10), Cycles::new(40)),
-            Cycles::new(40)
-        );
+        with.record_round(Cycles::new(100), Cycles::new(30));
+        without.record_round(Cycles::new(100), Cycles::new(30));
+        assert_eq!(with.stats().prefetches_issued, 1);
+        assert_eq!(with.stats().prefetch_hidden_cycles, 30);
+        // A load longer than the round exposes only the excess.
+        with.record_round(Cycles::new(10), Cycles::new(40));
+        let stats = with.stats();
+        assert_eq!(stats.prefetch_hidden_cycles, 40);
+        assert_eq!(stats.prefetch_exposed_cycles, 30);
+        assert_eq!(stats.prefetch_late_arrivals, 1);
+        assert_eq!(without.stats(), DramStats::default());
     }
 
     #[test]
@@ -235,21 +178,17 @@ mod tests {
         // Inert model: identical in every respect, no draws.
         let mut inert = FaultModel::new(4).injector(0);
         let state = inert.stream_state();
-        let want = clean.load(Bits::from_bytes(128), &mut clean_ledger);
-        let (got, corrupted) =
-            faulted.load_with_faults(Bits::from_bytes(128), &mut faulted_ledger, &mut inert);
-        assert_eq!(got, want);
+        clean.load(Bits::from_bytes(128), &mut clean_ledger, None);
+        let corrupted = faulted.load(Bits::from_bytes(128), &mut faulted_ledger, Some(&mut inert));
         assert_eq!(corrupted, 0);
         assert_eq!(inert.stream_state(), state);
-        assert_eq!(faulted.loads(), clean.loads());
+        assert_eq!(faulted.stats(), clean.stats());
         assert!((faulted_ledger.total().get() - clean_ledger.total().get()).abs() < 1e-12);
 
-        // Certainty DRAM BER corrupts every streamed bit; cycles unchanged.
+        // Certainty DRAM BER corrupts every streamed bit.
         let model = FaultModel::new(4).with_dram_ber(FaultRate::from_ppb(1_000_000_000));
         let mut inj = model.injector(0);
-        let (cycles, corrupted) =
-            faulted.load_with_faults(Bits::new(100), &mut faulted_ledger, &mut inj);
-        assert_eq!(cycles, faulted.stream_cycles(Bits::new(100)));
+        let corrupted = faulted.load(Bits::new(100), &mut faulted_ledger, Some(&mut inj));
         assert_eq!(corrupted, 100);
         assert_eq!(inj.counters().dram_flips, 100);
     }

@@ -277,7 +277,7 @@ mod tests {
         assert_eq!(ids.len(), cases.len(), "cell ids are unique");
         for case in &cases {
             assert!(case.graph().num_spins() > 0);
-            assert!(case.shape().tuple_bits() > 0);
+            assert_eq!(case.shape().spins, case.graph().num_spins() as u64);
         }
     }
 

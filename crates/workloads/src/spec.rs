@@ -204,24 +204,6 @@ impl WorkloadShape {
         self.resolution_bits = bits;
         self
     }
-
-    /// Bits of one storage-array tuple: `N` neighbor spin bits, `N` ICs of
-    /// `R` bits, plus an `R`-bit external field (Fig. 7a).
-    pub fn tuple_bits(&self) -> u64 {
-        self.neighbors_per_spin * (self.resolution_bits as u64 + 1) + self.resolution_bits as u64
-    }
-
-    /// Bits of the compute-array image of one tuple (the ICs only; spins
-    /// ride on the word-lines or in dedicated columns depending on the
-    /// stationarity).
-    pub fn compute_row_bits(&self) -> u64 {
-        self.neighbors_per_spin * self.resolution_bits as u64
-    }
-
-    /// Total problem footprint in bits (all tuples).
-    pub fn total_bits(&self) -> u64 {
-        self.spins * self.tuple_bits()
-    }
 }
 
 /// A concrete COP instance: a graph to solve plus domain-level accuracy.
@@ -293,7 +275,7 @@ mod tests {
             // The shape machinery accepts the new families end to end.
             let shape = kind.standard_shape(1_000);
             assert!(shape.neighbors_per_spin < 1_000);
-            assert!(shape.tuple_bits() > 0);
+            assert!(footprint(&shape) > 0);
         }
         assert_eq!(CopKind::SatThree.neighbors_per_spin(1_000), 13);
         assert_eq!(CopKind::GraphColoring.neighbors_per_spin(1_000), 32);
@@ -311,13 +293,19 @@ mod tests {
         assert_eq!(CopKind::TravelingSalesman.neighbors_per_spin(1), 0);
     }
 
+    /// Problem footprint in bits: every tuple's `N` spin copies, `N`
+    /// R-bit ICs and R-bit field (Fig. 7a).
+    fn footprint(s: &WorkloadShape) -> u64 {
+        let r = u64::from(s.resolution_bits);
+        s.spins * (s.neighbors_per_spin * (r + 1) + r)
+    }
+
     #[test]
-    fn tuple_bits_formula() {
+    fn md_footprint_at_1k() {
         // MD at 1K spins, R=4: tuple = 8*(4+1) + 4 = 44 bits.
         let s = CopKind::MolecularDynamics.standard_shape(1_000);
-        assert_eq!(s.tuple_bits(), 44);
-        assert_eq!(s.compute_row_bits(), 32);
-        assert_eq!(s.total_bits(), 44_000);
+        assert_eq!((s.neighbors_per_spin, s.resolution_bits), (8, 4));
+        assert_eq!(footprint(&s), 44_000);
     }
 
     #[test]
@@ -329,10 +317,7 @@ mod tests {
         // from the paper's table are catalogued by the fig04 harness.
         let l1_bits = 64 * 1024 * 8u64;
         let fits = |kind: CopKind, bits: u32| {
-            kind.standard_shape(1_000)
-                .with_resolution(bits)
-                .total_bits()
-                <= l1_bits
+            footprint(&kind.standard_shape(1_000).with_resolution(bits)) <= l1_bits
         };
         assert!(fits(CopKind::AssetAllocation, 7));
         assert!(fits(CopKind::ImageSegmentation, 6));
@@ -342,8 +327,8 @@ mod tests {
         assert!(!fits(CopKind::TravelingSalesman, 8));
         // 8-bit always costs at least as much as the native resolution.
         for kind in CopKind::ALL {
-            let native = kind.standard_shape(1_000).total_bits();
-            let eight = kind.standard_shape(1_000).with_resolution(8).total_bits();
+            let native = footprint(&kind.standard_shape(1_000));
+            let eight = footprint(&kind.standard_shape(1_000).with_resolution(8));
             assert!(eight >= native, "{kind}: 8-bit smaller than native");
         }
     }

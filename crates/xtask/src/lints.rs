@@ -64,10 +64,11 @@ impl std::fmt::Display for Finding {
 
 /// Files whose energy/cycle arithmetic must go through the `units.rs`
 /// newtypes. All of `sachi-mem`, plus the accounting paths of
-/// `sachi-core` (closed-form model, functional machine, per-design
-/// schedules, replica-ensemble folding).
+/// `sachi-core` (round plan, closed-form model, functional machine,
+/// per-design schedules, replica-ensemble folding).
 const UNIT_SAFETY_SCOPE: &[&str] = &[
     "crates/mem/src",
+    "crates/core/src/rounds.rs",
     "crates/core/src/perf.rs",
     "crates/core/src/machine.rs",
     "crates/core/src/designs.rs",

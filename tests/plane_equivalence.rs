@@ -8,11 +8,13 @@
 //! and senses it, in its H value, its `ComputeContext` counters (cycles,
 //! RWL fetches, XNOR ops, adder ops, decisions, queue peaks), and the
 //! tile's `TileStats` (activations, discharges, redundancy, reads,
-//! writes). That holds across all four designs, random tuples, every
-//! resolution R ∈ {2..32}, empty and degree-1 tuples, and row widths
-//! narrow enough that n3 tuples span several rows — and on whole dense
-//! and King's graphs after every flip of a random flip sequence, where
-//! the kernel reads sums the update path has kept current.
+//! writes) — and its cycle count equals the round plan's per-tuple price
+//! (`rounds::tuple_cycles`). That holds across all four designs, random
+//! tuples, every resolution R ∈ {2..32}, empty and degree-1 tuples, and
+//! row widths narrow enough that n3 tuples span several rows — and on
+//! whole dense and King's graphs after every flip of a random flip
+//! sequence, where the kernel reads sums the update path has kept
+//! current.
 
 #[path = "support/sums.rs"]
 mod sums;
@@ -24,6 +26,7 @@ use sachi::arch::config::{DesignKind, FaultProfile, SachiConfig};
 use sachi::arch::designs::{stationarity, ComputeContext, ComputeScratch};
 use sachi::arch::encoding::MixedEncoding;
 use sachi::arch::machine::SachiMachine;
+use sachi::arch::rounds::tuple_cycles;
 use sachi::arch::tuple::{SpinTuple, TuplePlaneView, TuplePlanes, TupleStore};
 use sachi::ising::graph::{topology, GraphBuilder, IsingGraph};
 use sachi::ising::recovery::RecoveryPolicy;
@@ -123,6 +126,14 @@ fn assert_kernel_matches_oracle(
         tile_scalar.stats(),
         tile_soa.stats(),
         "{kind} TileStats diverged (R={r}, degree={degree}, row={row_bits})"
+    );
+    // The round plan prices compute from degrees, not from the kernel's
+    // counters: it must book exactly what the kernel books, degree 0
+    // included.
+    assert_eq!(
+        ctx_soa.cycles,
+        tuple_cycles(kind, degree as u64, r, row_bits as u64),
+        "{kind} kernel cycles diverged from the round plan (R={r}, degree={degree}, row={row_bits})"
     );
 }
 

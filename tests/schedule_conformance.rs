@@ -118,6 +118,15 @@ fn ladder_invariants_hold_across_the_grid() {
     }
 }
 
+/// A one-tile compute array of `ROW_BITS`-wide rows, deep enough to hold
+/// eleven of the grid's largest tuples in one round.
+fn one_tile(design: DesignKind) -> SachiConfig {
+    SachiConfig::new(design).with_hierarchy(CacheHierarchy {
+        compute: CacheGeometry::new(1, 4096, ROW_BITS as usize, 1),
+        storage: CacheGeometry::sachi_storage_default(),
+    })
+}
+
 #[test]
 fn phase_schedule_struct_mirrors_design_formulas() {
     for design in DesignKind::ALL {
@@ -129,10 +138,15 @@ fn phase_schedule_struct_mirrors_design_formulas() {
                 assert_eq!(s.idle_cycles, d.idle_cycles(n, r));
                 assert_eq!(s.queue_bits, d.xnor_queue_bits(n, r));
                 assert!(s.total_latency_cycles >= s.phase1_cycles);
-                // Round cost is affine in tuple count with slope phase1.
-                let a = s.round_cycles(10);
-                let b = s.round_cycles(11);
-                assert_eq!(b - a, s.phase1_cycles.max(1));
+                // On one tile a round streams its tuples back to back: one
+                // pipeline fill plus phase1 per tuple, affine in the count.
+                let round = |tuples| {
+                    let plan =
+                        RoundPlan::uniform(&one_tile(design), &WorkloadShape::new(tuples, n, r));
+                    plan.sweep_compute().get()
+                };
+                assert_eq!(round(10), s.idle_cycles + 10 * s.phase1_cycles + 3);
+                assert_eq!(round(11) - round(10), s.phase1_cycles);
             }
         }
     }

@@ -370,7 +370,13 @@ impl ResidentN3Machine {
         }
         let rounds_per_sweep = count_u64(chunks.len());
 
-        let storage_bits_needed = tuples.total_storage_bits(enc.bits()) + tuples.adjacency_bits();
+        let storage_bits_needed: u64 = (0..n)
+            .map(|i| {
+                let degree = count_u64(tuples.tuple(i).degree());
+                SpinTuple::storage_bits(degree, enc.bits())
+                    + count_u64(tuples.adjacency_of(i).len())
+            })
+            .sum();
         let uses_dram = storage_bits_needed > self.config.hierarchy.storage.total_bits().get();
         let mut total_cycles =
             tech.dram_stream_cycles(Bits::new(storage_bits_needed).to_bytes_ceil());
@@ -433,7 +439,12 @@ impl ResidentN3Machine {
                     if uses_dram {
                         let chunk_storage: u64 = chunk
                             .clone()
-                            .map(|i| tuples.tuple(i).storage_bits(enc.bits()))
+                            .map(|i| {
+                                SpinTuple::storage_bits(
+                                    count_u64(tuples.tuple(i).degree()),
+                                    enc.bits(),
+                                )
+                            })
                             .sum();
                         ledger.record(
                             EnergyComponent::DramAccess,
