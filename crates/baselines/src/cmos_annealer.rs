@@ -206,7 +206,7 @@ impl CmosAnnealer {
                     // Hitachi-style annealing: random bit injection with
                     // probability tied to the shared schedule temperature.
                     if new == current {
-                        let p = annealer.acceptance_probability(2 * h.abs().max(1));
+                        let p = annealer.probability(2 * h.abs().max(1));
                         if p > 0.0 && rng.gen::<f64>() < p {
                             new = current.flipped();
                         }

@@ -21,19 +21,23 @@
 //! * **banked sweeps** — metered machine cycles on multi-round King's
 //!   lattices, bank_count 1 vs 8, recording how much upload time the
 //!   sram22-style banking removes from the critical path;
-//! * **decision** (`decide`) — `Annealer::accept` over the ΔH stream of a
-//!   recorded King's-graph anneal, against the same stream's `exp` calls
-//!   alone: how the decision's time splits between `exp` and the draw.
-//!   This row is measurement only, with no bar.
+//! * **decision** (`decide`) — the memoised `Annealer::accept` over the
+//!   ΔH stream of a recorded King's-graph anneal, against an in-bench
+//!   exp-per-decision reference (the same seeded draw against
+//!   `acceptance_probability`), alternating in one process; the medians
+//!   and IQRs over the rounds and of the per-round ratio are recorded.
 //!
 //! Every timed pair is asserted H-identical first, after every flip of
 //! the sequence and against the golden local field (the differential
 //! proptests in `tests/plane_equivalence.rs` prove the full counter
 //! contract; this harness re-checks H as a cheap tripwire), then the
 //! measured ns/call and speedups are printed and written to
-//! `BENCH_perf.json`. The full run asserts the ≥5× acceptance bar on
-//! the dense kernel and the ≥6× bar on the dense SoA sweep for every
-//! design; `--smoke` runs reduced reps and shapes for CI, checks
+//! `BENCH_perf.json`. The decision row is checked the same way first:
+//! both paths must make the same decisions, keep the same uphill
+//! counters and leave the RNG at the same draw. The full run asserts the
+//! ≥5× acceptance bar on the dense kernel, the ≥6× bar on the dense SoA
+//! sweep for every design, and a memo/reference median ratio ≤ 0.75 on
+//! the decision; `--smoke` runs reduced reps and shapes for CI, checks
 //! equality only (CI machines are too noisy to gate on a timing ratio),
 //! and never writes the baseline — its reduced shapes would replace the
 //! committed full-run numbers.
@@ -57,7 +61,10 @@ const ROW_BITS: usize = 800;
 /// of a few microseconds would time the clock and the warm-up.
 const SOA_REPS: u32 = 50;
 /// Alternating rounds of the decision row's two timed passes.
-const DECIDE_ROUNDS: u32 = 5;
+const DECIDE_ROUNDS: u32 = 15;
+/// The full run's bar on the decision row: the memoised `accept` takes
+/// at most this fraction of the exp-per-decision reference's time.
+const DECIDE_BAR: f64 = 0.75;
 
 /// Nanoseconds per call of `f`, amortized over `iters` runs.
 fn ns_per_call(iters: u32, mut f: impl FnMut()) -> f64 {
@@ -334,21 +341,91 @@ fn measure_banked(kind: DesignKind, lattice: usize, banks: usize) -> BankedRow {
     }
 }
 
+/// Median and interquartile range of one reading over the rounds.
+struct Spread {
+    median: f64,
+    iqr: f64,
+}
+
+impl Spread {
+    /// Linearly interpolated quartiles of `readings`.
+    fn of(mut readings: Vec<f64>) -> Self {
+        readings.sort_by(f64::total_cmp);
+        let at = |q: f64| {
+            let pos = q * (readings.len() - 1) as f64;
+            let (lo, hi) = (
+                readings[pos.floor() as usize],
+                readings[pos.ceil() as usize],
+            );
+            lo + (hi - lo) * pos.fract()
+        };
+        Spread {
+            median: at(0.5),
+            iqr: at(0.75) - at(0.25),
+        }
+    }
+
+    fn json(&self) -> String {
+        format!(
+            "{{\"median\": {:.3}, \"iqr\": {:.3}}}",
+            self.median, self.iqr
+        )
+    }
+}
+
 /// The annealer decision over one recorded ΔH stream.
 struct DecideRow {
     decisions: usize,
-    exp_calls: usize,
-    /// `Annealer::accept` per decision.
-    accept_ns: f64,
-    /// The stream's `exp` calls alone, per decision.
-    exp_ns: f64,
+    /// Uphill proposals on a live annealer: one RNG draw each.
+    draws: u64,
+    /// The memoised `Annealer::accept`, ns per decision.
+    memo_ns: Spread,
+    /// The exp-per-decision reference, ns per decision.
+    reference_ns: Spread,
+    /// memo / reference, per round.
+    ratio: Spread,
+}
+
+/// The Metropolis rule as it was before the memo: one seeded
+/// `gen::<f64>()` per live uphill proposal against
+/// `acceptance_probability`, an `exp` each, counting uphill moves into
+/// `uphill` (accepted, rejected). The `decide` row's timing reference
+/// and decision oracle.
+fn reference_accept(annealer: &mut Annealer, delta: i64, uphill: &mut [u64; 2]) -> bool {
+    if delta <= 0 {
+        return true;
+    }
+    let accepted = !annealer.is_frozen()
+        && annealer.rng().gen::<f64>() < annealer.acceptance_probability(delta);
+    uphill[usize::from(!accepted)] += 1;
+    accepted
+}
+
+/// Replays `deltas` (one chunk of `n` per sweep, cooling after each)
+/// through `decide` on a fresh annealer from `options` and returns the
+/// annealer.
+fn replay_decisions(
+    deltas: &[i64],
+    n: usize,
+    options: &SolveOptions,
+    mut decide: impl FnMut(&mut Annealer, i64),
+) -> Annealer {
+    let mut annealer = Annealer::new(options.schedule, options.seed);
+    for sweep in deltas.chunks_exact(n) {
+        for &d in sweep {
+            decide(&mut annealer, d);
+        }
+        annealer.cool();
+    }
+    annealer
 }
 
 /// Records the ΔH stream an anneal of `graph` presents to the annealer
 /// (`−2·σ·H` of every update, one chunk per sweep, as `decide_update`
-/// forms it), then times `Annealer::accept` over it against the `exp`
-/// calls `accept` makes on it: one per uphill ΔH while the annealer is
-/// live, at that sweep's temperature.
+/// forms it), checks that the memoised `Annealer::accept` and the
+/// exp-per-decision reference make the same decisions on it, with the
+/// same uphill counters and the same next RNG draw, then times the two
+/// in alternating rounds.
 fn measure_decide(
     graph: &IsingGraph,
     init: &SpinVector,
@@ -359,14 +436,15 @@ fn measure_decide(
     let options = SolveOptions::for_graph(graph, 41);
     let mut st = SweepState::new(graph, init, enc);
     let mut annealer = Annealer::new(options.schedule, options.seed);
-    let (mut deltas, mut temps) = (Vec::new(), Vec::new());
+    let (mut deltas, mut draws) = (Vec::new(), 0u64);
     for _ in 0..options.effective_max_sweeps(n) {
         let frozen = annealer.is_frozen();
-        temps.push((!frozen).then(|| annealer.temperature()));
         let mut flips = 0u32;
         for i in 0..n {
             let (current, h) = (st.spins.get(i), st.planes.view(i).sums().h);
-            deltas.push(-2 * current.value() * h);
+            let delta = -2 * current.value() * h;
+            deltas.push(delta);
+            draws += u64::from(!frozen && delta > 0);
             if decide_update(current, h, &mut annealer) != current {
                 st.flip(i, true);
                 flips += 1;
@@ -377,45 +455,57 @@ fn measure_decide(
             break;
         }
     }
-    let exp_calls = deltas
-        .chunks_exact(n)
-        .zip(&temps)
-        .map(|(sweep, t)| t.map_or(0, |_| sweep.iter().filter(|&&d| d > 0).count()))
-        .sum();
 
-    // The two passes differ by a few ns per decision, less than a noisy
-    // neighbour moves either, so they alternate and each keeps its
-    // fastest reading.
+    let (mut memo_decisions, mut reference_decisions) = (Vec::new(), Vec::new());
+    let mut memo = replay_decisions(&deltas, n, &options, |a, d| {
+        memo_decisions.push(a.accept(d));
+    });
+    let mut uphill = [0u64; 2];
+    let mut reference = replay_decisions(&deltas, n, &options, |a, d| {
+        reference_decisions.push(reference_accept(a, d, &mut uphill));
+    });
+    assert!(
+        memo_decisions == reference_decisions,
+        "memoised accept diverged from the exp-per-decision reference"
+    );
+    assert_eq!(
+        [memo.uphill_accepted(), memo.uphill_rejected()],
+        uphill,
+        "uphill counters diverged"
+    );
+    assert_eq!(
+        memo.rng().gen::<u64>(),
+        reference.rng().gen::<u64>(),
+        "RNG streams diverged"
+    );
+
+    // Both passes time the whole replay, annealer construction
+    // included; they alternate so a noisy neighbour slows both, and the
+    // per-round ratio cancels it.
     let per_decision = 1.0 / deltas.len() as f64;
-    let (mut accept_ns, mut exp_ns) = (f64::INFINITY, f64::INFINITY);
+    let (mut memo_ns, mut reference_ns, mut ratio) = (Vec::new(), Vec::new(), Vec::new());
     for _ in 0..DECIDE_ROUNDS {
-        let accept = ns_per_call(iters, || {
-            let mut annealer = Annealer::new(options.schedule, options.seed);
-            for sweep in deltas.chunks_exact(n) {
-                for &d in sweep {
-                    std::hint::black_box(annealer.accept(std::hint::black_box(d)));
-                }
-                annealer.cool();
-            }
+        let m = ns_per_call(iters, || {
+            replay_decisions(&deltas, n, &options, |a, d| {
+                std::hint::black_box(a.accept(std::hint::black_box(d)));
+            });
         });
-        let exp = ns_per_call(iters, || {
-            for (sweep, &t) in deltas.chunks_exact(n).zip(&temps) {
-                let Some(t) = t else { continue };
-                for &d in sweep {
-                    if d > 0 {
-                        std::hint::black_box((-(std::hint::black_box(d) as f64) / t).exp());
-                    }
-                }
-            }
+        let r = ns_per_call(iters, || {
+            let mut uphill = [0u64; 2];
+            replay_decisions(&deltas, n, &options, |a, d| {
+                std::hint::black_box(reference_accept(a, std::hint::black_box(d), &mut uphill));
+            });
         });
-        accept_ns = accept_ns.min(accept * per_decision);
-        exp_ns = exp_ns.min(exp * per_decision);
+        memo_ns.push(m * per_decision);
+        reference_ns.push(r * per_decision);
+        ratio.push(m / r);
     }
     DecideRow {
         decisions: deltas.len(),
-        exp_calls,
-        accept_ns,
-        exp_ns,
+        draws,
+        memo_ns: Spread::of(memo_ns),
+        reference_ns: Spread::of(reference_ns),
+        ratio: Spread::of(ratio),
     }
 }
 
@@ -542,29 +632,24 @@ fn main() {
     }
     t.print();
 
-    // The annealer decision on the King's graph's anneal: accept vs the
-    // same stream's exp calls alone.
+    // The annealer decision on the King's graph's anneal: the memoised
+    // accept vs the exp-per-decision reference.
     let decide = measure_decide(&graph, &spins, &enc, if smoke { 1 } else { 40 });
     section(&format!(
-        "ns per annealer decision: {lattice}x{lattice} King's anneal, {} decisions",
-        decide.decisions
+        "ns per annealer decision: {lattice}x{lattice} King's anneal, {} decisions, \
+         {} draws, {DECIDE_ROUNDS} alternating rounds",
+        decide.decisions, decide.draws
     ));
-    let mut t = Table::new(["layer", "ns per decision", "share"]);
-    for (name, ns) in [
-        ("Annealer::accept", decide.accept_ns),
-        (
-            &*format!("exp calls alone ({} calls)", decide.exp_calls),
-            decide.exp_ns,
-        ),
-        (
-            "accept minus exp (draw, branches)",
-            decide.accept_ns - decide.exp_ns,
-        ),
+    let mut t = Table::new(["path", "median", "IQR"]);
+    for (name, spread, unit) in [
+        ("Annealer::accept (memo)", &decide.memo_ns, " ns"),
+        ("exp-per-decision reference", &decide.reference_ns, " ns"),
+        ("memo / reference", &decide.ratio, ""),
     ] {
         t.row([
             name.to_string(),
-            format!("{ns:.2}"),
-            format!("{:.0}%", 100.0 * ns / decide.accept_ns),
+            format!("{:.3}{unit}", spread.median),
+            format!("{:.3}{unit}", spread.iqr),
         ]);
     }
     t.print();
@@ -587,7 +672,7 @@ fn main() {
         })
         .collect();
     let json = format!(
-        "{{\n  \"kernel\": {{\"degree\": {DENSE_DEGREE}, \"r\": {DENSE_R}, \"rows\": [\n{}\n  ]}},\n  \"sweep\": {{\"lattice\": {lattice}, \"spins\": {}, \"flip_one_in\": {FLIP_ONE_IN}, \"rows\": [\n{}\n  ]}},\n  \"sweep_dense\": {{\"degree\": {dense_degree}, \"r\": {DENSE_R}, \"tuples\": {}, \"flip_one_in\": {FLIP_ONE_IN}, \"rows\": [\n{}\n  ]}},\n  \"sweep_banked\": {{\"rows\": [\n{}\n  ]}},\n  \"decide\": {{\"lattice\": {lattice}, \"decisions\": {}, \"exp_calls\": {}, \"accept_ns\": {:.2}, \"exp_ns\": {:.2}}}\n}}\n",
+        "{{\n  \"kernel\": {{\"degree\": {DENSE_DEGREE}, \"r\": {DENSE_R}, \"rows\": [\n{}\n  ]}},\n  \"sweep\": {{\"lattice\": {lattice}, \"spins\": {}, \"flip_one_in\": {FLIP_ONE_IN}, \"rows\": [\n{}\n  ]}},\n  \"sweep_dense\": {{\"degree\": {dense_degree}, \"r\": {DENSE_R}, \"tuples\": {}, \"flip_one_in\": {FLIP_ONE_IN}, \"rows\": [\n{}\n  ]}},\n  \"sweep_banked\": {{\"rows\": [\n{}\n  ]}},\n  \"decide\": {{\"lattice\": {lattice}, \"decisions\": {}, \"draws\": {}, \"rounds\": {DECIDE_ROUNDS}, \"memo_ns\": {}, \"reference_ns\": {}, \"ratio\": {}}}\n}}\n",
         json_rows(&kernel, "ns"),
         graph.num_spins(),
         json_rows(&sweep, "ns"),
@@ -595,9 +680,10 @@ fn main() {
         json_rows(&sweep_dense, "ns"),
         banked_json.join(",\n"),
         decide.decisions,
-        decide.exp_calls,
-        decide.accept_ns,
-        decide.exp_ns,
+        decide.draws,
+        decide.memo_ns.json(),
+        decide.reference_ns.json(),
+        decide.ratio.json(),
     );
     // Only the full run rebaselines: the smoke subset measures reduced
     // shapes (8-lattice, 3 reps) whose timings would silently replace
@@ -610,7 +696,8 @@ fn main() {
     if smoke {
         println!(
             "smoke: soa==scalar H equality held for every design at every granularity; \
-             banking left the H trajectory and compute cycles bit-identical"
+             banking left the H trajectory and compute cycles bit-identical; the memoised \
+             accept made the reference's decisions"
         );
     } else {
         for m in &kernel {
@@ -629,9 +716,14 @@ fn main() {
                 m.speedup()
             );
         }
+        assert!(
+            decide.ratio.median <= DECIDE_BAR,
+            "memoised accept / exp reference {:.3} is above the {DECIDE_BAR} bar",
+            decide.ratio.median
+        );
         println!(
             "acceptance: every design >= 5x on the dense degree-{DENSE_DEGREE} kernel and \
-             >= 6x on the dense sweep"
+             >= 6x on the dense sweep; memoised accept <= {DECIDE_BAR}x the exp reference"
         );
     }
 }

@@ -158,7 +158,51 @@ impl Default for Schedule {
     }
 }
 
-/// The annealer block: current temperature plus a seeded RNG.
+/// Slots in the annealer's probability memo. Indexed by `delta >> 1`:
+/// a spin flip's ΔH = −2σH is always even, so consecutive uphill moves
+/// (2, 4, …, 512) land in distinct slots.
+const MEMO_SLOTS: usize = 256;
+
+/// One memo entry: the acceptance probability of `delta` at the
+/// temperature whose bits are `temperature_bits`. `delta == 0` marks an
+/// empty slot; only `delta > 0` is ever looked up.
+#[derive(Clone, Copy)]
+struct MemoSlot {
+    delta: i64,
+    temperature_bits: u64,
+    probability: f64,
+}
+
+/// A direct-mapped cache of [`Annealer::acceptance_probability`] keyed
+/// on its full input, `(delta, temperature)`: the "predefined value"
+/// the paper's annealer compares against (Sec. VI.6), filled on first
+/// use instead of by an `exp` per proposal. Because the key holds the
+/// temperature, cooling, freezing and a held rung need no reset. Fixed
+/// size, allocated once per annealer, never grown.
+#[derive(Clone)]
+struct ProbabilityMemo(Box<[MemoSlot; MEMO_SLOTS]>);
+
+impl ProbabilityMemo {
+    fn new() -> Self {
+        const EMPTY: MemoSlot = MemoSlot {
+            delta: 0,
+            temperature_bits: 0,
+            probability: 0.0,
+        };
+        ProbabilityMemo(Box::new([EMPTY; MEMO_SLOTS]))
+    }
+}
+
+impl std::fmt::Debug for ProbabilityMemo {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("ProbabilityMemo")
+            .field("slots", &MEMO_SLOTS)
+            .finish()
+    }
+}
+
+/// The annealer block: current temperature, a seeded RNG and a memo of
+/// the acceptance probability per `(ΔH, temperature)`.
 ///
 /// ```
 /// use sachi_ising::anneal::{Annealer, Schedule};
@@ -173,6 +217,7 @@ pub struct Annealer {
     schedule: Schedule,
     temperature: f64,
     rng: StdRng,
+    memo: ProbabilityMemo,
     uphill_accepted: u64,
     uphill_rejected: u64,
 }
@@ -184,6 +229,7 @@ impl Annealer {
             schedule,
             temperature: schedule.initial_temperature(),
             rng: StdRng::seed_from_u64(seed),
+            memo: ProbabilityMemo::new(),
             uphill_accepted: 0,
             uphill_rejected: 0,
         }
@@ -195,6 +241,7 @@ impl Annealer {
     }
 
     /// Whether the annealer has cooled past the freeze threshold.
+    #[inline]
     pub fn is_frozen(&self) -> bool {
         self.temperature < self.schedule.freeze_threshold()
     }
@@ -219,8 +266,43 @@ impl Annealer {
         }
     }
 
+    /// [`Annealer::acceptance_probability`] read through the annealer's
+    /// memo: bit-identical, without an `exp` once `(delta, temperature)`
+    /// has been seen.
+    #[inline]
+    pub fn probability(&mut self, delta: i64) -> f64 {
+        if delta <= 0 {
+            1.0
+        } else {
+            self.probability_uphill(delta)
+        }
+    }
+
+    /// The memo lookup for `delta > 0`; a miss fills the slot from
+    /// [`Annealer::acceptance_probability`].
+    #[inline]
+    fn probability_uphill(&mut self, delta: i64) -> f64 {
+        let temperature_bits = self.temperature.to_bits();
+        let index = (delta >> 1) as usize & (MEMO_SLOTS - 1);
+        if let Some(slot) = self.memo.0.get(index) {
+            if slot.delta == delta && slot.temperature_bits == temperature_bits {
+                return slot.probability;
+            }
+        }
+        let probability = self.acceptance_probability(delta);
+        if let Some(slot) = self.memo.0.get_mut(index) {
+            *slot = MemoSlot {
+                delta,
+                temperature_bits,
+                probability,
+            };
+        }
+        probability
+    }
+
     /// Metropolis decision for a move with energy change `delta`.
     /// Downhill and neutral moves are always accepted.
+    #[inline]
     pub fn accept(&mut self, delta: i64) -> bool {
         if delta <= 0 {
             return true;
@@ -229,12 +311,19 @@ impl Annealer {
             self.uphill_rejected += 1;
             return false;
         }
-        let accepted = self.rng.gen::<f64>() < self.acceptance_probability(delta);
-        if accepted {
-            self.uphill_accepted += 1;
-        } else {
-            self.uphill_rejected += 1;
-        }
+        self.accept_live_uphill(delta)
+    }
+
+    /// The Metropolis draw for an uphill move (`delta > 0`) on a live
+    /// annealer: one `gen::<f64>()` against the memoised probability.
+    /// [`crate::solver::decide_update`] calls it directly, having
+    /// already tested both preconditions.
+    #[inline]
+    pub(crate) fn accept_live_uphill(&mut self, delta: i64) -> bool {
+        debug_assert!(delta > 0 && !self.is_frozen());
+        let accepted = self.rng.gen::<f64>() < self.probability_uphill(delta);
+        self.uphill_accepted += u64::from(accepted);
+        self.uphill_rejected += u64::from(!accepted);
         accepted
     }
 

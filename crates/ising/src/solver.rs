@@ -238,19 +238,22 @@ pub fn decide_update(current: Spin, h_sigma: i64, annealer: &mut Annealer) -> Sp
     if desired != current {
         return desired;
     }
+    if annealer.is_frozen() {
+        return current;
+    }
     // Flipping a spin that the sign rule keeps costs ΔH = -2 σ H_σ >= 0.
     let delta = -2 * current.value() * h_sigma;
-    if !annealer.is_frozen() {
-        if delta == 0 {
-            // Tie: heat-bath coin flip.
-            if annealer.rng().gen::<bool>() {
-                return current.flipped();
-            }
-        } else if annealer.accept(delta) {
-            return current.flipped();
-        }
+    let flip = if delta == 0 {
+        // Tie: heat-bath coin flip.
+        annealer.rng().gen::<bool>()
+    } else {
+        annealer.accept_live_uphill(delta)
+    };
+    if flip {
+        current.flipped()
+    } else {
+        current
     }
-    current
 }
 
 /// Runs the iterative solve protocol around one machine's per-sweep body.

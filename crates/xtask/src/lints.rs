@@ -6,7 +6,7 @@
 //! | `panic-freedom` | no `.unwrap()` / `panic!` in library code of `sachi-core`, `sachi-mem`, `sachi-ising` (`.expect("invariant …")` is the sanctioned escape hatch) |
 //! | `fault-strict` | the fault-injection and recovery modules may not even `.expect(…)` — fault handling code must never be a panic source itself |
 //! | `bench-registration` | every `fig*` / `abl_*` / `disc_*` / `perf_*` bench binary has a `fn main`, is declared in `crates/bench/src/lib.rs`, and is referenced in `EXPERIMENTS.md` |
-//! | `hot-path` | no heap allocation (`vec!`, `.collect(…)`, `.to_vec(…)`, `Vec::…`) and no metrics/span instrumentation (`counter_add`, `.observe`, `MetricsRegistry`, …) inside `compute_*` / `upload_*` / `writeback_*` kernel bodies — the per-sweep hot path runs on caller-provided scratch buffers and is metered by post-sweep harvest, never inline |
+//! | `hot-path` | no heap allocation (`vec!`, `.collect(…)`, `.to_vec(…)`, `Vec::…`, `.resize(…)`) and no metrics/span instrumentation (`counter_add`, `.observe`, `MetricsRegistry`, …) inside `compute_*` / `upload_*` / `writeback_*` kernel bodies and the annealer decision (`decide_update`, `accept*`, `probability*`) — the per-sweep hot path runs on caller-provided scratch buffers and is metered by post-sweep harvest, never inline |
 //! | `hygiene` | `#![forbid(unsafe_code)]` and `#![deny(missing_docs)]` stay present in every crate root |
 //!
 //! Findings are suppressed by matching [`crate::allowlist`] entries; a
@@ -100,13 +100,16 @@ const FAULT_STRICT_SCOPE: &[&str] = &[
 /// Files whose `compute_*` / `upload_*` / `writeback_*` function bodies
 /// are the per-sweep hot path: the designs' tuple kernels and spin-row
 /// upload/writeback helpers, the SoA tuple-plane writeback, and the SRAM
-/// compute kernels. Allocation there is an N·R-per-sweep tax the
-/// production SoA kernel must not pay; the scalar reference oracles are
-/// excused by audited `lint.allow.toml` entries.
+/// compute kernels — plus the per-update annealer decision
+/// (`decide_update`, `accept*`, `probability*`). Allocation there is an
+/// N·R-per-sweep tax the production SoA kernel must not pay; the scalar
+/// reference oracles are excused by audited `lint.allow.toml` entries.
 const HOT_PATH_SCOPE: &[&str] = &[
     "crates/core/src/designs.rs",
     "crates/core/src/tuple.rs",
     "crates/mem/src/sram.rs",
+    "crates/ising/src/anneal.rs",
+    "crates/ising/src/solver.rs",
 ];
 
 /// Every scope list the classic lints scan, by family.
@@ -118,15 +121,24 @@ const SCOPES: &[(&str, &[&str])] = &[
 ];
 
 /// Function-name prefixes that mark a body as per-sweep hot path.
-const HOT_PATH_FN_PREFIXES: &[&str] = &["compute_", "upload_", "writeback_"];
+const HOT_PATH_FN_PREFIXES: &[&str] = &[
+    "compute_",
+    "upload_",
+    "writeback_",
+    "accept",
+    "decide_update",
+    "probability",
+];
 
 /// Heap-allocation spellings banned inside hot-path kernel bodies.
+/// `.resize(` catches a table grown on demand inside the decision.
 const HOT_PATH_PATTERNS: &[&str] = &[
     "vec!",
     ".collect(",
     ".to_vec(",
     "Vec::with_capacity(",
     "Vec::new(",
+    ".resize(",
 ];
 
 /// Observability spellings banned inside hot-path kernel bodies. The
@@ -678,6 +690,42 @@ mod tests {
         assert_eq!(stale.len(), 1, "{stale:?}");
         assert_eq!(stale[0].lint, "lint-scope");
         assert_eq!(stale[0].path, "crates/core/src/tiled.rs");
+    }
+
+    /// The annealer decision is hot path: a memo grown on demand inside
+    /// `accept` fires, as does an allocation in `decide_update`, while
+    /// the annealer's one allocation in its constructor does not.
+    #[test]
+    fn growing_the_decision_memo_is_a_hot_path_finding() {
+        let root = std::env::temp_dir().join(format!("xtask-decide-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&root);
+        std::fs::create_dir_all(root.join("crates/ising/src")).expect("create dirs");
+        std::fs::write(
+            root.join("crates/ising/src/anneal.rs"),
+            "//! d\npub struct Annealer { memo: Vec<f64> }\nimpl Annealer {\n    pub fn new() -> Self { Annealer { memo: Vec::new() } }\n    pub fn accept(&mut self, delta: usize) -> bool {\n        if delta >= self.memo.len() {\n            self.memo.resize(delta + 1, f64::NAN);\n        }\n        self.memo.get(delta).is_some()\n    }\n}\n",
+        )
+        .expect("write anneal.rs");
+        std::fs::write(
+            root.join("crates/ising/src/solver.rs"),
+            "//! d\npub fn decide_update(hs: &[i64]) -> i64 {\n    let deltas: Vec<i64> = hs.iter().map(|h| -2 * h).collect();\n    deltas.iter().sum()\n}\n",
+        )
+        .expect("write solver.rs");
+        let mut findings = Vec::new();
+        hot_path(&root, &mut findings).expect("runs");
+        assert_eq!(findings.len(), 2, "{findings:?}");
+        assert!(
+            findings
+                .iter()
+                .any(|f| f.path.ends_with("anneal.rs") && f.message.contains("`.resize(…`")),
+            "{findings:?}"
+        );
+        assert!(
+            findings
+                .iter()
+                .any(|f| f.path.ends_with("solver.rs") && f.message.contains("decide_update")),
+            "{findings:?}"
+        );
+        std::fs::remove_dir_all(&root).expect("clean up");
     }
 
     #[test]
