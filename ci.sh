@@ -62,8 +62,10 @@ echo "==> perf_e2e run.sh --smoke"
 bash crates/bench/src/bin/perf_e2e/run.sh --smoke
 
 # Model drift report: asserts the closed-form PerfModel reproduces the
-# functional machine's metered compute, load and total cycles exactly on
-# uniform-degree graphs, banked multi-round sweeps included.
+# functional machine's metered compute, load and total cycles exactly,
+# and its rwl/adder/decision/annealer/dram/dram-ctrl energy to 1e-9, on
+# uniform-degree graphs — banked multi-round sweeps and one- and
+# multi-round DRAM streaming included.
 echo "==> disc_drift --smoke"
 cargo run -q -p sachi-bench --bin disc_drift -- --smoke
 

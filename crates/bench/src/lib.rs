@@ -24,7 +24,7 @@
 //! | `disc_conventional` | Sec. VII.1 — impact on conventional workloads |
 //! | `disc_multicore` | Sec. IV.B.2 — multi-core scaling |
 //! | `disc_faults` | robustness — quality vs injected read BER, parity + retry recovery |
-//! | `disc_drift` | model audit — PerfModel closed form vs functional-sim metered cycles |
+//! | `disc_drift` | model audit — PerfModel closed form vs functional-sim metered cycles and energy |
 //! | `abl_tuple_rep` | ablation — tuple-rep on/off |
 //! | `abl_prefetch` | ablation — prefetcher on/off |
 //! | `abl_update_policy` | ablation — storage-update vs RMW local update |

@@ -154,6 +154,8 @@ pub trait Stationarity {
     ) -> i64;
 
     /// Phase-1 (in-memory compute) cycles for a tuple of `n` neighbors.
+    /// Each cycle's access drives one storage bit onto an RWL, so this is
+    /// also the bits a compute drives.
     fn phase1_cycles(&self, n: u64, r: u32, row_bits: u64) -> u64;
 
     /// Pipeline-fill idle cycles before phases 3–5 first activate
@@ -170,9 +172,6 @@ pub trait Stationarity {
 
     /// Compute-array bits a tuple keeps resident.
     fn resident_bits_per_tuple(&self, n: u64, r: u32) -> u64;
-
-    /// Storage-array bits driven onto RWLs per `H_σ` compute.
-    fn driven_bits_per_tuple(&self, n: u64, r: u32, row_bits: u64) -> u64;
 }
 
 /// Returns the implementation of a design.
@@ -388,10 +387,6 @@ impl Stationarity for SpinStationaryBitMajor {
     fn resident_bits_per_tuple(&self, n: u64, _r: u32) -> u64 {
         n
     }
-
-    fn driven_bits_per_tuple(&self, n: u64, r: u32, _row_bits: u64) -> u64 {
-        n * u64::from(r)
-    }
 }
 
 /// SACHI(n1b): spin stationary, IC-major XNOR order (Fig. 11a.2).
@@ -487,10 +482,6 @@ impl Stationarity for SpinStationaryIcMajor {
 
     fn resident_bits_per_tuple(&self, n: u64, _r: u32) -> u64 {
         n
-    }
-
-    fn driven_bits_per_tuple(&self, n: u64, r: u32, _row_bits: u64) -> u64 {
-        n * u64::from(r)
     }
 }
 
@@ -595,10 +586,6 @@ impl Stationarity for IcStationary {
 
     fn resident_bits_per_tuple(&self, n: u64, r: u32) -> u64 {
         n * u64::from(r)
-    }
-
-    fn driven_bits_per_tuple(&self, n: u64, _r: u32, _row_bits: u64) -> u64 {
-        n
     }
 }
 
@@ -752,10 +739,6 @@ impl Stationarity for MixedStationary {
 
     fn resident_bits_per_tuple(&self, n: u64, r: u32) -> u64 {
         n * (u64::from(r) + 1)
-    }
-
-    fn driven_bits_per_tuple(&self, n: u64, r: u32, row_bits: u64) -> u64 {
-        n.max(1).div_ceil(n3_groups_per_row(r, row_bits))
     }
 }
 
@@ -962,7 +945,7 @@ mod tests {
         let f = |k| stationarity(k).resident_bits_per_tuple(n, r);
         assert!(f(DesignKind::N1a) < f(DesignKind::N2));
         assert!(f(DesignKind::N2) < f(DesignKind::N3));
-        let d = |k| stationarity(k).driven_bits_per_tuple(n, r, 800);
+        let d = |k| stationarity(k).phase1_cycles(n, r, 800);
         assert!(d(DesignKind::N3) < d(DesignKind::N2));
         assert!(d(DesignKind::N2) < d(DesignKind::N1a));
     }

@@ -17,8 +17,9 @@
 //!   form;
 //! * [`phases`] — the five-phase pipeline timing (Fig. 11f);
 //! * [`rounds`] — [`rounds::RoundPlan`], the one cost model of a sweep's
-//!   compute-array rounds (partition, compute, load, overlap) that the
-//!   machine bills and the closed-form model sums;
+//!   compute-array rounds (partition, compute, load, overlap) and the
+//!   energy price list, which the machine bills and the closed-form model
+//!   sums;
 //! * [`machine`] — [`machine::SachiMachine`], a fully-accounted functional
 //!   machine implementing the shared iterative-solver protocol;
 //! * [`perf`] — the closed-form CPI/energy model used for million-spin

@@ -27,17 +27,17 @@
 use crate::config::{DesignKind, SachiConfig};
 use crate::designs::{stationarity, ComputeContext, ComputeScratch};
 use crate::encoding::MixedEncoding;
-use crate::rounds::RoundPlan;
+use crate::rounds::{ComputeEvents, RoundPlan};
 use crate::tuple::{SpinTuple, TuplePlanes, TupleStore};
 use sachi_ising::graph::IsingGraph;
 use sachi_ising::recovery::RecoveryPolicy;
 use sachi_ising::solver::{decide_update, run_sweeps, IterativeSolver, SolveOptions, SolveResult};
 use sachi_ising::spin::SpinVector;
 use sachi_mem::dram::{DramController, DramStats};
-use sachi_mem::energy::{EnergyComponent, EnergyLedger};
+use sachi_mem::energy::EnergyLedger;
 use sachi_mem::fault::FaultInjector;
 use sachi_mem::sram::{SramTile, TileStats};
-use sachi_mem::units::convert::{count_u64, ratio_u64, to_index};
+use sachi_mem::units::convert::{approx_f64, count_u64, ratio_u64, to_index};
 use sachi_mem::units::{Bits, Cycles, Nanoseconds};
 use sachi_obs::{MetricsRegistry, PhaseSpan, SolvePhase};
 
@@ -454,11 +454,7 @@ impl SachiMachine {
         let rereads_at_start = tuples.cross_tuple_rereads();
         let mut ledger = EnergyLedger::new();
         let mut ctx = ComputeContext::new();
-        let mut dram = if self.config.prefetch {
-            DramController::new(tech.clone())
-        } else {
-            DramController::new(tech.clone()).without_prefetch()
-        };
+        let mut dram = DramController::new(self.config.prefetch);
 
         // The tile the kernel books its events on; it is sized by
         // `tile_requirements` because the closed forms assume that shape.
@@ -467,10 +463,7 @@ impl SachiMachine {
         // Initial placement of the whole problem into DRAM (phase (a) of
         // the Sec. V.5 cost model, charged to every machine).
         let mut total_cycles = plan.placement;
-        ledger.record(
-            EnergyComponent::DramAccess,
-            tech.movement_energy_per_bit() * plan.storage_bits,
-        );
+        plan.bill_placement(&mut ledger);
 
         // Phase spans: cycle-domain timestamps from the accounting this
         // loop already maintains. `Vec::new` does not allocate, so a
@@ -514,20 +507,11 @@ impl SachiMachine {
                 // compute, streamed from DRAM first when the problem
                 // overflows the storage array; the plan prices both ---
                 let round_load = plan.load(sweep, round);
-                if round_load > Cycles::ZERO {
-                    ledger.record(
-                        EnergyComponent::DataMovement,
-                        tech.movement_energy_per_bit() * round.resident_bits,
-                    );
-                    ledger.record(
-                        EnergyComponent::SramWrite,
-                        tech.sram_write_energy_per_bit() * round.resident_bits,
-                    );
-                    if plan.uses_dram {
-                        let inj = fault.as_mut().map(|(inj, _)| inj);
-                        fault_report.dram_corrupted_bits +=
-                            dram.load(Bits::new(round.storage_bits), &mut ledger, inj);
-                    }
+                plan.bill_load(&mut ledger, sweep, round);
+                if round_load > Cycles::ZERO && plan.uses_dram {
+                    let inj = fault.as_mut().map(|(inj, _)| inj);
+                    fault_report.dram_corrupted_bits +=
+                        dram.load(Bits::new(round.storage_bits), inj);
                 }
 
                 // --- compute for this round ---
@@ -592,14 +576,7 @@ impl SachiMachine {
                                         fault_report.retries += 1;
                                         fault_report.refetch_cycles +=
                                             tech.storage_to_compute_cycles() + Cycles::new(1);
-                                        ledger.record(
-                                            EnergyComponent::DataMovement,
-                                            tech.movement_energy_per_bit() * tuple_bits,
-                                        );
-                                        ledger.record(
-                                            EnergyComponent::SramWrite,
-                                            tech.sram_write_energy_per_bit() * tuple_bits,
-                                        );
+                                        plan.bill_fill(&mut ledger, tuple_bits);
                                         flips = inj.flips_in_read(tuple_bits);
                                         continue;
                                     }
@@ -644,18 +621,7 @@ impl SachiMachine {
                         // tuple copy writes in the storage array.
                         let copies = tuples.update_spin(i, new);
                         soa.writeback_spin(&tuples, i, new);
-                        ledger.record(
-                            EnergyComponent::SramRead,
-                            tech.rbl_energy_per_bit() * copies,
-                        );
-                        ledger.record(
-                            EnergyComponent::SramWrite,
-                            tech.sram_write_energy_per_bit() * copies,
-                        );
-                        ledger.record(
-                            EnergyComponent::DataMovement,
-                            tech.movement_energy_per_bit() * 1u64,
-                        );
+                        plan.bill_flips(&mut ledger, 1, copies);
                     }
                 }
                 let round_compute = if fail_fast {
@@ -739,37 +705,16 @@ impl SachiMachine {
         // Harvest the tile's compute events (layout writes intentionally
         // excluded — billed as reload traffic above).
         let stats = tile.stats();
-        ledger.record(
-            EnergyComponent::RwlDrive,
-            tech.rwl_energy_per_bit() * stats.rwl_activations,
-        );
-        ledger.record(
-            EnergyComponent::RblDischarge,
-            tech.rbl_energy_per_bit() * stats.rbl_discharges,
-        );
-        ledger.record(
-            EnergyComponent::DataMovement,
-            tech.movement_energy_per_bit() * ctx.rwl_bits_fetched,
-        );
-        if plan.uses_dram {
-            // Driven data the storage array cannot cache re-streams from
-            // DRAM every sweep.
-            ledger.record(
-                EnergyComponent::DramAccess,
-                tech.movement_energy_per_bit() * ctx.rwl_bits_fetched,
-            );
-        }
-        ledger.record(
-            EnergyComponent::NearMemoryAdd,
-            tech.adder_energy_per_bit() * ctx.adder_bit_ops,
-        );
-        ledger.record(
-            EnergyComponent::DecisionLogic,
-            tech.adder_energy_per_bit() * ctx.decisions,
-        );
-        ledger.record(
-            EnergyComponent::Annealer,
-            tech.annealer_energy_per_decision() * annealer_decisions,
+        plan.bill_compute(
+            &mut ledger,
+            &ComputeEvents {
+                rwl_activations: stats.rwl_activations,
+                rbl_discharges: approx_f64(stats.rbl_discharges),
+                fetched_bits: ctx.rwl_bits_fetched,
+                adder_bit_ops: ctx.adder_bit_ops,
+                decisions: ctx.decisions,
+                annealer_decisions,
+            },
         );
 
         // Recovery re-fetches stall the pipeline: they serialize onto
@@ -931,7 +876,7 @@ mod tests {
         let mut machine =
             SachiMachine::new(SachiConfig::new(DesignKind::N3).with_hierarchy(tiny_storage));
         let (_, report) = machine.solve_detailed(&g, &init, &opts);
-        assert!(report.energy.component(EnergyComponent::DramAccess).get() > 0.0);
+        assert!(report.dram.bits_loaded > 0);
         assert!(
             report.prefetches > 0,
             "prefetcher should fire on DRAM-streamed rounds"

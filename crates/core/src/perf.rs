@@ -6,14 +6,15 @@
 //! deterministic function of the workload *shape* (spins, `N`, `R`) and
 //! the geometry; [`PerfModel`] sums the same [`RoundPlan`] the functional
 //! [`crate::machine::SachiMachine`] bills, built from the uniform shape,
-//! and the test suite pins the two against each other on uniform-degree
-//! graphs (the licence for using the model at scale — verification
-//! strategy #3 in DESIGN.md).
+//! and feeds the plan's energy price list the shape's event counts. The
+//! test suite pins the two against each other on uniform-degree graphs
+//! (the licence for using the model at scale — verification strategy #3
+//! in DESIGN.md).
 
-use crate::config::SachiConfig;
+use crate::config::{DesignKind, SachiConfig};
 use crate::designs::stationarity;
-use crate::rounds::RoundPlan;
-use sachi_mem::energy::{EnergyComponent, EnergyLedger};
+use crate::rounds::{tuple_cycles, ComputeEvents, RoundPlan};
+use sachi_mem::energy::EnergyLedger;
 use sachi_mem::units::convert::{approx_f64, count_u64, scale_by_fraction};
 use sachi_mem::units::{Cycles, Nanoseconds};
 use sachi_workloads::spec::WorkloadShape;
@@ -75,148 +76,80 @@ impl PerfModel {
         &self.config
     }
 
-    /// Estimates one sweep of the given shape.
+    /// Estimates one steady sweep of the given shape.
     pub fn iteration(&self, shape: &WorkloadShape) -> IterationEstimate {
         let plan = RoundPlan::uniform(&self.config, shape);
-        let design = stationarity(self.config.design);
-        let tech = &self.config.tech;
-        let n = shape.neighbors_per_spin;
-        let r = shape.resolution_bits;
-        let spins = shape.spins;
-        let row_bits = count_u64(self.config.hierarchy.compute.row_bits());
-        let per_tuple = design.phase1_cycles(n, r, row_bits).max(1);
-        let rounds = plan.rounds_per_sweep;
-
-        // --- energy per sweep ---
-        let mut energy = EnergyLedger::new();
-        let accesses = spins * per_tuple;
-        energy.record(
-            EnergyComponent::RwlDrive,
-            tech.rwl_energy_per_bit() * (2 * accesses),
-        );
-        // Expected discharges: half of the active window per access.
-        let active_bits_per_access: u64 = match self.config.design {
-            crate::config::DesignKind::N1a | crate::config::DesignKind::N1b => n.max(1),
-            crate::config::DesignKind::N2 => u64::from(r),
-            crate::config::DesignKind::N3 => (n * (u64::from(r) + 1)).div_ceil(per_tuple),
-        };
-        energy.record(
-            EnergyComponent::RblDischarge,
-            tech.rbl_energy_per_bit() * (approx_f64(accesses * active_bits_per_access) * 0.5),
-        );
-        let driven = spins * design.driven_bits_per_tuple(n, r, row_bits);
-        energy.record(
-            EnergyComponent::DataMovement,
-            tech.movement_energy_per_bit() * driven,
-        );
-        if plan.uses_dram {
-            // Driven data that the storage array cannot hold re-streams
-            // from DRAM every sweep — reuse directly shrinks this term.
-            energy.record(
-                EnergyComponent::DramAccess,
-                tech.movement_energy_per_bit() * driven,
-            );
-        }
-        energy.record(
-            EnergyComponent::NearMemoryAdd,
-            tech.adder_energy_per_bit() * (spins * n * (u64::from(r) + 2)),
-        );
-        energy.record(
-            EnergyComponent::DecisionLogic,
-            tech.adder_energy_per_bit() * (spins * n.max(1)),
-        );
-        energy.record(
-            EnergyComponent::Annealer,
-            tech.annealer_energy_per_decision() * spins,
-        );
-        if rounds > 1 {
-            let reload_bits = plan.per_sweep(|_, round| round.resident_bits);
-            energy.record(
-                EnergyComponent::DataMovement,
-                tech.movement_energy_per_bit() * reload_bits,
-            );
-            energy.record(
-                EnergyComponent::SramWrite,
-                tech.sram_write_energy_per_bit() * reload_bits,
-            );
-            if plan.uses_dram {
-                energy.record(
-                    EnergyComponent::DramAccess,
-                    tech.movement_energy_per_bit() * plan.per_sweep(|_, round| round.storage_bits),
-                );
-            }
-        }
-        // Update path at the assumed flip rate: adjacency read + copy
-        // writes (a spin has ~n copies).
-        let flips = scale_by_fraction(spins, ASSUMED_FLIP_FRACTION);
-        let copies = flips * n;
-        energy.record(
-            EnergyComponent::SramRead,
-            tech.rbl_energy_per_bit() * copies,
-        );
-        energy.record(
-            EnergyComponent::SramWrite,
-            tech.sram_write_energy_per_bit() * copies,
-        );
-        energy.record(
-            EnergyComponent::DataMovement,
-            tech.movement_energy_per_bit() * flips,
-        );
-
+        let (n, r) = (shape.neighbors_per_spin, shape.resolution_bits);
         IterationEstimate {
             compute_cycles: plan.sweep_compute(),
             load_cycles: plan.sweep_load(1),
             effective_cycles: plan.sweep_cycles(1),
-            rounds,
-            fits_in_compute: rounds == 1,
+            rounds: plan.rounds_per_sweep,
+            fits_in_compute: plan.rounds_per_sweep == 1,
             uses_dram: plan.uses_dram,
-            energy,
-            reuse: design.max_reuse(n, r),
+            energy: self.sweep_energy(&plan, shape, 1),
+            reuse: stationarity(self.config.design).max_reuse(n, r),
         }
     }
 
     /// Estimates a whole solve of `iterations` sweeps (at least one),
-    /// including the initial DRAM placement and sweep 0's fill — what
+    /// including the initial DRAM placement and sweep 0's loads — what
     /// the functional machine bills for the same shape and sweep count.
     pub fn solve(&self, shape: &WorkloadShape, iterations: u64) -> SolveEstimate {
-        let tech = &self.config.tech;
         let plan = RoundPlan::uniform(&self.config, shape);
-        let iter = self.iteration(shape);
         let total = plan.solve_cycles(iterations);
-
         let mut energy = EnergyLedger::new();
-        energy.record(
-            EnergyComponent::DramAccess,
-            tech.movement_energy_per_bit() * plan.storage_bits,
-        );
-        // A resident problem fills the array once, in sweep 0; a
-        // multi-round one reloads every sweep, already in `iter`.
-        if plan.rounds_per_sweep == 1 {
-            energy.record(
-                EnergyComponent::DataMovement,
-                tech.movement_energy_per_bit() * plan.per_sweep(|_, round| round.resident_bits),
-            );
-            energy.record(
-                EnergyComponent::SramWrite,
-                tech.sram_write_energy_per_bit() * plan.per_sweep(|_, round| round.resident_bits),
-            );
-        }
-        for _ in 0..iterations {
-            energy.merge(&iter.energy);
+        plan.bill_placement(&mut energy);
+        energy.merge(&self.sweep_energy(&plan, shape, 0));
+        let steady = self.sweep_energy(&plan, shape, 1);
+        for _ in 1..iterations.max(1) {
+            energy.merge(&steady);
         }
         SolveEstimate {
             iterations,
             total_cycles: total,
             energy,
-            wall_time: total.to_time(tech.cycle_time),
+            wall_time: total.to_time(self.config.tech.cycle_time),
         }
+    }
+
+    /// Energy of sweep `sweep` of `shape`: the shape's compute events,
+    /// the plan's loads, and the update path at the assumed flip rate.
+    fn sweep_energy(&self, plan: &RoundPlan, shape: &WorkloadShape, sweep: u64) -> EnergyLedger {
+        let (spins, n, r) = (shape.spins, shape.neighbors_per_spin, shape.resolution_bits);
+        let row_bits = count_u64(self.config.hierarchy.compute.row_bits());
+        // Each access drives one RWL bit.
+        let per_tuple = tuple_cycles(self.config.design, n, r, row_bits);
+        let accesses = spins * per_tuple;
+        // Expected discharges: half of the active window per access.
+        let active_bits_per_access = match self.config.design {
+            DesignKind::N1a | DesignKind::N1b => n,
+            DesignKind::N2 => u64::from(r),
+            DesignKind::N3 => (n * (u64::from(r) + 1)).div_ceil(per_tuple.max(1)),
+        };
+        let mut energy = EnergyLedger::new();
+        plan.bill_compute(
+            &mut energy,
+            &ComputeEvents {
+                rwl_activations: 2 * accesses,
+                rbl_discharges: approx_f64(accesses * active_bits_per_access) * 0.5,
+                fetched_bits: accesses,
+                adder_bit_ops: spins * n * (u64::from(r) + 2),
+                decisions: spins * n,
+                annealer_decisions: spins,
+            },
+        );
+        plan.bill_sweep_loads(&mut energy, sweep);
+        // Update path at the assumed flip rate (a spin has ~n copies).
+        let flips = scale_by_fraction(spins, ASSUMED_FLIP_FRACTION);
+        plan.bill_flips(&mut energy, flips, flips * n);
+        energy
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::{DesignKind, SachiConfig};
     use crate::machine::SachiMachine;
     use rand::rngs::StdRng;
     use rand::SeedableRng;

@@ -15,10 +15,21 @@
 //! The machine builds its plan from per-tuple degrees and bills each
 //! round from it; `PerfModel` builds one from a uniform shape in O(1) —
 //! as runs of identical rounds — and sums it.
+//!
+//! The plan also holds the energy price list: event counts times the
+//! technology's per-event prices, booked at four events — the problem's
+//! placement into DRAM, a round's load (billed exactly when its load
+//! cycles are), compute, and a flip's Fig. 8b update. The machine feeds it
+//! metered counts, `PerfModel` the shape's.
 
 use crate::config::{DesignKind, SachiConfig};
 use crate::designs::stationarity;
 use crate::tuple::SpinTuple;
+use sachi_mem::energy::EnergyComponent::{
+    Annealer, DataMovement, DecisionLogic, DramAccess, DramController, NearMemoryAdd, RblDischarge,
+    RwlDrive, SramRead, SramWrite,
+};
+use sachi_mem::energy::EnergyLedger;
 use sachi_mem::sram::TileParams;
 use sachi_mem::units::convert::{count_u64, to_index};
 use sachi_mem::units::{Bits, Cycles};
@@ -33,6 +44,23 @@ pub fn tuple_cycles(design: DesignKind, n: u64, r: u32, row_bits: u64) -> u64 {
         return 0;
     }
     stationarity(design).phase1_cycles(n, r, row_bits)
+}
+
+/// Compute events of one or more sweeps, as the compute price reads them.
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
+pub struct ComputeEvents {
+    /// Read word-line activations.
+    pub rwl_activations: u64,
+    /// Read bit-line discharges (`PerfModel` books an expected count).
+    pub rbl_discharges: f64,
+    /// Bits fetched from the storage array onto the RWLs.
+    pub fetched_bits: u64,
+    /// Near-memory adder bit operations.
+    pub adder_bit_ops: u64,
+    /// XNOR-vs-XNOR+1 decisions.
+    pub decisions: u64,
+    /// Annealer decisions.
+    pub annealer_decisions: u64,
 }
 
 /// One compute-array round and its price.
@@ -266,12 +294,91 @@ impl RoundPlan {
     pub fn solve_cycles(&self, sweeps: u64) -> Cycles {
         self.placement + self.sweep_cycles(0) + self.sweep_cycles(1) * (sweeps.max(1) - 1)
     }
+
+    /// Books the placement of the whole problem into DRAM.
+    pub fn bill_placement(&self, ledger: &mut EnergyLedger) {
+        let movement = self.config.tech.movement_energy_per_bit();
+        ledger.record(DramAccess, movement * self.storage_bits);
+    }
+
+    /// Books `round`'s load in sweep `sweep` if it pays one (see
+    /// [`RoundPlan::load`]).
+    pub fn bill_load(&self, ledger: &mut EnergyLedger, sweep: u64, round: &Round) {
+        if self.load(sweep, round) > Cycles::ZERO {
+            self.bill_loads(ledger, round, 1);
+        }
+    }
+
+    /// Books every load of sweep `sweep`.
+    pub(crate) fn bill_sweep_loads(&self, ledger: &mut EnergyLedger, sweep: u64) {
+        for (round, repeats) in &self.runs {
+            if self.load(sweep, round) > Cycles::ZERO {
+                self.bill_loads(ledger, round, *repeats);
+            }
+        }
+    }
+
+    /// Books `times` loads of `round`: its resident bits moved and
+    /// written, plus — when the problem lives in DRAM — its stream's
+    /// access bits and one controller update, priced as an adder op, per
+    /// 64-byte beat.
+    fn bill_loads(&self, ledger: &mut EnergyLedger, round: &Round, times: u64) {
+        let tech = &self.config.tech;
+        self.bill_fill(ledger, round.resident_bits * times);
+        if self.uses_dram {
+            let bytes = Bits::new(round.storage_bits).to_bytes_ceil();
+            let beats = tech.dram_stream_cycles(bytes).get() * times;
+            let bits = round.storage_bits * times;
+            ledger.record(DramAccess, tech.movement_energy_per_bit() * bits);
+            ledger.record(DramController, tech.adder_energy_per_bit() * beats);
+        }
+    }
+
+    /// Books `bits` moved from the storage array into the compute array
+    /// and written there: a load's resident bits, or a tuple's fault
+    /// refetch.
+    pub fn bill_fill(&self, ledger: &mut EnergyLedger, bits: u64) {
+        let tech = &self.config.tech;
+        ledger.record(DataMovement, tech.movement_energy_per_bit() * bits);
+        ledger.record(SramWrite, tech.sram_write_energy_per_bit() * bits);
+    }
+
+    /// Books compute `events`. Fetched bits the storage array cannot
+    /// cache re-stream from DRAM.
+    pub fn bill_compute(&self, ledger: &mut EnergyLedger, events: &ComputeEvents) {
+        let tech = &self.config.tech;
+        let (movement, adder) = (tech.movement_energy_per_bit(), tech.adder_energy_per_bit());
+        ledger.record(RwlDrive, tech.rwl_energy_per_bit() * events.rwl_activations);
+        ledger.record(
+            RblDischarge,
+            tech.rbl_energy_per_bit() * events.rbl_discharges,
+        );
+        ledger.record(DataMovement, movement * events.fetched_bits);
+        if self.uses_dram {
+            ledger.record(DramAccess, movement * events.fetched_bits);
+        }
+        ledger.record(NearMemoryAdd, adder * events.adder_bit_ops);
+        ledger.record(DecisionLogic, adder * events.decisions);
+        let annealer = tech.annealer_energy_per_decision();
+        ledger.record(Annealer, annealer * events.annealer_decisions);
+    }
+
+    /// Books `flips` spin updates writing `copies` tuple copies between
+    /// them (Fig. 8b): each copy read and written in the storage array,
+    /// and one bit moved per flip.
+    pub fn bill_flips(&self, ledger: &mut EnergyLedger, flips: u64, copies: u64) {
+        let tech = &self.config.tech;
+        ledger.record(SramRead, tech.rbl_energy_per_bit() * copies);
+        ledger.record(SramWrite, tech.sram_write_energy_per_bit() * copies);
+        ledger.record(DataMovement, tech.movement_energy_per_bit() * flips);
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use sachi_mem::cache::{CacheGeometry, CacheHierarchy};
+    use sachi_mem::energy::EnergyComponent;
 
     fn configs() -> Vec<SachiConfig> {
         let small = CacheHierarchy {
@@ -368,6 +475,44 @@ mod tests {
             Cycles::ZERO,
             "every sweep reloads"
         );
+    }
+
+    #[test]
+    fn a_dram_round_load_bills_its_stream_and_controller() {
+        let tiny_storage = CacheHierarchy {
+            compute: CacheGeometry::new(1, 4, 64, 1),
+            storage: CacheGeometry::new(1, 2, 64, 2),
+        };
+        let config = SachiConfig::new(DesignKind::N3).with_hierarchy(tiny_storage);
+        let plan = RoundPlan::for_degrees(&config, 4, &[16; 12]);
+        assert!(plan.uses_dram && plan.rounds_per_sweep > 1);
+        let round = Round {
+            resident_bits: 64,
+            storage_bits: Bits::from_bytes(128).get(),
+            load: Cycles::new(1),
+            ..Round::default()
+        };
+        let mut ledger = EnergyLedger::new();
+        plan.bill_load(&mut ledger, 1, &round);
+        // 1024 bits at 1 pJ/bit, and one adder op per 64-byte beat.
+        let tech = &config.tech;
+        assert!((ledger.component(EnergyComponent::DramAccess).get() - 1024.0).abs() < 1e-9);
+        assert_eq!(
+            ledger.component(EnergyComponent::DramController),
+            tech.adder_energy_per_bit() * 2u64
+        );
+        assert_eq!(
+            ledger.component(EnergyComponent::DataMovement),
+            tech.movement_energy_per_bit() * 64u64
+        );
+        // A round that pays no load cycles pays no load energy.
+        let mut idle = EnergyLedger::new();
+        let unloaded = Round {
+            load: Cycles::ZERO,
+            ..round
+        };
+        plan.bill_load(&mut idle, 1, &unloaded);
+        assert!(idle.is_empty());
     }
 
     #[test]

@@ -126,30 +126,6 @@ impl CacheGeometry {
     pub fn fits(&self, need: Bits) -> bool {
         self.total_bits().holds(need)
     }
-
-    /// Rows needed to hold one tuple of `tuple_bits` bits (a tuple wider
-    /// than a row spills onto additional rows; Fig. 17's overflow effect).
-    pub fn rows_per_tuple(&self, tuple_bits: u64) -> u64 {
-        tuple_bits.div_ceil(count_u64(self.row_bits)).max(1)
-    }
-
-    /// How many tuples of `tuple_bits` bits the structure holds at once.
-    pub fn tuple_capacity(&self, tuple_bits: u64) -> u64 {
-        let per_tile = count_u64(self.rows_per_tile) / self.rows_per_tuple(tuple_bits);
-        per_tile * count_u64(self.tiles)
-    }
-
-    /// Number of full load "rounds" required to stream `tuples` tuples of
-    /// `tuple_bits` bits through the structure (1 if everything fits).
-    pub fn rounds(&self, tuples: u64, tuple_bits: u64) -> u64 {
-        let cap = self.tuple_capacity(tuple_bits);
-        if cap == 0 {
-            // A single tuple wider than the whole structure still streams,
-            // one row-chunk at a time; treat each tuple as its own round.
-            return tuples;
-        }
-        tuples.div_ceil(cap)
-    }
 }
 
 /// A named pair of compute + storage geometries (Sec. VII.2 presets).
@@ -212,37 +188,6 @@ mod tests {
         let kib = g.total_bits().get() as f64 / 8.0 / 1024.0;
         assert!((kib - 160.0).abs() < 0.5, "storage is {kib} KiB");
         assert_eq!(g.read_ports(), 2);
-    }
-
-    #[test]
-    fn rows_per_tuple_spills_wide_tuples() {
-        let g = CacheGeometry::sachi_compute_default();
-        // 100 neighbors x 8-bit IC = 800 bits: exactly one row.
-        assert_eq!(g.rows_per_tuple(800), 1);
-        // TSP at 1K cities, 4-bit: 999 x 4 = 3996 bits -> 5 rows.
-        assert_eq!(g.rows_per_tuple(3_996), 5);
-        // Degenerate zero-bit tuple still occupies a row.
-        assert_eq!(g.rows_per_tuple(0), 1);
-    }
-
-    #[test]
-    fn tuple_capacity_and_rounds() {
-        let g = CacheGeometry::sachi_compute_default();
-        // One-row tuples: 100 per tile x 16 tiles.
-        assert_eq!(g.tuple_capacity(800), 1_600);
-        assert_eq!(g.rounds(1_600, 800), 1);
-        assert_eq!(g.rounds(1_601, 800), 2);
-        // Five-row tuples: 20 per tile x 16 tiles = 320.
-        assert_eq!(g.tuple_capacity(3_996), 320);
-        assert_eq!(g.rounds(1_000, 3_996), 4);
-    }
-
-    #[test]
-    fn rounds_handles_tuple_wider_than_structure() {
-        let g = CacheGeometry::new(1, 2, 8, 1);
-        // 100-bit tuple in a 16-bit structure: capacity 0 -> per-tuple streaming.
-        assert_eq!(g.tuple_capacity(100), 0);
-        assert_eq!(g.rounds(7, 100), 7);
     }
 
     #[test]

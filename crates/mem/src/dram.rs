@@ -11,9 +11,7 @@
 //! the controller keeps its statistics
 //! ([`DramController::record_round`]).
 
-use crate::energy::{EnergyComponent, EnergyLedger};
 use crate::fault::FaultInjector;
-use crate::params::TechnologyParams;
 use crate::units::{Bits, Cycles};
 
 /// Cumulative controller statistics, snapshot for metrics export.
@@ -60,51 +58,28 @@ impl DramStats {
 /// Behavioural DRAM + controller model.
 #[derive(Debug, Clone)]
 pub struct DramController {
-    params: TechnologyParams,
     prefetch_enabled: bool,
     /// Cumulative statistics.
     stats: DramStats,
 }
 
 impl DramController {
-    /// Creates a controller with prefetching enabled (the paper's design).
-    pub fn new(params: TechnologyParams) -> Self {
+    /// Creates a controller, with the prefetcher on (the paper's design)
+    /// or off (ablation `abl_prefetch`).
+    pub fn new(prefetch: bool) -> Self {
         DramController {
-            params,
-            prefetch_enabled: true,
+            prefetch_enabled: prefetch,
             stats: DramStats::default(),
         }
     }
 
-    /// Disables the prefetcher (ablation `abl_prefetch`).
-    pub fn without_prefetch(mut self) -> Self {
-        self.prefetch_enabled = false;
-        self
-    }
-
-    /// Books one load of `payload` bits: its DRAM energy plus one
-    /// controller counter update, priced as an adder op, per 64-byte
-    /// beat. With an injector the stream also draws per-bit corruption
-    /// (an inert model draws nothing); the corrupted bit count is
-    /// returned. Corrupted beats cost the same. The round plan in
-    /// `sachi-core` prices the stream's cycles.
-    pub fn load(
-        &mut self,
-        payload: Bits,
-        ledger: &mut EnergyLedger,
-        inj: Option<&mut FaultInjector>,
-    ) -> u64 {
+    /// Counts one load of `payload` bits. With an injector the stream
+    /// also draws per-bit corruption (an inert model draws nothing); the
+    /// corrupted bit count is returned. The round plan in `sachi-core`
+    /// prices the stream's cycles and energy.
+    pub fn load(&mut self, payload: Bits, inj: Option<&mut FaultInjector>) -> u64 {
         self.stats.loads += 1;
         self.stats.bits_loaded += payload.get();
-        ledger.record(
-            EnergyComponent::DramAccess,
-            self.params.movement_energy_per_bit() * payload.get(),
-        );
-        let beats = self.params.dram_stream_cycles(payload.to_bytes_ceil());
-        ledger.record(
-            EnergyComponent::DramController,
-            self.params.adder_energy_per_bit() * beats.get(),
-        );
         inj.map_or(0, |inj| inj.flips_in_dram_stream(payload.get()))
     }
 
@@ -139,21 +114,17 @@ mod tests {
     use super::*;
 
     #[test]
-    fn load_books_energy_and_stats() {
-        let mut ctrl = DramController::new(TechnologyParams::default());
-        let mut ledger = EnergyLedger::new();
-        assert_eq!(ctrl.load(Bits::from_bytes(128), &mut ledger, None), 0);
+    fn load_counts_stats() {
+        let mut ctrl = DramController::new(true);
+        assert_eq!(ctrl.load(Bits::from_bytes(128), None), 0);
         assert_eq!(ctrl.stats().loads, 1);
         assert_eq!(ctrl.stats().bits_loaded, Bits::from_bytes(128).get());
-        // 1024 bits at 1 pJ/bit.
-        assert!((ledger.component(EnergyComponent::DramAccess).get() - 1024.0).abs() < 1e-9);
-        assert!(ledger.component(EnergyComponent::DramController).get() > 0.0);
     }
 
     #[test]
     fn prefetch_stats_split_hidden_and_exposed_load() {
-        let mut with = DramController::new(TechnologyParams::default());
-        let mut without = DramController::new(TechnologyParams::default()).without_prefetch();
+        let mut with = DramController::new(true);
+        let mut without = DramController::new(false);
         with.record_round(Cycles::new(100), Cycles::new(30));
         without.record_round(Cycles::new(100), Cycles::new(30));
         assert_eq!(with.stats().prefetches_issued, 1);
@@ -170,25 +141,22 @@ mod tests {
     #[test]
     fn faulted_load_keeps_clean_accounting_and_counts_corruption() {
         use crate::fault::{FaultModel, FaultRate};
-        let mut clean = DramController::new(TechnologyParams::default());
-        let mut faulted = DramController::new(TechnologyParams::default());
-        let mut clean_ledger = EnergyLedger::new();
-        let mut faulted_ledger = EnergyLedger::new();
+        let mut clean = DramController::new(true);
+        let mut faulted = DramController::new(true);
 
         // Inert model: identical in every respect, no draws.
         let mut inert = FaultModel::new(4).injector(0);
         let state = inert.stream_state();
-        clean.load(Bits::from_bytes(128), &mut clean_ledger, None);
-        let corrupted = faulted.load(Bits::from_bytes(128), &mut faulted_ledger, Some(&mut inert));
+        clean.load(Bits::from_bytes(128), None);
+        let corrupted = faulted.load(Bits::from_bytes(128), Some(&mut inert));
         assert_eq!(corrupted, 0);
         assert_eq!(inert.stream_state(), state);
         assert_eq!(faulted.stats(), clean.stats());
-        assert!((faulted_ledger.total().get() - clean_ledger.total().get()).abs() < 1e-12);
 
         // Certainty DRAM BER corrupts every streamed bit.
         let model = FaultModel::new(4).with_dram_ber(FaultRate::from_ppb(1_000_000_000));
         let mut inj = model.injector(0);
-        let corrupted = faulted.load(Bits::new(100), &mut faulted_ledger, Some(&mut inj));
+        let corrupted = faulted.load(Bits::new(100), Some(&mut inj));
         assert_eq!(corrupted, 100);
         assert_eq!(inj.counters().dram_flips, 100);
     }

@@ -28,10 +28,10 @@
 //! let xnor = tile.compute_xnor(0, true, 0..4)?; // drive RWL with J = 1
 //! assert_eq!(xnor, vec![true, false, true, true]);
 //!
-//! // Price the access under the paper's 45 nm parameters:
+//! // Price its word-line activations under the paper's 45 nm parameters:
 //! let params = TechnologyParams::freepdk45();
-//! let ledger = tile.stats().energy(&params);
-//! assert!(ledger.total().get() > 0.0);
+//! let rwl = params.rwl_energy_per_bit() * tile.stats().rwl_activations;
+//! assert!(rwl.get() > 0.0);
 //! # Ok::<(), sachi_mem::sram::AccessError>(())
 //! ```
 

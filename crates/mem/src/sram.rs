@@ -29,7 +29,6 @@
 //! datapath those closed forms are proven against (the scalar design
 //! oracles, `fig10_bitline`, and the resident-array test oracle).
 
-use crate::energy::{EnergyComponent, EnergyLedger};
 use crate::params::TechnologyParams;
 use crate::units::convert::count_u64;
 use crate::units::Picojoules;
@@ -114,9 +113,10 @@ impl std::error::Error for AccessError {}
 
 /// Raw event counters accumulated by a tile.
 ///
-/// Counters are converted to energy by [`TileStats::energy`] using a
-/// [`TechnologyParams`]; keeping raw counts lets the same run be re-priced
-/// under different technology assumptions.
+/// Counters are converted to energy by the consumer's price list (the
+/// round plan in `sachi-core`) using a [`TechnologyParams`]; keeping raw
+/// counts lets the same run be re-priced under different technology
+/// assumptions.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct TileStats {
     /// Read word-line activations (each compute access pulses the stored
@@ -136,28 +136,6 @@ pub struct TileStats {
 }
 
 impl TileStats {
-    /// Prices the accumulated events under `params`.
-    pub fn energy(&self, params: &TechnologyParams) -> EnergyLedger {
-        let mut ledger = EnergyLedger::new();
-        ledger.record(
-            EnergyComponent::RwlDrive,
-            params.rwl_energy_per_bit() * self.rwl_activations,
-        );
-        ledger.record(
-            EnergyComponent::RblDischarge,
-            params.rbl_energy_per_bit() * self.rbl_discharges,
-        );
-        ledger.record(
-            EnergyComponent::SramWrite,
-            params.sram_write_energy_per_bit() * self.bits_written,
-        );
-        ledger.record(
-            EnergyComponent::SramRead,
-            params.rbl_energy_per_bit() * self.bits_read,
-        );
-        ledger
-    }
-
     /// Energy attributable to redundant discharges alone.
     pub fn redundant_energy(&self, params: &TechnologyParams) -> Picojoules {
         params.rbl_energy_per_bit() * self.redundant_discharges
@@ -633,19 +611,20 @@ mod tests {
     }
 
     #[test]
-    fn energy_ledger_prices_counters() {
+    fn full_row_compute_counts_its_events() {
         let params = TechnologyParams::default();
         let mut t = tile_with_pattern();
         t.compute_xnor_full_row(2, true).unwrap();
-        let ledger = t.stats().energy(&params);
-        // 2 RWL activations * 0.05 pJ + 6 discharges * 0.035 pJ + 18 writes * 0.05 pJ.
-        let expected = 2.0 * 0.05 + 6.0 * 0.035 + 18.0 * 0.05;
-        assert!(
-            (ledger.total().get() - expected).abs() < 1e-9,
-            "{}",
-            ledger.total()
+        let stats = t.stats();
+        assert_eq!(
+            (
+                stats.rwl_activations,
+                stats.rbl_discharges,
+                stats.bits_written
+            ),
+            (2, 6, 18)
         );
-        assert!((t.stats().redundant_energy(&params).get() - 0.0).abs() < 1e-12);
+        assert!((stats.redundant_energy(&params).get() - 0.0).abs() < 1e-12);
     }
 
     #[test]
