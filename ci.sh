@@ -45,9 +45,11 @@ cargo run -q -p sachi-bench --bin disc_faults -- --smoke
 # Kernel/sweep equality tripwire: asserts H equality between the scalar
 # oracle and the SoA production kernel on the dense acceptance tuple, a
 # King's-graph sweep, and a dense sweep — that banked multi-round
-# sweeps keep the H trajectory and compute cycles bit-identical, and
-# that the memoised annealer decision makes the exp-per-decision
-# reference's decisions (timing ratios are only gated in the full run).
+# sweeps keep the H trajectory and compute cycles bit-identical, that
+# the memoised annealer decision makes the exp-per-decision reference's
+# decisions, and that every resident tempered segment returns a fresh
+# machine's (SolveResult, RunReport) with its energy equal to H of its
+# spins (timing ratios are only gated in the full run).
 echo "==> perf_kernels --smoke"
 cargo run -q -p sachi-bench --bin perf_kernels -- --smoke
 

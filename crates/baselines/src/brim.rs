@@ -26,8 +26,10 @@
 //! golden model; only the cycle/energy accounting differs.
 
 use sachi_ising::graph::IsingGraph;
-use sachi_ising::hamiltonian::local_field;
-use sachi_ising::solver::{decide_update, run_sweeps, IterativeSolver, SolveOptions, SolveResult};
+use sachi_ising::hamiltonian::{energy, flip_cost, local_field};
+use sachi_ising::solver::{
+    decide_update, run_sweeps, IterativeSolver, SolveOptions, SolveResult, SweepOutcome,
+};
 use sachi_ising::spin::SpinVector;
 use sachi_mem::energy::{EnergyComponent, EnergyLedger};
 use sachi_mem::params::TechnologyParams;
@@ -252,8 +254,9 @@ impl BrimMachine {
         let logic_mw = self.config.bank_logic_mw * self.config.dac_banks as f64;
 
         let mut ic_bits_fetched = 0u64;
-        let result = run_sweeps(graph, initial, options, |_, spins, annealer| {
-            let mut flips = 0u64;
+        let h_start = energy(graph, initial);
+        let result = run_sweeps(graph, initial, h_start, options, |_, spins, annealer| {
+            let (mut flips, mut delta) = (0u64, 0i64);
             for i in 0..n {
                 let h_sigma = local_field(graph, spins, i);
                 // Reuse = 1: every IC is re-fetched from memory and
@@ -269,6 +272,7 @@ impl BrimMachine {
                 if new != current {
                     spins.set(i, new);
                     flips += 1;
+                    delta += flip_cost(current, h_sigma);
                 }
             }
             // Power-derived per-sweep energy: oscillator + DAC + logic run
@@ -290,7 +294,10 @@ impl BrimMachine {
                 tech.annealer_energy_per_decision() * n as u64,
             );
             total_cycles += Cycles::new(cycles_per_sweep);
-            Some(flips)
+            SweepOutcome {
+                delta,
+                flips: Some(flips),
+            }
         });
 
         let report = BrimReport {

@@ -14,13 +14,15 @@
 //!
 //! A proper King's-graph update grouping needs 4 colors (the 2x2 block
 //! classes): two same-class cells are never adjacent, so a phase's
-//! parallel updates never race.
+//! parallel updates never race. The envelope check enforces that
+//! adjacency itself — every edge must join King's-lattice neighbours in
+//! the chip's row-major layout — not just the degree bound.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use sachi_ising::graph::IsingGraph;
-use sachi_ising::hamiltonian::{local_field, update_rule};
-use sachi_ising::solver::{run_sweeps, SolveOptions, SolveResult};
+use sachi_ising::hamiltonian::{energy, flip_cost, local_field, update_rule};
+use sachi_ising::solver::{run_sweeps, SolveOptions, SolveResult, SweepOutcome};
 use sachi_ising::spin::SpinVector;
 use sachi_mem::energy::{EnergyComponent, EnergyLedger};
 use sachi_mem::params::TechnologyParams;
@@ -38,10 +40,11 @@ pub enum CmosAnnealerError {
         /// Requested spin count.
         spins: usize,
     },
-    /// Degree above King's-graph connectivity.
+    /// An edge whose endpoints are not King's-lattice neighbours in
+    /// the chip's row-major layout.
     NotKingsGraph {
-        /// Maximum degree found.
-        max_degree: usize,
+        /// Endpoints of the offending edge.
+        edge: (u32, u32),
     },
     /// A coefficient outside `{-1, 0, +1}`.
     CoefficientNotTernary {
@@ -59,10 +62,12 @@ impl fmt::Display for CmosAnnealerError {
                     "CMOS annealer holds {CMOS_ANNEALER_MAX_SPINS} spins, got {spins}"
                 )
             }
-            CmosAnnealerError::NotKingsGraph { max_degree } => {
+            CmosAnnealerError::NotKingsGraph { edge } => {
                 write!(
                     f,
-                    "CMOS annealer supports King's graphs (degree <= 8), got {max_degree}"
+                    "CMOS annealer supports King's graphs, but edge ({}, {}) joins \
+                     non-adjacent lattice cells",
+                    edge.0, edge.1
                 )
             }
             CmosAnnealerError::CoefficientNotTernary { value } => {
@@ -118,7 +123,10 @@ impl CmosAnnealer {
         }
     }
 
-    /// Checks the chip's envelope.
+    /// Checks the chip's envelope: the spin count, King's-lattice
+    /// adjacency at the chip's width (which bounds the degree at 8 and
+    /// keeps every update group free of internal edges), and ternary
+    /// coefficients.
     ///
     /// # Errors
     ///
@@ -129,12 +137,11 @@ impl CmosAnnealer {
                 spins: graph.num_spins(),
             });
         }
-        if graph.max_degree() > 8 {
-            return Err(CmosAnnealerError::NotKingsGraph {
-                max_degree: graph.max_degree(),
-            });
-        }
-        for (_, _, w) in graph.edges() {
+        for (u, v, w) in graph.edges() {
+            let ((ru, cu), (rv, cv)) = (self.cell(u as usize), self.cell(v as usize));
+            if ru.abs_diff(rv) > 1 || cu.abs_diff(cv) > 1 {
+                return Err(CmosAnnealerError::NotKingsGraph { edge: (u, v) });
+            }
             if !(-1..=1).contains(&w) {
                 return Err(CmosAnnealerError::CoefficientNotTernary { value: w });
             }
@@ -142,9 +149,14 @@ impl CmosAnnealer {
         Ok(())
     }
 
+    /// The lattice cell `(row, col)` of spin `i`.
+    fn cell(&self, i: usize) -> (usize, usize) {
+        (i / self.width, i % self.width)
+    }
+
     /// The 2x2-block update group of spin `i` (0..4).
     fn group_of(&self, i: usize) -> usize {
-        let (r, c) = (i / self.width, i % self.width);
+        let (r, c) = self.cell(i);
         (r % 2) * 2 + (c % 2)
     }
 
@@ -160,8 +172,9 @@ impl CmosAnnealer {
     /// but the per-sweep body does *not* follow the sequential update
     /// order — within a phase every cell sees the pre-phase state of its
     /// own group (they are never adjacent, so this equals the sequential
-    /// result *within* the group), but groups see each other's latest
-    /// values only between phases.
+    /// result *within* the group, and the phase's ΔH is the sum of its
+    /// flips' costs at the pre-phase fields), but groups see each other's
+    /// latest values only between phases.
     ///
     /// # Errors
     ///
@@ -193,8 +206,9 @@ impl CmosAnnealer {
             self.tech.sram_write_energy_per_bit() * payload_bits,
         );
 
-        let result = run_sweeps(graph, initial, options, |_, spins, annealer| {
-            let mut flips = 0u64;
+        let h_start = energy(graph, initial);
+        let result = run_sweeps(graph, initial, h_start, options, |_, spins, annealer| {
+            let (mut flips, mut delta) = (0u64, 0i64);
             for group in 0..4usize {
                 // All cells of one group update in parallel from the
                 // current state (no intra-group adjacency).
@@ -212,12 +226,13 @@ impl CmosAnnealer {
                         }
                     }
                     if new != current {
-                        updates.push((i, new));
+                        updates.push((i, new, flip_cost(current, h)));
                     }
                 }
-                for &(i, new) in &updates {
+                for &(i, new, cost) in &updates {
                     spins.set(i, new);
                     flips += 1;
+                    delta += cost;
                     // Local update write.
                     ledger.record(
                         EnergyComponent::SramWrite,
@@ -241,7 +256,10 @@ impl CmosAnnealer {
                 self.tech.annealer_energy_per_decision() * n as u64,
             );
             total_cycles += Cycles::new(self.cycles_per_sweep());
-            Some(flips)
+            SweepOutcome {
+                delta,
+                flips: Some(flips),
+            }
         });
 
         let report = CmosAnnealerReport {
@@ -258,7 +276,7 @@ impl CmosAnnealer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sachi_ising::graph::topology;
+    use sachi_ising::graph::{topology, GraphBuilder};
     use sachi_ising::solver::{CpuReferenceSolver, IterativeSolver};
 
     fn lattice(side: usize, seed: u64) -> (IsingGraph, SpinVector, SolveOptions) {
@@ -285,7 +303,7 @@ mod tests {
 
     #[test]
     fn envelope_enforced() {
-        let chip = CmosAnnealer::new(10);
+        let chip = CmosAnnealer::new(3);
         let dense = topology::complete(10, |_, _| 1).unwrap();
         assert!(matches!(
             chip.check_limits(&dense),
@@ -300,6 +318,27 @@ mod tests {
         assert!(chip.check_limits(&fine).is_ok());
         let msg = format!("{}", CmosAnnealerError::TooManySpins { spins: 30_000 });
         assert!(msg.contains("30000"));
+    }
+
+    #[test]
+    fn a_ring_that_wraps_across_the_lattice_is_not_a_kings_graph() {
+        // Degree 2 everywhere, but at width 3 the closing edge (8, 0)
+        // joins cells (2, 2) and (0, 0): both in update group 0, so a
+        // parallel phase would race on it.
+        let mut b = GraphBuilder::new(9);
+        for i in 0..9u32 {
+            b.push_edge(i, (i + 1) % 9, 1);
+        }
+        let ring = b.build().unwrap();
+        let chip = CmosAnnealer::new(3);
+        assert_eq!(chip.group_of(8), chip.group_of(0));
+        let err = chip.check_limits(&ring).unwrap_err();
+        assert_eq!(err, CmosAnnealerError::NotKingsGraph { edge: (0, 8) });
+        assert!(err.to_string().contains("(0, 8)"), "{err}");
+        // A King's lattice is in the envelope at its own width only.
+        let lattice = topology::king(3, 3, |_, _| 1).unwrap();
+        assert!(chip.check_limits(&lattice).is_ok());
+        assert!(CmosAnnealer::new(4).check_limits(&lattice).is_err());
     }
 
     #[test]

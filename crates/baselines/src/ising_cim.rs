@@ -21,8 +21,10 @@
 //!   broadcast updated edge spins (Fig. 8a).
 
 use sachi_ising::graph::IsingGraph;
-use sachi_ising::hamiltonian::local_field;
-use sachi_ising::solver::{decide_update, run_sweeps, IterativeSolver, SolveOptions, SolveResult};
+use sachi_ising::hamiltonian::{energy, flip_cost, local_field};
+use sachi_ising::solver::{
+    decide_update, run_sweeps, IterativeSolver, SolveOptions, SolveResult, SweepOutcome,
+};
 use sachi_ising::spin::SpinVector;
 use sachi_mem::energy::{EnergyComponent, EnergyLedger};
 use sachi_mem::params::TechnologyParams;
@@ -245,8 +247,9 @@ impl CimMachine {
         );
 
         let cycles_per_sweep = self.cycles_per_sweep(n as u64);
-        let result = run_sweeps(graph, initial, options, |_, spins, annealer| {
-            let mut flips = 0u64;
+        let h_start = energy(graph, initial);
+        let result = run_sweeps(graph, initial, h_start, options, |_, spins, annealer| {
+            let (mut flips, mut delta) = (0u64, 0i64);
             for i in 0..n {
                 let h_sigma = local_field(graph, spins, i);
                 let degree = graph.degree(i) as u64;
@@ -272,6 +275,7 @@ impl CimMachine {
                 if new != current {
                     spins.set(i, new);
                     flips += 1;
+                    delta += flip_cost(current, h_sigma);
                     // Edge-cell broadcast to adjacent arrays when the spin
                     // is duplicated.
                     if arrays_used > 1 {
@@ -287,7 +291,10 @@ impl CimMachine {
                 tech.annealer_energy_per_decision() * n as u64,
             );
             total_cycles += Cycles::new(cycles_per_sweep);
-            Some(flips)
+            SweepOutcome {
+                delta,
+                flips: Some(flips),
+            }
         });
 
         let report = CimReport {

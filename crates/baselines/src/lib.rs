@@ -20,7 +20,8 @@
 //! runs the *same* iterative protocol as `sachi-core`'s machine and the
 //! golden CPU solver, shared by construction: each passes only its
 //! per-sweep body to `sachi_ising::solver::run_sweeps`, which owns the
-//! sweep cap, cancellation, counters, trace, convergence and result. So
+//! sweep cap, cancellation, counters, the running energy and its trace,
+//! convergence and result; a body reports each sweep's flips and ΔH. So
 //! comparisons vary only the architecture model, never the algorithm
 //! (the CMOS annealer's body is group-parallel, so its trajectory is
 //! its own; its protocol is not).

@@ -14,7 +14,8 @@
 //!   the ferromagnetic ground-state search).
 
 use sachi_ising::anneal::Schedule;
-use sachi_ising::solver::{run_sweeps, SolveOptions};
+use sachi_ising::hamiltonian::{energy, flip_cost, local_field, update_rule};
+use sachi_ising::solver::{run_sweeps, SolveOptions, SweepOutcome};
 use sachi_ising::spin::{Spin, SpinVector};
 use sachi_workloads::molecular::MolecularDynamics;
 use sachi_workloads::segmentation::ImageSegmentation;
@@ -206,17 +207,22 @@ pub fn lattice_descent(
         schedule: Schedule::constant(0.5, 1.0),
         ..SolveOptions::default()
     };
-    let result = run_sweeps(graph, initial, &frozen, |_, spins, _| {
-        let mut flips = 0;
+    let h_start = energy(graph, initial);
+    let result = run_sweeps(graph, initial, h_start, &frozen, |_, spins, _| {
+        let (mut flips, mut delta) = (0, 0);
         for i in 0..graph.num_spins() {
-            let h = sachi_ising::hamiltonian::local_field(graph, spins, i);
-            let new = sachi_ising::hamiltonian::update_rule(h, spins.get(i));
-            if new != spins.get(i) {
+            let (h, current) = (local_field(graph, spins, i), spins.get(i));
+            let new = update_rule(h, current);
+            if new != current {
                 spins.set(i, new);
                 flips += 1;
+                delta += flip_cost(current, h);
             }
         }
-        Some(flips)
+        SweepOutcome {
+            delta,
+            flips: Some(flips),
+        }
     });
     (result.spins, result.sweeps)
 }

@@ -1,5 +1,6 @@
 //! Scalar oracle vs production kernel timing for all four stationarity
-//! designs, plus the annealer decision.
+//! designs, plus the annealer decision and the resident machine's
+//! per-call cost.
 //!
 //! One pair is measured everywhere: `compute_tuple` (the scalar oracle,
 //! which lays each tuple into the tile and senses it bit by bit) vs
@@ -25,7 +26,13 @@
 //!   ΔH stream of a recorded King's-graph anneal, against an in-bench
 //!   exp-per-decision reference (the same seeded draw against
 //!   `acceptance_probability`), alternating in one process; the medians
-//!   and IQRs over the rounds and of the per-round ratio are recorded.
+//!   and IQRs over the rounds and of the per-round ratio are recorded;
+//! * **segment** (`segment`) — a tempered rung's work on the SAT-40
+//!   shape: 300 four-sweep hold-schedule `solve_detailed` calls on one
+//!   resident machine, each continuing from the last, against one
+//!   1,200-sweep call, in alternating rounds; the medians and IQRs of
+//!   both and of the per-round ratio are recorded. The ratio is what a
+//!   resident call costs beyond its sweeps.
 //!
 //! Every timed pair is asserted H-identical first, after every flip of
 //! the sequence and against the golden local field (the differential
@@ -34,11 +41,14 @@
 //! measured ns/call and speedups are printed and written to
 //! `BENCH_perf.json`. The decision row is checked the same way first:
 //! both paths must make the same decisions, keep the same uphill
-//! counters and leave the RNG at the same draw. The full run asserts the
-//! ≥5× acceptance bar on the dense kernel, the ≥6× bar on the dense SoA
-//! sweep for every design, and a memo/reference median ratio ≤ 0.75 on
-//! the decision; `--smoke` runs reduced reps and shapes for CI, checks
-//! equality only (CI machines are too noisy to gate on a timing ratio),
+//! counters and leave the RNG at the same draw. The segment row is
+//! checked first too: every resident segment's `(SolveResult,
+//! RunReport)` must equal a fresh machine's on the same call, and its
+//! energy must equal `hamiltonian::energy` of its spins. The full run asserts the ≥5× acceptance bar on the dense
+//! kernel, the ≥6× bar on the dense SoA sweep for every design, a
+//! memo/reference median ratio ≤ 0.75 on the decision, and a
+//! segmented/single median ratio ≤ 1.20 on the segment row; `--smoke`
+//! runs reduced reps and shapes for CI, checks equality only (CI machines are too noisy to gate on a timing ratio),
 //! and never writes the baseline — its reduced shapes would replace the
 //! committed full-run numbers.
 
@@ -50,6 +60,7 @@ use sachi_bench::{section, Table};
 use sachi_core::prelude::*;
 use sachi_ising::prelude::*;
 use sachi_mem::prelude::*;
+use sachi_workloads::prelude::CopKind;
 
 /// Dense-kernel acceptance shape: degree 256 at R = 8.
 const DENSE_DEGREE: usize = 256;
@@ -65,6 +76,14 @@ const DECIDE_ROUNDS: u32 = 15;
 /// The full run's bar on the decision row: the memoised `accept` takes
 /// at most this fraction of the exp-per-decision reference's time.
 const DECIDE_BAR: f64 = 0.75;
+/// Sweeps per call of the segment row: a tempered rung's exchange
+/// interval.
+const SEGMENT_SWEEPS: u64 = 4;
+/// Alternating rounds of the segment row's two timed runs.
+const SEGMENT_ROUNDS: u32 = 15;
+/// The full run's bar on the segment row: the segmented run takes at
+/// most this multiple of the single call's time.
+const SEGMENT_BAR: f64 = 1.20;
 
 /// Nanoseconds per call of `f`, amortized over `iters` runs.
 fn ns_per_call(iters: u32, mut f: impl FnMut()) -> f64 {
@@ -442,7 +461,7 @@ fn measure_decide(
         let mut flips = 0u32;
         for i in 0..n {
             let (current, h) = (st.spins.get(i), st.planes.view(i).sums().h);
-            let delta = -2 * current.value() * h;
+            let delta = flip_cost(current, h);
             deltas.push(delta);
             draws += u64::from(!frozen && delta > 0);
             if decide_update(current, h, &mut annealer) != current {
@@ -509,6 +528,91 @@ fn measure_decide(
     }
 }
 
+/// One rung's segmented run against the same sweeps in one call.
+struct SegmentRow {
+    spins: usize,
+    edges: usize,
+    calls: u64,
+    rounds: u32,
+    /// The segmented run, ms.
+    segmented_ms: Spread,
+    /// The single call, ms.
+    single_ms: Spread,
+    /// segmented / single, per round.
+    ratio: Spread,
+}
+
+/// Times a tempered rung's segments on the SAT-40 shape (the
+/// `serve-tempering` job's): `calls` resident calls of
+/// [`SEGMENT_SWEEPS`] at a ladder rung's hold temperature, each from
+/// the last one's spins, against one call of as many sweeps. Checks
+/// first that every resident segment equals a fresh machine's call and
+/// that its energy is H of its spins.
+fn measure_segment(calls: u64, rounds: u32) -> SegmentRow {
+    let problem = build_cop_problem(CopKind::SatThree, 40, 12_345).expect("SAT-40 builds");
+    let graph = &problem.graph;
+    let ladder = TemperatureLadder::for_graph(LadderKind::Adaptive, graph, 4);
+    let schedule = Schedule::constant(ladder.temperature(1), ladder.freeze_threshold());
+    let hold = |max_sweeps, seed| SolveOptions {
+        max_sweeps,
+        schedule,
+        seed,
+        ..SolveOptions::default()
+    };
+    let config = SachiConfig::new(DesignKind::N3);
+    let init = SpinVector::random(graph.num_spins(), &mut StdRng::seed_from_u64(41));
+
+    let mut resident = SachiMachine::new(config.clone());
+    let mut spins = init.clone();
+    for call in 0..calls {
+        let opts = hold(SEGMENT_SWEEPS, call);
+        let got = resident.solve_detailed(graph, &spins, &opts);
+        let want = SachiMachine::new(config.clone()).solve_detailed(graph, &spins, &opts);
+        assert!(
+            got == want,
+            "segment {call}: the resident machine diverged from a fresh one"
+        );
+        assert_eq!(
+            got.0.energy,
+            energy(graph, &got.0.spins),
+            "segment {call}: the energy is not H of its spins"
+        );
+        spins = got.0.spins;
+    }
+
+    // The two runs alternate so a noisy neighbour slows both, and the
+    // per-round ratio cancels it.
+    let (mut segmented_ms, mut single_ms, mut ratio) = (Vec::new(), Vec::new(), Vec::new());
+    for _ in 0..rounds {
+        let seg = ns_per_call(1, || {
+            let mut machine = SachiMachine::new(config.clone());
+            let mut spins = init.clone();
+            for call in 0..calls {
+                spins = machine
+                    .solve(graph, &spins, &hold(SEGMENT_SWEEPS, call))
+                    .spins;
+            }
+            std::hint::black_box(spins);
+        });
+        let one = ns_per_call(1, || {
+            let mut machine = SachiMachine::new(config.clone());
+            std::hint::black_box(machine.solve(graph, &init, &hold(calls * SEGMENT_SWEEPS, 0)));
+        });
+        segmented_ms.push(seg * 1e-6);
+        single_ms.push(one * 1e-6);
+        ratio.push(seg / one);
+    }
+    SegmentRow {
+        spins: graph.num_spins(),
+        edges: graph.num_edges(),
+        calls,
+        rounds,
+        segmented_ms: Spread::of(segmented_ms),
+        single_ms: Spread::of(single_ms),
+        ratio: Spread::of(ratio),
+    }
+}
+
 fn json_rows(rows: &[Measurement], unit: &str) -> String {
     let cells: Vec<String> = rows
         .iter()
@@ -523,6 +627,19 @@ fn json_rows(rows: &[Measurement], unit: &str) -> String {
         })
         .collect();
     cells.join(",\n")
+}
+
+/// Prints rows of `(name, spread, unit)` as a median/IQR table.
+fn print_spreads(what: &str, rows: [(&str, &Spread, &str); 3]) {
+    let mut t = Table::new([what, "median", "IQR"]);
+    for (name, spread, unit) in rows {
+        t.row([
+            name.to_string(),
+            format!("{:.3}{unit}", spread.median),
+            format!("{:.3}{unit}", spread.iqr),
+        ]);
+    }
+    t.print();
 }
 
 fn print_table(title: &str, rows: &[Measurement]) {
@@ -640,19 +757,39 @@ fn main() {
          {} draws, {DECIDE_ROUNDS} alternating rounds",
         decide.decisions, decide.draws
     ));
-    let mut t = Table::new(["path", "median", "IQR"]);
-    for (name, spread, unit) in [
-        ("Annealer::accept (memo)", &decide.memo_ns, " ns"),
-        ("exp-per-decision reference", &decide.reference_ns, " ns"),
-        ("memo / reference", &decide.ratio, ""),
-    ] {
-        t.row([
-            name.to_string(),
-            format!("{:.3}{unit}", spread.median),
-            format!("{:.3}{unit}", spread.iqr),
-        ]);
-    }
-    t.print();
+    print_spreads(
+        "path",
+        [
+            ("Annealer::accept (memo)", &decide.memo_ns, " ns"),
+            ("exp-per-decision reference", &decide.reference_ns, " ns"),
+            ("memo / reference", &decide.ratio, ""),
+        ],
+    );
+
+    // A tempered rung's resident segments against one call of as many
+    // sweeps.
+    let segment = if smoke {
+        measure_segment(30, 3)
+    } else {
+        measure_segment(300, SEGMENT_ROUNDS)
+    };
+    section(&format!(
+        "ms per run: SAT-40 ({} spins, {} edges), {} resident calls of {SEGMENT_SWEEPS} sweeps \
+         vs one call of {}, {} alternating rounds",
+        segment.spins,
+        segment.edges,
+        segment.calls,
+        segment.calls * SEGMENT_SWEEPS,
+        segment.rounds,
+    ));
+    print_spreads(
+        "run",
+        [
+            ("resident segments", &segment.segmented_ms, " ms"),
+            ("single call", &segment.single_ms, " ms"),
+            ("segments / single", &segment.ratio, ""),
+        ],
+    );
 
     let banked_json: Vec<String> = banked
         .iter()
@@ -672,7 +809,7 @@ fn main() {
         })
         .collect();
     let json = format!(
-        "{{\n  \"kernel\": {{\"degree\": {DENSE_DEGREE}, \"r\": {DENSE_R}, \"rows\": [\n{}\n  ]}},\n  \"sweep\": {{\"lattice\": {lattice}, \"spins\": {}, \"flip_one_in\": {FLIP_ONE_IN}, \"rows\": [\n{}\n  ]}},\n  \"sweep_dense\": {{\"degree\": {dense_degree}, \"r\": {DENSE_R}, \"tuples\": {}, \"flip_one_in\": {FLIP_ONE_IN}, \"rows\": [\n{}\n  ]}},\n  \"sweep_banked\": {{\"rows\": [\n{}\n  ]}},\n  \"decide\": {{\"lattice\": {lattice}, \"decisions\": {}, \"draws\": {}, \"rounds\": {DECIDE_ROUNDS}, \"memo_ns\": {}, \"reference_ns\": {}, \"ratio\": {}}}\n}}\n",
+        "{{\n  \"kernel\": {{\"degree\": {DENSE_DEGREE}, \"r\": {DENSE_R}, \"rows\": [\n{}\n  ]}},\n  \"sweep\": {{\"lattice\": {lattice}, \"spins\": {}, \"flip_one_in\": {FLIP_ONE_IN}, \"rows\": [\n{}\n  ]}},\n  \"sweep_dense\": {{\"degree\": {dense_degree}, \"r\": {DENSE_R}, \"tuples\": {}, \"flip_one_in\": {FLIP_ONE_IN}, \"rows\": [\n{}\n  ]}},\n  \"sweep_banked\": {{\"rows\": [\n{}\n  ]}},\n  \"decide\": {{\"lattice\": {lattice}, \"decisions\": {}, \"draws\": {}, \"rounds\": {DECIDE_ROUNDS}, \"memo_ns\": {}, \"reference_ns\": {}, \"ratio\": {}}},\n  \"segment\": {{\"cop\": \"sat\", \"size\": 40, \"spins\": {}, \"edges\": {}, \"calls\": {}, \"sweeps_per_call\": {SEGMENT_SWEEPS}, \"rounds\": {}, \"segmented_ms\": {}, \"single_ms\": {}, \"ratio\": {}}}\n}}\n",
         json_rows(&kernel, "ns"),
         graph.num_spins(),
         json_rows(&sweep, "ns"),
@@ -684,6 +821,13 @@ fn main() {
         decide.memo_ns.json(),
         decide.reference_ns.json(),
         decide.ratio.json(),
+        segment.spins,
+        segment.edges,
+        segment.calls,
+        segment.rounds,
+        segment.segmented_ms.json(),
+        segment.single_ms.json(),
+        segment.ratio.json(),
     );
     // Only the full run rebaselines: the smoke subset measures reduced
     // shapes (8-lattice, 3 reps) whose timings would silently replace
@@ -697,7 +841,8 @@ fn main() {
         println!(
             "smoke: soa==scalar H equality held for every design at every granularity; \
              banking left the H trajectory and compute cycles bit-identical; the memoised \
-             accept made the reference's decisions"
+             accept made the reference's decisions; every resident segment matched a fresh \
+             machine and the energy of its spins"
         );
     } else {
         for m in &kernel {
@@ -721,9 +866,15 @@ fn main() {
             "memoised accept / exp reference {:.3} is above the {DECIDE_BAR} bar",
             decide.ratio.median
         );
+        assert!(
+            segment.ratio.median <= SEGMENT_BAR,
+            "resident segments / single call {:.3} is above the {SEGMENT_BAR} bar",
+            segment.ratio.median
+        );
         println!(
             "acceptance: every design >= 5x on the dense degree-{DENSE_DEGREE} kernel and \
-             >= 6x on the dense sweep; memoised accept <= {DECIDE_BAR}x the exp reference"
+             >= 6x on the dense sweep; memoised accept <= {DECIDE_BAR}x the exp reference; \
+             resident segments <= {SEGMENT_BAR}x one call of as many sweeps"
         );
     }
 }

@@ -30,8 +30,11 @@ use crate::encoding::MixedEncoding;
 use crate::rounds::{ComputeEvents, RoundPlan};
 use crate::tuple::{SpinTuple, TuplePlanes, TupleStore};
 use sachi_ising::graph::IsingGraph;
+use sachi_ising::hamiltonian::{energy, flip_cost};
 use sachi_ising::recovery::RecoveryPolicy;
-use sachi_ising::solver::{decide_update, run_sweeps, IterativeSolver, SolveOptions, SolveResult};
+use sachi_ising::solver::{
+    decide_update, run_sweeps, IterativeSolver, SolveOptions, SolveResult, SweepOutcome,
+};
 use sachi_ising::spin::SpinVector;
 use sachi_mem::dram::{DramController, DramStats};
 use sachi_mem::energy::EnergyLedger;
@@ -312,17 +315,21 @@ impl std::fmt::Display for RunReport {
 ///
 /// Like the hardware, the machine maps a problem into its storage array
 /// once and keeps it there: the [`TupleStore`], its [`TuplePlanes`]
-/// mirror, the round partition and the spin vector survive between
-/// [`SachiMachine::solve_detailed`] calls. A later call on a graph with
-/// **equal content** (neighbors, couplings, fields) reuses that state —
-/// only the spins that differ from the resident copy are re-seated
-/// through the Fig. 8b update path, and the update-path counters of the
-/// report count from after the re-seat. A graph with any other content
-/// rebuilds the state from scratch. Either way the call returns exactly
-/// what a fresh machine returns: every other piece of per-call state
-/// (tile, context, annealer, ledger, DRAM controller, fault injector)
-/// is built anew, and the cycle model still books the initial DRAM
-/// placement and first-round load of every call.
+/// mirror, the encoding, the round partition, the spin vector and its
+/// energy survive between [`SachiMachine::solve_detailed`] calls. A
+/// later call on the **same build** of the graph (the same
+/// [`IsingGraph::build_id`]: the graph itself or a clone of it) reuses
+/// that state after an O(1) check. Only the spins that differ from the
+/// resident copy are re-seated through the Fig. 8b update path, each
+/// moving the resident energy by its flip cost, and the update-path
+/// counters of the report count from after the re-seat. So a resident
+/// call costs its sweeps, its re-seated spins and its flips, and nothing
+/// O(edges). Any other graph, a content-equal rebuild included, is
+/// mapped from scratch. Either way the call returns exactly what a fresh
+/// machine returns: every other piece of per-call state (tile, context,
+/// annealer, ledger, DRAM controller, fault injector) is built anew, and
+/// the cycle model still books the initial DRAM placement and
+/// first-round load of every call.
 #[derive(Debug, Clone)]
 pub struct SachiMachine {
     config: SachiConfig,
@@ -332,54 +339,76 @@ pub struct SachiMachine {
 /// The graph-derived state a machine keeps between calls.
 #[derive(Debug, Clone)]
 struct Resident {
+    /// The [`IsingGraph::build_id`] of the mapped graph.
+    graph_id: u64,
+    enc: MixedEncoding,
     tuples: TupleStore,
     soa: TuplePlanes,
     /// The round partition and each round's price.
     plan: RoundPlan,
     /// The spins the tuple copies currently hold.
     spins: SpinVector,
+    /// H of `spins`.
+    energy: i64,
 }
 
 impl Resident {
-    /// Maps `graph` at `initial` into the storage array and plans its
-    /// rounds through the compute array.
-    fn map_graph(
-        config: &SachiConfig,
-        graph: &IsingGraph,
-        initial: &SpinVector,
-        enc: &MixedEncoding,
-    ) -> Self {
+    /// Maps `graph` at `initial` into the storage array at the
+    /// configured resolution and plans its rounds through the compute
+    /// array. The resolution, and so the encoding, depend only on the
+    /// graph and the machine's fixed config.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a configured resolution override cannot represent the
+    /// graph's coefficients.
+    fn map_graph(config: &SachiConfig, graph: &IsingGraph, initial: &SpinVector) -> Self {
+        let required = graph.bits_required();
+        let resolution = match config.resolution {
+            Some(r) => {
+                assert!(
+                    r >= required,
+                    "resolution override {r} cannot represent coefficients needing {required} bits; \
+                     quantize the workload first"
+                );
+                r
+            }
+            None => required,
+        };
+        let enc = MixedEncoding::new(resolution).expect("resolution validated by config");
         let tuples = TupleStore::with_tuple_rep(graph, initial, config.tuple_rep);
         // Per-tuple sums the kernel reads, built once here and kept
         // current by the update path. Faults never reach the kernel —
         // they are drawn after it returns (tuple-fetch parity and the DRAM
         // stream) — so one kernel serves clean and faulted runs alike.
-        let soa = TuplePlanes::new(&tuples, enc).expect("encoding sized from graph coefficients");
+        let soa = TuplePlanes::new(&tuples, &enc).expect("encoding sized from graph coefficients");
         let degrees: Vec<u64> = tuples.iter().map(|t| count_u64(t.degree())).collect();
         Resident {
+            graph_id: graph.build_id(),
             plan: RoundPlan::for_degrees(config, enc.bits(), &degrees),
+            enc,
             tuples,
             soa,
             spins: initial.clone(),
+            energy: energy(graph, initial),
         }
     }
 
-    /// Whether the resident tuples hold exactly `graph`'s neighbors,
-    /// couplings and fields.
+    /// Whether the resident state is `graph`'s: the same build, so the
+    /// same content (a graph is immutable).
     fn holds(&self, graph: &IsingGraph) -> bool {
-        self.tuples.len() == graph.num_spins()
-            && self.tuples.iter().enumerate().all(|(i, t)| {
-                let (neighbors, couplings) = graph.neighbor_slices(i);
-                t.field == graph.field(i) && t.neighbors == neighbors && t.couplings == couplings
-            })
+        self.graph_id == graph.build_id()
     }
 
     /// Re-seats the resident spins at `initial`, sending only the spins
-    /// that differ through the update path.
+    /// that differ through the update path. Each moves the resident
+    /// energy by its flip cost at the field the sums hold before its
+    /// writeback.
     fn reseat(&mut self, initial: &SpinVector) {
         for i in 0..initial.len() {
-            let new = initial.get(i);
-            if self.spins.get(i) != new {
+            let (old, new) = (self.spins.get(i), initial.get(i));
+            if old != new {
+                self.energy += flip_cost(old, self.soa.view(i).sums().h);
                 self.spins.set(i, new);
                 self.tuples.update_spin(i, new);
                 self.soa.writeback_spin(&self.tuples, i, new);
@@ -404,8 +433,8 @@ impl SachiMachine {
 
     /// Runs a solve and returns both the algorithmic result and the
     /// architecture report. Reuses the resident problem state when
-    /// `graph` has the same content as the last call's graph (see the
-    /// type docs); the result is the same either way.
+    /// `graph` is the last call's graph or a clone of it (see the type
+    /// docs); the result is the same either way.
     ///
     /// # Panics
     ///
@@ -418,19 +447,6 @@ impl SachiMachine {
         initial: &SpinVector,
         options: &SolveOptions,
     ) -> (SolveResult, RunReport) {
-        let required = graph.bits_required();
-        let resolution = match self.config.resolution {
-            Some(r) => {
-                assert!(
-                    r >= required,
-                    "resolution override {r} cannot represent coefficients needing {required} bits; \
-                     quantize the workload first"
-                );
-                r
-            }
-            None => required,
-        };
-        let enc = MixedEncoding::new(resolution).expect("resolution validated by config");
         let design = stationarity(self.config.design);
         let tech = &self.config.tech;
 
@@ -439,13 +455,16 @@ impl SachiMachine {
                 kept.reseat(initial);
                 kept
             }
-            _ => Resident::map_graph(&self.config, graph, initial, &enc),
+            _ => Resident::map_graph(&self.config, graph, initial),
         };
         let Resident {
+            graph_id,
+            enc,
             mut tuples,
             mut soa,
             plan,
             spins: _,
+            energy: h0,
         } = resident;
         // The store's update-path counters run across calls; this call
         // reports what it adds after the re-seat.
@@ -496,9 +515,10 @@ impl SachiMachine {
             .map(|profile| (profile.model.injector(options.seed), profile.policy));
         let mut fault_report = FaultReport::default();
 
-        let mut result = run_sweeps(graph, initial, options, |sweep, spins, annealer| {
+        let mut result = run_sweeps(graph, initial, h0, options, |sweep, spins, annealer| {
             let mut fail_fast = false;
             let mut flips_this_sweep = 0u64;
+            let mut delta = 0i64;
             for (index, (range, round)) in plan.iter().enumerate() {
                 let round_start = total_cycles;
                 let flips_before_round = flips_this_sweep;
@@ -550,8 +570,9 @@ impl SachiMachine {
                     // the tuple-row *fetch*. One parity bit per tuple row
                     // (derived from the tuple-rep layout) catches every
                     // odd flip count; even non-zero counts alias past it
-                    // and corrupt the computed local field.
-                    let mut h_sigma = h_sigma;
+                    // and corrupt the computed local field: the decision
+                    // sees the corrupted field, the flip costs the true one.
+                    let mut h_seen = h_sigma;
                     if let Some((inj, policy)) = fault.as_mut() {
                         let tuple_bits = SpinTuple::storage_bits(
                             count_u64(tuples.tuple(i).degree()),
@@ -606,17 +627,18 @@ impl SachiMachine {
                                 if let (Some(&j), Some(s)) =
                                     (t.couplings.get(slot), t.neighbor_spins.get(slot))
                                 {
-                                    h_sigma -= 2 * i64::from(j) * s.value();
+                                    h_seen -= 2 * i64::from(j) * s.value();
                                 }
                             }
                         }
                     }
                     let current = spins.get(i);
-                    let new = decide_update(current, h_sigma, annealer);
+                    let new = decide_update(current, h_seen, annealer);
                     annealer_decisions += 1;
                     if new != current {
                         spins.set(i, new);
                         flips_this_sweep += 1;
+                        delta += flip_cost(current, h_sigma);
                         // Fig. 8b update path: adjacency read + relevant
                         // tuple copy writes in the storage array.
                         let copies = tuples.update_spin(i, new);
@@ -696,9 +718,12 @@ impl SachiMachine {
                     break;
                 }
             }
-            // Fail-fast abort: the partial sweep's cycles are booked,
-            // but it does not count as a completed iteration.
-            (!fail_fast).then_some(flips_this_sweep)
+            // Fail-fast abort: the partial sweep's cycles and flips are
+            // booked, but it does not count as a completed iteration.
+            SweepOutcome {
+                delta,
+                flips: (!fail_fast).then_some(flips_this_sweep),
+            }
         });
         result.degraded = fault_report.degraded;
 
@@ -752,10 +777,13 @@ impl SachiMachine {
             phase_spans: spans,
         };
         self.resident = Some(Resident {
+            graph_id,
+            enc,
             tuples,
             soa,
             plan,
             spins: result.spins.clone(),
+            energy: result.energy,
         });
         (result, report)
     }

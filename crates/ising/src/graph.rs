@@ -9,6 +9,11 @@
 //! external magnetic field" (Fig. 7a).
 
 use std::fmt;
+use std::sync::atomic::{AtomicU64, Ordering};
+
+/// The next [`IsingGraph::build_id`]: one per [`GraphBuilder::build`] in
+/// this process.
+static NEXT_BUILD_ID: AtomicU64 = AtomicU64::new(0);
 
 /// Error constructing an [`IsingGraph`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -183,20 +188,47 @@ impl GraphBuilder {
             neighbors,
             weights,
             fields: self.fields,
+            build_id: NEXT_BUILD_ID.fetch_add(1, Ordering::Relaxed),
         })
     }
 }
 
 /// An immutable Ising problem graph (CSR adjacency, `i32` coefficients).
-#[derive(Debug, Clone, PartialEq, Eq)]
+///
+/// Equality is content equality (neighbors, couplings, fields); the
+/// [`IsingGraph::build_id`] takes no part in it.
+#[derive(Debug, Clone)]
 pub struct IsingGraph {
     offsets: Vec<usize>,
     neighbors: Vec<u32>,
     weights: Vec<i32>,
     fields: Vec<i32>,
+    build_id: u64,
 }
 
+impl PartialEq for IsingGraph {
+    fn eq(&self, other: &Self) -> bool {
+        self.offsets == other.offsets
+            && self.neighbors == other.neighbors
+            && self.weights == other.weights
+            && self.fields == other.fields
+    }
+}
+
+impl Eq for IsingGraph {}
+
 impl IsingGraph {
+    /// The identity of the [`GraphBuilder::build`] call that made this
+    /// graph, unique within the process and shared by its clones.
+    ///
+    /// A graph is immutable, so two graphs with the same id have the
+    /// same content: a machine that keeps a problem mapped can recognise
+    /// it in O(1). Content-equal graphs from separate builds have
+    /// different ids.
+    pub fn build_id(&self) -> u64 {
+        self.build_id
+    }
+
     /// Number of spins.
     pub fn num_spins(&self) -> usize {
         self.fields.len()
@@ -561,6 +593,20 @@ mod tests {
         for &(i, j, _) in &edges {
             assert!(i < j);
         }
+    }
+
+    #[test]
+    fn clones_share_the_build_id_and_rebuilds_do_not() {
+        let build = || king(3, 3, |i, j| (i + j) as i32 % 3 - 1).unwrap();
+        let g = build();
+        let copy = g.clone();
+        let rebuilt = build();
+        assert_eq!(copy.build_id(), g.build_id());
+        assert_ne!(rebuilt.build_id(), g.build_id());
+        // Equality is content equality either way.
+        assert_eq!(copy, g);
+        assert_eq!(rebuilt, g);
+        assert_ne!(king(3, 3, |_, _| 1).unwrap(), g);
     }
 
     #[test]

@@ -61,14 +61,24 @@ pub fn update_rule(h_sigma: i64, tie: Spin) -> Spin {
     }
 }
 
-/// Energy change from flipping spin `i` in the current state:
-/// `ΔH = 2 σ_i (Σ_j J_ij σ_j + h_i) = -2 σ_i H_σ`.
+/// Energy change from flipping a spin at `sigma` whose local field is
+/// `h_sigma`: `ΔH = 2 σ (Σ_j J_ij σ_j + h_i) = -2 σ H_σ`.
+///
+/// The one ΔH rule: the annealer's uphill cost, [`flip_delta`], and every
+/// sweep body's running energy use it.
+#[inline]
+pub fn flip_cost(sigma: Spin, h_sigma: i64) -> i64 {
+    -2 * sigma.value() * h_sigma
+}
+
+/// Energy change from flipping spin `i` in the current state
+/// ([`flip_cost`] of its value and local field).
 ///
 /// # Panics
 ///
 /// Panics if `i` is out of range.
 pub fn flip_delta(graph: &IsingGraph, spins: &SpinVector, i: usize) -> i64 {
-    -2 * spins.get(i).value() * local_field(graph, spins, i)
+    flip_cost(spins.get(i), local_field(graph, spins, i))
 }
 
 #[cfg(test)]

@@ -62,12 +62,12 @@ pub mod prelude {
     pub use crate::anneal::{Annealer, Cooling, Schedule};
     pub use crate::ensemble::{derive_replica_seed, BestOf, EnsembleRunner, EnsembleStats};
     pub use crate::graph::{topology, GraphBuilder, GraphError, IsingGraph};
-    pub use crate::hamiltonian::{energy, flip_delta, local_field, update_rule};
+    pub use crate::hamiltonian::{energy, flip_cost, flip_delta, local_field, update_rule};
     pub use crate::io::{parse_dimacs, parse_gset, to_dimacs, ParseError};
     pub use crate::recovery::RecoveryPolicy;
     pub use crate::solver::{
         decide_update, run_sweeps, CancelToken, CpuReferenceSolver, IterativeSolver, SolveOptions,
-        SolveResult,
+        SolveResult, SweepOutcome,
     };
     pub use crate::spin::{Spin, SpinVector};
     pub use crate::tempering::{

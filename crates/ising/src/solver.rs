@@ -7,11 +7,12 @@
 //! ("the number of iterations across SACHI designs is the same, as they all
 //! arrive at the same H at the end of each iteration"), and we enforce it:
 //! the per-spin decision lives in [`decide_update`], and the protocol
-//! around it — sweep cap, cancellation, counters, trace, convergence and
-//! the [`SolveResult`] — lives in [`run_sweeps`], which every machine
-//! calls with only its per-sweep body. The protocol is shared by
-//! construction; integration tests check the bodies by asserting that
-//! every machine's H trajectory equals [`CpuReferenceSolver`]'s.
+//! around it — sweep cap, cancellation, counters, the running energy and
+//! its trace, convergence and the [`SolveResult`] — lives in
+//! [`run_sweeps`], which every machine calls with only its per-sweep
+//! body. The protocol is shared by construction; integration tests check
+//! the bodies by asserting that every machine's H trajectory equals
+//! [`CpuReferenceSolver`]'s.
 //!
 //! Update visibility is *sequential within a sweep* (an updated spin is
 //! seen by later spins of the same sweep). In SACHI hardware this is the
@@ -21,7 +22,7 @@
 
 use crate::anneal::{Annealer, Schedule};
 use crate::graph::IsingGraph;
-use crate::hamiltonian::{energy, local_field, update_rule};
+use crate::hamiltonian::{energy, flip_cost, local_field, update_rule};
 use crate::spin::{Spin, SpinVector};
 use crate::tempering::TemperingOptions;
 use rand::Rng;
@@ -241,8 +242,8 @@ pub fn decide_update(current: Spin, h_sigma: i64, annealer: &mut Annealer) -> Sp
     if annealer.is_frozen() {
         return current;
     }
-    // Flipping a spin that the sign rule keeps costs ΔH = -2 σ H_σ >= 0.
-    let delta = -2 * current.value() * h_sigma;
+    // Flipping a spin that the sign rule keeps costs ΔH >= 0.
+    let delta = flip_cost(current, h_sigma);
     let flip = if delta == 0 {
         // Tie: heat-bath coin flip.
         annealer.rng().gen::<bool>()
@@ -256,20 +257,39 @@ pub fn decide_update(current: Spin, h_sigma: i64, annealer: &mut Annealer) -> Sp
     }
 }
 
+/// What one sweep body reports to [`run_sweeps`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct SweepOutcome {
+    /// The energy change of every flip the body applied to the spins,
+    /// each priced by [`flip_cost`] — an aborted sweep's partial flips
+    /// included, since they stay in the spins.
+    pub delta: i64,
+    /// The sweep's flip count, or `None` when the body aborted the solve
+    /// mid-sweep.
+    pub flips: Option<u64>,
+}
+
 /// Runs the iterative solve protocol around one machine's per-sweep body.
 ///
 /// The driver owns everything that is not architecture: the spin state
 /// (a copy of `initial`), the [`Annealer`] built from the options'
 /// schedule and seed, the [`SolveOptions::effective_max_sweeps`] cap, a
 /// cancel check before every sweep, the sweep and flip counters, the
-/// energy trace, the convergence rule (no flips in a sweep that started
-/// with the annealer frozen) and the [`SolveResult`], which it returns
-/// with `degraded: false`.
+/// running energy and its trace, the convergence rule (no flips in a
+/// sweep that started with the annealer frozen) and the [`SolveResult`],
+/// which it returns with `degraded: false`.
+///
+/// `h_start` is H of `initial`. The driver carries H from there by each
+/// sweep's reported ΔH, so a solve costs its sweeps and nothing O(E) on
+/// top: the trace records the running H, and the result's `energy` is
+/// its final value. Debug builds check the running H against [`energy`]
+/// at the start and after every sweep, an aborted one included.
 ///
 /// `sweep(index, spins, annealer)` runs sweep `index` (counting from 0)
-/// in place and returns its flip count. `None` aborts the solve without
-/// counting the sweep: a fail-fast fault abort books the partial sweep's
-/// costs, but it is not a completed iteration.
+/// in place and returns a [`SweepOutcome`]. An outcome without a flip
+/// count aborts the solve without counting the sweep: a fail-fast fault
+/// abort books the partial sweep's costs, but it is not a completed
+/// iteration.
 ///
 /// # Panics
 ///
@@ -277,18 +297,25 @@ pub fn decide_update(current: Spin, h_sigma: i64, annealer: &mut Annealer) -> Sp
 pub fn run_sweeps<F>(
     graph: &IsingGraph,
     initial: &SpinVector,
+    h_start: i64,
     options: &SolveOptions,
     mut sweep: F,
 ) -> SolveResult
 where
-    F: FnMut(u64, &mut SpinVector, &mut Annealer) -> Option<u64>,
+    F: FnMut(u64, &mut SpinVector, &mut Annealer) -> SweepOutcome,
 {
     assert_eq!(
         initial.len(),
         graph.num_spins(),
         "initial spins must match graph size"
     );
+    debug_assert_eq!(
+        h_start,
+        energy(graph, initial),
+        "h_start is not H of initial"
+    );
     let mut spins = initial.clone();
+    let mut h = h_start;
     let mut annealer = Annealer::new(options.schedule, options.seed);
     let mut trace = Vec::new();
     let mut total_flips = 0u64;
@@ -297,13 +324,16 @@ where
 
     let max_sweeps = options.effective_max_sweeps(graph.num_spins());
     while sweeps < max_sweeps && !options.is_cancelled() {
-        let Some(flips_this_sweep) = sweep(sweeps, &mut spins, &mut annealer) else {
+        let outcome = sweep(sweeps, &mut spins, &mut annealer);
+        h += outcome.delta;
+        debug_assert_eq!(h, energy(graph, &spins), "sweep {sweeps} misreported ΔH");
+        let Some(flips_this_sweep) = outcome.flips else {
             break;
         };
         sweeps += 1;
         total_flips += flips_this_sweep;
         if options.record_trace {
-            trace.push(energy(graph, &spins));
+            trace.push(h);
         }
         let frozen = annealer.is_frozen();
         annealer.cool();
@@ -314,7 +344,7 @@ where
     }
 
     SolveResult {
-        energy: energy(graph, &spins),
+        energy: h,
         spins,
         sweeps,
         flips: total_flips,
@@ -357,8 +387,9 @@ impl IterativeSolver for CpuReferenceSolver {
         initial: &SpinVector,
         options: &SolveOptions,
     ) -> SolveResult {
-        run_sweeps(graph, initial, options, |_, spins, annealer| {
-            let mut flips = 0u64;
+        let h_start = energy(graph, initial);
+        run_sweeps(graph, initial, h_start, options, |_, spins, annealer| {
+            let (mut flips, mut delta) = (0u64, 0i64);
             for i in 0..graph.num_spins() {
                 let h_sigma = local_field(graph, spins, i);
                 let current = spins.get(i);
@@ -366,9 +397,13 @@ impl IterativeSolver for CpuReferenceSolver {
                 if new != current {
                     spins.set(i, new);
                     flips += 1;
+                    delta += flip_cost(current, h_sigma);
                 }
             }
-            Some(flips)
+            SweepOutcome {
+                delta,
+                flips: Some(flips),
+            }
         })
     }
 }

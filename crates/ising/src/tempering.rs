@@ -847,7 +847,7 @@ mod tests {
 
     #[test]
     fn quench_polishes_to_a_local_minimum() {
-        use crate::hamiltonian::local_field;
+        use crate::hamiltonian::flip_delta;
         let g = frustrated_graph();
         let mut rng = StdRng::seed_from_u64(13);
         let init = SpinVector::random(14, &mut rng);
@@ -857,8 +857,7 @@ mod tests {
         assert!(best.converged, "quench should reach quiescence");
         // No single flip improves the quenched state.
         for i in 0..g.num_spins() {
-            let h = local_field(&g, &best.spins, i);
-            let delta = -2 * best.spins.get(i).value() * h;
+            let delta = flip_delta(&g, &best.spins, i);
             assert!(delta >= 0, "spin {i} has a downhill flip left");
         }
     }
