@@ -44,6 +44,7 @@
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
+pub mod identity;
 pub mod quality;
 
 use std::fmt::Display;
