@@ -32,7 +32,13 @@
 //!   resident machine, each continuing from the last, against one
 //!   1,200-sweep call, in alternating rounds; the medians and IQRs of
 //!   both and of the per-round ratio are recorded. The ratio is what a
-//!   resident call costs beyond its sweeps.
+//!   resident call costs beyond its sweeps;
+//! * **problem build** (`build`) — `build_cop_problem` for the dense
+//!   one-shot job's COP (`coloring 256`, 768 spins) and a large lattice
+//!   (`md 8192`), in alternating rounds; the medians and IQRs are
+//!   recorded with the host and the git revision measured. Each built
+//!   graph's digest is checked against the pinned build-identity table
+//!   (`tests/golden/build_identity.txt`) first.
 //!
 //! Every timed pair is asserted H-identical first, after every flip of
 //! the sequence and against the golden local field (the differential
@@ -56,7 +62,7 @@ use std::time::Instant;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use sachi_bench::{section, Table};
+use sachi_bench::{identity, section, Table};
 use sachi_core::prelude::*;
 use sachi_ising::prelude::*;
 use sachi_mem::prelude::*;
@@ -84,6 +90,15 @@ const SEGMENT_ROUNDS: u32 = 15;
 /// The full run's bar on the segment row: the segmented run takes at
 /// most this multiple of the single call's time.
 const SEGMENT_BAR: f64 = 1.20;
+
+/// Alternating rounds of the build row's timed builds.
+const BUILD_ROUNDS: u32 = 15;
+/// The build row's shapes (seed 0): the `oneshot-dense` job's COP and a
+/// lattice ten times its spin count.
+const BUILD_SHAPES: [(CopKind, &str, usize); 2] = [
+    (CopKind::GraphColoring, "coloring", 256),
+    (CopKind::MolecularDynamics, "md", 8192),
+];
 
 /// Nanoseconds per call of `f`, amortized over `iters` runs.
 fn ns_per_call(iters: u32, mut f: impl FnMut()) -> f64 {
@@ -550,7 +565,7 @@ struct SegmentRow {
 /// that its energy is H of its spins.
 fn measure_segment(calls: u64, rounds: u32) -> SegmentRow {
     let problem = build_cop_problem(CopKind::SatThree, 40, 12_345).expect("SAT-40 builds");
-    let graph = &problem.graph;
+    let graph = problem.graph();
     let ladder = TemperatureLadder::for_graph(LadderKind::Adaptive, graph, 4);
     let schedule = Schedule::constant(ladder.temperature(1), ladder.freeze_threshold());
     let hold = |max_sweeps, seed| SolveOptions {
@@ -613,6 +628,70 @@ fn measure_segment(calls: u64, rounds: u32) -> SegmentRow {
     }
 }
 
+/// `build_cop_problem` on each of [`BUILD_SHAPES`].
+struct BuildRow {
+    /// Spins and edges of each shape's graph.
+    sizes: Vec<(usize, usize)>,
+    rounds: u32,
+    /// ms per build, one spread per shape.
+    ms: Vec<Spread>,
+}
+
+/// Checks each of [`BUILD_SHAPES`] against its pinned build-identity
+/// digest, then times `build_cop_problem` on them in `rounds`
+/// alternating rounds of `iters` builds each.
+fn measure_build(rounds: u32, iters: u32) -> BuildRow {
+    let mut sizes = Vec::new();
+    for (kind, family, size) in BUILD_SHAPES {
+        let pinned = identity::golden_digest(family, size, 0)
+            .unwrap_or_else(|| panic!("{family} {size} 0 is not in the build-identity table"));
+        assert_eq!(
+            identity::cop_digest(kind, size, 0),
+            pinned,
+            "{family} {size}: the built graph diverged from the build-identity table"
+        );
+        let problem = build_cop_problem(kind, size, 0).expect("build row shapes build");
+        sizes.push((problem.graph().num_spins(), problem.graph().num_edges()));
+    }
+    let mut readings = vec![Vec::new(); BUILD_SHAPES.len()];
+    for _ in 0..rounds {
+        for ((kind, _, size), ms) in BUILD_SHAPES.into_iter().zip(&mut readings) {
+            let ns = ns_per_call(iters, || {
+                std::hint::black_box(build_cop_problem(kind, size, 0).expect("builds"));
+            });
+            ms.push(ns * 1e-6);
+        }
+    }
+    BuildRow {
+        sizes,
+        rounds,
+        ms: readings.into_iter().map(Spread::of).collect(),
+    }
+}
+
+/// Runs `git` with `args` in the working directory, or `None`.
+fn git(args: &[&str]) -> Option<String> {
+    let out = std::process::Command::new("git").args(args).output().ok()?;
+    out.status
+        .success()
+        .then(|| String::from_utf8_lossy(&out.stdout).trim().to_string())
+}
+
+/// The host a full run measured on: CPU model and available threads.
+fn host() -> String {
+    let model = std::fs::read_to_string("/proc/cpuinfo")
+        .ok()
+        .and_then(|info| {
+            info.lines()
+                .find(|l| l.starts_with("model name"))
+                .and_then(|l| l.split(':').nth(1))
+                .map(|m| m.trim().to_string())
+        })
+        .unwrap_or_else(|| std::env::consts::ARCH.to_string());
+    let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
+    format!("{model}, {threads} threads")
+}
+
 fn json_rows(rows: &[Measurement], unit: &str) -> String {
     let cells: Vec<String> = rows
         .iter()
@@ -630,7 +709,7 @@ fn json_rows(rows: &[Measurement], unit: &str) -> String {
 }
 
 /// Prints rows of `(name, spread, unit)` as a median/IQR table.
-fn print_spreads(what: &str, rows: [(&str, &Spread, &str); 3]) {
+fn print_spreads<const N: usize>(what: &str, rows: [(&str, &Spread, &str); N]) {
     let mut t = Table::new([what, "median", "IQR"]);
     for (name, spread, unit) in rows {
         t.row([
@@ -791,6 +870,31 @@ fn main() {
         ],
     );
 
+    // Problem build, checked against the pinned build-identity table.
+    let build = if smoke {
+        measure_build(3, 1)
+    } else {
+        measure_build(BUILD_ROUNDS, 5)
+    };
+    section(&format!(
+        "ms per build_cop_problem: {} alternating rounds",
+        build.rounds
+    ));
+    let labels: Vec<String> = BUILD_SHAPES
+        .iter()
+        .zip(&build.sizes)
+        .map(|((_, family, size), (spins, edges))| {
+            format!("{family} {size} ({spins} spins, {edges} edges)")
+        })
+        .collect();
+    print_spreads(
+        "shape",
+        [
+            (labels[0].as_str(), &build.ms[0], " ms"),
+            (labels[1].as_str(), &build.ms[1], " ms"),
+        ],
+    );
+
     let banked_json: Vec<String> = banked
         .iter()
         .map(|b| {
@@ -809,7 +913,7 @@ fn main() {
         })
         .collect();
     let json = format!(
-        "{{\n  \"kernel\": {{\"degree\": {DENSE_DEGREE}, \"r\": {DENSE_R}, \"rows\": [\n{}\n  ]}},\n  \"sweep\": {{\"lattice\": {lattice}, \"spins\": {}, \"flip_one_in\": {FLIP_ONE_IN}, \"rows\": [\n{}\n  ]}},\n  \"sweep_dense\": {{\"degree\": {dense_degree}, \"r\": {DENSE_R}, \"tuples\": {}, \"flip_one_in\": {FLIP_ONE_IN}, \"rows\": [\n{}\n  ]}},\n  \"sweep_banked\": {{\"rows\": [\n{}\n  ]}},\n  \"decide\": {{\"lattice\": {lattice}, \"decisions\": {}, \"draws\": {}, \"rounds\": {DECIDE_ROUNDS}, \"memo_ns\": {}, \"reference_ns\": {}, \"ratio\": {}}},\n  \"segment\": {{\"cop\": \"sat\", \"size\": 40, \"spins\": {}, \"edges\": {}, \"calls\": {}, \"sweeps_per_call\": {SEGMENT_SWEEPS}, \"rounds\": {}, \"segmented_ms\": {}, \"single_ms\": {}, \"ratio\": {}}}\n}}\n",
+        "{{\n  \"kernel\": {{\"degree\": {DENSE_DEGREE}, \"r\": {DENSE_R}, \"rows\": [\n{}\n  ]}},\n  \"sweep\": {{\"lattice\": {lattice}, \"spins\": {}, \"flip_one_in\": {FLIP_ONE_IN}, \"rows\": [\n{}\n  ]}},\n  \"sweep_dense\": {{\"degree\": {dense_degree}, \"r\": {DENSE_R}, \"tuples\": {}, \"flip_one_in\": {FLIP_ONE_IN}, \"rows\": [\n{}\n  ]}},\n  \"sweep_banked\": {{\"rows\": [\n{}\n  ]}},\n  \"decide\": {{\"lattice\": {lattice}, \"decisions\": {}, \"draws\": {}, \"rounds\": {DECIDE_ROUNDS}, \"memo_ns\": {}, \"reference_ns\": {}, \"ratio\": {}}},\n  \"segment\": {{\"cop\": \"sat\", \"size\": 40, \"spins\": {}, \"edges\": {}, \"calls\": {}, \"sweeps_per_call\": {SEGMENT_SWEEPS}, \"rounds\": {}, \"segmented_ms\": {}, \"single_ms\": {}, \"ratio\": {}}},\n  \"build\": {{\"host\": \"{}\", \"rev\": \"{}\", \"rounds\": {}, \"seed\": 0, \"rows\": [\n{}\n  ]}}\n}}\n",
         json_rows(&kernel, "ns"),
         graph.num_spins(),
         json_rows(&sweep, "ns"),
@@ -828,6 +932,19 @@ fn main() {
         segment.segmented_ms.json(),
         segment.single_ms.json(),
         segment.ratio.json(),
+        host(),
+        git(&["describe", "--always", "--dirty", "--abbrev=7"]).unwrap_or_else(|| "unknown".into()),
+        build.rounds,
+        BUILD_SHAPES
+            .iter()
+            .zip(&build.sizes)
+            .zip(&build.ms)
+            .map(|(((_, family, size), (spins, edges)), ms)| format!(
+                "    {{\"cop\": \"{family}\", \"size\": {size}, \"spins\": {spins}, \"edges\": {edges}, \"ms\": {}}}",
+                ms.json()
+            ))
+            .collect::<Vec<_>>()
+            .join(",\n"),
     );
     // Only the full run rebaselines: the smoke subset measures reduced
     // shapes (8-lattice, 3 reps) whose timings would silently replace
@@ -842,7 +959,8 @@ fn main() {
             "smoke: soa==scalar H equality held for every design at every granularity; \
              banking left the H trajectory and compute cycles bit-identical; the memoised \
              accept made the reference's decisions; every resident segment matched a fresh \
-             machine and the energy of its spins"
+             machine and the energy of its spins; the build row's graphs matched the pinned \
+             build-identity digests"
         );
     } else {
         for m in &kernel {

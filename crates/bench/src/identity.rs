@@ -144,14 +144,14 @@ pub fn cop_digest(kind: CopKind, size: usize, seed: u64) -> u64 {
     match qubo_of(kind, size, seed) {
         Some(qubo) => {
             assert!(
-                qubo.graph() == &problem.graph,
+                qubo.graph() == problem.graph(),
                 "{} {size} {seed}: the rebuilt QUBO's graph differs from build_cop_problem's",
                 family(kind)
             );
-            digest(&problem.graph, &problem.name, seed, |s| qubo.objective(s))
+            digest(problem.graph(), &problem.name, seed, |s| qubo.objective(s))
         }
-        None => digest(&problem.graph, &problem.name, seed, |s| {
-            energy(&problem.graph, s)
+        None => digest(problem.graph(), &problem.name, seed, |s| {
+            energy(problem.graph(), s)
         }),
     }
 }

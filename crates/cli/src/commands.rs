@@ -5,31 +5,23 @@ use crate::protocol;
 use sachi_baselines::prelude::*;
 use sachi_bench::{ratio, Table};
 use sachi_core::prelude::*;
-use sachi_core::serve::AccuracyFn;
 use sachi_ising::prelude::*;
 use sachi_mem::l1cache::{CacheMode, L1Cache};
 use sachi_mem::prelude::*;
 use sachi_obs::prelude::*;
 use sachi_workloads::prelude::*;
 
-/// A loaded problem file: name, graph, and its accuracy scorer when the
-/// file reads as a scored workload.
-type LoadedProblem = (String, IsingGraph, Option<AccuracyFn>);
-
-fn scored<W: Workload + Send + Sync + 'static>(w: W) -> LoadedProblem {
-    let (name, graph) = (w.name(), w.graph().clone());
-    (name, graph, Some(Box::new(move |s| w.accuracy(s))))
-}
-
-fn load_file(path: &str, args: &SolveArgs) -> Result<LoadedProblem, SachiError> {
+/// Loads a problem file and lowers it: as a scored workload (a CNF, or
+/// a graph that reads as weighted max-cut) or as a bare graph.
+fn plan_file(path: &str, args: &SolveArgs) -> Result<JobPlan, SachiError> {
     let text = std::fs::read_to_string(path)
         .map_err(|e| SachiError::Io(format!("cannot read {path}: {e}")))?;
     if args.cnf {
         let instance =
             parse_dimacs_cnf(&text).map_err(|e| SachiError::Parse(format!("{path}: {e}")))?;
-        return SatWorkload::new(path.to_string(), instance)
-            .map(scored)
-            .map_err(|e| SachiError::Config(format!("{path}: {e}")));
+        let workload = SatWorkload::new(path.to_string(), instance)
+            .map_err(|e| SachiError::Config(format!("{path}: {e}")))?;
+        return JobPlan::lower_cop(&args.job, CopProblem::from_workload(workload));
     }
     let graph = if args.gset {
         parse_gset(&text).map_err(|e| SachiError::Parse(format!("{path}: {e}")))?
@@ -39,20 +31,19 @@ fn load_file(path: &str, args: &SolveArgs) -> Result<LoadedProblem, SachiError> 
     // A pure antiferromagnetic instance reads as weighted max-cut,
     // which gives loaded files an accuracy metric.
     if graph.num_edges() > 0 && graph.edges().all(|(_, _, w)| w <= 0) {
-        return Ok(scored(GenericMaxCut::new(path.to_string(), graph)));
+        let workload = GenericMaxCut::new(path.to_string(), graph);
+        return JobPlan::lower_cop(&args.job, CopProblem::from_workload(workload));
     }
-    Ok((path.to_string(), graph, None))
+    JobPlan::lower(&args.job, path.to_string(), graph)
 }
 
 /// Lowers the command line through the one lowering the daemon uses
-/// (`JobPlan::from_spec` for a generated COP, `JobPlan::lower` for a
-/// problem file), then applies the machine settings only `solve` has.
+/// (`JobPlan::from_spec` for a generated COP, `JobPlan::lower_cop` or
+/// `JobPlan::lower` for a problem file), then applies the machine
+/// settings only `solve` has.
 fn plan_for(args: &SolveArgs) -> Result<JobPlan, SachiError> {
     let plan = match &args.file {
-        Some(path) => {
-            let (name, graph, accuracy) = load_file(path, args)?;
-            JobPlan::lower(&args.job, name, graph, accuracy)?
-        }
+        Some(path) => plan_file(path, args)?,
         None => JobPlan::from_spec(&args.job)?,
     }
     .with_hierarchy(args.hierarchy);

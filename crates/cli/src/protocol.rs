@@ -822,7 +822,7 @@ mod tests {
             JobPlan::from_spec(&plain).unwrap(),
             JobPlan::from_spec(&tempered).unwrap(),
             JobPlan::from_spec(&faulty).unwrap(),
-            JobPlan::lower(&plain, "ferro".to_string(), ferro, None).unwrap(),
+            JobPlan::lower(&plain, "ferro".to_string(), ferro).unwrap(),
         ];
         assert!(!plans[3].is_scored());
         for plan in &plans {

@@ -1,0 +1,74 @@
+//! `sachi solve --file` on coefficients the machine cannot encode: an
+//! `i32::MIN` coupling or field has no 32-bit negation, so the loader
+//! refuses it with a typed parse error (exit 2) before any machine maps
+//! the graph.
+
+use std::path::PathBuf;
+use std::process::Command;
+
+/// Writes `text` to a file of this test process and returns its path.
+fn problem_file(name: &str, text: &str) -> PathBuf {
+    let path = std::env::temp_dir().join(format!("sachi-{}-{name}", std::process::id()));
+    std::fs::write(&path, text).expect("write problem file");
+    path
+}
+
+/// Runs `sachi solve --file <text> <extra>` and returns (exit code, stderr).
+fn solve_file(name: &str, text: &str, extra: &[&str]) -> (i32, String) {
+    let path = problem_file(name, text);
+    let out = Command::new(env!("CARGO_BIN_EXE_sachi"))
+        .arg("solve")
+        .arg("--file")
+        .arg(&path)
+        .args(extra)
+        .output()
+        .expect("run sachi");
+    std::fs::remove_file(&path).expect("remove problem file");
+    (
+        out.status.code().expect("sachi exited normally"),
+        String::from_utf8_lossy(&out.stderr).into_owned(),
+    )
+}
+
+#[test]
+fn dimacs_min_coupling_is_refused_with_exit_2() {
+    let (code, err) = solve_file("min-e.dimacs", "p ising 2 1\ne 1 2 -2147483648\n", &[]);
+    assert_eq!(code, 2, "{err}");
+    assert!(
+        err.contains("coupling of edge (0, 1) is -2147483648"),
+        "{err}"
+    );
+}
+
+#[test]
+fn dimacs_min_field_is_refused_with_exit_2() {
+    let (code, err) = solve_file(
+        "min-f.dimacs",
+        "p ising 2 1\ne 1 2 1\nf 1 -2147483648\n",
+        &[],
+    );
+    assert_eq!(code, 2, "{err}");
+    assert!(err.contains("field of vertex 0 is -2147483648"), "{err}");
+}
+
+#[test]
+fn gset_min_weight_is_refused_with_exit_2() {
+    let (code, err) = solve_file("min.gset", "2 1\n1 2 -2147483648\n", &["--gset"]);
+    assert_eq!(code, 2, "{err}");
+    assert!(
+        err.contains("line 2: weight -2147483648 has no 32-bit negation"),
+        "{err}"
+    );
+}
+
+#[test]
+fn the_widest_encodable_coefficients_still_solve() {
+    let (code, err) = solve_file(
+        "widest.dimacs",
+        "p ising 3 2\ne 1 2 -2147483647\ne 2 3 2147483647\nf 3 -2147483647\n",
+        &["--restarts", "1"],
+    );
+    assert_eq!(code, 0, "{err}");
+    let (code, err) = solve_file("widest.gset", "2 1\n1 2 2147483647\n", &["--gset"]);
+    assert_eq!(code, 0, "{err}");
+}

@@ -8,8 +8,9 @@
 //! A [`JobPlan`] freezes everything a solve depends on — graph, initial
 //! spins, [`SolveOptions`], machine config — as a pure function of the
 //! [`JobSpec`] (and, for `sachi solve --file`, the loaded problem).
-//! [`JobPlan::lower`] is the only place a solve is lowered: the daemon
-//! and the one-shot CLI both go through it. Replica `k` of an uncoupled
+//! One private lowering freezes every solve: the daemon and the one-shot
+//! CLI reach it through [`JobPlan::lower_cop`] (a scored COP) or
+//! [`JobPlan::lower`] (a bare graph). Replica `k` of an uncoupled
 //! job is one [`JobPlan::run_replica`] call, whose result is a pure
 //! function of `(spec, k)` alone: no thread identity, queue position,
 //! or co-tenant job can reach it. Both front ends run that call and
@@ -66,14 +67,52 @@ pub const INIT_SEED_SALT: u64 = 0x0051_ac41;
 /// A domain-accuracy scorer for a final spin state (1.0 = optimal).
 pub type AccuracyFn = Box<dyn Fn(&SpinVector) -> f64 + Send + Sync>;
 
-/// A generated COP instance: encoded graph plus its accuracy scorer.
+/// A built workload, shared by the plan that solves its graph and the
+/// scorer that rates the result.
+type SharedWorkload = Arc<dyn Workload + Send + Sync>;
+
+/// A COP instance with a domain scorer: the workload owns the encoded
+/// graph and lends it out, so building a plan copies no graph.
 pub struct CopProblem {
     /// Workload display name.
     pub name: String,
-    /// Encoded Ising graph.
-    pub graph: IsingGraph,
     /// Domain-accuracy scorer for a final spin state.
     pub accuracy: AccuracyFn,
+    workload: SharedWorkload,
+}
+
+impl CopProblem {
+    /// Wraps a built workload.
+    pub fn from_workload<W: Workload + Send + Sync + 'static>(workload: W) -> Self {
+        let workload: SharedWorkload = Arc::new(workload);
+        let scorer = Arc::clone(&workload);
+        CopProblem {
+            name: workload.name(),
+            accuracy: Box::new(move |s| scorer.accuracy(s)),
+            workload,
+        }
+    }
+
+    /// The encoded Ising graph.
+    pub fn graph(&self) -> &IsingGraph {
+        self.workload.graph()
+    }
+}
+
+/// A plan's problem: a scored workload, which owns its graph, or a bare
+/// graph (a problem file without a domain scorer).
+enum PlanProblem {
+    Scored(SharedWorkload),
+    Bare(IsingGraph),
+}
+
+impl PlanProblem {
+    fn graph(&self) -> &IsingGraph {
+        match self {
+            PlanProblem::Scored(w) => w.graph(),
+            PlanProblem::Bare(g) => g,
+        }
+    }
 }
 
 /// Rounds `size` to a near-square `(rows, cols)` grid for lattice COPs.
@@ -91,20 +130,13 @@ pub fn near_square(size: usize) -> (usize, usize) {
 /// [`SachiError::Config`] when the instance cannot be encoded
 /// (coefficient overflow in the penalty terms).
 pub fn build_cop_problem(kind: CopKind, size: usize, seed: u64) -> Result<CopProblem, SachiError> {
-    fn pack<W: Workload + Send + Sync + 'static>(w: W) -> CopProblem {
-        let name = w.name();
-        let graph = w.graph().clone();
-        CopProblem {
-            name,
-            graph,
-            accuracy: Box::new(move |s| w.accuracy(s)),
-        }
-    }
     Ok(match kind {
-        CopKind::AssetAllocation => pack(AssetAllocation::new(size.max(2), seed)),
+        CopKind::AssetAllocation => {
+            CopProblem::from_workload(AssetAllocation::new(size.max(2), seed))
+        }
         CopKind::ImageSegmentation => {
             let (rows, cols) = near_square(size.max(4));
-            pack(ImageSegmentation::with_options(
+            CopProblem::from_workload(ImageSegmentation::with_options(
                 cols,
                 rows,
                 seed,
@@ -112,17 +144,19 @@ pub fn build_cop_problem(kind: CopKind, size: usize, seed: u64) -> Result<CopPro
                 6,
             ))
         }
-        CopKind::TravelingSalesman => pack(TspDecision::new(size.max(3), seed)),
+        CopKind::TravelingSalesman => {
+            CopProblem::from_workload(TspDecision::new(size.max(3), seed))
+        }
         CopKind::MolecularDynamics => {
             let (rows, cols) = near_square(size.max(2));
-            pack(MolecularDynamics::new(rows, cols, seed))
+            CopProblem::from_workload(MolecularDynamics::new(rows, cols, seed))
         }
         CopKind::SatThree => {
             // Critical clause ratio m/n ~= 4.3 (the hard regime).
             let n = size.max(5);
             let m = n.saturating_mul(43) / 10;
             let instance = SatInstance::random(n, m, seed);
-            pack(
+            CopProblem::from_workload(
                 SatWorkload::new("generated", instance)
                     .map_err(|e| SachiError::Config(e.to_string()))?,
             )
@@ -130,7 +164,7 @@ pub fn build_cop_problem(kind: CopKind, size: usize, seed: u64) -> Result<CopPro
         CopKind::GraphColoring => {
             let n = size.max(4);
             let (instance, _) = ColoringInstance::planted(n, 3, 3_000, seed);
-            pack(
+            CopProblem::from_workload(
                 ColoringWorkload::new("generated", instance)
                     .map_err(|e| SachiError::Config(e.to_string()))?,
             )
@@ -138,7 +172,7 @@ pub fn build_cop_problem(kind: CopKind, size: usize, seed: u64) -> Result<CopPro
         CopKind::JobScheduling => {
             let jobs = size.max(4);
             let instance = SchedulingInstance::random(jobs, 3, 9, seed);
-            pack(
+            CopProblem::from_workload(
                 SchedulingWorkload::new("generated", instance)
                     .map_err(|e| SachiError::Config(e.to_string()))?,
             )
@@ -316,9 +350,10 @@ impl Default for JobLimits {
 /// running it afterwards is infallible (panics are the poison case the
 /// pool isolates).
 ///
-/// Both front ends build their plans with [`JobPlan::lower`]: the
-/// daemon through [`JobPlan::from_spec`], `sachi solve` through
-/// `from_spec` or, for a problem file, `lower` directly. The settings
+/// Both front ends build their plans with one lowering: the daemon
+/// through [`JobPlan::from_spec`], `sachi solve` through `from_spec` or,
+/// for a problem file, [`JobPlan::lower_cop`] (a scored workload) or
+/// [`JobPlan::lower`] (a bare graph). The settings
 /// only `sachi solve` has reach the plan's machine config through
 /// [`JobPlan::with_hierarchy`] and [`JobPlan::with_phase_trace`], and
 /// the thread count through [`JobPlan::run`]; `--metrics` only chooses
@@ -326,8 +361,7 @@ impl Default for JobLimits {
 pub struct JobPlan {
     spec: JobSpec,
     name: String,
-    graph: IsingGraph,
-    accuracy: Option<AccuracyFn>,
+    problem: PlanProblem,
     init: SpinVector,
     options: SolveOptions,
     config: SachiConfig,
@@ -339,7 +373,7 @@ impl std::fmt::Debug for JobPlan {
         f.debug_struct("JobPlan")
             .field("spec", &self.spec)
             .field("name", &self.name)
-            .field("spins", &self.graph.num_spins())
+            .field("spins", &self.graph().num_spins())
             .field("replicas", &self.replicas)
             .finish_non_exhaustive()
     }
@@ -353,31 +387,40 @@ impl JobPlan {
     ///
     /// COP encoding errors, and everything [`JobPlan::lower`] rejects.
     pub fn from_spec(spec: &JobSpec) -> Result<JobPlan, SachiError> {
-        let problem = build_cop_problem(spec.cop, spec.size, spec.seed)?;
-        Self::lower(spec, problem.name, problem.graph, Some(problem.accuracy))
+        Self::lower_cop(spec, build_cop_problem(spec.cop, spec.size, spec.seed)?)
     }
 
-    /// The one lowering of a solve, for a generated COP or a problem
-    /// the CLI loaded from a file (whose `spec.cop`/`spec.size` are then
-    /// unused): validate the spec, check the resolution against the
-    /// graph's coefficient range, derive the initial spins (`seed ^
-    /// INIT_SEED_SALT`) and annealer seed (`seed + 1`), and freeze the
-    /// solve options (budget, tempering) and machine config (design,
-    /// resolution, faults). `accuracy` is `None` for a problem without
-    /// a domain scorer.
+    /// Lowers a scored COP. The plan borrows the graph from the
+    /// workload, which it shares with the scorer, instead of copying it.
+    ///
+    /// # Errors
+    ///
+    /// Everything [`JobPlan::lower`] rejects.
+    pub fn lower_cop(spec: &JobSpec, problem: CopProblem) -> Result<JobPlan, SachiError> {
+        Self::plan(spec, problem.name, PlanProblem::Scored(problem.workload))
+    }
+
+    /// Lowers a graph without a domain scorer, such as a problem file
+    /// the CLI loaded (`spec.cop`/`spec.size` are then unused). The
+    /// plan's accuracy is NaN.
     ///
     /// # Errors
     ///
     /// [`SachiError::Usage`] / [`SachiError::Config`] from
     /// [`JobSpec::validate`], or a resolution that cannot represent the
     /// graph's coefficients.
-    pub fn lower(
-        spec: &JobSpec,
-        name: String,
-        graph: IsingGraph,
-        accuracy: Option<AccuracyFn>,
-    ) -> Result<JobPlan, SachiError> {
+    pub fn lower(spec: &JobSpec, name: String, graph: IsingGraph) -> Result<JobPlan, SachiError> {
+        Self::plan(spec, name, PlanProblem::Bare(graph))
+    }
+
+    /// The one lowering of a solve: validate the spec, check the
+    /// resolution against the graph's coefficient range, derive the
+    /// initial spins (`seed ^ INIT_SEED_SALT`) and annealer seed
+    /// (`seed + 1`), and freeze the solve options (budget, tempering)
+    /// and machine config (design, resolution, faults).
+    fn plan(spec: &JobSpec, name: String, problem: PlanProblem) -> Result<JobPlan, SachiError> {
         spec.validate()?;
+        let graph = problem.graph();
         if let Some(r) = spec.resolution {
             let required = graph.bits_required();
             if r < required {
@@ -391,14 +434,14 @@ impl JobPlan {
             .map_err(|_| SachiError::Usage("restarts too large for this host".to_string()))?;
         let mut rng = StdRng::seed_from_u64(spec.seed ^ INIT_SEED_SALT);
         let init = SpinVector::random(graph.num_spins(), &mut rng);
-        let mut options = SolveOptions::for_graph(&graph, spec.seed.wrapping_add(1))
+        let mut options = SolveOptions::for_graph(graph, spec.seed.wrapping_add(1))
             .with_cancel(CancelToken::new());
         if let Some(budget) = spec.step_budget {
             options = options.with_step_budget(budget);
         }
         if spec.tempering {
             options =
-                options.with_tempering(TemperingOptions::for_graph(spec.ladder, &graph, replicas));
+                options.with_tempering(TemperingOptions::for_graph(spec.ladder, graph, replicas));
         }
         let mut config = SachiConfig::new(spec.design);
         if let Some(r) = spec.resolution {
@@ -412,8 +455,7 @@ impl JobPlan {
         Ok(JobPlan {
             spec: spec.clone(),
             name,
-            graph,
-            accuracy,
+            problem,
             init,
             options,
             config,
@@ -449,7 +491,7 @@ impl JobPlan {
 
     /// The encoded graph.
     pub fn graph(&self) -> &IsingGraph {
-        &self.graph
+        self.problem.graph()
     }
 
     /// The initial spins every replica starts from.
@@ -470,7 +512,7 @@ impl JobPlan {
     /// True when the problem has a domain scorer; otherwise
     /// [`JobOutcome::accuracy`] is NaN.
     pub fn is_scored(&self) -> bool {
-        self.accuracy.is_some()
+        matches!(self.problem, PlanProblem::Scored(_))
     }
 
     /// Replica-ensemble width.
@@ -499,7 +541,7 @@ impl JobPlan {
     pub fn run_replica(&self, k: usize) -> (SolveResult, RunReport) {
         let options = EnsembleRunner::replica_options(&self.options, k);
         let mut machine = SachiMachine::new(self.config.clone());
-        machine.solve_detailed(&self.graph, &self.init, &options)
+        machine.solve_detailed(self.graph(), &self.init, &options)
     }
 
     /// Runs the whole job in-process on `threads` workers (0 = every
@@ -514,7 +556,7 @@ impl JobPlan {
             return reduce_outcome(self, runner.map(|k| self.run_replica(k)));
         }
         let ledger = ReplicaLedger::new(self.replicas);
-        let best = runner.run(&self.graph, &self.init, &self.options, |k| {
+        let best = runner.run(self.graph(), &self.init, &self.options, |k| {
             ReportingMachine::new(SachiMachine::new(self.config.clone()), k, &ledger)
         });
         self.outcome(best, ledger.finish())
@@ -529,10 +571,10 @@ impl JobPlan {
 
     /// Scores the reduced ensemble into the job outcome.
     fn outcome(&self, best: BestOf, report: EnsembleReport) -> JobOutcome {
-        let accuracy = self
-            .accuracy
-            .as_ref()
-            .map_or(f64::NAN, |score| score(&best.best().spins));
+        let accuracy = match &self.problem {
+            PlanProblem::Scored(w) => w.accuracy(&best.best().spins),
+            PlanProblem::Bare(_) => f64::NAN,
+        };
         JobOutcome {
             best,
             report,
@@ -1054,7 +1096,8 @@ mod tests {
         let spec = small_spec(CopKind::MolecularDynamics, 4);
         let problem = build_cop_problem(spec.cop, spec.size, spec.seed).unwrap();
         let generated = JobPlan::from_spec(&spec).unwrap();
-        let loaded = JobPlan::lower(&spec, problem.name, problem.graph, None).unwrap();
+        let graph = problem.graph().clone();
+        let loaded = JobPlan::lower(&spec, problem.name, graph).unwrap();
         assert!(generated.is_scored() && !loaded.is_scored());
         let (want, got) = (generated.run_solo(), loaded.run(2));
         assert_eq!(got.best, want.best);
@@ -1247,10 +1290,10 @@ mod tests {
     fn cop_problems_match_the_cli_construction() {
         for kind in CopKind::EXTENDED {
             let p = build_cop_problem(kind, 12, 3).unwrap();
-            assert!(p.graph.num_spins() > 0, "{}", p.name);
+            assert!(p.graph().num_spins() > 0, "{}", p.name);
             // The scorer runs on a vector of the right length.
             let mut rng = StdRng::seed_from_u64(1);
-            let spins = SpinVector::random(p.graph.num_spins(), &mut rng);
+            let spins = SpinVector::random(p.graph().num_spins(), &mut rng);
             let acc = (p.accuracy)(&spins);
             assert!(acc.is_finite());
         }

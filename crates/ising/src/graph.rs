@@ -7,6 +7,13 @@
 //! "each row in the storage array is a tuple for a particular spin,
 //! consisting of the neighboring spin states, the connecting ICs, and the
 //! external magnetic field" (Fig. 7a).
+//!
+//! [`GraphBuilder::build`] freezes an edge list into that layout in
+//! O(E log E) with no per-row allocation: one pass normalizes the edges
+//! in place, one sort orders them (and exposes duplicates as neighbours),
+//! and one pass over the sorted list writes every row in neighbour
+//! order. Coefficients must lie in `i32::MIN + 1 ..= i32::MAX`, the range
+//! whose negations the 32-bit mixed encoding can also hold.
 
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -36,6 +43,15 @@ pub enum GraphError {
         /// Endpoints of the duplicated edge.
         edge: (u32, u32),
     },
+    /// A coupling or field was `i32::MIN`. The mixed encoding stores a
+    /// coefficient's negation too, and `-i32::MIN` does not fit 32 bits.
+    UnencodableCoefficient {
+        /// `"coupling"` or `"field"`.
+        what: &'static str,
+        /// The coupling's endpoints as supplied, or the field's vertex
+        /// twice.
+        site: (u32, u32),
+    },
 }
 
 impl fmt::Display for GraphError {
@@ -47,6 +63,18 @@ impl fmt::Display for GraphError {
             GraphError::SelfLoop { vertex } => write!(f, "self-loop on vertex {vertex}"),
             GraphError::DuplicateEdge { edge } => {
                 write!(f, "duplicate edge ({}, {})", edge.0, edge.1)
+            }
+            GraphError::UnencodableCoefficient { what, site } => {
+                if *what == "field" {
+                    write!(f, "{what} of vertex {}", site.0)?;
+                } else {
+                    write!(f, "{what} of edge ({}, {})", site.0, site.1)?;
+                }
+                write!(
+                    f,
+                    " is {}; its negation does not fit the 32-bit coefficient encoding",
+                    i32::MIN
+                )
             }
         }
     }
@@ -85,6 +113,15 @@ impl GraphBuilder {
         }
     }
 
+    /// Starts a graph over `n` spins with room for `edges` edges.
+    pub fn with_edge_capacity(n: usize, edges: usize) -> Self {
+        GraphBuilder {
+            n,
+            edges: Vec::with_capacity(edges),
+            fields: vec![0; n],
+        }
+    }
+
     /// Adds an undirected edge `i -- j` with coefficient `j_ij`.
     #[must_use]
     pub fn edge(mut self, i: u32, j: u32, j_ij: i32) -> Self {
@@ -111,13 +148,24 @@ impl GraphBuilder {
 
     /// Validates and freezes into a CSR [`IsingGraph`].
     ///
+    /// One pass normalizes every edge to `(min, max)` in place, one sort
+    /// orders them, and one pass over the sorted list writes every row
+    /// in ascending neighbour order: row `v` receives its neighbours
+    /// below `v` from the edges that start before `v`, then its
+    /// neighbours above `v` from the edges that start at `v`. Two builds
+    /// of the same graph therefore compare equal whatever the insertion
+    /// order (text-format round-trips rely on this).
+    ///
     /// # Errors
     ///
-    /// Returns [`GraphError`] on out-of-range vertices, self-loops, or
-    /// duplicate undirected edges.
-    pub fn build(self) -> Result<IsingGraph, GraphError> {
+    /// Returns [`GraphError`], in this order of precedence: the first
+    /// edge in insertion order with an out-of-range endpoint, a
+    /// self-loop or an `i32::MIN` coupling; the lowest vertex with an
+    /// `i32::MIN` field; the smallest duplicated undirected edge.
+    pub fn build(mut self) -> Result<IsingGraph, GraphError> {
         let n = self.n;
-        for &(i, j, _) in &self.edges {
+        for edge in &mut self.edges {
+            let (i, j, w) = *edge;
             if i as usize >= n {
                 return Err(GraphError::VertexOutOfRange { vertex: i, n });
             }
@@ -127,37 +175,49 @@ impl GraphBuilder {
             if i == j {
                 return Err(GraphError::SelfLoop { vertex: i });
             }
-        }
-        // Duplicate detection on normalized endpoints.
-        let mut normalized: Vec<(u32, u32)> = self
-            .edges
-            .iter()
-            .map(|&(i, j, _)| (i.min(j), i.max(j)))
-            .collect();
-        normalized.sort_unstable();
-        for pair in normalized.windows(2) {
-            if pair[0] == pair[1] {
-                return Err(GraphError::DuplicateEdge { edge: pair[0] });
+            if w == i32::MIN {
+                return Err(GraphError::UnencodableCoefficient {
+                    what: "coupling",
+                    site: (i, j),
+                });
             }
+            *edge = (i.min(j), i.max(j), w);
+        }
+        if let Some(v) = self.fields.iter().position(|&h| h == i32::MIN) {
+            let v = v as u32;
+            return Err(GraphError::UnencodableCoefficient {
+                what: "field",
+                site: (v, v),
+            });
+        }
+        self.edges.sort_unstable_by_key(|&(i, j, _)| (i, j));
+        if let Some(pair) = self
+            .edges
+            .windows(2)
+            .find(|p| (p[0].0, p[0].1) == (p[1].0, p[1].1))
+        {
+            return Err(GraphError::DuplicateEdge {
+                edge: (pair[0].0, pair[0].1),
+            });
         }
 
-        // Degree count, then CSR fill (both directions).
-        let mut degree = vec![0usize; n];
+        // Degree count, then the CSR fill (both directions) in one pass.
+        let mut cursor = vec![0usize; n];
         for &(i, j, _) in &self.edges {
-            degree[i as usize] += 1;
-            degree[j as usize] += 1;
+            cursor[i as usize] += 1;
+            cursor[j as usize] += 1;
         }
         let mut offsets = Vec::with_capacity(n + 1);
         let mut running = 0usize;
         offsets.push(0usize);
-        for d in &degree {
-            running += d;
+        for c in &mut cursor {
+            let start = running;
+            running += *c;
             offsets.push(running);
+            *c = start;
         }
-        let total = running;
-        let mut neighbors = vec![0u32; total];
-        let mut weights = vec![0i32; total];
-        let mut cursor = offsets[..n].to_vec();
+        let mut neighbors = vec![0u32; running];
+        let mut weights = vec![0i32; running];
         for &(i, j, w) in &self.edges {
             let (iu, ju) = (i as usize, j as usize);
             neighbors[cursor[iu]] = j;
@@ -166,22 +226,6 @@ impl GraphBuilder {
             neighbors[cursor[ju]] = i;
             weights[cursor[ju]] = w;
             cursor[ju] += 1;
-        }
-        // Canonicalize: each adjacency list sorted by neighbor id, so two
-        // builds of the same graph compare equal regardless of edge
-        // insertion order (text-format round-trips rely on this).
-        for i in 0..n {
-            let range = offsets[i]..offsets[i + 1];
-            let mut pairs: Vec<(u32, i32)> = neighbors[range.clone()]
-                .iter()
-                .copied()
-                .zip(weights[range.clone()].iter().copied())
-                .collect();
-            pairs.sort_unstable_by_key(|&(j, _)| j);
-            for (k, (j, w)) in pairs.into_iter().enumerate() {
-                neighbors[offsets[i] + k] = j;
-                weights[offsets[i] + k] = w;
-            }
         }
         Ok(IsingGraph {
             offsets,
@@ -516,6 +560,121 @@ mod tests {
         );
         let msg = format!("{}", GraphError::SelfLoop { vertex: 3 });
         assert!(msg.contains("self-loop"));
+    }
+
+    /// Builds `edges` over `n` spins and returns the error.
+    fn first_error(n: usize, edges: &[(u32, u32, i32)]) -> GraphError {
+        let mut b = GraphBuilder::new(n);
+        for &(i, j, w) in edges {
+            b.push_edge(i, j, w);
+        }
+        b.build().unwrap_err()
+    }
+
+    #[test]
+    fn range_and_self_loop_errors_come_first_in_insertion_order() {
+        // A duplicate earlier in the list never masks a later range or
+        // self-loop fault, whatever the sort would put first.
+        assert_eq!(
+            first_error(4, &[(0, 1, 1), (1, 0, 1), (2, 2, 1), (0, 9, 1)]),
+            GraphError::SelfLoop { vertex: 2 }
+        );
+        assert_eq!(
+            first_error(4, &[(3, 2, 1), (2, 3, 1), (7, 1, 1), (1, 1, 1)]),
+            GraphError::VertexOutOfRange { vertex: 7, n: 4 }
+        );
+        // Within one edge, the first endpoint is checked before the
+        // second, and range before self-loop.
+        assert_eq!(
+            first_error(2, &[(5, 6, 1)]),
+            GraphError::VertexOutOfRange { vertex: 5, n: 2 }
+        );
+        assert_eq!(
+            first_error(2, &[(5, 5, 1)]),
+            GraphError::VertexOutOfRange { vertex: 5, n: 2 }
+        );
+    }
+
+    #[test]
+    fn the_smallest_duplicated_pair_is_reported() {
+        // Duplicates of (2, 3) come first in insertion order, and one of
+        // (0, 1) arrives reversed; the smallest normalized pair wins.
+        assert_eq!(
+            first_error(5, &[(3, 2, 1), (2, 3, 4), (4, 1, 1), (1, 0, 2), (0, 1, 2)]),
+            GraphError::DuplicateEdge { edge: (0, 1) }
+        );
+        assert_eq!(
+            first_error(5, &[(4, 3, 1), (1, 2, 1), (3, 4, 1), (2, 1, 1)]),
+            GraphError::DuplicateEdge { edge: (1, 2) }
+        );
+    }
+
+    #[test]
+    fn min_coefficients_are_refused_after_range_checks_and_before_duplicates() {
+        let coupling = GraphError::UnencodableCoefficient {
+            what: "coupling",
+            site: (2, 1),
+        };
+        assert_eq!(first_error(3, &[(0, 1, 1), (2, 1, i32::MIN)]), coupling);
+        assert_eq!(
+            first_error(3, &[(0, 1, 1), (0, 1, 1), (2, 1, i32::MIN), (0, 0, 1)]),
+            coupling
+        );
+        assert_eq!(
+            first_error(3, &[(0, 1, 1), (2, 9, i32::MIN)]),
+            GraphError::VertexOutOfRange { vertex: 9, n: 3 }
+        );
+        let field = GraphBuilder::new(3)
+            .edge(0, 1, 1)
+            .edge(1, 0, 1)
+            .field(2, i32::MIN)
+            .field(1, i32::MIN)
+            .build()
+            .unwrap_err();
+        assert_eq!(
+            field,
+            GraphError::UnencodableCoefficient {
+                what: "field",
+                site: (1, 1),
+            }
+        );
+        assert!(field
+            .to_string()
+            .contains("field of vertex 1 is -2147483648"));
+        assert!(coupling.to_string().contains("coupling of edge (2, 1)"));
+        // One above the minimum is the widest coefficient the encoding
+        // holds, and it builds.
+        let g = GraphBuilder::new(2)
+            .edge(0, 1, i32::MIN + 1)
+            .field(1, i32::MIN + 1)
+            .build()
+            .unwrap();
+        assert_eq!(g.bits_required(), 32);
+    }
+
+    #[test]
+    fn rows_are_in_neighbour_order_whatever_the_insertion_order() {
+        let forward = GraphBuilder::new(4)
+            .edge(0, 1, 1)
+            .edge(0, 2, 2)
+            .edge(1, 3, 3)
+            .edge(2, 3, 4)
+            .edge(1, 2, 5)
+            .build()
+            .unwrap();
+        let shuffled = GraphBuilder::new(4)
+            .edge(3, 2, 4)
+            .edge(2, 1, 5)
+            .edge(3, 1, 3)
+            .edge(2, 0, 2)
+            .edge(1, 0, 1)
+            .build()
+            .unwrap();
+        assert_eq!(forward, shuffled);
+        assert_eq!(
+            forward.neighbors(2).collect::<Vec<_>>(),
+            vec![(0, 2), (1, 5), (3, 4)]
+        );
     }
 
     #[test]

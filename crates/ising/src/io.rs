@@ -216,7 +216,10 @@ pub fn parse_gset(text: &str) -> Result<IsingGraph, ParseError> {
         if u == 0 || v == 0 {
             return Err(malformed(lineno, "vertices are 1-indexed"));
         }
-        builder.push_edge(u - 1, v - 1, -w);
+        let j = w
+            .checked_neg()
+            .ok_or_else(|| malformed(lineno, format!("weight {w} has no 32-bit negation")))?;
+        builder.push_edge(u - 1, v - 1, j);
     }
     Ok(builder.build()?)
 }
@@ -225,6 +228,37 @@ pub fn parse_gset(text: &str) -> Result<IsingGraph, ParseError> {
 mod tests {
     use super::*;
     use crate::graph::topology;
+
+    #[test]
+    fn gset_weight_without_a_negation_is_a_malformed_line() {
+        assert_eq!(
+            parse_gset("2 1\n1 2 -2147483648\n").unwrap_err(),
+            ParseError::Malformed {
+                line: 2,
+                reason: "weight -2147483648 has no 32-bit negation".into(),
+            }
+        );
+        let g = parse_gset("2 1\n1 2 2147483647\n").unwrap();
+        assert_eq!(g.neighbors(0).next(), Some((1, -2_147_483_647)));
+    }
+
+    #[test]
+    fn dimacs_min_coefficients_are_graph_errors() {
+        assert!(matches!(
+            parse_dimacs("p ising 2 1\ne 1 2 -2147483648\n").unwrap_err(),
+            ParseError::Graph(GraphError::UnencodableCoefficient {
+                what: "coupling",
+                ..
+            })
+        ));
+        assert!(matches!(
+            parse_dimacs("p ising 2 0\nf 2 -2147483648\n").unwrap_err(),
+            ParseError::Graph(GraphError::UnencodableCoefficient {
+                what: "field",
+                site: (1, 1),
+            })
+        ));
+    }
 
     #[test]
     fn dimacs_roundtrip() {

@@ -21,7 +21,6 @@ use crate::qubo::{QuboBuilder, QuboProblem};
 use crate::spec::{CopKind, Workload, WorkloadShape};
 use sachi_ising::graph::IsingGraph;
 use sachi_ising::spin::SpinVector;
-use std::collections::BTreeSet;
 
 /// A k-coloring instance: an undirected graph plus a color budget.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -39,19 +38,17 @@ impl ColoringInstance {
     ///
     /// Panics if `k < 2`, an endpoint is out of range, or an edge is a
     /// self-loop.
-    pub fn new(n: usize, k: usize, edges: Vec<(usize, usize)>) -> Self {
+    pub fn new(n: usize, k: usize, mut edges: Vec<(usize, usize)>) -> Self {
         assert!(k >= 2, "need at least two colors");
-        let mut normalized = BTreeSet::new();
-        for (u, v) in edges {
+        for edge in &mut edges {
+            let (u, v) = *edge;
             assert!(u < n && v < n, "edge endpoint out of range");
             assert!(u != v, "self-loops not allowed");
-            normalized.insert((u.min(v), u.max(v)));
+            *edge = (u.min(v), u.max(v));
         }
-        ColoringInstance {
-            n,
-            k,
-            edges: normalized.into_iter().collect(),
-        }
+        edges.sort_unstable();
+        edges.dedup();
+        ColoringInstance { n, k, edges }
     }
 
     /// An Erdős–Rényi `G(n, p)` instance with `p = density_bp / 10_000`,

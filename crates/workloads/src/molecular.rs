@@ -51,17 +51,16 @@ impl MolecularDynamics {
     pub fn with_resolution(rows: usize, cols: usize, seed: u64, bits: u32) -> Self {
         assert!(rows * cols >= 2, "lattice must have at least 2 atoms");
         let mut rng = StdRng::seed_from_u64(seed);
-        // Positive attraction strengths, then quantize to R bits.
-        // Generate one strength per undirected edge, in build order.
-        let mut raw: Vec<i64> = Vec::new();
-        let _ = topology::king(rows, cols, |_, _| {
-            raw.push(rng.gen_range(1..=1_000));
-            0 // placeholder weight, replaced below
-        })
-        .expect("king lattice construction cannot fail");
+        // Positive attraction strengths, one per undirected edge in
+        // `topology::king`'s build order (right, down-left, down,
+        // down-right from each cell), then quantize to R bits.
+        let (down, across) = (rows.saturating_sub(1), cols.saturating_sub(1));
+        let edges = rows
+            .saturating_mul(across)
+            .saturating_add(down.saturating_mul(cols))
+            .saturating_add(down.saturating_mul(across).saturating_mul(2));
+        let raw: Vec<i64> = (0..edges).map(|_| rng.gen_range(1..=1_000)).collect();
         let quantized = quantize_to_bits(&raw, bits);
-        // Rebuild with quantized positive weights (the closure above ran in
-        // the same deterministic order).
         let mut k = 0usize;
         let graph = topology::king(rows, cols, |_, _| {
             let w = quantized[k].max(1);
@@ -69,7 +68,7 @@ impl MolecularDynamics {
             w
         })
         .expect("king lattice construction cannot fail");
-        drop(raw);
+        debug_assert_eq!(k, edges, "one strength per King's-graph edge");
         let total_bond_weight = graph.edges().map(|(_, _, w)| w as i64).sum();
         MolecularDynamics {
             rows,

@@ -14,11 +14,22 @@
 //!
 //! Minimizing `Σ Q σσ + Σ L σ + const` equals minimizing our
 //! `H = −Σ J σσ − Σ h σ` with `J = −Q`, `h = −L`.
+//!
+//! The build is one pass per stage and keeps no map: quadratic terms
+//! accumulate in a flat list in insertion order; [`QuboBuilder::build`]
+//! sorts them by `(i, j)` with two stable counting passes, folds each
+//! run of repeats in insertion order, and hands the merged couplings to
+//! [`GraphBuilder`], which writes the CSR in one pass. The constants
+//! fold into `K = Σc + 2Σl + 4·const`, so the built problem keeps only
+//! its graph and `K`: [`QuboProblem::objective`] is `(H(σ) + K) / 4`.
 
 use crate::encode::{checked_coefficient, EncodeError};
 use sachi_ising::graph::{GraphBuilder, IsingGraph};
+use sachi_ising::hamiltonian::energy;
 use sachi_ising::spin::{Spin, SpinVector};
-use std::collections::BTreeMap;
+
+/// A quadratic term `(i, j, c)` with `i < j`.
+type Term = (u32, u32, i64);
 
 /// Incremental builder for integer QUBO objectives.
 ///
@@ -39,7 +50,8 @@ use std::collections::BTreeMap;
 pub struct QuboBuilder {
     n: usize,
     linear: Vec<i64>,
-    quadratic: BTreeMap<(u32, u32), i64>,
+    /// Quadratic terms in insertion order, repeats not yet folded.
+    quadratic: Vec<Term>,
     constant: i64,
 }
 
@@ -49,7 +61,7 @@ impl QuboBuilder {
         QuboBuilder {
             n,
             linear: vec![0; n],
-            quadratic: BTreeMap::new(),
+            quadratic: Vec::new(),
             constant: 0,
         }
     }
@@ -82,9 +94,8 @@ impl QuboBuilder {
     pub fn quadratic(&mut self, i: usize, j: usize, c: i64) -> &mut Self {
         assert!(i != j, "use linear() for diagonal terms (x^2 = x)");
         assert!(i < self.n && j < self.n, "variable out of range");
-        let key = ((i.min(j)) as u32, (i.max(j)) as u32);
-        let slot = self.quadratic.entry(key).or_insert(0);
-        *slot = slot.saturating_add(c);
+        self.quadratic
+            .push(((i.min(j)) as u32, (i.max(j)) as u32, c));
         self
     }
 
@@ -115,49 +126,93 @@ impl QuboBuilder {
         self
     }
 
+    /// The quadratic terms sorted by `(i, j)`, each pair's repeats
+    /// folded with `saturating_add` in insertion order (so saturation
+    /// lands exactly where a running per-pair sum would put it).
+    fn merged_terms(&self) -> Vec<Term> {
+        // Stable counting sorts, least significant key first: by `j`,
+        // then by `i`. Ties keep insertion order.
+        let mut by_column = vec![(0, 0, 0); self.quadratic.len()];
+        scatter_by(&self.quadratic, self.n, |t| t.1, &mut by_column);
+        let mut sorted = vec![(0, 0, 0); self.quadratic.len()];
+        scatter_by(&by_column, self.n, |t| t.0, &mut sorted);
+        let mut merged: Vec<Term> = Vec::with_capacity(sorted.len());
+        for (i, j, c) in sorted {
+            match merged.last_mut() {
+                Some(last) if (last.0, last.1) == (i, j) => last.2 = last.2.saturating_add(c),
+                _ => merged.push((i, j, c)),
+            }
+        }
+        merged
+    }
+
     /// Converts to an Ising problem (exact, integer-preserving, objective
     /// scaled by 4).
     ///
     /// # Errors
     ///
-    /// Returns [`EncodeError::CoefficientOverflow`] when an accumulated
-    /// coupling or field leaves the `i32` range the graph stores (the
-    /// conversion is exact or it fails — it never clamps), and wraps any
-    /// graph-construction error (cannot occur for indices validated by
-    /// the builder).
+    /// Returns [`EncodeError::CoefficientOverflow`] for the first
+    /// coupling (in `(i, j)` order), then the first field (in variable
+    /// order), that leaves the `i32` range the graph stores (the
+    /// conversion is exact or it fails — it never clamps), and wraps
+    /// the graph-construction error for a coefficient of exactly
+    /// `i32::MIN`, which the encoding cannot negate.
     pub fn build(&self) -> Result<QuboProblem, EncodeError> {
-        let mut h = vec![0i64; self.n];
-        let mut builder = GraphBuilder::new(self.n);
-        for (i, &l) in self.linear.iter().enumerate() {
-            h[i] = l.saturating_mul(2);
+        let terms = self.merged_terms();
+        let mut h: Vec<i64> = self.linear.iter().map(|l| l.saturating_mul(2)).collect();
+        // K = Σc + 2Σl + 4·const, exact in i128 for any term count an
+        // address space can hold.
+        let mut offset = i128::from(self.constant).saturating_mul(4);
+        for &l in &self.linear {
+            offset = offset.saturating_add(i128::from(l).saturating_mul(2));
         }
-        for (&(i, j), &c) in &self.quadratic {
+        let mut builder = GraphBuilder::with_edge_capacity(self.n, terms.len());
+        for &(i, j, c) in &terms {
             if c != 0 {
-                builder.push_edge(i, j, checked_coefficient("coupling", -c)?);
+                builder.push_edge(i, j, checked_coefficient("coupling", c.saturating_neg())?);
             }
             h[i as usize] = h[i as usize].saturating_add(c);
             h[j as usize] = h[j as usize].saturating_add(c);
+            offset = offset.saturating_add(i128::from(c));
         }
         for (i, &hi) in h.iter().enumerate() {
-            builder = builder.field(i as u32, checked_coefficient("field", -hi)?);
+            builder = builder.field(i as u32, checked_coefficient("field", hi.saturating_neg())?);
         }
-        let graph = builder.build()?;
         Ok(QuboProblem {
-            graph,
-            linear: self.linear.clone(),
-            quadratic: self.quadratic.clone(),
-            constant: self.constant,
+            graph: builder.build()?,
+            offset,
         })
     }
 }
 
-/// A built QUBO with its exact Ising image.
+/// Writes `terms` into `out` stably ordered by `key(term)`, every key
+/// below `n`.
+fn scatter_by(terms: &[Term], n: usize, key: impl Fn(&Term) -> u32, out: &mut [Term]) {
+    let mut next = vec![0usize; n];
+    for t in terms {
+        let k = key(t) as usize;
+        next[k] = next[k].saturating_add(1);
+    }
+    let mut start = 0usize;
+    for slot in &mut next {
+        let count = *slot;
+        *slot = start;
+        start = start.saturating_add(count);
+    }
+    for &t in terms {
+        let k = key(&t) as usize;
+        out[next[k]] = t;
+        next[k] = next[k].saturating_add(1);
+    }
+}
+
+/// A built QUBO: its exact Ising image and the offset that maps the
+/// image's energy back to the QUBO objective.
 #[derive(Debug, Clone)]
 pub struct QuboProblem {
     graph: IsingGraph,
-    linear: Vec<i64>,
-    quadratic: BTreeMap<(u32, u32), i64>,
-    constant: i64,
+    /// `K = Σc + 2Σl + 4·const`, so that `4·objective(σ) = H(σ) + K`.
+    offset: i128,
 }
 
 impl QuboProblem {
@@ -166,18 +221,19 @@ impl QuboProblem {
         &self.graph
     }
 
+    /// Gives up the problem for its Ising graph.
+    pub fn into_graph(self) -> IsingGraph {
+        self.graph
+    }
+
     /// Evaluates the original QUBO objective at a spin assignment
-    /// (`σ = +1` means `x = 1`).
+    /// (`σ = +1` means `x = 1`): `(H(σ) + K) / 4`, exact, saturated
+    /// into `i64` only if the objective itself leaves that range.
     pub fn objective(&self, spins: &SpinVector) -> i64 {
-        let x = |i: usize| i64::from(spins.get(i) == Spin::Up);
-        let mut total = self.constant;
-        for (i, &l) in self.linear.iter().enumerate() {
-            total += l * x(i);
-        }
-        for (&(i, j), &c) in &self.quadratic {
-            total += c * x(i as usize) * x(j as usize);
-        }
-        total
+        let scaled = i128::from(energy(&self.graph, spins)).saturating_add(self.offset);
+        // 4 divides H + K exactly: it is 4× an integer objective.
+        let value = scaled / 4;
+        i64::try_from(value).unwrap_or(if value < 0 { i64::MIN } else { i64::MAX })
     }
 
     /// Decodes spins to binary variables.

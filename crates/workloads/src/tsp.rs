@@ -301,8 +301,7 @@ impl TspTour {
         let graph = q
             .build()
             .expect("TSP tour graph construction cannot fail")
-            .graph()
-            .clone();
+            .into_graph();
         let reference_length = tour_length(&two_opt_tour(&dist), &dist);
         TspTour {
             coords,

@@ -29,7 +29,7 @@ fn streaming_hierarchy() -> CacheHierarchy {
 /// and every `FaultReport` field.
 fn tempered_cell(design: DesignKind, faulted: bool, streaming: bool, threads: usize) -> String {
     let problem = build_cop_problem(CopKind::SatThree, 8, 5).expect("sat instance encodes");
-    let graph = &problem.graph;
+    let graph = problem.graph();
     let mut rng = StdRng::seed_from_u64(5 ^ INIT_SEED_SALT);
     let init = SpinVector::random(graph.num_spins(), &mut rng);
     let rungs = 4;
