@@ -47,9 +47,10 @@ cargo run -q -p sachi-bench --bin disc_faults -- --smoke
 # King's-graph sweep, and a dense sweep — that banked multi-round
 # sweeps keep the H trajectory and compute cycles bit-identical, that
 # the memoised annealer decision makes the exp-per-decision reference's
-# decisions, and that every resident tempered segment returns a fresh
+# decisions, that every resident tempered segment returns a fresh
 # machine's (SolveResult, RunReport) with its energy equal to H of its
-# spins (timing ratios are only gated in the full run).
+# spins, and that the build row's problems hash to their entries in the
+# build-identity table (timing ratios are only gated in the full run).
 echo "==> perf_kernels --smoke"
 cargo run -q -p sachi-bench --bin perf_kernels -- --smoke
 

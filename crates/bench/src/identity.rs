@@ -41,7 +41,7 @@ pub fn family(kind: CopKind) -> &'static str {
 
 /// 64-bit FNV-1a.
 #[derive(Debug, Clone, Copy)]
-pub struct Fnv1a(u64);
+struct Fnv1a(u64);
 
 impl Default for Fnv1a {
     fn default() -> Self {
@@ -51,21 +51,21 @@ impl Default for Fnv1a {
 
 impl Fnv1a {
     /// Folds `bytes` into the hash.
-    pub fn bytes(&mut self, bytes: &[u8]) {
+    fn bytes(&mut self, bytes: &[u8]) {
         for &b in bytes {
             self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
         }
     }
 
     /// The hash so far.
-    pub fn finish(self) -> u64 {
+    fn finish(self) -> u64 {
         self.0
     }
 }
 
 /// The digest of one built problem: its CSR, fields, `name` and
 /// `objective` at [`PROBES`] spin vectors drawn from `seed`.
-pub fn digest(
+fn digest(
     graph: &IsingGraph,
     name: &str,
     seed: u64,
@@ -158,7 +158,7 @@ pub fn cop_digest(kind: CopKind, size: usize, seed: u64) -> u64 {
 
 /// The digest of the Lucas QUBO tour over `cities` cities (`cities²`
 /// spins; its objective is the Ising energy, the only one it exposes).
-pub fn tour_digest(cities: usize, seed: u64) -> u64 {
+fn tour_digest(cities: usize, seed: u64) -> u64 {
     let tour = TspTour::new(cities, seed);
     digest(tour.graph(), &tour.name(), seed, |s| {
         energy(tour.graph(), s)

@@ -71,8 +71,9 @@ pub type AccuracyFn = Box<dyn Fn(&SpinVector) -> f64 + Send + Sync>;
 /// scorer that rates the result.
 type SharedWorkload = Arc<dyn Workload + Send + Sync>;
 
-/// A COP instance with a domain scorer: the workload owns the encoded
-/// graph and lends it out, so building a plan copies no graph.
+/// A COP instance with a domain scorer. The workload owns the encoded
+/// graph and lends it out, so building a plan copies no graph; the
+/// `accuracy` closure shares the same workload.
 pub struct CopProblem {
     /// Workload display name.
     pub name: String,
@@ -390,8 +391,8 @@ impl JobPlan {
         Self::lower_cop(spec, build_cop_problem(spec.cop, spec.size, spec.seed)?)
     }
 
-    /// Lowers a scored COP. The plan borrows the graph from the
-    /// workload, which it shares with the scorer, instead of copying it.
+    /// Lowers a scored COP. The plan keeps the workload, which owns the
+    /// graph and scores the result, so no graph is copied.
     ///
     /// # Errors
     ///

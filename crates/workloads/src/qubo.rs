@@ -136,14 +136,14 @@ impl QuboBuilder {
         scatter_by(&self.quadratic, self.n, |t| t.1, &mut by_column);
         let mut sorted = vec![(0, 0, 0); self.quadratic.len()];
         scatter_by(&by_column, self.n, |t| t.0, &mut sorted);
-        let mut merged: Vec<Term> = Vec::with_capacity(sorted.len());
-        for (i, j, c) in sorted {
-            match merged.last_mut() {
-                Some(last) if (last.0, last.1) == (i, j) => last.2 = last.2.saturating_add(c),
-                _ => merged.push((i, j, c)),
+        sorted.dedup_by(|later, kept| {
+            let repeat = (later.0, later.1) == (kept.0, kept.1);
+            if repeat {
+                kept.2 = kept.2.saturating_add(later.2);
             }
-        }
-        merged
+            repeat
+        });
+        sorted
     }
 
     /// Converts to an Ising problem (exact, integer-preserving, objective
