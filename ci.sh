@@ -68,7 +68,9 @@ bash crates/bench/src/bin/perf_e2e/run.sh --smoke
 # functional machine's metered compute, load and total cycles exactly,
 # and its rwl/adder/decision/annealer/dram/dram-ctrl energy to 1e-9, on
 # uniform-degree graphs — banked multi-round sweeps and one- and
-# multi-round DRAM streaming included.
+# multi-round DRAM streaming included. Its baseline legs hold BRIM's and
+# Ising-CIM's machine reports to their price fed the shape's counts:
+# cycles exact, every energy component to 1e-9.
 echo "==> disc_drift --smoke"
 cargo run -q -p sachi-bench --bin disc_drift -- --smoke
 

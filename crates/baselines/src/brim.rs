@@ -20,16 +20,14 @@
 //! * maximum resolution: signed 4-bit; maximum problem size: 1000 nodes
 //!   (Fig. 3).
 //!
-//! Functionally BRIM runs the same iterative protocol as every machine in
-//! this workspace (its sweeps go through
-//! [`sachi_ising::solver::run_sweeps`]), so its H trajectory matches the
-//! golden model; only the cycle/energy accounting differs.
+//! Functionally BRIM computes the exact local field of every spin in
+//! sequence, which is the golden sweep, so a solve runs
+//! [`CpuReferenceSolver`] and [`BrimMachine::price`] bills it; only the
+//! cycle/energy accounting is BRIM's own.
 
+use crate::{Price, SolveCounts};
 use sachi_ising::graph::IsingGraph;
-use sachi_ising::hamiltonian::{energy, flip_cost, local_field};
-use sachi_ising::solver::{
-    decide_update, run_sweeps, IterativeSolver, SolveOptions, SolveResult, SweepOutcome,
-};
+use sachi_ising::solver::{CpuReferenceSolver, IterativeSolver, SolveOptions, SolveResult};
 use sachi_ising::spin::SpinVector;
 use sachi_mem::energy::{EnergyComponent, EnergyLedger};
 use sachi_mem::params::TechnologyParams;
@@ -196,26 +194,57 @@ impl BrimMachine {
         self.config.oscillator_ref_mw * (spins as f64 * max_degree as f64) / (2_000.0 * 100.0)
     }
 
-    /// Analytic energy of one sweep (the same arithmetic the functional
-    /// solve books): IC re-fetch movement at reuse 1, plus the oscillator,
-    /// DAC, and bank-logic power integrated over the sweep, plus the
-    /// annealer block.
-    pub fn sweep_energy(&self, spins: u64, max_degree: u64, resolution_bits: u32) -> Picojoules {
+    /// Cycles and energy of a solve with `counts`: the IC programming
+    /// (every stored coupling written once from DRAM), then per sweep the
+    /// serial [`cycles_per_sweep`](Self::cycles_per_sweep), the IC
+    /// re-fetch at reuse 1 (every IC read is fetched and DAC-converted
+    /// for that one compute), the oscillator, DAC and bank-logic power
+    /// over the sweep's duration, and one annealer decision per spin.
+    pub fn price(&self, counts: &SolveCounts) -> Price {
         let tech = &self.config.tech;
-        let movement =
-            tech.movement_energy_per_bit() * (spins * max_degree * resolution_bits as u64);
-        let sweep_time_ns = Cycles::new(self.cycles_per_sweep(spins, max_degree))
-            .to_time(tech.cycle_time)
-            .get();
-        let power_mw = self.oscillator_power_mw(spins, max_degree)
-            + self.config.dac_mw * self.config.dac_banks as f64
-            + self.config.bank_logic_mw * self.config.dac_banks as f64;
-        movement
-            + Picojoules::new(power_mw * sweep_time_ns)
-            + tech.annealer_energy_per_decision() * spins
+        let r = u64::from(BRIM_MAX_RESOLUTION);
+        let program_bits = 2 * counts.stored_ics * r;
+        let sweep_cycles = self.cycles_per_sweep(counts.spins, counts.max_degree);
+        let sweep_ns = Cycles::new(sweep_cycles).to_time(tech.cycle_time).get();
+        let banks = self.config.dac_banks as f64;
+        let mut energy = EnergyLedger::new();
+        energy.record(
+            EnergyComponent::DramAccess,
+            tech.movement_energy_per_bit() * program_bits,
+        );
+        energy.record(
+            EnergyComponent::DataMovement,
+            tech.movement_energy_per_bit() * (counts.ic_reads_per_sweep * r * counts.sweeps),
+        );
+        // Power integrated over the sweeps: mW x ns = pJ.
+        for (component, mw) in [
+            (
+                EnergyComponent::Oscillator,
+                self.oscillator_power_mw(counts.spins, counts.max_degree),
+            ),
+            (EnergyComponent::Dac, self.config.dac_mw * banks),
+            (
+                EnergyComponent::DigitalLogic,
+                self.config.bank_logic_mw * banks,
+            ),
+        ] {
+            energy.record(
+                component,
+                Picojoules::new(mw * sweep_ns * counts.sweeps as f64),
+            );
+        }
+        energy.record(
+            EnergyComponent::Annealer,
+            tech.annealer_energy_per_decision() * (counts.spins * counts.sweeps),
+        );
+        Price {
+            cycles: tech.dram_stream_cycles(program_bits.div_ceil(8))
+                + Cycles::new(sweep_cycles * counts.sweeps),
+            energy,
+        }
     }
 
-    /// Runs a solve with full accounting.
+    /// Runs a solve with full accounting: the golden sweep, priced.
     ///
     /// # Errors
     ///
@@ -231,82 +260,18 @@ impl BrimMachine {
         options: &SolveOptions,
     ) -> Result<(SolveResult, BrimReport), BrimError> {
         self.check_limits(graph)?;
-        let tech = &self.config.tech;
-        let r = BRIM_MAX_RESOLUTION as u64;
-        let n = graph.num_spins();
-        let max_degree = graph.max_degree() as u64;
-
-        let mut ledger = EnergyLedger::new();
-
-        // IC programming: every resistance is written once from DRAM
-        // (n^2-ish switch fabric, but only existing edges carry data).
-        let ic_bits_program = 2 * graph.num_edges() as u64 * r;
-        let mut total_cycles = tech.dram_stream_cycles(ic_bits_program.div_ceil(8));
-        ledger.record(
-            EnergyComponent::DramAccess,
-            tech.movement_energy_per_bit() * ic_bits_program,
-        );
-
-        let cycles_per_sweep = self.cycles_per_sweep(n as u64, max_degree);
-        let sweep_time_ns = Cycles::new(cycles_per_sweep).to_time(tech.cycle_time).get();
-        let osc_mw = self.oscillator_power_mw(n as u64, max_degree);
-        let dac_mw = self.config.dac_mw * self.config.dac_banks as f64;
-        let logic_mw = self.config.bank_logic_mw * self.config.dac_banks as f64;
-
-        let mut ic_bits_fetched = 0u64;
-        let h_start = energy(graph, initial);
-        let result = run_sweeps(graph, initial, h_start, options, |_, spins, annealer| {
-            let (mut flips, mut delta) = (0u64, 0i64);
-            for i in 0..n {
-                let h_sigma = local_field(graph, spins, i);
-                // Reuse = 1: every IC is re-fetched from memory and
-                // DAC-converted for this single compute.
-                let fetched = graph.degree(i) as u64 * r;
-                ic_bits_fetched += fetched;
-                ledger.record(
-                    EnergyComponent::DataMovement,
-                    tech.movement_energy_per_bit() * fetched,
-                );
-                let current = spins.get(i);
-                let new = decide_update(current, h_sigma, annealer);
-                if new != current {
-                    spins.set(i, new);
-                    flips += 1;
-                    delta += flip_cost(current, h_sigma);
-                }
-            }
-            // Power-derived per-sweep energy: oscillator + DAC + logic run
-            // for the sweep duration. mW x ns = pJ.
-            ledger.record(
-                EnergyComponent::Oscillator,
-                Picojoules::new(osc_mw * sweep_time_ns),
-            );
-            ledger.record(
-                EnergyComponent::Dac,
-                Picojoules::new(dac_mw * sweep_time_ns),
-            );
-            ledger.record(
-                EnergyComponent::DigitalLogic,
-                Picojoules::new(logic_mw * sweep_time_ns),
-            );
-            ledger.record(
-                EnergyComponent::Annealer,
-                tech.annealer_energy_per_decision() * n as u64,
-            );
-            total_cycles += Cycles::new(cycles_per_sweep);
-            SweepOutcome {
-                delta,
-                flips: Some(flips),
-            }
-        });
-
+        let result = CpuReferenceSolver::new().solve(graph, initial, options);
+        let counts = SolveCounts::of(graph, &result);
+        let Price { cycles, energy } = self.price(&counts);
         let report = BrimReport {
             sweeps: result.sweeps,
-            total_cycles,
-            wall_time: total_cycles.to_time(tech.cycle_time),
-            energy: ledger,
+            total_cycles: cycles,
+            wall_time: cycles.to_time(self.config.tech.cycle_time),
+            energy,
             reuse: 1.0,
-            ic_bits_fetched,
+            ic_bits_fetched: counts.ic_reads_per_sweep
+                * u64::from(BRIM_MAX_RESOLUTION)
+                * counts.sweeps,
         };
         Ok((result, report))
     }
@@ -339,7 +304,6 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use sachi_ising::graph::topology;
-    use sachi_ising::solver::CpuReferenceSolver;
 
     fn small_problem() -> (IsingGraph, SpinVector, SolveOptions) {
         let g = topology::king(5, 5, |i, j| ((i + j) % 7) as i32 - 3).unwrap();

@@ -18,6 +18,7 @@
 //! adjacency itself — every edge must join King's-lattice neighbours in
 //! the chip's row-major layout — not just the degree bound.
 
+use crate::{Price, SolveCounts};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use sachi_ising::graph::IsingGraph;
@@ -167,6 +168,44 @@ impl CmosAnnealer {
         4 * self.cycles_per_phase
     }
 
+    /// Cycles and energy of a solve with `counts`. Loading writes the
+    /// spins and the ternary ICs (2 bits each, both directions) from DRAM
+    /// into the on-chip SRAM. Each sweep's 4 group phases then read every
+    /// cell's 8 neighbour spins and ICs into its MAC, each flip writes its
+    /// cell back, and every spin takes one annealer decision.
+    pub fn price(&self, counts: &SolveCounts) -> Price {
+        let tech = &self.tech;
+        let payload_bits = counts.spins + 2 * counts.stored_ics * 2;
+        // A phase updates a quarter of the cells; a sweep runs 4 phases.
+        let macs = counts.spins / 4 * 8 * 4 * counts.sweeps;
+        let mut energy = EnergyLedger::new();
+        energy.record(
+            EnergyComponent::DramAccess,
+            tech.movement_energy_per_bit() * payload_bits,
+        );
+        energy.record(
+            EnergyComponent::SramWrite,
+            tech.sram_write_energy_per_bit() * (payload_bits + counts.flips),
+        );
+        energy.record(
+            EnergyComponent::SramRead,
+            tech.rbl_energy_per_bit() * (macs * 3),
+        );
+        energy.record(
+            EnergyComponent::NearMemoryAdd,
+            tech.adder_energy_per_bit() * (macs * 2),
+        );
+        energy.record(
+            EnergyComponent::Annealer,
+            tech.annealer_energy_per_decision() * (counts.spins * counts.sweeps),
+        );
+        Price {
+            cycles: tech.dram_stream_cycles(payload_bits.div_ceil(8))
+                + Cycles::new(self.cycles_per_sweep() * counts.sweeps),
+            energy,
+        }
+    }
+
     /// Runs a group-parallel annealed solve. The sweep cap, cancellation,
     /// convergence and result come from the shared [`run_sweeps`] driver,
     /// but the per-sweep body does *not* follow the sequential update
@@ -192,20 +231,6 @@ impl CmosAnnealer {
         self.check_limits(graph)?;
         let n = graph.num_spins();
         let mut rng = StdRng::seed_from_u64(options.seed ^ 0xc3_05);
-        let mut ledger = EnergyLedger::new();
-
-        // Loading: spins + ternary ICs (2 bits each) into the on-chip SRAM.
-        let payload_bits = n as u64 + 2 * graph.num_edges() as u64 * 2;
-        let mut total_cycles = self.tech.dram_stream_cycles(payload_bits.div_ceil(8));
-        ledger.record(
-            EnergyComponent::DramAccess,
-            self.tech.movement_energy_per_bit() * payload_bits,
-        );
-        ledger.record(
-            EnergyComponent::SramWrite,
-            self.tech.sram_write_energy_per_bit() * payload_bits,
-        );
-
         let h_start = energy(graph, initial);
         let result = run_sweeps(graph, initial, h_start, options, |_, spins, annealer| {
             let (mut flips, mut delta) = (0u64, 0i64);
@@ -233,40 +258,20 @@ impl CmosAnnealer {
                     spins.set(i, new);
                     flips += 1;
                     delta += cost;
-                    // Local update write.
-                    ledger.record(
-                        EnergyComponent::SramWrite,
-                        self.tech.sram_write_energy_per_bit() * 1u64,
-                    );
                 }
-                // Phase energy: every cell reads its 8 neighbor spins and
-                // ternary ICs into its MAC.
-                let cells = n as u64 / 4;
-                ledger.record(
-                    EnergyComponent::SramRead,
-                    self.tech.rbl_energy_per_bit() * (cells * 8 * 3),
-                );
-                ledger.record(
-                    EnergyComponent::NearMemoryAdd,
-                    self.tech.adder_energy_per_bit() * (cells * 8 * 2),
-                );
             }
-            ledger.record(
-                EnergyComponent::Annealer,
-                self.tech.annealer_energy_per_decision() * n as u64,
-            );
-            total_cycles += Cycles::new(self.cycles_per_sweep());
             SweepOutcome {
                 delta,
                 flips: Some(flips),
             }
         });
 
+        let Price { cycles, energy } = self.price(&SolveCounts::of(graph, &result));
         let report = CmosAnnealerReport {
             sweeps: result.sweeps,
-            total_cycles,
-            wall_time: total_cycles.to_time(self.tech.cycle_time),
-            energy: ledger,
+            total_cycles: cycles,
+            wall_time: cycles.to_time(self.tech.cycle_time),
+            energy,
             groups: 4,
         };
         Ok((result, report))

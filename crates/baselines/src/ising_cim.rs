@@ -19,12 +19,14 @@
 //!   redundant-compute energy);
 //! * partitioned graphs duplicate edge cells into adjacent arrays and
 //!   broadcast updated edge spins (Fig. 8a).
+//!
+//! Functionally Ising-CIM computes the exact local field of every spin in
+//! sequence, which is the golden sweep, so a solve runs
+//! [`CpuReferenceSolver`] and [`CimMachine::price`] bills it.
 
+use crate::{Price, SolveCounts};
 use sachi_ising::graph::IsingGraph;
-use sachi_ising::hamiltonian::{energy, flip_cost, local_field};
-use sachi_ising::solver::{
-    decide_update, run_sweeps, IterativeSolver, SolveOptions, SolveResult, SweepOutcome,
-};
+use sachi_ising::solver::{CpuReferenceSolver, IterativeSolver, SolveOptions, SolveResult};
 use sachi_ising::spin::SpinVector;
 use sachi_mem::energy::{EnergyComponent, EnergyLedger};
 use sachi_mem::params::TechnologyParams;
@@ -180,20 +182,6 @@ impl CimMachine {
         spins * (self.config.compute_cycles + self.config.update_cycles)
     }
 
-    /// Analytic energy of one sweep: per-spin row discharges over the full
-    /// eDRAM array width at 1.2x power (reuse 1 plus redundant columns),
-    /// word-line pulses per IC bit, the RMW update write, and the annealer.
-    pub fn sweep_energy(&self, spins: u64, degree: u64) -> sachi_mem::units::Picojoules {
-        let tech = &self.config.tech;
-        let edram = tech.edram_xnor_power_factor;
-        let r = CIM_MAX_RESOLUTION as u64;
-        tech.rwl_energy_per_bit() * ((spins * degree * r * 2) as f64 * edram)
-            + tech.rbl_energy_per_bit()
-                * ((spins * degree * self.config.array_columns) as f64 * 0.5 * edram)
-            + tech.sram_write_energy_per_bit() * (spins as f64 * edram)
-            + tech.annealer_energy_per_decision() * spins
-    }
-
     /// How many compute arrays a lattice of `spins` cells needs, and how
     /// many edge cells get duplicated across array boundaries.
     pub fn partitioning(&self, spins: u64) -> (u64, u64) {
@@ -209,7 +197,62 @@ impl CimMachine {
         (arrays, seams * side)
     }
 
-    /// Runs a solve with full accounting.
+    /// Cycles and energy of a solve with `counts`. Loading streams the
+    /// spins and a King's-graph IC block per spin from DRAM into the
+    /// eDRAM arrays, duplicated edge cells written twice. Each sweep then
+    /// pays the 3+3-cycle compute/update per spin; per IC read the
+    /// word-lines pulse and the full array row discharges (reuse 1 plus
+    /// redundant columns), all at eDRAM's 1.2x power; each spin's
+    /// read-modify-write update and annealer decision follow. A flip
+    /// broadcasts its edge spin to the adjacent arrays once the problem
+    /// spans more than one.
+    pub fn price(&self, counts: &SolveCounts) -> Price {
+        let tech = &self.config.tech;
+        let r = u64::from(CIM_MAX_RESOLUTION);
+        let edram = tech.edram_xnor_power_factor;
+        let (arrays, duplicated) = self.partitioning(counts.spins);
+        let payload_bits = counts.spins * (KINGS_GRAPH_MAX_DEGREE as u64 * r + 1) + duplicated * r;
+        let reads = counts.ic_reads_per_sweep * counts.sweeps;
+        let updates = counts.spins * counts.sweeps;
+        let mut energy = EnergyLedger::new();
+        energy.record(
+            EnergyComponent::DramAccess,
+            tech.movement_energy_per_bit() * payload_bits,
+        );
+        energy.record(
+            EnergyComponent::SramWrite,
+            tech.sram_write_energy_per_bit() * payload_bits * edram,
+        );
+        energy.record(
+            EnergyComponent::RwlDrive,
+            tech.rwl_energy_per_bit() * ((reads * r * 2) as f64 * edram),
+        );
+        energy.record(
+            EnergyComponent::RblDischarge,
+            tech.rbl_energy_per_bit() * ((reads * self.config.array_columns) as f64 * 0.5 * edram),
+        );
+        energy.record(
+            EnergyComponent::SramWrite,
+            tech.sram_write_energy_per_bit() * (updates as f64 * edram),
+        );
+        energy.record(
+            EnergyComponent::Annealer,
+            tech.annealer_energy_per_decision() * updates,
+        );
+        if arrays > 1 {
+            energy.record(
+                EnergyComponent::DataMovement,
+                tech.movement_energy_per_bit() * counts.flips,
+            );
+        }
+        Price {
+            cycles: tech.dram_stream_cycles(payload_bits.div_ceil(8))
+                + Cycles::new(self.cycles_per_sweep(counts.spins) * counts.sweeps),
+            energy,
+        }
+    }
+
+    /// Runs a solve with full accounting: the golden sweep, priced.
     ///
     /// # Errors
     ///
@@ -225,83 +268,14 @@ impl CimMachine {
         options: &SolveOptions,
     ) -> Result<(SolveResult, CimReport), CimError> {
         self.check_limits(graph)?;
-        let tech = &self.config.tech;
-        let n = graph.num_spins();
-        let r = CIM_MAX_RESOLUTION as u64;
-        let edram = tech.edram_xnor_power_factor;
-
-        let mut ledger = EnergyLedger::new();
-
-        let (arrays_used, duplicated) = self.partitioning(n as u64);
-        // Loading: spins + ICs streamed from DRAM, duplicated edge cells
-        // written twice.
-        let payload_bits = n as u64 * (KINGS_GRAPH_MAX_DEGREE as u64 * r + 1) + duplicated * r;
-        let mut total_cycles = tech.dram_stream_cycles(payload_bits.div_ceil(8));
-        ledger.record(
-            EnergyComponent::DramAccess,
-            tech.movement_energy_per_bit() * payload_bits,
-        );
-        ledger.record(
-            EnergyComponent::SramWrite,
-            tech.sram_write_energy_per_bit() * payload_bits * edram,
-        );
-
-        let cycles_per_sweep = self.cycles_per_sweep(n as u64);
-        let h_start = energy(graph, initial);
-        let result = run_sweeps(graph, initial, h_start, options, |_, spins, annealer| {
-            let (mut flips, mut delta) = (0u64, 0i64);
-            for i in 0..n {
-                let h_sigma = local_field(graph, spins, i);
-                let degree = graph.degree(i) as u64;
-                // Per compute: the full array row discharges (reuse 1 and
-                // redundant columns, at eDRAM's 1.2x power), word-lines
-                // pulse per IC bit.
-                ledger.record(
-                    EnergyComponent::RwlDrive,
-                    tech.rwl_energy_per_bit() * ((degree * r * 2) as f64 * edram),
-                );
-                ledger.record(
-                    EnergyComponent::RblDischarge,
-                    tech.rbl_energy_per_bit()
-                        * ((degree * self.config.array_columns) as f64 * 0.5 * edram),
-                );
-                // Read-modify-write update traffic.
-                ledger.record(
-                    EnergyComponent::SramWrite,
-                    tech.sram_write_energy_per_bit() * (1.0 * edram),
-                );
-                let current = spins.get(i);
-                let new = decide_update(current, h_sigma, annealer);
-                if new != current {
-                    spins.set(i, new);
-                    flips += 1;
-                    delta += flip_cost(current, h_sigma);
-                    // Edge-cell broadcast to adjacent arrays when the spin
-                    // is duplicated.
-                    if arrays_used > 1 {
-                        ledger.record(
-                            EnergyComponent::DataMovement,
-                            tech.movement_energy_per_bit() * 1u64,
-                        );
-                    }
-                }
-            }
-            ledger.record(
-                EnergyComponent::Annealer,
-                tech.annealer_energy_per_decision() * n as u64,
-            );
-            total_cycles += Cycles::new(cycles_per_sweep);
-            SweepOutcome {
-                delta,
-                flips: Some(flips),
-            }
-        });
-
+        let result = CpuReferenceSolver::new().solve(graph, initial, options);
+        let Price { cycles, energy } = self.price(&SolveCounts::of(graph, &result));
+        let (arrays_used, duplicated) = self.partitioning(graph.num_spins() as u64);
         let report = CimReport {
             sweeps: result.sweeps,
-            total_cycles,
-            wall_time: total_cycles.to_time(tech.cycle_time),
-            energy: ledger,
+            total_cycles: cycles,
+            wall_time: cycles.to_time(self.config.tech.cycle_time),
+            energy,
             reuse: 1.0,
             arrays_used,
             duplicated_edge_cells: duplicated,
@@ -337,7 +311,6 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use sachi_ising::graph::topology;
-    use sachi_ising::solver::CpuReferenceSolver;
 
     fn kings_problem() -> (IsingGraph, SpinVector, SolveOptions) {
         let g = topology::king(6, 6, |i, j| ((i + j) % 3 + 1) as i32).unwrap();

@@ -17,14 +17,18 @@
 //!   and greedy lattice descent (LAMMPS stand-in).
 //!
 //! Every Ising machine here — BRIM, Ising-CIM and the CMOS annealer —
-//! runs the *same* iterative protocol as `sachi-core`'s machine and the
-//! golden CPU solver, shared by construction: each passes only its
-//! per-sweep body to `sachi_ising::solver::run_sweeps`, which owns the
-//! sweep cap, cancellation, counters, the running energy and its trace,
-//! convergence and result; a body reports each sweep's flips and ΔH. So
-//! comparisons vary only the architecture model, never the algorithm
-//! (the CMOS annealer's body is group-parallel, so its trajectory is
-//! its own; its protocol is not).
+//! is a sweep plus a price. BRIM and Ising-CIM compute the exact local
+//! field, so their sweep *is* the golden one: each checks its envelope,
+//! runs `sachi_ising::solver::CpuReferenceSolver`, and prices the
+//! result. The CMOS annealer's group-parallel body differs, so it keeps
+//! its own body on `sachi_ising::solver::run_sweeps`, booking nothing.
+//! Each machine's `price` turns a solve's [`SolveCounts`] into a
+//! [`Price`]; the functional solve feeds it the graph's counts and the
+//! figure harnesses feed it a shape's, so both read one cost model, and
+//! `disc_drift` pins the two at 0.00% on uniform-degree graphs.
+//! Comparisons therefore vary only the architecture model, never the
+//! algorithm (the CMOS annealer's trajectory is its own; its protocol
+//! is not).
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
@@ -36,6 +40,68 @@ pub mod ising_cim;
 pub mod optsolv;
 pub mod pso;
 
+use sachi_ising::graph::IsingGraph;
+use sachi_ising::solver::SolveResult;
+use sachi_mem::energy::EnergyLedger;
+use sachi_mem::units::Cycles;
+use sachi_workloads::spec::WorkloadShape;
+
+/// The counts a baseline's cost depends on. Each machine's `price`
+/// reads the subset its model needs.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct SolveCounts {
+    /// Spins in the problem.
+    pub spins: u64,
+    /// Largest fan-in of any spin.
+    pub max_degree: u64,
+    /// Couplings stored, each undirected edge once.
+    pub stored_ics: u64,
+    /// IC reads of one sweep: every spin reads its fan-in once.
+    pub ic_reads_per_sweep: u64,
+    /// Sweeps executed.
+    pub sweeps: u64,
+    /// Spin flips applied.
+    pub flips: u64,
+}
+
+impl SolveCounts {
+    /// The counts of a functional solve of `graph` that returned `result`.
+    pub fn of(graph: &IsingGraph, result: &SolveResult) -> Self {
+        let edges = graph.num_edges() as u64;
+        SolveCounts {
+            spins: graph.num_spins() as u64,
+            max_degree: graph.max_degree() as u64,
+            stored_ics: edges,
+            ic_reads_per_sweep: 2 * edges,
+            sweeps: result.sweeps,
+            flips: result.flips,
+        }
+    }
+
+    /// The counts of a uniform-degree `shape` solved in `sweeps` sweeps
+    /// with `flips` flips.
+    pub fn for_shape(shape: &WorkloadShape, sweeps: u64, flips: u64) -> Self {
+        let reads = shape.spins * shape.neighbors_per_spin;
+        SolveCounts {
+            spins: shape.spins,
+            max_degree: shape.neighbors_per_spin,
+            stored_ics: reads / 2,
+            ic_reads_per_sweep: reads,
+            sweeps,
+            flips,
+        }
+    }
+}
+
+/// A baseline's cost of one solve, loading included.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Price {
+    /// Total cycles.
+    pub cycles: Cycles,
+    /// Energy by component.
+    pub energy: EnergyLedger,
+}
+
 /// Convenient glob-import of the crate's main types.
 pub mod prelude {
     pub use crate::brim::{BrimConfig, BrimError, BrimMachine, BrimReport};
@@ -46,4 +112,5 @@ pub mod prelude {
         edmonds_karp_segmentation, karmarkar_karp, lattice_descent, tsp_reference,
     };
     pub use crate::pso::{run_pso, run_pso_on_graph, PsoOptions, PsoOutcome};
+    pub use crate::{Price, SolveCounts};
 }

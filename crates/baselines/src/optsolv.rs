@@ -14,8 +14,7 @@
 //!   the ferromagnetic ground-state search).
 
 use sachi_ising::anneal::Schedule;
-use sachi_ising::hamiltonian::{energy, flip_cost, local_field, update_rule};
-use sachi_ising::solver::{run_sweeps, SolveOptions, SweepOutcome};
+use sachi_ising::solver::{CpuReferenceSolver, IterativeSolver, SolveOptions};
 use sachi_ising::spin::{Spin, SpinVector};
 use sachi_workloads::molecular::MolecularDynamics;
 use sachi_workloads::segmentation::ImageSegmentation;
@@ -194,36 +193,21 @@ pub fn edmonds_karp_segmentation(image: &ImageSegmentation) -> (SpinVector, i64)
 /// sweeps of the sign rule until quiescent. Returns the spins and the
 /// number of sweeps used.
 ///
-/// The sweeps run through [`run_sweeps`] under a frozen hold, so the
-/// quiescence test and the sweep cap are the shared protocol's.
+/// A hold below its freeze threshold starts frozen, where the golden
+/// sweep's decision is the bare sign rule, so this is
+/// [`CpuReferenceSolver`] under that hold: the quiescence test and the
+/// sweep cap are the shared protocol's.
 pub fn lattice_descent(
     md: &MolecularDynamics,
     initial: &SpinVector,
     max_sweeps: u64,
 ) -> (SpinVector, u64) {
-    let graph = md.graph();
     let frozen = SolveOptions {
         max_sweeps,
         schedule: Schedule::constant(0.5, 1.0),
         ..SolveOptions::default()
     };
-    let h_start = energy(graph, initial);
-    let result = run_sweeps(graph, initial, h_start, &frozen, |_, spins, _| {
-        let (mut flips, mut delta) = (0, 0);
-        for i in 0..graph.num_spins() {
-            let (h, current) = (local_field(graph, spins, i), spins.get(i));
-            let new = update_rule(h, current);
-            if new != current {
-                spins.set(i, new);
-                flips += 1;
-                delta += flip_cost(current, h);
-            }
-        }
-        SweepOutcome {
-            delta,
-            flips: Some(flips),
-        }
-    });
+    let result = CpuReferenceSolver::new().solve(md.graph(), initial, &frozen);
     (result.spins, result.sweeps)
 }
 

@@ -27,9 +27,20 @@
 //! array (ring(256) too) and in several with the small one. `--smoke`
 //! runs a reduced sweep for CI; the drift tables double as the CI drift
 //! report.
+//!
+//! The baselines get the same gate. BRIM, Ising-CIM and the CMOS
+//! annealer each price a solve with one `price` function; the functional
+//! solve feeds it the graph's counts and the figure harnesses a shape's.
+//! Each baseline leg compares the machine's report with `price` fed the
+//! shape's counts at the machine's sweeps and flips: cycles must match
+//! exactly and every energy component to 1e-9 relative, on BRIM over
+//! complete graphs, Ising-CIM on K9 and Ising-CIM on a King's torus
+//! larger than one array (so edge-cell broadcasts are billed). A
+//! mismatch exits 1 after the table prints.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use sachi_baselines::prelude::*;
 use sachi_bench::{section, Table};
 use sachi_core::prelude::*;
 use sachi_ising::prelude::*;
@@ -51,6 +62,39 @@ fn ring(n: usize) -> IsingGraph {
     b.build().expect("ring is a valid graph")
 }
 
+/// A King's torus: every cell joins its 8 wrapped neighbours, so the
+/// degree is 8 everywhere. Couplings stay in Ising-CIM's unsigned 2-bit
+/// range.
+fn kings_torus(side: usize) -> IsingGraph {
+    let at = |r: usize, c: usize| {
+        u32::try_from((r % side) * side + c % side).expect("bench sizes fit u32")
+    };
+    let mut b = GraphBuilder::new(side * side);
+    for r in 0..side {
+        for c in 0..side {
+            for (dr, dc) in [(0, 1), (1, side - 1), (1, 0), (1, 1)] {
+                let w = i32::try_from((r + c + dr) % 4).expect("2-bit coupling");
+                b.push_edge(at(r, c), at(r + dr, c + dc), w);
+            }
+        }
+    }
+    b.build().expect("torus is a valid graph")
+}
+
+/// The shape of a uniform-degree graph. Uniform degree is the
+/// precondition for exactness; fail loudly if a topology edit breaks it.
+fn uniform_shape(name: &str, graph: &IsingGraph) -> WorkloadShape {
+    assert!(
+        (0..graph.num_spins()).all(|i| graph.degree(i) == graph.max_degree()),
+        "{name} graph must be uniform-degree"
+    );
+    WorkloadShape::new(
+        u64::try_from(graph.num_spins()).expect("bench sizes fit u64"),
+        u64::try_from(graph.max_degree()).expect("degrees fit u64"),
+        graph.bits_required(),
+    )
+}
+
 fn drift_percent(measured: f64, predicted: f64) -> f64 {
     if predicted == 0.0 {
         return if measured == 0.0 { 0.0 } else { f64::INFINITY };
@@ -67,6 +111,95 @@ const ESTIMATED: [EnergyComponent; 4] = [
     EnergyComponent::SramWrite,
     EnergyComponent::DataMovement,
 ];
+
+/// The baseline legs: each machine's report against its `price` fed the
+/// shape's counts at the machine's sweeps and flips. Returns the legs
+/// that drifted.
+fn baseline_legs(sizes: &[usize], smoke: bool) -> Vec<String> {
+    let brim = BrimMachine::new();
+    let cim = CimMachine::new();
+    let mut legs: Vec<(String, IsingGraph, &str)> = sizes
+        .iter()
+        .map(|&n| {
+            let graph = topology::complete(n, |i, j| ((i * 3 + j * 5) % 15) as i32 - 7)
+                .expect("complete graph builds");
+            (format!("complete({n})"), graph, "BRIM")
+        })
+        .collect();
+    let k9 = topology::complete(9, |i, j| ((i + j) % 4) as i32).expect("K9 builds");
+    legs.push(("complete(9)".to_string(), k9, "Ising-CIM"));
+    // 48 x 48 = 2304 spins, above one array's 2048 cells.
+    let side = if smoke { 48 } else { 64 };
+    legs.push((
+        format!("torus({side}x{side})"),
+        kings_torus(side),
+        "Ising-CIM",
+    ));
+
+    let mut table = Table::new([
+        "graph",
+        "machine",
+        "sweeps",
+        "flips",
+        "cycles",
+        "closed",
+        "energy",
+        "closed energy",
+        "worst drift",
+    ]);
+    let mut drifted = Vec::new();
+    for (name, graph, machine) in &legs {
+        let shape = uniform_shape(name, graph);
+        let mut rng = StdRng::seed_from_u64(0xD21F);
+        let init = SpinVector::random(graph.num_spins(), &mut rng);
+        let opts = SolveOptions::for_graph(graph, 17);
+        let (result, cycles, energy, closed) = if *machine == "BRIM" {
+            let (result, report) = brim
+                .clone()
+                .solve_detailed(graph, &init, &opts)
+                .expect("BRIM envelope");
+            let closed = brim.price(&SolveCounts::for_shape(&shape, result.sweeps, result.flips));
+            (result, report.total_cycles, report.energy, closed)
+        } else {
+            let (result, report) = cim
+                .clone()
+                .solve_detailed(graph, &init, &opts)
+                .expect("Ising-CIM envelope");
+            let closed = cim.price(&SolveCounts::for_shape(&shape, result.sweeps, result.flips));
+            (result, report.total_cycles, report.energy, closed)
+        };
+        let mut worst = 0.0f64;
+        let mut exact = cycles == closed.cycles;
+        for component in EnergyComponent::ALL {
+            let measured = energy.component(component).get();
+            let modelled = closed.energy.component(component).get();
+            exact &= (measured - modelled).abs() <= 1e-9 * measured.max(modelled);
+            worst = worst.max(drift_percent(measured, modelled).abs());
+        }
+        if !exact {
+            drifted.push(format!("{machine} {name}"));
+        }
+        table.row([
+            name.clone(),
+            machine.to_string(),
+            result.sweeps.to_string(),
+            result.flips.to_string(),
+            cycles.get().to_string(),
+            closed.cycles.get().to_string(),
+            energy.total().to_string(),
+            closed.energy.total().to_string(),
+            format!("{worst:.1e}%"),
+        ]);
+    }
+    section("baseline price vs functional machine on uniform-degree graphs");
+    table.print();
+    println!();
+    println!(
+        "cycles exact and every energy component within 1e-9 relative (checked), \
+         Ising-CIM's load SRAM write and edge-cell broadcasts included"
+    );
+    drifted
+}
 
 fn main() {
     let smoke = std::env::args().skip(1).any(|a| a == "--smoke");
@@ -156,17 +289,7 @@ fn main() {
     headers.extend(ESTIMATED.map(EnergyComponent::label));
     let mut energy = Table::new(headers);
     for (name, graph, hierarchy, banks) in &cases {
-        // Uniform degree is the precondition for exactness; make the
-        // harness fail loudly if a topology edit breaks it.
-        assert!(
-            (0..graph.num_spins()).all(|i| graph.degree(i) == graph.max_degree()),
-            "{name} graph must be uniform-degree"
-        );
-        let shape = WorkloadShape::new(
-            u64::try_from(graph.num_spins()).expect("bench sizes fit u64"),
-            u64::try_from(graph.max_degree()).expect("degrees fit u64"),
-            graph.bits_required(),
-        );
+        let shape = uniform_shape(name, graph);
         for design in DesignKind::ALL {
             let config = SachiConfig::new(design)
                 .with_hierarchy(*hierarchy)
@@ -276,4 +399,10 @@ fn main() {
          (asserted); rbl, sram-read, sram-write and movement follow the model's flip-rate and \
          discharge estimates (reported only)"
     );
+
+    let drifted = baseline_legs(sizes, smoke);
+    if !drifted.is_empty() {
+        eprintln!("disc_drift: baseline price drifted from its machine on {drifted:?}");
+        std::process::exit(1);
+    }
 }

@@ -14,7 +14,6 @@ use sachi_baselines::prelude::*;
 use sachi_bench::{ratio, section, timed, Table};
 use sachi_core::prelude::*;
 use sachi_ising::prelude::*;
-use sachi_mem::prelude::*;
 use sachi_workloads::prelude::*;
 
 /// Paper-reported factors for Fig. 15 (SACHI(n3) over BRIM).
@@ -58,7 +57,6 @@ fn instance_graph(kind: CopKind) -> (IsingGraph, String) {
 }
 
 fn main() {
-    let tech = TechnologyParams::freepdk45();
     let brim = BrimMachine::new();
     let model = PerfModel::new(SachiConfig::new(DesignKind::N3));
 
@@ -98,18 +96,19 @@ fn main() {
         );
 
         let shape = kind.standard_shape(1_000).with_resolution(4);
-        let n = shape.neighbors_per_spin;
 
         // SACHI(n3): analytic solve estimate (parity-tested vs the
         // functional machine).
         let sachi = model.solve(&shape, iters);
 
-        // BRIM: IC programming + serial sweeps.
-        let program_bits = 2 * graph.num_edges() as u64 * 4;
-        let brim_cycles = tech.dram_stream_cycles(program_bits.div_ceil(8)).get()
-            + brim.cycles_per_sweep(shape.spins, n) * iters;
-        let brim_energy = tech.movement_energy_per_bit() * program_bits
-            + brim.sweep_energy(shape.spins, n, 4) * iters;
+        // BRIM: the shape's serial sweeps after programming the
+        // instance's couplings (flips do not enter BRIM's price).
+        let brim_cost = brim.price(&SolveCounts {
+            stored_ics: graph.num_edges() as u64,
+            ..SolveCounts::for_shape(&shape, iters, 0)
+        });
+        let brim_cycles = brim_cost.cycles.get();
+        let brim_energy = brim_cost.energy.total();
 
         table.row([
             kind.label().to_string(),

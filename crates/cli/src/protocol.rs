@@ -107,6 +107,21 @@ impl From<&FrameError> for SachiError {
 /// [`FrameError`] on truncation, an oversized or zero length prefix,
 /// non-UTF-8 bodies, or transport failure. Never panics.
 pub fn read_frame(r: &mut impl Read, max: usize) -> Result<Option<String>, FrameError> {
+    match read_prefix(r)? {
+        Some(prefix) => read_frame_body(r, prefix, max).map(Some),
+        None => Ok(None),
+    }
+}
+
+/// Reads a frame's 4-byte length prefix. `Ok(None)` is a clean
+/// end-of-stream before its first byte. The daemon reads it on its own
+/// to tell frames from HTTP `GET`s.
+///
+/// # Errors
+///
+/// [`FrameError::Truncated`] when the stream ends inside the prefix,
+/// [`FrameError::Io`] on transport failure. Never panics.
+pub fn read_prefix(r: &mut impl Read) -> Result<Option<[u8; 4]>, FrameError> {
     let mut prefix = [0u8; 4];
     let mut filled = 0usize;
     while filled < prefix.len() {
@@ -123,17 +138,21 @@ pub fn read_frame(r: &mut impl Read, max: usize) -> Result<Option<String>, Frame
             Err(e) => return Err(FrameError::Io(e.to_string())),
         }
     }
-    let len = usize::try_from(u32::from_be_bytes(prefix)).unwrap_or(usize::MAX);
-    read_frame_body(r, len, max).map(Some)
+    Ok(Some(prefix))
 }
 
-/// Reads a frame body whose 4-byte prefix was already consumed (the
-/// daemon sniffs the first bytes to tell frames from HTTP `GET`s).
+/// Reads the body of a frame whose length `prefix` was already read
+/// (see [`read_prefix`]).
 ///
 /// # Errors
 ///
 /// See [`read_frame`].
-pub fn read_frame_body(r: &mut impl Read, len: usize, max: usize) -> Result<String, FrameError> {
+pub fn read_frame_body(
+    r: &mut impl Read,
+    prefix: [u8; 4],
+    max: usize,
+) -> Result<String, FrameError> {
+    let len = usize::try_from(u32::from_be_bytes(prefix)).unwrap_or(usize::MAX);
     if len == 0 {
         return Err(FrameError::Empty);
     }

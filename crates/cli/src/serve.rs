@@ -34,7 +34,7 @@
 use crate::args::{ServeArgs, SubmitArgs, SubmitOp};
 use crate::clock;
 use crate::protocol::{
-    self, error_body, read_frame, read_frame_body, write_frame, FrameError, Request, MAX_FRAME_LEN,
+    self, error_body, read_frame, read_frame_body, read_prefix, write_frame, Request, MAX_FRAME_LEN,
 };
 use sachi_core::prelude::{JobLimits, JobPlan, JobSpec, SachiError, ServerReason, SolverPool};
 use sachi_obs::json::JsonValue;
@@ -227,7 +227,7 @@ impl Server {
     /// Serves one connection: sniffs frames vs. HTTP, then loops until
     /// EOF, a fatal frame error, the I/O timeout, or shutdown.
     fn serve_conn(self: &Arc<Self>, stream: &mut TcpStream) {
-        let mut sniff = match read_exact4(stream) {
+        let mut sniff = match read_prefix(stream) {
             Ok(Some(bytes)) => Some(bytes),
             Ok(None) | Err(_) => return,
         };
@@ -239,10 +239,7 @@ impl Server {
             // The first iteration re-uses the sniffed bytes as the
             // already-consumed length prefix.
             let body = match sniff.take() {
-                Some(prefix) => {
-                    let len = usize::try_from(u32::from_be_bytes(prefix)).unwrap_or(usize::MAX);
-                    read_frame_body(stream, len, MAX_FRAME_LEN).map(Some)
-                }
+                Some(prefix) => read_frame_body(stream, prefix, MAX_FRAME_LEN).map(Some),
                 None => read_frame(stream, MAX_FRAME_LEN),
             };
             match body {
@@ -296,27 +293,6 @@ impl Server {
         };
         let _ = stream.write_all(response.as_bytes());
     }
-}
-
-/// Reads exactly 4 bytes; `Ok(None)` on clean EOF before any byte.
-fn read_exact4(stream: &mut TcpStream) -> Result<Option<[u8; 4]>, FrameError> {
-    let mut bytes = [0u8; 4];
-    let mut filled = 0usize;
-    while filled < bytes.len() {
-        match stream.read(&mut bytes[filled..]) {
-            Ok(0) if filled == 0 => return Ok(None),
-            Ok(0) => {
-                return Err(FrameError::Truncated {
-                    expected: bytes.len(),
-                    got: filled,
-                })
-            }
-            Ok(n) => filled += n,
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-            Err(e) => return Err(FrameError::Io(e.to_string())),
-        }
-    }
-    Ok(Some(bytes))
 }
 
 /// Runs the daemon until a `shutdown` request drains it.

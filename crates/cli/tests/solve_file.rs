@@ -35,7 +35,7 @@ fn dimacs_min_coupling_is_refused_with_exit_2() {
     let (code, err) = solve_file("min-e.dimacs", "p ising 2 1\ne 1 2 -2147483648\n", &[]);
     assert_eq!(code, 2, "{err}");
     assert!(
-        err.contains("coupling of edge (0, 1) is -2147483648"),
+        err.contains("coupling of edge (1, 2) is -2147483648"),
         "{err}"
     );
 }
@@ -48,7 +48,7 @@ fn dimacs_min_field_is_refused_with_exit_2() {
         &[],
     );
     assert_eq!(code, 2, "{err}");
-    assert!(err.contains("field of vertex 0 is -2147483648"), "{err}");
+    assert!(err.contains("field of vertex 1 is -2147483648"), "{err}");
 }
 
 #[test]

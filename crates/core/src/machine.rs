@@ -74,14 +74,6 @@ pub struct FaultReport {
 }
 
 impl FaultReport {
-    /// Whether any fault activity happened at all.
-    pub fn any_activity(&self) -> bool {
-        self.injected_flips > 0
-            || self.dram_corrupted_bits > 0
-            || self.detected > 0
-            || self.degraded
-    }
-
     /// Exports the counters into `reg` under the `recovery_` prefix.
     pub fn export(&self, reg: &mut MetricsRegistry) {
         reg.counter_add("recovery_injected_flips", self.injected_flips);
@@ -240,57 +232,6 @@ impl RunReport {
         self.faults.refetch_cycles += other.faults.refetch_cycles;
         self.faults.dram_corrupted_bits += other.faults.dram_corrupted_bits;
         self.faults.degraded |= other.faults.degraded;
-    }
-}
-
-impl std::fmt::Display for RunReport {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        writeln!(
-            f,
-            "{} @ {}-bit: {} iterations x {} round(s)",
-            self.design.label(),
-            self.resolution_bits,
-            self.sweeps,
-            self.rounds_per_sweep
-        )?;
-        writeln!(
-            f,
-            "  cycles : {} total ({} compute, {} loading) = {}",
-            self.total_cycles.get(),
-            self.compute_cycles.get(),
-            self.load_cycles.get(),
-            self.wall_time
-        )?;
-        writeln!(
-            f,
-            "  energy : {} | reuse {:.1} ({} XNORs / {} RWL bits)",
-            self.energy.total(),
-            self.reuse,
-            self.xnor_ops,
-            self.rwl_bits_fetched
-        )?;
-        write!(
-            f,
-            "  update : {} copies, {} adjacency reads; queue peak {} bits; {} redundant discharges",
-            self.spin_copy_updates,
-            self.adjacency_reads,
-            self.queue_peak_bits,
-            self.redundant_discharges
-        )?;
-        if self.faults.any_activity() {
-            write!(
-                f,
-                "\n  faults : {} flips / {} fetches ({} detected, {} undetected), {} retries, {} dram bits{}",
-                self.faults.injected_flips,
-                self.faults.corrupted_fetches,
-                self.faults.detected,
-                self.faults.undetected,
-                self.faults.retries,
-                self.faults.dram_corrupted_bits,
-                if self.faults.degraded { "; DEGRADED" } else { "" }
-            )?;
-        }
-        Ok(())
     }
 }
 
@@ -950,18 +891,6 @@ mod tests {
         let mut with_rep = SachiMachine::new(SachiConfig::new(DesignKind::N3));
         let (_, rep_report) = with_rep.solve_detailed(&g, &init, &opts);
         assert_eq!(rep_report.cross_tuple_rereads, 0);
-    }
-
-    #[test]
-    fn run_report_display_is_informative() {
-        let (g, init, opts) = king_setup(31);
-        let mut machine = SachiMachine::new(SachiConfig::default());
-        let (_, report) = machine.solve_detailed(&g, &init, &opts);
-        let text = format!("{report}");
-        assert!(text.contains("SACHI(n3)"), "{text}");
-        assert!(text.contains("iterations"), "{text}");
-        assert!(text.contains("reuse"), "{text}");
-        assert!(text.contains("cycles"), "{text}");
     }
 
     #[test]

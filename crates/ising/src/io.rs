@@ -26,7 +26,9 @@ pub enum ParseError {
     },
     /// The header was missing or appeared twice.
     BadHeader(String),
-    /// The resulting graph was structurally invalid.
+    /// The resulting graph was structurally invalid. The value keeps the
+    /// builder's 0-indexed vertex ids; `Display` names them as the file
+    /// numbers them, from 1.
     Graph(GraphError),
 }
 
@@ -35,8 +37,30 @@ impl fmt::Display for ParseError {
         match self {
             ParseError::Malformed { line, reason } => write!(f, "line {line}: {reason}"),
             ParseError::BadHeader(reason) => write!(f, "bad header: {reason}"),
-            ParseError::Graph(e) => write!(f, "invalid graph: {e}"),
+            ParseError::Graph(e) => write!(f, "invalid graph: {}", file_numbered(e)),
         }
+    }
+}
+
+/// `e` with every vertex id renumbered from 1, as both formats number
+/// them.
+fn file_numbered(e: &GraphError) -> GraphError {
+    let one = |v: u32| v.saturating_add(1);
+    match *e {
+        GraphError::VertexOutOfRange { vertex, n } => GraphError::VertexOutOfRange {
+            vertex: one(vertex),
+            n,
+        },
+        GraphError::SelfLoop { vertex } => GraphError::SelfLoop {
+            vertex: one(vertex),
+        },
+        GraphError::DuplicateEdge { edge } => GraphError::DuplicateEdge {
+            edge: (one(edge.0), one(edge.1)),
+        },
+        GraphError::UnencodableCoefficient { what, site } => GraphError::UnencodableCoefficient {
+            what,
+            site: (one(site.0), one(site.1)),
+        },
     }
 }
 
@@ -258,6 +282,61 @@ mod tests {
                 site: (1, 1),
             })
         ));
+    }
+
+    #[test]
+    fn graph_errors_name_vertices_as_the_file_numbers_them() {
+        let min = "invalid graph: coupling of edge (1, 2) is -2147483648";
+        let cases = [
+            (
+                parse_dimacs("p ising 3 1\ne 1 4 5\n"),
+                "invalid graph: vertex 4 out of range for graph of 3 spins",
+            ),
+            (
+                parse_dimacs("p ising 3 1\ne 2 2 5\n"),
+                "invalid graph: self-loop on vertex 2",
+            ),
+            (
+                parse_dimacs("p ising 3 2\ne 1 2 5\ne 2 1 3\n"),
+                "invalid graph: duplicate edge (1, 2)",
+            ),
+            (parse_dimacs("p ising 3 1\ne 1 2 -2147483648\n"), min),
+            (
+                parse_dimacs("p ising 3 0\nf 3 -2147483648\n"),
+                "invalid graph: field of vertex 3 is -2147483648",
+            ),
+            (
+                parse_gset("3 1\n1 4 5\n"),
+                "invalid graph: vertex 4 out of range for graph of 3 spins",
+            ),
+            (
+                parse_gset("3 1\n2 2 5\n"),
+                "invalid graph: self-loop on vertex 2",
+            ),
+            (
+                parse_gset("3 2\n1 2 5\n2 1 3\n"),
+                "invalid graph: duplicate edge (1, 2)",
+            ),
+            // A Gset weight is negated on load, so the one weight whose
+            // negation is `i32::MIN` does not parse as an i32; the other
+            // way round is refused on its line.
+            (
+                parse_gset("3 1\n1 2 2147483648\n"),
+                "line 2: edge needs integer weight",
+            ),
+        ];
+        for (result, want) in cases {
+            let err = result.unwrap_err();
+            assert!(
+                err.to_string().starts_with(want),
+                "{err} should start with {want}"
+            );
+        }
+        // The value keeps the builder's ids.
+        assert_eq!(
+            parse_dimacs("p ising 3 1\ne 2 2 5\n").unwrap_err(),
+            ParseError::Graph(GraphError::SelfLoop { vertex: 1 })
+        );
     }
 
     #[test]

@@ -5,9 +5,8 @@
 //! outcomes. This crate gives those counters one first-class home:
 //!
 //! * [`MetricsRegistry`] — monotonic counters, gauges, and histograms
-//!   with fixed power-of-two buckets. A disabled registry is a guaranteed
-//!   no-op: every mutator returns before touching a map, so nothing
-//!   allocates and nothing is measured.
+//!   with fixed power-of-two buckets, filled after a solve from the
+//!   simulators' plain counter structs, never from the sweep loop.
 //! * [`PhaseSpan`] / [`SolvePhase`] — hierarchical solve-phase spans
 //!   (`upload → round → h_compute → update → writeback → prefetch`)
 //!   stamped in the **cycle domain**, never wall-clock: timestamps come

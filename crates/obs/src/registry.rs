@@ -2,10 +2,9 @@
 //!
 //! Design constraints, in order:
 //!
-//! 1. **Zero overhead when disabled.** Every mutator checks the
-//!    `enabled` flag first and returns before touching a map. A
-//!    [`MetricsRegistry::disabled`] registry never allocates after
-//!    construction (the maps start empty and stay empty).
+//! 1. **Off the sweep loop.** A registry is filled by harvesting the
+//!    simulators' plain counter structs after a solve, never from inside
+//!    a kernel, so every registry records and none needs an off switch.
 //! 2. **Deterministic.** Keys live in `BTreeMap`s so iteration — and
 //!    therefore every exported document — has one stable order.
 //!    [`MetricsRegistry::merge`] is a plain sum over counters and
@@ -112,37 +111,19 @@ impl Histogram {
 /// checks coverage by those prefixes.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct MetricsRegistry {
-    enabled: bool,
     counters: BTreeMap<String, u64>,
     gauges: BTreeMap<String, f64>,
     histograms: BTreeMap<String, Histogram>,
 }
 
 impl MetricsRegistry {
-    /// Creates an enabled (recording) registry.
+    /// Creates an empty registry.
     pub fn new() -> Self {
-        MetricsRegistry {
-            enabled: true,
-            ..MetricsRegistry::default()
-        }
-    }
-
-    /// Creates a disabled registry: every mutator is a no-op and the
-    /// registry never allocates after this call.
-    pub fn disabled() -> Self {
         MetricsRegistry::default()
-    }
-
-    /// Whether this registry records anything.
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
     }
 
     /// Adds `delta` to the named monotonic counter (creating it at 0).
     pub fn counter_add(&mut self, name: &str, delta: u64) {
-        if !self.enabled {
-            return;
-        }
         *self.counters.entry(name.to_string()).or_insert(0) += delta;
     }
 
@@ -153,9 +134,6 @@ impl MetricsRegistry {
 
     /// Sets the named gauge to `v` (last write wins).
     pub fn gauge_set(&mut self, name: &str, v: f64) {
-        if !self.enabled {
-            return;
-        }
         self.gauges.insert(name.to_string(), v);
     }
 
@@ -166,9 +144,6 @@ impl MetricsRegistry {
 
     /// Records one observation into the named histogram.
     pub fn observe(&mut self, name: &str, v: u64) {
-        if !self.enabled {
-            return;
-        }
         self.histograms
             .entry(name.to_string())
             .or_default()
@@ -185,9 +160,6 @@ impl MetricsRegistry {
     /// callers merge in a fixed order, which the ensemble fold does by
     /// walking replicas in index order).
     pub fn merge(&mut self, other: &MetricsRegistry) {
-        if !self.enabled {
-            return;
-        }
         for (name, v) in &other.counters {
             *self.counters.entry(name.clone()).or_insert(0) += v;
         }
@@ -223,19 +195,6 @@ impl MetricsRegistry {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn disabled_registry_records_nothing() {
-        let mut reg = MetricsRegistry::disabled();
-        reg.counter_add("a", 5);
-        reg.gauge_set("g", 1.5);
-        reg.observe("h", 100);
-        assert!(reg.is_empty());
-        assert!(!reg.is_enabled());
-        assert_eq!(reg.counter("a"), 0);
-        assert_eq!(reg.gauge("g"), None);
-        assert!(reg.histogram("h").is_none());
-    }
 
     #[test]
     fn counters_accumulate_and_iterate_sorted() {

@@ -66,11 +66,6 @@ impl QuboBuilder {
         }
     }
 
-    /// Number of variables.
-    pub fn num_variables(&self) -> usize {
-        self.n
-    }
-
     /// Adds `c · x_i` to the objective.
     ///
     /// # Panics

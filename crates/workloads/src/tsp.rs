@@ -222,7 +222,6 @@ impl Workload for TspDecision {
 pub struct TspTour {
     coords: Vec<(f64, f64)>,
     dist: Vec<Vec<i64>>,
-    quantized_dist: Vec<Vec<i64>>,
     graph: IsingGraph,
     resolution_bits: u32,
     reference_length: i64,
@@ -306,7 +305,6 @@ impl TspTour {
         TspTour {
             coords,
             dist,
-            quantized_dist,
             graph,
             resolution_bits: bits,
             reference_length,
@@ -327,12 +325,6 @@ impl TspTour {
     /// The integer distance matrix (unquantized).
     pub fn distances(&self) -> &[Vec<i64>] {
         &self.dist
-    }
-
-    /// The R-bit quantized distances the Ising coefficients were built
-    /// from.
-    pub fn quantized_distances(&self) -> &[Vec<i64>] {
-        &self.quantized_dist
     }
 
     /// The 2-opt reference tour length.
