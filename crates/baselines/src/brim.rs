@@ -132,8 +132,6 @@ pub struct BrimReport {
     pub energy: EnergyLedger,
     /// Reuse (1 by construction).
     pub reuse: f64,
-    /// IC bits fetched from memory.
-    pub ic_bits_fetched: u64,
 }
 
 /// The BRIM machine model.
@@ -261,17 +259,13 @@ impl BrimMachine {
     ) -> Result<(SolveResult, BrimReport), BrimError> {
         self.check_limits(graph)?;
         let result = CpuReferenceSolver::new().solve(graph, initial, options);
-        let counts = SolveCounts::of(graph, &result);
-        let Price { cycles, energy } = self.price(&counts);
+        let Price { cycles, energy } = self.price(&SolveCounts::of(graph, &result));
         let report = BrimReport {
             sweeps: result.sweeps,
             total_cycles: cycles,
             wall_time: cycles.to_time(self.config.tech.cycle_time),
             energy,
             reuse: 1.0,
-            ic_bits_fetched: counts.ic_reads_per_sweep
-                * u64::from(BRIM_MAX_RESOLUTION)
-                * counts.sweeps,
         };
         Ok((result, report))
     }
@@ -382,7 +376,6 @@ mod tests {
         assert!(report.energy.component(EnergyComponent::Oscillator).get() > 0.0);
         assert!(report.energy.component(EnergyComponent::Dac).get() > 0.0);
         assert!(report.energy.component(EnergyComponent::DataMovement).get() > 0.0);
-        assert!(report.ic_bits_fetched > 0);
         assert!(report.wall_time.get() > 0.0);
     }
 }

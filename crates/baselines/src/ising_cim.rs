@@ -121,10 +121,6 @@ pub struct CimReport {
     pub energy: EnergyLedger,
     /// Reuse (1 by construction).
     pub reuse: f64,
-    /// Number of compute arrays the problem was partitioned across.
-    pub arrays_used: u64,
-    /// Edge cells duplicated into adjacent arrays (Fig. 8a).
-    pub duplicated_edge_cells: u64,
 }
 
 /// The Ising-CIM machine model.
@@ -270,15 +266,12 @@ impl CimMachine {
         self.check_limits(graph)?;
         let result = CpuReferenceSolver::new().solve(graph, initial, options);
         let Price { cycles, energy } = self.price(&SolveCounts::of(graph, &result));
-        let (arrays_used, duplicated) = self.partitioning(graph.num_spins() as u64);
         let report = CimReport {
             sweeps: result.sweeps,
             total_cycles: cycles,
             wall_time: cycles.to_time(self.config.tech.cycle_time),
             energy,
             reuse: 1.0,
-            arrays_used,
-            duplicated_edge_cells: duplicated,
         };
         Ok((result, report))
     }

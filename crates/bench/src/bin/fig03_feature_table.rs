@@ -83,9 +83,12 @@ fn main() {
     assert!(MixedEncoding::new(33).is_err());
     for kind in DesignKind::ALL {
         let d = stationarity(kind);
-        assert!(d.max_reuse(8, 4) >= 1);
+        assert!(d.schedule(8, 4, 800).max_reuse >= 1);
     }
-    assert_eq!(stationarity(DesignKind::N3).max_reuse(999, 4), 3_996);
+    assert_eq!(
+        stationarity(DesignKind::N3).schedule(999, 4, 800).max_reuse,
+        3_996
+    );
     println!("SACHI     : encodes 2..=32-bit signed ICs, computes all graph types,");
     println!("            reuse up to N*R = 3996 on a 1K-city complete graph,");
     println!("            and the energy ledger has no DAC/ADC component to book.");

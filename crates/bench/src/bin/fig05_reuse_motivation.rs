@@ -81,8 +81,12 @@ fn main() {
     let mut t2 = Table::new(["COP", "n1 movement/iter", "n3 movement/iter", "saving"]);
     for kind in sachi_workloads::spec::CopKind::ALL {
         let shape = kind.standard_shape(1_000).with_resolution(4);
-        let moved =
-            |k| stationarity(k).phase1_cycles(shape.neighbors_per_spin, 4, 800) * shape.spins;
+        let moved = |k| {
+            stationarity(k)
+                .schedule(shape.neighbors_per_spin, 4, 800)
+                .accesses
+                * shape.spins
+        };
         let n1 = moved(DesignKind::N1a);
         let n3 = moved(DesignKind::N3);
         t2.row([

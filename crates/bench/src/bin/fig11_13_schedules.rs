@@ -2,7 +2,9 @@
 //! running example (the Fig. 2 4x3 image with 3-bit ICs) — phase-1
 //! cycles, idle time before phases 3–5 activate, XNOR-queue sizing, and
 //! SRAM throughput — plus a live functional check that all four designs
-//! produce the same `H_σ` from real SRAM discharge patterns.
+//! produce the same `H_σ` from real SRAM discharge patterns. Every
+//! schedule column is read from the design's `TupleSchedule`, the same
+//! struct the production kernel books and the cost model prices.
 
 use sachi_bench::{section, Table};
 use sachi_core::prelude::*;
@@ -21,15 +23,15 @@ fn schedule_table(n: u64, r: u32, label: &str) {
         "max reuse",
     ]);
     for design in DesignKind::ALL {
-        let s = PhaseSchedule::new(design, n, r, 800);
+        let s = stationarity(design).schedule(n, r, 800);
         table.row([
             design.label().to_string(),
-            s.phase1_cycles.to_string(),
+            s.accesses.to_string(),
             s.idle_cycles.to_string(),
             s.queue_bits.to_string(),
-            s.throughput_bits_per_cycle.to_string(),
-            s.total_latency_cycles.to_string(),
-            stationarity(design).max_reuse(n, r).to_string(),
+            s.throughput_bits_per_cycle().to_string(),
+            s.latency_cycles().to_string(),
+            s.max_reuse.to_string(),
         ]);
     }
     table.print();

@@ -156,6 +156,13 @@ pub fn cop_digest(kind: CopKind, size: usize, seed: u64) -> u64 {
     }
 }
 
+/// The digest of a QUBO built outside `build_cop_problem` (the Lucas
+/// formulations): its graph's CSR and fields, and its objective at
+/// [`PROBES`] spin vectors drawn from `seed`.
+pub fn qubo_digest(qubo: &QuboProblem, seed: u64) -> u64 {
+    digest(qubo.graph(), "", seed, |s| qubo.objective(s))
+}
+
 /// The digest of the Lucas QUBO tour over `cities` cities (`cities²`
 /// spins; its objective is the Ising energy, the only one it exposes).
 fn tour_digest(cities: usize, seed: u64) -> u64 {

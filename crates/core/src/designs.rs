@@ -26,9 +26,17 @@
 //! kernel reads its tuple's sums in O(1) and books the oracle's
 //! [`ComputeContext`] and tile-event deltas in closed form. Differential
 //! proptests hold the two equal, also after every flip of a random flip
-//! sequence. The closed-form schedule methods (`phase1_cycles`,
-//! `idle_cycles`, `xnor_queue_bits`, `max_reuse`, footprints) feed the
-//! analytic performance model of [`crate::perf`].
+//! sequence.
+//!
+//! Each design states its per-tuple closed forms once, in
+//! [`Stationarity::schedule`]: the [`TupleSchedule`] of accesses, XNOR
+//! ops, resident bits, queue, idle time, reuse and adder work that every
+//! compute of an `N`-neighbour tuple at resolution `R` pays whatever its
+//! spins. The kernel books it plus the design's spin-dependent
+//! [`Stationarity::discharges`]; the round plan ([`crate::rounds`]), the
+//! analytic model ([`crate::perf`]) and the Fig. 11–13 tables read the
+//! same struct, so the machine and the model bill the same per-tuple
+//! events by construction.
 
 use crate::config::DesignKind;
 use crate::encoding::MixedEncoding;
@@ -71,6 +79,7 @@ impl ComputeContext {
         ratio_u64(self.xnor_ops, self.rwl_bits_fetched)
     }
 
+    #[inline]
     fn note_queue(&mut self, bits: u64) {
         self.queue_peak_bits = self.queue_peak_bits.max(bits);
     }
@@ -86,6 +95,68 @@ impl ComputeScratch {
     /// Creates the (empty) scratch.
     pub fn new() -> Self {
         ComputeScratch
+    }
+}
+
+/// Cycles of the pipeline tail after phase 1 (Fig. 11f): the decision,
+/// the accumulate and the negate/anneal step take one cycle each.
+const PIPELINE_TAIL_CYCLES: u64 = 3;
+
+/// One tuple's static per-compute facts under a design (Figs. 11–13):
+/// what every compute of an `N`-neighbour tuple at resolution `R` books,
+/// whatever its spins. [`Stationarity::schedule`] states it once per
+/// design; the kernel, the round plan, the analytic model and the figure
+/// tables all read it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct TupleSchedule {
+    /// Phase-1 single-cycle compute accesses. Each drives one storage bit
+    /// onto an RWL pair, so this is also the RWL bits fetched.
+    pub accesses: u64,
+    /// Useful in-memory XNOR bit computations.
+    pub xnor_ops: u64,
+    /// Compute-array bits the tuple keeps resident: its layout, written
+    /// through the write port once per compute.
+    pub resident_bits: u64,
+    /// Bits on the row one access drives, the window whose bit-lines can
+    /// discharge.
+    pub active_bits_per_access: u64,
+    /// Minimum XNOR-queue capacity in bits (phase 2).
+    pub queue_bits: u64,
+    /// Cycles phases 3–5 sit idle before their first activation.
+    pub idle_cycles: u64,
+    /// Maximum reuse in the paper's convention: 1, 1, `R`, `N·R`.
+    pub max_reuse: u64,
+    /// Near-memory full-adder bit operations: `R + 2` per product.
+    pub adder_bit_ops: u64,
+    /// XNOR-vs-XNOR+1 (and XOR) decisions: one per product.
+    pub decisions: u64,
+}
+
+impl TupleSchedule {
+    /// The work every design shares: each of the `n` products at
+    /// resolution `r` is decided once and added into the accumulator.
+    #[inline]
+    fn of_products(n: u64, r: u32) -> Self {
+        TupleSchedule {
+            adder_bit_ops: n * (u64::from(r) + 2),
+            decisions: n,
+            ..TupleSchedule::default()
+        }
+    }
+
+    /// SRAM read throughput: XNOR bits per phase-1 cycle.
+    pub fn throughput_bits_per_cycle(&self) -> u64 {
+        self.xnor_ops.div_ceil(self.accesses.max(1))
+    }
+
+    /// Latency from the first RWL pulse to the annealer decision.
+    pub fn latency_cycles(&self) -> u64 {
+        self.accesses + PIPELINE_TAIL_CYCLES
+    }
+
+    /// The pipeline fill a round pays once: idle time plus the tail.
+    pub(crate) fn fill_cycles(&self) -> u64 {
+        self.idle_cycles + PIPELINE_TAIL_CYCLES
     }
 }
 
@@ -123,18 +194,37 @@ pub trait Stationarity {
         ctx: &mut ComputeContext,
     ) -> i64;
 
+    /// The design's static per-tuple closed forms for a tuple of `n`
+    /// neighbors at resolution `r` on physical rows of `row_bits` columns.
+    /// A tuple without neighbors computes nothing: its accesses are 0.
+    ///
+    /// The provided kernel calls this and [`Stationarity::discharges`]
+    /// once per compute and is instantiated in every crate that calls it,
+    /// so both are `#[inline]` (with the helpers they call). Out of line,
+    /// a downstream kernel gets the whole struct back through memory,
+    /// every field computed, which measured about twice the kernel's time.
+    fn schedule(&self, n: u64, r: u32, row_bits: u64) -> TupleSchedule;
+
+    /// Bit-line discharges of one compute, as `(all, redundant)`: the
+    /// spin-dependent events of a tuple with maintained sums `s`, driven
+    /// by `target`, whose schedule is `schedule`. Redundant discharges
+    /// are those on columns that were not sensed.
+    fn discharges(&self, s: &TupleSums, schedule: &TupleSchedule, target: Spin) -> (u64, u64);
+
     /// The production kernel, the one [`crate::machine::SachiMachine`]
     /// runs. It reads the tuple's maintained [`crate::tuple::TupleSums`]
     /// from `view` in O(1) — `H_σ = −(h + Σ J_k·σ_k)` together with the
-    /// popcount sums the design's schedule is priced from — and books, in
-    /// closed form, the [`ComputeContext`] and [`TileStats`] deltas
-    /// [`Stationarity::compute_tuple`] produces on a tile sized by
-    /// [`Stationarity::tile_requirements`]. It writes no bitcell: `tile`
-    /// only receives the booked events and, for n3, supplies its row
-    /// width. `view` must be the [`crate::tuple::TuplePlanes`] view of
-    /// `tuple` at `enc`'s resolution, kept current under spin updates via
-    /// [`crate::tuple::TuplePlanes::writeback_spin`]. `tuple` is read only
-    /// by a debug check that the view is its own; `scratch` is unused.
+    /// popcount sums the discharges are priced from — and books the
+    /// design's [`Stationarity::schedule`] and
+    /// [`Stationarity::discharges`]: the [`ComputeContext`] and
+    /// [`TileStats`] deltas [`Stationarity::compute_tuple`] produces on a
+    /// tile sized by [`Stationarity::tile_requirements`]. It writes no
+    /// bitcell: `tile` only receives the booked events and supplies its
+    /// row width. `view` must be the [`crate::tuple::TuplePlanes`] view
+    /// of `tuple` at `enc`'s resolution, kept current under spin updates
+    /// via [`crate::tuple::TuplePlanes::writeback_spin`]. `tuple` is read
+    /// only by a debug check that the view is its own; `scratch` is
+    /// unused.
     ///
     /// Contract against the scalar oracle (proven by differential
     /// proptests for every design, every R in 2..=32, n3 tuples that
@@ -150,28 +240,35 @@ pub trait Stationarity {
         view: TuplePlaneView<'_>,
         target: Spin,
         ctx: &mut ComputeContext,
-        scratch: &mut ComputeScratch,
-    ) -> i64;
-
-    /// Phase-1 (in-memory compute) cycles for a tuple of `n` neighbors.
-    /// Each cycle's access drives one storage bit onto an RWL, so this is
-    /// also the bits a compute drives.
-    fn phase1_cycles(&self, n: u64, r: u32, row_bits: u64) -> u64;
-
-    /// Pipeline-fill idle cycles before phases 3–5 first activate
-    /// (Fig. 11f): `(R-1)·N + 1` for n1a, `R` for n1b, a 1–2 cycle skew
-    /// for n2/n3.
-    fn idle_cycles(&self, n: u64, r: u32) -> u64;
-
-    /// Minimum XNOR-queue capacity in bits (phase 2): `N·(R+1)` for n1a,
-    /// `R+1` for n1b, zero for n2/n3.
-    fn xnor_queue_bits(&self, n: u64, r: u32) -> u64;
-
-    /// Maximum reuse: 1, 1, `R`, `N·R`.
-    fn max_reuse(&self, n: u64, r: u32) -> u64;
-
-    /// Compute-array bits a tuple keeps resident.
-    fn resident_bits_per_tuple(&self, n: u64, r: u32) -> u64;
+        _scratch: &mut ComputeScratch,
+    ) -> i64 {
+        let s = view.sums();
+        debug_assert_eq!(
+            s.n,
+            count_u64(tuple.degree()),
+            "kernel handed the view of a different tuple"
+        );
+        if s.n == 0 {
+            return s.h;
+        }
+        let schedule = self.schedule(s.n, enc.bits(), count_u64(tile.cols()));
+        let (discharges, redundant) = self.discharges(&s, &schedule, target);
+        ctx.cycles += schedule.accesses;
+        ctx.rwl_bits_fetched += schedule.accesses;
+        ctx.xnor_ops += schedule.xnor_ops;
+        ctx.adder_bit_ops += schedule.adder_bit_ops;
+        ctx.decisions += schedule.decisions;
+        ctx.note_queue(schedule.queue_bits);
+        tile.book(&TileStats {
+            rwl_activations: 2 * schedule.accesses,
+            rbl_discharges: discharges,
+            redundant_discharges: redundant,
+            bits_written: schedule.resident_bits,
+            bits_read: 0,
+            compute_accesses: schedule.accesses,
+        });
+        s.h
+    }
 }
 
 /// Returns the implementation of a design.
@@ -185,6 +282,7 @@ pub fn stationarity(kind: DesignKind) -> &'static dyn Stationarity {
 }
 
 /// How many (R+1)-bit neighbor groups fit in one n3 row.
+#[inline]
 fn n3_groups_per_row(r: u32, row_bits: u64) -> u64 {
     (row_bits / (u64::from(r) + 1)).max(1)
 }
@@ -212,73 +310,32 @@ fn layout_spins(tile: &mut SramTile, tuple: &SpinTuple) {
         .expect("tile sized by tile_requirements");
 }
 
-/// The tuple's maintained sums, read in O(1) from `view`.
-fn sums_of(tuple: &SpinTuple, view: TuplePlaneView<'_>) -> TupleSums {
-    let s = view.sums();
-    debug_assert_eq!(
-        s.n,
-        count_u64(tuple.degree()),
-        "kernel handed the view of a different tuple"
-    );
-    s
-}
-
-/// One tuple's closed-form events: what the design's scalar schedule
-/// books on its tile.
-#[derive(Debug, Clone, Copy)]
-struct Ledger {
-    /// Single-cycle compute accesses; each fetches one RWL bit and pulses
-    /// two word-lines (the stored row and its complement).
-    accesses: u64,
-    /// Useful XNOR bit computations.
-    xnor_ops: u64,
-    /// Bit-line discharges, useful and redundant.
-    discharges: u64,
-    /// Discharges on columns that were not sensed.
-    redundant: u64,
-    /// Layout bits written through the write port.
-    bits_written: u64,
-}
-
-impl Ledger {
-    /// Books the events into `ctx` and `tile`, together with the adder
-    /// and decision work of the tuple's `n` products at resolution `r`,
-    /// and returns `H_σ`.
-    fn book(self, s: &TupleSums, r: u32, ctx: &mut ComputeContext, tile: &mut SramTile) -> i64 {
-        ctx.cycles += self.accesses;
-        ctx.rwl_bits_fetched += self.accesses;
-        ctx.xnor_ops += self.xnor_ops;
-        ctx.adder_bit_ops += s.n * (u64::from(r) + 2);
-        ctx.decisions += s.n;
-        tile.book(&TileStats {
-            rwl_activations: 2 * self.accesses,
-            rbl_discharges: self.discharges,
-            redundant_discharges: self.redundant,
-            bits_written: self.bits_written,
-            bits_read: 0,
-            compute_accesses: self.accesses,
-        });
-        s.h
-    }
-}
-
-/// The n1a/n1b ledger. The spin row is written once (`n` bits), then
-/// each of the `nR` coupling bits drives the row's RWL pair while one
-/// column is sensed. A driven 1 discharges the `P` stored up-spins and a
-/// driven 0 the `n − P` down-spins, so `P·C1 + (n−P)·(nR−C1)` bit-lines
-/// discharge; the `U` sensed columns that discharge are useful, the rest
-/// redundant. The two designs issue the same multiset of accesses in
-/// different orders, so only their queue notes differ.
-fn n1_ledger(s: &TupleSums, r: u32) -> Ledger {
-    let nr = s.n * u64::from(r);
-    let discharges = s.up * s.ones + (s.n - s.up) * (nr - s.ones);
-    Ledger {
+/// The schedule both n1 designs share: the spin row (`n` bits) is
+/// resident, and each of the `nR` coupling bits is one access that
+/// drives the row's RWL pair while one column is sensed. The two designs
+/// issue the same multiset of accesses in different orders, so only
+/// their queue and idle time differ.
+#[inline]
+fn n1_schedule(n: u64, r: u32) -> TupleSchedule {
+    let nr = n * u64::from(r);
+    TupleSchedule {
         accesses: nr,
         xnor_ops: nr,
-        discharges,
-        redundant: discharges - s.matches,
-        bits_written: s.n,
+        resident_bits: n,
+        active_bits_per_access: n,
+        max_reuse: 1,
+        ..TupleSchedule::of_products(n, r)
     }
+}
+
+/// The n1 discharges. A driven 1 discharges the `P` stored up-spins and a
+/// driven 0 the `n − P` down-spins, so `P·C1 + (n−P)·(nR−C1)` bit-lines
+/// discharge; the `U` sensed columns that discharge are useful, the rest
+/// redundant.
+#[inline]
+fn n1_discharges(s: &TupleSums, schedule: &TupleSchedule) -> (u64, u64) {
+    let discharges = s.up * s.ones + (s.n - s.up) * (schedule.accesses - s.ones);
+    (discharges, discharges - s.matches)
 }
 
 /// SACHI(n1a): spin stationary, bit-major XNOR order (Fig. 11a.1).
@@ -347,45 +404,21 @@ impl Stationarity for SpinStationaryBitMajor {
         finish_from_products(products, tuple.field, r, ctx)
     }
 
-    fn compute_tuple_soa(
-        &self,
-        tile: &mut SramTile,
-        enc: &MixedEncoding,
-        tuple: &SpinTuple,
-        view: TuplePlaneView<'_>,
-        _target: Spin,
-        ctx: &mut ComputeContext,
-        _scratch: &mut ComputeScratch,
-    ) -> i64 {
-        let s = sums_of(tuple, view);
-        if s.n == 0 {
-            return s.h;
+    #[inline]
+    fn schedule(&self, n: u64, r: u32, _row_bits: u64) -> TupleSchedule {
+        // Bit-major: the queue must hold every neighbor's partial bits at
+        // once (N·(R+1), Sec. IV.D.1), and phase 3 first activates after
+        // (R−1)·N + 1 cycles (none without neighbors).
+        TupleSchedule {
+            queue_bits: n * (u64::from(r) + 1),
+            idle_cycles: (u64::from(r) - 1) * n + n.min(1),
+            ..n1_schedule(n, r)
         }
-        ctx.note_queue(s.n * (u64::from(enc.bits()) + 1));
-        n1_ledger(&s, enc.bits()).book(&s, enc.bits(), ctx, tile)
     }
 
-    fn phase1_cycles(&self, n: u64, r: u32, _row_bits: u64) -> u64 {
-        n * u64::from(r)
-    }
-
-    fn idle_cycles(&self, n: u64, r: u32) -> u64 {
-        if n == 0 {
-            return 0;
-        }
-        (u64::from(r) - 1) * n + 1
-    }
-
-    fn xnor_queue_bits(&self, n: u64, r: u32) -> u64 {
-        n * (u64::from(r) + 1)
-    }
-
-    fn max_reuse(&self, _n: u64, _r: u32) -> u64 {
-        1
-    }
-
-    fn resident_bits_per_tuple(&self, n: u64, _r: u32) -> u64 {
-        n
+    #[inline]
+    fn discharges(&self, s: &TupleSums, schedule: &TupleSchedule, _target: Spin) -> (u64, u64) {
+        n1_discharges(s, schedule)
     }
 }
 
@@ -446,42 +479,20 @@ impl Stationarity for SpinStationaryIcMajor {
         -acc
     }
 
-    fn compute_tuple_soa(
-        &self,
-        tile: &mut SramTile,
-        enc: &MixedEncoding,
-        tuple: &SpinTuple,
-        view: TuplePlaneView<'_>,
-        _target: Spin,
-        ctx: &mut ComputeContext,
-        _scratch: &mut ComputeScratch,
-    ) -> i64 {
-        let s = sums_of(tuple, view);
-        if s.n == 0 {
-            return s.h;
+    #[inline]
+    fn schedule(&self, n: u64, r: u32, _row_bits: u64) -> TupleSchedule {
+        // IC-major: the queue holds a single (R+1)-bit entry, and phase 3
+        // first activates after R cycles.
+        TupleSchedule {
+            queue_bits: u64::from(r) + 1,
+            idle_cycles: u64::from(r),
+            ..n1_schedule(n, r)
         }
-        ctx.note_queue(u64::from(enc.bits()) + 1);
-        n1_ledger(&s, enc.bits()).book(&s, enc.bits(), ctx, tile)
     }
 
-    fn phase1_cycles(&self, n: u64, r: u32, _row_bits: u64) -> u64 {
-        n * u64::from(r)
-    }
-
-    fn idle_cycles(&self, _n: u64, r: u32) -> u64 {
-        u64::from(r)
-    }
-
-    fn xnor_queue_bits(&self, _n: u64, r: u32) -> u64 {
-        u64::from(r) + 1
-    }
-
-    fn max_reuse(&self, _n: u64, _r: u32) -> u64 {
-        1
-    }
-
-    fn resident_bits_per_tuple(&self, n: u64, _r: u32) -> u64 {
-        n
+    #[inline]
+    fn discharges(&self, s: &TupleSums, schedule: &TupleSchedule, _target: Spin) -> (u64, u64) {
+        n1_discharges(s, schedule)
     }
 }
 
@@ -540,52 +551,29 @@ impl Stationarity for IcStationary {
         -acc
     }
 
-    fn compute_tuple_soa(
-        &self,
-        tile: &mut SramTile,
-        enc: &MixedEncoding,
-        tuple: &SpinTuple,
-        view: TuplePlaneView<'_>,
-        _target: Spin,
-        ctx: &mut ComputeContext,
-        _scratch: &mut ComputeScratch,
-    ) -> i64 {
-        let s = sums_of(tuple, view);
-        if s.n == 0 {
-            return s.h;
-        }
-        // One row per coupling (`nR` bits written). Each neighbour's spin
-        // drives its own row with all R columns sensed, so exactly the `U`
-        // coupling bits equal to that spin discharge, none redundantly.
-        let nr = s.n * u64::from(enc.bits());
-        Ledger {
-            accesses: s.n,
+    #[inline]
+    fn schedule(&self, n: u64, r: u32, _row_bits: u64) -> TupleSchedule {
+        // One row per coupling (`nR` bits resident); one access per
+        // neighbour, all R columns sensed. No queue; the decision and
+        // adder are shifted by a cycle each (Fig. 12).
+        let nr = n * u64::from(r);
+        TupleSchedule {
+            accesses: n,
             xnor_ops: nr,
-            discharges: s.matches,
-            redundant: 0,
-            bits_written: nr,
+            resident_bits: nr,
+            active_bits_per_access: u64::from(r),
+            idle_cycles: 2,
+            max_reuse: u64::from(r),
+            ..TupleSchedule::of_products(n, r)
         }
-        .book(&s, enc.bits(), ctx, tile)
     }
 
-    fn phase1_cycles(&self, n: u64, _r: u32, _row_bits: u64) -> u64 {
-        n.max(1)
-    }
-
-    fn idle_cycles(&self, _n: u64, _r: u32) -> u64 {
-        2 // decision + adder shifted by a cycle each (Fig. 12)
-    }
-
-    fn xnor_queue_bits(&self, _n: u64, _r: u32) -> u64 {
-        0
-    }
-
-    fn max_reuse(&self, _n: u64, r: u32) -> u64 {
-        u64::from(r)
-    }
-
-    fn resident_bits_per_tuple(&self, n: u64, r: u32) -> u64 {
-        n * u64::from(r)
+    #[inline]
+    fn discharges(&self, s: &TupleSums, _schedule: &TupleSchedule, _target: Spin) -> (u64, u64) {
+        // Each neighbour's spin drives its own row with all R columns
+        // sensed, so exactly the `U` coupling bits equal to that spin
+        // discharge, none redundantly.
+        (s.matches, 0)
     }
 }
 
@@ -677,68 +665,42 @@ impl Stationarity for MixedStationary {
         -acc
     }
 
-    fn compute_tuple_soa(
-        &self,
-        tile: &mut SramTile,
-        enc: &MixedEncoding,
-        tuple: &SpinTuple,
-        view: TuplePlaneView<'_>,
-        target: Spin,
-        ctx: &mut ComputeContext,
-        _scratch: &mut ComputeScratch,
-    ) -> i64 {
-        let s = sums_of(tuple, view);
-        if s.n == 0 {
-            return s.h;
+    #[inline]
+    fn schedule(&self, n: u64, r: u32, row_bits: u64) -> TupleSchedule {
+        // Every neighbour's (R+1)-bit group `[J bits, σ_j]` is resident;
+        // σ_i drives each occupied row with its whole used width sensed.
+        // A tuple whose groups fit one row (the common case) needs no
+        // division to count its rows. No queue; shift-add and decision
+        // skew the pipeline by two cycles (Fig. 13).
+        let width = n * (u64::from(r) + 1);
+        let rows = if width <= row_bits {
+            n.min(1)
+        } else {
+            n.div_ceil(n3_groups_per_row(r, row_bits))
+        };
+        TupleSchedule {
+            accesses: rows,
+            xnor_ops: width,
+            resident_bits: width,
+            active_bits_per_access: width.div_ceil(rows.max(1)),
+            idle_cycles: 2,
+            max_reuse: n * u64::from(r),
+            ..TupleSchedule::of_products(n, r)
         }
-        // Every neighbour's (R+1)-bit group `[J bits, σ_j]` is written
-        // (`n(R+1)` bits). σ_i drives each occupied row with the whole used
-        // width sensed, so every stored bit equal to σ_i discharges, and
-        // usefully: the `C1 + P` stored ones when σ_i is up, the other
-        // bits when it is down.
-        let width = s.n * (u64::from(enc.bits()) + 1);
+    }
+
+    #[inline]
+    fn discharges(&self, s: &TupleSums, schedule: &TupleSchedule, target: Spin) -> (u64, u64) {
+        // Every stored bit equal to σ_i discharges, and usefully: the
+        // `C1 + P` stored ones when σ_i is up, the other bits when it is
+        // down.
         let stored_ones = s.ones + s.up;
         let discharges = if target == Spin::Up {
             stored_ones
         } else {
-            width - stored_ones
+            schedule.xnor_ops - stored_ones
         };
-        // A tuple whose groups fit one row (the common case) needs no
-        // division to count its rows.
-        let cols = count_u64(tile.cols());
-        let rows = if width <= cols {
-            1
-        } else {
-            s.n.div_ceil(n3_groups_per_row(enc.bits(), cols))
-        };
-        Ledger {
-            accesses: rows,
-            xnor_ops: width,
-            discharges,
-            redundant: 0,
-            bits_written: width,
-        }
-        .book(&s, enc.bits(), ctx, tile)
-    }
-
-    fn phase1_cycles(&self, n: u64, r: u32, row_bits: u64) -> u64 {
-        n.max(1).div_ceil(n3_groups_per_row(r, row_bits))
-    }
-
-    fn idle_cycles(&self, _n: u64, _r: u32) -> u64 {
-        2 // shift-add + decision pipeline skew (Fig. 13)
-    }
-
-    fn xnor_queue_bits(&self, _n: u64, _r: u32) -> u64 {
-        0
-    }
-
-    fn max_reuse(&self, n: u64, r: u32) -> u64 {
-        n * u64::from(r)
-    }
-
-    fn resident_bits_per_tuple(&self, n: u64, r: u32) -> u64 {
-        n * (u64::from(r) + 1)
+        (discharges, 0)
     }
 }
 
@@ -850,14 +812,19 @@ mod tests {
         }
     }
 
+    /// A design's schedule on the paper's 800-bit rows.
+    fn sched(kind: DesignKind, n: u64, r: u32) -> TupleSchedule {
+        stationarity(kind).schedule(n, r, 800)
+    }
+
     #[test]
     fn reuse_ordering_matches_paper() {
         // n1a = n1b = 1 < n2 = R < n3 = N*R.
         let (n, r) = (8u64, 4u32);
-        assert_eq!(stationarity(DesignKind::N1a).max_reuse(n, r), 1);
-        assert_eq!(stationarity(DesignKind::N1b).max_reuse(n, r), 1);
-        assert_eq!(stationarity(DesignKind::N2).max_reuse(n, r), 4);
-        assert_eq!(stationarity(DesignKind::N3).max_reuse(n, r), 32);
+        assert_eq!(sched(DesignKind::N1a, n, r).max_reuse, 1);
+        assert_eq!(sched(DesignKind::N1b, n, r).max_reuse, 1);
+        assert_eq!(sched(DesignKind::N2, n, r).max_reuse, 4);
+        assert_eq!(sched(DesignKind::N3, n, r).max_reuse, 32);
     }
 
     #[test]
@@ -873,7 +840,7 @@ mod tests {
             let mut ctx = ComputeContext::new();
             // Center spin: full 8-neighbor tuple.
             design.compute_tuple(&mut tile, &enc, store.tuple(5), spins.get(5), &mut ctx);
-            let expected = design.max_reuse(store.tuple(5).degree() as u64, 4) as f64;
+            let expected = sched(kind, store.tuple(5).degree() as u64, 4).max_reuse as f64;
             let measured = ctx.reuse();
             assert!(
                 (measured - expected).abs() / expected < 0.35,
@@ -884,21 +851,79 @@ mod tests {
 
     #[test]
     fn schedule_formulas_match_figs_11_to_13() {
-        let (n, r, row) = (8u64, 4u32, 800u64);
+        let (n, r) = (8u64, 4u32);
         // Phase-1 cycles: N*R, N*R, N, ceil(N / groups-per-row).
-        assert_eq!(stationarity(DesignKind::N1a).phase1_cycles(n, r, row), 32);
-        assert_eq!(stationarity(DesignKind::N1b).phase1_cycles(n, r, row), 32);
-        assert_eq!(stationarity(DesignKind::N2).phase1_cycles(n, r, row), 8);
-        assert_eq!(stationarity(DesignKind::N3).phase1_cycles(n, r, row), 1);
+        assert_eq!(sched(DesignKind::N1a, n, r).accesses, 32);
+        assert_eq!(sched(DesignKind::N1b, n, r).accesses, 32);
+        assert_eq!(sched(DesignKind::N2, n, r).accesses, 8);
+        assert_eq!(sched(DesignKind::N3, n, r).accesses, 1);
         // Idle: (R-1)*N + 1 vs R vs pipeline skew.
-        assert_eq!(stationarity(DesignKind::N1a).idle_cycles(n, r), 25);
-        assert_eq!(stationarity(DesignKind::N1b).idle_cycles(n, r), 4);
-        assert!(stationarity(DesignKind::N2).idle_cycles(n, r) <= 2);
+        assert_eq!(sched(DesignKind::N1a, n, r).idle_cycles, 25);
+        assert_eq!(sched(DesignKind::N1b, n, r).idle_cycles, 4);
+        assert!(sched(DesignKind::N2, n, r).idle_cycles <= 2);
         // Queue: N*(R+1) vs R+1 vs none.
-        assert_eq!(stationarity(DesignKind::N1a).xnor_queue_bits(n, r), 40);
-        assert_eq!(stationarity(DesignKind::N1b).xnor_queue_bits(n, r), 5);
-        assert_eq!(stationarity(DesignKind::N2).xnor_queue_bits(n, r), 0);
-        assert_eq!(stationarity(DesignKind::N3).xnor_queue_bits(n, r), 0);
+        assert_eq!(sched(DesignKind::N1a, n, r).queue_bits, 40);
+        assert_eq!(sched(DesignKind::N1b, n, r).queue_bits, 5);
+        assert_eq!(sched(DesignKind::N2, n, r).queue_bits, 0);
+        assert_eq!(sched(DesignKind::N3, n, r).queue_bits, 0);
+    }
+
+    #[test]
+    fn a_tuple_without_neighbors_schedules_no_accesses() {
+        for kind in DesignKind::ALL {
+            let s = sched(kind, 0, 4);
+            assert_eq!(s.accesses, 0, "{kind}");
+            assert_eq!(s.resident_bits, 0, "{kind}");
+            assert_eq!(s.adder_bit_ops + s.decisions, 0, "{kind}");
+        }
+    }
+
+    #[test]
+    fn fig11f_idle_times() {
+        // 4x3-image example of Fig. 11: N = 2 neighbors shown per tuple
+        // at R = 3 (take N = 2, R = 3).
+        let n1a = sched(DesignKind::N1a, 2, 3);
+        let n1b = sched(DesignKind::N1b, 2, 3);
+        // n1a waits (R-1)*N + 1 cycles; n1b only R.
+        assert_eq!(n1a.idle_cycles, 5);
+        assert_eq!(n1b.idle_cycles, 3);
+        assert!(n1b.idle_cycles < n1a.idle_cycles);
+        // Queue: N*(R+1) = 8 bits vs a single R+1 = 4-bit entry.
+        assert_eq!(n1a.queue_bits, 8);
+        assert_eq!(n1b.queue_bits, 4);
+    }
+
+    #[test]
+    fn throughput_ladder() {
+        let (n, r) = (8u64, 4u32);
+        let t = |k| sched(k, n, r).throughput_bits_per_cycle();
+        assert_eq!(t(DesignKind::N1a), 1);
+        assert_eq!(t(DesignKind::N1b), 1);
+        assert_eq!(t(DesignKind::N2), 4);
+        // n3 reads the whole tuple in one cycle: N*(R+1) = 40 bits/cycle.
+        assert_eq!(t(DesignKind::N3), 40);
+    }
+
+    #[test]
+    fn n3_latency_independent_of_n_and_r_when_row_fits() {
+        // O(1) compute (Sec. IV.D.4): latency is flat while the tuple fits
+        // in one row.
+        let a = sched(DesignKind::N3, 8, 4);
+        let b = sched(DesignKind::N3, 100, 7);
+        assert_eq!(a.accesses, 1);
+        assert_eq!(b.accesses, 1);
+        assert_eq!(a.latency_cycles(), b.latency_cycles());
+        // ... and grows only via row splits beyond that.
+        assert_eq!(sched(DesignKind::N3, 999, 4).accesses, 7);
+    }
+
+    #[test]
+    fn per_tuple_latency_ordering_matches_paper() {
+        let (n, r) = (48u64, 6u32);
+        let lat = |k| sched(k, n, r).latency_cycles();
+        assert!(lat(DesignKind::N3) < lat(DesignKind::N2));
+        assert!(lat(DesignKind::N2) < lat(DesignKind::N1b));
+        assert!(lat(DesignKind::N1b) <= lat(DesignKind::N1a));
     }
 
     #[test]
@@ -906,7 +931,7 @@ mod tests {
         // TSP-like: N = 999, R = 4, 800-bit rows -> 160 groups per row ->
         // 7 rows.
         let d = stationarity(DesignKind::N3);
-        assert_eq!(d.phase1_cycles(999, 4, 800), 7);
+        assert_eq!(d.schedule(999, 4, 800).accesses, 7);
         let (rows, cols) = d.tile_requirements(999, 4, 800);
         assert_eq!(rows, 7);
         assert!(cols <= 800);
@@ -942,10 +967,10 @@ mod tests {
             assert_eq!(d.kind(), kind);
         }
         let (n, r) = (8u64, 4u32);
-        let f = |k| stationarity(k).resident_bits_per_tuple(n, r);
+        let f = |k| sched(k, n, r).resident_bits;
         assert!(f(DesignKind::N1a) < f(DesignKind::N2));
         assert!(f(DesignKind::N2) < f(DesignKind::N3));
-        let d = |k| stationarity(k).phase1_cycles(n, r, 800);
+        let d = |k| sched(k, n, r).accesses;
         assert!(d(DesignKind::N3) < d(DesignKind::N2));
         assert!(d(DesignKind::N2) < d(DesignKind::N1a));
     }

@@ -14,8 +14,8 @@
 //!   (Sec. IV.D, Figs. 11–13): a bit-level scalar oracle that computes
 //!   through a real SRAM tile, and the production kernel that computes
 //!   `H_σ` arithmetically and books the oracle's tile events in closed
-//!   form;
-//! * [`phases`] — the five-phase pipeline timing (Fig. 11f);
+//!   form, both stating each design's per-tuple closed forms once as a
+//!   [`designs::TupleSchedule`] (including the Fig. 11f pipeline timing);
 //! * [`rounds`] — [`rounds::RoundPlan`], the one cost model of a sweep's
 //!   compute-array rounds (partition, compute, load, overlap) and the
 //!   energy price list, which the machine bills and the closed-form model
@@ -60,7 +60,6 @@ pub mod isa;
 pub mod machine;
 pub mod multicore;
 pub mod perf;
-pub mod phases;
 pub mod rounds;
 pub mod runtime;
 pub mod serve;
@@ -69,7 +68,9 @@ pub mod tuple;
 /// Convenient glob-import of the crate's main types.
 pub mod prelude {
     pub use crate::config::{DesignKind, FaultProfile, SachiConfig};
-    pub use crate::designs::{stationarity, ComputeContext, ComputeScratch, Stationarity};
+    pub use crate::designs::{
+        stationarity, ComputeContext, ComputeScratch, Stationarity, TupleSchedule,
+    };
     pub use crate::encoding::MixedEncoding;
     pub use crate::ensemble::{EnsembleReport, ReplicaLedger, ReportingMachine};
     pub use crate::error::{SachiError, ServerReason};
@@ -77,7 +78,6 @@ pub mod prelude {
     pub use crate::machine::{FaultReport, RunReport, SachiMachine};
     pub use crate::multicore::{MulticoreEstimate, MulticoreModel, Partition};
     pub use crate::perf::{IterationEstimate, PerfModel, SolveEstimate};
-    pub use crate::phases::PhaseSchedule;
     pub use crate::rounds::RoundPlan;
     pub use crate::runtime::{Launch, ProblemHandle, SachiContext};
     pub use crate::serve::{

@@ -11,9 +11,9 @@
 //! (the licence for using the model at scale — verification strategy #3
 //! in DESIGN.md).
 
-use crate::config::{DesignKind, SachiConfig};
-use crate::designs::stationarity;
-use crate::rounds::{tuple_cycles, ComputeEvents, RoundPlan};
+use crate::config::SachiConfig;
+use crate::designs::{stationarity, TupleSchedule};
+use crate::rounds::{ComputeEvents, RoundPlan};
 use sachi_mem::energy::EnergyLedger;
 use sachi_mem::units::convert::{approx_f64, count_u64, scale_by_fraction};
 use sachi_mem::units::{Cycles, Nanoseconds};
@@ -79,7 +79,6 @@ impl PerfModel {
     /// Estimates one steady sweep of the given shape.
     pub fn iteration(&self, shape: &WorkloadShape) -> IterationEstimate {
         let plan = RoundPlan::uniform(&self.config, shape);
-        let (n, r) = (shape.neighbors_per_spin, shape.resolution_bits);
         IterationEstimate {
             compute_cycles: plan.sweep_compute(),
             load_cycles: plan.sweep_load(1),
@@ -88,8 +87,18 @@ impl PerfModel {
             fits_in_compute: plan.rounds_per_sweep == 1,
             uses_dram: plan.uses_dram,
             energy: self.sweep_energy(&plan, shape, 1),
-            reuse: stationarity(self.config.design).max_reuse(n, r),
+            reuse: self.schedule(shape).max_reuse,
         }
+    }
+
+    /// The configured design's schedule of one tuple of `shape`.
+    fn schedule(&self, shape: &WorkloadShape) -> TupleSchedule {
+        let row_bits = count_u64(self.config.hierarchy.compute.row_bits());
+        stationarity(self.config.design).schedule(
+            shape.neighbors_per_spin,
+            shape.resolution_bits,
+            row_bits,
+        )
     }
 
     /// Estimates a whole solve of `iterations` sweeps (at least one),
@@ -113,29 +122,23 @@ impl PerfModel {
         }
     }
 
-    /// Energy of sweep `sweep` of `shape`: the shape's compute events,
-    /// the plan's loads, and the update path at the assumed flip rate.
+    /// Energy of sweep `sweep` of `shape`: every tuple's scheduled
+    /// compute events, the plan's loads, and the update path at the
+    /// assumed flip rate.
     fn sweep_energy(&self, plan: &RoundPlan, shape: &WorkloadShape, sweep: u64) -> EnergyLedger {
-        let (spins, n, r) = (shape.spins, shape.neighbors_per_spin, shape.resolution_bits);
-        let row_bits = count_u64(self.config.hierarchy.compute.row_bits());
-        // Each access drives one RWL bit.
-        let per_tuple = tuple_cycles(self.config.design, n, r, row_bits);
-        let accesses = spins * per_tuple;
-        // Expected discharges: half of the active window per access.
-        let active_bits_per_access = match self.config.design {
-            DesignKind::N1a | DesignKind::N1b => n,
-            DesignKind::N2 => u64::from(r),
-            DesignKind::N3 => (n * (u64::from(r) + 1)).div_ceil(per_tuple.max(1)),
-        };
+        let (spins, n) = (shape.spins, shape.neighbors_per_spin);
+        let tuple = self.schedule(shape);
+        let accesses = spins * tuple.accesses;
         let mut energy = EnergyLedger::new();
         plan.bill_compute(
             &mut energy,
             &ComputeEvents {
                 rwl_activations: 2 * accesses,
-                rbl_discharges: approx_f64(accesses * active_bits_per_access) * 0.5,
+                // Expected discharges: half of the active window per access.
+                rbl_discharges: approx_f64(accesses * tuple.active_bits_per_access) * 0.5,
                 fetched_bits: accesses,
-                adder_bit_ops: spins * n * (u64::from(r) + 2),
-                decisions: spins * n,
+                adder_bit_ops: spins * tuple.adder_bit_ops,
+                decisions: spins * tuple.decisions,
                 annealer_decisions: spins,
             },
         );
@@ -150,6 +153,7 @@ impl PerfModel {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::DesignKind;
     use crate::machine::SachiMachine;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -220,10 +224,12 @@ mod tests {
             let expected_load = if est.rounds > 1 {
                 est.load_cycles.get() * report.sweeps
             } else {
+                let row_bits = small.compute.row_bits() as u64;
                 let resident = stationarity(design)
-                    .resident_bits_per_tuple(shape.neighbors_per_spin, shape.resolution_bits)
+                    .schedule(shape.neighbors_per_spin, shape.resolution_bits, row_bits)
+                    .resident_bits
                     .max(1);
-                let rows = (shape.spins * resident).div_ceil(small.compute.row_bits() as u64);
+                let rows = (shape.spins * resident).div_ceil(row_bits);
                 tech.storage_to_compute_cycles().get() + rows
             };
             assert_eq!(
@@ -277,10 +283,12 @@ mod tests {
                 let expected_load = if est.rounds > 1 {
                     est.load_cycles.get() * report.sweeps
                 } else {
+                    let row_bits = small.compute.row_bits() as u64;
                     let resident = stationarity(design)
-                        .resident_bits_per_tuple(shape.neighbors_per_spin, shape.resolution_bits)
+                        .schedule(shape.neighbors_per_spin, shape.resolution_bits, row_bits)
+                        .resident_bits
                         .max(1);
-                    let rows = (shape.spins * resident).div_ceil(small.compute.row_bits() as u64);
+                    let rows = (shape.spins * resident).div_ceil(row_bits);
                     config_tech_storage_cycles + rows.div_ceil(banks as u64)
                 };
                 assert_eq!(

@@ -2,13 +2,16 @@
 //!
 //! A sweep streams its tuples through the compute array in *rounds*:
 //! runs of consecutive tuples packed greedily by resident bits (at least
-//! one per tuple) up to the array's capacity. A round computes
-//! tile-parallel — SACHI(n1a) fills tiles blockwise (Fig. 17(iii)'s
-//! imbalance), the others interleave — for its busiest tile's phase-1
-//! cycles ([`tuple_cycles`]) plus one `idle + 3` pipeline fill at the
-//! problem's largest degree. Loading it costs the storage→compute latency
-//! plus `⌈rows/B⌉` for `B` banks, plus its DRAM stream when the problem
-//! overflows the storage array and the Sec. IV.A prefetcher is off.
+//! one per tuple) up to the array's capacity. Every per-tuple figure
+//! here is read from the tuple's [`crate::designs::TupleSchedule`], the
+//! one the kernel books. A round computes tile-parallel — SACHI(n1a)
+//! fills tiles blockwise (Fig. 17(iii)'s imbalance), the others
+//! interleave — for its busiest tile's phase-1 cycles ([`tuple_cycles`],
+//! the schedule's accesses) plus one pipeline fill (the schedule's
+//! `idle + 3`) at the problem's largest degree. Loading it costs the
+//! storage→compute latency plus `⌈rows/B⌉` for `B` banks, plus its DRAM
+//! stream when the problem overflows the storage array and the Sec. IV.A
+//! prefetcher is off.
 //! Sweep 0 loads every round, later sweeps only a multi-round problem.
 //! Sweep 0's first round runs serialized; every other round overlaps
 //! load and compute (`max`) with the prefetcher and adds them without.
@@ -37,13 +40,10 @@ use sachi_workloads::spec::WorkloadShape;
 use std::ops::Range;
 
 /// Phase-1 cycles `design`'s kernel books for a tuple of `n` neighbors
-/// at resolution `r` on `row_bits`-wide rows: the design's closed form,
-/// except that a tuple without neighbors computes nothing.
+/// at resolution `r` on `row_bits`-wide rows: its schedule's accesses
+/// (none without neighbors).
 pub fn tuple_cycles(design: DesignKind, n: u64, r: u32, row_bits: u64) -> u64 {
-    if n == 0 {
-        return 0;
-    }
-    stationarity(design).phase1_cycles(n, r, row_bits)
+    stationarity(design).schedule(n, r, row_bits).accesses
 }
 
 /// Compute events of one or more sweeps, as the compute price reads them.
@@ -107,6 +107,7 @@ impl RoundPlan {
         let compute = config.hierarchy.compute;
         let degree = max_degree.max(1);
         let (rows, cols) = design.tile_requirements(to_index(degree), r, compute.row_bits());
+        let widest = design.schedule(degree, r, count_u64(compute.row_bits()));
         let bytes = Bits::new(storage_bits).to_bytes_ceil();
         RoundPlan {
             runs: Vec::new(),
@@ -116,7 +117,7 @@ impl RoundPlan {
             placement: config.tech.dram_stream_cycles(bytes),
             tile_params: TileParams::new(rows, cols).with_banks(config.bank_count),
             tiles: count_u64(compute.tiles()).max(1),
-            fill: design.idle_cycles(degree, r) + 3,
+            fill: widest.fill_cycles(),
             config: config.clone(),
             tuple_cycles: Vec::new(),
         }
@@ -149,20 +150,19 @@ impl RoundPlan {
         let storage = degrees.iter().map(|&n| SpinTuple::storage_bits(n, r) + n);
         let max_degree = degrees.iter().copied().max().unwrap_or(0);
         let mut plan = Self::empty(config, r, max_degree, storage.sum());
-        let row_bits = plan.row_bits();
-        plan.tuple_cycles = degrees
-            .iter()
-            .map(|&n| tuple_cycles(config.design, n, r, row_bits))
-            .collect();
+        let (design, row_bits) = (stationarity(config.design), plan.row_bits());
+        plan.tuple_cycles = Vec::with_capacity(degrees.len());
         let capacity = config.hierarchy.compute.total_bits().get();
         let (mut round, mut first, mut used) = (Round::default(), 0usize, 0u64);
         for (i, &n) in degrees.iter().enumerate() {
-            let resident = stationarity(config.design).resident_bits_per_tuple(n, r);
+            let schedule = design.schedule(n, r, row_bits);
+            let resident = schedule.resident_bits;
             if round.tuples > 0 && used + resident.max(1) > capacity {
                 let compute = plan.partial_compute(first..i, i - first);
                 plan.push(std::mem::take(&mut round), compute, 1);
                 (first, used) = (i, 0);
             }
+            plan.tuple_cycles.push(schedule.accesses);
             used += resident.max(1);
             round.tuples += 1;
             round.resident_bits += resident;
@@ -180,8 +180,8 @@ impl RoundPlan {
         let (spins, n, r) = (shape.spins, shape.neighbors_per_spin, shape.resolution_bits);
         let tuple_storage = SpinTuple::storage_bits(n, r);
         let mut plan = Self::empty(config, r, n, spins * (tuple_storage + n));
-        let per_tuple = tuple_cycles(config.design, n, r, plan.row_bits());
-        let resident = stationarity(config.design).resident_bits_per_tuple(n, r);
+        let schedule = stationarity(config.design).schedule(n, r, plan.row_bits());
+        let (per_tuple, resident) = (schedule.accesses, schedule.resident_bits);
         let bits = config.hierarchy.compute.total_bits().get();
         let capacity = bits.checked_div(resident.max(1)).unwrap_or(1).max(1);
         let full = spins.checked_div(capacity).unwrap_or(0);
@@ -524,7 +524,9 @@ mod tests {
             plan.partial_compute(spins.clone(), spins.len()),
             round.compute
         );
-        let fill = stationarity(DesignKind::N1a).idle_cycles(5, 4) + 3;
+        let fill = stationarity(DesignKind::N1a)
+            .schedule(5, 4, 800)
+            .fill_cycles();
         assert_eq!(
             plan.partial_compute(spins.clone(), 1),
             Cycles::new(2 * 4 + fill)

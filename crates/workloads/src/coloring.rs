@@ -130,6 +130,38 @@ impl ColoringInstance {
     }
 }
 
+/// The one-hot k-coloring QUBO over `n` vertices and `edges`: spin
+/// `v·k + c` reads "vertex v has color c". Each vertex pays
+/// `one_hot_weight·(Σ_c x_{v,c} − 1)²` and each edge
+/// `conflict_weight·x_{u,c}·x_{v,c}` per color, so with positive weights
+/// the QUBO is zero exactly on proper colorings. [`ColoringWorkload`] and
+/// [`crate::lucas::coloring`] both encode through it.
+///
+/// # Errors
+///
+/// Returns [`EncodeError::CoefficientOverflow`] when a weight pushes an
+/// accumulated coupling or field out of the `i32` range.
+pub(crate) fn one_hot_coloring(
+    n: usize,
+    k: usize,
+    edges: &[(usize, usize)],
+    one_hot_weight: i64,
+    conflict_weight: i64,
+) -> Result<QuboProblem, EncodeError> {
+    let idx = |v: usize, c: usize| v.saturating_mul(k).saturating_add(c);
+    let mut q = QuboBuilder::new(n.saturating_mul(k));
+    for v in 0..n {
+        let block: Vec<usize> = (0..k).map(|c| idx(v, c)).collect();
+        q.exactly_k_penalty(&block, 1, one_hot_weight);
+    }
+    for &(u, v) in edges {
+        for c in 0..k {
+            q.quadratic(idx(u, c), idx(v, c), conflict_weight);
+        }
+    }
+    q.build()
+}
+
 /// A k-coloring instance encoded as an Ising problem (`n·k` one-hot
 /// spins, vertex-major).
 #[derive(Debug, Clone)]
@@ -175,20 +207,13 @@ impl ColoringWorkload {
             one_hot_weight > 0 && conflict_weight > 0,
             "penalty weights must be positive"
         );
-        let n = instance.num_vertices();
-        let k = instance.num_colors();
-        let idx = |v: usize, c: usize| v.saturating_mul(k).saturating_add(c);
-        let mut q = QuboBuilder::new(n.saturating_mul(k));
-        for v in 0..n {
-            let block: Vec<usize> = (0..k).map(|c| idx(v, c)).collect();
-            q.exactly_k_penalty(&block, 1, one_hot_weight);
-        }
-        for &(u, v) in instance.edges() {
-            for c in 0..k {
-                q.quadratic(idx(u, c), idx(v, c), conflict_weight);
-            }
-        }
-        let problem = q.build()?;
+        let problem = one_hot_coloring(
+            instance.num_vertices(),
+            instance.num_colors(),
+            instance.edges(),
+            one_hot_weight,
+            conflict_weight,
+        )?;
         Ok(ColoringWorkload {
             name: name.into(),
             instance,

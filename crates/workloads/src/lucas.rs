@@ -7,6 +7,7 @@
 //! decoder plus a validity/quality check, so any Ising machine in the
 //! workspace can solve it and be scored exactly.
 
+use crate::coloring::one_hot_coloring;
 use crate::encode::EncodeError;
 use crate::qubo::{QuboBuilder, QuboProblem};
 use sachi_ising::spin::SpinVector;
@@ -126,8 +127,10 @@ pub fn is_vertex_cover(input: &InputGraph, selected: &[bool]) -> bool {
         .all(|&(u, v)| selected[u] || selected[v])
 }
 
-/// Graph k-coloring: one-hot spins `x_{v,c}` ("vertex v has color c").
-/// The QUBO is zero exactly on proper colorings.
+/// Graph k-coloring: one-hot spins `x_{v,c}` ("vertex v has color c"),
+/// encoded by the coloring family's one-hot encoder (the one
+/// [`crate::coloring::ColoringWorkload`] uses) with both penalty weights
+/// at 1. The QUBO is zero exactly on proper colorings.
 ///
 /// # Errors
 ///
@@ -138,21 +141,7 @@ pub fn is_vertex_cover(input: &InputGraph, selected: &[bool]) -> bool {
 /// Panics if `k == 0`.
 pub fn coloring(input: &InputGraph, k: usize) -> Result<QuboProblem, EncodeError> {
     assert!(k > 0, "need at least one color");
-    let n = input.num_vertices();
-    let idx = |v: usize, c: usize| v * k + c;
-    let mut q = QuboBuilder::new(n * k);
-    // Each vertex takes exactly one color.
-    for v in 0..n {
-        let vars: Vec<usize> = (0..k).map(|c| idx(v, c)).collect();
-        q.exactly_k_penalty(&vars, 1, 1);
-    }
-    // Adjacent vertices may not share a color.
-    for &(u, v) in input.edges() {
-        for c in 0..k {
-            q.quadratic(idx(u, c), idx(v, c), 1);
-        }
-    }
-    q.build()
+    one_hot_coloring(input.num_vertices(), k, input.edges(), 1, 1)
 }
 
 /// Decodes a coloring assignment: `Some(colors)` if it is a proper

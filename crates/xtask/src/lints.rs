@@ -120,9 +120,13 @@ const SCOPES: &[(&str, &[&str])] = &[
     ("hot-path", HOT_PATH_SCOPE),
 ];
 
-/// Function-name prefixes that mark a body as per-sweep hot path.
+/// Function-name prefixes that mark a body as per-sweep hot path. A
+/// design's `schedule` and `discharges` run once per tuple compute, inside
+/// the kernel that calls them.
 const HOT_PATH_FN_PREFIXES: &[&str] = &[
     "compute_",
+    "schedule",
+    "discharges",
     "upload_",
     "writeback_",
     "accept",

@@ -19,7 +19,8 @@
 //! `cargo test --release --test build_identity -- --ignored --nocapture`.
 
 use sachi::prelude::CopKind;
-use sachi_bench::identity::{digest_of, family, golden_rows};
+use sachi::workloads::lucas::{coloring, InputGraph};
+use sachi_bench::identity::{digest_of, family, golden_rows, qubo_digest};
 
 /// Seeds every family is built at.
 const SEEDS: std::ops::Range<u64> = 0..8;
@@ -83,5 +84,32 @@ fn every_built_graph_matches_the_pinned_table() {
 fn print_table() {
     for (f, size, seed) in shapes() {
         println!("{f} {size} {seed} {:016x}", digest_of(f, size, seed));
+    }
+}
+
+/// `lucas::coloring` encodes through the coloring family's one-hot
+/// encoder at A = B = 1. Its QUBOs keep the digests (seeded by `k`) they
+/// had when it built them with its own copy of that encoder.
+#[test]
+fn lucas_coloring_matches_its_pinned_digests() {
+    const PINNED: [(&str, usize, u64); 9] = [
+        ("cycle(8)", 2, 0x10d8_0d4c_7512_7e4d),
+        ("cycle(8)", 3, 0x3b79_d178_6176_9f42),
+        ("cycle(8)", 4, 0x5e3f_2d84_10a4_deaa),
+        ("petersen()", 2, 0x54d2_9831_e823_65ba),
+        ("petersen()", 3, 0x1fcb_5c5e_460f_18f3),
+        ("petersen()", 4, 0x4b30_e94d_d266_e1a2),
+        ("complete(5)", 2, 0x7304_f9b3_a2b2_837c),
+        ("complete(5)", 3, 0xaa7c_815d_20e4_71a6),
+        ("complete(5)", 4, 0x365d_9be3_e0c9_9a9c),
+    ];
+    for (name, k, want) in PINNED {
+        let input = match name {
+            "cycle(8)" => InputGraph::cycle(8),
+            "petersen()" => InputGraph::petersen(),
+            _ => InputGraph::complete(5),
+        };
+        let qubo = coloring(&input, k).expect("small colorings encode");
+        assert_eq!(qubo_digest(&qubo, k as u64), want, "{name} at k = {k}");
     }
 }

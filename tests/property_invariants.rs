@@ -50,7 +50,8 @@ proptest! {
 
         let n = graph.max_degree() as u64;
         let r = report.resolution_bits;
-        let bound = stationarity(design).max_reuse(n, r) as f64;
+        let row_bits = SachiConfig::new(design).hierarchy.compute.row_bits() as u64;
+        let bound = stationarity(design).schedule(n, r, row_bits).max_reuse as f64;
         prop_assert!(report.reuse > 0.0 && report.reuse <= bound + 1e-9,
             "reuse {} outside (0, {}]", report.reuse, bound);
         prop_assert!(report.energy.total().get().is_finite());

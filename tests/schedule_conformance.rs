@@ -14,23 +14,12 @@ fn n1a_closed_forms() {
     let d = stationarity(DesignKind::N1a);
     for n in NS {
         for r in RS {
-            assert_eq!(
-                d.phase1_cycles(n, r, ROW_BITS),
-                n * r as u64,
-                "phase1 N={n} R={r}"
-            );
-            assert_eq!(
-                d.idle_cycles(n, r),
-                (r as u64 - 1) * n + 1,
-                "idle N={n} R={r}"
-            );
-            assert_eq!(
-                d.xnor_queue_bits(n, r),
-                n * (r as u64 + 1),
-                "queue N={n} R={r}"
-            );
-            assert_eq!(d.max_reuse(n, r), 1);
-            assert_eq!(d.resident_bits_per_tuple(n, r), n);
+            let s = d.schedule(n, r, ROW_BITS);
+            assert_eq!(s.accesses, n * r as u64, "phase1 N={n} R={r}");
+            assert_eq!(s.idle_cycles, (r as u64 - 1) * n + 1, "idle N={n} R={r}");
+            assert_eq!(s.queue_bits, n * (r as u64 + 1), "queue N={n} R={r}");
+            assert_eq!(s.max_reuse, 1);
+            assert_eq!(s.resident_bits, n);
         }
     }
 }
@@ -40,14 +29,11 @@ fn n1b_closed_forms() {
     let d = stationarity(DesignKind::N1b);
     for n in NS {
         for r in RS {
-            assert_eq!(d.phase1_cycles(n, r, ROW_BITS), n * r as u64);
-            assert_eq!(d.idle_cycles(n, r), r as u64, "n1b idle is R");
-            assert_eq!(
-                d.xnor_queue_bits(n, r),
-                r as u64 + 1,
-                "n1b queue is one entry"
-            );
-            assert_eq!(d.max_reuse(n, r), 1);
+            let s = d.schedule(n, r, ROW_BITS);
+            assert_eq!(s.accesses, n * r as u64);
+            assert_eq!(s.idle_cycles, r as u64, "n1b idle is R");
+            assert_eq!(s.queue_bits, r as u64 + 1, "n1b queue is one entry");
+            assert_eq!(s.max_reuse, 1);
         }
     }
 }
@@ -57,10 +43,11 @@ fn n2_closed_forms() {
     let d = stationarity(DesignKind::N2);
     for n in NS {
         for r in RS {
-            assert_eq!(d.phase1_cycles(n, r, ROW_BITS), n, "n2 is O(N)");
-            assert_eq!(d.xnor_queue_bits(n, r), 0, "n2 eliminates the queue");
-            assert_eq!(d.max_reuse(n, r), r as u64, "n2 reuse is R");
-            assert_eq!(d.resident_bits_per_tuple(n, r), n * r as u64);
+            let s = d.schedule(n, r, ROW_BITS);
+            assert_eq!(s.accesses, n, "n2 is O(N)");
+            assert_eq!(s.queue_bits, 0, "n2 eliminates the queue");
+            assert_eq!(s.max_reuse, r as u64, "n2 reuse is R");
+            assert_eq!(s.resident_bits, n * r as u64);
         }
     }
 }
@@ -70,16 +57,13 @@ fn n3_closed_forms() {
     let d = stationarity(DesignKind::N3);
     for n in NS {
         for r in RS {
+            let s = d.schedule(n, r, ROW_BITS);
             let groups_per_row = (ROW_BITS / (r as u64 + 1)).max(1);
             let rows = n.max(1).div_ceil(groups_per_row);
-            assert_eq!(
-                d.phase1_cycles(n, r, ROW_BITS),
-                rows,
-                "n3 is one cycle per occupied row"
-            );
-            assert_eq!(d.xnor_queue_bits(n, r), 0);
-            assert_eq!(d.max_reuse(n, r), n * r as u64, "n3 reuse is N*R");
-            assert_eq!(d.resident_bits_per_tuple(n, r), n * (r as u64 + 1));
+            assert_eq!(s.accesses, rows, "n3 is one cycle per occupied row");
+            assert_eq!(s.queue_bits, 0);
+            assert_eq!(s.max_reuse, n * r as u64, "n3 reuse is N*R");
+            assert_eq!(s.resident_bits, n * (r as u64 + 1));
         }
     }
 }
@@ -88,7 +72,8 @@ fn n3_closed_forms() {
 fn ladder_invariants_hold_across_the_grid() {
     for n in NS {
         for r in RS {
-            let p1 = |k| stationarity(k).phase1_cycles(n, r, ROW_BITS);
+            let s = |k| stationarity(k).schedule(n, r, ROW_BITS);
+            let p1 = |k| s(k).accesses;
             assert!(p1(DesignKind::N3) <= p1(DesignKind::N2), "N={n} R={r}");
             assert!(p1(DesignKind::N2) <= p1(DesignKind::N1b), "N={n} R={r}");
             assert_eq!(
@@ -97,13 +82,13 @@ fn ladder_invariants_hold_across_the_grid() {
                 "n1 variants share phase-1 cost"
             );
 
-            let reuse = |k| stationarity(k).max_reuse(n, r);
+            let reuse = |k| s(k).max_reuse;
             assert!(reuse(DesignKind::N1a) <= reuse(DesignKind::N2));
             assert!(reuse(DesignKind::N2) <= reuse(DesignKind::N3));
 
             // Footprint grows with stationarity; driven traffic (the
             // phase-1 cycles above) shrinks.
-            let resident = |k| stationarity(k).resident_bits_per_tuple(n, r);
+            let resident = |k| s(k).resident_bits;
             assert!(resident(DesignKind::N1a) <= resident(DesignKind::N2));
             assert!(resident(DesignKind::N2) <= resident(DesignKind::N3));
         }
@@ -119,17 +104,27 @@ fn one_tile(design: DesignKind) -> SachiConfig {
     })
 }
 
+/// The paper's phase-1 cycles, idle cycles and queue bits of `design`.
+fn paper_forms(design: DesignKind, n: u64, r: u64) -> (u64, u64, u64) {
+    match design {
+        DesignKind::N1a => (n * r, (r - 1) * n + 1, n * (r + 1)),
+        DesignKind::N1b => (n * r, r, r + 1),
+        DesignKind::N2 => (n, 2, 0),
+        DesignKind::N3 => (n.div_ceil((ROW_BITS / (r + 1)).max(1)), 2, 0),
+    }
+}
+
 #[test]
 fn phase_schedule_struct_mirrors_design_formulas() {
     for design in DesignKind::ALL {
         for n in NS {
             for r in RS {
-                let d = stationarity(design);
-                let s = PhaseSchedule::new(design, n, r, ROW_BITS);
-                assert_eq!(s.phase1_cycles, d.phase1_cycles(n, r, ROW_BITS));
-                assert_eq!(s.idle_cycles, d.idle_cycles(n, r));
-                assert_eq!(s.queue_bits, d.xnor_queue_bits(n, r));
-                assert!(s.total_latency_cycles >= s.phase1_cycles);
+                let s = stationarity(design).schedule(n, r, ROW_BITS);
+                let (phase1, idle, queue) = paper_forms(design, n, u64::from(r));
+                assert_eq!(s.accesses, phase1);
+                assert_eq!(s.idle_cycles, idle);
+                assert_eq!(s.queue_bits, queue);
+                assert!(s.latency_cycles() >= s.accesses);
                 // On one tile a round streams its tuples back to back: one
                 // pipeline fill plus phase1 per tuple, affine in the count.
                 let round = |tuples| {
@@ -137,8 +132,8 @@ fn phase_schedule_struct_mirrors_design_formulas() {
                         RoundPlan::uniform(&one_tile(design), &WorkloadShape::new(tuples, n, r));
                     plan.sweep_compute().get()
                 };
-                assert_eq!(round(10), s.idle_cycles + 10 * s.phase1_cycles + 3);
-                assert_eq!(round(11) - round(10), s.phase1_cycles);
+                assert_eq!(round(10), s.idle_cycles + 10 * s.accesses + 3);
+                assert_eq!(round(11) - round(10), s.accesses);
             }
         }
     }
