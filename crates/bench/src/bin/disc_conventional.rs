@@ -9,6 +9,7 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use sachi_bench::reference::runtime::SachiContext;
 use sachi_bench::{percent, section, Table};
 use sachi_core::prelude::*;
 use sachi_ising::prelude::*;

@@ -6,6 +6,7 @@
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use sachi_bench::reference::multicore::{MulticoreModel, Partition};
 use sachi_bench::{duration, section, threads_arg, timed, Table};
 use sachi_core::prelude::*;
 use sachi_ising::prelude::*;

@@ -9,6 +9,8 @@
 //! their bit-lines anyway. This harness reproduces that exact scenario
 //! bit-for-bit and prices the waste.
 
+use sachi_bench::reference::bitcell::BitcellTile;
+use sachi_bench::reference::designs::oracle;
 use sachi_bench::{ratio, section, Table};
 use sachi_core::prelude::*;
 use sachi_ising::spin::Spin;
@@ -18,7 +20,7 @@ fn main() {
     section("Fig. 5c - the redundant-compute scenario, on a live tile");
     // Spins σ1=+1, σ2=-1, σ3=+1 stored in one row; J14's bit driven on
     // the shared RWL; only column 0 (σ1) is sensed.
-    let mut tile = SramTile::new(1, 3);
+    let mut tile = BitcellTile::new(1, 3);
     tile.write_row(0, &[Spin::Up.bit(), Spin::Down.bit(), Spin::Up.bit()])
         .expect("layout");
     let j14_bit = true;
@@ -56,9 +58,9 @@ fn main() {
         "wasted energy",
     ]);
     for design in DesignKind::ALL {
-        let d = stationarity(design);
+        let d = oracle(design);
         let (rows, cols) = d.tile_requirements(8, 4, 800);
-        let mut tile = SramTile::new(rows, cols);
+        let mut tile = BitcellTile::new(rows, cols);
         let mut ctx = ComputeContext::new();
         let h = d.compute_tuple(&mut tile, &enc, tuple, spins.get(4), &mut ctx);
         assert_eq!(h, sachi_ising::hamiltonian::local_field(&graph, &spins, 4));

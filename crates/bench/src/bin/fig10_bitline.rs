@@ -6,6 +6,7 @@
 //! (Fig. 10d/e); this harness validates the same contract on the
 //! functional model: the RBL discharges exactly when `S XNOR J = 1`.
 
+use sachi_bench::reference::bitcell::BitcellTile;
 use sachi_bench::{section, Table};
 use sachi_mem::prelude::*;
 
@@ -29,7 +30,7 @@ fn main() {
     section("Fig. 10a-c - XNOR truth table on the 8T pair");
     let mut table = Table::new(["stored S", "driven J", "S XNOR J", "RBL"]);
     for (s, j) in [(true, true), (true, false), (false, true), (false, false)] {
-        let mut tile = SramTile::new(1, 1);
+        let mut tile = BitcellTile::new(1, 1);
         tile.write_bit(0, 0, s).expect("in bounds");
         let out = tile.compute_xnor(0, j, 0..1).expect("in bounds");
         let discharged = tile.stats().rbl_discharges == 1;
@@ -67,7 +68,7 @@ fn main() {
     );
 
     section("100x100 prototype-sized array, full-column check");
-    let mut tile = SramTile::new(100, 100);
+    let mut tile = BitcellTile::new(100, 100);
     for row in 0..100 {
         for col in 0..100 {
             tile.write_bit(row, col, (row + col) % 2 == 0)

@@ -6,10 +6,11 @@
 //! schedule column is read from the design's `TupleSchedule`, the same
 //! struct the production kernel books and the cost model prices.
 
+use sachi_bench::reference::bitcell::BitcellTile;
+use sachi_bench::reference::designs::oracle;
 use sachi_bench::{section, Table};
 use sachi_core::prelude::*;
 use sachi_ising::prelude::*;
-use sachi_mem::prelude::*;
 
 fn schedule_table(n: u64, r: u32, label: &str) {
     section(&format!("schedules for {label} (N = {n}, R = {r})"));
@@ -96,9 +97,9 @@ fn main() {
         let golden = local_field(&graph, &spins, i);
         let mut row = vec![format!("σ{i}"), golden.to_string()];
         for design in DesignKind::ALL {
-            let d = stationarity(design);
+            let d = oracle(design);
             let (rows, cols) = d.tile_requirements(graph.max_degree(), enc.bits(), 800);
-            let mut tile = SramTile::new(rows, cols);
+            let mut tile = BitcellTile::new(rows, cols);
             let mut ctx = ComputeContext::new();
             let h = d.compute_tuple(&mut tile, &enc, store.tuple(i), spins.get(i), &mut ctx);
             assert_eq!(h, golden, "{design} diverged at pixel {i}");

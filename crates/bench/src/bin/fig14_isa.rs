@@ -2,13 +2,13 @@
 //! and the new `XNORM` instruction, printed as the paper's table and then
 //! exercised end-to-end on the micro-executor.
 
-use sachi_bench::{section, Table};
-use sachi_core::encoding::MixedEncoding;
-use sachi_core::isa::{
+use sachi_bench::reference::bitcell::BitcellTile;
+use sachi_bench::reference::isa::{
     FistSubop, Instruction, MicroExecutor, FIST_PRIMARY_OPCODE, XNORM_PRIMARY_OPCODE,
 };
+use sachi_bench::{section, Table};
+use sachi_core::encoding::MixedEncoding;
 use sachi_ising::spin::Spin;
-use sachi_mem::sram::SramTile;
 
 fn main() {
     section("Fig. 14 - instruction table");
@@ -74,7 +74,7 @@ fn main() {
     section("execution on the micro-machine");
     let enc = MixedEncoding::new(8).expect("8-bit supported");
     let j = -77i64;
-    let mut exec = MicroExecutor::new(64, 64, SramTile::new(1, 8));
+    let mut exec = MicroExecutor::new(64, 64, BitcellTile::new(1, 8));
     exec.write_dram(0, &enc.encode(j).expect("fits 8-bit"))
         .expect("in bounds");
     exec.write_dram(8, &[Spin::Down.bit()]).expect("in bounds");

@@ -7,7 +7,8 @@
 //! `compute_tuple_soa` (the kernel the machine runs, which reads the
 //! tuple's maintained [`TupleSums`] from its [`TuplePlanes`] view and
 //! books the oracle's tile events in closed form), on identical inputs
-//! through identical `SramTile`s. The kernel reads in O(1) because the
+//! and tile geometry: the oracle pulses a bit-level `BitcellTile`, the
+//! kernel books onto the machine's `SramTile`. The kernel reads in O(1) because the
 //! update path keeps the sums current, so the sweep rows time what the
 //! machine pays per sweep: the kernel *and* the update path. Both sides
 //! replay one fixed, seeded flip sequence — the SoA side through
@@ -62,6 +63,8 @@ use std::time::Instant;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use sachi_bench::reference::bitcell::BitcellTile;
+use sachi_bench::reference::designs::oracle;
 use sachi_bench::{identity, section, Table};
 use sachi_core::prelude::*;
 use sachi_ising::prelude::*;
@@ -199,11 +202,12 @@ fn measure_kernel(
     tuples: &[SpinTuple],
     iters: u32,
 ) -> Measurement {
-    let design = stationarity(kind);
+    let design = oracle(kind);
     let max_degree = tuples.iter().map(SpinTuple::degree).max().unwrap_or(1);
     let (rows, cols) = design.tile_requirements(max_degree, enc.bits(), ROW_BITS);
     let planes = TuplePlanes::from_tuples(tuples.iter(), enc).expect("bench coefficients fit R");
-    let mut tile = SramTile::new(rows, cols);
+    let mut bitcells = BitcellTile::new(rows, cols);
+    let mut tile = SramTile::with_params(TileParams::new(rows, cols));
     let mut ctx = ComputeContext::new();
     let mut scratch = ComputeScratch::new();
     let mut soa = |tile: &mut SramTile, ctx: &mut ComputeContext, i: usize, tuple: &SpinTuple| {
@@ -220,7 +224,7 @@ fn measure_kernel(
 
     // Tripwire: the SoA kernel agrees with scalar on H for every tuple.
     for (i, tuple) in tuples.iter().enumerate() {
-        let hs = design.compute_tuple(&mut tile, enc, tuple, Spin::Up, &mut ctx);
+        let hs = design.compute_tuple(&mut bitcells, enc, tuple, Spin::Up, &mut ctx);
         let ho = soa(&mut tile, &mut ctx, i, tuple);
         assert_eq!(hs, ho, "{kind}: SoA kernel diverged from scalar");
         assert_eq!(hs, tuple.local_field(), "{kind}: H diverged from golden");
@@ -228,7 +232,7 @@ fn measure_kernel(
 
     let scalar_ns = ns_per_call(iters, || {
         for tuple in tuples {
-            let h = design.compute_tuple(&mut tile, enc, tuple, Spin::Up, &mut ctx);
+            let h = design.compute_tuple(&mut bitcells, enc, tuple, Spin::Up, &mut ctx);
             std::hint::black_box(h);
         }
     });
@@ -258,9 +262,10 @@ fn measure_sweep(
     flips: &[bool],
     iters: u32,
 ) -> Measurement {
-    let design = stationarity(kind);
+    let design = oracle(kind);
     let (rows, cols) = design.tile_requirements(graph.max_degree().max(1), enc.bits(), ROW_BITS);
-    let mut tile = SramTile::new(rows, cols);
+    let mut bitcells = BitcellTile::new(rows, cols);
+    let mut tile = SramTile::with_params(TileParams::new(rows, cols));
     let mut ctx = ComputeContext::new();
     let mut scratch = ComputeScratch::new();
     // H of spin `i`: the production kernel on the SoA side, the oracle on
@@ -271,7 +276,7 @@ fn measure_sweep(
             let view = st.planes.view(i);
             design.compute_tuple_soa(&mut tile, enc, tuple, view, current, &mut ctx, &mut scratch)
         } else {
-            design.compute_tuple(&mut tile, enc, tuple, current, &mut ctx)
+            design.compute_tuple(&mut bitcells, enc, tuple, current, &mut ctx)
         }
     };
 

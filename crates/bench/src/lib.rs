@@ -36,8 +36,11 @@
 //! `SachiMachine` against the physical-residency oracle in
 //! `tests/support/tiled.rs`.
 //!
-//! The crate also ships Criterion micro-benchmarks over the hot kernels
-//! (`cargo bench -p sachi-bench`). The end-to-end wall-clock benchmark
+//! The paper's reference models that only these harnesses and the tests
+//! read — the bit-level SRAM tile, the scalar design oracles, the ISA,
+//! the host API and the multi-core model — live in [`reference`]. The
+//! hot kernels are timed by the `perf_kernels` binary above. The
+//! end-to-end wall-clock benchmark
 //! of `sachi solve` / `sachi serve` lives in `src/bin/perf_e2e/`, a
 //! package of its own run through its `run.sh` (see EXPERIMENTS.md).
 
@@ -46,8 +49,9 @@
 
 pub mod identity;
 pub mod quality;
+pub mod reference;
 
-use std::fmt::Display;
+pub use sachi_obs::table::{percent, ratio, Table};
 use std::time::{Duration, Instant};
 
 /// Prints a section header.
@@ -61,79 +65,6 @@ pub fn timed<T>(f: impl FnOnce() -> T) -> (T, Duration) {
     let start = Instant::now();
     let value = f();
     (value, start.elapsed())
-}
-
-/// A fixed-width text table for harness output.
-#[derive(Debug, Clone)]
-pub struct Table {
-    headers: Vec<String>,
-    rows: Vec<Vec<String>>,
-}
-
-impl Table {
-    /// Creates a table with the given column headers.
-    pub fn new<S: Display>(headers: impl IntoIterator<Item = S>) -> Self {
-        Table {
-            headers: headers.into_iter().map(|h| h.to_string()).collect(),
-            rows: Vec::new(),
-        }
-    }
-
-    /// Appends a row (stringifying each cell).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the row width does not match the headers.
-    pub fn row<S: Display>(&mut self, cells: impl IntoIterator<Item = S>) -> &mut Self {
-        let cells: Vec<String> = cells.into_iter().map(|c| c.to_string()).collect();
-        assert_eq!(
-            cells.len(),
-            self.headers.len(),
-            "row width must match headers"
-        );
-        self.rows.push(cells);
-        self
-    }
-
-    /// Renders the table to a string.
-    pub fn render(&self) -> String {
-        let mut widths: Vec<usize> = self.headers.iter().map(|h| h.len()).collect();
-        for row in &self.rows {
-            for (w, cell) in widths.iter_mut().zip(row) {
-                *w = (*w).max(cell.len());
-            }
-        }
-        let mut out = String::new();
-        let fmt_row = |cells: &[String], widths: &[usize]| -> String {
-            let mut line = String::new();
-            for (cell, w) in cells.iter().zip(widths) {
-                line.push_str(&format!("{cell:>w$}  ", w = w));
-            }
-            line.trim_end().to_string()
-        };
-        out.push_str(&fmt_row(&self.headers, &widths));
-        out.push('\n');
-        out.push_str(
-            &"-".repeat(
-                widths
-                    .iter()
-                    .map(|w| w + 2)
-                    .sum::<usize>()
-                    .saturating_sub(2),
-            ),
-        );
-        out.push('\n');
-        for row in &self.rows {
-            out.push_str(&fmt_row(row, &widths));
-            out.push('\n');
-        }
-        out
-    }
-
-    /// Prints the table to stdout.
-    pub fn print(&self) {
-        print!("{}", self.render());
-    }
 }
 
 /// Parses a `--threads N` flag out of an argument list (see
@@ -159,19 +90,6 @@ pub fn threads_arg() -> Option<usize> {
     threads_from(std::env::args().skip(1))
 }
 
-/// Formats a ratio as "12.3x".
-pub fn ratio(numerator: f64, denominator: f64) -> String {
-    if denominator == 0.0 {
-        return "inf".to_string();
-    }
-    format!("{:.1}x", numerator / denominator)
-}
-
-/// Formats a fraction as a percentage.
-pub fn percent(value: f64) -> String {
-    format!("{:.1}%", value * 100.0)
-}
-
 /// Formats a `Duration` compactly.
 pub fn duration(d: Duration) -> String {
     let s = d.as_secs_f64();
@@ -189,23 +107,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn table_renders_aligned() {
-        let mut t = Table::new(["name", "value"]);
-        t.row(["alpha", "1"]).row(["b", "12345"]);
-        let s = t.render();
-        assert!(s.contains("name"));
-        assert!(s.contains("12345"));
-        assert_eq!(s.lines().count(), 4);
-    }
-
-    #[test]
-    #[should_panic(expected = "row width")]
-    fn table_rejects_ragged_rows() {
-        let mut t = Table::new(["a", "b"]);
-        t.row(["only-one"]);
-    }
-
-    #[test]
     fn threads_flag_parses_with_auto_fallback() {
         fn argv(s: &str) -> impl Iterator<Item = String> + '_ {
             s.split_whitespace().map(str::to_string)
@@ -220,9 +121,6 @@ mod tests {
 
     #[test]
     fn helpers_format() {
-        assert_eq!(ratio(30.0, 10.0), "3.0x");
-        assert_eq!(ratio(1.0, 0.0), "inf");
-        assert_eq!(percent(0.5), "50.0%");
         assert_eq!(duration(Duration::from_millis(2500)), "2.50s");
         assert_eq!(duration(Duration::from_micros(1500)), "1.5ms");
         assert_eq!(duration(Duration::from_nanos(2500)), "2.5us");

@@ -3,12 +3,12 @@
 use crate::args::{EstimateArgs, MetricsFormat, SolveArgs};
 use crate::protocol;
 use sachi_baselines::prelude::*;
-use sachi_bench::{ratio, Table};
 use sachi_core::prelude::*;
 use sachi_ising::prelude::*;
 use sachi_mem::l1cache::{CacheMode, L1Cache};
 use sachi_mem::prelude::*;
 use sachi_obs::prelude::*;
+use sachi_obs::table::{ratio, Table};
 use sachi_workloads::prelude::*;
 
 /// Loads a problem file and lowers it: as a scored workload (a CNF, or

@@ -18,11 +18,11 @@
 //! empty body, bad UTF-8, bad JSON).
 
 use crate::args::{cop_label, design_label, parse_cop, parse_design};
-use sachi_bench::{percent, Table};
 use sachi_core::prelude::{JobOutcome, JobPlan, JobSpec, SachiError};
 use sachi_ising::prelude::{LadderKind, RecoveryPolicy, Spin};
 use sachi_mem::units::{Nanoseconds, Picojoules, UnitRangeError};
 use sachi_obs::json::{escape, parse, JsonValue};
+use sachi_obs::table::{percent, Table};
 use std::fmt;
 use std::io::{Read, Write};
 

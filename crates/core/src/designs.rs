@@ -12,21 +12,19 @@
 //! | n2  | ICs (one per row) | neighbor spins | N | R |
 //! | n3  | ICs + neighbor spins | target spin σ_i | ⌈N/(row capacity)⌉ | N·R |
 //!
-//! Each design has exactly two compute methods.
-//! [`Stationarity::compute_tuple`] is the scalar oracle: it lays the
-//! stationary data into a real [`SramTile`], pulses the word-lines in the
-//! design's schedule order, and assembles `H_σ` from the sensed discharge
-//! pattern, bit for bit as Figs. 11–13 draw it.
 //! [`Stationarity::compute_tuple_soa`] is the production kernel the
 //! machine runs. A read bit-line discharges exactly when
-//! `stored XNOR driven` is 1, so every count the oracle books follows
-//! from popcounts of the stored and driven bits. Those popcounts and
-//! `H_σ` are sums that are linear in the neighbour spins, and the update
-//! path keeps them current per tuple ([`crate::tuple::TupleSums`]): the
-//! kernel reads its tuple's sums in O(1) and books the oracle's
-//! [`ComputeContext`] and tile-event deltas in closed form. Differential
-//! proptests hold the two equal, also after every flip of a random flip
-//! sequence.
+//! `stored XNOR driven` is 1, so every count a bit-level run of a
+//! design's schedule books follows from popcounts of the stored and
+//! driven bits. Those popcounts and `H_σ` are sums that are linear in
+//! the neighbour spins, and the update path keeps them current per tuple
+//! ([`crate::tuple::TupleSums`]): the kernel reads its tuple's sums in
+//! O(1) and books the [`ComputeContext`] and tile-event deltas in closed
+//! form. The bit-level scalar oracles that lay each tuple into real
+//! bitcells, as Figs. 11–13 draw it, live with the paper's reference
+//! models in the harness crate (`sachi_bench::reference::designs`);
+//! differential tests there hold the kernel equal to them, also after
+//! every flip of a random flip sequence.
 //!
 //! Each design states its per-tuple closed forms once, in
 //! [`Stationarity::schedule`]: the [`TupleSchedule`] of accesses, XNOR
@@ -160,9 +158,9 @@ impl TupleSchedule {
     }
 }
 
-/// A stationarity design: functional tuple compute plus its closed-form
-/// schedule. This trait is sealed by construction — the four designs are
-/// fixed by the paper; obtain them via [`stationarity`].
+/// A stationarity design: its closed-form schedule and the production
+/// kernel that books it. The four designs are fixed by the paper; obtain
+/// them via [`stationarity`].
 pub trait Stationarity {
     /// Which design this is.
     fn kind(&self) -> DesignKind;
@@ -171,28 +169,6 @@ pub trait Stationarity {
     /// neighbors at resolution `r` with physical rows of `row_bits`
     /// columns.
     fn tile_requirements(&self, max_degree: usize, r: u32, row_bits: usize) -> (usize, usize);
-
-    /// Scalar reference oracle: lays the tuple into `tile` one cell at a
-    /// time, pulses the word-lines in the design's schedule order, and
-    /// returns `H_σ` assembled from the sensed XNOR outputs. Counters
-    /// accumulate into `ctx`. It mirrors Figs. 11–13 line by line and is
-    /// what the differential tests and figure harnesses check
-    /// [`Stationarity::compute_tuple_soa`] against; the machine never
-    /// calls it.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the tile is smaller than
-    /// [`Stationarity::tile_requirements`] demands or a coefficient does
-    /// not fit in the encoding.
-    fn compute_tuple(
-        &self,
-        tile: &mut SramTile,
-        enc: &MixedEncoding,
-        tuple: &SpinTuple,
-        target: Spin,
-        ctx: &mut ComputeContext,
-    ) -> i64;
 
     /// The design's static per-tuple closed forms for a tuple of `n`
     /// neighbors at resolution `r` on physical rows of `row_bits` columns.
@@ -217,10 +193,10 @@ pub trait Stationarity {
     /// popcount sums the discharges are priced from — and books the
     /// design's [`Stationarity::schedule`] and
     /// [`Stationarity::discharges`]: the [`ComputeContext`] and
-    /// [`TileStats`] deltas [`Stationarity::compute_tuple`] produces on a
-    /// tile sized by [`Stationarity::tile_requirements`]. It writes no
-    /// bitcell: `tile` only receives the booked events and supplies its
-    /// row width. `view` must be the [`crate::tuple::TuplePlanes`] view
+    /// [`TileStats`] deltas a bit-level run of the design's schedule
+    /// produces on a tile sized by [`Stationarity::tile_requirements`].
+    /// `tile` only receives the booked events and supplies its row
+    /// width. `view` must be the [`crate::tuple::TuplePlanes`] view
     /// of `tuple` at `enc`'s resolution, kept current under spin updates
     /// via [`crate::tuple::TuplePlanes::writeback_spin`]. `tuple` is read
     /// only by a debug check that the view is its own; `scratch` is
@@ -287,29 +263,6 @@ fn n3_groups_per_row(r: u32, row_bits: u64) -> u64 {
     (row_bits / (u64::from(r) + 1)).max(1)
 }
 
-/// Shared finale for the n1 designs: assemble products from queued XNOR
-/// bits, then fold in the field and negate (phases 3–5).
-fn finish_from_products(
-    products: impl Iterator<Item = i64>,
-    field: i32,
-    r: u32,
-    ctx: &mut ComputeContext,
-) -> i64 {
-    let mut acc = i64::from(field); // full adder initialized to h (phase 4)
-    for p in products {
-        acc += p;
-        ctx.adder_bit_ops += u64::from(r) + 2;
-        ctx.decisions += 1;
-    }
-    -acc // phase 5 negation: H_σ = -(Σ J σ + h)
-}
-
-fn layout_spins(tile: &mut SramTile, tuple: &SpinTuple) {
-    let bits: Vec<bool> = tuple.neighbor_spins.iter().map(|s| s.bit()).collect();
-    tile.write_row(0, &bits)
-        .expect("tile sized by tile_requirements");
-}
-
 /// The schedule both n1 designs share: the spin row (`n` bits) is
 /// resident, and each of the `nR` coupling bits is one access that
 /// drives the row's RWL pair while one column is sensed. The two designs
@@ -351,59 +304,6 @@ impl Stationarity for SpinStationaryBitMajor {
         (1, max_degree.max(1))
     }
 
-    fn compute_tuple(
-        &self,
-        tile: &mut SramTile,
-        enc: &MixedEncoding,
-        tuple: &SpinTuple,
-        _target: Spin,
-        ctx: &mut ComputeContext,
-    ) -> i64 {
-        let n = tuple.degree();
-        let r = enc.bits();
-        if n == 0 {
-            return -(i64::from(tuple.field));
-        }
-        layout_spins(tile, tuple);
-        // Phase 1: bit-major — XNOR the r-th bit of every IC before moving
-        // to bit r+1. Each cycle drives one J bit and senses one column.
-        let encoded: Vec<Vec<bool>> = tuple
-            .couplings
-            .iter()
-            .map(|&j| {
-                enc.encode(i64::from(j))
-                    .expect("coefficient fits the configured resolution")
-            })
-            .collect();
-        let mut queue = vec![vec![false; to_index(r)]; n];
-        for b in 0..to_index(r) {
-            for (k, bits) in encoded.iter().enumerate() {
-                let out = tile
-                    .compute_xnor_bit(0, bits[b], 0..n, k)
-                    .expect("in-bounds by layout");
-                queue[k][b] = out;
-                ctx.cycles += 1;
-                ctx.rwl_bits_fetched += 1;
-                ctx.xnor_ops += 1;
-            }
-        }
-        // The queue must hold every neighbor's partial bits at once
-        // (minimum size N*(R+1), Sec. IV.D.1).
-        ctx.note_queue(count_u64(n) * (u64::from(r) + 1));
-        // Phases 3-5.
-        let products = queue
-            .iter()
-            .zip(tuple.neighbor_spins.iter())
-            .map(|(bits, &s)| {
-                let mut v = enc.decode(bits);
-                if s == Spin::Down {
-                    v += 1;
-                }
-                v
-            });
-        finish_from_products(products, tuple.field, r, ctx)
-    }
-
     #[inline]
     fn schedule(&self, n: u64, r: u32, _row_bits: u64) -> TupleSchedule {
         // Bit-major: the queue must hold every neighbor's partial bits at
@@ -435,50 +335,6 @@ impl Stationarity for SpinStationaryIcMajor {
         (1, max_degree.max(1))
     }
 
-    fn compute_tuple(
-        &self,
-        tile: &mut SramTile,
-        enc: &MixedEncoding,
-        tuple: &SpinTuple,
-        _target: Spin,
-        ctx: &mut ComputeContext,
-    ) -> i64 {
-        let n = tuple.degree();
-        let r = enc.bits();
-        if n == 0 {
-            return -(i64::from(tuple.field));
-        }
-        layout_spins(tile, tuple);
-        // Phase 1: IC-major — all bits of one J before the next J, so the
-        // queue holds a single (R+1)-bit entry and phase 3 starts after R
-        // cycles.
-        let mut acc = i64::from(tuple.field);
-        let mut queue_entry = vec![false; to_index(r)];
-        for (k, &j) in tuple.couplings.iter().enumerate() {
-            let bits = enc
-                .encode(i64::from(j))
-                .expect("coefficient fits the configured resolution");
-            for (b, &jbit) in bits.iter().enumerate() {
-                queue_entry[b] = tile
-                    .compute_xnor_bit(0, jbit, 0..n, k)
-                    .expect("in-bounds by layout");
-                ctx.cycles += 1;
-                ctx.rwl_bits_fetched += 1;
-                ctx.xnor_ops += 1;
-                ctx.note_queue(count_u64(b) + 1);
-            }
-            ctx.note_queue(u64::from(r) + 1);
-            let mut v = enc.decode(&queue_entry);
-            if tuple.neighbor_spins[k] == Spin::Down {
-                v += 1;
-            }
-            acc += v;
-            ctx.adder_bit_ops += u64::from(r) + 2;
-            ctx.decisions += 1;
-        }
-        -acc
-    }
-
     #[inline]
     fn schedule(&self, n: u64, r: u32, _row_bits: u64) -> TupleSchedule {
         // IC-major: the queue holds a single (R+1)-bit entry, and phase 3
@@ -508,47 +364,6 @@ impl Stationarity for IcStationary {
 
     fn tile_requirements(&self, max_degree: usize, r: u32, _row_bits: usize) -> (usize, usize) {
         (max_degree.max(1), to_index(r))
-    }
-
-    fn compute_tuple(
-        &self,
-        tile: &mut SramTile,
-        enc: &MixedEncoding,
-        tuple: &SpinTuple,
-        _target: Spin,
-        ctx: &mut ComputeContext,
-    ) -> i64 {
-        let n = tuple.degree();
-        let r = enc.bits();
-        if n == 0 {
-            return -(i64::from(tuple.field));
-        }
-        // Layout: row k holds encode(J_ik).
-        for (k, &j) in tuple.couplings.iter().enumerate() {
-            let bits = enc
-                .encode(i64::from(j))
-                .expect("coefficient fits the configured resolution");
-            tile.write_row(k, &bits)
-                .expect("tile sized by tile_requirements");
-        }
-        // Phase 1: one neighbor per cycle, R columns sensed at once.
-        let mut acc = i64::from(tuple.field);
-        for (k, &s) in tuple.neighbor_spins.iter().enumerate() {
-            let out = tile
-                .compute_xnor(k, s.bit(), 0..to_index(r))
-                .expect("in-bounds by layout");
-            ctx.cycles += 1;
-            ctx.rwl_bits_fetched += 1;
-            ctx.xnor_ops += u64::from(r);
-            let mut v = enc.decode(&out);
-            if s == Spin::Down {
-                v += 1;
-            }
-            acc += v;
-            ctx.adder_bit_ops += u64::from(r) + 2;
-            ctx.decisions += 1;
-        }
-        -acc
     }
 
     #[inline]
@@ -595,76 +410,6 @@ impl Stationarity for MixedStationary {
         (rows, per_row * group)
     }
 
-    fn compute_tuple(
-        &self,
-        tile: &mut SramTile,
-        enc: &MixedEncoding,
-        tuple: &SpinTuple,
-        target: Spin,
-        ctx: &mut ComputeContext,
-    ) -> i64 {
-        let n = tuple.degree();
-        let r = enc.bits();
-        if n == 0 {
-            return -(i64::from(tuple.field));
-        }
-        let group = to_index(r) + 1;
-        let per_row = (tile.cols() / group).max(1);
-        // Layout: per neighbor, an (R+1)-bit group [J bits..., σ_j bit].
-        for (k, (&j, &s)) in tuple
-            .couplings
-            .iter()
-            .zip(tuple.neighbor_spins.iter())
-            .enumerate()
-        {
-            let row = k / per_row;
-            let col = (k % per_row) * group;
-            let mut bits = enc
-                .encode(i64::from(j))
-                .expect("coefficient fits the configured resolution");
-            bits.push(s.bit());
-            tile.write_slice(row, col, &bits)
-                .expect("tile sized by tile_requirements");
-        }
-        // Phase 1: one cycle per occupied row; σ_i on the RWL, the whole
-        // used width sensed.
-        let rows = n.div_ceil(per_row);
-        let mut acc = i64::from(tuple.field);
-        let mut k = 0usize;
-        for row in 0..rows {
-            let in_row = per_row.min(n - row * per_row);
-            let out = tile
-                .compute_xnor_windowed(row, target.bit(), 0..in_row * group, 0..in_row * group)
-                .expect("in-bounds by layout");
-            ctx.cycles += 1;
-            ctx.rwl_bits_fetched += 1;
-            ctx.xnor_ops += count_u64(in_row * group);
-            for g in 0..in_row {
-                let bits = &out[g * group..g * group + to_index(r)];
-                // Equality bit σ_j XNOR σ_i came out of the array with the
-                // same pulse.
-                let equal = out[g * group + to_index(r)];
-                let sigma_j = if equal { target } else { target.flipped() };
-                // eqn. 5 select: XNOR output if spins equal, XOR otherwise.
-                let selected: Vec<bool> = if equal {
-                    bits.to_vec()
-                } else {
-                    bits.iter().map(|b| !b).collect()
-                };
-                let mut v = enc.decode(&selected);
-                if sigma_j == Spin::Down {
-                    v += 1;
-                }
-                acc += v;
-                ctx.adder_bit_ops += u64::from(r) + 2;
-                ctx.decisions += 1;
-                k += 1;
-            }
-        }
-        debug_assert_eq!(k, n);
-        -acc
-    }
-
     #[inline]
     fn schedule(&self, n: u64, r: u32, row_bits: u64) -> TupleSchedule {
         // Every neighbour's (R+1)-bit group `[J bits, σ_j]` is resident;
@@ -707,110 +452,6 @@ impl Stationarity for MixedStationary {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::tuple::{TuplePlanes, TupleStore};
-    use proptest::prelude::*;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
-    use sachi_ising::graph::{topology, GraphBuilder};
-    use sachi_ising::hamiltonian::local_field;
-    use sachi_ising::spin::SpinVector;
-
-    fn check_design_matches_golden(kind: DesignKind, seed: u64) {
-        let g = topology::king(4, 4, |i, j| ((i * 3 + j * 7) % 13) as i32 - 6).unwrap();
-        let mut rng = StdRng::seed_from_u64(seed);
-        let spins = SpinVector::random(16, &mut rng);
-        let store = TupleStore::new(&g, &spins);
-        let enc = MixedEncoding::new(g.bits_required()).unwrap();
-        let design = stationarity(kind);
-        let (rows, cols) = design.tile_requirements(g.max_degree(), enc.bits(), 800);
-        let mut tile = SramTile::new(rows, cols);
-        let mut ctx = ComputeContext::new();
-        for i in 0..16 {
-            let h = design.compute_tuple(&mut tile, &enc, store.tuple(i), spins.get(i), &mut ctx);
-            assert_eq!(h, local_field(&g, &spins, i), "{kind} mismatch at spin {i}");
-        }
-        assert!(ctx.cycles > 0);
-        assert!(ctx.xnor_ops > 0);
-    }
-
-    #[test]
-    fn all_designs_match_golden_local_field() {
-        for kind in DesignKind::ALL {
-            for seed in 0..3 {
-                check_design_matches_golden(kind, seed);
-            }
-        }
-    }
-
-    #[test]
-    fn soa_kernel_is_bit_identical_to_scalar_oracle() {
-        for kind in DesignKind::ALL {
-            for seed in 0..3u64 {
-                let g = topology::king(4, 4, |i, j| ((i * 3 + j * 7) % 13) as i32 - 6).unwrap();
-                let mut rng = StdRng::seed_from_u64(seed);
-                let spins = SpinVector::random(16, &mut rng);
-                let store = TupleStore::new(&g, &spins);
-                let enc = MixedEncoding::new(g.bits_required()).unwrap();
-                let design = stationarity(kind);
-                let (rows, cols) = design.tile_requirements(g.max_degree(), enc.bits(), 800);
-                let planes = TuplePlanes::new(&store, &enc).unwrap();
-                let mut tile_s = SramTile::new(rows, cols);
-                let mut tile_o = SramTile::new(rows, cols);
-                let mut ctx_s = ComputeContext::new();
-                let mut ctx_o = ComputeContext::new();
-                let mut scratch = ComputeScratch::new();
-                for i in 0..16 {
-                    let hs = design.compute_tuple(
-                        &mut tile_s,
-                        &enc,
-                        store.tuple(i),
-                        spins.get(i),
-                        &mut ctx_s,
-                    );
-                    let ho = design.compute_tuple_soa(
-                        &mut tile_o,
-                        &enc,
-                        store.tuple(i),
-                        planes.view(i),
-                        spins.get(i),
-                        &mut ctx_o,
-                        &mut scratch,
-                    );
-                    assert_eq!(hs, ho, "{kind} H mismatch at spin {i}");
-                    assert_eq!(ctx_s, ctx_o, "{kind} ComputeContext mismatch at spin {i}");
-                    assert_eq!(
-                        tile_s.stats(),
-                        tile_o.stats(),
-                        "{kind} TileStats mismatch at spin {i}"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn designs_handle_fields_and_isolated_spins() {
-        let g = GraphBuilder::new(3)
-            .edge(0, 1, 5)
-            .field(0, -3)
-            .field(2, 7)
-            .build()
-            .unwrap();
-        let spins = SpinVector::from_spins(&[Spin::Up, Spin::Down, Spin::Up]);
-        let store = TupleStore::new(&g, &spins);
-        let enc = MixedEncoding::new(4).unwrap();
-        for kind in DesignKind::ALL {
-            let design = stationarity(kind);
-            let (rows, cols) = design.tile_requirements(1, 4, 800);
-            let mut tile = SramTile::new(rows, cols);
-            let mut ctx = ComputeContext::new();
-            for i in 0..3 {
-                let h =
-                    design.compute_tuple(&mut tile, &enc, store.tuple(i), spins.get(i), &mut ctx);
-                assert_eq!(h, local_field(&g, &spins, i), "{kind} spin {i}");
-            }
-        }
-    }
 
     /// A design's schedule on the paper's 800-bit rows.
     fn sched(kind: DesignKind, n: u64, r: u32) -> TupleSchedule {
@@ -825,28 +466,6 @@ mod tests {
         assert_eq!(sched(DesignKind::N1b, n, r).max_reuse, 1);
         assert_eq!(sched(DesignKind::N2, n, r).max_reuse, 4);
         assert_eq!(sched(DesignKind::N3, n, r).max_reuse, 32);
-    }
-
-    #[test]
-    fn measured_reuse_approaches_max_reuse() {
-        let g = topology::king(4, 4, |_, _| 2).unwrap();
-        let spins = SpinVector::filled(16, Spin::Up);
-        let store = TupleStore::new(&g, &spins);
-        let enc = MixedEncoding::new(4).unwrap();
-        for kind in DesignKind::ALL {
-            let design = stationarity(kind);
-            let (rows, cols) = design.tile_requirements(8, 4, 800);
-            let mut tile = SramTile::new(rows, cols);
-            let mut ctx = ComputeContext::new();
-            // Center spin: full 8-neighbor tuple.
-            design.compute_tuple(&mut tile, &enc, store.tuple(5), spins.get(5), &mut ctx);
-            let expected = sched(kind, store.tuple(5).degree() as u64, 4).max_reuse as f64;
-            let measured = ctx.reuse();
-            assert!(
-                (measured - expected).abs() / expected < 0.35,
-                "{kind}: measured reuse {measured}, expected ~{expected}"
-            );
-        }
     }
 
     #[test]
@@ -938,29 +557,6 @@ mod tests {
     }
 
     #[test]
-    fn n1_designs_pay_redundant_discharges() {
-        // Sensing one column while the whole row discharges is the Fig. 5c
-        // energy waste; n3 senses everything it discharges.
-        let g = topology::king(3, 3, |_, _| 3).unwrap();
-        let spins = SpinVector::filled(9, Spin::Up);
-        let store = TupleStore::new(&g, &spins);
-        let enc = MixedEncoding::new(4).unwrap();
-        let mut redundant = std::collections::BTreeMap::new();
-        for kind in DesignKind::ALL {
-            let design = stationarity(kind);
-            let (rows, cols) = design.tile_requirements(8, 4, 800);
-            let mut tile = SramTile::new(rows, cols);
-            let mut ctx = ComputeContext::new();
-            design.compute_tuple(&mut tile, &enc, store.tuple(4), spins.get(4), &mut ctx);
-            redundant.insert(kind, tile.stats().redundant_discharges);
-        }
-        assert!(redundant[&DesignKind::N1a] > 0);
-        assert!(redundant[&DesignKind::N1b] > 0);
-        assert_eq!(redundant[&DesignKind::N3], 0);
-        assert!(redundant[&DesignKind::N1a] > redundant[&DesignKind::N2]);
-    }
-
-    #[test]
     fn footprints_order_n1_below_n2_below_n3() {
         for kind in DesignKind::ALL {
             let d = stationarity(kind);
@@ -973,27 +569,5 @@ mod tests {
         let d = |k| sched(k, n, r).accesses;
         assert!(d(DesignKind::N3) < d(DesignKind::N2));
         assert!(d(DesignKind::N2) < d(DesignKind::N1a));
-    }
-
-    proptest! {
-        #[test]
-        fn designs_agree_with_each_other(seed in 0u64..50) {
-            let g = topology::complete(6, |i, j| ((i * 5 + j * 11 + 3) % 15) as i32 - 7).unwrap();
-            let mut rng = StdRng::seed_from_u64(seed);
-            let spins = SpinVector::random(6, &mut rng);
-            let store = TupleStore::new(&g, &spins);
-            let enc = MixedEncoding::new(g.bits_required()).unwrap();
-            for i in 0..6 {
-                let golden = local_field(&g, &spins, i);
-                for kind in DesignKind::ALL {
-                    let design = stationarity(kind);
-                    let (rows, cols) = design.tile_requirements(5, enc.bits(), 800);
-                    let mut tile = SramTile::new(rows, cols);
-                    let mut ctx = ComputeContext::new();
-                    let h = design.compute_tuple(&mut tile, &enc, store.tuple(i), spins.get(i), &mut ctx);
-                    prop_assert_eq!(h, golden);
-                }
-            }
-        }
     }
 }

@@ -9,8 +9,9 @@
 //! them into the aggregate the multicore cross-check needs: serial
 //! cycle cost, critical-path cycle cost at a given thread count, and a
 //! merged energy ledger. `disc_multicore` and `fig17_scalability`
-//! compare the resulting replica-parallel speedups against
-//! [`crate::multicore::MulticoreModel`]'s partition-parallel estimates.
+//! compare the resulting replica-parallel speedups against the
+//! partition-parallel estimates of the multi-core model
+//! (`sachi_bench::reference::multicore`).
 
 use crate::machine::{RunReport, SachiMachine};
 use sachi_ising::graph::IsingGraph;

@@ -11,11 +11,10 @@
 //! * [`mod@tuple`] — tuple mapping and tuple-rep (Sec. IV.B, Figs. 7–8) with
 //!   the adjacency-matrix update path;
 //! * [`designs`] — the four stationarity designs SACHI(n1a/n1b/n2/n3)
-//!   (Sec. IV.D, Figs. 11–13): a bit-level scalar oracle that computes
-//!   through a real SRAM tile, and the production kernel that computes
-//!   `H_σ` arithmetically and books the oracle's tile events in closed
-//!   form, both stating each design's per-tuple closed forms once as a
-//!   [`designs::TupleSchedule`] (including the Fig. 11f pipeline timing);
+//!   (Sec. IV.D, Figs. 11–13): each states its per-tuple closed forms
+//!   once as a [`designs::TupleSchedule`] (including the Fig. 11f
+//!   pipeline timing), and the production kernel computes `H_σ`
+//!   arithmetically and books the design's tile events in closed form;
 //! * [`rounds`] — [`rounds::RoundPlan`], the one cost model of a sweep's
 //!   compute-array rounds (partition, compute, load, overlap) and the
 //!   energy price list, which the machine bills and the closed-form model
@@ -24,11 +23,16 @@
 //!   machine implementing the shared iterative-solver protocol;
 //! * [`perf`] — the closed-form CPI/energy model used for million-spin
 //!   sweeps (pinned against the machine by parity tests);
-//! * [`isa`] — the `FIST`/`XNORM` software interface (Sec. IV.E, Fig. 14);
 //! * [`config`] — machine configuration and the Sec. VII.2 cache presets;
 //! * [`ensemble`] — thread-safe per-replica [`machine::RunReport`]
-//!   folding for parallel replica ensembles, cross-checked against the
-//!   [`multicore`] analytic model.
+//!   folding for parallel replica ensembles;
+//! * [`serve`] — the job lowering and worker pool behind `sachi solve`
+//!   and `sachi serve`.
+//!
+//! The paper's reference models that no solve runs — the bit-level SRAM
+//! tile, the scalar design oracles, the `FIST`/`XNORM` ISA (Fig. 14),
+//! the host API (Sec. VII.3) and the multi-core model (Sec. IV.B.2) —
+//! live in the harness crate, `sachi_bench::reference`.
 //!
 //! ## Example
 //!
@@ -56,12 +60,9 @@ pub mod designs;
 pub mod encoding;
 pub mod ensemble;
 pub mod error;
-pub mod isa;
 pub mod machine;
-pub mod multicore;
 pub mod perf;
 pub mod rounds;
-pub mod runtime;
 pub mod serve;
 pub mod tuple;
 
@@ -74,12 +75,9 @@ pub mod prelude {
     pub use crate::encoding::MixedEncoding;
     pub use crate::ensemble::{EnsembleReport, ReplicaLedger, ReportingMachine};
     pub use crate::error::{SachiError, ServerReason};
-    pub use crate::isa::{FistSubop, Instruction, MicroExecutor};
     pub use crate::machine::{FaultReport, RunReport, SachiMachine};
-    pub use crate::multicore::{MulticoreEstimate, MulticoreModel, Partition};
     pub use crate::perf::{IterationEstimate, PerfModel, SolveEstimate};
     pub use crate::rounds::RoundPlan;
-    pub use crate::runtime::{Launch, ProblemHandle, SachiContext};
     pub use crate::serve::{
         build_cop_problem, CopProblem, JobHandle, JobLimits, JobOutcome, JobPlan, JobResult,
         JobSpec, SolverPool, INIT_SEED_SALT,

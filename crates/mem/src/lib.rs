@@ -8,8 +8,8 @@
 //! * [`units`] — `Cycles` / `Picojoules` / `Nanoseconds` / `Bits` newtypes;
 //! * [`params`] — the FreePDK-45 technology constants of Sec. V;
 //! * [`energy`] — append-only per-component energy ledger;
-//! * [`sram`] — a bit-accurate 8T SRAM tile with normal and Ising-compute
-//!   modes, including redundant-discharge accounting (Fig. 5c / Fig. 10);
+//! * [`sram`] — the 8T SRAM compute tile's geometry and event counters,
+//!   including redundant-discharge accounting (Fig. 5c / Fig. 10);
 //! * [`cache`] — geometry/capacity arithmetic for the repurposed L1/L2
 //!   (Fig. 4, Fig. 17 overflow, Sec. VII.2 scaling presets);
 //! * [`dram`] — DRAM controller with the Sec. IV.A prefetcher, booked in
@@ -22,17 +22,20 @@
 //! ```
 //! use sachi_mem::prelude::*;
 //!
-//! // The in-memory XNOR primitive the whole architecture rests on:
-//! let mut tile = SramTile::new(2, 4);
-//! tile.write_row(0, &[true, false, true, true])?;
-//! let xnor = tile.compute_xnor(0, true, 0..4)?; // drive RWL with J = 1
-//! assert_eq!(xnor, vec![true, false, true, true]);
+//! // One in-memory XNOR access on a 4-column row, booked on a tile: two
+//! // word-lines pulse and the 3 columns whose XNOR is 1 discharge.
+//! let mut tile = SramTile::with_params(TileParams::new(2, 4));
+//! tile.book(&TileStats {
+//!     rwl_activations: 2,
+//!     rbl_discharges: 3,
+//!     compute_accesses: 1,
+//!     ..TileStats::default()
+//! });
 //!
 //! // Price its word-line activations under the paper's 45 nm parameters:
 //! let params = TechnologyParams::freepdk45();
 //! let rwl = params.rwl_energy_per_bit() * tile.stats().rwl_activations;
 //! assert!(rwl.get() > 0.0);
-//! # Ok::<(), sachi_mem::sram::AccessError>(())
 //! ```
 
 #![forbid(unsafe_code)]
@@ -55,6 +58,6 @@ pub mod prelude {
     pub use crate::fault::{FaultCounters, FaultInjector, FaultModel, FaultRate};
     pub use crate::l1cache::{Access, CacheMode, CacheStats, L1Cache};
     pub use crate::params::TechnologyParams;
-    pub use crate::sram::{SramTile, TileStats};
+    pub use crate::sram::{SramTile, TileParams, TileStats};
     pub use crate::units::{Bits, Cycles, Nanoseconds, Picojoules};
 }

@@ -17,6 +17,8 @@
 //!   the golden tests).
 //! * [`prom`] — a Prometheus text exposition (version 0.0.4) writer and
 //!   line-grammar validator.
+//! * [`table`] — the fixed-width text tables (and their ratio/percent
+//!   formats) the CLI reports and the paper harnesses print.
 //!
 //! The crate is deliberately dependency-free so every runtime crate can
 //! use it without cycles. Instrumentation is **harvest-based**: hot
@@ -32,6 +34,7 @@ pub mod json;
 pub mod prom;
 pub mod registry;
 pub mod span;
+pub mod table;
 
 pub use registry::{Histogram, MetricsRegistry, HISTOGRAM_BUCKETS};
 pub use span::{render_span_tree, PhaseSpan, SolvePhase};

@@ -3,8 +3,8 @@
 //!
 //! | family | what it enforces |
 //! |--------|------------------|
-//! | `determinism` | the result-affecting crates (`sachi-core`, `sachi-ising`, `sachi-mem`, `sachi-obs`) plus the `sachi serve` daemon modules (`crates/cli/src/{protocol,serve}.rs`) never touch unordered containers (`HashMap`/`HashSet`/`RandomState`/`DefaultHasher`), wall-clock time (`std::time`, `Instant`, `SystemTime`), thread identity (`thread::current`), or process environment (`env::var` & friends) — test code included, since iteration-order flakiness in goldens masks real nondeterminism. `crates/cli/src/clock.rs` is the one sanctioned `std::time` doorway and stays outside the scope |
-//! | `panic-reachability` | no slice indexing, non-literal `/`‍/`%`, or `.unwrap()` in any `sachi-core`/`sachi-ising`/`sachi-mem` fn *transitively reachable* from a `solve*`/`compute_*`/`run*` entry point via the conservative call graph — not merely textually present in a scoped file (workloads are input encoders, gated by `overflow-audit` instead, mirroring the classic `panic-freedom` scope) |
+//! | `determinism` | the result-affecting crates (`sachi-core`, `sachi-ising`, `sachi-mem`, `sachi-obs`), the paper's reference models (`crates/bench/src/reference`), plus the `sachi serve` daemon modules (`crates/cli/src/{protocol,serve}.rs`) never touch unordered containers (`HashMap`/`HashSet`/`RandomState`/`DefaultHasher`), wall-clock time (`std::time`, `Instant`, `SystemTime`), thread identity (`thread::current`), or process environment (`env::var` & friends) — test code included, since iteration-order flakiness in goldens masks real nondeterminism. `crates/cli/src/clock.rs` is the one sanctioned `std::time` doorway and stays outside the scope |
+//! | `panic-reachability` | no slice indexing, non-literal `/`‍/`%`, or `.unwrap()` in any `sachi-core`/`sachi-ising`/`sachi-mem` or reference-model fn *transitively reachable* from a `solve*`/`compute_*`/`run*` entry point via the conservative call graph — not merely textually present in a scoped file (workloads are input encoders, gated by `overflow-audit` instead, mirroring the classic `panic-freedom` scope) |
 //! | `overflow-audit` | no unchecked `+`/`-`/`*` integer *value* arithmetic in `crates/workloads` fns reachable from the encoding entry points (signatures mentioning `QuboProblem`/`IsingGraph`/`EncodeError`) — the standing gate behind `EncodeError::CoefficientOverflow`. Arithmetic inside an index-bracket group is address math, exempt by design: an overflowed address trips the bounds check (a loud panic), it cannot silently corrupt a coefficient |
 //!
 //! Reachability findings are reported **per function** (line = the
@@ -25,12 +25,14 @@ use std::path::Path;
 pub const FAMILIES: &[&str] = &["determinism", "panic-reachability", "overflow-audit"];
 
 /// Crates whose behavior feeds solver results: bit-exact, seed-
-/// reproducible output depends on them and only them.
+/// reproducible output depends on them and only them. The paper's
+/// reference models the goldens and figures check against join them.
 const DETERMINISM_SCOPE: &[&str] = &[
     "crates/core/src",
     "crates/ising/src",
     "crates/mem/src",
     "crates/obs/src",
+    "crates/bench/src/reference",
 ];
 
 /// The `sachi serve` daemon modules, held to the same determinism bans:
@@ -50,8 +52,23 @@ const DOMAIN: &[&str] = &[
     "crates/ising/src",
     "crates/mem/src",
     "crates/obs/src",
+    "crates/bench/src/reference",
     "crates/workloads/src",
 ];
+
+/// Where panic-reachability finds its entry points and reports: the
+/// result-affecting compute crates and the reference models proven
+/// against them.
+const PANIC_SCOPE: &[&str] = &[
+    "crates/core/src",
+    "crates/ising/src",
+    "crates/mem/src",
+    "crates/bench/src/reference",
+];
+
+fn in_panic_scope(file: &WsFile) -> bool {
+    PANIC_SCOPE.iter().any(|p| file.path.starts_with(p))
+}
 
 /// Every scope list this module scans, by family (checked for stale
 /// entries by [`crate::lints::missing_scope_paths`]).
@@ -59,6 +76,7 @@ pub const SCOPES: &[(&str, &[&str])] = &[
     ("determinism", DETERMINISM_SCOPE),
     ("determinism", SERVER_DETERMINISM_SCOPE),
     ("analyze domain", DOMAIN),
+    ("panic-reachability", PANIC_SCOPE),
 ];
 
 /// Unordered-container identifiers banned by the determinism lint.
@@ -482,9 +500,7 @@ pub fn run(root: &Path) -> Result<Analysis, String> {
     // Panic-reachability: entries are the solver-contract surfaces of
     // the result-affecting compute crates.
     let panic_entry = |file: &WsFile, f: &FnItem| {
-        (file.path.starts_with("crates/core/src")
-            || file.path.starts_with("crates/ising/src")
-            || file.path.starts_with("crates/mem/src"))
+        in_panic_scope(file)
             && (f.name.starts_with("solve")
                 || f.name.starts_with("compute_")
                 || f.name.starts_with("run"))
@@ -497,11 +513,7 @@ pub fn run(root: &Path) -> Result<Analysis, String> {
         "panic-reachability",
         // Reported in the panic-freedom crates only: workloads are
         // input encoders whose arithmetic the overflow audit owns.
-        |file| {
-            file.path.starts_with("crates/core/src")
-                || file.path.starts_with("crates/ising/src")
-                || file.path.starts_with("crates/mem/src")
-        },
+        in_panic_scope,
         |ops| {
             let mut cats = Vec::new();
             if !ops.index.is_empty() {

@@ -3,7 +3,7 @@
 //! | lint | what it enforces |
 //! |------|------------------|
 //! | `unit-safety` | no raw numeric `as` casts in memory-model and energy/cycle accounting code — arithmetic goes through the `units.rs` newtypes |
-//! | `panic-freedom` | no `.unwrap()` / `panic!` in library code of `sachi-core`, `sachi-mem`, `sachi-ising` (`.expect("invariant …")` is the sanctioned escape hatch) |
+//! | `panic-freedom` | no `.unwrap()` / `panic!` in library code of `sachi-core`, `sachi-mem`, `sachi-ising` and the reference models of `sachi-bench` (`.expect("invariant …")` is the sanctioned escape hatch) |
 //! | `fault-strict` | the fault-injection and recovery modules may not even `.expect(…)` — fault handling code must never be a panic source itself |
 //! | `bench-registration` | every `fig*` / `abl_*` / `disc_*` / `perf_*` bench binary has a `fn main`, is declared in `crates/bench/src/lib.rs`, and is referenced in `EXPERIMENTS.md` |
 //! | `hot-path` | no heap allocation (`vec!`, `.collect(…)`, `.to_vec(…)`, `Vec::…`, `.resize(…)`) and no metrics/span instrumentation (`counter_add`, `.observe`, `MetricsRegistry`, …) inside `compute_*` / `upload_*` / `writeback_*` kernel bodies and the annealer decision (`decide_update`, `accept*`, `probability*`) — the per-sweep hot path runs on caller-provided scratch buffers and is metered by post-sweep harvest, never inline |
@@ -65,7 +65,8 @@ impl std::fmt::Display for Finding {
 /// Files whose energy/cycle arithmetic must go through the `units.rs`
 /// newtypes. All of `sachi-mem`, plus the accounting paths of
 /// `sachi-core` (round plan, closed-form model, functional machine,
-/// per-design schedules, replica-ensemble folding).
+/// per-design schedules, replica-ensemble folding), and the bit-level
+/// tile and scalar design oracles those are proven against.
 const UNIT_SAFETY_SCOPE: &[&str] = &[
     "crates/mem/src",
     "crates/core/src/rounds.rs",
@@ -73,15 +74,20 @@ const UNIT_SAFETY_SCOPE: &[&str] = &[
     "crates/core/src/machine.rs",
     "crates/core/src/designs.rs",
     "crates/core/src/ensemble.rs",
+    "crates/bench/src/reference/bitcell.rs",
+    "crates/bench/src/reference/designs.rs",
 ];
 
 /// Library crates that must not panic on library paths, plus the
 /// `sachi serve` daemon modules: a panic there takes down every
-/// co-tenant, so the daemon side is held to library standards.
+/// co-tenant, so the daemon side is held to library standards. The
+/// paper's reference models in the harness crate keep the standard of
+/// the crates they moved out of.
 const PANIC_FREEDOM_SCOPE: &[&str] = &[
     "crates/core/src",
     "crates/mem/src",
     "crates/ising/src",
+    "crates/bench/src/reference",
     "crates/cli/src/serve.rs",
     "crates/cli/src/clock.rs",
 ];
@@ -100,14 +106,17 @@ const FAULT_STRICT_SCOPE: &[&str] = &[
 /// Files whose `compute_*` / `upload_*` / `writeback_*` function bodies
 /// are the per-sweep hot path: the designs' tuple kernels and spin-row
 /// upload/writeback helpers, the SoA tuple-plane writeback, and the SRAM
-/// compute kernels — plus the per-update annealer decision
-/// (`decide_update`, `accept*`, `probability*`). Allocation there is an
-/// N·R-per-sweep tax the production SoA kernel must not pay; the scalar
-/// reference oracles are excused by audited `lint.allow.toml` entries.
+/// tile — plus the per-update annealer decision (`decide_update`,
+/// `accept*`, `probability*`). Allocation there is an N·R-per-sweep tax
+/// the production SoA kernel must not pay. The scalar design oracles and
+/// the bit-level tile they pulse stay in scope; their allocations are
+/// excused by audited `lint.allow.toml` entries.
 const HOT_PATH_SCOPE: &[&str] = &[
     "crates/core/src/designs.rs",
     "crates/core/src/tuple.rs",
     "crates/mem/src/sram.rs",
+    "crates/bench/src/reference/bitcell.rs",
+    "crates/bench/src/reference/designs.rs",
     "crates/ising/src/anneal.rs",
     "crates/ising/src/solver.rs",
 ];

@@ -9,6 +9,7 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use sachi::prelude::*;
+use sachi_bench::reference::runtime::{ProblemHandle, SachiContext};
 
 fn main() {
     let mut ctx = SachiContext::new(SachiConfig::new(DesignKind::N3));

@@ -8,6 +8,8 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use sachi::prelude::*;
 use sachi::workloads::lucas;
+use sachi_bench::reference::multicore::{MulticoreModel, Partition};
+use sachi_bench::reference::runtime::SachiContext;
 
 #[test]
 fn runtime_launch_respects_mode_exclusivity_and_matches_golden() {

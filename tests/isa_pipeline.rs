@@ -3,6 +3,8 @@
 //! the mathematical local field.
 
 use sachi::prelude::*;
+use sachi_bench::reference::bitcell::BitcellTile;
+use sachi_bench::reference::isa::{FistSubop, Instruction, MicroExecutor};
 
 #[test]
 fn xnorm_program_computes_a_tuple_local_field() {
@@ -18,7 +20,7 @@ fn xnorm_program_computes_a_tuple_local_field() {
     // region into the storage array, then FIST(storage->compute) stages
     // the IC row and XNORM multiplies it against the spin driven from
     // storage address 128+k.
-    let mut exec = MicroExecutor::new(256, 256, SramTile::new(4, 16));
+    let mut exec = MicroExecutor::new(256, 256, BitcellTile::new(4, 16));
     for (k, (_, s)) in neighbors.iter().enumerate() {
         exec.write_dram(128 + k, &[s.bit()]).unwrap();
     }
@@ -67,7 +69,7 @@ fn xnorm_program_computes_a_tuple_local_field() {
 
 #[test]
 fn xnorm_hardware_counters_accumulate() {
-    let mut exec = MicroExecutor::new(64, 64, SramTile::new(1, 8));
+    let mut exec = MicroExecutor::new(64, 64, BitcellTile::new(1, 8));
     exec.write_dram(0, &[true, false, true, false]).unwrap();
     exec.write_dram(8, &[true]).unwrap();
     let program = [

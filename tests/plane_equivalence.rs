@@ -23,7 +23,7 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use sachi::arch::config::{DesignKind, FaultProfile, SachiConfig};
-use sachi::arch::designs::{stationarity, ComputeContext, ComputeScratch};
+use sachi::arch::designs::{ComputeContext, ComputeScratch};
 use sachi::arch::encoding::MixedEncoding;
 use sachi::arch::machine::SachiMachine;
 use sachi::arch::rounds::tuple_cycles;
@@ -34,7 +34,9 @@ use sachi::ising::solver::SolveOptions;
 use sachi::ising::spin::{Spin, SpinVector};
 use sachi::mem::cache::{CacheGeometry, CacheHierarchy};
 use sachi::mem::fault::{FaultModel, FaultRate};
-use sachi::mem::sram::SramTile;
+use sachi::mem::sram::{SramTile, TileParams};
+use sachi_bench::reference::bitcell::BitcellTile;
+use sachi_bench::reference::designs::oracle;
 
 /// Maps a raw draw into the R-bit two's-complement coefficient range.
 fn coeff_in_range(raw: u64, r: u32) -> i32 {
@@ -92,10 +94,10 @@ fn assert_kernel_matches_oracle(
     target: Spin,
     row_bits: usize,
 ) {
-    let design = stationarity(kind);
+    let design = oracle(kind);
     let (rows, cols) = design.tile_requirements(tuple.degree(), enc.bits(), row_bits);
-    let mut tile_scalar = SramTile::new(rows, cols);
-    let mut tile_soa = SramTile::new(rows, cols);
+    let mut tile_scalar = BitcellTile::new(rows, cols);
+    let mut tile_soa = SramTile::with_params(TileParams::new(rows, cols));
     let mut ctx_scalar = ComputeContext::new();
     let mut ctx_soa = ComputeContext::new();
     let h_scalar = design.compute_tuple(&mut tile_scalar, enc, tuple, target, &mut ctx_scalar);
@@ -171,7 +173,7 @@ proptest! {
         let enc = MixedEncoding::new(r).expect("valid resolution");
         let row_bits = row_widths(r)[width];
         for kind in DesignKind::ALL {
-            let design = stationarity(kind);
+            let design = oracle(kind);
             let tuples: Vec<SpinTuple> = seeds
                 .iter()
                 .enumerate()
@@ -185,8 +187,8 @@ proptest! {
             let max_degree = tuples.iter().map(SpinTuple::degree).max().unwrap_or(1);
             let (rows, cols) = design.tile_requirements(max_degree, r, row_bits);
             let planes = TuplePlanes::from_tuples(tuples.iter(), &enc).expect("coefficients fit");
-            let mut tile_scalar = SramTile::new(rows, cols);
-            let mut tile_soa = SramTile::new(rows, cols);
+            let mut tile_scalar = BitcellTile::new(rows, cols);
+            let mut tile_soa = SramTile::with_params(TileParams::new(rows, cols));
             let mut ctx_scalar = ComputeContext::new();
             let mut ctx_soa = ComputeContext::new();
             let mut scratch = ComputeScratch::new();

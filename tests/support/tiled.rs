@@ -2,10 +2,10 @@
 //! design — the differential oracle for [`SachiMachine`]'s residency
 //! billing.
 //!
-//! [`SachiMachine`] computes through a *scratch* tile: it re-lays each
-//! tuple before computing it and bills residency traffic analytically.
+//! [`SachiMachine`] books each tuple's tile events in closed form and
+//! bills residency traffic analytically.
 //! This module is the fully physical alternative for SACHI(n3): a
-//! [`TiledComputeArray`] with one [`SramTile`] per paper tile, tuples laid
+//! [`TiledComputeArray`] with one [`BitcellTile`] per paper tile, tuples laid
 //! out **once per round** at real bit addresses (one tuple per run of
 //! whole rows, Sec. IV.B), spin updates written **into the resident
 //! bitcells** through the Fig. 8b path, and every write observable in the
@@ -18,6 +18,7 @@
 //!
 //! [`SachiMachine`]: sachi_core::machine::SachiMachine
 
+use sachi_bench::reference::bitcell::BitcellTile;
 use sachi_core::config::SachiConfig;
 use sachi_core::designs::ComputeContext;
 use sachi_core::encoding::MixedEncoding;
@@ -30,7 +31,6 @@ use sachi_ising::solver::{decide_update, IterativeSolver, SolveOptions, SolveRes
 use sachi_ising::spin::{Spin, SpinVector};
 use sachi_mem::cache::CacheGeometry;
 use sachi_mem::energy::{EnergyComponent, EnergyLedger};
-use sachi_mem::sram::SramTile;
 use sachi_mem::units::convert::{count_u64, to_index};
 use sachi_mem::units::{Bits, Cycles};
 use std::fmt;
@@ -80,7 +80,7 @@ impl std::error::Error for PlacementError {}
 /// neighbor (J bits then the `σ_j` copy).
 #[derive(Debug)]
 pub struct TiledComputeArray {
-    tiles: Vec<SramTile>,
+    tiles: Vec<BitcellTile>,
     next_row: Vec<usize>,
     rows_per_tile: usize,
     groups_per_row: usize,
@@ -104,7 +104,7 @@ impl TiledComputeArray {
         );
         TiledComputeArray {
             tiles: (0..geometry.tiles())
-                .map(|_| SramTile::new(geometry.rows_per_tile(), geometry.row_bits()))
+                .map(|_| BitcellTile::new(geometry.rows_per_tile(), geometry.row_bits()))
                 .collect(),
             next_row: vec![0; geometry.tiles()],
             rows_per_tile: geometry.rows_per_tile(),
