@@ -1,7 +1,8 @@
-//! `sachi solve --file` on coefficients the machine cannot encode: an
-//! `i32::MIN` coupling or field has no 32-bit negation, so the loader
-//! refuses it with a typed parse error (exit 2) before any machine maps
-//! the graph.
+//! `sachi solve --file` on input the machine cannot hold: an `i32::MIN`
+//! coupling or field has no 32-bit negation, and a header counting more
+//! spins than `u32` vertex ids can number has no graph, so the loader
+//! refuses both with a typed parse error (exit 2) before any machine
+//! maps the graph, and before anything is allocated for the count.
 
 use std::path::PathBuf;
 use std::process::Command;
@@ -71,4 +72,43 @@ fn the_widest_encodable_coefficients_still_solve() {
     assert_eq!(code, 0, "{err}");
     let (code, err) = solve_file("widest.gset", "2 1\n1 2 2147483647\n", &["--gset"]);
     assert_eq!(code, 0, "{err}");
+}
+
+/// 2^62 spins: far past the 2^32 a graph can number. A count inside the
+/// bound is never tested here, since it would allocate for that many
+/// spins.
+const HUGE: &str = "4611686018427387904";
+
+#[test]
+fn dimacs_header_with_too_many_spins_is_refused_with_exit_2() {
+    let (code, err) = solve_file("huge.dimacs", &format!("p ising {HUGE} 0\n"), &[]);
+    assert_eq!(code, 2, "{err}");
+    assert!(
+        err.contains(&format!("vertex count {HUGE} exceeds")),
+        "{err}"
+    );
+}
+
+#[test]
+fn cnf_header_with_too_many_spins_is_refused_with_exit_2() {
+    let (code, err) = solve_file(
+        "huge.cnf",
+        &format!("p cnf {HUGE} 1\n1 2 3 0\n"),
+        &["--cnf"],
+    );
+    assert_eq!(code, 2, "{err}");
+    assert!(
+        err.contains(&format!("{HUGE} variables plus 1 clauses exceed")),
+        "{err}"
+    );
+}
+
+#[test]
+fn gset_header_with_too_many_spins_is_refused_with_exit_2() {
+    let (code, err) = solve_file("huge.gset", &format!("{HUGE} 0\n"), &["--gset"]);
+    assert_eq!(code, 2, "{err}");
+    assert!(
+        err.contains(&format!("vertex count {HUGE} exceeds")),
+        "{err}"
+    );
 }

@@ -82,6 +82,16 @@ impl fmt::Display for GraphError {
 
 impl std::error::Error for GraphError {}
 
+/// The most spins a graph can hold: its CSR numbers vertices with `u32`
+/// ids. The problem-file parsers reject a larger header count before
+/// allocating anything for it.
+pub const MAX_SPINS: u64 = 1 << 32;
+
+/// Whether `n` spins exceed [`MAX_SPINS`].
+pub fn exceeds_max_spins(n: usize) -> bool {
+    u64::try_from(n).map_or(true, |n| n > MAX_SPINS)
+}
+
 /// Incremental builder for [`IsingGraph`] ([C-BUILDER]).
 ///
 /// ```

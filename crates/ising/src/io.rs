@@ -11,7 +11,7 @@
 //!
 //! Parsers work on any `&str`; callers wire them to files.
 
-use crate::graph::{GraphBuilder, GraphError, IsingGraph};
+use crate::graph::{exceeds_max_spins, GraphBuilder, GraphError, IsingGraph, MAX_SPINS};
 use std::fmt;
 
 /// Error from parsing a graph file.
@@ -86,6 +86,17 @@ fn malformed(line: usize, reason: impl Into<String>) -> ParseError {
     }
 }
 
+/// A header's vertex count, refused when the graph cannot number that
+/// many spins.
+fn vertex_count(n: usize) -> Result<usize, ParseError> {
+    if exceeds_max_spins(n) {
+        return Err(ParseError::BadHeader(format!(
+            "vertex count {n} exceeds the {MAX_SPINS} spins a graph can hold"
+        )));
+    }
+    Ok(n)
+}
+
 /// Parses the DIMACS-style Ising format.
 ///
 /// ```
@@ -124,7 +135,8 @@ pub fn parse_dimacs(text: &str) -> Result<IsingGraph, ParseError> {
                 n = parts
                     .next()
                     .and_then(|s| s.parse().ok())
-                    .ok_or_else(|| ParseError::BadHeader("missing vertex count".into()))?;
+                    .ok_or_else(|| ParseError::BadHeader("missing vertex count".into()))
+                    .and_then(vertex_count)?;
                 // Edge count is advisory; tolerate absence.
                 builder = Some(GraphBuilder::new(n));
             }
@@ -220,7 +232,8 @@ pub fn parse_gset(text: &str) -> Result<IsingGraph, ParseError> {
     let n: usize = parts
         .next()
         .and_then(|s| s.parse().ok())
-        .ok_or_else(|| malformed(idx + 1, "header needs '<n> <m>'"))?;
+        .ok_or_else(|| malformed(idx + 1, "header needs '<n> <m>'"))
+        .and_then(vertex_count)?;
     let mut builder = GraphBuilder::new(n);
     for (idx, raw) in lines {
         let lineno = idx + 1;

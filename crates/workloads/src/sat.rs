@@ -29,7 +29,7 @@ use crate::corpus::SplitMix64;
 use crate::encode::EncodeError;
 use crate::qubo::{QuboBuilder, QuboProblem};
 use crate::spec::{CopKind, Workload, WorkloadShape};
-use sachi_ising::graph::IsingGraph;
+use sachi_ising::graph::{exceeds_max_spins, IsingGraph, MAX_SPINS};
 use sachi_ising::spin::{Spin, SpinVector};
 
 /// A literal: a variable index plus its polarity.
@@ -249,6 +249,15 @@ pub fn parse_dimacs_cnf(text: &str) -> Result<SatInstance, String> {
                 .next()
                 .and_then(|t| t.parse().ok())
                 .ok_or_else(|| format!("line {}: bad clause count", lineno + 1))?;
+            // The encoding takes one spin per variable and one ancilla
+            // per clause.
+            if v.checked_add(declared).is_none_or(exceeds_max_spins) {
+                return Err(format!(
+                    "line {}: {v} variables plus {declared} clauses exceed the {MAX_SPINS} \
+                     spins a graph can hold",
+                    lineno + 1
+                ));
+            }
             num_vars = Some(v);
             continue;
         }
