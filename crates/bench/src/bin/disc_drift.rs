@@ -300,7 +300,7 @@ fn main() {
             let opts = SolveOptions::for_graph(graph, 17);
             let (_, report) = machine.solve_detailed(graph, &init, &opts);
 
-            let plan = RoundPlan::uniform(&config, &shape);
+            let plan = RoundPlan::uniform(&config, &shape).expect("drift shapes are small");
             let model = PerfModel::new(config);
             let est = model.iteration(&shape);
             let solve = model.solve(&shape, report.sweeps);

@@ -4,6 +4,7 @@ use crate::args::{EstimateArgs, MetricsFormat, SolveArgs};
 use crate::protocol;
 use sachi_baselines::prelude::*;
 use sachi_core::prelude::*;
+use sachi_ising::graph::MAX_SPINS;
 use sachi_ising::prelude::*;
 use sachi_mem::l1cache::{CacheMode, L1Cache};
 use sachi_mem::prelude::*;
@@ -177,9 +178,21 @@ pub fn estimate(args: &EstimateArgs) -> Result<(), SachiError> {
     if let Some(r) = args.resolution {
         shape = shape.with_resolution(r);
     }
+    let out_of_range = || {
+        SachiError::Config(format!(
+            "{} at {} spins over {} iterations is outside the model's range \
+             (at most {MAX_SPINS} spins, every count within 64 bits)",
+            args.cop, args.spins, args.iterations
+        ))
+    };
     let model = PerfModel::new(config);
-    let iter = model.iteration(&shape);
-    let solve = model.solve(&shape, args.iterations);
+    let iter = model.try_iteration(&shape).ok_or_else(out_of_range)?;
+    let solve = model
+        .try_solve(&shape, args.iterations)
+        .ok_or_else(out_of_range)?;
+    let base = PerfModel::new(SachiConfig::new(DesignKind::N1a).with_hierarchy(args.hierarchy))
+        .try_iteration(&shape)
+        .ok_or_else(out_of_range)?;
     println!(
         "shape    : {} at {} spins (N = {}, R = {})",
         args.cop, shape.spins, shape.neighbors_per_spin, shape.resolution_bits
@@ -209,11 +222,10 @@ pub fn estimate(args: &EstimateArgs) -> Result<(), SachiError> {
         solve.wall_time,
         solve.energy.total()
     );
-    let base = PerfModel::new(SachiConfig::new(DesignKind::N1a).with_hierarchy(args.hierarchy));
     println!(
         "vs n1a   : {} speedup per iteration",
         ratio(
-            base.iteration(&shape).effective_cycles.get() as f64,
+            base.effective_cycles.get() as f64,
             iter.effective_cycles.get() as f64
         )
     );

@@ -1,0 +1,43 @@
+//! `sachi estimate` on inputs outside the closed-form model's range: a
+//! spin count a graph cannot hold, a shape whose sweep counts overflow
+//! 64 bits, or a sweep count whose solve cycles do. Each is refused
+//! with a configuration error (exit 2) instead of wrapping, panicking or
+//! looping once per iteration.
+
+use std::process::Command;
+
+/// Runs `sachi estimate <args>` and returns (exit code, stdout, stderr).
+fn estimate(args: &[&str]) -> (i32, String, String) {
+    let out = Command::new(env!("CARGO_BIN_EXE_sachi"))
+        .arg("estimate")
+        .args(args)
+        .output()
+        .expect("run sachi");
+    (
+        out.status.code().expect("sachi exited normally"),
+        String::from_utf8_lossy(&out.stdout).into_owned(),
+        String::from_utf8_lossy(&out.stderr).into_owned(),
+    )
+}
+
+fn assert_refused(args: &[&str]) {
+    let (code, out, err) = estimate(args);
+    assert_eq!(code, 2, "sachi estimate {args:?}: {err}");
+    assert!(out.is_empty(), "printed an estimate before refusing: {out}");
+    assert!(err.contains("outside the model's range"), "{err}");
+}
+
+#[test]
+fn the_largest_spin_count_is_refused() {
+    assert_refused(&["--spins", "18446744073709551615"]);
+}
+
+#[test]
+fn a_tsp_whose_storage_bits_overflow_is_refused() {
+    assert_refused(&["--cop", "tsp", "--spins", "4294967296"]);
+}
+
+#[test]
+fn the_largest_iteration_count_is_refused() {
+    assert_refused(&["--iterations", "18446744073709551615"]);
+}

@@ -14,6 +14,7 @@
 use crate::config::SachiConfig;
 use crate::designs::{stationarity, TupleSchedule};
 use crate::rounds::{ComputeEvents, RoundPlan};
+use sachi_ising::graph::MAX_SPINS;
 use sachi_mem::energy::EnergyLedger;
 use sachi_mem::units::convert::{approx_f64, count_u64, scale_by_fraction};
 use sachi_mem::units::{Cycles, Nanoseconds};
@@ -77,18 +78,41 @@ impl PerfModel {
     }
 
     /// Estimates one steady sweep of the given shape.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the shape is outside the model's range (see
+    /// [`PerfModel::try_iteration`]).
     pub fn iteration(&self, shape: &WorkloadShape) -> IterationEstimate {
-        let plan = RoundPlan::uniform(&self.config, shape);
-        IterationEstimate {
+        self.try_iteration(shape)
+            .expect("shape within the model's range")
+    }
+
+    /// [`PerfModel::iteration`], or `None` when the shape is outside the
+    /// model's range: more spins than a graph can hold
+    /// ([`sachi_ising::graph::MAX_SPINS`]), or a sweep whose counts
+    /// overflow `u64`.
+    pub fn try_iteration(&self, shape: &WorkloadShape) -> Option<IterationEstimate> {
+        let plan = self.uniform_plan(shape)?;
+        Some(IterationEstimate {
             compute_cycles: plan.sweep_compute(),
             load_cycles: plan.sweep_load(1),
             effective_cycles: plan.sweep_cycles(1),
             rounds: plan.rounds_per_sweep,
             fits_in_compute: plan.rounds_per_sweep == 1,
             uses_dram: plan.uses_dram,
-            energy: self.sweep_energy(&plan, shape, 1),
+            energy: self.sweep_energy(&plan, shape, 1)?,
             reuse: self.schedule(shape).max_reuse,
+        })
+    }
+
+    /// The uniform round plan of `shape`, or `None` outside the model's
+    /// range.
+    fn uniform_plan(&self, shape: &WorkloadShape) -> Option<RoundPlan> {
+        if shape.spins > MAX_SPINS {
+            return None;
         }
+        RoundPlan::uniform(&self.config, shape)
     }
 
     /// The configured design's schedule of one tuple of `shape`.
@@ -104,49 +128,65 @@ impl PerfModel {
     /// Estimates a whole solve of `iterations` sweeps (at least one),
     /// including the initial DRAM placement and sweep 0's loads — what
     /// the functional machine bills for the same shape and sweep count.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the solve is outside the model's range (see
+    /// [`PerfModel::try_solve`]).
     pub fn solve(&self, shape: &WorkloadShape, iterations: u64) -> SolveEstimate {
-        let plan = RoundPlan::uniform(&self.config, shape);
-        let total = plan.solve_cycles(iterations);
+        self.try_solve(shape, iterations)
+            .expect("solve within the model's range")
+    }
+
+    /// [`PerfModel::solve`], or `None` when the shape is outside the
+    /// model's range (see [`PerfModel::try_iteration`]) or the solve's
+    /// cycles overflow `u64`.
+    pub fn try_solve(&self, shape: &WorkloadShape, iterations: u64) -> Option<SolveEstimate> {
+        let plan = self.uniform_plan(shape)?;
+        let total = plan.solve_cycles(iterations)?;
         let mut energy = EnergyLedger::new();
         plan.bill_placement(&mut energy);
-        energy.merge(&self.sweep_energy(&plan, shape, 0));
-        let steady = self.sweep_energy(&plan, shape, 1);
-        for _ in 1..iterations.max(1) {
-            energy.merge(&steady);
-        }
-        SolveEstimate {
+        energy.merge(&self.sweep_energy(&plan, shape, 0)?);
+        energy.merge_times(&self.sweep_energy(&plan, shape, 1)?, iterations.max(1) - 1);
+        Some(SolveEstimate {
             iterations,
             total_cycles: total,
             energy,
             wall_time: total.to_time(self.config.tech.cycle_time),
-        }
+        })
     }
 
     /// Energy of sweep `sweep` of `shape`: every tuple's scheduled
     /// compute events, the plan's loads, and the update path at the
-    /// assumed flip rate.
-    fn sweep_energy(&self, plan: &RoundPlan, shape: &WorkloadShape, sweep: u64) -> EnergyLedger {
+    /// assumed flip rate. `None` when an event count overflows `u64`.
+    fn sweep_energy(
+        &self,
+        plan: &RoundPlan,
+        shape: &WorkloadShape,
+        sweep: u64,
+    ) -> Option<EnergyLedger> {
         let (spins, n) = (shape.spins, shape.neighbors_per_spin);
         let tuple = self.schedule(shape);
-        let accesses = spins * tuple.accesses;
+        let accesses = spins.checked_mul(tuple.accesses)?;
         let mut energy = EnergyLedger::new();
         plan.bill_compute(
             &mut energy,
             &ComputeEvents {
-                rwl_activations: 2 * accesses,
+                rwl_activations: accesses.checked_mul(2)?,
                 // Expected discharges: half of the active window per access.
-                rbl_discharges: approx_f64(accesses * tuple.active_bits_per_access) * 0.5,
+                rbl_discharges: approx_f64(accesses.checked_mul(tuple.active_bits_per_access)?)
+                    * 0.5,
                 fetched_bits: accesses,
-                adder_bit_ops: spins * tuple.adder_bit_ops,
-                decisions: spins * tuple.decisions,
+                adder_bit_ops: spins.checked_mul(tuple.adder_bit_ops)?,
+                decisions: spins.checked_mul(tuple.decisions)?,
                 annealer_decisions: spins,
             },
         );
         plan.bill_sweep_loads(&mut energy, sweep);
         // Update path at the assumed flip rate (a spin has ~n copies).
         let flips = scale_by_fraction(spins, ASSUMED_FLIP_FRACTION);
-        plan.bill_flips(&mut energy, flips, flips * n);
-        energy
+        plan.bill_flips(&mut energy, flips, flips.checked_mul(n)?);
+        Some(energy)
     }
 }
 

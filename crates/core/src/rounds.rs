@@ -175,11 +175,12 @@ impl RoundPlan {
     }
 
     /// Plans a uniform shape in O(1): full rounds of the array's tuple
-    /// capacity, then the remainder.
-    pub fn uniform(config: &SachiConfig, shape: &WorkloadShape) -> Self {
+    /// capacity, then the remainder. `None` when the problem's storage
+    /// bits overflow `u64`.
+    pub fn uniform(config: &SachiConfig, shape: &WorkloadShape) -> Option<Self> {
         let (spins, n, r) = (shape.spins, shape.neighbors_per_spin, shape.resolution_bits);
         let tuple_storage = SpinTuple::storage_bits(n, r);
-        let mut plan = Self::empty(config, r, n, spins * (tuple_storage + n));
+        let mut plan = Self::empty(config, r, n, spins.checked_mul(tuple_storage + n)?);
         let schedule = stationarity(config.design).schedule(n, r, plan.row_bits());
         let (per_tuple, resident) = (schedule.accesses, schedule.resident_bits);
         let bits = config.hierarchy.compute.total_bits().get();
@@ -199,7 +200,7 @@ impl RoundPlan {
             }
         }
         plan.rounds_per_sweep = plan.per_sweep(|_, _| 1).max(1);
-        plan
+        Some(plan)
     }
 
     /// Each round in sweep order with the spin range it computes.
@@ -290,9 +291,12 @@ impl RoundPlan {
     }
 
     /// Critical-path cycles of a solve of `sweeps` sweeps (at least one):
-    /// the DRAM placement, sweep 0, then the steady sweeps.
-    pub fn solve_cycles(&self, sweeps: u64) -> Cycles {
-        self.placement + self.sweep_cycles(0) + self.sweep_cycles(1) * (sweeps.max(1) - 1)
+    /// the DRAM placement, sweep 0, then the steady sweeps. `None` when
+    /// they overflow `u64`.
+    pub fn solve_cycles(&self, sweeps: u64) -> Option<Cycles> {
+        let steady = self.sweep_cycles(1).get().checked_mul(sweeps.max(1) - 1)?;
+        let first = self.placement + self.sweep_cycles(0);
+        first.get().checked_add(steady).map(Cycles::new)
     }
 
     /// Books the placement of the whole problem into DRAM.
@@ -407,7 +411,8 @@ mod tests {
     fn uniform_plan_matches_degree_plan() {
         for config in configs() {
             for (spins, n, r) in [(1u64, 0u64, 2u32), (7, 3, 4), (12, 11, 3), (40, 39, 6)] {
-                let uniform = RoundPlan::uniform(&config, &WorkloadShape::new(spins, n, r));
+                let uniform =
+                    RoundPlan::uniform(&config, &WorkloadShape::new(spins, n, r)).unwrap();
                 let degrees = vec![n; to_index(spins)];
                 let walked = RoundPlan::for_degrees(&config, r, &degrees);
                 let what = format!("{} {spins}x{n}@{r}", config.design);
@@ -445,7 +450,7 @@ mod tests {
     #[test]
     fn million_spin_tsp_is_two_runs() {
         let config = SachiConfig::new(DesignKind::N3);
-        let plan = RoundPlan::uniform(&config, &WorkloadShape::new(1_000_000, 999_999, 5));
+        let plan = RoundPlan::uniform(&config, &WorkloadShape::new(1_000_000, 999_999, 5)).unwrap();
         assert_eq!(plan.rounds_per_sweep, 1_000_000);
         assert!(plan.runs.len() <= 2);
         assert!(plan.uses_dram);

@@ -129,7 +129,8 @@ fn phase_schedule_struct_mirrors_design_formulas() {
                 // pipeline fill plus phase1 per tuple, affine in the count.
                 let round = |tuples| {
                     let plan =
-                        RoundPlan::uniform(&one_tile(design), &WorkloadShape::new(tuples, n, r));
+                        RoundPlan::uniform(&one_tile(design), &WorkloadShape::new(tuples, n, r))
+                            .unwrap();
                     plan.sweep_compute().get()
                 };
                 assert_eq!(round(10), s.idle_cycles + 10 * s.accesses + 3);
