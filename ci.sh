@@ -13,6 +13,17 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "==> cargo run -p xtask -- lint"
 cargo run -q -p xtask -- lint
 
+# The dependency direction: the `sachi` binary (CLI and daemon) links
+# only what a solve runs, never the harness crate and its reference
+# models.
+echo "==> sachi-cli does not depend on sachi-bench"
+CLI_DEPS=$(cargo tree --offline -p sachi-cli -e normal --prefix none)
+if grep -q '^sachi-bench ' <<<"$CLI_DEPS"; then
+  echo "sachi-cli depends on sachi-bench:" >&2
+  echo "$CLI_DEPS" >&2
+  exit 1
+fi
+
 # Token-level determinism / panic-reachability / overflow-audit pass.
 # The --budget-ms gate keeps the analyzer honest about its own cost: the
 # whole workspace must lex, parse, and graph-walk in under 5 seconds.
