@@ -21,14 +21,9 @@
 //! activated word-line). Redundant discharge is the energy-waste
 //! mechanism of Fig. 5c that motivates SACHI's reuse-aware designs.
 //!
-//! Because a bit-line discharges exactly when `stored XNOR driven` is 1,
-//! every counter a compute schedule books follows from popcounts of the
-//! stored and driven bits. The machine's tile
-//! ([`sachi_mem::sram::SramTile`]) therefore stores no bits: the
-//! production kernel books a whole `H_σ`'s events in closed form. This
-//! tile is the datapath those closed forms are proven against (the
-//! scalar design oracles, the ISA micro-executor, `fig10_bitline`, and
-//! the resident-array test oracle).
+//! The machine's [`sachi_mem::sram::SramTile`] stores no bits: its kernel
+//! books the same counters in closed form, and this tile is the datapath
+//! they are proven against.
 
 use sachi_mem::sram::TileStats;
 use sachi_mem::units::convert::count_u64;
@@ -99,11 +94,6 @@ impl BitcellTile {
         }
     }
 
-    /// Number of rows.
-    pub fn rows(&self) -> usize {
-        self.rows
-    }
-
     /// Number of columns (bits per row).
     pub fn cols(&self) -> usize {
         self.cols
@@ -160,19 +150,7 @@ impl BitcellTile {
     /// Returns [`AccessError`] if `row` is out of bounds or `values` is wider
     /// than the row.
     pub fn write_row(&mut self, row: usize, values: &[bool]) -> Result<(), AccessError> {
-        if values.len() > self.cols {
-            return Err(AccessError::new(format!(
-                "row write of {} bits > {} cols",
-                values.len(),
-                self.cols
-            )));
-        }
-        self.check(row, 0)?;
-        for (col, &v) in values.iter().enumerate() {
-            self.set_bit_unchecked(row, col, v);
-        }
-        self.stats.bits_written += count_u64(values.len());
-        Ok(())
+        self.write_slice(row, 0, values)
     }
 
     /// Writes `values` into a row starting at `start_col`.

@@ -1,14 +1,8 @@
 //! The scalar oracles of the four stationarity designs (Sec. IV.D,
-//! Figs. 11–13).
-//!
-//! Each oracle lays a tuple's stationary data into a real
-//! [`BitcellTile`], pulses the word-lines in its design's schedule
-//! order, and assembles `H_σ` from the sensed discharge pattern, bit for
-//! bit as Figs. 11–13 draw it. The machine never runs them: its kernel,
-//! [`Stationarity::compute_tuple_soa`], books the same [`ComputeContext`]
-//! and [`sachi_mem::sram::TileStats`] events in closed form from a
-//! tuple's maintained sums. The differential tests and the figure
-//! harnesses hold the two equal.
+//! Figs. 11–13): each lays a tuple into a [`BitcellTile`], pulses the
+//! word-lines in its design's schedule order and assembles `H_σ` from
+//! the sensed bits. The differential tests and figure harnesses hold the
+//! machine's kernel, [`Stationarity::compute_tuple_soa`], to them.
 
 use super::bitcell::BitcellTile;
 use sachi_core::config::DesignKind;
@@ -25,10 +19,8 @@ use sachi_mem::units::convert::{count_u64, to_index};
 pub trait ScalarOracle: Stationarity {
     /// Lays the tuple into `tile` one cell at a time, pulses the
     /// word-lines in the design's schedule order, and returns `H_σ`
-    /// assembled from the sensed XNOR outputs. Counters accumulate into
-    /// `ctx`. It mirrors Figs. 11–13 line by line and is what the
-    /// differential tests and figure harnesses check
-    /// [`Stationarity::compute_tuple_soa`] against.
+    /// assembled from the sensed XNOR outputs, accumulating counters into
+    /// `ctx`: the same `H_σ`, `ctx` and tile events the kernel books.
     ///
     /// # Panics
     ///

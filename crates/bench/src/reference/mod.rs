@@ -1,18 +1,10 @@
 //! The paper's reference models: what the figures and tests read, and
-//! what `sachi solve`, `sachi estimate` and `sachi serve` never run.
-//!
-//! * [`bitcell`] — the bit-accurate 8T SRAM tile (Sec. IV.C.2, Fig. 10);
-//! * [`designs`] — the scalar oracle of each stationarity design
-//!   (Figs. 11–13), computing `H_σ` through that tile;
-//! * [`isa`] — the `FIST`/`XNORM` software interface (Sec. IV.E,
-//!   Fig. 14) and a micro-executor over the tile;
-//! * [`runtime`] — the CUDA-like host API with the L1 mode register
-//!   (Sec. VII.3);
-//! * [`multicore`] — the multi-core partition model (Sec. IV.B.2).
-//!
-//! The machine's kernel books a design's tile events in closed form
-//! (`sachi_core::designs::Stationarity::compute_tuple_soa`); the
-//! differential tests hold it equal to these oracles.
+//! what `sachi solve`, `sachi estimate` and `sachi serve` never run —
+//! the bit-level SRAM tile ([`bitcell`], Fig. 10), the scalar design
+//! oracles ([`designs`], Figs. 11–13) the production kernel is proven
+//! against, the `FIST`/`XNORM` ISA ([`isa`], Fig. 14), the host API
+//! ([`runtime`], Sec. VII.3) and the multi-core model ([`multicore`],
+//! Sec. IV.B.2).
 
 pub mod bitcell;
 pub mod designs;

@@ -81,8 +81,7 @@ impl PerfModel {
     ///
     /// # Panics
     ///
-    /// Panics if the shape is outside the model's range (see
-    /// [`PerfModel::try_iteration`]).
+    /// Panics where [`PerfModel::try_iteration`] returns `None`.
     pub fn iteration(&self, shape: &WorkloadShape) -> IterationEstimate {
         self.try_iteration(shape)
             .expect("shape within the model's range")
@@ -106,8 +105,7 @@ impl PerfModel {
         })
     }
 
-    /// The uniform round plan of `shape`, or `None` outside the model's
-    /// range.
+    /// The uniform round plan of an in-range `shape`.
     fn uniform_plan(&self, shape: &WorkloadShape) -> Option<RoundPlan> {
         if shape.spins > MAX_SPINS {
             return None;
@@ -131,8 +129,7 @@ impl PerfModel {
     ///
     /// # Panics
     ///
-    /// Panics if the solve is outside the model's range (see
-    /// [`PerfModel::try_solve`]).
+    /// Panics where [`PerfModel::try_solve`] returns `None`.
     pub fn solve(&self, shape: &WorkloadShape, iterations: u64) -> SolveEstimate {
         self.try_solve(shape, iterations)
             .expect("solve within the model's range")

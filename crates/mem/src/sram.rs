@@ -1,21 +1,11 @@
-//! The SRAM compute tile the machine books its events on.
-//!
-//! The SACHI compute array is built from unmodified 8T bitcells with
-//! decoupled read and write ports (Sec. IV.C.2, Fig. 10). In Ising
-//! compute mode the read word-line pair of a row is driven with an input
-//! `J` and its complement, and each read bit-line of the row computes
-//! `stored XNOR J`: it *discharges* when that is 1. Discharges on columns
-//! that are not sensed are *redundant* compute, the energy waste of
-//! Fig. 5c that motivates SACHI's reuse-aware designs.
-//!
-//! Because a bit-line discharges exactly when `stored XNOR driven` is 1,
-//! every counter a compute schedule books follows from popcounts of the
-//! stored and driven bits. The designs' production kernel uses that: it
-//! books a whole `H_σ`'s events in closed form through
-//! [`SramTile::book`], so the tile holds its geometry and its
-//! [`TileStats`] and stores no bits. The bit-level datapath those closed
-//! forms are proven against lives with the paper's reference models in
-//! the harness crate (`sachi_bench::reference::bitcell`).
+//! The SRAM compute tile the machine books its events on (Sec. IV.C.2,
+//! Fig. 10). A read bit-line of an 8T row discharges exactly when
+//! `stored XNOR driven` is 1, so every counter a compute schedule books
+//! follows from popcounts of the stored and driven bits: the production
+//! kernel books a whole `H_σ`'s events in closed form through
+//! [`SramTile::book`], and the tile stores no bits. The bit-level
+//! datapath those closed forms are proven against is
+//! `sachi_bench::reference::bitcell`.
 
 use crate::params::TechnologyParams;
 use crate::units::convert::count_u64;
@@ -129,20 +119,6 @@ impl TileStats {
 
 /// A compute tile of `rows x cols` logical bits, as the machine sees it:
 /// its geometry and the events booked on it.
-///
-/// ```
-/// use sachi_mem::sram::{SramTile, TileParams, TileStats};
-///
-/// let mut tile = SramTile::with_params(TileParams::new(4, 8));
-/// // One n3-style access: a row pulse whose 5 active columns discharge.
-/// tile.book(&TileStats {
-///     rwl_activations: 2,
-///     rbl_discharges: 5,
-///     compute_accesses: 1,
-///     ..TileStats::default()
-/// });
-/// assert_eq!(tile.stats().rbl_discharges, 5);
-/// ```
 #[derive(Debug, Clone)]
 pub struct SramTile {
     params: TileParams,

@@ -6,11 +6,12 @@
 //!
 //! * [`arch`] (`sachi-core`) — the SACHI architecture: mixed encoding,
 //!   tuple mapping, the four stationarity designs, the functional machine,
-//!   the analytic performance model, and the `FIST`/`XNORM` ISA;
+//!   the analytic performance model, and the job lowering behind
+//!   `sachi solve` and `sachi serve`;
 //! * [`ising`] (`sachi-ising`) — spins, graphs, Hamiltonians, annealing,
 //!   and the golden-model CPU solver;
-//! * [`mem`] (`sachi-mem`) — 8T SRAM compute tiles, cache geometry, DRAM
-//!   with prefetch, and energy accounting;
+//! * [`mem`] (`sachi-mem`) — the 8T SRAM compute tile's counters, cache
+//!   geometry, DRAM with prefetch, and energy accounting;
 //! * [`workloads`] (`sachi-workloads`) — the four COPs of the paper's
 //!   evaluation;
 //! * [`baselines`] (`sachi-baselines`) — BRIM, Ising-CIM, GA, PSO, and
@@ -42,7 +43,10 @@
 //!
 //! See `examples/` for runnable walkthroughs of each COP and
 //! `crates/bench` for the harnesses regenerating every figure of the
-//! paper (documented in EXPERIMENTS.md).
+//! paper (documented in EXPERIMENTS.md), together with the paper's
+//! reference models that no solve runs: the bit-level SRAM tile, the
+//! scalar design oracles, the `FIST`/`XNORM` ISA, the host API and the
+//! multi-core model (`sachi_bench::reference`).
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
