@@ -38,7 +38,7 @@
 //!
 //! The paper's reference models that only these harnesses and the tests
 //! read — the bit-level SRAM tile, the scalar design oracles, the ISA,
-//! the host API and the multi-core model — live in [`reference`]. The
+//! the host API and the multi-core model — live in [`mod@reference`]. The
 //! hot kernels are timed by the `perf_kernels` binary above. The
 //! end-to-end wall-clock benchmark
 //! of `sachi solve` / `sachi serve` lives in `src/bin/perf_e2e/`, a

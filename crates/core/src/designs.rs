@@ -202,7 +202,8 @@ pub trait Stationarity {
     /// only by a debug check that the view is its own; `scratch` is
     /// unused.
     ///
-    /// Contract against the scalar oracle (proven by differential
+    /// Contract against the scalar oracle
+    /// (`sachi_bench::reference::designs`, proven by differential
     /// proptests for every design, every R in 2..=32, n3 tuples that
     /// span several rows, and after every flip of random flip
     /// sequences): identical `H_σ`, identical [`ComputeContext`]
