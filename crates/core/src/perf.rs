@@ -14,7 +14,6 @@
 use crate::config::SachiConfig;
 use crate::designs::{stationarity, TupleSchedule};
 use crate::rounds::{ComputeEvents, RoundPlan};
-use sachi_ising::graph::MAX_SPINS;
 use sachi_mem::energy::EnergyLedger;
 use sachi_mem::units::convert::{approx_f64, count_u64, scale_by_fraction};
 use sachi_mem::units::{Cycles, Nanoseconds};
@@ -88,11 +87,10 @@ impl PerfModel {
     }
 
     /// [`PerfModel::iteration`], or `None` when the shape is outside the
-    /// model's range: more spins than a graph can hold
-    /// ([`sachi_ising::graph::MAX_SPINS`]), or a sweep whose counts
-    /// overflow `u64`.
+    /// model's range: no uniform plan (see [`RoundPlan::uniform`]), or a
+    /// sweep whose counts overflow `u64`.
     pub fn try_iteration(&self, shape: &WorkloadShape) -> Option<IterationEstimate> {
-        let plan = self.uniform_plan(shape)?;
+        let plan = RoundPlan::uniform(&self.config, shape)?;
         Some(IterationEstimate {
             compute_cycles: plan.sweep_compute(),
             load_cycles: plan.sweep_load(1),
@@ -103,14 +101,6 @@ impl PerfModel {
             energy: self.sweep_energy(&plan, shape, 1)?,
             reuse: self.schedule(shape).max_reuse,
         })
-    }
-
-    /// The uniform round plan of an in-range `shape`.
-    fn uniform_plan(&self, shape: &WorkloadShape) -> Option<RoundPlan> {
-        if shape.spins > MAX_SPINS {
-            return None;
-        }
-        RoundPlan::uniform(&self.config, shape)
     }
 
     /// The configured design's schedule of one tuple of `shape`.
@@ -139,7 +129,7 @@ impl PerfModel {
     /// model's range (see [`PerfModel::try_iteration`]) or the solve's
     /// cycles overflow `u64`.
     pub fn try_solve(&self, shape: &WorkloadShape, iterations: u64) -> Option<SolveEstimate> {
-        let plan = self.uniform_plan(shape)?;
+        let plan = RoundPlan::uniform(&self.config, shape)?;
         let total = plan.solve_cycles(iterations)?;
         let mut energy = EnergyLedger::new();
         plan.bill_placement(&mut energy);

@@ -28,6 +28,7 @@
 use crate::config::{DesignKind, SachiConfig};
 use crate::designs::stationarity;
 use crate::tuple::SpinTuple;
+use sachi_ising::graph::MAX_SPINS;
 use sachi_mem::energy::EnergyComponent::{
     Annealer, DataMovement, DecisionLogic, DramAccess, DramController, NearMemoryAdd, RblDischarge,
     RwlDrive, SramRead, SramWrite,
@@ -175,10 +176,14 @@ impl RoundPlan {
     }
 
     /// Plans a uniform shape in O(1): full rounds of the array's tuple
-    /// capacity, then the remainder. `None` when the problem's storage
-    /// bits overflow `u64`.
+    /// capacity, then the remainder. `None` when the shape has more spins
+    /// than a graph can hold ([`MAX_SPINS`]) or its storage bits overflow
+    /// `u64`.
     pub fn uniform(config: &SachiConfig, shape: &WorkloadShape) -> Option<Self> {
         let (spins, n, r) = (shape.spins, shape.neighbors_per_spin, shape.resolution_bits);
+        if spins > MAX_SPINS {
+            return None;
+        }
         let tuple_storage = SpinTuple::storage_bits(n, r);
         let mut plan = Self::empty(config, r, n, spins.checked_mul(tuple_storage + n)?);
         let schedule = stationarity(config.design).schedule(n, r, plan.row_bits());
