@@ -3,7 +3,7 @@
 //!
 //! | family | what it enforces |
 //! |--------|------------------|
-//! | `determinism` | the result-affecting crates (`sachi-core`, `sachi-ising`, `sachi-mem`, `sachi-obs`), the paper's reference models (`crates/bench/src/reference`), plus the `sachi serve` daemon modules (`crates/cli/src/{protocol,serve}.rs`) never touch unordered containers (`HashMap`/`HashSet`/`RandomState`/`DefaultHasher`), wall-clock time (`std::time`, `Instant`, `SystemTime`), thread identity (`thread::current`), or process environment (`env::var` & friends) — test code included, since iteration-order flakiness in goldens masks real nondeterminism. `crates/cli/src/clock.rs` is the one sanctioned `std::time` doorway and stays outside the scope |
+//! | `determinism` | the result-affecting crates (`sachi-core`, `sachi-ising`, `sachi-mem`, `sachi-obs`), the paper's reference models (`crates/bench/src/reference`) and the tests that moved out with them, plus the `sachi serve` daemon modules (`crates/cli/src/{protocol,serve}.rs`) never touch unordered containers (`HashMap`/`HashSet`/`RandomState`/`DefaultHasher`), wall-clock time (`std::time`, `Instant`, `SystemTime`), thread identity (`thread::current`), or process environment (`env::var` & friends) — test code included, since iteration-order flakiness in goldens masks real nondeterminism. `crates/cli/src/clock.rs` is the one sanctioned `std::time` doorway and stays outside the scope |
 //! | `panic-reachability` | no slice indexing, non-literal `/`‍/`%`, or `.unwrap()` in any `sachi-core`/`sachi-ising`/`sachi-mem` or reference-model fn *transitively reachable* from a `solve*`/`compute_*`/`run*` entry point via the conservative call graph — not merely textually present in a scoped file (workloads are input encoders, gated by `overflow-audit` instead, mirroring the classic `panic-freedom` scope) |
 //! | `overflow-audit` | no unchecked `+`/`-`/`*` integer *value* arithmetic in `crates/workloads` fns reachable from the encoding entry points (signatures mentioning `QuboProblem`/`IsingGraph`/`EncodeError`) — the standing gate behind `EncodeError::CoefficientOverflow`. Arithmetic inside an index-bracket group is address math, exempt by design: an overflowed address trips the bounds check (a loud panic), it cannot silently corrupt a coefficient |
 //!
@@ -45,6 +45,16 @@ const DETERMINISM_SCOPE: &[&str] = &[
 const SERVER_DETERMINISM_SCOPE: &[&str] =
     &["crates/cli/src/protocol.rs", "crates/cli/src/serve.rs"];
 
+/// The tests that moved out of `sachi-core` and `sachi-mem` with the
+/// reference models, held to the determinism bans they had there.
+const REFERENCE_TEST_SCOPE: &[&str] = &[
+    "crates/bench/tests/bitcell.rs",
+    "crates/bench/tests/isa.rs",
+    "crates/bench/tests/multicore.rs",
+    "crates/bench/tests/runtime.rs",
+    "crates/bench/tests/scalar_oracles.rs",
+];
+
 /// The full analysis domain: determinism scope plus the workload
 /// encoders (for the overflow audit and cross-crate call resolution).
 const DOMAIN: &[&str] = &[
@@ -75,6 +85,7 @@ fn in_panic_scope(file: &WsFile) -> bool {
 pub const SCOPES: &[(&str, &[&str])] = &[
     ("determinism", DETERMINISM_SCOPE),
     ("determinism", SERVER_DETERMINISM_SCOPE),
+    ("determinism", REFERENCE_TEST_SCOPE),
     ("analyze domain", DOMAIN),
     ("panic-reachability", PANIC_SCOPE),
 ];
@@ -488,12 +499,14 @@ pub fn run(root: &Path) -> Result<Analysis, String> {
 
     determinism(&ws, DETERMINISM_SCOPE, &mut findings);
 
-    // The serve daemon lives outside DOMAIN (cli fn names like `run`
-    // would alias into the name-based call graph and distort the
-    // reachability families), so its determinism scan runs over a
-    // separate mini-workspace that never touches the graph.
-    let server_ws = Workspace::load(root, SERVER_DETERMINISM_SCOPE)?;
-    determinism(&server_ws, SERVER_DETERMINISM_SCOPE, &mut findings);
+    // The serve daemon and the reference models' tests live outside
+    // DOMAIN (cli fn names like `run`, and test fns, would alias into the
+    // name-based call graph and distort the reachability families), so
+    // their determinism scan runs over a separate mini-workspace that
+    // never touches the graph.
+    let outside = [SERVER_DETERMINISM_SCOPE, REFERENCE_TEST_SCOPE].concat();
+    let outside_ws = Workspace::load(root, &outside)?;
+    determinism(&outside_ws, &outside, &mut findings);
 
     let cg = callgraph::build(&ws);
 
@@ -575,7 +588,7 @@ pub fn run(root: &Path) -> Result<Analysis, String> {
     findings
         .sort_by(|a, b| (a.lint, a.path.as_str(), a.line).cmp(&(b.lint, b.path.as_str(), b.line)));
     let stats = Stats {
-        files_scanned: ws.files.len() + server_ws.files.len(),
+        files_scanned: ws.files.len() + outside_ws.files.len(),
         functions: ws.files.iter().map(|f| f.parsed.fns.len()).sum(),
         entry_points,
     };
