@@ -69,11 +69,23 @@ cargo run -q -p sachi-bench --bin perf_kernels -- --smoke
 # workspace), so its unit tests need their own leg. The smoke run drives
 # every workload through the real `sachi solve` / `sachi serve` binaries
 # with a tenth of the jobs and exits non-zero on any incorrect job.
+# Building perf_e2e must leave its files as committed: a new dependency
+# edge between workspace crates makes cargo rewrite its Cargo.lock.
+PERF_E2E_STATUS=$(git status --porcelain -- crates/bench/src/bin/perf_e2e)
+
 echo "==> perf_e2e unit tests"
 cargo test -q --manifest-path crates/bench/src/bin/perf_e2e/Cargo.toml
 
 echo "==> perf_e2e run.sh --smoke"
 bash crates/bench/src/bin/perf_e2e/run.sh --smoke
+
+echo "==> perf_e2e files unchanged by its build"
+if [ "$(git status --porcelain -- crates/bench/src/bin/perf_e2e)" != "$PERF_E2E_STATUS" ]; then
+  echo "building perf_e2e changed its files:" >&2
+  git status --porcelain -- crates/bench/src/bin/perf_e2e >&2
+  git diff -- crates/bench/src/bin/perf_e2e >&2
+  exit 1
+fi
 
 # Model drift report: asserts the closed-form PerfModel reproduces the
 # functional machine's metered compute, load and total cycles exactly,

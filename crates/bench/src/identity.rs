@@ -26,19 +26,6 @@ pub const GOLDEN: &str = include_str!("../../../tests/golden/build_identity.txt"
 /// Spin vectors each digest evaluates the objective at.
 const PROBES: u64 = 4;
 
-/// The table's family label of `kind` (the `sachi solve --cop` names).
-pub fn family(kind: CopKind) -> &'static str {
-    match kind {
-        CopKind::AssetAllocation => "asset",
-        CopKind::ImageSegmentation => "imgseg",
-        CopKind::TravelingSalesman => "tsp",
-        CopKind::MolecularDynamics => "md",
-        CopKind::SatThree => "sat",
-        CopKind::GraphColoring => "coloring",
-        CopKind::JobScheduling => "sched",
-    }
-}
-
 /// 64-bit FNV-1a.
 #[derive(Debug, Clone, Copy)]
 struct Fnv1a(u64);
@@ -146,7 +133,7 @@ pub fn cop_digest(kind: CopKind, size: usize, seed: u64) -> u64 {
             assert!(
                 qubo.graph() == problem.graph(),
                 "{} {size} {seed}: the rebuilt QUBO's graph differs from build_cop_problem's",
-                family(kind)
+                kind.key()
             );
             digest(problem.graph(), &problem.name, seed, |s| qubo.objective(s))
         }
@@ -181,10 +168,9 @@ pub fn digest_of(family_label: &str, size: usize, seed: u64) -> u64 {
     if family_label == "tsp-tour" {
         return tour_digest(size, seed);
     }
-    let kind = CopKind::EXTENDED
-        .into_iter()
-        .find(|&k| family(k) == family_label)
-        .unwrap_or_else(|| panic!("unknown family {family_label:?}"));
+    let kind: CopKind = family_label
+        .parse()
+        .unwrap_or_else(|_| panic!("unknown family {family_label:?}"));
     cop_digest(kind, size, seed)
 }
 

@@ -56,16 +56,6 @@ pub struct QualityRow {
     pub smoke: bool,
 }
 
-/// Short stable key for a design (JSON row field).
-pub fn design_key(design: DesignKind) -> &'static str {
-    match design {
-        DesignKind::N1a => "n1a",
-        DesignKind::N1b => "n1b",
-        DesignKind::N2 => "n2",
-        DesignKind::N3 => "n3",
-    }
-}
-
 /// Solves one corpus cell on one design: [`QUALITY_RESTARTS`] restarts
 /// from a seeded random state each, slow quality schedule, best energy
 /// kept, cycles summed. Fully deterministic — thread count, wall
@@ -103,7 +93,7 @@ pub fn run_cell_measured(case: &CorpusCase, design: DesignKind) -> (QualityRow, 
     let row = QualityRow {
         id: case.id.to_string(),
         family: case.kind().label().to_string(),
-        design: design_key(design).to_string(),
+        design: design.key().to_string(),
         spins: graph.num_spins() as u64,
         best_energy: best.energy,
         total_cycles,
@@ -158,7 +148,7 @@ pub fn run_cell_tempered(case: &CorpusCase, design: DesignKind, sweep_budget: u6
     QualityRow {
         id: format!("{}{}", case.id, TEMPERED_SUFFIX),
         family: case.kind().label().to_string(),
-        design: design_key(design).to_string(),
+        design: design.key().to_string(),
         spins: graph.num_spins() as u64,
         best_energy: best.energy,
         total_cycles,
@@ -470,11 +460,5 @@ mod tests {
         drift.total_cycles = (drift.total_cycles as f64 * 1.2) as u64;
         drift.best_energy += 2;
         assert!(compare(&base, &[drift], Tolerance::default(), true).is_empty());
-    }
-
-    #[test]
-    fn design_keys_are_stable() {
-        let keys: Vec<&str> = DesignKind::ALL.iter().map(|&d| design_key(d)).collect();
-        assert_eq!(keys, ["n1a", "n1b", "n2", "n3"]);
     }
 }

@@ -194,58 +194,6 @@ fn err(msg: impl Into<String>) -> SachiError {
     SachiError::Usage(msg.into())
 }
 
-/// The canonical short label for a COP — the first alias
-/// [`parse_cop`] accepts, so `cop_label` and `parse_cop` round-trip.
-/// The wire protocol uses these labels in both directions.
-pub(crate) fn cop_label(kind: CopKind) -> &'static str {
-    match kind {
-        CopKind::AssetAllocation => "asset",
-        CopKind::ImageSegmentation => "imgseg",
-        CopKind::TravelingSalesman => "tsp",
-        CopKind::MolecularDynamics => "md",
-        CopKind::SatThree => "sat",
-        CopKind::GraphColoring => "coloring",
-        CopKind::JobScheduling => "sched",
-    }
-}
-
-pub(crate) fn parse_cop(s: &str) -> Result<CopKind, String> {
-    match s {
-        "asset" | "asset-allocation" => Ok(CopKind::AssetAllocation),
-        "imgseg" | "segmentation" | "image-segmentation" => Ok(CopKind::ImageSegmentation),
-        "tsp" | "traveling-salesman" => Ok(CopKind::TravelingSalesman),
-        "md" | "molecular-dynamics" => Ok(CopKind::MolecularDynamics),
-        "sat" | "3sat" | "3-sat" => Ok(CopKind::SatThree),
-        "coloring" | "color" | "graph-coloring" => Ok(CopKind::GraphColoring),
-        "sched" | "scheduling" | "job-scheduling" => Ok(CopKind::JobScheduling),
-        other => Err(format!(
-            "unknown COP '{other}' (asset|imgseg|tsp|md|sat|coloring|sched)"
-        )),
-    }
-}
-
-/// The canonical short label for a design — exactly what
-/// [`parse_design`] accepts, so the pair round-trips on the wire
-/// (`DesignKind::label()` is the long display form, `"SACHI(n3)"`).
-pub(crate) fn design_label(kind: DesignKind) -> &'static str {
-    match kind {
-        DesignKind::N1a => "n1a",
-        DesignKind::N1b => "n1b",
-        DesignKind::N2 => "n2",
-        DesignKind::N3 => "n3",
-    }
-}
-
-pub(crate) fn parse_design(s: &str) -> Result<DesignKind, String> {
-    match s {
-        "n1a" => Ok(DesignKind::N1a),
-        "n1b" => Ok(DesignKind::N1b),
-        "n2" => Ok(DesignKind::N2),
-        "n3" => Ok(DesignKind::N3),
-        other => Err(format!("unknown design '{other}' (n1a|n1b|n2|n3)")),
-    }
-}
-
 fn parse_hierarchy(s: &str) -> Result<CacheHierarchy, SachiError> {
     match s {
         "default" | "hpca" => Ok(CacheHierarchy::hpca_default()),
@@ -286,10 +234,10 @@ fn job_flag<'a>(
     it: &mut impl Iterator<Item = &'a str>,
 ) -> Result<bool, SachiError> {
     match flag {
-        "--cop" => spec.cop = parse_cop(take_value(flag, it)?).map_err(err)?,
+        "--cop" => spec.cop = take_value(flag, it)?.parse().map_err(err)?,
         "--size" => spec.size = value(flag, it, "an integer")?,
         "--seed" => spec.seed = value(flag, it, "an integer")?,
-        "--design" => spec.design = parse_design(take_value(flag, it)?).map_err(err)?,
+        "--design" => spec.design = take_value(flag, it)?.parse().map_err(err)?,
         "--restarts" => spec.restarts = value(flag, it, "an integer")?,
         "--resolution" => spec.resolution = Some(value(flag, it, "an integer")?),
         "--step-budget" => spec.step_budget = Some(value(flag, it, "an integer")?),
@@ -372,8 +320,8 @@ fn parse_estimate_args<'a>(
     let mut job = JobSpec::default();
     while let Some(flag) = it.next() {
         match flag {
-            "--spins" => args.spins = value(flag, &mut it, "an integer")?,
-            "--iterations" => args.iterations = value(flag, &mut it, "an integer")?,
+            "--spins" => args.spins = nonzero(value(flag, &mut it, "an integer")?, flag)?,
+            "--iterations" => args.iterations = nonzero(value(flag, &mut it, "an integer")?, flag)?,
             "--hierarchy" => args.hierarchy = parse_hierarchy(take_value(flag, &mut it)?)?,
             shared if ESTIMATE_JOB_FLAGS.contains(&shared) => {
                 job_flag(&mut job, shared, &mut it)?;
@@ -808,25 +756,6 @@ mod tests {
     }
 
     #[test]
-    fn cop_aliases() {
-        for (alias, kind) in [
-            ("asset", CopKind::AssetAllocation),
-            ("asset-allocation", CopKind::AssetAllocation),
-            ("segmentation", CopKind::ImageSegmentation),
-            ("traveling-salesman", CopKind::TravelingSalesman),
-            ("molecular-dynamics", CopKind::MolecularDynamics),
-            ("sat", CopKind::SatThree),
-            ("3sat", CopKind::SatThree),
-            ("coloring", CopKind::GraphColoring),
-            ("graph-coloring", CopKind::GraphColoring),
-            ("sched", CopKind::JobScheduling),
-            ("job-scheduling", CopKind::JobScheduling),
-        ] {
-            assert_eq!(parse_cop(alias).unwrap(), kind);
-        }
-    }
-
-    #[test]
     fn file_format_flag_rules() {
         assert!(parse("solve --cnf".split_whitespace()).is_err());
         assert!(parse("solve --gset".split_whitespace()).is_err());
@@ -834,13 +763,6 @@ mod tests {
         let a = solve_args("solve --file x.cnf --cnf");
         assert!(a.cnf);
         assert_eq!(a.file.as_deref(), Some("x.cnf"));
-    }
-
-    #[test]
-    fn cop_labels_round_trip_through_parse_cop() {
-        for kind in CopKind::EXTENDED {
-            assert_eq!(parse_cop(cop_label(kind)).unwrap(), kind);
-        }
     }
 
     #[test]

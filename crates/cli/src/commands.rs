@@ -17,18 +17,19 @@ use sachi_workloads::prelude::*;
 fn plan_file(path: &str, args: &SolveArgs) -> Result<JobPlan, SachiError> {
     let text = std::fs::read_to_string(path)
         .map_err(|e| SachiError::Io(format!("cannot read {path}: {e}")))?;
+    let parse_error = |e: ParseError| SachiError::Parse(format!("{path}: {e}"));
     if args.cnf {
-        let instance =
-            parse_dimacs_cnf(&text).map_err(|e| SachiError::Parse(format!("{path}: {e}")))?;
+        let instance = parse_dimacs_cnf(&text).map_err(parse_error)?;
         let workload = SatWorkload::new(path.to_string(), instance)
             .map_err(|e| SachiError::Config(format!("{path}: {e}")))?;
         return JobPlan::lower_cop(&args.job, CopProblem::from_workload(workload));
     }
     let graph = if args.gset {
-        parse_gset(&text).map_err(|e| SachiError::Parse(format!("{path}: {e}")))?
+        parse_gset(&text)
     } else {
-        parse_dimacs(&text).map_err(|e| SachiError::Parse(format!("{path}: {e}")))?
-    };
+        parse_dimacs(&text)
+    }
+    .map_err(parse_error)?;
     // A pure antiferromagnetic instance reads as weighted max-cut,
     // which gives loaded files an accuracy metric.
     if graph.num_edges() > 0 && graph.edges().all(|(_, _, w)| w <= 0) {

@@ -17,8 +17,7 @@
 //! (the frame was consumed whole and the connection can keep serving:
 //! empty body, bad UTF-8, bad JSON).
 
-use crate::args::{cop_label, design_label, parse_cop, parse_design};
-use sachi_core::prelude::{JobOutcome, JobPlan, JobSpec, SachiError};
+use sachi_core::prelude::{DesignKind, JobOutcome, JobPlan, JobSpec, SachiError};
 use sachi_ising::prelude::{LadderKind, RecoveryPolicy, Spin};
 use sachi_mem::units::{Nanoseconds, Picojoules, UnitRangeError};
 use sachi_obs::json::{escape, parse, JsonValue};
@@ -244,13 +243,15 @@ fn parse_job(members: &[(String, JsonValue)]) -> Result<JobSpec, SachiError> {
     for (key, value) in members {
         match key.as_str() {
             "cop" => {
-                spec.cop = parse_cop(str_field(value, "job.cop")?)
+                spec.cop = str_field(value, "job.cop")?
+                    .parse()
                     .map_err(|e| usage(format!("job.cop: {e}")))?
             }
             "size" => spec.size = usize_field(value, "job.size")?,
             "seed" => spec.seed = u64_field(value, "job.seed")?,
             "design" => {
-                spec.design = parse_design(str_field(value, "job.design")?)
+                spec.design = str_field(value, "job.design")?
+                    .parse()
                     .map_err(|e| usage(format!("job.design: {e}")))?
             }
             "restarts" => spec.restarts = u64_field(value, "job.restarts")?,
@@ -342,10 +343,10 @@ pub fn parse_request(body: &str) -> Result<Request, SachiError> {
 pub fn solve_request_body(spec: &JobSpec) -> String {
     let mut body = format!(
         "{{\"op\":\"solve\",\"job\":{{\"cop\":\"{}\",\"size\":{},\"seed\":{},\"design\":\"{}\",\"restarts\":{}",
-        cop_label(spec.cop),
+        spec.cop.key(),
         spec.size,
         spec.seed,
-        design_label(spec.design),
+        spec.design.key(),
         spec.restarts,
     );
     if let Some(r) = spec.resolution {
@@ -426,10 +427,10 @@ pub fn job_echo(plan: &JobPlan) -> String {
         "{{\"name\":\"{}\",\"cop\":\"{}\",\"size\":{},\"seed\":{},\"design\":\"{}\",\
          \"restarts\":{},\"spins\":{},\"edges\":{},\"max_degree\":{},\"bits_required\":{}",
         escape(plan.name()),
-        cop_label(spec.cop),
+        spec.cop.key(),
         spec.size,
         spec.seed,
-        design_label(spec.design),
+        spec.design.key(),
         spec.restarts,
         graph.num_spins(),
         graph.num_edges(),
@@ -557,8 +558,9 @@ pub fn render_solve(doc: &JsonValue) -> Result<String, SachiError> {
         field(doc, "ensemble", Some)?,
         field(doc, "report", Some)?,
     );
-    let design =
-        parse_design(field(job, "design", JsonValue::as_str)?).map_err(SachiError::Parse)?;
+    let design: DesignKind = field(job, "design", JsonValue::as_str)?
+        .parse()
+        .map_err(SachiError::Parse)?;
     let replicas = count(ensemble, "replicas")?;
     let mut out = format!(
         "problem : {} ({} spins, {} edges, max degree {}, needs {}-bit ICs)\ndesign  : {}\n",

@@ -2,7 +2,8 @@
 //! spin count a graph cannot hold, a shape whose sweep counts overflow
 //! 64 bits, or a sweep count whose solve cycles do. Each is refused
 //! with a configuration error (exit 2) instead of wrapping, panicking or
-//! looping once per iteration.
+//! looping once per iteration. Zero spins or zero iterations are usage
+//! errors (exit 2) refused before anything is printed.
 
 use std::process::Command;
 
@@ -40,4 +41,23 @@ fn a_tsp_whose_storage_bits_overflow_is_refused() {
 #[test]
 fn the_largest_iteration_count_is_refused() {
     assert_refused(&["--iterations", "18446744073709551615"]);
+}
+
+/// `sachi estimate <flag> 0` exits 2 naming the flag, and prints no
+/// estimate.
+fn assert_zero_refused(flag: &str) {
+    let (code, out, err) = estimate(&[flag, "0"]);
+    assert_eq!(code, 2, "sachi estimate {flag} 0: {err}");
+    assert!(out.is_empty(), "printed an estimate before refusing: {out}");
+    assert!(err.contains(&format!("{flag} must be at least 1")), "{err}");
+}
+
+#[test]
+fn zero_spins_are_refused() {
+    assert_zero_refused("--spins");
+}
+
+#[test]
+fn zero_iterations_are_refused() {
+    assert_zero_refused("--iterations");
 }

@@ -28,6 +28,18 @@ impl DesignKind {
         DesignKind::N3,
     ];
 
+    /// The short name `sachi --design`, the wire protocol and the
+    /// quality rows use; [`FromStr`](std::str::FromStr) parses it back
+    /// ([`DesignKind::label`] is the long display form, `"SACHI(n3)"`).
+    pub fn key(self) -> &'static str {
+        match self {
+            DesignKind::N1a => "n1a",
+            DesignKind::N1b => "n1b",
+            DesignKind::N2 => "n2",
+            DesignKind::N3 => "n3",
+        }
+    }
+
     /// Paper-style label.
     pub fn label(self) -> &'static str {
         match self {
@@ -42,6 +54,18 @@ impl DesignKind {
 impl fmt::Display for DesignKind {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(self.label())
+    }
+}
+
+impl std::str::FromStr for DesignKind {
+    type Err = String;
+
+    /// Parses a [`DesignKind::key`].
+    fn from_str(s: &str) -> Result<Self, Self::Err> {
+        DesignKind::ALL
+            .into_iter()
+            .find(|design| design.key() == s)
+            .ok_or_else(|| format!("unknown design '{s}' (n1a|n1b|n2|n3)"))
     }
 }
 
@@ -207,6 +231,12 @@ impl Default for SachiConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn design_keys_are_stable() {
+        let keys: Vec<&str> = DesignKind::ALL.iter().map(|&d| d.key()).collect();
+        assert_eq!(keys, ["n1a", "n1b", "n2", "n3"]);
+    }
 
     #[test]
     fn default_is_n3_with_paper_geometry() {

@@ -9,12 +9,18 @@
 //! * **Gset** (the Stanford max-cut suite: a `<n> <m>` header line then
 //!   `u v w` edge lines, 1-indexed) via [`parse_gset`].
 //!
-//! Parsers work on any `&str`; callers wire them to files.
+//! Both parsers, and `sachi_workloads::sat::parse_dimacs_cnf` for DIMACS
+//! CNF, read their text through one line reader: [`data_lines`] yields
+//! each [`Line`] with its 1-based number, [`Line::next_field`] and
+//! [`Line::edge`] parse fields into typed [`ParseError`]s, and
+//! [`header_spins`] is the one check that a header's spin count fits a
+//! graph. Parsers work on any `&str`; callers wire them to files.
 
 use crate::graph::{exceeds_max_spins, GraphBuilder, GraphError, IsingGraph, MAX_SPINS};
 use std::fmt;
+use std::str::FromStr;
 
-/// Error from parsing a graph file.
+/// Error from parsing a problem file.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ParseError {
     /// A line could not be interpreted.
@@ -24,7 +30,8 @@ pub enum ParseError {
         /// What went wrong.
         reason: String,
     },
-    /// The header was missing or appeared twice.
+    /// The header was missing, appeared twice, or declares counts the
+    /// file or a graph cannot hold.
     BadHeader(String),
     /// The resulting graph was structurally invalid. The value keeps the
     /// builder's 0-indexed vertex ids; `Display` names them as the file
@@ -79,22 +86,91 @@ impl From<GraphError> for ParseError {
     }
 }
 
-fn malformed(line: usize, reason: impl Into<String>) -> ParseError {
-    ParseError::Malformed {
-        line,
-        reason: reason.into(),
+/// One data line of a problem file: its 1-based number and the text
+/// not yet read.
+#[derive(Debug)]
+pub struct Line<'a> {
+    /// 1-based line number in the file.
+    pub number: usize,
+    rest: &'a str,
+}
+
+impl<'a> Line<'a> {
+    /// Reads `prefix` off the unread text when the text starts with it.
+    pub fn strip_prefix(&mut self, prefix: &str) -> bool {
+        let stripped = self.rest.strip_prefix(prefix);
+        self.rest = stripped.unwrap_or(self.rest);
+        stripped.is_some()
+    }
+
+    /// The next whitespace-separated field.
+    pub fn token(&mut self) -> Option<&'a str> {
+        let rest = self.rest.trim_start();
+        let (token, rest) = rest.split_once(char::is_whitespace).unwrap_or((rest, ""));
+        self.rest = rest;
+        (!token.is_empty()).then_some(token)
+    }
+
+    /// The next field parsed as `T`, or [`ParseError::Malformed`] with
+    /// `reason` when it is missing or does not parse.
+    pub fn next_field<T: FromStr>(&mut self, reason: &str) -> Result<T, ParseError> {
+        self.token()
+            .and_then(|t| t.parse().ok())
+            .ok_or_else(|| self.malformed(reason))
+    }
+
+    /// An edge `u v w` with vertices numbered from 1, as both graph
+    /// formats number them, returned with 0-based vertex ids; `shape`
+    /// names the record when a vertex is missing. A missing or
+    /// non-integer field or a vertex numbered 0 is malformed.
+    pub fn edge(&mut self, shape: &str) -> Result<(u32, u32, i32), ParseError> {
+        let u: u32 = self.next_field(shape)?;
+        let v: u32 = self.next_field(shape)?;
+        let w: i32 = self.next_field("edge needs integer weight")?;
+        match (u.checked_sub(1), v.checked_sub(1)) {
+            (Some(u), Some(v)) => Ok((u, v, w)),
+            _ => Err(self.malformed("vertices are 1-indexed")),
+        }
+    }
+
+    /// A [`ParseError::Malformed`] naming this line.
+    pub fn malformed(&self, reason: impl Into<String>) -> ParseError {
+        ParseError::Malformed {
+            line: self.number,
+            reason: reason.into(),
+        }
     }
 }
 
-/// A header's vertex count, refused when the graph cannot number that
-/// many spins.
-fn vertex_count(n: usize) -> Result<usize, ParseError> {
-    if exceeds_max_spins(n) {
-        return Err(ParseError::BadHeader(format!(
-            "vertex count {n} exceeds the {MAX_SPINS} spins a graph can hold"
-        )));
+/// The data lines of `text`: every line but the blank ones and, when
+/// the format has them (`comments`), the lines that start with `c`.
+pub fn data_lines(text: &str, comments: bool) -> impl Iterator<Item = Line<'_>> {
+    text.lines().enumerate().filter_map(move |(idx, raw)| {
+        let rest = raw.trim();
+        let skip = rest.is_empty() || (comments && rest.starts_with('c'));
+        (!skip).then_some(Line {
+            number: idx + 1,
+            rest,
+        })
+    })
+}
+
+/// The one header check of every problem format: a spin count a header
+/// declares (`None` when computing it overflowed) past [`MAX_SPINS`] is
+/// a [`ParseError::BadHeader`], raised before anything is allocated for
+/// it. `what` names the count as the header states it.
+pub fn header_spins(spins: Option<usize>, what: impl fmt::Display) -> Result<usize, ParseError> {
+    spins.filter(|&n| !exceeds_max_spins(n)).ok_or_else(|| {
+        ParseError::BadHeader(format!("{what} the {MAX_SPINS} spins a graph can hold"))
+    })
+}
+
+/// A DIMACS record's tag: `p`, `e` or `f`.
+fn record<'a>(line: &mut Line<'a>) -> Result<&'a str, ParseError> {
+    match line.token().unwrap_or_default() {
+        tag @ ("p" | "e" | "f") => Ok(tag),
+        other => Err(line.malformed(format!("unknown record '{other}'"))),
     }
-    Ok(n)
 }
 
 /// Parses the DIMACS-style Ising format.
@@ -115,82 +191,41 @@ fn vertex_count(n: usize) -> Result<usize, ParseError> {
 /// Returns [`ParseError`] on malformed lines, missing/duplicate headers,
 /// out-of-range vertices, or duplicate edges.
 pub fn parse_dimacs(text: &str) -> Result<IsingGraph, ParseError> {
-    let mut builder: Option<GraphBuilder> = None;
-    let mut n = 0usize;
-    for (idx, raw) in text.lines().enumerate() {
-        let lineno = idx + 1;
-        let line = raw.trim();
-        if line.is_empty() || line.starts_with('c') {
-            continue;
-        }
-        let mut parts = line.split_whitespace();
-        match parts.next() {
-            Some("p") => {
-                if builder.is_some() {
-                    return Err(ParseError::BadHeader("duplicate 'p' line".into()));
-                }
-                if parts.next() != Some("ising") {
-                    return Err(ParseError::BadHeader("expected 'p ising <n> <m>'".into()));
-                }
-                n = parts
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .ok_or_else(|| ParseError::BadHeader("missing vertex count".into()))
-                    .and_then(vertex_count)?;
-                // Edge count is advisory; tolerate absence.
-                builder = Some(GraphBuilder::new(n));
+    let mut lines = data_lines(text, true);
+    let mut header = lines
+        .next()
+        .ok_or_else(|| ParseError::BadHeader("no 'p ising' header".into()))?;
+    let tag = record(&mut header)?;
+    if tag != "p" {
+        return Err(ParseError::BadHeader(format!("'{tag}' before 'p'")));
+    }
+    if header.token() != Some("ising") {
+        return Err(ParseError::BadHeader("expected 'p ising <n> <m>'".into()));
+    }
+    // The edge count is advisory; tolerate its absence.
+    let n = header
+        .token()
+        .and_then(|s| s.parse().ok())
+        .ok_or_else(|| ParseError::BadHeader("missing vertex count".into()))?;
+    let n = header_spins(Some(n), format_args!("vertex count {n} exceeds"))?;
+    let mut builder = GraphBuilder::new(n);
+    for mut line in lines {
+        match record(&mut line)? {
+            "p" => return Err(ParseError::BadHeader("duplicate 'p' line".into())),
+            "e" => {
+                let (u, v, w) = line.edge("edge needs 'e u v w'")?;
+                builder.push_edge(u, v, w);
             }
-            Some("e") => {
-                let b = builder
-                    .as_mut()
-                    .ok_or_else(|| ParseError::BadHeader("'e' before 'p'".into()))?;
-                let u: u32 = parts
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .ok_or_else(|| malformed(lineno, "edge needs 'e u v w'"))?;
-                let v: u32 = parts
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .ok_or_else(|| malformed(lineno, "edge needs 'e u v w'"))?;
-                let w: i32 = parts
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .ok_or_else(|| malformed(lineno, "edge needs integer weight"))?;
-                if u == 0 || v == 0 {
-                    return Err(malformed(lineno, "vertices are 1-indexed"));
-                }
-                b.push_edge(u - 1, v - 1, w);
-            }
-            Some("f") => {
-                let _ = builder
-                    .as_mut()
-                    .ok_or_else(|| ParseError::BadHeader("'f' before 'p'".into()))?;
-                let v: usize = parts
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .ok_or_else(|| malformed(lineno, "field needs 'f v h'"))?;
-                let h: i32 = parts
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .ok_or_else(|| malformed(lineno, "field needs integer value"))?;
+            _ /* "f" */ => {
+                let v: usize = line.next_field("field needs 'f v h'")?;
+                let h: i32 = line.next_field("field needs integer value")?;
                 if v == 0 || v > n {
-                    return Err(malformed(
-                        lineno,
-                        format!("field vertex {v} out of 1..={n}"),
-                    ));
+                    return Err(line.malformed(format!("field vertex {v} out of 1..={n}")));
                 }
-                builder = Some(
-                    builder
-                        .take()
-                        .expect("checked above")
-                        .field((v - 1) as u32, h),
-                );
+                builder = builder.field((v - 1) as u32, h);
             }
-            Some(other) => return Err(malformed(lineno, format!("unknown record '{other}'"))),
-            None => {}
         }
     }
-    let builder = builder.ok_or_else(|| ParseError::BadHeader("no 'p ising' header".into()))?;
     Ok(builder.build()?)
 }
 
@@ -221,42 +256,19 @@ pub fn to_dimacs(graph: &IsingGraph) -> String {
 ///
 /// Returns [`ParseError`] on malformed input.
 pub fn parse_gset(text: &str) -> Result<IsingGraph, ParseError> {
-    let mut lines = text
-        .lines()
-        .enumerate()
-        .filter(|(_, l)| !l.trim().is_empty());
-    let (idx, header) = lines
+    let mut lines = data_lines(text, false);
+    let mut header = lines
         .next()
         .ok_or_else(|| ParseError::BadHeader("empty input".into()))?;
-    let mut parts = header.split_whitespace();
-    let n: usize = parts
-        .next()
-        .and_then(|s| s.parse().ok())
-        .ok_or_else(|| malformed(idx + 1, "header needs '<n> <m>'"))
-        .and_then(vertex_count)?;
+    let n = header.next_field("header needs '<n> <m>'")?;
+    let n = header_spins(Some(n), format_args!("vertex count {n} exceeds"))?;
     let mut builder = GraphBuilder::new(n);
-    for (idx, raw) in lines {
-        let lineno = idx + 1;
-        let mut parts = raw.split_whitespace();
-        let u: u32 = parts
-            .next()
-            .and_then(|s| s.parse().ok())
-            .ok_or_else(|| malformed(lineno, "edge needs 'u v w'"))?;
-        let v: u32 = parts
-            .next()
-            .and_then(|s| s.parse().ok())
-            .ok_or_else(|| malformed(lineno, "edge needs 'u v w'"))?;
-        let w: i32 = parts
-            .next()
-            .and_then(|s| s.parse().ok())
-            .ok_or_else(|| malformed(lineno, "edge needs integer weight"))?;
-        if u == 0 || v == 0 {
-            return Err(malformed(lineno, "vertices are 1-indexed"));
-        }
+    for mut line in lines {
+        let (u, v, w) = line.edge("edge needs 'u v w'")?;
         let j = w
             .checked_neg()
-            .ok_or_else(|| malformed(lineno, format!("weight {w} has no 32-bit negation")))?;
-        builder.push_edge(u - 1, v - 1, j);
+            .ok_or_else(|| line.malformed(format!("weight {w} has no 32-bit negation")))?;
+        builder.push_edge(u, v, j);
     }
     Ok(builder.build()?)
 }
@@ -462,7 +474,10 @@ mod tests {
 
     #[test]
     fn error_display_is_informative() {
-        let err = malformed(7, "bad edge");
+        let err = ParseError::Malformed {
+            line: 7,
+            reason: "bad edge".into(),
+        };
         assert_eq!(format!("{err}"), "line 7: bad edge");
         let err = ParseError::BadHeader("nope".into());
         assert!(format!("{err}").contains("nope"));

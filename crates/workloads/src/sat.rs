@@ -29,7 +29,8 @@ use crate::corpus::SplitMix64;
 use crate::encode::EncodeError;
 use crate::qubo::{QuboBuilder, QuboProblem};
 use crate::spec::{CopKind, Workload, WorkloadShape};
-use sachi_ising::graph::{exceeds_max_spins, IsingGraph, MAX_SPINS};
+use sachi_ising::graph::IsingGraph;
+use sachi_ising::io::{data_lines, header_spins, ParseError};
 use sachi_ising::spin::{Spin, SpinVector};
 
 /// A literal: a variable index plus its polarity.
@@ -216,69 +217,56 @@ impl SatInstance {
     }
 }
 
-/// Parses DIMACS CNF text into a 3-SAT instance.
+/// Parses DIMACS CNF text into a 3-SAT instance, through the problem
+/// files' one line reader ([`sachi_ising::io::data_lines`]).
 ///
 /// # Errors
 ///
-/// Returns a message on malformed headers, out-of-range or duplicate
-/// literals, clauses that are not exactly 3 literals wide, or clause
-/// counts that disagree with the header.
-pub fn parse_dimacs_cnf(text: &str) -> Result<SatInstance, String> {
-    let mut num_vars: Option<usize> = None;
-    let mut declared = 0usize;
+/// Returns [`ParseError`] on malformed headers, out-of-range or
+/// duplicate literals, clauses that are not exactly 3 literals wide, or
+/// clause counts that disagree with the header.
+pub fn parse_dimacs_cnf(text: &str) -> Result<SatInstance, ParseError> {
+    let mut header: Option<(usize, usize)> = None;
     let mut clauses = Vec::new();
     let mut current: Vec<Lit> = Vec::new();
-    for (lineno, line) in text.lines().enumerate() {
-        let line = line.trim();
-        if line.is_empty() || line.starts_with('c') {
-            continue;
-        }
-        if let Some(rest) = line.strip_prefix('p') {
-            if num_vars.is_some() {
-                return Err(format!("line {}: duplicate problem line", lineno + 1));
+    let mut last_line = 0;
+    for mut line in data_lines(text, true) {
+        last_line = line.number;
+        if line.strip_prefix("p") {
+            if header.is_some() {
+                return Err(line.malformed("duplicate problem line"));
             }
-            let mut it = rest.split_whitespace();
-            if it.next() != Some("cnf") {
-                return Err(format!("line {}: expected 'p cnf V C'", lineno + 1));
+            if line.token() != Some("cnf") {
+                return Err(line.malformed("expected 'p cnf V C'"));
             }
-            let v: usize = it
-                .next()
-                .and_then(|t| t.parse().ok())
-                .ok_or_else(|| format!("line {}: bad variable count", lineno + 1))?;
-            declared = it
-                .next()
-                .and_then(|t| t.parse().ok())
-                .ok_or_else(|| format!("line {}: bad clause count", lineno + 1))?;
+            let v: usize = line.next_field("bad variable count")?;
+            let declared: usize = line.next_field("bad clause count")?;
             // The encoding takes one spin per variable and one ancilla
             // per clause.
-            if v.checked_add(declared).is_none_or(exceeds_max_spins) {
-                return Err(format!(
-                    "line {}: {v} variables plus {declared} clauses exceed the {MAX_SPINS} \
-                     spins a graph can hold",
-                    lineno + 1
-                ));
-            }
-            num_vars = Some(v);
+            header_spins(
+                v.checked_add(declared),
+                format_args!("{v} variables plus {declared} clauses exceed"),
+            )?;
+            header = Some((v, declared));
             continue;
         }
-        let n = num_vars.ok_or_else(|| format!("line {}: clause before header", lineno + 1))?;
-        for tok in line.split_whitespace() {
+        let (n, _) = header.ok_or_else(|| line.malformed("clause before header"))?;
+        while let Some(tok) = line.token() {
             let lit: i64 = tok
                 .parse()
-                .map_err(|_| format!("line {}: bad literal '{tok}'", lineno + 1))?;
+                .map_err(|_| line.malformed(format!("bad literal '{tok}'")))?;
             if lit == 0 {
                 let lits: [Lit; 3] = current.as_slice().try_into().map_err(|_| {
-                    format!(
-                        "line {}: clause has {} literals, need exactly 3",
-                        lineno + 1,
+                    line.malformed(format!(
+                        "clause has {} literals, need exactly 3",
                         current.len()
-                    )
+                    ))
                 })?;
                 if lits[0].var == lits[1].var
                     || lits[0].var == lits[2].var
                     || lits[1].var == lits[2].var
                 {
-                    return Err(format!("line {}: duplicate variable in clause", lineno + 1));
+                    return Err(line.malformed("duplicate variable in clause"));
                 }
                 clauses.push(Clause { lits, weight: 1 });
                 current.clear();
@@ -287,13 +275,10 @@ pub fn parse_dimacs_cnf(text: &str) -> Result<SatInstance, String> {
             let var = usize::try_from(lit.unsigned_abs())
                 .ok()
                 .and_then(|v| v.checked_sub(1))
-                .ok_or_else(|| format!("line {}: bad literal '{tok}'", lineno + 1))?;
-            if var >= n {
-                return Err(format!(
-                    "line {}: literal {tok} out of range (header says {n} vars)",
-                    lineno + 1
-                ));
-            }
+                .filter(|&var| var < n)
+                .ok_or_else(|| {
+                    line.malformed(format!("literal {tok} out of range (header says {n} vars)"))
+                })?;
             current.push(Lit {
                 var,
                 positive: lit > 0,
@@ -301,14 +286,18 @@ pub fn parse_dimacs_cnf(text: &str) -> Result<SatInstance, String> {
         }
     }
     if !current.is_empty() {
-        return Err("unterminated clause (missing trailing 0)".to_string());
+        return Err(ParseError::Malformed {
+            line: last_line,
+            reason: "unterminated clause (missing trailing 0)".into(),
+        });
     }
-    let n = num_vars.ok_or_else(|| "missing 'p cnf' header".to_string())?;
+    let (n, declared) =
+        header.ok_or_else(|| ParseError::BadHeader("missing 'p cnf' header".into()))?;
     if clauses.len() != declared {
-        return Err(format!(
-            "header declares {declared} clauses, found {}",
+        return Err(ParseError::BadHeader(format!(
+            "'p cnf' declares {declared} clauses, found {}",
             clauses.len()
-        ));
+        )));
     }
     Ok(SatInstance::new(n, clauses))
 }
@@ -652,21 +641,27 @@ mod tests {
     fn cnf_parser_rejects_malformed_input() {
         assert!(parse_dimacs_cnf("1 2 3 0\n")
             .unwrap_err()
+            .to_string()
             .contains("header"));
         assert!(parse_dimacs_cnf("p cnf 3 1\n1 2 0\n")
             .unwrap_err()
+            .to_string()
             .contains("exactly 3"));
         assert!(parse_dimacs_cnf("p cnf 3 1\n1 2 9 0\n")
             .unwrap_err()
+            .to_string()
             .contains("out of range"));
         assert!(parse_dimacs_cnf("p cnf 3 1\n1 1 2 0\n")
             .unwrap_err()
+            .to_string()
             .contains("duplicate variable"));
         assert!(parse_dimacs_cnf("p cnf 3 2\n1 2 3 0\n")
             .unwrap_err()
+            .to_string()
             .contains("declares 2"));
         assert!(parse_dimacs_cnf("p cnf 3 1\n1 2 3\n")
             .unwrap_err()
+            .to_string()
             .contains("unterminated"));
     }
 

@@ -59,6 +59,21 @@ impl CopKind {
         CopKind::JobScheduling,
     ];
 
+    /// The short name `sachi --cop`, the wire protocol and the
+    /// build-identity table use; [`FromStr`](std::str::FromStr) parses
+    /// it back.
+    pub fn key(self) -> &'static str {
+        match self {
+            CopKind::AssetAllocation => "asset",
+            CopKind::ImageSegmentation => "imgseg",
+            CopKind::TravelingSalesman => "tsp",
+            CopKind::MolecularDynamics => "md",
+            CopKind::SatThree => "sat",
+            CopKind::GraphColoring => "coloring",
+            CopKind::JobScheduling => "sched",
+        }
+    }
+
     /// Human-readable name used in harness tables.
     pub fn label(self) -> &'static str {
         match self {
@@ -162,6 +177,28 @@ impl fmt::Display for CopKind {
     }
 }
 
+impl std::str::FromStr for CopKind {
+    type Err = String;
+
+    /// Parses a [`CopKind::key`] or one of its long aliases.
+    fn from_str(s: &str) -> Result<Self, Self::Err> {
+        let key = match s {
+            "asset-allocation" => "asset",
+            "segmentation" | "image-segmentation" => "imgseg",
+            "traveling-salesman" => "tsp",
+            "molecular-dynamics" => "md",
+            "3sat" | "3-sat" => "sat",
+            "color" | "graph-coloring" => "coloring",
+            "scheduling" | "job-scheduling" => "sched",
+            key => key,
+        };
+        CopKind::EXTENDED
+            .into_iter()
+            .find(|kind| kind.key() == key)
+            .ok_or_else(|| format!("unknown COP '{s}' (asset|imgseg|tsp|md|sat|coloring|sched)"))
+    }
+}
+
 /// The architectural footprint of a COP: everything the CPI/energy models
 /// need to know about it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -227,6 +264,32 @@ pub trait Workload {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn cop_aliases() {
+        for (alias, kind) in [
+            ("asset", CopKind::AssetAllocation),
+            ("asset-allocation", CopKind::AssetAllocation),
+            ("segmentation", CopKind::ImageSegmentation),
+            ("traveling-salesman", CopKind::TravelingSalesman),
+            ("molecular-dynamics", CopKind::MolecularDynamics),
+            ("sat", CopKind::SatThree),
+            ("3sat", CopKind::SatThree),
+            ("coloring", CopKind::GraphColoring),
+            ("graph-coloring", CopKind::GraphColoring),
+            ("sched", CopKind::JobScheduling),
+            ("job-scheduling", CopKind::JobScheduling),
+        ] {
+            assert_eq!(alias.parse::<CopKind>().unwrap(), kind);
+        }
+    }
+
+    #[test]
+    fn cop_keys_round_trip_through_from_str() {
+        for kind in CopKind::EXTENDED {
+            assert_eq!(kind.key().parse::<CopKind>().unwrap(), kind);
+        }
+    }
 
     #[test]
     fn fig4_rows_reproduced() {

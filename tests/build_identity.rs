@@ -20,7 +20,7 @@
 
 use sachi::prelude::CopKind;
 use sachi::workloads::lucas::{coloring, InputGraph};
-use sachi_bench::identity::{digest_of, family, golden_rows, qubo_digest};
+use sachi_bench::identity::{digest_of, golden_rows, qubo_digest};
 
 /// Seeds every family is built at.
 const SEEDS: std::ops::Range<u64> = 0..8;
@@ -37,7 +37,7 @@ fn shapes() -> Vec<(&'static str, usize, u64)> {
         };
         for size in [minimum, 24, 64, 256] {
             for seed in SEEDS {
-                shapes.push((family(kind), size, seed));
+                shapes.push((kind.key(), size, seed));
             }
         }
     }
