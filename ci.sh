@@ -60,8 +60,10 @@ cargo run -q -p sachi-bench --bin disc_faults -- --smoke
 # the memoised annealer decision makes the exp-per-decision reference's
 # decisions, that every resident tempered segment returns a fresh
 # machine's (SolveResult, RunReport) with its energy equal to H of its
-# spins, and that the build row's problems hash to their entries in the
-# build-identity table (timing ratios are only gated in the full run).
+# spins, that the build row's problems hash to their entries in the
+# build-identity table, and that the writeback row's update path holds
+# the per-tuple reference's sums after every flip (timing ratios are
+# only gated in the full run).
 echo "==> perf_kernels --smoke"
 cargo run -q -p sachi-bench --bin perf_kernels -- --smoke
 

@@ -39,7 +39,14 @@
 //!   (`md 8192`), in alternating rounds; the medians and IQRs are
 //!   recorded with the host and the git revision measured. Each built
 //!   graph's digest is checked against the pinned build-identity table
-//!   (`tests/golden/build_identity.txt`) first.
+//!   (`tests/golden/build_identity.txt`) first;
+//! * **writeback** (`writeback`) — the Fig. 8b update path alone on the
+//!   `build` row's two shapes: the first flips of a seeded anneal,
+//!   recorded once, replayed through `update_spin` + `writeback_spin`
+//!   against the per-tuple reference layout in
+//!   `sachi_bench::reference::tuple`, in alternating rounds; the medians
+//!   and IQRs of both, in ns per flip, and of the per-round ratio are
+//!   recorded.
 //!
 //! Every timed pair is asserted H-identical first, after every flip of
 //! the sequence and against the golden local field (the differential
@@ -51,10 +58,14 @@
 //! counters and leave the RNG at the same draw. The segment row is
 //! checked first too: every resident segment's `(SolveResult,
 //! RunReport)` must equal a fresh machine's on the same call, and its
-//! energy must equal `hamiltonian::energy` of its spins. The full run asserts the ≥5× acceptance bar on the dense
+//! energy must equal `hamiltonian::energy` of its spins. The writeback
+//! row's two paths must hold identical sums after every flip and
+//! identical copies at the end. The full run asserts the ≥5× acceptance bar on the dense
 //! kernel, the ≥6× bar on the dense SoA sweep for every design, a
-//! memo/reference median ratio ≤ 0.75 on the decision, and a
-//! segmented/single median ratio ≤ 1.20 on the segment row; `--smoke`
+//! memo/reference median ratio ≤ 0.75 on the decision, a
+//! segmented/single median ratio ≤ 1.20 on the segment row, and a
+//! production/reference median ratio within [`WRITEBACK_BAR`] on each
+//! writeback shape; `--smoke`
 //! runs reduced reps and shapes for CI, checks equality only (CI machines are too noisy to gate on a timing ratio),
 //! and never writes the baseline — its reduced shapes would replace the
 //! committed full-run numbers.
@@ -65,6 +76,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use sachi_bench::reference::bitcell::BitcellTile;
 use sachi_bench::reference::designs::oracle;
+use sachi_bench::reference::tuple::{AosPlanes, AosStore};
 use sachi_bench::{identity, section, Table};
 use sachi_core::prelude::*;
 use sachi_ising::prelude::*;
@@ -102,6 +114,16 @@ const BUILD_SHAPES: [(CopKind, &str, usize); 2] = [
     (CopKind::GraphColoring, "coloring", 256),
     (CopKind::MolecularDynamics, "md", 8192),
 ];
+
+/// Alternating rounds of the writeback row's two timed replays.
+const WRITEBACK_ROUNDS: u32 = 15;
+/// Flips the writeback row records from each shape's anneal (full run).
+const WRITEBACK_FLIPS: usize = 4096;
+/// The full run's bar on the writeback row: the production update path
+/// takes at most this multiple of the per-tuple reference's time on
+/// each shape. Measured at 1.0 with the same layout on both sides; the
+/// bar leaves 20% headroom.
+const WRITEBACK_BAR: f64 = 1.20;
 
 /// Nanoseconds per call of `f`, amortized over `iters` runs.
 fn ns_per_call(iters: u32, mut f: impl FnMut()) -> f64 {
@@ -674,6 +696,147 @@ fn measure_build(rounds: u32, iters: u32) -> BuildRow {
     }
 }
 
+/// The update path on one of [`BUILD_SHAPES`].
+struct WritebackRow {
+    spins: usize,
+    edges: usize,
+    flips: usize,
+    /// `update_spin` + `writeback_spin`, ns per flip.
+    production_ns: Spread,
+    /// The per-tuple reference, ns per flip.
+    reference_ns: Spread,
+    /// production / reference, per round.
+    ratio: Spread,
+}
+
+/// The first `limit` spins a seeded anneal of `graph` flips, in order:
+/// the production decisions on the maintained sums, one sweep after
+/// another.
+fn record_flips(
+    graph: &IsingGraph,
+    init: &SpinVector,
+    enc: &MixedEncoding,
+    limit: usize,
+) -> Vec<usize> {
+    let n = graph.num_spins();
+    let options = SolveOptions::for_graph(graph, 41);
+    let mut st = SweepState::new(graph, init, enc);
+    let mut annealer = Annealer::new(options.schedule, options.seed);
+    let mut flips = Vec::with_capacity(limit);
+    for _ in 0..options.effective_max_sweeps(n) {
+        for i in 0..n {
+            let (current, h) = (st.spins.get(i), st.planes.view(i).sums().h);
+            if decide_update(current, h, &mut annealer) != current {
+                st.flip(i, true);
+                flips.push(i);
+                if flips.len() == limit {
+                    return flips;
+                }
+            }
+        }
+        annealer.cool();
+    }
+    flips
+}
+
+/// The reference side of the writeback row: spins, per-tuple rows and
+/// their sums.
+struct ReferenceState {
+    spins: SpinVector,
+    store: AosStore,
+    planes: AosPlanes,
+}
+
+impl ReferenceState {
+    fn new(graph: &IsingGraph, init: &SpinVector, enc: &MixedEncoding) -> Self {
+        let store = AosStore::new(graph, init);
+        let planes = AosPlanes::new(&store, enc).expect("graph coefficients fit R");
+        ReferenceState {
+            spins: init.clone(),
+            store,
+            planes,
+        }
+    }
+
+    fn flip(&mut self, i: usize) {
+        let new = self.spins.get(i).flipped();
+        self.spins.set(i, new);
+        self.store.update_spin(i, new);
+        self.planes.writeback_spin(&self.store, i, new);
+    }
+}
+
+/// Records `limit` flips of a seeded anneal of `kind` at `size` (seed 0,
+/// the graph's own resolution), checks that the production update path
+/// and the per-tuple reference hold identical sums after every flip and
+/// identical copies at the end, then times the two replaying the
+/// sequence `iters` times per reading, in `rounds` alternating rounds.
+/// Every replay toggles the recorded spins, so every step is a flip.
+fn measure_writeback(
+    kind: CopKind,
+    size: usize,
+    limit: usize,
+    rounds: u32,
+    iters: u32,
+) -> WritebackRow {
+    let problem = build_cop_problem(kind, size, 0).expect("writeback row shapes build");
+    let graph = problem.graph();
+    let n = graph.num_spins();
+    let enc = MixedEncoding::new(graph.bits_required()).expect("graph resolution is valid");
+    let init = SpinVector::random(n, &mut StdRng::seed_from_u64(41));
+    let flips = record_flips(graph, &init, &enc, limit);
+
+    let mut production = SweepState::new(graph, &init, &enc);
+    let mut reference = ReferenceState::new(graph, &init, &enc);
+    for (step, &j) in flips.iter().enumerate() {
+        production.flip(j, true);
+        reference.flip(j);
+        for i in 0..n {
+            assert_eq!(
+                production.planes.view(i).sums(),
+                reference.planes.sums()[i],
+                "{kind} {size}: tuple {i}'s sums diverged after flip {step} (spin {j})"
+            );
+        }
+    }
+    for i in 0..n {
+        assert_eq!(
+            production.store.tuple(i).neighbor_spins,
+            reference.store.tuples()[i].neighbor_spins,
+            "{kind} {size}: tuple {i}'s copies diverged"
+        );
+    }
+
+    // The two replays alternate so a noisy neighbour slows both, and the
+    // per-round ratio cancels it.
+    let per_flip = 1.0 / (flips.len().max(1) as f64);
+    let (mut production_ns, mut reference_ns, mut ratio) = (Vec::new(), Vec::new(), Vec::new());
+    for _ in 0..rounds {
+        let p = ns_per_call(iters, || {
+            for &j in &flips {
+                production.flip(j, true);
+            }
+        });
+        let r = ns_per_call(iters, || {
+            for &j in &flips {
+                reference.flip(j);
+            }
+        });
+        production_ns.push(p * per_flip);
+        reference_ns.push(r * per_flip);
+        ratio.push(p / r);
+    }
+    std::hint::black_box((&production.planes, &reference.planes));
+    WritebackRow {
+        spins: n,
+        edges: graph.num_edges(),
+        flips: flips.len(),
+        production_ns: Spread::of(production_ns),
+        reference_ns: Spread::of(reference_ns),
+        ratio: Spread::of(ratio),
+    }
+}
+
 /// Runs `git` with `args` in the working directory, or `None`.
 fn git(args: &[&str]) -> Option<String> {
     let out = std::process::Command::new("git").args(args).output().ok()?;
@@ -900,6 +1063,33 @@ fn main() {
         ],
     );
 
+    // The update path alone on the build row's shapes: production vs
+    // the per-tuple reference over one recorded flip sequence.
+    let (wb_flips, wb_rounds, wb_iters) = if smoke {
+        (512, 3, 1)
+    } else {
+        (WRITEBACK_FLIPS, WRITEBACK_ROUNDS, 10)
+    };
+    let writeback: Vec<WritebackRow> = BUILD_SHAPES
+        .iter()
+        .map(|&(kind, _, size)| measure_writeback(kind, size, wb_flips, wb_rounds, wb_iters))
+        .collect();
+    for ((_, family, size), row) in BUILD_SHAPES.iter().zip(&writeback) {
+        section(&format!(
+            "ns per flip, update_spin + writeback_spin: {family} {size} ({} spins, {} edges), \
+             {} recorded flips, {wb_rounds} alternating rounds",
+            row.spins, row.edges, row.flips
+        ));
+        print_spreads(
+            "path",
+            [
+                ("production", &row.production_ns, " ns"),
+                ("per-tuple reference", &row.reference_ns, " ns"),
+                ("production / reference", &row.ratio, ""),
+            ],
+        );
+    }
+
     let banked_json: Vec<String> = banked
         .iter()
         .map(|b| {
@@ -918,7 +1108,7 @@ fn main() {
         })
         .collect();
     let json = format!(
-        "{{\n  \"kernel\": {{\"degree\": {DENSE_DEGREE}, \"r\": {DENSE_R}, \"rows\": [\n{}\n  ]}},\n  \"sweep\": {{\"lattice\": {lattice}, \"spins\": {}, \"flip_one_in\": {FLIP_ONE_IN}, \"rows\": [\n{}\n  ]}},\n  \"sweep_dense\": {{\"degree\": {dense_degree}, \"r\": {DENSE_R}, \"tuples\": {}, \"flip_one_in\": {FLIP_ONE_IN}, \"rows\": [\n{}\n  ]}},\n  \"sweep_banked\": {{\"rows\": [\n{}\n  ]}},\n  \"decide\": {{\"lattice\": {lattice}, \"decisions\": {}, \"draws\": {}, \"rounds\": {DECIDE_ROUNDS}, \"memo_ns\": {}, \"reference_ns\": {}, \"ratio\": {}}},\n  \"segment\": {{\"cop\": \"sat\", \"size\": 40, \"spins\": {}, \"edges\": {}, \"calls\": {}, \"sweeps_per_call\": {SEGMENT_SWEEPS}, \"rounds\": {}, \"segmented_ms\": {}, \"single_ms\": {}, \"ratio\": {}}},\n  \"build\": {{\"host\": \"{}\", \"rev\": \"{}\", \"rounds\": {}, \"seed\": 0, \"rows\": [\n{}\n  ]}}\n}}\n",
+        "{{\n  \"kernel\": {{\"degree\": {DENSE_DEGREE}, \"r\": {DENSE_R}, \"rows\": [\n{}\n  ]}},\n  \"sweep\": {{\"lattice\": {lattice}, \"spins\": {}, \"flip_one_in\": {FLIP_ONE_IN}, \"rows\": [\n{}\n  ]}},\n  \"sweep_dense\": {{\"degree\": {dense_degree}, \"r\": {DENSE_R}, \"tuples\": {}, \"flip_one_in\": {FLIP_ONE_IN}, \"rows\": [\n{}\n  ]}},\n  \"sweep_banked\": {{\"rows\": [\n{}\n  ]}},\n  \"decide\": {{\"lattice\": {lattice}, \"decisions\": {}, \"draws\": {}, \"rounds\": {DECIDE_ROUNDS}, \"memo_ns\": {}, \"reference_ns\": {}, \"ratio\": {}}},\n  \"segment\": {{\"cop\": \"sat\", \"size\": 40, \"spins\": {}, \"edges\": {}, \"calls\": {}, \"sweeps_per_call\": {SEGMENT_SWEEPS}, \"rounds\": {}, \"segmented_ms\": {}, \"single_ms\": {}, \"ratio\": {}}},\n  \"build\": {{\"host\": \"{}\", \"rev\": \"{}\", \"rounds\": {}, \"seed\": 0, \"rows\": [\n{}\n  ]}},\n  \"writeback\": {{\"rounds\": {wb_rounds}, \"seed\": 0, \"rows\": [\n{}\n  ]}}\n}}\n",
         json_rows(&kernel, "ns"),
         graph.num_spins(),
         json_rows(&sweep, "ns"),
@@ -950,6 +1140,20 @@ fn main() {
             ))
             .collect::<Vec<_>>()
             .join(",\n"),
+        BUILD_SHAPES
+            .iter()
+            .zip(&writeback)
+            .map(|((_, family, size), row)| format!(
+                "    {{\"cop\": \"{family}\", \"size\": {size}, \"spins\": {}, \"edges\": {}, \"flips\": {}, \"production_ns\": {}, \"reference_ns\": {}, \"ratio\": {}}}",
+                row.spins,
+                row.edges,
+                row.flips,
+                row.production_ns.json(),
+                row.reference_ns.json(),
+                row.ratio.json()
+            ))
+            .collect::<Vec<_>>()
+            .join(",\n"),
     );
     // Only the full run rebaselines: the smoke subset measures reduced
     // shapes (8-lattice, 3 reps) whose timings would silently replace
@@ -965,7 +1169,8 @@ fn main() {
              banking left the H trajectory and compute cycles bit-identical; the memoised \
              accept made the reference's decisions; every resident segment matched a fresh \
              machine and the energy of its spins; the build row's graphs matched the pinned \
-             build-identity digests"
+             build-identity digests; the update path held the per-tuple reference's sums \
+             after every flip"
         );
     } else {
         for m in &kernel {
@@ -994,10 +1199,19 @@ fn main() {
             "resident segments / single call {:.3} is above the {SEGMENT_BAR} bar",
             segment.ratio.median
         );
+        for ((_, family, size), row) in BUILD_SHAPES.iter().zip(&writeback) {
+            assert!(
+                row.ratio.median <= WRITEBACK_BAR,
+                "{family} {size}: update path / per-tuple reference {:.3} is above the \
+                 {WRITEBACK_BAR} bar",
+                row.ratio.median
+            );
+        }
         println!(
             "acceptance: every design >= 5x on the dense degree-{DENSE_DEGREE} kernel and \
              >= 6x on the dense sweep; memoised accept <= {DECIDE_BAR}x the exp reference; \
-             resident segments <= {SEGMENT_BAR}x one call of as many sweeps"
+             resident segments <= {SEGMENT_BAR}x one call of as many sweeps; update path \
+             <= {WRITEBACK_BAR}x the per-tuple reference on every writeback shape"
         );
     }
 }

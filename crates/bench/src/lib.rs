@@ -28,7 +28,7 @@
 //! | `abl_tuple_rep` | ablation — tuple-rep on/off |
 //! | `abl_prefetch` | ablation — prefetcher on/off |
 //! | `abl_update_policy` | ablation — storage-update vs RMW local update |
-//! | `perf_kernels` | perf — scalar oracle vs SoA production kernel ns/H-compute and ns/sweep (each sweep side replaying one seeded flip sequence through its update path), plus the memoised `Annealer::accept` vs an exp-per-decision reference, resident tempered segments vs one call, and `build_cop_problem` checked against the build-identity table (writes `BENCH_perf.json`) |
+//! | `perf_kernels` | perf — scalar oracle vs SoA production kernel ns/H-compute and ns/sweep (each sweep side replaying one seeded flip sequence through its update path), plus the memoised `Annealer::accept` vs an exp-per-decision reference, resident tempered segments vs one call, `build_cop_problem` checked against the build-identity table, and the update path's `update_spin` + `writeback_spin` vs a per-tuple reference layout (writes `BENCH_perf.json`) |
 //! | `disc_quality` | quality — seeded corpus (SAT/coloring/scheduling) × designs, regression-gated (writes `BENCH_quality.json`) |
 //!
 //! The residency ablation (`abl_residency` in EXPERIMENTS.md) has no

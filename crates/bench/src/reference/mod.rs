@@ -3,11 +3,13 @@
 //! the bit-level SRAM tile ([`bitcell`], Fig. 10), the scalar design
 //! oracles ([`designs`], Figs. 11–13) the production kernel is proven
 //! against, the `FIST`/`XNORM` ISA ([`isa`], Fig. 14), the host API
-//! ([`runtime`], Sec. VII.3) and the multi-core model ([`multicore`],
-//! Sec. IV.B.2).
+//! ([`runtime`], Sec. VII.3), the multi-core model ([`multicore`],
+//! Sec. IV.B.2) and the per-tuple storage layout the update path's
+//! writeback is timed against ([`tuple`], Fig. 8b).
 
 pub mod bitcell;
 pub mod designs;
 pub mod isa;
 pub mod multicore;
 pub mod runtime;
+pub mod tuple;
