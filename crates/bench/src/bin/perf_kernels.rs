@@ -13,7 +13,7 @@
 //! machine pays per sweep: the kernel *and* the update path. Both sides
 //! replay one fixed, seeded flip sequence — the SoA side through
 //! `update_spin` + `writeback_spin`, the scalar side by refreshing its
-//! AoS copies with `update_spin`. Five granularities:
+//! copies with `update_spin`. Five granularities:
 //!
 //! * **per H-compute** (`kernel`) — one dense degree-256, R=8 tuple;
 //! * **per sweep** (`sweep`) — one full update pass over every spin of a
@@ -76,7 +76,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use sachi_bench::reference::bitcell::BitcellTile;
 use sachi_bench::reference::designs::oracle;
-use sachi_bench::reference::tuple::{AosPlanes, AosStore};
+use sachi_bench::reference::tuple::{AosPlanes, AosStore, AosTuple};
 use sachi_bench::{identity, section, Table};
 use sachi_core::prelude::*;
 use sachi_ising::prelude::*;
@@ -120,10 +120,11 @@ const WRITEBACK_ROUNDS: u32 = 15;
 /// Flips the writeback row records from each shape's anneal (full run).
 const WRITEBACK_FLIPS: usize = 4096;
 /// The full run's bar on the writeback row: the production update path
-/// takes at most this multiple of the per-tuple reference's time on
-/// each shape. Measured at 1.0 with the same layout on both sides; the
-/// bar leaves 20% headroom.
-const WRITEBACK_BAR: f64 = 1.20;
+/// (the flat store, popcounts kept from the build) takes at most this
+/// multiple of the per-tuple reference's time on each shape. Four full
+/// runs read 0.61–0.69 on `coloring 256` and 0.57–0.58 on `md 8192`;
+/// the bar leaves at least 20% headroom over the highest.
+const WRITEBACK_BAR: f64 = 0.85;
 
 /// Nanoseconds per call of `f`, amortized over `iters` runs.
 fn ns_per_call(iters: u32, mut f: impl FnMut()) -> f64 {
@@ -135,10 +136,10 @@ fn ns_per_call(iters: u32, mut f: impl FnMut()) -> f64 {
 }
 
 /// A dense tuple with coefficients spanning the full R-bit range.
-fn dense_tuple(degree: usize) -> SpinTuple {
+fn dense_tuple(degree: usize) -> AosTuple {
     let span = 1i64 << DENSE_R;
     let min = -(1i64 << (DENSE_R - 1));
-    SpinTuple {
+    AosTuple {
         target: 0,
         neighbors: (1..=degree).map(|j| j as u32).collect(),
         couplings: (0..degree)
@@ -187,7 +188,7 @@ impl SweepState {
         }
     }
 
-    /// Flips spin `i` and refreshes its AoS copies; the SoA side also
+    /// Flips spin `i` and refreshes its copies; the SoA side also
     /// writes the flip back into the sums.
     fn flip(&mut self, i: usize, soa: bool) {
         let new = self.spins.get(i).flipped();
@@ -221,31 +222,34 @@ impl Measurement {
 fn measure_kernel(
     kind: DesignKind,
     enc: &MixedEncoding,
-    tuples: &[SpinTuple],
+    tuples: &[AosTuple],
     iters: u32,
 ) -> Measurement {
     let design = oracle(kind);
+    let tuples: Vec<SpinTuple<'_>> = tuples.iter().map(AosTuple::view).collect();
     let max_degree = tuples.iter().map(SpinTuple::degree).max().unwrap_or(1);
     let (rows, cols) = design.tile_requirements(max_degree, enc.bits(), ROW_BITS);
-    let planes = TuplePlanes::from_tuples(tuples.iter(), enc).expect("bench coefficients fit R");
+    let planes =
+        TuplePlanes::from_tuples(tuples.iter().copied(), enc).expect("bench coefficients fit R");
     let mut bitcells = BitcellTile::new(rows, cols);
     let mut tile = SramTile::with_params(TileParams::new(rows, cols));
     let mut ctx = ComputeContext::new();
     let mut scratch = ComputeScratch::new();
-    let mut soa = |tile: &mut SramTile, ctx: &mut ComputeContext, i: usize, tuple: &SpinTuple| {
-        design.compute_tuple_soa(
-            tile,
-            enc,
-            tuple,
-            planes.view(i),
-            Spin::Up,
-            ctx,
-            &mut scratch,
-        )
-    };
+    let mut soa =
+        |tile: &mut SramTile, ctx: &mut ComputeContext, i: usize, tuple: SpinTuple<'_>| {
+            design.compute_tuple_soa(
+                tile,
+                enc,
+                tuple,
+                planes.view(i),
+                Spin::Up,
+                ctx,
+                &mut scratch,
+            )
+        };
 
     // Tripwire: the SoA kernel agrees with scalar on H for every tuple.
-    for (i, tuple) in tuples.iter().enumerate() {
+    for (i, &tuple) in tuples.iter().enumerate() {
         let hs = design.compute_tuple(&mut bitcells, enc, tuple, Spin::Up, &mut ctx);
         let ho = soa(&mut tile, &mut ctx, i, tuple);
         assert_eq!(hs, ho, "{kind}: SoA kernel diverged from scalar");
@@ -253,13 +257,13 @@ fn measure_kernel(
     }
 
     let scalar_ns = ns_per_call(iters, || {
-        for tuple in tuples {
+        for &tuple in &tuples {
             let h = design.compute_tuple(&mut bitcells, enc, tuple, Spin::Up, &mut ctx);
             std::hint::black_box(h);
         }
     });
     let soa_ns = ns_per_call(iters * SOA_REPS, || {
-        for (i, tuple) in tuples.iter().enumerate() {
+        for (i, &tuple) in tuples.iter().enumerate() {
             std::hint::black_box(soa(&mut tile, &mut ctx, i, tuple));
         }
     });
@@ -272,7 +276,7 @@ fn measure_kernel(
 
 /// Times one design's sweep over every spin of `graph` (ns per sweep):
 /// each step computes the spin's H, then applies the step's flip from
-/// `flips`. The scalar side runs the oracle and refreshes its AoS
+/// `flips`. The scalar side runs the oracle and refreshes its
 /// copies; the SoA side runs the kernel and also writes the flip back
 /// into the sums. Two untimed lockstep sweeps first assert that both
 /// sides' H equal the golden local field at every step.

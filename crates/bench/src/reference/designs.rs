@@ -31,7 +31,7 @@ pub trait ScalarOracle: Stationarity {
         &self,
         tile: &mut BitcellTile,
         enc: &MixedEncoding,
-        tuple: &SpinTuple,
+        tuple: SpinTuple<'_>,
         target: Spin,
         ctx: &mut ComputeContext,
     ) -> i64;
@@ -69,7 +69,7 @@ fn finish_from_products(
     -acc // phase 5 negation: H_σ = -(Σ J σ + h)
 }
 
-fn layout_spins(tile: &mut BitcellTile, tuple: &SpinTuple) {
+fn layout_spins(tile: &mut BitcellTile, tuple: SpinTuple<'_>) {
     let bits: Vec<bool> = tuple.neighbor_spins.iter().map(|s| s.bit()).collect();
     tile.write_row(0, &bits)
         .expect("tile sized by tile_requirements");
@@ -81,7 +81,7 @@ impl ScalarOracle for SpinStationaryBitMajor {
         &self,
         tile: &mut BitcellTile,
         enc: &MixedEncoding,
-        tuple: &SpinTuple,
+        tuple: SpinTuple<'_>,
         _target: Spin,
         ctx: &mut ComputeContext,
     ) -> i64 {
@@ -137,7 +137,7 @@ impl ScalarOracle for SpinStationaryIcMajor {
         &self,
         tile: &mut BitcellTile,
         enc: &MixedEncoding,
-        tuple: &SpinTuple,
+        tuple: SpinTuple<'_>,
         _target: Spin,
         ctx: &mut ComputeContext,
     ) -> i64 {
@@ -185,7 +185,7 @@ impl ScalarOracle for IcStationary {
         &self,
         tile: &mut BitcellTile,
         enc: &MixedEncoding,
-        tuple: &SpinTuple,
+        tuple: SpinTuple<'_>,
         _target: Spin,
         ctx: &mut ComputeContext,
     ) -> i64 {
@@ -231,7 +231,7 @@ impl ScalarOracle for MixedStationary {
         &self,
         tile: &mut BitcellTile,
         enc: &MixedEncoding,
-        tuple: &SpinTuple,
+        tuple: SpinTuple<'_>,
         target: Spin,
         ctx: &mut ComputeContext,
     ) -> i64 {

@@ -10,7 +10,7 @@
 //! identical sums after every flip before it times them.
 
 use sachi_core::encoding::{EncodingError, MixedEncoding};
-use sachi_core::tuple::TupleSums;
+use sachi_core::tuple::{SpinTuple, TupleSums};
 use sachi_ising::graph::IsingGraph;
 use sachi_ising::spin::{Spin, SpinVector};
 use sachi_mem::units::convert::count_u64;
@@ -28,6 +28,20 @@ pub struct AosTuple {
     pub neighbor_spins: Vec<Spin>,
     /// External field `h_i`.
     pub field: i32,
+}
+
+impl AosTuple {
+    /// The row as the borrowed [`SpinTuple`] the kernels and oracles
+    /// read.
+    pub fn view(&self) -> SpinTuple<'_> {
+        SpinTuple {
+            target: self.target,
+            neighbors: &self.neighbors,
+            couplings: &self.couplings,
+            neighbor_spins: &self.neighbor_spins,
+            field: self.field,
+        }
+    }
 }
 
 /// Every row plus, per spin `j`, the `(tuple, slot)` pairs holding a

@@ -213,7 +213,7 @@ pub trait Stationarity {
         &self,
         tile: &mut SramTile,
         enc: &MixedEncoding,
-        tuple: &SpinTuple,
+        tuple: SpinTuple<'_>,
         view: TuplePlaneView<'_>,
         target: Spin,
         ctx: &mut ComputeContext,

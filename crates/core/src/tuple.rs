@@ -10,35 +10,39 @@
 //! copy inside every tuple that contains it must be refreshed. A dedicated
 //! region of the storage array holds the adjacency matrix; the update path
 //! reads it to find the relevant tuples (Fig. 8b). [`TupleStore`] is that
-//! pair of structures, and its counters feed the machine's cycle/energy
-//! accounting. [`TuplePlanes`] mirrors the store as one set of
-//! [`TupleSums`] per tuple (`H`, up neighbours `P`, matching bits `U`, and
-//! the static degree and coupling one-bits), built at map time and kept
-//! current on the same update path. Those sums are all the designs'
-//! production kernel reads.
+//! pair of structures, laid out flat like the graph's CSR: every row's
+//! neighbours, couplings and spin copies sit end to end in one array each,
+//! and the adjacency region is a flat copy index of the same length. Its
+//! counters feed the machine's cycle/energy accounting, and
+//! [`TupleStore::tuple`] lends one row out as a borrowed [`SpinTuple`].
+//! [`TuplePlanes`] mirrors the store as one set of [`TupleSums`] per tuple
+//! (`H`, up neighbours `P`, matching bits `U`, and the static degree and
+//! coupling one-bits), built at map time and kept current on the same
+//! update path. Those sums are all the designs' production kernel reads.
 
 use crate::encoding::{EncodingError, MixedEncoding};
 use sachi_ising::graph::IsingGraph;
 use sachi_ising::spin::{Spin, SpinVector};
 use sachi_mem::units::convert::count_u64;
 
-/// One spin's tuple: the storage-array row of Fig. 7a.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SpinTuple {
+/// One spin's tuple: the storage-array row of Fig. 7a, borrowed from the
+/// [`TupleStore`] that holds it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct SpinTuple<'a> {
     /// The spin this tuple computes `H_σ` for.
     pub target: u32,
-    /// Neighbor spin ids.
-    pub neighbors: Vec<u32>,
+    /// Neighbor spin ids, ascending.
+    pub neighbors: &'a [u32],
     /// Connecting interaction coefficients, aligned with `neighbors`.
-    pub couplings: Vec<i32>,
+    pub couplings: &'a [i32],
     /// *Copies* of the neighboring spin states (tuple-rep makes these
     /// local; they go stale unless the update path refreshes them).
-    pub neighbor_spins: Vec<Spin>,
+    pub neighbor_spins: &'a [Spin],
     /// External field `h_i`.
     pub field: i32,
 }
 
-impl SpinTuple {
+impl SpinTuple<'_> {
     /// Local field `H_σ = -Σ J_ij σ_j - h_i` computed **entirely from the
     /// tuple's own copies** — the independence that tuple-rep buys.
     pub fn local_field(&self) -> i64 {
@@ -63,13 +67,22 @@ impl SpinTuple {
 }
 
 /// The storage array's logical content: all tuples plus the adjacency
-/// index used by the update path.
+/// index used by the update path, each held flat.
+///
+/// Row `i` occupies positions `offsets[i]..offsets[i + 1]` of the
+/// neighbour, coupling and spin-copy arrays, in the graph's (ascending)
+/// neighbour order. The copy index has the same shape: its entry
+/// `offsets[j] + k` is the position of `σ_j`'s copy inside the row of
+/// `j`'s neighbour `k`, so one spin's update reads one contiguous range
+/// of it (the adjacency region of Fig. 8b).
 #[derive(Debug, Clone)]
 pub struct TupleStore {
-    tuples: Vec<SpinTuple>,
-    /// For each spin `j`: the list of `(tuple_index, slot)` pairs holding a
-    /// copy of `σ_j` — the adjacency-matrix region of Fig. 8b.
-    adjacency: Vec<Vec<(u32, u32)>>,
+    offsets: Vec<usize>,
+    neighbors: Vec<u32>,
+    couplings: Vec<i32>,
+    neighbor_spins: Vec<Spin>,
+    fields: Vec<i32>,
+    copies: Vec<u32>,
     /// Whether tuple-rep is enabled. The ablation (`abl_tuple_rep`)
     /// disables it, which forces cross-tuple re-reads (counted, not
     /// simulated structurally).
@@ -94,11 +107,13 @@ impl TupleStore {
         Self::with_tuple_rep(graph, spins, true)
     }
 
-    /// Builds the store with explicit tuple-rep setting.
+    /// Builds the store with explicit tuple-rep setting, in one pass over
+    /// the graph's rows.
     ///
     /// # Panics
     ///
-    /// Panics if `spins.len() != graph.num_spins()`.
+    /// Panics if `spins.len() != graph.num_spins()`, or if the graph has
+    /// more than `u32::MAX` directed edges.
     pub fn with_tuple_rep(graph: &IsingGraph, spins: &SpinVector, tuple_rep: bool) -> Self {
         assert_eq!(
             spins.len(),
@@ -106,54 +121,61 @@ impl TupleStore {
             "spin vector must match graph size"
         );
         let n = graph.num_spins();
-        let mut tuples = Vec::with_capacity(n);
-        let mut adjacency: Vec<Vec<(u32, u32)>> = vec![Vec::new(); n];
+        let mut offsets = Vec::with_capacity(n + 1);
+        offsets.push(0);
         for i in 0..n {
-            let mut neighbors = Vec::with_capacity(graph.degree(i));
-            let mut couplings = Vec::with_capacity(graph.degree(i));
-            let mut neighbor_spins = Vec::with_capacity(graph.degree(i));
-            for (slot, (j, w)) in graph.neighbors(i).enumerate() {
-                neighbors.push(j);
-                couplings.push(w);
-                neighbor_spins.push(spins.get(j as usize));
-                adjacency[j as usize].push((i as u32, slot as u32));
-            }
-            tuples.push(SpinTuple {
-                target: i as u32,
-                neighbors,
-                couplings,
-                neighbor_spins,
-                field: graph.field(i),
-            });
+            offsets.push(offsets[i] + graph.degree(i));
         }
-        // Tuple-rep invariant: every adjacency entry for spin j must name
-        // a (tuple, slot) that actually stores a copy of σ_j, there is
-        // exactly one copy per adjacent tuple, and the entries follow
-        // tuple j's own (sorted) neighbour order.
+        let slots = offsets[n];
+        assert!(
+            u32::try_from(slots).is_ok(),
+            "{slots} tuple slots overflow the u32 copy index"
+        );
+        let mut neighbors = Vec::with_capacity(slots);
+        let mut couplings = Vec::with_capacity(slots);
+        let mut neighbor_spins = Vec::with_capacity(slots);
+        let mut copies = vec![0u32; slots];
+        // The next free copy-index entry of each spin. Rows are written in
+        // ascending order, so spin j's k-th copy lands in the row of its
+        // k-th (ascending) neighbour: entry offsets[j] + k.
+        let mut cursor = offsets[..n].to_vec();
+        for i in 0..n {
+            for (j, w) in graph.neighbors(i) {
+                let j = j as usize;
+                copies[cursor[j]] = neighbors.len() as u32;
+                cursor[j] += 1;
+                neighbors.push(j as u32);
+                couplings.push(w);
+                neighbor_spins.push(spins.get(j));
+            }
+        }
+        let fields = (0..n).map(|i| graph.field(i)).collect();
+        // Tuple-rep invariant: copy-index entry k of spin j lies in the row
+        // of j's neighbour k, and that slot holds a copy of σ_j.
         debug_assert!(
-            adjacency.iter().enumerate().all(|(j, entries)| {
-                entries.len() == graph.degree(j)
-                    && entries
-                        .iter()
-                        .zip(&tuples[j].neighbors)
-                        .all(|(&(t, slot), &k)| {
-                            t == k && tuples[t as usize].neighbors[slot as usize] as usize == j
-                        })
-            }),
-            "tuple-rep construction broke the adjacency/copy correspondence"
+            (0..n).all(|j| (offsets[j]..offsets[j + 1]).all(|e| {
+                let (owner, pos) = (neighbors[e] as usize, copies[e] as usize);
+                (offsets[owner]..offsets[owner + 1]).contains(&pos) && neighbors[pos] as usize == j
+            })),
+            "tuple-rep construction broke the copy index"
         );
         let rereads = if tuple_rep {
             Vec::new()
         } else {
-            tuples
-                .iter()
-                .enumerate()
-                .map(|(i, t)| count_u64(t.neighbors.iter().filter(|&&j| (j as usize) < i).count()))
+            (0..n)
+                .map(|i| {
+                    let row = &neighbors[offsets[i]..offsets[i + 1]];
+                    count_u64(row.iter().filter(|&&j| (j as usize) < i).count())
+                })
                 .collect()
         };
         TupleStore {
-            tuples,
-            adjacency,
+            offsets,
+            neighbors,
+            couplings,
+            neighbor_spins,
+            fields,
+            copies,
             tuple_rep,
             rereads,
             spin_copy_updates: 0,
@@ -164,12 +186,12 @@ impl TupleStore {
 
     /// Number of tuples (== spins).
     pub fn len(&self) -> usize {
-        self.tuples.len()
+        self.fields.len()
     }
 
     /// True if the store holds no tuples.
     pub fn is_empty(&self) -> bool {
-        self.tuples.is_empty()
+        self.fields.is_empty()
     }
 
     /// Whether tuple-rep is enabled.
@@ -182,13 +204,40 @@ impl TupleStore {
     /// # Panics
     ///
     /// Panics if `i` is out of range.
-    pub fn tuple(&self, i: usize) -> &SpinTuple {
-        &self.tuples[i]
+    #[inline]
+    pub fn tuple(&self, i: usize) -> SpinTuple<'_> {
+        let row = self.offsets[i]..self.offsets[i + 1];
+        SpinTuple {
+            target: i as u32,
+            neighbors: &self.neighbors[row.clone()],
+            couplings: &self.couplings[row.clone()],
+            neighbor_spins: &self.neighbor_spins[row],
+            field: self.fields[i],
+        }
     }
 
     /// Iterates all tuples in spin order.
-    pub fn iter(&self) -> std::slice::Iter<'_, SpinTuple> {
-        self.tuples.iter()
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = SpinTuple<'_>> + '_ {
+        (0..self.len()).map(|i| self.tuple(i))
+    }
+
+    /// Where the copies of `σ_j` live, read from the copy index: one
+    /// `(tuple, slot)` pair per neighbour of `j`, in `j`'s own neighbour
+    /// order, so pair `k` names the row of neighbour `k` and the slot of
+    /// that row holding `σ_j`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `j` is out of range.
+    pub fn copy_slots(&self, j: usize) -> impl Iterator<Item = (usize, usize)> + '_ {
+        let row = self.offsets[j]..self.offsets[j + 1];
+        self.neighbors[row.clone()]
+            .iter()
+            .zip(&self.copies[row])
+            .map(|(&t, &pos)| {
+                let t = t as usize;
+                (t, pos as usize - self.offsets[t])
+            })
     }
 
     /// Counts the cross-tuple re-reads one compute of tuple `i` needs
@@ -208,43 +257,28 @@ impl TupleStore {
     /// re-reads of [`TupleStore::count_rereads`].
     pub fn local_field(&mut self, i: usize) -> i64 {
         self.count_rereads(i);
-        self.tuples[i].local_field()
+        self.tuple(i).local_field()
     }
 
-    /// The adjacency entries of spin `j`: every `(tuple_index, slot)` pair
-    /// holding a copy of `σ_j`, in ascending tuple order — so entry `k`
-    /// is the tuple of neighbour `k` of `σ_j`'s own tuple. This is the
-    /// read the Fig. 8b update path performs; exposing it lets mirrored
-    /// stores ([`TuplePlanes`]) follow the same walk without duplicating
-    /// the index.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `j` is out of range.
-    pub fn adjacency_of(&self, j: usize) -> &[(u32, u32)] {
-        &self.adjacency[j]
-    }
-
-    /// Applies a spin update through the Fig. 8b path: reads the adjacency
-    /// matrix, then refreshes `σ_j`'s copy in every relevant tuple.
-    /// Returns the number of tuple entries written.
+    /// Applies a spin update through the Fig. 8b path: reads `σ_j`'s
+    /// range of the copy index, then refreshes `σ_j`'s copy in every
+    /// relevant tuple. Returns the number of tuple entries written.
     ///
     /// # Panics
     ///
     /// Panics if `j` is out of range.
     pub fn update_spin(&mut self, j: usize, new: Spin) -> u64 {
         self.adjacency_reads += 1;
-        let entries = std::mem::take(&mut self.adjacency[j]);
-        let count = entries.len() as u64;
-        for &(t, slot) in &entries {
+        let entries = &self.copies[self.offsets[j]..self.offsets[j + 1]];
+        for &pos in entries {
             debug_assert_eq!(
-                self.tuples[t as usize].neighbors[slot as usize] as usize,
+                self.neighbors[pos as usize] as usize,
                 j,
-                "tuple-rep adjacency corrupt: entry for spin {j} points at tuple {t} slot {slot}, which holds a different neighbor"
+                "tuple-rep copy index corrupt: an entry of spin {j} points at position {pos}, which holds a different neighbor"
             );
-            self.tuples[t as usize].neighbor_spins[slot as usize] = new;
+            self.neighbor_spins[pos as usize] = new;
         }
-        self.adjacency[j] = entries;
+        let count = count_u64(entries.len());
         self.spin_copy_updates += count;
         count
     }
@@ -293,19 +327,23 @@ pub struct TupleSums {
 /// [`TupleSums`], kept current under spin flips.
 ///
 /// The mirror is built once at map time, which validates every coupling
-/// against the encoding. After that, [`TuplePlanes::writeback_spin`]
-/// walks the same adjacency entries as [`TupleStore::update_spin`] (the
-/// Fig. 8b update path) and applies one edge's constants to each tuple
-/// holding a copy of the flipped spin, so a design kernel reads its
-/// tuple's sums in O(1) instead of re-reading every edge on every sweep.
-/// Tuple-rep stores each edge's coupling in both endpoints' tuples, so
-/// the flipped spin's own tuple supplies every constant of the walk, in
-/// adjacency order. The mirror also records the spin value its copies
-/// hold, so a writeback that changes no copy changes nothing.
+/// against the encoding and keeps each slot's `ones` in the store's flat
+/// slot order. After that, [`TuplePlanes::writeback_spin`] walks the
+/// flipped spin's own row of the store (the Fig. 8b update path reaches
+/// the same tuples) and applies one edge's constants to each neighbour's
+/// tuple, so a design kernel reads its tuple's sums in O(1) instead of
+/// re-reading every edge on every sweep. Tuple-rep stores each edge's
+/// coupling in both endpoints' tuples, so the flipped spin's own row
+/// supplies every constant of the walk. The mirror also records the spin
+/// value its copies hold, so a writeback that changes no copy changes
+/// nothing.
 #[derive(Debug, Clone)]
 pub struct TuplePlanes {
     bits: u32,
     sums: Vec<TupleSums>,
+    /// Per slot, in the order the tuples were mirrored (the store's flat
+    /// order): the popcount of the slot coupling's R-bit word.
+    ones: Vec<u8>,
     /// One bit per spin id: the value the mirrored copies of that spin
     /// hold (up = 1).
     spin_bits: Vec<u64>,
@@ -342,10 +380,11 @@ impl TuplePlanes {
     /// Returns an error if any coupling is out of range for `enc`.
     pub fn from_tuples<'a, I>(tuples: I, enc: &MixedEncoding) -> Result<Self, EncodingError>
     where
-        I: IntoIterator<Item = &'a SpinTuple>,
+        I: IntoIterator<Item = SpinTuple<'a>>,
     {
         let r = u64::from(enc.bits());
         let mut sums = Vec::new();
+        let mut ones_per_slot = Vec::new();
         let mut spin_bits = Vec::new();
         for tuple in tuples {
             let mut s = TupleSums {
@@ -359,7 +398,10 @@ impl TuplePlanes {
                 .zip(tuple.neighbor_spins.iter())
                 .zip(tuple.neighbors.iter())
             {
-                let ones = u64::from(enc.encode_word(i64::from(j))?.count_ones());
+                // At most 32 one-bits: R <= 32.
+                let ones = enc.encode_word(i64::from(j))?.count_ones() as u8;
+                ones_per_slot.push(ones);
+                let ones = u64::from(ones);
                 s.h -= i64::from(j) * spin.value();
                 s.ones += ones;
                 let (word, bit) = (neighbor as usize / 64, 1u64 << (neighbor % 64));
@@ -380,6 +422,7 @@ impl TuplePlanes {
         Ok(Self {
             bits: enc.bits(),
             sums,
+            ones: ones_per_slot,
             spin_bits,
         })
     }
@@ -410,11 +453,12 @@ impl TuplePlanes {
         }
     }
 
-    /// Mirrors a spin flip: if the copies of `σ_j` change, walks the same
-    /// adjacency entries as [`TupleStore::update_spin`] and applies the
-    /// edge's constants to every tuple holding a copy. Call with the
-    /// *store that built this mirror* (before or after its own update —
-    /// the adjacency index and couplings are immutable).
+    /// Mirrors a spin flip: if the copies of `σ_j` change, walks `σ_j`'s
+    /// own row of `store` and applies each edge's constants, with the
+    /// slot's `ones` kept from the build, to the neighbour's tuple — the
+    /// tuples [`TupleStore::update_spin`] refreshes. Call with the *store
+    /// that built this mirror* (before or after its own update — rows,
+    /// couplings and the copy index are immutable).
     ///
     /// # Panics
     ///
@@ -431,18 +475,13 @@ impl TuplePlanes {
         }
         *word ^= bit;
         let r = u64::from(self.bits);
-        let mask = u32::MAX >> (32 - self.bits);
-        // Adjacency entry k is the tuple of σ_j's neighbour k, and tuple-rep
-        // stores their coupling in σ_j's own tuple too, at slot k.
-        let own = store.tuple(j);
-        for (&(t, _), (&neighbor, &coupling)) in store
-            .adjacency_of(j)
+        let row = store.offsets[j]..store.offsets[j + 1];
+        for ((&t, &coupling), &ones) in store.neighbors[row.clone()]
             .iter()
-            .zip(own.neighbors.iter().zip(own.couplings.iter()))
+            .zip(&store.couplings[row.clone()])
+            .zip(&self.ones[row])
         {
-            debug_assert_eq!(t, neighbor, "adjacency of spin {j} out of neighbour order");
-            // `ones` of the R-bit two's-complement word, as built.
-            let ones = u64::from((coupling as u32 & mask).count_ones());
+            let ones = u64::from(ones);
             let s = &mut self.sums[t as usize];
             if new.bit() {
                 s.h -= 2 * i64::from(coupling);
@@ -556,7 +595,7 @@ mod tests {
             44
         );
         // Adjacency bits = directed edge count = 2 * edges.
-        let adjacency: usize = (0..9).map(|j| store.adjacency_of(j).len()).sum();
+        let adjacency: usize = (0..9).map(|j| store.copy_slots(j).count()).sum();
         assert_eq!(adjacency, 2 * g.num_edges());
     }
 
@@ -569,8 +608,8 @@ mod tests {
         assert_eq!(store.spin_copy_updates(), 0);
     }
 
-    /// The sums of `tuple` recomputed from its AoS copies.
-    fn recompute(tuple: &SpinTuple, enc: &MixedEncoding) -> TupleSums {
+    /// The sums of `tuple` recomputed from its copies.
+    fn recompute(tuple: SpinTuple<'_>, enc: &MixedEncoding) -> TupleSums {
         let r = u64::from(enc.bits());
         let ones: Vec<u64> = tuple
             .couplings
@@ -640,20 +679,23 @@ mod tests {
         // A 100-neighbor tuple owns two words of copy bits; its sums must
         // count every copy on both sides of the boundary.
         let n = 100u32;
+        let neighbors: Vec<u32> = (1..=n).collect();
+        let couplings: Vec<i32> = (0..n as i32).map(|k| (k % 15) - 7).collect();
+        let neighbor_spins: Vec<Spin> = (0..n)
+            .map(|k| if k % 3 == 0 { Spin::Down } else { Spin::Up })
+            .collect();
         let tuple = SpinTuple {
             target: 0,
-            neighbors: (1..=n).collect(),
-            couplings: (0..n as i32).map(|k| (k % 15) - 7).collect(),
-            neighbor_spins: (0..n)
-                .map(|k| if k % 3 == 0 { Spin::Down } else { Spin::Up })
-                .collect(),
+            neighbors: &neighbors,
+            couplings: &couplings,
+            neighbor_spins: &neighbor_spins,
             field: 2,
         };
         let enc = MixedEncoding::new(4).unwrap();
-        let planes = TuplePlanes::from_tuples([&tuple, &tuple], &enc).unwrap();
+        let planes = TuplePlanes::from_tuples([tuple, tuple], &enc).unwrap();
         for i in 0..2 {
             let sums = planes.view(i).sums();
-            assert_eq!(sums, recompute(&tuple, &enc));
+            assert_eq!(sums, recompute(tuple, &enc));
             assert_eq!(sums.n, 100);
             assert_eq!(sums.up, 66);
         }
@@ -663,12 +705,12 @@ mod tests {
     fn soa_rejects_out_of_range_couplings() {
         let tuple = SpinTuple {
             target: 0,
-            neighbors: vec![1],
-            couplings: vec![1000],
-            neighbor_spins: vec![Spin::Up],
+            neighbors: &[1],
+            couplings: &[1000],
+            neighbor_spins: &[Spin::Up],
             field: 0,
         };
         let enc = MixedEncoding::new(4).unwrap();
-        assert!(TuplePlanes::from_tuples([&tuple], &enc).is_err());
+        assert!(TuplePlanes::from_tuples([tuple], &enc).is_err());
     }
 }

@@ -14,7 +14,8 @@
 //! row widths narrow enough that n3 tuples span several rows — and on
 //! whole dense and King's graphs after every flip of a random flip
 //! sequence, where the kernel reads sums the update path has kept
-//! current.
+//! current. The flat tuple store itself is held to a fresh build after
+//! random flips, copy index included.
 
 #[path = "support/sums.rs"]
 mod sums;
@@ -37,6 +38,7 @@ use sachi::mem::fault::{FaultModel, FaultRate};
 use sachi::mem::sram::{SramTile, TileParams};
 use sachi_bench::reference::bitcell::BitcellTile;
 use sachi_bench::reference::designs::oracle;
+use sachi_bench::reference::tuple::AosTuple;
 
 /// Maps a raw draw into the R-bit two's-complement coefficient range.
 fn coeff_in_range(raw: u64, r: u32) -> i32 {
@@ -47,8 +49,8 @@ fn coeff_in_range(raw: u64, r: u32) -> i32 {
 }
 
 /// Builds a standalone tuple for spin 0 from raw generator output.
-fn build_tuple(r: u32, pairs: &[(u64, bool)], field_raw: u64) -> SpinTuple {
-    SpinTuple {
+fn build_tuple(r: u32, pairs: &[(u64, bool)], field_raw: u64) -> AosTuple {
+    AosTuple {
         target: 0,
         neighbors: (1..=pairs.len()).map(|j| j as u32).collect(),
         couplings: pairs
@@ -76,7 +78,7 @@ fn row_widths(r: u32) -> [usize; 3] {
 fn assert_paths_agree(
     kind: DesignKind,
     enc: &MixedEncoding,
-    tuple: &SpinTuple,
+    tuple: SpinTuple<'_>,
     target: Spin,
     row_bits: usize,
 ) {
@@ -89,7 +91,7 @@ fn assert_paths_agree(
 fn assert_kernel_matches_oracle(
     kind: DesignKind,
     enc: &MixedEncoding,
-    tuple: &SpinTuple,
+    tuple: SpinTuple<'_>,
     view: TuplePlaneView<'_>,
     target: Spin,
     row_bits: usize,
@@ -157,7 +159,7 @@ proptest! {
         let tuple = build_tuple(r, &pairs, field_raw);
         let target = if target_up { Spin::Up } else { Spin::Down };
         for kind in DesignKind::ALL {
-            assert_paths_agree(kind, &enc, &tuple, target, row_widths(r)[width]);
+            assert_paths_agree(kind, &enc, tuple.view(), target, row_widths(r)[width]);
         }
     }
 
@@ -174,7 +176,7 @@ proptest! {
         let row_bits = row_widths(r)[width];
         for kind in DesignKind::ALL {
             let design = oracle(kind);
-            let tuples: Vec<SpinTuple> = seeds
+            let tuples: Vec<AosTuple> = seeds
                 .iter()
                 .enumerate()
                 .map(|(i, &(raw, up))| {
@@ -184,15 +186,17 @@ proptest! {
                     build_tuple(r, &pairs, raw)
                 })
                 .collect();
+            let tuples: Vec<SpinTuple<'_>> = tuples.iter().map(AosTuple::view).collect();
             let max_degree = tuples.iter().map(SpinTuple::degree).max().unwrap_or(1);
             let (rows, cols) = design.tile_requirements(max_degree, r, row_bits);
-            let planes = TuplePlanes::from_tuples(tuples.iter(), &enc).expect("coefficients fit");
+            let planes = TuplePlanes::from_tuples(tuples.iter().copied(), &enc)
+                .expect("coefficients fit");
             let mut tile_scalar = BitcellTile::new(rows, cols);
             let mut tile_soa = SramTile::with_params(TileParams::new(rows, cols));
             let mut ctx_scalar = ComputeContext::new();
             let mut ctx_soa = ComputeContext::new();
             let mut scratch = ComputeScratch::new();
-            for (i, tuple) in tuples.iter().enumerate() {
+            for (i, &tuple) in tuples.iter().enumerate() {
                 let target = if i % 2 == 0 { Spin::Up } else { Spin::Down };
                 let hs = design.compute_tuple(&mut tile_scalar, &enc, tuple, target, &mut ctx_scalar);
                 let ho = design.compute_tuple_soa(
@@ -263,7 +267,7 @@ proptest! {
     /// The kernel reads sums the update path keeps current. Over a random
     /// flip sequence driven through `update_spin` + `writeback_spin`, after
     /// every flip: every tuple's maintained sums equal a recompute from
-    /// its AoS copies, every design's kernel is bit-identical to the
+    /// its copies, every design's kernel is bit-identical to the
     /// scalar oracle on that tuple, and a second writeback of the same
     /// spin changes nothing.
     #[test]
@@ -306,6 +310,52 @@ proptest! {
     }
 }
 
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The flat store's update path keeps it equal to a fresh build:
+    /// after a random flip sequence driven through `update_spin`, every
+    /// row equals the row `TupleStore::new` builds on the flipped spins,
+    /// and every copy-index entry of every spin names a slot of its
+    /// neighbour's row that holds that spin at its current value.
+    #[test]
+    fn flat_store_matches_a_fresh_build_after_flips(
+        king in any::<bool>(),
+        side in 2usize..=6,
+        salt in any::<u64>(),
+        flips in prop::collection::vec(any::<u64>(), 0..40),
+    ) {
+        let side = if king { side } else { side * 3 };
+        let graph = sums_graph(king, side, 8, salt);
+        let n = graph.num_spins();
+        let mut spins = SpinVector::random(n, &mut StdRng::seed_from_u64(salt));
+        let mut store = TupleStore::new(&graph, &spins);
+        let mut written = 0u64;
+        for raw in flips {
+            let j = (raw % n as u64) as usize;
+            let new = spins.get(j).flipped();
+            spins.set(j, new);
+            written += store.update_spin(j, new);
+        }
+        prop_assert_eq!(store.spin_copy_updates(), written);
+        let fresh = TupleStore::new(&graph, &spins);
+        prop_assert_eq!(store.len(), fresh.len());
+        for j in 0..n {
+            let own = store.tuple(j);
+            prop_assert_eq!(own, fresh.tuple(j), "row {}", j);
+            let mut copies = 0;
+            for (k, (t, slot)) in store.copy_slots(j).enumerate() {
+                prop_assert_eq!(t, own.neighbors[k] as usize, "copy {} of spin {}", k, j);
+                let row = store.tuple(t);
+                prop_assert_eq!(row.neighbors.get(slot), Some(&(j as u32)));
+                prop_assert_eq!(row.neighbor_spins.get(slot), Some(&spins.get(j)));
+                copies += 1;
+            }
+            prop_assert_eq!(copies, own.degree(), "spin {}", j);
+        }
+    }
+}
+
 #[test]
 fn empty_and_degree_one_tuples_agree_at_every_resolution() {
     for r in 2u32..=32 {
@@ -317,7 +367,7 @@ fn empty_and_degree_one_tuples_agree_at_every_resolution() {
             for tuple in [&empty, &single_pos, &single_neg] {
                 for target in [Spin::Up, Spin::Down] {
                     for row_bits in row_widths(r) {
-                        assert_paths_agree(kind, &enc, tuple, target, row_bits);
+                        assert_paths_agree(kind, &enc, tuple.view(), target, row_bits);
                     }
                 }
             }
@@ -340,7 +390,7 @@ fn extreme_coefficients_agree() {
         for kind in DesignKind::ALL {
             for target in [Spin::Up, Spin::Down] {
                 for row_bits in row_widths(r) {
-                    assert_paths_agree(kind, &enc, &tuple, target, row_bits);
+                    assert_paths_agree(kind, &enc, tuple.view(), target, row_bits);
                 }
             }
         }

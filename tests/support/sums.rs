@@ -2,7 +2,7 @@
 //!
 //! `TuplePlanes` builds each tuple's `TupleSums` once and the update path
 //! keeps them current one edge at a time. [`recompute`] derives the same
-//! sums from scratch out of the AoS tuple — its couplings encoded bit by
+//! sums from scratch out of the tuple — its couplings encoded bit by
 //! bit through `MixedEncoding::encode` and its neighbour-spin copies — so
 //! a drift in any one sum shows up by name rather than only through the
 //! kernel's ledger. `tests/plane_equivalence.rs` includes this file on
@@ -13,13 +13,13 @@ use sachi::arch::encoding::MixedEncoding;
 use sachi::arch::tuple::{SpinTuple, TupleSums};
 use sachi::ising::spin::Spin;
 
-/// The sums of `tuple` at `enc`'s resolution, recomputed from its AoS
+/// The sums of `tuple` at `enc`'s resolution, recomputed from its
 /// copies.
 ///
 /// # Panics
 ///
 /// Panics if a coupling does not fit `enc`.
-pub fn recompute(enc: &MixedEncoding, tuple: &SpinTuple) -> TupleSums {
+pub fn recompute(enc: &MixedEncoding, tuple: SpinTuple<'_>) -> TupleSums {
     let r = u64::from(enc.bits());
     let mut sums = TupleSums {
         h: tuple.local_field(),

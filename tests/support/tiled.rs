@@ -174,7 +174,7 @@ impl TiledComputeArray {
     /// Panics if a coefficient does not fit the configured resolution.
     pub fn load_tuple(
         &mut self,
-        tuple: &SpinTuple,
+        tuple: SpinTuple<'_>,
         enc: &MixedEncoding,
     ) -> Result<Placement, PlacementError> {
         let placement = self.plan_tuple(tuple.degree())?;
@@ -227,7 +227,7 @@ impl TiledComputeArray {
     pub fn compute_h(
         &mut self,
         placement: Placement,
-        tuple: &SpinTuple,
+        tuple: SpinTuple<'_>,
         target: Spin,
         enc: &MixedEncoding,
         ctx: &mut ComputeContext,
@@ -374,7 +374,7 @@ impl ResidentN3Machine {
             .map(|i| {
                 let degree = count_u64(tuples.tuple(i).degree());
                 SpinTuple::storage_bits(degree, enc.bits())
-                    + count_u64(tuples.adjacency_of(i).len())
+                    + count_u64(tuples.copy_slots(i).count())
             })
             .sum();
         let uses_dram = storage_bits_needed > self.config.hierarchy.storage.total_bits().get();
@@ -486,12 +486,12 @@ impl ResidentN3Machine {
                         );
                         // Compute-array side: refresh the *resident*
                         // copies so later tuples in this round see the
-                        // new value (real bit writes). The store's
-                        // adjacency index gives the (owner, slot) pairs
-                        // without re-deriving them from the graph.
-                        for &(t_idx, slot) in tuples.adjacency_of(i) {
-                            if let Some(p) = placements[to_index(t_idx)] {
-                                array.update_spin_copy(p, to_index(slot), new);
+                        // new value (real bit writes). The store's copy
+                        // index gives the (owner, slot) pairs without
+                        // re-deriving them from the graph.
+                        for (t_idx, slot) in tuples.copy_slots(i) {
+                            if let Some(p) = placements[t_idx] {
+                                array.update_spin_copy(p, slot, new);
                             }
                         }
                     }
@@ -745,9 +745,13 @@ mod tests {
         let before = array.compute_h(p, store.tuple(0), Spin::Up, &enc, &mut ctx);
         // Flip neighbor copy at slot 0 (spin 1 in tuple 0).
         array.update_spin_copy(p, 0, Spin::Down);
-        let mut tuple = store.tuple(0).clone();
-        tuple.neighbor_spins[0] = Spin::Down;
-        let after = array.compute_h(p, &tuple, Spin::Up, &enc, &mut ctx);
+        let mut spins = store.tuple(0).neighbor_spins.to_vec();
+        spins[0] = Spin::Down;
+        let tuple = SpinTuple {
+            neighbor_spins: &spins,
+            ..store.tuple(0)
+        };
+        let after = array.compute_h(p, tuple, Spin::Up, &enc, &mut ctx);
         assert_ne!(before, after);
         // -(2*1 + 2*1) = -4 before; -(2*(-1) + 2*1) = 0 after.
         assert_eq!(before, -4);
