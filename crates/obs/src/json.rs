@@ -267,6 +267,7 @@ impl From<JsonError> for String {
 }
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
     /// Arrays and objects currently open.
@@ -373,13 +374,28 @@ impl<'a> Parser<'a> {
         self.expect(b'"')?;
         let mut out = String::new();
         loop {
+            // Copy the run of plain bytes up to the next quote or
+            // backslash in one piece. Both delimiters are ASCII, so the
+            // run starts and ends on char boundaries of the input.
+            let start = self.pos;
+            let rest = self.bytes.get(start..).unwrap_or_default();
+            self.pos += rest
+                .iter()
+                .position(|&b| b == b'"' || b == b'\\')
+                .unwrap_or(rest.len());
+            out.push_str(
+                self.text
+                    .get(start..self.pos)
+                    .ok_or_else(|| self.err("invalid utf-8 in string"))?,
+            );
             match self.peek() {
                 None => return Err(self.err("unterminated string")),
                 Some(b'"') => {
                     self.pos += 1;
                     return Ok(out);
                 }
-                Some(b'\\') => {
+                // A backslash: one escape.
+                Some(_) => {
                     self.pos += 1;
                     match self.peek() {
                         Some(b'"') => out.push('"'),
@@ -409,17 +425,6 @@ impl<'a> Parser<'a> {
                         _ => return Err(self.err("invalid escape")),
                     }
                     self.pos += 1;
-                }
-                Some(_) => {
-                    // Consume one UTF-8 scalar.
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| self.err("invalid utf-8 in string"))?;
-                    let c = rest
-                        .chars()
-                        .next()
-                        .ok_or_else(|| self.err("empty string tail"))?;
-                    out.push(c);
-                    self.pos += c.len_utf8();
                 }
             }
         }
@@ -487,6 +492,7 @@ impl<'a> Parser<'a> {
 /// past [`MAX_DEPTH`] levels of nesting. Never panics.
 pub fn parse(text: &str) -> Result<JsonValue, JsonError> {
     let mut p = Parser {
+        text,
         bytes: text.as_bytes(),
         pos: 0,
         depth: 0,
@@ -790,6 +796,85 @@ mod tests {
         assert_eq!(v.get("n").and_then(JsonValue::as_num), Some(-150.0));
         assert_eq!(v.get("b"), Some(&JsonValue::Bool(true)));
         assert_eq!(v.get("x"), Some(&JsonValue::Null));
+    }
+
+    /// A long string of every kind of content: ASCII, 2-, 3- and 4-byte
+    /// UTF-8, and every character [`escape`] escapes, with escapes at
+    /// the start, at the end and back to back.
+    fn long_mixed_string(chars: usize) -> String {
+        const ESCAPED: [char; 8] = ['"', '\\', '\n', '\r', '\t', '\u{0}', '\u{8}', '\u{1f}'];
+        const PLAIN: [char; 6] = ['a', 'Z', '7', 'é', '€', '𝄞'];
+        let mut s: String = ESCAPED.iter().collect();
+        let mut k = 0usize;
+        while s.chars().count() < chars - ESCAPED.len() {
+            // A run of plain chars, then one to three escapes in a row.
+            for _ in 0..k % 13 {
+                s.push(PLAIN[k % PLAIN.len()]);
+                k += 1;
+            }
+            for _ in 0..1 + k % 3 {
+                s.push(ESCAPED[k % ESCAPED.len()]);
+                k += 1;
+            }
+        }
+        s.extend(ESCAPED.iter().rev());
+        s
+    }
+
+    #[test]
+    fn long_strings_round_trip_through_escape_and_parse() {
+        let s = long_mixed_string(100_000);
+        assert!(s.chars().count() >= 100_000);
+        let doc = format!("\"{}\"", escape(&s));
+        assert_eq!(parse(&doc), Ok(JsonValue::Str(s.clone())));
+        // As a key and a value of one object, next to other members.
+        let doc = format!("{{\"{0}\":[\"{0}\",1],\"k\":\"{0}\"}}", escape(&s));
+        let v = parse(&doc).expect("parses");
+        let members = v.as_obj().expect("an object");
+        assert_eq!(members[0].0, s);
+        assert_eq!(
+            members[0].1.as_arr().and_then(|a| a[0].as_str()),
+            Some(s.as_str())
+        );
+        assert_eq!(v.get("k").and_then(JsonValue::as_str), Some(s.as_str()));
+        // Every escape the parser reads, at the start, the end and back
+        // to back, including the ones `escape` never writes.
+        let escapes = r#""\/\b\fé€\"\\\n\r\t x A\t\n\/""#;
+        assert_eq!(
+            parse(escapes),
+            Ok(JsonValue::Str("/\u{8}\u{c}é€\"\\\n\r\t x A\t\n/".into()))
+        );
+    }
+
+    #[test]
+    fn long_unterminated_string_fails_at_the_end_of_input() {
+        let ascii = format!("\"{}", "a".repeat(100_000));
+        assert_eq!(
+            parse(&ascii),
+            Err(JsonError::Syntax {
+                pos: 100_001,
+                msg: "unterminated string".into()
+            })
+        );
+        // Multi-byte content and a trailing escape: the offset is still
+        // the input's byte length.
+        let wide = format!("\"{}\\n", "é€".repeat(20_000));
+        assert_eq!(
+            parse(&wide),
+            Err(JsonError::Syntax {
+                pos: wide.len(),
+                msg: "unterminated string".into()
+            })
+        );
+        // A bad escape deep in a long string is reported where it sits.
+        let bad = format!("\"{}\\q\"", "b".repeat(50_000));
+        assert_eq!(
+            parse(&bad),
+            Err(JsonError::Syntax {
+                pos: 50_002,
+                msg: "invalid escape".into()
+            })
+        );
     }
 
     #[test]
