@@ -30,9 +30,13 @@ fn plan_file(path: &str, args: &SolveArgs) -> Result<JobPlan, SachiError> {
         parse_dimacs(&text)
     }
     .map_err(parse_error)?;
-    // A pure antiferromagnetic instance reads as weighted max-cut,
-    // which gives loaded files an accuracy metric.
-    if graph.num_edges() > 0 && graph.edges().all(|(_, _, w)| w <= 0) {
+    // A pure antiferromagnetic instance without fields reads as
+    // weighted max-cut, which gives loaded files an accuracy metric. A
+    // field would add energy the cut does not count.
+    if graph.num_edges() > 0
+        && graph.edges().all(|(_, _, w)| w <= 0)
+        && (0..graph.num_spins()).all(|i| graph.field(i) == 0)
+    {
         let workload = GenericMaxCut::new(path.to_string(), graph);
         return JobPlan::lower_cop(&args.job, CopProblem::from_workload(workload));
     }

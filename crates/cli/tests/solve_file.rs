@@ -2,7 +2,10 @@
 //! coupling or field has no 32-bit negation, and a header counting more
 //! spins than `u32` vertex ids can number has no graph, so the loader
 //! refuses both with a typed parse error (exit 2) before any machine
-//! maps the graph, and before anything is allocated for the count.
+//! maps the graph, and before anything is allocated for the count. A
+//! graph reads as max-cut only without fields, and the loaders refuse a
+//! second field line for a vertex and an edge count the file disagrees
+//! with.
 
 use std::path::PathBuf;
 use std::process::Command;
@@ -16,6 +19,13 @@ fn problem_file(name: &str, text: &str) -> PathBuf {
 
 /// Runs `sachi solve --file <text> <extra>` and returns (exit code, stderr).
 fn solve_file(name: &str, text: &str, extra: &[&str]) -> (i32, String) {
+    let (code, _, err) = solve_file_output(name, text, extra);
+    (code, err)
+}
+
+/// Runs `sachi solve --file <text> <extra>` and returns (exit code,
+/// stdout, stderr).
+fn solve_file_output(name: &str, text: &str, extra: &[&str]) -> (i32, String, String) {
     let path = problem_file(name, text);
     let out = Command::new(env!("CARGO_BIN_EXE_sachi"))
         .arg("solve")
@@ -27,6 +37,7 @@ fn solve_file(name: &str, text: &str, extra: &[&str]) -> (i32, String) {
     std::fs::remove_file(&path).expect("remove problem file");
     (
         out.status.code().expect("sachi exited normally"),
+        String::from_utf8_lossy(&out.stdout).into_owned(),
         String::from_utf8_lossy(&out.stderr).into_owned(),
     )
 }
@@ -111,4 +122,37 @@ fn gset_header_with_too_many_spins_is_refused_with_exit_2() {
         err.contains(&format!("vertex count {HUGE} exceeds")),
         "{err}"
     );
+}
+
+#[test]
+fn a_graph_with_fields_is_not_scored_as_max_cut() {
+    // Max-cut counts cut edges only: the field's energy would make a
+    // 100% score meaningless.
+    let (code, out, err) =
+        solve_file_output("fields.dimacs", "p ising 2 1\ne 1 2 -1\nf 1 3\n", &[]);
+    assert_eq!(code, 0, "{err}");
+    assert!(!out.contains("max-cut("), "{out}");
+    assert!(!out.contains("accuracy:"), "{out}");
+    // Without the field the same graph is a scored max-cut instance.
+    let (code, out, err) = solve_file_output("cut.dimacs", "p ising 2 1\ne 1 2 -1\n", &[]);
+    assert_eq!(code, 0, "{err}");
+    assert!(out.contains("max-cut("), "{out}");
+    assert!(out.contains("accuracy: 100.0%"), "{out}");
+}
+
+#[test]
+fn repeated_fields_and_wrong_edge_counts_are_refused_with_exit_2() {
+    let (code, err) = solve_file(
+        "twice.dimacs",
+        "p ising 2 1\ne 1 2 -1\nf 1 3\nf 1 -5\n",
+        &[],
+    );
+    assert_eq!(code, 2, "{err}");
+    assert!(err.contains("line 4: second field for vertex 1"), "{err}");
+    let (code, err) = solve_file("count.dimacs", "p ising 2 7\ne 1 2 -1\n", &[]);
+    assert_eq!(code, 2, "{err}");
+    assert!(err.contains("'p ising' declares 7 edges, found 1"), "{err}");
+    let (code, err) = solve_file("count.gset", "2 3\n1 2 1\n", &["--gset"]);
+    assert_eq!(code, 2, "{err}");
+    assert!(err.contains("declares 3 edges, found 1"), "{err}");
 }

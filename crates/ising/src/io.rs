@@ -189,7 +189,8 @@ fn record<'a>(line: &mut Line<'a>) -> Result<&'a str, ParseError> {
 /// # Errors
 ///
 /// Returns [`ParseError`] on malformed lines, missing/duplicate headers,
-/// out-of-range vertices, or duplicate edges.
+/// an edge count the edge lines disagree with, a second field line for a
+/// vertex, out-of-range vertices, or duplicate edges.
 pub fn parse_dimacs(text: &str) -> Result<IsingGraph, ParseError> {
     let mut lines = data_lines(text, true);
     let mut header = lines
@@ -202,19 +203,22 @@ pub fn parse_dimacs(text: &str) -> Result<IsingGraph, ParseError> {
     if header.token() != Some("ising") {
         return Err(ParseError::BadHeader("expected 'p ising <n> <m>'".into()));
     }
-    // The edge count is advisory; tolerate its absence.
     let n = header
         .token()
         .and_then(|s| s.parse().ok())
         .ok_or_else(|| ParseError::BadHeader("missing vertex count".into()))?;
     let n = header_spins(Some(n), format_args!("vertex count {n} exceeds"))?;
+    let declared = edge_count(&mut header)?;
     let mut builder = GraphBuilder::new(n);
+    let mut has_field = vec![false; n];
+    let mut edges = 0usize;
     for mut line in lines {
         match record(&mut line)? {
             "p" => return Err(ParseError::BadHeader("duplicate 'p' line".into())),
             "e" => {
                 let (u, v, w) = line.edge("edge needs 'e u v w'")?;
                 builder.push_edge(u, v, w);
+                edges += 1;
             }
             _ /* "f" */ => {
                 let v: usize = line.next_field("field needs 'f v h'")?;
@@ -222,11 +226,38 @@ pub fn parse_dimacs(text: &str) -> Result<IsingGraph, ParseError> {
                 if v == 0 || v > n {
                     return Err(line.malformed(format!("field vertex {v} out of 1..={n}")));
                 }
+                if std::mem::replace(&mut has_field[v - 1], true) {
+                    return Err(line.malformed(format!("second field for vertex {v}")));
+                }
                 builder = builder.field((v - 1) as u32, h);
             }
         }
     }
+    check_edge_count("'p ising'", declared, edges)?;
     Ok(builder.build()?)
+}
+
+/// The header's edge count, the field after the spin count. A header
+/// may leave it out; one it states must be a count.
+fn edge_count(header: &mut Line<'_>) -> Result<Option<usize>, ParseError> {
+    header
+        .token()
+        .map(|t| {
+            t.parse()
+                .map_err(|_| ParseError::BadHeader(format!("bad edge count '{t}'")))
+        })
+        .transpose()
+}
+
+/// The edge count a header (`what`) declared, if any, against the
+/// `found` edge lines, as a CNF's clause count is checked.
+fn check_edge_count(what: &str, declared: Option<usize>, found: usize) -> Result<(), ParseError> {
+    match declared {
+        Some(declared) if declared != found => Err(ParseError::BadHeader(format!(
+            "{what} declares {declared} edges, found {found}"
+        ))),
+        _ => Ok(()),
+    }
 }
 
 /// Serializes a graph to the DIMACS-style Ising format (1-indexed).
@@ -254,7 +285,8 @@ pub fn to_dimacs(graph: &IsingGraph) -> String {
 ///
 /// # Errors
 ///
-/// Returns [`ParseError`] on malformed input.
+/// Returns [`ParseError`] on malformed input, or when the header's edge
+/// count disagrees with the edge lines.
 pub fn parse_gset(text: &str) -> Result<IsingGraph, ParseError> {
     let mut lines = data_lines(text, false);
     let mut header = lines
@@ -262,14 +294,18 @@ pub fn parse_gset(text: &str) -> Result<IsingGraph, ParseError> {
         .ok_or_else(|| ParseError::BadHeader("empty input".into()))?;
     let n = header.next_field("header needs '<n> <m>'")?;
     let n = header_spins(Some(n), format_args!("vertex count {n} exceeds"))?;
+    let declared = edge_count(&mut header)?;
     let mut builder = GraphBuilder::new(n);
+    let mut edges = 0usize;
     for mut line in lines {
         let (u, v, w) = line.edge("edge needs 'u v w'")?;
         let j = w
             .checked_neg()
             .ok_or_else(|| line.malformed(format!("weight {w} has no 32-bit negation")))?;
         builder.push_edge(u, v, j);
+        edges += 1;
     }
+    check_edge_count("the header", declared, edges)?;
     Ok(builder.build()?)
 }
 
@@ -424,6 +460,55 @@ mod tests {
         let err = parse_dimacs("p ising 2 2\ne 1 2 3\ne 2 1 4\n").unwrap_err();
         assert!(matches!(err, ParseError::Graph(_)));
         assert!(format!("{err}").contains("duplicate"));
+    }
+
+    #[test]
+    fn a_second_field_line_for_a_vertex_is_malformed() {
+        assert_eq!(
+            parse_dimacs("p ising 2 1\ne 1 2 -1\nf 1 3\nc\nf 1 -5\n").unwrap_err(),
+            ParseError::Malformed {
+                line: 5,
+                reason: "second field for vertex 1".into(),
+            }
+        );
+        // A zero field counts as stated too.
+        assert!(parse_dimacs("p ising 2 0\nf 2 0\nf 2 4\n").is_err());
+        let g = parse_dimacs("p ising 2 0\nf 1 3\nf 2 -5\n").unwrap();
+        assert_eq!((g.field(0), g.field(1)), (3, -5));
+    }
+
+    #[test]
+    fn header_edge_counts_must_match_the_edge_lines() {
+        let cases = [
+            (
+                parse_dimacs("p ising 2 7\ne 1 2 -1\n"),
+                "bad header: 'p ising' declares 7 edges, found 1",
+            ),
+            (
+                parse_dimacs("p ising 3 1\ne 1 2 1\ne 2 3 1\n"),
+                "bad header: 'p ising' declares 1 edges, found 2",
+            ),
+            (
+                parse_dimacs("p ising 2 x\ne 1 2 1\n"),
+                "bad header: bad edge count 'x'",
+            ),
+            (
+                parse_gset("3 1\n1 2 1\n2 3 1\n"),
+                "bad header: the header declares 1 edges, found 2",
+            ),
+            (parse_gset("3 -1\n"), "bad header: bad edge count '-1'"),
+        ];
+        for (got, want) in cases {
+            assert_eq!(got.unwrap_err().to_string(), want);
+        }
+        // A header may leave the count out.
+        assert_eq!(parse_dimacs("p ising 2\ne 1 2 1\n").unwrap().num_edges(), 1);
+        assert_eq!(parse_gset("2\n1 2 1\n").unwrap().num_edges(), 1);
+        // A line error comes first: the count is checked after every line.
+        assert!(matches!(
+            parse_dimacs("p ising 2 7\ne 1 2 x\n"),
+            Err(ParseError::Malformed { line: 2, .. })
+        ));
     }
 
     #[test]
