@@ -81,6 +81,12 @@ cargo test -q --manifest-path crates/bench/src/bin/perf_e2e/Cargo.toml
 echo "==> perf_e2e run.sh --smoke"
 bash crates/bench/src/bin/perf_e2e/run.sh --smoke
 
+# The traced smoke replays every job layer by layer and fails a job whose
+# replay diverges from the machine, whose traced ensemble disagrees with
+# the solo run, or whose knockout layers exceed the machine's time.
+echo "==> perf_e2e run.sh --trace 1 --smoke"
+bash crates/bench/src/bin/perf_e2e/run.sh --trace 1 --smoke
+
 echo "==> perf_e2e files unchanged by its build"
 if [ "$(git status --porcelain -- crates/bench/src/bin/perf_e2e)" != "$PERF_E2E_STATUS" ]; then
   echo "building perf_e2e changed its files:" >&2
