@@ -217,7 +217,7 @@ impl TupleStore {
     }
 
     /// Iterates all tuples in spin order.
-    pub fn iter(&self) -> impl ExactSizeIterator<Item = SpinTuple<'_>> + '_ {
+    pub fn iter(&self) -> impl Iterator<Item = SpinTuple<'_>> + '_ {
         (0..self.len()).map(|i| self.tuple(i))
     }
 
