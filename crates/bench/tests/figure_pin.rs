@@ -1,17 +1,20 @@
 //! The harnesses over the paper's reference models, pinned byte for
 //! byte: `fig03_feature_table`, `fig05_reuse_motivation`, `fig10_bitline`,
-//! `fig11_13_schedules`, `fig14_isa` and `disc_conventional` whole, and
-//! `disc_multicore` up to its replica-parallel section (that section
-//! times a threaded ensemble, so its wall-clock columns differ between
-//! runs). Each golden in `tests/golden/` is the binary's stdout;
+//! `fig11_13_schedules`, `fig14_isa`, `disc_conventional`, `fig15_brim`,
+//! `fig15_cim` and `disc_drift --smoke` whole, and `disc_multicore` up
+//! to its replica-parallel section (that section times a threaded
+//! ensemble, so its wall-clock columns differ between runs).
+//! `fig15_brim` prints its build and solve timings to stderr, which the
+//! pin ignores. Each golden in `tests/golden/` is the binary's stdout;
 //! regenerate them with
 //!
 //! ```text
 //! cargo build --release -p sachi-bench
 //! for b in fig03_feature_table fig05_reuse_motivation fig10_bitline \
-//!          fig11_13_schedules fig14_isa disc_conventional; do
+//!          fig11_13_schedules fig14_isa disc_conventional fig15_brim fig15_cim; do
 //!   target/release/$b > crates/bench/tests/golden/$b.txt
 //! done
+//! target/release/disc_drift --smoke > crates/bench/tests/golden/disc_drift_smoke.txt
 //! target/release/disc_multicore --threads 1 | sed '/^== replica-parallel/,$d' \
 //!   > crates/bench/tests/golden/disc_multicore.txt
 //! ```
@@ -73,4 +76,22 @@ fn disc_multicore_model_tables_match_their_pin() {
         .find("== replica-parallel")
         .expect("disc_multicore prints its replica-parallel section");
     assert_eq!(&got[..end], include_str!("golden/disc_multicore.txt"));
+}
+
+#[test]
+fn fig15_brim_matches_its_pin() {
+    let got = stdout_of(env!("CARGO_BIN_EXE_fig15_brim"), &[]);
+    assert_eq!(got, include_str!("golden/fig15_brim.txt"));
+}
+
+#[test]
+fn fig15_cim_matches_its_pin() {
+    let got = stdout_of(env!("CARGO_BIN_EXE_fig15_cim"), &[]);
+    assert_eq!(got, include_str!("golden/fig15_cim.txt"));
+}
+
+#[test]
+fn disc_drift_smoke_matches_its_pin() {
+    let got = stdout_of(env!("CARGO_BIN_EXE_disc_drift"), &["--smoke"]);
+    assert_eq!(got, include_str!("golden/disc_drift_smoke.txt"));
 }
