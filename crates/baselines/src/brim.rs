@@ -21,56 +21,20 @@
 //!   (Fig. 3).
 //!
 //! Functionally BRIM computes the exact local field of every spin in
-//! sequence, which is the golden sweep, so a solve runs
-//! [`CpuReferenceSolver`] and [`BrimMachine::price`] bills it; only the
-//! cycle/energy accounting is BRIM's own.
+//! sequence, which is the golden sweep, so the model has no solve of its
+//! own: [`BrimMachine::price`] bills the golden solve's counts, and only
+//! the cycle/energy accounting is BRIM's.
 
-use crate::{Price, SolveCounts};
+use crate::{EnvelopeError, Price, SolveCounts};
 use sachi_ising::graph::IsingGraph;
-use sachi_ising::solver::{CpuReferenceSolver, IterativeSolver, SolveOptions, SolveResult};
-use sachi_ising::spin::SpinVector;
 use sachi_mem::energy::{EnergyComponent, EnergyLedger};
 use sachi_mem::params::TechnologyParams;
-use sachi_mem::units::{Cycles, Nanoseconds, Picojoules};
-use std::fmt;
+use sachi_mem::units::{Cycles, Picojoules};
 
 /// BRIM's architectural limits (Fig. 3).
 pub const BRIM_MAX_NODES: usize = 1_000;
 /// BRIM's maximum IC resolution in bits (signed 4-bit).
 pub const BRIM_MAX_RESOLUTION: u32 = 4;
-
-/// Error constructing a BRIM run.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum BrimError {
-    /// More nodes than the coupled-oscillator fabric supports.
-    TooManyNodes {
-        /// Requested node count.
-        nodes: usize,
-    },
-    /// Coefficients need more than signed 4-bit resolution.
-    ResolutionTooHigh {
-        /// Bits required by the graph.
-        required: u32,
-    },
-}
-
-impl fmt::Display for BrimError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            BrimError::TooManyNodes { nodes } => {
-                write!(
-                    f,
-                    "BRIM supports at most {BRIM_MAX_NODES} nodes, got {nodes}"
-                )
-            }
-            BrimError::ResolutionTooHigh { required } => {
-                write!(f, "BRIM supports signed {BRIM_MAX_RESOLUTION}-bit ICs, graph needs {required}-bit")
-            }
-        }
-    }
-}
-
-impl std::error::Error for BrimError {}
 
 /// Configuration of the BRIM model.
 #[derive(Debug, Clone)]
@@ -119,21 +83,6 @@ impl Default for BrimConfig {
     }
 }
 
-/// Architecture report of a BRIM solve.
-#[derive(Debug, Clone)]
-pub struct BrimReport {
-    /// Sweeps executed.
-    pub sweeps: u64,
-    /// Total cycles including IC programming.
-    pub total_cycles: Cycles,
-    /// Wall-clock time.
-    pub wall_time: Nanoseconds,
-    /// Energy ledger.
-    pub energy: EnergyLedger,
-    /// Reuse (1 by construction).
-    pub reuse: f64,
-}
-
 /// The BRIM machine model.
 #[derive(Debug, Clone)]
 pub struct BrimMachine {
@@ -162,17 +111,20 @@ impl BrimMachine {
     ///
     /// # Errors
     ///
-    /// Returns [`BrimError`] if the graph exceeds 1000 nodes or needs more
-    /// than signed 4-bit coefficients.
-    pub fn check_limits(&self, graph: &IsingGraph) -> Result<(), BrimError> {
-        if graph.num_spins() > BRIM_MAX_NODES {
-            return Err(BrimError::TooManyNodes {
-                nodes: graph.num_spins(),
-            });
+    /// Returns an [`EnvelopeError`] if the graph exceeds 1000 nodes or
+    /// needs more than signed 4-bit coefficients.
+    pub fn check_limits(&self, graph: &IsingGraph) -> Result<(), EnvelopeError> {
+        let nodes = graph.num_spins();
+        if nodes > BRIM_MAX_NODES {
+            return Err(EnvelopeError(format!(
+                "BRIM supports at most {BRIM_MAX_NODES} nodes, got {nodes}"
+            )));
         }
         let required = graph.bits_required();
         if required > BRIM_MAX_RESOLUTION {
-            return Err(BrimError::ResolutionTooHigh { required });
+            return Err(EnvelopeError(format!(
+                "BRIM supports signed {BRIM_MAX_RESOLUTION}-bit ICs, graph needs {required}-bit"
+            )));
         }
         Ok(())
     }
@@ -241,54 +193,11 @@ impl BrimMachine {
             energy,
         }
     }
-
-    /// Runs a solve with full accounting: the golden sweep, priced.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`BrimError`] if the graph exceeds BRIM's limits.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `initial.len()` does not match the graph.
-    pub fn solve_detailed(
-        &mut self,
-        graph: &IsingGraph,
-        initial: &SpinVector,
-        options: &SolveOptions,
-    ) -> Result<(SolveResult, BrimReport), BrimError> {
-        self.check_limits(graph)?;
-        let result = CpuReferenceSolver::new().solve(graph, initial, options);
-        let Price { cycles, energy } = self.price(&SolveCounts::of(graph, &result));
-        let report = BrimReport {
-            sweeps: result.sweeps,
-            total_cycles: cycles,
-            wall_time: cycles.to_time(self.config.tech.cycle_time),
-            energy,
-            reuse: 1.0,
-        };
-        Ok((result, report))
-    }
 }
 
 impl Default for BrimMachine {
     fn default() -> Self {
         BrimMachine::new()
-    }
-}
-
-impl IterativeSolver for BrimMachine {
-    /// Runs the solve, panicking on architectural limit violations (use
-    /// [`BrimMachine::solve_detailed`] for recoverable handling).
-    fn solve(
-        &mut self,
-        graph: &IsingGraph,
-        initial: &SpinVector,
-        options: &SolveOptions,
-    ) -> SolveResult {
-        self.solve_detailed(graph, initial, options)
-            .expect("graph exceeds BRIM limits")
-            .0
     }
 }
 
@@ -298,27 +207,17 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use sachi_ising::graph::topology;
+    use sachi_ising::solver::{CpuReferenceSolver, IterativeSolver, SolveOptions};
+    use sachi_ising::spin::SpinVector;
 
-    fn small_problem() -> (IsingGraph, SpinVector, SolveOptions) {
+    /// The counts of a golden solve of a small signed King's lattice.
+    fn small_problem_counts() -> SolveCounts {
         let g = topology::king(5, 5, |i, j| ((i + j) % 7) as i32 - 3).unwrap();
         let mut rng = StdRng::seed_from_u64(1);
         let init = SpinVector::random(25, &mut rng);
-        let opts = SolveOptions::for_graph(&g, 2).with_trace();
-        (g, init, opts)
-    }
-
-    #[test]
-    fn brim_matches_golden_trajectory() {
-        let (g, init, opts) = small_problem();
-        let mut reference = CpuReferenceSolver::new();
-        let golden = reference.solve(&g, &init, &opts);
-        let mut brim = BrimMachine::new();
-        let (result, report) = brim.solve_detailed(&g, &init, &opts).unwrap();
-        assert_eq!(result.energy, golden.energy);
-        assert_eq!(result.trace, golden.trace);
-        assert_eq!(result.sweeps, golden.sweeps);
-        assert_eq!(report.sweeps, golden.sweeps);
-        assert!((report.reuse - 1.0).abs() < 1e-12);
+        let opts = SolveOptions::for_graph(&g, 2);
+        let result = CpuReferenceSolver::new().solve(&g, &init, &opts);
+        SolveCounts::of(&g, &result)
     }
 
     #[test]
@@ -326,17 +225,16 @@ mod tests {
         let brim = BrimMachine::new();
         let big = topology::star(1_001, |_| 1).unwrap();
         assert_eq!(
-            brim.check_limits(&big).unwrap_err(),
-            BrimError::TooManyNodes { nodes: 1_001 }
+            brim.check_limits(&big).unwrap_err().to_string(),
+            "BRIM supports at most 1000 nodes, got 1001"
         );
         let precise = topology::star(4, |_| 100).unwrap();
         assert_eq!(
-            brim.check_limits(&precise).unwrap_err(),
-            BrimError::ResolutionTooHigh { required: 8 }
+            brim.check_limits(&precise).unwrap_err().to_string(),
+            "BRIM supports signed 4-bit ICs, graph needs 8-bit"
         );
         let fine = topology::star(100, |_| 7).unwrap();
         assert!(brim.check_limits(&fine).is_ok());
-        assert!(format!("{}", BrimError::TooManyNodes { nodes: 5000 }).contains("5000"));
     }
 
     #[test]
@@ -359,23 +257,18 @@ mod tests {
 
     #[test]
     fn worst_case_is_slower_than_best_case() {
-        let (g, init, opts) = small_problem();
-        let mut best = BrimMachine::new();
-        let mut worst = BrimMachine::with_config(BrimConfig::worst_case());
-        let (_, rb) = best.solve_detailed(&g, &init, &opts).unwrap();
-        let (_, rw) = worst.solve_detailed(&g, &init, &opts).unwrap();
-        assert!(rw.total_cycles > rb.total_cycles);
-        assert_eq!(rb.sweeps, rw.sweeps); // functionally identical
+        let counts = small_problem_counts();
+        let best = BrimMachine::new().price(&counts);
+        let worst = BrimMachine::with_config(BrimConfig::worst_case()).price(&counts);
+        assert!(worst.cycles > best.cycles);
     }
 
     #[test]
     fn energy_ledger_contains_brim_specific_components() {
-        let (g, init, opts) = small_problem();
-        let mut brim = BrimMachine::new();
-        let (_, report) = brim.solve_detailed(&g, &init, &opts).unwrap();
-        assert!(report.energy.component(EnergyComponent::Oscillator).get() > 0.0);
-        assert!(report.energy.component(EnergyComponent::Dac).get() > 0.0);
-        assert!(report.energy.component(EnergyComponent::DataMovement).get() > 0.0);
-        assert!(report.wall_time.get() > 0.0);
+        let price = BrimMachine::new().price(&small_problem_counts());
+        assert!(price.energy.component(EnergyComponent::Oscillator).get() > 0.0);
+        assert!(price.energy.component(EnergyComponent::Dac).get() > 0.0);
+        assert!(price.energy.component(EnergyComponent::DataMovement).get() > 0.0);
+        assert!(price.cycles.get() > 0);
     }
 }

@@ -18,7 +18,7 @@
 //! adjacency itself — every edge must join King's-lattice neighbours in
 //! the chip's row-major layout — not just the degree bound.
 
-use crate::{Price, SolveCounts};
+use crate::{EnvelopeError, Price, SolveCounts};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use sachi_ising::graph::IsingGraph;
@@ -27,76 +27,10 @@ use sachi_ising::solver::{run_sweeps, SolveOptions, SolveResult, SweepOutcome};
 use sachi_ising::spin::SpinVector;
 use sachi_mem::energy::{EnergyComponent, EnergyLedger};
 use sachi_mem::params::TechnologyParams;
-use sachi_mem::units::{Cycles, Nanoseconds};
-use std::fmt;
+use sachi_mem::units::Cycles;
 
 /// Chip capacity (the JSSC chip: 20k spins).
 pub const CMOS_ANNEALER_MAX_SPINS: usize = 20_000;
-
-/// Error for problems outside the chip's envelope.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum CmosAnnealerError {
-    /// More spins than the chip holds.
-    TooManySpins {
-        /// Requested spin count.
-        spins: usize,
-    },
-    /// An edge whose endpoints are not King's-lattice neighbours in
-    /// the chip's row-major layout.
-    NotKingsGraph {
-        /// Endpoints of the offending edge.
-        edge: (u32, u32),
-    },
-    /// A coefficient outside `{-1, 0, +1}`.
-    CoefficientNotTernary {
-        /// The offending coefficient.
-        value: i32,
-    },
-}
-
-impl fmt::Display for CmosAnnealerError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            CmosAnnealerError::TooManySpins { spins } => {
-                write!(
-                    f,
-                    "CMOS annealer holds {CMOS_ANNEALER_MAX_SPINS} spins, got {spins}"
-                )
-            }
-            CmosAnnealerError::NotKingsGraph { edge } => {
-                write!(
-                    f,
-                    "CMOS annealer supports King's graphs, but edge ({}, {}) joins \
-                     non-adjacent lattice cells",
-                    edge.0, edge.1
-                )
-            }
-            CmosAnnealerError::CoefficientNotTernary { value } => {
-                write!(
-                    f,
-                    "CMOS annealer supports ternary coefficients, got {value}"
-                )
-            }
-        }
-    }
-}
-
-impl std::error::Error for CmosAnnealerError {}
-
-/// Report of a CMOS-annealer solve.
-#[derive(Debug, Clone)]
-pub struct CmosAnnealerReport {
-    /// Sweeps executed (each = 4 parallel group phases).
-    pub sweeps: u64,
-    /// Total cycles including loading.
-    pub total_cycles: Cycles,
-    /// Wall-clock time.
-    pub wall_time: Nanoseconds,
-    /// Energy ledger.
-    pub energy: EnergyLedger,
-    /// Update groups per sweep (4 for King's graphs).
-    pub groups: u64,
-}
 
 /// The group-parallel dedicated annealer.
 #[derive(Debug, Clone)]
@@ -131,20 +65,26 @@ impl CmosAnnealer {
     ///
     /// # Errors
     ///
-    /// Returns [`CmosAnnealerError`] outside the envelope.
-    pub fn check_limits(&self, graph: &IsingGraph) -> Result<(), CmosAnnealerError> {
-        if graph.num_spins() > CMOS_ANNEALER_MAX_SPINS {
-            return Err(CmosAnnealerError::TooManySpins {
-                spins: graph.num_spins(),
-            });
+    /// Returns an [`EnvelopeError`] outside the envelope.
+    pub fn check_limits(&self, graph: &IsingGraph) -> Result<(), EnvelopeError> {
+        let spins = graph.num_spins();
+        if spins > CMOS_ANNEALER_MAX_SPINS {
+            return Err(EnvelopeError(format!(
+                "CMOS annealer holds {CMOS_ANNEALER_MAX_SPINS} spins, got {spins}"
+            )));
         }
         for (u, v, w) in graph.edges() {
             let ((ru, cu), (rv, cv)) = (self.cell(u as usize), self.cell(v as usize));
             if ru.abs_diff(rv) > 1 || cu.abs_diff(cv) > 1 {
-                return Err(CmosAnnealerError::NotKingsGraph { edge: (u, v) });
+                return Err(EnvelopeError(format!(
+                    "CMOS annealer supports King's graphs, but edge ({u}, {v}) joins \
+                     non-adjacent lattice cells"
+                )));
             }
             if !(-1..=1).contains(&w) {
-                return Err(CmosAnnealerError::CoefficientNotTernary { value: w });
+                return Err(EnvelopeError(format!(
+                    "CMOS annealer supports ternary coefficients, got {w}"
+                )));
             }
         }
         Ok(())
@@ -215,9 +155,11 @@ impl CmosAnnealer {
     /// flips' costs at the pre-phase fields), but groups see each other's
     /// latest values only between phases.
     ///
+    /// Returns the result and its [`price`](Self::price).
+    ///
     /// # Errors
     ///
-    /// Returns [`CmosAnnealerError`] if the graph violates the envelope.
+    /// Returns an [`EnvelopeError`] if the graph violates the envelope.
     ///
     /// # Panics
     ///
@@ -227,7 +169,7 @@ impl CmosAnnealer {
         graph: &IsingGraph,
         initial: &SpinVector,
         options: &SolveOptions,
-    ) -> Result<(SolveResult, CmosAnnealerReport), CmosAnnealerError> {
+    ) -> Result<(SolveResult, Price), EnvelopeError> {
         self.check_limits(graph)?;
         let n = graph.num_spins();
         let mut rng = StdRng::seed_from_u64(options.seed ^ 0xc3_05);
@@ -265,16 +207,8 @@ impl CmosAnnealer {
                 flips: Some(flips),
             }
         });
-
-        let Price { cycles, energy } = self.price(&SolveCounts::of(graph, &result));
-        let report = CmosAnnealerReport {
-            sweeps: result.sweeps,
-            total_cycles: cycles,
-            wall_time: cycles.to_time(self.tech.cycle_time),
-            energy,
-            groups: 4,
-        };
-        Ok((result, report))
+        let price = self.price(&SolveCounts::of(graph, &result));
+        Ok((result, price))
     }
 }
 
@@ -310,19 +244,25 @@ mod tests {
     fn envelope_enforced() {
         let chip = CmosAnnealer::new(3);
         let dense = topology::complete(10, |_, _| 1).unwrap();
-        assert!(matches!(
-            chip.check_limits(&dense),
-            Err(CmosAnnealerError::NotKingsGraph { .. })
-        ));
+        assert_eq!(
+            chip.check_limits(&dense).unwrap_err().to_string(),
+            "CMOS annealer supports King's graphs, but edge (0, 2) joins non-adjacent lattice cells"
+        );
         let heavy = topology::king(3, 3, |_, _| 2).unwrap();
-        assert!(matches!(
-            chip.check_limits(&heavy),
-            Err(CmosAnnealerError::CoefficientNotTernary { value: 2 })
-        ));
+        assert_eq!(
+            chip.check_limits(&heavy).unwrap_err().to_string(),
+            "CMOS annealer supports ternary coefficients, got 2"
+        );
         let fine = topology::king(3, 3, |_, _| 1).unwrap();
         assert!(chip.check_limits(&fine).is_ok());
-        let msg = format!("{}", CmosAnnealerError::TooManySpins { spins: 30_000 });
-        assert!(msg.contains("30000"));
+        let big = topology::king(150, 150, |_, _| 1).unwrap();
+        assert_eq!(
+            CmosAnnealer::new(150)
+                .check_limits(&big)
+                .unwrap_err()
+                .to_string(),
+            "CMOS annealer holds 20000 spins, got 22500"
+        );
     }
 
     #[test]
@@ -337,9 +277,8 @@ mod tests {
         let ring = b.build().unwrap();
         let chip = CmosAnnealer::new(3);
         assert_eq!(chip.group_of(8), chip.group_of(0));
-        let err = chip.check_limits(&ring).unwrap_err();
-        assert_eq!(err, CmosAnnealerError::NotKingsGraph { edge: (0, 8) });
-        assert!(err.to_string().contains("(0, 8)"), "{err}");
+        let err = chip.check_limits(&ring).unwrap_err().to_string();
+        assert!(err.contains("edge (0, 8)"), "{err}");
         // A King's lattice is in the envelope at its own width only.
         let lattice = topology::king(3, 3, |_, _| 1).unwrap();
         assert!(chip.check_limits(&lattice).is_ok());
@@ -350,7 +289,7 @@ mod tests {
     fn ferromagnet_reaches_comparable_quality_despite_different_trajectory() {
         let (g, init, opts) = lattice(8, 3);
         let mut chip = CmosAnnealer::new(8);
-        let (chip_result, report) = chip.solve_detailed(&g, &init, &opts).unwrap();
+        let (chip_result, price) = chip.solve_detailed(&g, &init, &opts).unwrap();
         let golden = CpuReferenceSolver::new().solve(&g, &init, &opts);
         // Different update semantics -> different trajectory...
         assert_ne!(
@@ -365,8 +304,7 @@ mod tests {
             chip_result.energy,
             golden.energy
         );
-        assert_eq!(report.groups, 4);
-        assert!(report.energy.total().get() > 0.0);
+        assert!(price.energy.total().get() > 0.0);
     }
 
     #[test]

@@ -21,58 +21,19 @@
 //!   broadcast updated edge spins (Fig. 8a).
 //!
 //! Functionally Ising-CIM computes the exact local field of every spin in
-//! sequence, which is the golden sweep, so a solve runs
-//! [`CpuReferenceSolver`] and [`CimMachine::price`] bills it.
+//! sequence, which is the golden sweep, so the model has no solve of its
+//! own: [`CimMachine::price`] bills the golden solve's counts.
 
-use crate::{Price, SolveCounts};
+use crate::{EnvelopeError, Price, SolveCounts};
 use sachi_ising::graph::IsingGraph;
-use sachi_ising::solver::{CpuReferenceSolver, IterativeSolver, SolveOptions, SolveResult};
-use sachi_ising::spin::SpinVector;
 use sachi_mem::energy::{EnergyComponent, EnergyLedger};
 use sachi_mem::params::TechnologyParams;
-use sachi_mem::units::{Cycles, Nanoseconds};
-use std::fmt;
+use sachi_mem::units::Cycles;
 
 /// Ising-CIM's maximum IC resolution (unsigned 2-bit).
 pub const CIM_MAX_RESOLUTION: u32 = 2;
 /// Maximum degree of a King's graph.
 pub const KINGS_GRAPH_MAX_DEGREE: usize = 8;
-
-/// Error constructing an Ising-CIM run.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum CimError {
-    /// The graph is not a King's graph (degree above 8).
-    NotKingsGraph {
-        /// Maximum degree found.
-        max_degree: usize,
-    },
-    /// Coefficients outside the unsigned 2-bit range `0..=3`.
-    CoefficientOutOfRange {
-        /// The offending coefficient.
-        value: i32,
-    },
-}
-
-impl fmt::Display for CimError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            CimError::NotKingsGraph { max_degree } => {
-                write!(
-                    f,
-                    "Ising-CIM supports King's graphs (degree <= 8), got degree {max_degree}"
-                )
-            }
-            CimError::CoefficientOutOfRange { value } => {
-                write!(
-                    f,
-                    "Ising-CIM supports unsigned 2-bit ICs (0..=3), got {value}"
-                )
-            }
-        }
-    }
-}
-
-impl std::error::Error for CimError {}
 
 /// Configuration of the Ising-CIM model.
 #[derive(Debug, Clone)]
@@ -108,21 +69,6 @@ impl Default for CimConfig {
     }
 }
 
-/// Architecture report of an Ising-CIM solve.
-#[derive(Debug, Clone)]
-pub struct CimReport {
-    /// Sweeps executed.
-    pub sweeps: u64,
-    /// Total cycles including loading.
-    pub total_cycles: Cycles,
-    /// Wall-clock time.
-    pub wall_time: Nanoseconds,
-    /// Energy ledger.
-    pub energy: EnergyLedger,
-    /// Reuse (1 by construction).
-    pub reuse: f64,
-}
-
 /// The Ising-CIM machine model.
 #[derive(Debug, Clone)]
 pub struct CimMachine {
@@ -151,25 +97,27 @@ impl CimMachine {
     ///
     /// # Errors
     ///
-    /// Returns [`CimError`] for non-King's graphs or out-of-range ICs.
-    pub fn check_limits(&self, graph: &IsingGraph) -> Result<(), CimError> {
-        if graph.max_degree() > KINGS_GRAPH_MAX_DEGREE {
-            return Err(CimError::NotKingsGraph {
-                max_degree: graph.max_degree(),
-            });
+    /// Returns an [`EnvelopeError`] for non-King's graphs or
+    /// out-of-range ICs.
+    pub fn check_limits(&self, graph: &IsingGraph) -> Result<(), EnvelopeError> {
+        let max_degree = graph.max_degree();
+        if max_degree > KINGS_GRAPH_MAX_DEGREE {
+            return Err(EnvelopeError(format!(
+                "Ising-CIM supports King's graphs (degree <= 8), got degree {max_degree}"
+            )));
         }
-        for (_, _, w) in graph.edges() {
-            if !(0..=3).contains(&w) {
-                return Err(CimError::CoefficientOutOfRange { value: w });
-            }
+        let fields = (0..graph.num_spins()).map(|i| graph.field(i));
+        match graph
+            .edges()
+            .map(|(_, _, w)| w)
+            .chain(fields)
+            .find(|v| !(0..=3).contains(v))
+        {
+            Some(value) => Err(EnvelopeError(format!(
+                "Ising-CIM supports unsigned 2-bit ICs (0..=3), got {value}"
+            ))),
+            None => Ok(()),
         }
-        for i in 0..graph.num_spins() {
-            let h = graph.field(i);
-            if !(0..=3).contains(&h) {
-                return Err(CimError::CoefficientOutOfRange { value: h });
-            }
-        }
-        Ok(())
     }
 
     /// Cycles per sweep: each spin pays the 3+3 compute/update sequence
@@ -247,54 +195,11 @@ impl CimMachine {
             energy,
         }
     }
-
-    /// Runs a solve with full accounting: the golden sweep, priced.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CimError`] if the graph violates the envelope.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `initial.len()` does not match the graph.
-    pub fn solve_detailed(
-        &mut self,
-        graph: &IsingGraph,
-        initial: &SpinVector,
-        options: &SolveOptions,
-    ) -> Result<(SolveResult, CimReport), CimError> {
-        self.check_limits(graph)?;
-        let result = CpuReferenceSolver::new().solve(graph, initial, options);
-        let Price { cycles, energy } = self.price(&SolveCounts::of(graph, &result));
-        let report = CimReport {
-            sweeps: result.sweeps,
-            total_cycles: cycles,
-            wall_time: cycles.to_time(self.config.tech.cycle_time),
-            energy,
-            reuse: 1.0,
-        };
-        Ok((result, report))
-    }
 }
 
 impl Default for CimMachine {
     fn default() -> Self {
         CimMachine::new()
-    }
-}
-
-impl IterativeSolver for CimMachine {
-    /// Runs the solve, panicking on envelope violations (use
-    /// [`CimMachine::solve_detailed`] for recoverable handling).
-    fn solve(
-        &mut self,
-        graph: &IsingGraph,
-        initial: &SpinVector,
-        options: &SolveOptions,
-    ) -> SolveResult {
-        self.solve_detailed(graph, initial, options)
-            .expect("graph outside Ising-CIM envelope")
-            .0
     }
 }
 
@@ -304,43 +209,38 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use sachi_ising::graph::topology;
+    use sachi_ising::solver::{CpuReferenceSolver, IterativeSolver, SolveOptions};
+    use sachi_ising::spin::SpinVector;
 
-    fn kings_problem() -> (IsingGraph, SpinVector, SolveOptions) {
+    /// The counts of a golden solve of a 2-bit King's lattice.
+    fn kings_problem_counts() -> SolveCounts {
         let g = topology::king(6, 6, |i, j| ((i + j) % 3 + 1) as i32).unwrap();
         let mut rng = StdRng::seed_from_u64(3);
         let init = SpinVector::random(36, &mut rng);
-        let opts = SolveOptions::for_graph(&g, 4).with_trace();
-        (g, init, opts)
-    }
-
-    #[test]
-    fn cim_matches_golden_trajectory() {
-        let (g, init, opts) = kings_problem();
-        let mut reference = CpuReferenceSolver::new();
-        let golden = reference.solve(&g, &init, &opts);
-        let mut cim = CimMachine::new();
-        let (result, report) = cim.solve_detailed(&g, &init, &opts).unwrap();
-        assert_eq!(result.energy, golden.energy);
-        assert_eq!(result.trace, golden.trace);
-        assert_eq!(report.sweeps, golden.sweeps);
-        assert!((report.reuse - 1.0).abs() < 1e-12);
+        let opts = SolveOptions::for_graph(&g, 4);
+        let result = CpuReferenceSolver::new().solve(&g, &init, &opts);
+        SolveCounts::of(&g, &result)
     }
 
     #[test]
     fn envelope_enforced() {
         let cim = CimMachine::new();
+        let message = |g: &IsingGraph| cim.check_limits(g).unwrap_err().to_string();
         let complete = topology::complete(10, |_, _| 1).unwrap();
         assert_eq!(
-            cim.check_limits(&complete).unwrap_err(),
-            CimError::NotKingsGraph { max_degree: 9 }
+            message(&complete),
+            "Ising-CIM supports King's graphs (degree <= 8), got degree 9"
         );
         let signed = topology::king(3, 3, |_, _| -1).unwrap();
         assert_eq!(
-            cim.check_limits(&signed).unwrap_err(),
-            CimError::CoefficientOutOfRange { value: -1 }
+            message(&signed),
+            "Ising-CIM supports unsigned 2-bit ICs (0..=3), got -1"
         );
         let wide = topology::king(3, 3, |_, _| 4).unwrap();
-        assert!(cim.check_limits(&wide).is_err());
+        assert_eq!(
+            message(&wide),
+            "Ising-CIM supports unsigned 2-bit ICs (0..=3), got 4"
+        );
         let ok = topology::king(3, 3, |_, _| 3).unwrap();
         assert!(cim.check_limits(&ok).is_ok());
     }
@@ -366,19 +266,11 @@ mod tests {
 
     #[test]
     fn edram_factor_inflates_energy() {
-        let (g, init, opts) = kings_problem();
-        let mut cim = CimMachine::new();
-        let (_, base) = cim.solve_detailed(&g, &init, &opts).unwrap();
+        let counts = kings_problem_counts();
+        let base = CimMachine::new().price(&counts);
         let mut cheaper_config = CimConfig::paper();
         cheaper_config.tech.edram_xnor_power_factor = 1.0;
-        let mut cheaper = CimMachine::with_config(cheaper_config);
-        let (_, flat) = cheaper.solve_detailed(&g, &init, &opts).unwrap();
+        let flat = CimMachine::with_config(cheaper_config).price(&counts);
         assert!(base.energy.total() > flat.energy.total());
-    }
-
-    #[test]
-    fn error_messages() {
-        assert!(format!("{}", CimError::NotKingsGraph { max_degree: 12 }).contains("12"));
-        assert!(format!("{}", CimError::CoefficientOutOfRange { value: 9 }).contains('9'));
     }
 }

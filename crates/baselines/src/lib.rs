@@ -17,18 +17,22 @@
 //!   and greedy lattice descent (LAMMPS stand-in).
 //!
 //! Every Ising machine here — BRIM, Ising-CIM and the CMOS annealer —
-//! is a sweep plus a price. BRIM and Ising-CIM compute the exact local
-//! field, so their sweep *is* the golden one: each checks its envelope,
-//! runs `sachi_ising::solver::CpuReferenceSolver`, and prices the
-//! result. The CMOS annealer's group-parallel body differs, so it keeps
-//! its own body on `sachi_ising::solver::run_sweeps`, booking nothing.
-//! Each machine's `price` turns a solve's [`SolveCounts`] into a
-//! [`Price`]; the functional solve feeds it the graph's counts and the
-//! figure harnesses feed it a shape's, so both read one cost model, and
-//! `disc_drift` pins the two at 0.00% on uniform-degree graphs.
-//! Comparisons therefore vary only the architecture model, never the
-//! algorithm (the CMOS annealer's trajectory is its own; its protocol
-//! is not).
+//! is a price, and the CMOS annealer also a sweep. BRIM and Ising-CIM
+//! compute the exact local field, so their sweep *is* the golden one:
+//! each model is only `check_limits` plus `price`, and a caller solves
+//! once (with `sachi_ising::solver::CpuReferenceSolver`, or by reusing a
+//! SACHI result, whose trajectory is the golden one) and prices that
+//! result for every design it compares. The CMOS annealer's
+//! group-parallel body differs, so it keeps its own body on
+//! `sachi_ising::solver::run_sweeps`, booking nothing. Each machine's
+//! `price` turns a solve's [`SolveCounts`] into a [`Price`]; a
+//! functional solve feeds it the graph's counts and the figure harnesses
+//! feed it a shape's, so both read one cost model, and `disc_drift` pins
+//! the two at 0.00% on uniform-degree graphs. Comparisons therefore vary
+//! only the architecture model, never the algorithm (the CMOS annealer's
+//! trajectory is its own; its protocol is not). A graph outside a
+//! machine's envelope is refused with one [`EnvelopeError`] naming the
+//! limit it breaks.
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
@@ -45,6 +49,24 @@ use sachi_ising::solver::SolveResult;
 use sachi_mem::energy::EnergyLedger;
 use sachi_mem::units::Cycles;
 use sachi_workloads::spec::WorkloadShape;
+use std::fmt;
+
+/// Reuse of BRIM and Ising-CIM: every IC fetched from memory feeds
+/// exactly one compute (Sec. V.5).
+pub const BASELINE_REUSE: f64 = 1.0;
+
+/// A graph outside a machine's envelope; the message names the limit
+/// and the value that breaks it.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct EnvelopeError(String);
+
+impl fmt::Display for EnvelopeError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(&self.0)
+    }
+}
+
+impl std::error::Error for EnvelopeError {}
 
 /// The counts a baseline's cost depends on. Each machine's `price`
 /// reads the subset its model needs.
@@ -104,13 +126,13 @@ pub struct Price {
 
 /// Convenient glob-import of the crate's main types.
 pub mod prelude {
-    pub use crate::brim::{BrimConfig, BrimError, BrimMachine, BrimReport};
-    pub use crate::cmos_annealer::{CmosAnnealer, CmosAnnealerError, CmosAnnealerReport};
+    pub use crate::brim::{BrimConfig, BrimMachine};
+    pub use crate::cmos_annealer::CmosAnnealer;
     pub use crate::ga::{run_ga, run_ga_on_graph, GaOptions, GaOutcome};
-    pub use crate::ising_cim::{CimConfig, CimError, CimMachine, CimReport};
+    pub use crate::ising_cim::{CimConfig, CimMachine};
     pub use crate::optsolv::{
         edmonds_karp_segmentation, karmarkar_karp, lattice_descent, tsp_reference,
     };
     pub use crate::pso::{run_pso, run_pso_on_graph, PsoOptions, PsoOutcome};
-    pub use crate::{Price, SolveCounts};
+    pub use crate::{EnvelopeError, Price, SolveCounts, BASELINE_REUSE};
 }

@@ -31,8 +31,9 @@
 //! The baselines get the same gate. BRIM, Ising-CIM and the CMOS
 //! annealer each price a solve with one `price` function; the functional
 //! solve feeds it the graph's counts and the figure harnesses a shape's.
-//! Each baseline leg compares the machine's report with `price` fed the
-//! shape's counts at the machine's sweeps and flips: cycles must match
+//! Each baseline leg solves with the golden solver, whose sweep BRIM and
+//! Ising-CIM follow, and compares `price` fed the graph's counts with
+//! `price` fed the shape's counts at the same sweeps and flips: cycles must match
 //! exactly and every energy component to 1e-9 relative, on BRIM over
 //! complete graphs, Ising-CIM on K9 and Ising-CIM on a King's torus
 //! larger than one array (so edge-cell broadcasts are billed). A
@@ -112,9 +113,9 @@ const ESTIMATED: [EnergyComponent; 4] = [
     EnergyComponent::DataMovement,
 ];
 
-/// The baseline legs: each machine's report against its `price` fed the
-/// shape's counts at the machine's sweeps and flips. Returns the legs
-/// that drifted.
+/// The baseline legs: each machine's `price` of a golden solve's graph
+/// counts against its `price` fed the shape's counts at the solve's
+/// sweeps and flips. Returns the legs that drifted.
 fn baseline_legs(sizes: &[usize], smoke: bool) -> Vec<String> {
     let brim = BrimMachine::new();
     let cim = CimMachine::new();
@@ -153,20 +154,17 @@ fn baseline_legs(sizes: &[usize], smoke: bool) -> Vec<String> {
         let mut rng = StdRng::seed_from_u64(0xD21F);
         let init = SpinVector::random(graph.num_spins(), &mut rng);
         let opts = SolveOptions::for_graph(graph, 17);
-        let (result, cycles, energy, closed) = if *machine == "BRIM" {
-            let (result, report) = brim
-                .clone()
-                .solve_detailed(graph, &init, &opts)
-                .expect("BRIM envelope");
-            let closed = brim.price(&SolveCounts::for_shape(&shape, result.sweeps, result.flips));
-            (result, report.total_cycles, report.energy, closed)
+        let result = CpuReferenceSolver::new().solve(graph, &init, &opts);
+        let (counts, closed) = (
+            SolveCounts::of(graph, &result),
+            SolveCounts::for_shape(&shape, result.sweeps, result.flips),
+        );
+        let (Price { cycles, energy }, closed) = if *machine == "BRIM" {
+            brim.check_limits(graph).expect("BRIM envelope");
+            (brim.price(&counts), brim.price(&closed))
         } else {
-            let (result, report) = cim
-                .clone()
-                .solve_detailed(graph, &init, &opts)
-                .expect("Ising-CIM envelope");
-            let closed = cim.price(&SolveCounts::for_shape(&shape, result.sweeps, result.flips));
-            (result, report.total_cycles, report.energy, closed)
+            cim.check_limits(graph).expect("Ising-CIM envelope");
+            (cim.price(&counts), cim.price(&closed))
         };
         let mut worst = 0.0f64;
         let mut exact = cycles == closed.cycles;

@@ -66,8 +66,8 @@ fn main() {
         let shape = kind.standard_shape(1_000).with_resolution(4);
         reuse_table.row([
             kind.label().to_string(),
-            "1".to_string(),
-            "1".to_string(),
+            BASELINE_REUSE.to_string(),
+            BASELINE_REUSE.to_string(),
             model.iteration(&shape).reuse.to_string(),
             format!("~{}", paper.3),
         ]);

@@ -124,7 +124,7 @@ pub fn compare(args: &SolveArgs) -> Result<(), SachiError> {
     let golden = CpuReferenceSolver::new().solve(graph, init, opts);
     let mut table = Table::new(["machine", "H", "iters", "cycles", "energy", "reuse"]);
     let mut machine_row =
-        |machine: &str, result: SolveResult, cycles: Cycles, energy: Picojoules, reuse: f64| {
+        |machine: &str, result: &SolveResult, cycles: Cycles, energy: Picojoules, reuse: f64| {
             table.row([
                 machine.to_string(),
                 result.energy.to_string(),
@@ -145,21 +145,28 @@ pub fn compare(args: &SolveArgs) -> Result<(), SachiError> {
             "machines must match the golden model"
         );
         let (cycles, energy) = (report.total_cycles, report.energy.total());
-        machine_row(design.label(), result, cycles, energy, report.reuse);
+        machine_row(design.label(), &result, cycles, energy, report.reuse);
     }
-    match BrimMachine::new().solve_detailed(graph, init, opts) {
-        Ok((result, r)) => machine_row("BRIM", result, r.total_cycles, r.energy.total(), r.reuse),
-        Err(e) => println!("BRIM skipped: {e}"),
-    }
-    match CimMachine::new().solve_detailed(graph, init, opts) {
-        Ok((result, r)) => machine_row(
-            "Ising-CIM",
-            result,
-            r.total_cycles,
-            r.energy.total(),
-            r.reuse,
+    // BRIM and Ising-CIM compute the exact local field, so their sweep
+    // is the golden one: each prices the golden solve.
+    let counts = SolveCounts::of(graph, &golden);
+    let (brim, cim) = (BrimMachine::new(), CimMachine::new());
+    for (machine, priced) in [
+        (
+            "BRIM",
+            brim.check_limits(graph).map(|()| brim.price(&counts)),
         ),
-        Err(e) => println!("Ising-CIM skipped: {e}"),
+        (
+            "Ising-CIM",
+            cim.check_limits(graph).map(|()| cim.price(&counts)),
+        ),
+    ] {
+        match priced {
+            Ok(Price { cycles, energy }) => {
+                machine_row(machine, &golden, cycles, energy.total(), BASELINE_REUSE);
+            }
+            Err(e) => println!("{machine} skipped: {e}"),
+        }
     }
     table.row([
         "CPU golden".to_string(),

@@ -31,14 +31,11 @@ fn main() {
     let mut sachi = SachiMachine::new(SachiConfig::new(DesignKind::N3));
     let (s_result, s_report) = sachi.solve_detailed(graph, &init, &opts);
 
-    let mut cim = CimMachine::new();
-    let (c_result, c_report) = cim
-        .solve_detailed(graph, &init, &opts)
-        .expect("within Ising-CIM envelope");
-
-    // Same algorithm, same trajectory — only the hardware differs.
-    assert_eq!(s_result.energy, c_result.energy);
-    assert_eq!(s_result.sweeps, c_result.sweeps);
+    // Same algorithm, same trajectory — only the hardware differs, so
+    // Ising-CIM prices SACHI's solve.
+    let cim = CimMachine::new();
+    cim.check_limits(graph).expect("within Ising-CIM envelope");
+    let c_price = cim.price(&SolveCounts::of(graph, &s_result));
 
     println!(
         "\n{:<12} {:>12} {:>14} {:>8}",
@@ -54,15 +51,15 @@ fn main() {
     println!(
         "{:<12} {:>12} {:>14} {:>8.1}",
         "Ising-CIM",
-        c_report.total_cycles.get(),
-        format!("{}", c_report.energy.total()),
-        c_report.reuse
+        c_price.cycles.get(),
+        format!("{}", c_price.energy.total()),
+        BASELINE_REUSE
     );
     println!(
         "\nspeedup {:.1}x, energy improvement {:.1}x, reuse advantage {:.0}x",
-        c_report.total_cycles.ratio(s_report.total_cycles),
-        c_report.energy.total().ratio(s_report.energy.total()),
-        s_report.reuse / c_report.reuse
+        c_price.cycles.ratio(s_report.total_cycles),
+        c_price.energy.total().ratio(s_report.energy.total()),
+        s_report.reuse / BASELINE_REUSE
     );
     println!(
         "final accuracy {:.2}% ({} of {} bond weight satisfied)",

@@ -35,8 +35,6 @@ fn king(side: usize, salt: u64, couplings: &[i32], fields: &[i32]) -> IsingGraph
 /// envelope.
 const TERNARY: [i32; 3] = [-1, 0, 1];
 const SMALL_FIELDS: [i32; 5] = [-2, -1, 0, 1, 2];
-/// Ising-CIM's envelope: couplings and fields in 0..=3.
-const CIM_RANGE: [i32; 4] = [0, 1, 2, 3];
 
 /// A dense graph with wide couplings and fields.
 fn dense(n: usize, salt: u64) -> IsingGraph {
@@ -108,12 +106,6 @@ fn every_machine_reports_the_energy_of_its_spins() {
             SachiMachine::new(SachiConfig::new(design)).solve(&graph, &init, &opts(cap))
         });
     }
-    assert_bookkeeping("BRIM", &graph, max, |cap| {
-        BrimMachine::new()
-            .solve_detailed(&graph, &init, &opts(cap))
-            .expect("BRIM envelope")
-            .0
-    });
     let cmos = assert_bookkeeping("CMOS annealer", &graph, max, |cap| {
         CmosAnnealer::new(6)
             .solve_detailed(&graph, &init, &opts(cap))
@@ -121,16 +113,6 @@ fn every_machine_reports_the_energy_of_its_spins() {
             .0
     });
     assert!(cmos.flips > 0, "the CMOS run must flip spins");
-
-    let graph = king(6, 4, &CIM_RANGE, &CIM_RANGE);
-    let opts = |cap| traced(&graph, 18, cap);
-    let cim = assert_bookkeeping("Ising-CIM", &graph, max, |cap| {
-        CimMachine::new()
-            .solve_detailed(&graph, &init, &opts(cap))
-            .expect("CIM envelope")
-            .0
-    });
-    assert!(cim.flips > 0, "the CIM run must flip spins");
 
     // Dense couplings and fields: the sequential machines off the lattice.
     let graph = dense(14, 5);
@@ -144,12 +126,6 @@ fn every_machine_reports_the_energy_of_its_spins() {
             SachiMachine::new(SachiConfig::new(design)).solve(&graph, &init, &opts(cap))
         });
     }
-    assert_bookkeeping("BRIM, dense", &graph, max, |cap| {
-        BrimMachine::new()
-            .solve_detailed(&graph, &init, &opts(cap))
-            .expect("BRIM envelope")
-            .0
-    });
 }
 
 #[test]

@@ -97,7 +97,7 @@ fn cmos_annealer_quality_comparable_but_envelope_narrow() {
     let opts = SolveOptions::for_graph(graph, 8);
 
     let mut chip = CmosAnnealer::new(side);
-    let (result, report) = chip
+    let (result, price) = chip
         .solve_detailed(graph, &init, &opts)
         .expect("in envelope");
     assert!(
@@ -105,7 +105,7 @@ fn cmos_annealer_quality_comparable_but_envelope_narrow() {
         "chip accuracy {}",
         w.accuracy(&result.spins)
     );
-    assert!(report.total_cycles.get() > 0);
+    assert!(price.cycles.get() > 0);
 
     // A 4-bit instance is out of envelope — SACHI's reconfigurability is
     // the differentiator.

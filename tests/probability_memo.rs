@@ -278,7 +278,7 @@ fn cmos_annealer_trajectory_is_pinned() {
     let init = SpinVector::random(graph.num_spins(), &mut StdRng::seed_from_u64(8));
     let mut opts = SolveOptions::for_graph(graph, 8);
     opts.record_trace = true;
-    let (result, report) = CmosAnnealer::new(10)
+    let (result, price) = CmosAnnealer::new(10)
         .solve_detailed(graph, &init, &opts)
         .expect("2-bit MD is in the chip's envelope");
     let mut trace = vec![-192, -246, -286, -304, -308];
@@ -287,5 +287,5 @@ fn cmos_annealer_trajectory_is_pinned() {
     trace.extend([-316; 23]);
     assert_eq!(result.trace, trace);
     assert_eq!((result.energy, result.sweeps, result.flips), (-316, 37, 78));
-    assert_eq!(report.total_cycles.get(), 299);
+    assert_eq!(price.cycles.get(), 299);
 }
