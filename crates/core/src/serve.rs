@@ -29,11 +29,7 @@
 //! Workers run each replica under [`std::panic::catch_unwind`]: a
 //! poison job (one whose plan panics a machine) marks only itself
 //! failed — its waiter receives a typed [`SachiError::Solve`] — and the
-//! worker thread survives to run the next queued replica. Cancelled
-//! jobs ([`JobHandle::cancel`], via the [`CancelToken`] installed in
-//! every plan) stop at the next sweep boundary; their partial results
-//! are timing-dependent, so hosts that promise determinism must
-//! discard them rather than report them.
+//! worker thread survives to run the next queued replica.
 
 use crate::config::{DesignKind, FaultProfile, SachiConfig};
 use crate::ensemble::{EnsembleReport, ReplicaLedger, ReportingMachine};
@@ -42,8 +38,8 @@ use crate::machine::{RunReport, SachiMachine};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use sachi_ising::prelude::{
-    BestOf, CancelToken, EnsembleRunner, IsingGraph, LadderKind, RecoveryPolicy, SolveOptions,
-    SolveResult, SpinVector, TemperingOptions,
+    BestOf, EnsembleRunner, IsingGraph, LadderKind, RecoveryPolicy, SolveOptions, SolveResult,
+    SpinVector, TemperingOptions,
 };
 use sachi_mem::cache::CacheHierarchy;
 use sachi_mem::fault::{FaultModel, FaultRate};
@@ -435,8 +431,7 @@ impl JobPlan {
             .map_err(|_| SachiError::Usage("restarts too large for this host".to_string()))?;
         let mut rng = StdRng::seed_from_u64(spec.seed ^ INIT_SEED_SALT);
         let init = SpinVector::random(graph.num_spins(), &mut rng);
-        let mut options = SolveOptions::for_graph(graph, spec.seed.wrapping_add(1))
-            .with_cancel(CancelToken::new());
+        let mut options = SolveOptions::for_graph(graph, spec.seed.wrapping_add(1));
         if let Some(budget) = spec.step_budget {
             options = options.with_step_budget(budget);
         }
@@ -519,11 +514,6 @@ impl JobPlan {
     /// Replica-ensemble width.
     pub fn replica_count(&self) -> usize {
         self.replicas
-    }
-
-    /// The job-level cancellation token shared by every replica.
-    pub fn cancel_token(&self) -> Option<CancelToken> {
-        self.options.cancel.clone()
     }
 
     /// True when this plan runs its replicas as *coupled*
@@ -672,8 +662,8 @@ struct JobState {
 /// What a job's waiter receives.
 pub type JobResult = Result<JobOutcome, SachiError>;
 
-/// A submitted job's receipt: await it, cancel it, or let the server
-/// revoke it on deadline expiry.
+/// A submitted job's receipt: await it, or let the server revoke it on
+/// deadline expiry.
 pub struct JobHandle {
     job: Arc<JobState>,
     rx: mpsc::Receiver<JobResult>,
@@ -691,22 +681,6 @@ impl JobHandle {
     /// (`recv_timeout`) by hosts that own a clock.
     pub fn receiver(&self) -> &mpsc::Receiver<JobResult> {
         &self.rx
-    }
-
-    /// True once any replica of this job has been picked up by a
-    /// worker (at which point [`SolverPool::revoke`] refuses).
-    pub fn started(&self) -> bool {
-        self.job.started.load(Ordering::Acquire)
-    }
-
-    /// Raises the job's [`CancelToken`]: running replicas stop at their
-    /// next sweep boundary. The partial outcome still arrives on the
-    /// channel; it is timing-dependent, so determinism-promising hosts
-    /// must discard it.
-    pub fn cancel(&self) {
-        if let Some(token) = self.job.plan.cancel_token() {
-            token.cancel();
-        }
     }
 }
 
@@ -1222,28 +1196,6 @@ mod tests {
         assert!(first.wait().is_ok());
         // Revoking a completed (started) job refuses.
         assert!(!pool.revoke(&first));
-        pool.join();
-    }
-
-    #[test]
-    fn cancelled_jobs_stop_at_the_first_sweep_boundary() {
-        let plan = JobPlan::from_spec(&JobSpec {
-            size: 64,
-            restarts: 2,
-            ..JobSpec::default()
-        })
-        .unwrap();
-        let token = plan.cancel_token().unwrap();
-        // Raise the flag before any worker starts: every replica must
-        // bail before its first sweep, deterministically.
-        token.cancel();
-        let pool = SolverPool::with_workers(2);
-        let handle = pool.submit(plan);
-        let outcome = handle.wait().unwrap();
-        for r in &outcome.best.replicas {
-            assert_eq!(r.sweeps, 0);
-            assert!(!r.converged);
-        }
         pool.join();
     }
 
