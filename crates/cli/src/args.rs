@@ -58,7 +58,7 @@ pub struct ServeArgs {
     /// Wall-clock admission deadline: a job still unstarted after this
     /// many milliseconds is revoked with the deadline-expired code.
     pub admission_timeout_ms: u64,
-    /// Per-connection socket read timeout in milliseconds.
+    /// Per-connection socket read and write timeout in milliseconds.
     pub io_timeout_ms: u64,
     /// Bound on concurrently served connections.
     pub max_conns: usize,

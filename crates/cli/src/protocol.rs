@@ -33,6 +33,9 @@ pub const SCHEMA: &str = "sachi.serve.v1";
 /// applied to single frames.
 pub const MAX_FRAME_LEN: usize = 1 << 20;
 
+/// The most a frame's length prefix reserves before its body arrives.
+const BODY_RESERVE: usize = 64 * 1024;
+
 /// A typed frame-decode failure.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum FrameError {
@@ -151,22 +154,24 @@ pub fn read_frame_body(
     prefix: [u8; 4],
     max: usize,
 ) -> Result<String, FrameError> {
-    let len = usize::try_from(u32::from_be_bytes(prefix)).unwrap_or(usize::MAX);
+    let declared = u32::from_be_bytes(prefix);
+    let len = usize::try_from(declared).unwrap_or(usize::MAX);
     if len == 0 {
         return Err(FrameError::Empty);
     }
     if len > max {
         return Err(FrameError::Oversized { len, max });
     }
-    let mut body = vec![0u8; len];
-    let mut got = 0usize;
-    while got < len {
-        match r.read(&mut body[got..]) {
-            Ok(0) => return Err(FrameError::Truncated { expected: len, got }),
-            Ok(n) => got += n,
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-            Err(e) => return Err(FrameError::Io(e.to_string())),
-        }
+    // The prefix alone reserves at most BODY_RESERVE bytes; the buffer
+    // grows only as body bytes arrive, so a peer that declares a large
+    // frame and stalls holds no more memory than it has sent.
+    let mut body = Vec::with_capacity(len.min(BODY_RESERVE));
+    let got = r
+        .take(u64::from(declared))
+        .read_to_end(&mut body)
+        .map_err(|e| FrameError::Io(e.to_string()))?;
+    if got < len {
+        return Err(FrameError::Truncated { expected: len, got });
     }
     String::from_utf8(body).map_err(|_| FrameError::BadUtf8)
 }
@@ -694,6 +699,38 @@ mod tests {
         ));
         // Clean EOF before any prefix byte is not an error.
         assert_eq!(decode(&[]).unwrap(), None);
+    }
+
+    /// A `Read` double that serves `bytes`, then end-of-stream, and
+    /// panics if it is ever handed a buffer larger than the prefix may
+    /// reserve.
+    struct ReserveGuard<'a> {
+        bytes: &'a [u8],
+    }
+
+    impl Read for ReserveGuard<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            assert!(
+                buf.len() <= BODY_RESERVE,
+                "handed a {}-byte buffer before the body arrived",
+                buf.len()
+            );
+            self.bytes.read(buf)
+        }
+    }
+
+    #[test]
+    fn a_declared_length_reserves_at_most_64_kib_before_the_body_arrives() {
+        let mut bytes = u32::try_from(MAX_FRAME_LEN).unwrap().to_be_bytes().to_vec();
+        bytes.extend_from_slice(b"abc");
+        let err = read_frame(&mut ReserveGuard { bytes: &bytes }, MAX_FRAME_LEN).unwrap_err();
+        assert_eq!(
+            err,
+            FrameError::Truncated {
+                expected: 1_048_576,
+                got: 3
+            }
+        );
     }
 
     #[test]

@@ -337,6 +337,9 @@ pub fn run(args: &ServeArgs) -> Result<(), SachiError> {
         let server = Arc::clone(&server);
         conn_threads.push(thread::spawn(move || {
             let _ = stream.set_read_timeout(Some(io_timeout));
+            // A peer that never reads cannot block a response write
+            // forever once its socket buffer fills.
+            let _ = stream.set_write_timeout(Some(io_timeout));
             server.serve_conn(&mut stream);
             server.conns.fetch_sub(1, Ordering::AcqRel);
         }));
