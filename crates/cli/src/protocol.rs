@@ -216,13 +216,13 @@ fn usage(msg: String) -> SachiError {
 }
 
 /// Extracts a non-negative integer field. JSON numbers are f64, so
-/// anything non-integral or above 2^53 (where f64 loses exactness) is
-/// rejected rather than silently rounded.
+/// anything non-integral or from 2^53 up (where f64 loses exactness:
+/// 2^53 + 1 reads as 2^53) is rejected rather than silently rounded.
 fn u64_field(v: &JsonValue, what: &str) -> Result<u64, SachiError> {
     let n = v
         .as_num()
         .ok_or_else(|| usage(format!("{what} must be a number")))?;
-    if !n.is_finite() || n < 0.0 || n.fract() != 0.0 || n > 9_007_199_254_740_992.0 {
+    if !n.is_finite() || n < 0.0 || n.fract() != 0.0 || n >= 9_007_199_254_740_992.0 {
         return Err(usage(format!(
             "{what} must be a non-negative integer representable in 53 bits"
         )));
@@ -272,7 +272,10 @@ fn parse_job(members: &[(String, JsonValue)]) -> Result<JobSpec, SachiError> {
                 spec.fault_ber = Some(
                     value
                         .as_num()
-                        .ok_or_else(|| usage("job.fault_ber must be a number".to_string()))?,
+                        .filter(|ber| ber.is_finite())
+                        .ok_or_else(|| {
+                            usage("job.fault_ber must be a finite number".to_string())
+                        })?,
                 )
             }
             "fault_seed" => spec.fault_seed = u64_field(value, "job.fault_seed")?,
@@ -361,11 +364,23 @@ pub fn solve_request_body(spec: &JobSpec) -> String {
         body.push_str(&format!(",\"step_budget\":{b}"));
     }
     body.push_str(&fault_fields(spec));
+    // Without a BER the fault seed and policy change nothing, nor does
+    // the ladder without tempering; a spec that sets them anyway still
+    // round-trips.
+    let defaults = JobSpec::default();
+    if spec.fault_ber.is_none() {
+        if spec.fault_seed != defaults.fault_seed {
+            body.push_str(&format!(",\"fault_seed\":{}", spec.fault_seed));
+        }
+        if spec.fault_policy != defaults.fault_policy {
+            body.push_str(&format!(",\"fault_policy\":\"{}\"", spec.fault_policy));
+        }
+    }
     if spec.tempering {
-        body.push_str(&format!(
-            ",\"tempering\":true,\"ladder\":\"{}\"",
-            spec.ladder.label()
-        ));
+        body.push_str(",\"tempering\":true");
+    }
+    if spec.tempering || spec.ladder != defaults.ladder {
+        body.push_str(&format!(",\"ladder\":\"{}\"", spec.ladder.label()));
     }
     body.push_str("}}");
     body
@@ -816,6 +831,8 @@ mod tests {
             "{\"op\":\"solve\",\"job\":{\"seed\":1.5}}",
             "{\"op\":\"solve\",\"job\":{\"size\":-4}}",
             "{\"op\":\"solve\",\"job\":{\"seed\":1e300}}",
+            "{\"op\":\"solve\",\"job\":{\"seed\":9007199254740993}}",
+            "{\"op\":\"solve\",\"job\":{\"fault_ber\":1e400}}",
             "{\"op\":\"solve\",\"job\":{\"restarts\":\"many\"}}",
             "{\"op\":\"solve\",\"job\":{\"tempering\":\"yes\"}}",
             "{\"op\":\"solve\",\"job\":{\"ladder\":\"steep\"}}",
@@ -993,5 +1010,111 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// The job-field fuzz: well-formed `{"op":"solve","job":{…}}`
+    /// bodies whose keys and values a xorshift64 stream draws from a
+    /// vocabulary — each key's own valid values half the time, otherwise
+    /// negatives, fractions, 2^53 + 1, `1e308` and `1e400`, strings
+    /// where numbers belong and numbers where strings belong, `true`,
+    /// `null`, unknown COP, design, ladder and fault-policy names, and
+    /// unknown and repeated keys. `parse_request` must never panic,
+    /// every refusal must carry exit code 2, and every accepted spec
+    /// must round-trip through `solve_request_body`.
+    #[test]
+    fn job_field_values_survive_xorshift_fuzz() {
+        let mut state = 0x1319_8A2E_0370_7344u64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        const FIELDS: &[(&str, &[&str])] = &[
+            (
+                "cop",
+                &["\"md\"", "\"tsp\"", "\"coloring\"", "\"sat\"", "\"sched\""],
+            ),
+            ("size", &["1", "24", "64", "65536"]),
+            ("seed", &["0", "7", "9007199254740991"]),
+            ("design", &["\"n1a\"", "\"n1b\"", "\"n2\"", "\"n3\""]),
+            ("restarts", &["1", "4"]),
+            ("resolution", &["2", "4", "32", "33"]),
+            ("step_budget", &["0", "1", "5000"]),
+            ("fault_ber", &["0", "1e-3", "0.25", "1"]),
+            ("fault_seed", &["0", "3"]),
+            (
+                "fault_policy",
+                &["\"failfast\"", "\"retry\"", "\"retry:0\"", "\"retry:7\""],
+            ),
+            ("tempering", &["true", "false"]),
+            ("ladder", &["\"geometric\"", "\"adaptive\""]),
+            ("cops", &["\"md\""]),
+            ("Size", &["64"]),
+        ];
+        const ADVERSARIAL: &[&str] = &[
+            "-1",
+            "-0",
+            "0.5",
+            "1.5e1",
+            "9007199254740992",
+            "9007199254740993",
+            "1e308",
+            "1e400",
+            "-1e308",
+            "4294967296",
+            "\"64\"",
+            "\"1e-3\"",
+            "\"\"",
+            "\"graphene\"",
+            "\"n9\"",
+            "\"N3\"",
+            "\"retry:-1\"",
+            "\"retry:x\"",
+            "\"spiral\"",
+            "3",
+            "true",
+            "false",
+            "null",
+            "[]",
+            "{}",
+            "[1]",
+            "{\"cop\":\"md\"}",
+        ];
+        let (mut accepted, mut refused) = (0usize, 0usize);
+        for _ in 0..3_000 {
+            let members: Vec<String> = (0..next() % 5)
+                .map(|_| {
+                    let (key, valid) = FIELDS[(next() as usize) % FIELDS.len()];
+                    let value = if next() % 2 == 0 {
+                        valid[(next() as usize) % valid.len()]
+                    } else {
+                        ADVERSARIAL[(next() as usize) % ADVERSARIAL.len()]
+                    };
+                    format!("\"{key}\":{value}")
+                })
+                .collect();
+            let body = format!("{{\"op\":\"solve\",\"job\":{{{}}}}}", members.join(","));
+            match parse_request(&body) {
+                Ok(Request::Solve(spec)) => {
+                    accepted += 1;
+                    let again = solve_request_body(&spec);
+                    assert_eq!(
+                        parse_request(&again).ok(),
+                        Some(Request::Solve(spec)),
+                        "{body} re-encoded as {again}"
+                    );
+                }
+                Ok(other) => panic!("{body} decoded as {other:?}"),
+                Err(e) => {
+                    refused += 1;
+                    assert_eq!(e.exit_code(), 2, "{body}: {e}");
+                }
+            }
+        }
+        assert!(
+            accepted >= 300 && refused >= 300,
+            "{accepted} accepted, {refused} refused"
+        );
     }
 }
