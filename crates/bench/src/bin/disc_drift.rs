@@ -33,10 +33,10 @@
 //! solve feeds it the graph's counts and the figure harnesses a shape's.
 //! Each baseline leg solves with the golden solver, whose sweep BRIM and
 //! Ising-CIM follow, and compares `price` fed the graph's counts with
-//! `price` fed the shape's counts at the same sweeps and flips: cycles must match
-//! exactly and every energy component to 1e-9 relative, on BRIM over
-//! complete graphs, Ising-CIM on K9 and Ising-CIM on a King's torus
-//! larger than one array (so edge-cell broadcasts are billed). A
+//! `price` fed the shape's counts at the same sweeps and flips: cycles
+//! must match exactly and every energy component to 1e-9 relative, on
+//! BRIM over complete graphs, Ising-CIM on K9 and Ising-CIM on a King's
+//! torus larger than one array (so edge-cell broadcasts are billed). A
 //! mismatch exits 1 after the table prints.
 
 use rand::rngs::StdRng;
@@ -155,16 +155,14 @@ fn baseline_legs(sizes: &[usize], smoke: bool) -> Vec<String> {
         let init = SpinVector::random(graph.num_spins(), &mut rng);
         let opts = SolveOptions::for_graph(graph, 17);
         let result = CpuReferenceSolver::new().solve(graph, &init, &opts);
-        let (counts, closed) = (
-            SolveCounts::of(graph, &result),
-            SolveCounts::for_shape(&shape, result.sweeps, result.flips),
-        );
+        let counts = SolveCounts::of(graph, &result);
+        let shape_counts = SolveCounts::for_shape(&shape, result.sweeps, result.flips);
         let (Price { cycles, energy }, closed) = if *machine == "BRIM" {
             brim.check_limits(graph).expect("BRIM envelope");
-            (brim.price(&counts), brim.price(&closed))
+            (brim.price(&counts), brim.price(&shape_counts))
         } else {
             cim.check_limits(graph).expect("Ising-CIM envelope");
-            (cim.price(&counts), cim.price(&closed))
+            (cim.price(&counts), cim.price(&shape_counts))
         };
         let mut worst = 0.0f64;
         let mut exact = cycles == closed.cycles;
