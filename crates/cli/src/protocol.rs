@@ -363,25 +363,19 @@ pub fn solve_request_body(spec: &JobSpec) -> String {
     if let Some(b) = spec.step_budget {
         body.push_str(&format!(",\"step_budget\":{b}"));
     }
-    body.push_str(&fault_fields(spec));
-    // Without a BER the fault seed and policy change nothing, nor does
-    // the ladder without tempering; a spec that sets them anyway still
-    // round-trips.
-    let defaults = JobSpec::default();
-    if spec.fault_ber.is_none() {
-        if spec.fault_seed != defaults.fault_seed {
-            body.push_str(&format!(",\"fault_seed\":{}", spec.fault_seed));
-        }
-        if spec.fault_policy != defaults.fault_policy {
-            body.push_str(&format!(",\"fault_policy\":\"{}\"", spec.fault_policy));
-        }
+    if let Some(ber) = spec.fault_ber {
+        body.push_str(&format!(",\"fault_ber\":{ber}"));
     }
-    if spec.tempering {
-        body.push_str(",\"tempering\":true");
-    }
-    if spec.tempering || spec.ladder != defaults.ladder {
-        body.push_str(&format!(",\"ladder\":\"{}\"", spec.ladder.label()));
-    }
+    // Every remaining field is written, even where it changes nothing
+    // (a fault seed without a BER, a ladder without tempering), so the
+    // spec round-trips exactly.
+    body.push_str(&format!(
+        ",\"fault_seed\":{},\"fault_policy\":\"{}\",\"tempering\":{},\"ladder\":\"{}\"",
+        spec.fault_seed,
+        spec.fault_policy,
+        spec.tempering,
+        spec.ladder.label()
+    ));
     body.push_str("}}");
     body
 }
