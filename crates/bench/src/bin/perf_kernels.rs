@@ -46,7 +46,15 @@
 //!   against the per-tuple reference layout in
 //!   `sachi_bench::reference::tuple`, in alternating rounds; the medians
 //!   and IQRs of both, in ns per flip, and of the per-round ratio are
-//!   recorded.
+//!   recorded;
+//! * **simulation tax** (`tax`) — a whole `solve_detailed` call on a
+//!   resident SACHI(n1a) and SACHI(n3) machine against the bare
+//!   incremental solve in `sachi_bench::reference::bare` (the shared
+//!   sweep driver and decision over one array of local fields) on
+//!   `md 8192`, `coloring 256` and `sat 40`, in alternating rounds; the
+//!   medians and IQRs of both, in ns per update, and of the per-round
+//!   ratio are recorded. The ratio is what simulating the machine adds
+//!   to the solve it simulates.
 //!
 //! Every timed pair is asserted H-identical first, after every flip of
 //! the sequence and against the golden local field (the differential
@@ -60,12 +68,14 @@
 //! RunReport)` must equal a fresh machine's on the same call, and its
 //! energy must equal `hamiltonian::energy` of its spins. The writeback
 //! row's two paths must hold identical sums after every flip and
-//! identical copies at the end. The full run asserts the ≥5× acceptance bar on the dense
+//! identical copies at the end. The tax row's two solves must return
+//! the same `SolveResult` every round. The full run asserts the ≥5× acceptance bar on the dense
 //! kernel, the ≥6× bar on the dense SoA sweep for every design, a
 //! memo/reference median ratio ≤ 0.75 on the decision, a
 //! segmented/single median ratio ≤ 1.20 on the segment row, and a
 //! production/reference median ratio within [`WRITEBACK_BAR`] on each
-//! writeback shape; `--smoke`
+//! writeback shape, and a machine/bare median ratio within its
+//! [`TAX_BARS`] entry on each tax row; `--smoke`
 //! runs reduced reps and shapes for CI, checks equality only (CI machines are too noisy to gate on a timing ratio),
 //! and never writes the baseline — its reduced shapes would replace the
 //! committed full-run numbers.
@@ -125,6 +135,25 @@ const WRITEBACK_FLIPS: usize = 4096;
 /// runs read 0.61–0.69 on `coloring 256` and 0.57–0.58 on `md 8192`;
 /// the bar leaves at least 20% headroom over the highest.
 const WRITEBACK_BAR: f64 = 0.85;
+
+/// Alternating rounds of the tax row's two timed solves.
+const TAX_ROUNDS: u32 = 21;
+/// The tax row's shapes (seed 0), each solved on both designs that
+/// bracket the per-update booking: SACHI(n1a) books the most events per
+/// tuple, SACHI(n3) the fewest.
+const TAX_SHAPES: [(CopKind, &str, usize); 3] = [
+    (CopKind::MolecularDynamics, "md", 8192),
+    (CopKind::GraphColoring, "coloring", 256),
+    (CopKind::SatThree, "sat", 40),
+];
+const TAX_DESIGNS: [DesignKind; 2] = [DesignKind::N1a, DesignKind::N3];
+/// The full run's bars on the tax row, per shape and then per design in
+/// [`TAX_DESIGNS`] order: a resident machine's solve takes at most this
+/// multiple of the bare solve's time. Three full runs read 2.07–2.16
+/// (n1a) and 2.02–2.14 (n3) on `md 8192`, 2.05–2.11 and 2.02–2.09 on
+/// `coloring 256`, and 1.79–1.84 and 1.75–1.84 on `sat 40`; each bar is
+/// the highest median plus 20%, rounded up.
+const TAX_BARS: [[f64; 2]; 3] = [[2.60, 2.58], [2.54, 2.52], [2.22, 2.21]];
 
 /// Nanoseconds per call of `f`, amortized over `iters` runs.
 fn ns_per_call(iters: u32, mut f: impl FnMut()) -> f64 {
@@ -841,6 +870,85 @@ fn measure_writeback(
     }
 }
 
+/// One shape and design of the tax row.
+struct TaxRow {
+    family: &'static str,
+    size: usize,
+    design: DesignKind,
+    spins: usize,
+    /// Spin updates per solve: sweeps × spins.
+    updates: u64,
+    /// The bare incremental solve, ns per update.
+    bare_ns: Spread,
+    /// The resident machine's `solve_detailed`, ns per update.
+    machine_ns: Spread,
+    /// machine / bare, per round.
+    ratio: Spread,
+    bar: f64,
+}
+
+/// Solves `kind` at `size` (seed 0, init and options seeded 41) with a
+/// resident `design` machine and with the bare incremental solve
+/// ([`sachi_bench::reference::bare`]) in `rounds` alternating rounds,
+/// asserting identical results every round. The machine maps the graph
+/// once before the rounds, so each timed call re-seats its spins and
+/// runs its sweeps, like a resident production call.
+fn measure_tax(
+    (kind, family, size): (CopKind, &'static str, usize),
+    design: DesignKind,
+    rounds: u32,
+    bar: f64,
+) -> TaxRow {
+    let problem = build_cop_problem(kind, size, 0).expect("tax row shapes build");
+    let graph = problem.graph();
+    let n = graph.num_spins();
+    let init = SpinVector::random(n, &mut StdRng::seed_from_u64(41));
+    let options = SolveOptions::for_graph(graph, 41);
+    let mut machine = SachiMachine::new(SachiConfig::new(design));
+    machine.solve_detailed(graph, &init, &options);
+
+    let (mut bare_ns, mut machine_ns, mut ratio) = (Vec::new(), Vec::new(), Vec::new());
+    let mut updates = 0;
+    for round in 0..rounds {
+        let mut bare = None;
+        let b = ns_per_call(1, || {
+            bare = Some(sachi_bench::reference::bare::solve(graph, &init, &options))
+        });
+        let mut run = None;
+        let m = ns_per_call(1, || {
+            run = Some(machine.solve_detailed(graph, &init, &options).0)
+        });
+        let (bare, run) = (bare.expect("timed once"), run.expect("timed once"));
+        assert!(
+            run == bare,
+            "{family} {size} {design}: round {round}'s machine solve diverged from the bare \
+             solve (energy {} vs {}, sweeps {} vs {}, flips {} vs {})",
+            run.energy,
+            bare.energy,
+            run.sweeps,
+            bare.sweeps,
+            run.flips,
+            bare.flips
+        );
+        updates = bare.sweeps * n as u64;
+        let per_update = 1.0 / updates.max(1) as f64;
+        bare_ns.push(b * per_update);
+        machine_ns.push(m * per_update);
+        ratio.push(m / b);
+    }
+    TaxRow {
+        family,
+        size,
+        design,
+        spins: n,
+        updates,
+        bare_ns: Spread::of(bare_ns),
+        machine_ns: Spread::of(machine_ns),
+        ratio: Spread::of(ratio),
+        bar,
+    }
+}
+
 /// Runs `git` with `args` in the working directory, or `None`.
 fn git(args: &[&str]) -> Option<String> {
     let out = std::process::Command::new("git").args(args).output().ok()?;
@@ -1094,6 +1202,34 @@ fn main() {
         );
     }
 
+    // The whole machine against a bare solve of the same trajectory.
+    let tax_rounds = if smoke { 1 } else { TAX_ROUNDS };
+    let tax: Vec<TaxRow> = TAX_SHAPES
+        .into_iter()
+        .zip(TAX_BARS)
+        .flat_map(|(shape, bars)| {
+            TAX_DESIGNS
+                .into_iter()
+                .zip(bars)
+                .map(move |(design, bar)| measure_tax(shape, design, tax_rounds, bar))
+        })
+        .collect();
+    for row in &tax {
+        section(&format!(
+            "ns per update, resident machine vs bare solve: {} {} on {} ({} spins, {} updates), \
+             {tax_rounds} alternating rounds",
+            row.family, row.size, row.design, row.spins, row.updates
+        ));
+        print_spreads(
+            "solve",
+            [
+                ("SachiMachine::solve_detailed", &row.machine_ns, " ns"),
+                ("bare incremental solve", &row.bare_ns, " ns"),
+                ("machine / bare", &row.ratio, ""),
+            ],
+        );
+    }
+
     let banked_json: Vec<String> = banked
         .iter()
         .map(|b| {
@@ -1112,7 +1248,7 @@ fn main() {
         })
         .collect();
     let json = format!(
-        "{{\n  \"kernel\": {{\"degree\": {DENSE_DEGREE}, \"r\": {DENSE_R}, \"rows\": [\n{}\n  ]}},\n  \"sweep\": {{\"lattice\": {lattice}, \"spins\": {}, \"flip_one_in\": {FLIP_ONE_IN}, \"rows\": [\n{}\n  ]}},\n  \"sweep_dense\": {{\"degree\": {dense_degree}, \"r\": {DENSE_R}, \"tuples\": {}, \"flip_one_in\": {FLIP_ONE_IN}, \"rows\": [\n{}\n  ]}},\n  \"sweep_banked\": {{\"rows\": [\n{}\n  ]}},\n  \"decide\": {{\"lattice\": {lattice}, \"decisions\": {}, \"draws\": {}, \"rounds\": {DECIDE_ROUNDS}, \"memo_ns\": {}, \"reference_ns\": {}, \"ratio\": {}}},\n  \"segment\": {{\"cop\": \"sat\", \"size\": 40, \"spins\": {}, \"edges\": {}, \"calls\": {}, \"sweeps_per_call\": {SEGMENT_SWEEPS}, \"rounds\": {}, \"segmented_ms\": {}, \"single_ms\": {}, \"ratio\": {}}},\n  \"build\": {{\"host\": \"{}\", \"rev\": \"{}\", \"rounds\": {}, \"seed\": 0, \"rows\": [\n{}\n  ]}},\n  \"writeback\": {{\"rounds\": {wb_rounds}, \"seed\": 0, \"rows\": [\n{}\n  ]}}\n}}\n",
+        "{{\n  \"kernel\": {{\"degree\": {DENSE_DEGREE}, \"r\": {DENSE_R}, \"rows\": [\n{}\n  ]}},\n  \"sweep\": {{\"lattice\": {lattice}, \"spins\": {}, \"flip_one_in\": {FLIP_ONE_IN}, \"rows\": [\n{}\n  ]}},\n  \"sweep_dense\": {{\"degree\": {dense_degree}, \"r\": {DENSE_R}, \"tuples\": {}, \"flip_one_in\": {FLIP_ONE_IN}, \"rows\": [\n{}\n  ]}},\n  \"sweep_banked\": {{\"rows\": [\n{}\n  ]}},\n  \"decide\": {{\"lattice\": {lattice}, \"decisions\": {}, \"draws\": {}, \"rounds\": {DECIDE_ROUNDS}, \"memo_ns\": {}, \"reference_ns\": {}, \"ratio\": {}}},\n  \"segment\": {{\"cop\": \"sat\", \"size\": 40, \"spins\": {}, \"edges\": {}, \"calls\": {}, \"sweeps_per_call\": {SEGMENT_SWEEPS}, \"rounds\": {}, \"segmented_ms\": {}, \"single_ms\": {}, \"ratio\": {}}},\n  \"build\": {{\"host\": \"{}\", \"rev\": \"{}\", \"rounds\": {}, \"seed\": 0, \"rows\": [\n{}\n  ]}},\n  \"writeback\": {{\"rounds\": {wb_rounds}, \"seed\": 0, \"rows\": [\n{}\n  ]}},\n  \"tax\": {{\"rounds\": {tax_rounds}, \"seed\": 0, \"rows\": [\n{}\n  ]}}\n}}\n",
         json_rows(&kernel, "ns"),
         graph.num_spins(),
         json_rows(&sweep, "ns"),
@@ -1158,6 +1294,20 @@ fn main() {
             ))
             .collect::<Vec<_>>()
             .join(",\n"),
+        tax.iter()
+            .map(|row| format!(
+                "    {{\"cop\": \"{}\", \"size\": {}, \"design\": \"{}\", \"spins\": {}, \"updates\": {}, \"machine_ns\": {}, \"bare_ns\": {}, \"ratio\": {}}}",
+                row.family,
+                row.size,
+                row.design.key(),
+                row.spins,
+                row.updates,
+                row.machine_ns.json(),
+                row.bare_ns.json(),
+                row.ratio.json()
+            ))
+            .collect::<Vec<_>>()
+            .join(",\n"),
     );
     // Only the full run rebaselines: the smoke subset measures reduced
     // shapes (8-lattice, 3 reps) whose timings would silently replace
@@ -1174,7 +1324,7 @@ fn main() {
              accept made the reference's decisions; every resident segment matched a fresh \
              machine and the energy of its spins; the build row's graphs matched the pinned \
              build-identity digests; the update path held the per-tuple reference's sums \
-             after every flip"
+             after every flip; every resident machine solve matched the bare solve"
         );
     } else {
         for m in &kernel {
@@ -1211,11 +1361,23 @@ fn main() {
                 row.ratio.median
             );
         }
+        for row in &tax {
+            assert!(
+                row.ratio.median <= row.bar,
+                "{} {} on {}: resident machine / bare solve {:.3} is above the {} bar",
+                row.family,
+                row.size,
+                row.design,
+                row.ratio.median,
+                row.bar
+            );
+        }
         println!(
             "acceptance: every design >= 5x on the dense degree-{DENSE_DEGREE} kernel and \
              >= 6x on the dense sweep; memoised accept <= {DECIDE_BAR}x the exp reference; \
              resident segments <= {SEGMENT_BAR}x one call of as many sweeps; update path \
-             <= {WRITEBACK_BAR}x the per-tuple reference on every writeback shape"
+             <= {WRITEBACK_BAR}x the per-tuple reference on every writeback shape; the \
+             resident machine within its bar of the bare solve on every tax row"
         );
     }
 }

@@ -4,9 +4,11 @@
 //! oracles ([`designs`], Figs. 11–13) the production kernel is proven
 //! against, the `FIST`/`XNORM` ISA ([`isa`], Fig. 14), the host API
 //! ([`runtime`], Sec. VII.3), the multi-core model ([`multicore`],
-//! Sec. IV.B.2) and the per-tuple storage layout the update path's
-//! writeback is timed against ([`tuple`], Fig. 8b).
+//! Sec. IV.B.2), the per-tuple storage layout the update path's
+//! writeback is timed against ([`tuple`], Fig. 8b), and the bare
+//! incremental solve the whole machine is timed against ([`bare`]).
 
+pub mod bare;
 pub mod bitcell;
 pub mod designs;
 pub mod isa;
