@@ -3,7 +3,8 @@
 //! 64 bits, or a sweep count whose solve cycles do. Each is refused
 //! with a configuration error (exit 2) instead of wrapping, panicking or
 //! looping once per iteration. Zero spins or zero iterations are usage
-//! errors (exit 2) refused before anything is printed.
+//! errors (exit 2) refused before anything is printed. A solve whose
+//! cycles fit `u64` is estimated even when its event counts do not.
 
 use std::process::Command;
 
@@ -36,6 +37,32 @@ fn the_largest_spin_count_is_refused() {
 #[test]
 fn a_tsp_whose_storage_bits_overflow_is_refused() {
     assert_refused(&["--cop", "tsp", "--spins", "4294967296"]);
+}
+
+/// A quadrillion-sweep md solve has 6.8e16 cycles, which fit `u64`,
+/// but event counts that do not: the model must scale its per-sweep
+/// counts in a wider type to price it.
+#[test]
+fn a_solve_whose_counts_outgrow_u64_is_still_estimated() {
+    let (code, out, err) = estimate(&[
+        "--cop",
+        "md",
+        "--spins",
+        "1000",
+        "--iterations",
+        "1000000000000000",
+    ]);
+    assert_eq!(code, 0, "{err}");
+    let line = out
+        .lines()
+        .find(|l| l.starts_with("solve"))
+        .unwrap_or_else(|| panic!("no solve line in {out}"));
+    let energy = line
+        .strip_suffix(" uJ")
+        .and_then(|l| l.rsplit(", ").next())
+        .and_then(|uj| uj.parse::<f64>().ok())
+        .unwrap_or_else(|| panic!("no energy in {line:?}"));
+    assert!(energy.is_finite() && energy > 0.0, "{line}");
 }
 
 #[test]
