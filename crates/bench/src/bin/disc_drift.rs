@@ -14,9 +14,11 @@
 //! fill (sweep 0's fill of a resident problem); the total is
 //! `PerfModel::solve` at the machine's sweep count.
 //!
-//! Energy: the same `PerfModel::solve` must match the machine to 1e-9
-//! relative on the six components the shape fixes (rwl, adder,
-//! decision, annealer, dram, dram-ctrl). RBL discharge, SRAM read/write
+//! Energy: both price one tally of integer event counts through the
+//! same `RoundPlan::price`, one unit price times one count per
+//! component, so the same `PerfModel::solve` must match the machine
+//! exactly on the six components the shape fixes (rwl, adder, decision,
+//! annealer, dram, dram-ctrl). RBL discharge, SRAM read/write
 //! and movement depend on measured flips and discharges, which the model
 //! estimates; their drift is printed, not asserted.
 //!
@@ -34,7 +36,7 @@
 //! Each baseline leg solves with the golden solver, whose sweep BRIM and
 //! Ising-CIM follow, and compares `price` fed the graph's counts with
 //! `price` fed the shape's counts at the same sweeps and flips: cycles
-//! must match exactly and every energy component to 1e-9 relative, on
+//! must match exactly and every energy component exactly too, on
 //! BRIM over complete graphs, Ising-CIM on K9 and Ising-CIM on a King's
 //! torus larger than one array (so edge-cell broadcasts are billed). A
 //! mismatch exits 1 after the table prints.
@@ -169,7 +171,7 @@ fn baseline_legs(sizes: &[usize], smoke: bool) -> Vec<String> {
         for component in EnergyComponent::ALL {
             let measured = energy.component(component).get();
             let modelled = closed.energy.component(component).get();
-            exact &= (measured - modelled).abs() <= 1e-9 * measured.max(modelled);
+            exact &= measured == modelled;
             worst = worst.max(drift_percent(measured, modelled).abs());
         }
         if !exact {
@@ -191,7 +193,7 @@ fn baseline_legs(sizes: &[usize], smoke: bool) -> Vec<String> {
     table.print();
     println!();
     println!(
-        "cycles exact and every energy component within 1e-9 relative (checked), \
+        "cycles and every energy component exact (checked), \
          Ising-CIM's load SRAM write and edge-cell broadcasts included"
     );
     drifted
@@ -358,7 +360,7 @@ fn main() {
             let drift = |component| {
                 let measured = report.energy.component(component).get();
                 let modelled = solve.energy.component(component).get();
-                let exact = (measured - modelled).abs() <= 1e-9 * measured.max(modelled);
+                let exact = measured == modelled;
                 (drift_percent(measured, modelled), exact)
             };
             let mut worst = 0.0f64;
@@ -391,8 +393,8 @@ fn main() {
     energy.print();
     println!();
     println!(
-        "rwl, adder, decision, annealer, dram and dram-ctrl within 1e-9 relative everywhere \
-         (asserted); rbl, sram-read, sram-write and movement follow the model's flip-rate and \
+        "rwl, adder, decision, annealer, dram and dram-ctrl exact everywhere (asserted); \
+         rbl, sram-read, sram-write and movement follow the model's flip-rate and \
          discharge estimates (reported only)"
     );
 

@@ -1,5 +1,5 @@
 //! `sachi estimate` on inputs outside the closed-form model's range: a
-//! spin count a graph cannot hold, a shape whose sweep counts overflow
+//! spin count a graph cannot hold, a shape whose storage bits overflow
 //! 64 bits, or a sweep count whose solve cycles do. Each is refused
 //! with a configuration error (exit 2) instead of wrapping, panicking or
 //! looping once per iteration. Zero spins or zero iterations are usage

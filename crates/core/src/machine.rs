@@ -10,12 +10,14 @@
 //! on the tile in closed form. Alongside the solve it keeps the books the
 //! paper's evaluation needs: cycles (compute, loading, DRAM, with
 //! prefetch overlap), a per-component energy ledger, reuse, redundant
-//! discharges, queue occupancy, and update-path traffic.
+//! discharges, queue occupancy, and update-path traffic. Energy is
+//! counted, not summed: the call tallies its events as integer counts in
+//! one [`crate::rounds::SolveEvents`] and prices them once at the end.
 //!
 //! ### Accounting conventions
 //!
 //! * The tile's *layout writes* are not billed per compute — resident
-//!   data is written once per round, which the machine bills explicitly
+//!   data is written once per round, which the machine counts explicitly
 //!   as reload traffic. Only the tile's word-line activations and
 //!   bit-line discharges are harvested.
 //! * Spin updates follow the Fig. 8b path: an adjacency read plus one
@@ -27,7 +29,7 @@
 use crate::config::{DesignKind, SachiConfig};
 use crate::designs::{stationarity, ComputeContext, ComputeScratch};
 use crate::encoding::MixedEncoding;
-use crate::rounds::{ComputeEvents, RoundPlan};
+use crate::rounds::RoundPlan;
 use crate::tuple::{SpinTuple, TuplePlanes, TupleStore};
 use sachi_ising::graph::IsingGraph;
 use sachi_ising::hamiltonian::{energy, flip_cost};
@@ -262,15 +264,16 @@ impl RunReport {
 /// [`IsingGraph::build_id`]: the graph itself or a clone of it) reuses
 /// that state after an O(1) check. Only the spins that differ from the
 /// resident copy are re-seated through the Fig. 8b update path, each
-/// moving the resident energy by its flip cost, and the update-path
-/// counters of the report count from after the re-seat. So a resident
-/// call costs its sweeps, its re-seated spins and its flips, and nothing
-/// O(edges). Any other graph, a content-equal rebuild included, is
-/// mapped from scratch. Either way the call returns exactly what a fresh
-/// machine returns: every other piece of per-call state (tile, context,
-/// annealer, ledger, DRAM controller, fault injector) is built anew, and
-/// the cycle model still books the initial DRAM placement and
-/// first-round load of every call.
+/// moving the resident energy by its flip cost; the call's event tally
+/// starts after the re-seat, so re-seated spins never enter the report's
+/// update-path counters or energy. So a resident call costs its sweeps,
+/// its re-seated spins and its flips, and nothing O(edges). Any other
+/// graph, a content-equal rebuild included, is mapped from scratch.
+/// Either way the call returns exactly what a fresh machine returns:
+/// every other piece of per-call state (tile, context, annealer, event
+/// tally, DRAM controller, fault injector) is built anew, and the cycle
+/// model still books the initial DRAM placement and first-round load of
+/// every call.
 #[derive(Debug, Clone)]
 pub struct SachiMachine {
     config: SachiConfig,
@@ -407,12 +410,6 @@ impl SachiMachine {
             spins: _,
             energy: h0,
         } = resident;
-        // The store's update-path counters run across calls; this call
-        // reports what it adds after the re-seat.
-        let copies_at_start = tuples.spin_copy_updates();
-        let adjacency_reads_at_start = tuples.adjacency_reads();
-        let rereads_at_start = tuples.cross_tuple_rereads();
-        let mut ledger = EnergyLedger::new();
         let mut ctx = ComputeContext::new();
         let mut dram = DramController::new(self.config.prefetch);
 
@@ -421,9 +418,12 @@ impl SachiMachine {
         let mut tile = SramTile::with_params(plan.tile_params);
 
         // Initial placement of the whole problem into DRAM (phase (a) of
-        // the Sec. V.5 cost model, charged to every machine).
+        // the Sec. V.5 cost model, charged to every machine). The call's
+        // events are tallied from here, after the re-seat, and priced
+        // once at the end.
         let mut total_cycles = plan.placement;
-        plan.bill_placement(&mut ledger);
+        let mut events = plan.placement_events();
+        let mut rereads = 0u64;
 
         // Phase spans: cycle-domain timestamps from the accounting this
         // loop already maintains. `Vec::new` does not allocate, so a
@@ -443,7 +443,6 @@ impl SachiMachine {
 
         let mut compute_cycles = Cycles::ZERO;
         let mut load_cycles = Cycles::ZERO;
-        let mut annealer_decisions = 0u64;
 
         // Fault layer: the injector's stream is salted with the solve
         // seed (the per-replica derived seed in an ensemble), so fault
@@ -463,12 +462,12 @@ impl SachiMachine {
             for (index, (range, round)) in plan.iter().enumerate() {
                 let round_start = total_cycles;
                 let flips_before_round = flips_this_sweep;
-                let copies_before_round = tuples.spin_copy_updates();
+                let copies_before_round = events.copies;
                 // --- loading for this round: its bits move storage ->
                 // compute, streamed from DRAM first when the problem
-                // overflows the storage array; the plan prices both ---
+                // overflows the storage array; the plan counts both ---
                 let round_load = plan.load(sweep, round);
-                plan.bill_load(&mut ledger, sweep, round);
+                plan.count_loads(&mut events, sweep, round, 1);
                 if round_load > Cycles::ZERO && plan.uses_dram {
                     let inj = fault.as_mut().map(|(inj, _)| inj);
                     fault_report.dram_corrupted_bits +=
@@ -505,7 +504,7 @@ impl SachiMachine {
                     );
                     // Count the cross-tuple re-reads the no-tuple-rep
                     // ablation incurs (none with tuple-rep on).
-                    tuples.count_rereads(i);
+                    rereads += tuples.rereads(i);
                     // --- fault injection + parity + recovery ---
                     // The hardware compute above is exact; faults strike
                     // the tuple-row *fetch*. One parity bit per tuple row
@@ -538,7 +537,7 @@ impl SachiMachine {
                                         fault_report.retries += 1;
                                         fault_report.refetch_cycles +=
                                             tech.storage_to_compute_cycles() + Cycles::new(1);
-                                        plan.bill_fill(&mut ledger, tuple_bits);
+                                        events.fill_bits += u128::from(tuple_bits);
                                         flips = inj.flips_in_read(tuple_bits);
                                         continue;
                                     }
@@ -575,16 +574,16 @@ impl SachiMachine {
                     }
                     let current = spins.get(i);
                     let new = decide_update(current, h_seen, annealer);
-                    annealer_decisions += 1;
+                    events.annealer_decisions += 1;
                     if new != current {
                         spins.set(i, new);
                         flips_this_sweep += 1;
                         delta += flip_cost(current, h_sigma);
                         // Fig. 8b update path: adjacency read + relevant
                         // tuple copy writes in the storage array.
-                        let copies = tuples.update_spin(i, new);
+                        events.flips += 1;
+                        events.copies += u128::from(tuples.update_spin(i, new));
                         soa.writeback_spin(&tuples, i, new);
-                        plan.bill_flips(&mut ledger, 1, copies);
                     }
                 }
                 let round_compute = if fail_fast {
@@ -643,7 +642,7 @@ impl SachiMachine {
                         end: total_cycles.get(),
                         events: flips_this_sweep - flips_before_round,
                     });
-                    let copies = tuples.spin_copy_updates() - copies_before_round;
+                    let copies = count_u64(events.copies - copies_before_round);
                     if copies > 0 {
                         spans.push(PhaseSpan {
                             phase: SolvePhase::Writeback,
@@ -669,19 +668,13 @@ impl SachiMachine {
         result.degraded = fault_report.degraded;
 
         // Harvest the tile's compute events (layout writes intentionally
-        // excluded — billed as reload traffic above).
+        // excluded — counted as reload traffic above).
         let stats = tile.stats();
-        plan.bill_compute(
-            &mut ledger,
-            &ComputeEvents {
-                rwl_activations: stats.rwl_activations,
-                rbl_discharges: approx_f64(stats.rbl_discharges),
-                fetched_bits: ctx.rwl_bits_fetched,
-                adder_bit_ops: ctx.adder_bit_ops,
-                decisions: ctx.decisions,
-                annealer_decisions,
-            },
-        );
+        events.rwl_activations = u128::from(stats.rwl_activations);
+        events.rbl_discharges = approx_f64(stats.rbl_discharges);
+        events.fetched_bits = u128::from(ctx.rwl_bits_fetched);
+        events.adder_bit_ops = u128::from(ctx.adder_bit_ops);
+        events.decisions = u128::from(ctx.decisions);
 
         // Recovery re-fetches stall the pipeline: they serialize onto
         // both the load tally and the critical path.
@@ -702,15 +695,15 @@ impl SachiMachine {
             load_cycles,
             total_cycles,
             wall_time: total_cycles.to_time(tech.cycle_time),
-            energy: ledger,
+            energy: plan.price(&events),
             reuse: ctx.reuse(),
             xnor_ops: ctx.xnor_ops,
             rwl_bits_fetched: ctx.rwl_bits_fetched,
             redundant_discharges: stats.redundant_discharges,
             queue_peak_bits: ctx.queue_peak_bits,
-            spin_copy_updates: tuples.spin_copy_updates() - copies_at_start,
-            adjacency_reads: tuples.adjacency_reads() - adjacency_reads_at_start,
-            cross_tuple_rereads: tuples.cross_tuple_rereads() - rereads_at_start,
+            spin_copy_updates: count_u64(events.copies),
+            adjacency_reads: count_u64(events.flips),
+            cross_tuple_rereads: rereads,
             prefetches: dram.stats().prefetches_issued,
             faults: fault_report,
             tile: *stats,

@@ -6,16 +6,20 @@
 //! deterministic function of the workload *shape* (spins, `N`, `R`) and
 //! the geometry; [`PerfModel`] sums the same [`RoundPlan`] the functional
 //! [`crate::machine::SachiMachine`] bills, built from the uniform shape,
-//! and feeds the plan's energy price list the shape's event counts. The
-//! test suite pins the two against each other on uniform-degree graphs
-//! (the licence for using the model at scale — verification strategy #3
-//! in DESIGN.md).
+//! and prices the shape's event counts through the same
+//! [`RoundPlan::price`]: a solve's counts are the placement, sweep 0 and
+//! the steady sweep's times the remaining sweeps, summed before the one
+//! product per component, so on a shape the machine can run the model's
+//! energy is the machine's wherever the counts are whole. The test
+//! suite pins the two against each other on uniform-degree graphs (the
+//! licence for using the model at scale — verification strategy #3 in
+//! DESIGN.md).
 
 use crate::config::SachiConfig;
 use crate::designs::{stationarity, TupleSchedule};
-use crate::rounds::{ComputeEvents, RoundPlan};
+use crate::rounds::{RoundPlan, SolveEvents};
 use sachi_mem::energy::EnergyLedger;
-use sachi_mem::units::convert::{approx_f64, count_u64, scale_by_fraction};
+use sachi_mem::units::convert::{approx_f64_wide, count_u64, scale_by_fraction};
 use sachi_mem::units::{Cycles, Nanoseconds};
 use sachi_workloads::spec::WorkloadShape;
 
@@ -87,8 +91,7 @@ impl PerfModel {
     }
 
     /// [`PerfModel::iteration`], or `None` when the shape is outside the
-    /// model's range: no uniform plan (see [`RoundPlan::uniform`]), or a
-    /// sweep whose counts overflow `u64`.
+    /// model's range: no uniform plan (see [`RoundPlan::uniform`]).
     pub fn try_iteration(&self, shape: &WorkloadShape) -> Option<IterationEstimate> {
         let plan = RoundPlan::uniform(&self.config, shape)?;
         Some(IterationEstimate {
@@ -98,7 +101,7 @@ impl PerfModel {
             rounds: plan.rounds_per_sweep,
             fits_in_compute: plan.rounds_per_sweep == 1,
             uses_dram: plan.uses_dram,
-            energy: self.sweep_energy(&plan, shape, 1)?,
+            energy: plan.price(&self.sweep_events(&plan, shape, 1)),
             reuse: self.schedule(shape).max_reuse,
         })
     }
@@ -131,49 +134,44 @@ impl PerfModel {
     pub fn try_solve(&self, shape: &WorkloadShape, iterations: u64) -> Option<SolveEstimate> {
         let plan = RoundPlan::uniform(&self.config, shape)?;
         let total = plan.solve_cycles(iterations)?;
-        let mut energy = EnergyLedger::new();
-        plan.bill_placement(&mut energy);
-        energy.merge(&self.sweep_energy(&plan, shape, 0)?);
-        energy.merge_times(&self.sweep_energy(&plan, shape, 1)?, iterations.max(1) - 1);
+        let mut events = plan.placement_events();
+        events.add_times(&self.sweep_events(&plan, shape, 0), 1);
+        events.add_times(&self.sweep_events(&plan, shape, 1), iterations.max(1) - 1);
         Some(SolveEstimate {
             iterations,
             total_cycles: total,
-            energy,
+            energy: plan.price(&events),
             wall_time: total.to_time(self.config.tech.cycle_time),
         })
     }
 
-    /// Energy of sweep `sweep` of `shape`: every tuple's scheduled
+    /// Events of sweep `sweep` of `shape`: every tuple's scheduled
     /// compute events, the plan's loads, and the update path at the
-    /// assumed flip rate. `None` when an event count overflows `u64`.
-    fn sweep_energy(
-        &self,
-        plan: &RoundPlan,
-        shape: &WorkloadShape,
-        sweep: u64,
-    ) -> Option<EnergyLedger> {
-        let (spins, n) = (shape.spins, shape.neighbors_per_spin);
-        let tuple = self.schedule(shape);
-        let accesses = spins.checked_mul(tuple.accesses)?;
-        let mut energy = EnergyLedger::new();
-        plan.bill_compute(
-            &mut energy,
-            &ComputeEvents {
-                rwl_activations: accesses.checked_mul(2)?,
-                // Expected discharges: half of the active window per access.
-                rbl_discharges: approx_f64(accesses.checked_mul(tuple.active_bits_per_access)?)
-                    * 0.5,
-                fetched_bits: accesses,
-                adder_bit_ops: spins.checked_mul(tuple.adder_bit_ops)?,
-                decisions: spins.checked_mul(tuple.decisions)?,
-                annealer_decisions: spins,
-            },
+    /// assumed flip rate.
+    fn sweep_events(&self, plan: &RoundPlan, shape: &WorkloadShape, sweep: u64) -> SolveEvents {
+        let (spins, n) = (
+            u128::from(shape.spins),
+            u128::from(shape.neighbors_per_spin),
         );
-        plan.bill_sweep_loads(&mut energy, sweep);
+        let tuple = self.schedule(shape);
+        let accesses = spins * u128::from(tuple.accesses);
         // Update path at the assumed flip rate (a spin has ~n copies).
-        let flips = scale_by_fraction(spins, ASSUMED_FLIP_FRACTION);
-        plan.bill_flips(&mut energy, flips, flips.checked_mul(n)?);
-        Some(energy)
+        let flips = u128::from(scale_by_fraction(shape.spins, ASSUMED_FLIP_FRACTION));
+        let mut events = SolveEvents {
+            flips,
+            copies: flips * n,
+            rwl_activations: accesses * 2,
+            // Expected discharges: half of the active window per access.
+            rbl_discharges: approx_f64_wide(accesses * u128::from(tuple.active_bits_per_access))
+                * 0.5,
+            fetched_bits: accesses,
+            adder_bit_ops: spins * u128::from(tuple.adder_bit_ops),
+            decisions: spins * u128::from(tuple.decisions),
+            annealer_decisions: spins,
+            ..SolveEvents::default()
+        };
+        plan.count_sweep_loads(&mut events, sweep);
+        events
     }
 }
 

@@ -19,10 +19,13 @@
 //! round from it; `PerfModel` builds one from a uniform shape in O(1) —
 //! as runs of identical rounds — and sums it.
 //!
-//! The plan also holds the energy price list: event counts times the
-//! technology's per-event prices, booked at four events — the problem's
-//! placement into DRAM, a round's load (billed exactly when its load
-//! cycles are), compute, and a flip's Fig. 8b update. The machine feeds it
+//! The plan also holds the energy price list. A solve's events — the
+//! problem's placement into DRAM, each round load (counted exactly when
+//! its load cycles are), compute, and each flip's Fig. 8b update — are
+//! tallied as integer counts in one [`SolveEvents`], and
+//! [`RoundPlan::price`] turns the tally into energy once: every
+//! component is one unit price times one count, so the sum cannot
+//! depend on the order the events happened in. The machine tallies
 //! metered counts, `PerfModel` the shape's.
 
 use crate::config::{DesignKind, SachiConfig};
@@ -35,8 +38,8 @@ use sachi_mem::energy::EnergyComponent::{
 };
 use sachi_mem::energy::EnergyLedger;
 use sachi_mem::sram::TileParams;
-use sachi_mem::units::convert::{count_u64, to_index};
-use sachi_mem::units::{Bits, Cycles};
+use sachi_mem::units::convert::{approx_f64, approx_f64_wide, count_u64, to_index};
+use sachi_mem::units::{Bits, Cycles, Picojoules};
 use sachi_workloads::spec::WorkloadShape;
 use std::ops::Range;
 
@@ -47,21 +50,59 @@ pub fn tuple_cycles(design: DesignKind, n: u64, r: u32, row_bits: u64) -> u64 {
     stationarity(design).schedule(n, r, row_bits).accesses
 }
 
-/// Compute events of one or more sweeps, as the compute price reads them.
+/// The events of one solve that cost energy, counted once and priced
+/// once by [`RoundPlan::price`]. The machine tallies a call's events as
+/// it meters them; `PerfModel` builds the shape's per sweep and scales
+/// them by the sweep count. Counts are `u128`, so a model's scaled
+/// solve cannot overflow where its cycles fit `u64`.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct ComputeEvents {
+pub struct SolveEvents {
+    /// Bits of the problem's initial placement into DRAM.
+    pub placement_bits: u128,
+    /// Bits moved from the storage array into the compute array and
+    /// written there: round loads' resident bits and fault refetches.
+    pub fill_bits: u128,
+    /// Bits round loads stream from DRAM.
+    pub stream_bits: u128,
+    /// 64-byte beats of those streams.
+    pub stream_beats: u128,
+    /// Spin flips: one bit moved each.
+    pub flips: u128,
+    /// Tuple copies the flips wrote through the Fig. 8b update path.
+    pub copies: u128,
     /// Read word-line activations.
-    pub rwl_activations: u64,
-    /// Read bit-line discharges (`PerfModel` books an expected count).
+    pub rwl_activations: u128,
+    /// Read bit-line discharges (`PerfModel` counts an expected,
+    /// fractional number).
     pub rbl_discharges: f64,
     /// Bits fetched from the storage array onto the RWLs.
-    pub fetched_bits: u64,
+    pub fetched_bits: u128,
     /// Near-memory adder bit operations.
-    pub adder_bit_ops: u64,
+    pub adder_bit_ops: u128,
     /// XNOR-vs-XNOR+1 decisions.
-    pub decisions: u64,
+    pub decisions: u128,
     /// Annealer decisions.
-    pub annealer_decisions: u64,
+    pub annealer_decisions: u128,
+}
+
+impl SolveEvents {
+    /// Adds `times` copies of `other` (a steady sweep's events over a
+    /// whole solve).
+    pub fn add_times(&mut self, other: &SolveEvents, times: u64) {
+        let n = u128::from(times);
+        self.placement_bits += other.placement_bits * n;
+        self.fill_bits += other.fill_bits * n;
+        self.stream_bits += other.stream_bits * n;
+        self.stream_beats += other.stream_beats * n;
+        self.flips += other.flips * n;
+        self.copies += other.copies * n;
+        self.rwl_activations += other.rwl_activations * n;
+        self.rbl_discharges += other.rbl_discharges * approx_f64(times);
+        self.fetched_bits += other.fetched_bits * n;
+        self.adder_bit_ops += other.adder_bit_ops * n;
+        self.decisions += other.decisions * n;
+        self.annealer_decisions += other.annealer_decisions * n;
+    }
 }
 
 /// One compute-array round and its price.
@@ -304,82 +345,82 @@ impl RoundPlan {
         first.get().checked_add(steady).map(Cycles::new)
     }
 
-    /// Books the placement of the whole problem into DRAM.
-    pub fn bill_placement(&self, ledger: &mut EnergyLedger) {
-        let movement = self.config.tech.movement_energy_per_bit();
-        ledger.record(DramAccess, movement * self.storage_bits);
-    }
-
-    /// Books `round`'s load in sweep `sweep` if it pays one (see
-    /// [`RoundPlan::load`]).
-    pub fn bill_load(&self, ledger: &mut EnergyLedger, sweep: u64, round: &Round) {
-        if self.load(sweep, round) > Cycles::ZERO {
-            self.bill_loads(ledger, round, 1);
+    /// The events of placing the whole problem into DRAM: every solve's
+    /// first tally.
+    pub fn placement_events(&self) -> SolveEvents {
+        SolveEvents {
+            placement_bits: u128::from(self.storage_bits),
+            ..SolveEvents::default()
         }
     }
 
-    /// Books every load of sweep `sweep`.
-    pub(crate) fn bill_sweep_loads(&self, ledger: &mut EnergyLedger, sweep: u64) {
-        for (round, repeats) in &self.runs {
-            if self.load(sweep, round) > Cycles::ZERO {
-                self.bill_loads(ledger, round, *repeats);
-            }
+    /// Counts `times` loads of `round` in sweep `sweep` if it pays one
+    /// (see [`RoundPlan::load`]): its resident bits filled, plus — when
+    /// the problem lives in DRAM — its stream's bits and 64-byte beats.
+    pub fn count_loads(&self, events: &mut SolveEvents, sweep: u64, round: &Round, times: u64) {
+        if self.load(sweep, round) == Cycles::ZERO {
+            return;
         }
-    }
-
-    /// Books `times` loads of `round`: its resident bits moved and
-    /// written, plus — when the problem lives in DRAM — its stream's
-    /// access bits and one controller update, priced as an adder op, per
-    /// 64-byte beat.
-    fn bill_loads(&self, ledger: &mut EnergyLedger, round: &Round, times: u64) {
-        let tech = &self.config.tech;
-        self.bill_fill(ledger, round.resident_bits * times);
+        let times = u128::from(times);
+        events.fill_bits += u128::from(round.resident_bits) * times;
         if self.uses_dram {
             let bytes = Bits::new(round.storage_bits).to_bytes_ceil();
-            let beats = tech.dram_stream_cycles(bytes).get() * times;
-            let bits = round.storage_bits * times;
-            ledger.record(DramAccess, tech.movement_energy_per_bit() * bits);
-            ledger.record(DramController, tech.adder_energy_per_bit() * beats);
+            let beats = self.config.tech.dram_stream_cycles(bytes).get();
+            events.stream_bits += u128::from(round.storage_bits) * times;
+            events.stream_beats += u128::from(beats) * times;
         }
     }
 
-    /// Books `bits` moved from the storage array into the compute array
-    /// and written there: a load's resident bits, or a tuple's fault
-    /// refetch.
-    pub fn bill_fill(&self, ledger: &mut EnergyLedger, bits: u64) {
-        let tech = &self.config.tech;
-        ledger.record(DataMovement, tech.movement_energy_per_bit() * bits);
-        ledger.record(SramWrite, tech.sram_write_energy_per_bit() * bits);
+    /// Counts every load of sweep `sweep`.
+    pub(crate) fn count_sweep_loads(&self, events: &mut SolveEvents, sweep: u64) {
+        for (round, repeats) in &self.runs {
+            self.count_loads(events, sweep, round, *repeats);
+        }
     }
 
-    /// Books compute `events`. Fetched bits the storage array cannot
-    /// cache re-stream from DRAM.
-    pub fn bill_compute(&self, ledger: &mut EnergyLedger, events: &ComputeEvents) {
+    /// Prices `events`: each component is one unit price times one
+    /// count. Fills, fetched bits and flips move data from the storage
+    /// array; fills and copies write SRAM, and copies read it too (Fig.
+    /// 8b). DRAM is accessed by the placement, the round streams and —
+    /// when the problem lives there — every fetched bit the storage
+    /// array cannot cache; its controller updates once per streamed
+    /// beat, priced as an adder op.
+    pub fn price(&self, events: &SolveEvents) -> EnergyLedger {
         let tech = &self.config.tech;
         let (movement, adder) = (tech.movement_energy_per_bit(), tech.adder_energy_per_bit());
-        ledger.record(RwlDrive, tech.rwl_energy_per_bit() * events.rwl_activations);
+        let dram_fetched = if self.uses_dram {
+            events.fetched_bits
+        } else {
+            0
+        };
+        let moved = events.fill_bits + events.fetched_bits + events.flips;
+        let dram = events.placement_bits + events.stream_bits + dram_fetched;
+        let mut ledger = EnergyLedger::new();
+        let mut record = |component, unit: Picojoules, count: u128| {
+            ledger.record(component, unit * approx_f64_wide(count));
+        };
+        record(RwlDrive, tech.rwl_energy_per_bit(), events.rwl_activations);
+        record(
+            SramWrite,
+            tech.sram_write_energy_per_bit(),
+            events.fill_bits + events.copies,
+        );
+        record(SramRead, tech.rbl_energy_per_bit(), events.copies);
+        record(DataMovement, movement, moved);
+        record(NearMemoryAdd, adder, events.adder_bit_ops);
+        record(DecisionLogic, adder, events.decisions);
+        record(
+            Annealer,
+            tech.annealer_energy_per_decision(),
+            events.annealer_decisions,
+        );
+        record(DramAccess, movement, dram);
+        record(DramController, adder, events.stream_beats);
         ledger.record(
             RblDischarge,
             tech.rbl_energy_per_bit() * events.rbl_discharges,
         );
-        ledger.record(DataMovement, movement * events.fetched_bits);
-        if self.uses_dram {
-            ledger.record(DramAccess, movement * events.fetched_bits);
-        }
-        ledger.record(NearMemoryAdd, adder * events.adder_bit_ops);
-        ledger.record(DecisionLogic, adder * events.decisions);
-        let annealer = tech.annealer_energy_per_decision();
-        ledger.record(Annealer, annealer * events.annealer_decisions);
-    }
-
-    /// Books `flips` spin updates writing `copies` tuple copies between
-    /// them (Fig. 8b): each copy read and written in the storage array,
-    /// and one bit moved per flip.
-    pub fn bill_flips(&self, ledger: &mut EnergyLedger, flips: u64, copies: u64) {
-        let tech = &self.config.tech;
-        ledger.record(SramRead, tech.rbl_energy_per_bit() * copies);
-        ledger.record(SramWrite, tech.sram_write_energy_per_bit() * copies);
-        ledger.record(DataMovement, tech.movement_energy_per_bit() * flips);
+        ledger
     }
 }
 
@@ -502,11 +543,21 @@ mod tests {
             load: Cycles::new(1),
             ..Round::default()
         };
-        let mut ledger = EnergyLedger::new();
-        plan.bill_load(&mut ledger, 1, &round);
+        let mut events = SolveEvents::default();
+        plan.count_loads(&mut events, 1, &round, 1);
+        assert_eq!(
+            events,
+            SolveEvents {
+                fill_bits: 64,
+                stream_bits: 1024,
+                stream_beats: 2,
+                ..SolveEvents::default()
+            }
+        );
         // 1024 bits at 1 pJ/bit, and one adder op per 64-byte beat.
+        let ledger = plan.price(&events);
         let tech = &config.tech;
-        assert!((ledger.component(EnergyComponent::DramAccess).get() - 1024.0).abs() < 1e-9);
+        assert_eq!(ledger.component(EnergyComponent::DramAccess).get(), 1024.0);
         assert_eq!(
             ledger.component(EnergyComponent::DramController),
             tech.adder_energy_per_bit() * 2u64
@@ -515,14 +566,49 @@ mod tests {
             ledger.component(EnergyComponent::DataMovement),
             tech.movement_energy_per_bit() * 64u64
         );
-        // A round that pays no load cycles pays no load energy.
-        let mut idle = EnergyLedger::new();
+        // A round that pays no load cycles counts no load events.
+        let mut idle = SolveEvents::default();
         let unloaded = Round {
             load: Cycles::ZERO,
             ..round
         };
-        plan.bill_load(&mut idle, 1, &unloaded);
-        assert!(idle.is_empty());
+        plan.count_loads(&mut idle, 1, &unloaded, 1);
+        assert!(plan.price(&idle).is_empty());
+    }
+
+    /// The price is one product per component, so it cannot depend on
+    /// how the counts were reached: a tally built event by event prices
+    /// exactly like one built in a single step.
+    #[test]
+    fn a_tally_prices_the_same_however_it_was_summed() {
+        let config = SachiConfig::new(DesignKind::N2);
+        let plan = RoundPlan::for_degrees(&config, 5, &[3, 7, 2, 9]);
+        let step = SolveEvents {
+            fill_bits: 3,
+            flips: 1,
+            copies: 7,
+            rwl_activations: 11,
+            fetched_bits: 13,
+            adder_bit_ops: 17,
+            decisions: 19,
+            annealer_decisions: 1,
+            ..SolveEvents::default()
+        };
+        let mut by_steps = plan.placement_events();
+        for _ in 0..1000 {
+            by_steps.add_times(&step, 1);
+        }
+        let mut at_once = plan.placement_events();
+        at_once.add_times(&step, 1000);
+        assert_eq!(by_steps, at_once);
+        assert_eq!(plan.price(&by_steps), plan.price(&at_once));
+        let movement = plan
+            .price(&at_once)
+            .component(EnergyComponent::DataMovement);
+        assert_eq!(
+            movement,
+            config.tech.movement_energy_per_bit() * ((3u64 + 13 + 1) * 1000)
+        );
     }
 
     #[test]

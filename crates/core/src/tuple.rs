@@ -12,9 +12,10 @@
 //! reads it to find the relevant tuples (Fig. 8b). [`TupleStore`] is that
 //! pair of structures, laid out flat like the graph's CSR: every row's
 //! neighbours, couplings and spin copies sit end to end in one array each,
-//! and the adjacency region is a flat copy index of the same length. Its
-//! counters feed the machine's cycle/energy accounting, and
-//! [`TupleStore::tuple`] lends one row out as a borrowed [`SpinTuple`].
+//! and the adjacency region is a flat copy index of the same length.
+//! [`TupleStore::update_spin`] returns the copies it wrote for the
+//! machine to count, and [`TupleStore::tuple`] lends one row out as a
+//! borrowed [`SpinTuple`].
 //! [`TuplePlanes`] mirrors the store as one set of [`TupleSums`] per tuple
 //! (`H`, up neighbours `P`, matching bits `U`, and the static degree and
 //! coupling one-bits), built at map time and kept current on the same
@@ -88,12 +89,9 @@ pub struct TupleStore {
     /// simulated structurally).
     tuple_rep: bool,
     /// Per tuple, the cross-tuple re-reads one compute of it costs
-    /// without tuple-rep (see [`TupleStore::count_rereads`]); empty with
+    /// without tuple-rep (see [`TupleStore::rereads`]); empty with
     /// tuple-rep on.
     rereads: Vec<u64>,
-    spin_copy_updates: u64,
-    adjacency_reads: u64,
-    cross_tuple_rereads: u64,
 }
 
 impl TupleStore {
@@ -178,9 +176,6 @@ impl TupleStore {
             copies,
             tuple_rep,
             rereads,
-            spin_copy_updates: 0,
-            adjacency_reads: 0,
-            cross_tuple_rereads: 0,
         }
     }
 
@@ -240,24 +235,15 @@ impl TupleStore {
             })
     }
 
-    /// Counts the cross-tuple re-reads one compute of tuple `i` needs
-    /// *without* tuple-rep (one per neighbor whose shared IC would live
-    /// only in the neighbor's tuple — on average half of them under the
-    /// paper's single-copy alternative; we count the worst-case "J stored
-    /// with the lower-indexed endpoint" convention: a re-read for every
-    /// neighbor with a smaller index). The count is fixed at build time;
-    /// with tuple-rep on this books nothing.
-    pub fn count_rereads(&mut self, i: usize) {
-        if let Some(&rereads) = self.rereads.get(i) {
-            self.cross_tuple_rereads += rereads;
-        }
-    }
-
-    /// Computes the local field of spin `i` from its tuple, counting the
-    /// re-reads of [`TupleStore::count_rereads`].
-    pub fn local_field(&mut self, i: usize) -> i64 {
-        self.count_rereads(i);
-        self.tuple(i).local_field()
+    /// The cross-tuple re-reads one compute of tuple `i` needs *without*
+    /// tuple-rep (one per neighbor whose shared IC would live only in
+    /// the neighbor's tuple — on average half of them under the paper's
+    /// single-copy alternative; we count the worst-case "J stored with
+    /// the lower-indexed endpoint" convention: a re-read for every
+    /// neighbor with a smaller index). Fixed at build time; 0 with
+    /// tuple-rep on or for an out-of-range `i`.
+    pub fn rereads(&self, i: usize) -> u64 {
+        self.rereads.get(i).copied().unwrap_or(0)
     }
 
     /// Applies a spin update through the Fig. 8b path: reads `σ_j`'s
@@ -268,7 +254,6 @@ impl TupleStore {
     ///
     /// Panics if `j` is out of range.
     pub fn update_spin(&mut self, j: usize, new: Spin) -> u64 {
-        self.adjacency_reads += 1;
         let entries = &self.copies[self.offsets[j]..self.offsets[j + 1]];
         for &pos in entries {
             debug_assert_eq!(
@@ -278,25 +263,7 @@ impl TupleStore {
             );
             self.neighbor_spins[pos as usize] = new;
         }
-        let count = count_u64(entries.len());
-        self.spin_copy_updates += count;
-        count
-    }
-
-    /// Total spin-copy writes so far (storage-array write traffic of the
-    /// update path).
-    pub fn spin_copy_updates(&self) -> u64 {
-        self.spin_copy_updates
-    }
-
-    /// Adjacency-matrix reads so far.
-    pub fn adjacency_reads(&self) -> u64 {
-        self.adjacency_reads
-    }
-
-    /// Cross-tuple re-reads that the no-tuple-rep ablation would incur.
-    pub fn cross_tuple_rereads(&self) -> u64 {
-        self.cross_tuple_rereads
+        count_u64(entries.len())
     }
 }
 
@@ -543,11 +510,15 @@ mod tests {
     #[test]
     fn tuple_local_field_matches_golden() {
         let (g, s) = sample();
-        let mut store = TupleStore::new(&g, &s);
+        let store = TupleStore::new(&g, &s);
         for i in 0..4 {
-            assert_eq!(store.local_field(i), local_field(&g, &s, i), "spin {i}");
+            assert_eq!(
+                store.tuple(i).local_field(),
+                local_field(&g, &s, i),
+                "spin {i}"
+            );
+            assert_eq!(store.rereads(i), 0, "spin {i}");
         }
-        assert_eq!(store.cross_tuple_rereads(), 0);
     }
 
     #[test]
@@ -560,8 +531,6 @@ mod tests {
         assert_eq!(store.tuple(1).neighbor_spins[0], Spin::Down);
         // Tuple 3's adjacency is canonicalized to [0, 2]: spin 0 is slot 0.
         assert_eq!(store.tuple(3).neighbor_spins[0], Spin::Down);
-        assert_eq!(store.spin_copy_updates(), 2);
-        assert_eq!(store.adjacency_reads(), 1);
         // Fields match a freshly built store on the updated spins.
         let mut s2 = s.clone();
         s2.set(0, Spin::Down);
@@ -574,14 +543,11 @@ mod tests {
     #[test]
     fn no_tuple_rep_counts_rereads() {
         let (g, s) = sample();
-        let mut store = TupleStore::with_tuple_rep(&g, &s, false);
+        let store = TupleStore::with_tuple_rep(&g, &s, false);
         assert!(!store.tuple_rep());
-        for i in 0..4 {
-            store.local_field(i);
-        }
         // Each of the 4 edges triggers exactly one re-read (at its
         // higher-indexed endpoint).
-        assert_eq!(store.cross_tuple_rereads(), 4);
+        assert_eq!((0..4).map(|i| store.rereads(i)).sum::<u64>(), 4);
     }
 
     #[test]
@@ -605,7 +571,6 @@ mod tests {
         let s = SpinVector::filled(2, Spin::Up);
         let mut store = TupleStore::new(&g, &s);
         assert_eq!(store.update_spin(0, Spin::Down), 0);
-        assert_eq!(store.spin_copy_updates(), 0);
     }
 
     /// The sums of `tuple` recomputed from its copies.

@@ -5,7 +5,6 @@
 //! breakdown the paper uses to argue about redundant compute (RBL
 //! discharges), data movement, and converter overheads (BRIM's DAC).
 
-use crate::units::convert::approx_f64;
 use crate::units::Picojoules;
 use std::fmt;
 
@@ -157,15 +156,6 @@ impl EnergyLedger {
     pub fn merge(&mut self, other: &EnergyLedger) {
         for (a, b) in self.entries.iter_mut().zip(other.entries.iter()) {
             *a += b;
-        }
-    }
-
-    /// Adds `times` copies of `other` into `self`, one multiplication per
-    /// entry (a steady sweep's energy over a whole solve).
-    pub fn merge_times(&mut self, other: &EnergyLedger, times: u64) {
-        let times = approx_f64(times);
-        for (a, b) in self.entries.iter_mut().zip(other.entries.iter()) {
-            *a += b * times;
         }
     }
 

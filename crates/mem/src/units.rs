@@ -76,6 +76,14 @@ pub mod convert {
         n as f64
     }
 
+    /// A `u128` event count as `f64`, for pricing a solve's tally:
+    /// exact below 2^53 and rounded to nearest above, like
+    /// [`approx_f64`].
+    #[inline]
+    pub fn approx_f64_wide(n: u128) -> f64 {
+        n as f64
+    }
+
     /// Ratio of two counters (hit rates, reuse factors, CPI).
     ///
     /// Returns `f64::NAN` when both are zero and `inf` when only the

@@ -1,12 +1,14 @@
 //! Energy parity of the closed-form model with the metered machine.
 //!
-//! `SachiMachine` and `PerfModel` price energy through one price list
-//! (`RoundPlan`'s `bill_*` methods): the machine feeds it metered event
-//! counts, the model the shape's. On a uniform-degree graph, at the
-//! machine's sweep count, the components the shape fixes — RWL drive,
-//! adder, decision, annealer, DRAM access and DRAM controller — must
-//! therefore agree to float rounding, on a resident problem and on
-//! problems that stream from DRAM in one round or in several. RBL
+//! `SachiMachine` and `PerfModel` price energy through one function,
+//! `RoundPlan::price`, which writes each component as one unit price
+//! times one integer count: the machine feeds it its tally of metered
+//! events, the model the shape's counts summed over the sweeps. On a
+//! uniform-degree graph, at the machine's sweep count, the components
+//! the shape fixes — RWL drive, adder, decision, annealer, DRAM access
+//! and DRAM controller — count the same events, so they must be equal,
+//! on a resident problem and on problems that stream from DRAM in one
+//! round or in several. RBL
 //! discharge, SRAM read/write and movement depend on the measured flips
 //! and discharges, which the model estimates.
 
@@ -72,7 +74,7 @@ fn model_energy_matches_the_machine_on_the_shape_fixed_components() {
                 let measured = report.energy.component(component).get();
                 let modelled = estimate.energy.component(component).get();
                 assert!(
-                    (measured - modelled).abs() <= 1e-9 * measured.abs().max(modelled.abs()),
+                    measured == modelled,
                     "{what} {component}: machine {measured} pJ vs model {modelled} pJ"
                 );
             }

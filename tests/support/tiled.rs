@@ -339,6 +339,8 @@ impl ResidentN3Machine {
         let mut tuples = TupleStore::with_tuple_rep(graph, &spins, self.config.tuple_rep);
         let mut annealer = Annealer::new(options.schedule, options.seed);
         let mut ledger = EnergyLedger::new();
+        // Update-path traffic: tuple copies written and adjacency reads.
+        let (mut copies_written, mut adjacency_reads) = (0u64, 0u64);
         let mut ctx = ComputeContext::new();
         let mut array = TiledComputeArray::new(geometry, enc.bits());
 
@@ -476,6 +478,8 @@ impl ResidentN3Machine {
                         flips_this_sweep += 1;
                         // Storage-array side of the update path.
                         let copies = tuples.update_spin(i, new);
+                        copies_written += copies;
+                        adjacency_reads += 1;
                         ledger.record(
                             EnergyComponent::SramRead,
                             tech.rbl_energy_per_bit() * copies,
@@ -575,9 +579,9 @@ impl ResidentN3Machine {
             rwl_bits_fetched: ctx.rwl_bits_fetched,
             redundant_discharges: stats.redundant_discharges,
             queue_peak_bits: 0,
-            spin_copy_updates: tuples.spin_copy_updates(),
-            adjacency_reads: tuples.adjacency_reads(),
-            cross_tuple_rereads: tuples.cross_tuple_rereads(),
+            spin_copy_updates: copies_written,
+            adjacency_reads,
+            cross_tuple_rereads: 0,
             prefetches: 0,
             faults: sachi_core::machine::FaultReport::default(),
             tile: stats,
