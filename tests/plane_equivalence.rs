@@ -549,8 +549,8 @@ const FAULT_GOLDENS: &[&str] = &[
     "SACHI(n1a) ppb=100000 retry:2 stream | H=-488 sweeps=50 flips=28 cycles=143003 | tile=504000/4470354/4341600/63000/0/252000 | pJ=1087848.3025 | faults=31/30/29/1/29/609/33 degraded=false",
     "SACHI(n1a) ppb=10000000 failfast default | H=-270 sweeps=0 flips=0 cycles=427 | tile=560/4878/4730/70/0/280 | pJ=9510.3275 | faults=3/2/1/1/0/0/0 degraded=true",
     "SACHI(n1a) ppb=10000000 failfast stream | H=-238 sweeps=0 flips=0 cycles=293 | tile=280/2446/2374/35/0/140 | pJ=11104.4225 | faults=3/1/1/0/0/0/28 degraded=true",
-    "SACHI(n1a) ppb=10000000 retry:2 default | H=-516 sweeps=50 flips=73 cycles=52465 | tile=504000/4383840/4256666/63000/0/252000 | pJ=673014.9750000001 | faults=5419/2515/1433/1082/1237/25977/0 degraded=true",
-    "SACHI(n1a) ppb=10000000 retry:2 stream | H=-516 sweeps=50 flips=61 cycles=170471 | tile=504000/4382838/4255598/63000/0/252000 | pJ=1330755.0175000005 | faults=5580/2625/1570/1055/1337/28077/3160 degraded=true",
+    "SACHI(n1a) ppb=10000000 retry:2 default | H=-516 sweeps=50 flips=73 cycles=52465 | tile=504000/4383840/4256666/63000/0/252000 | pJ=673014.975 | faults=5419/2515/1433/1082/1237/25977/0 degraded=true",
+    "SACHI(n1a) ppb=10000000 retry:2 stream | H=-516 sweeps=50 flips=61 cycles=170471 | tile=504000/4382838/4255598/63000/0/252000 | pJ=1330755.0175 | faults=5580/2625/1570/1055/1337/28077/3160 degraded=true",
     "SACHI(n1b) ppb=0 failfast default | H=-488 sweeps=50 flips=28 cycles=21388 | tile=504000/4470354/4341600/63000/0/252000 | pJ=443369.94 | faults=0/0/0/0/0/0/0 degraded=false",
     "SACHI(n1b) ppb=0 failfast stream | H=-488 sweeps=50 flips=28 cycles=127094 | tile=504000/4470354/4341600/63000/0/252000 | pJ=1082397.7525 | faults=0/0/0/0/0/0/0 degraded=false",
     "SACHI(n1b) ppb=0 retry:2 default | H=-488 sweeps=50 flips=28 cycles=21388 | tile=504000/4470354/4341600/63000/0/252000 | pJ=443369.94 | faults=0/0/0/0/0/0/0 degraded=false",
@@ -561,8 +561,8 @@ const FAULT_GOLDENS: &[&str] = &[
     "SACHI(n1b) ppb=100000 retry:2 stream | H=-488 sweeps=50 flips=28 cycles=127703 | tile=504000/4470354/4341600/63000/0/252000 | pJ=1087848.3025 | faults=31/30/29/1/29/609/33 degraded=false",
     "SACHI(n1b) ppb=10000000 failfast default | H=-270 sweeps=0 flips=0 cycles=185 | tile=560/4878/4730/70/0/280 | pJ=9510.3275 | faults=3/2/1/1/0/0/0 degraded=true",
     "SACHI(n1b) ppb=10000000 failfast stream | H=-238 sweeps=0 flips=0 cycles=191 | tile=280/2446/2374/35/0/140 | pJ=11104.4225 | faults=3/1/1/0/0/0/28 degraded=true",
-    "SACHI(n1b) ppb=10000000 retry:2 default | H=-516 sweeps=50 flips=73 cycles=47365 | tile=504000/4383840/4256666/63000/0/252000 | pJ=673014.9750000001 | faults=5419/2515/1433/1082/1237/25977/0 degraded=true",
-    "SACHI(n1b) ppb=10000000 retry:2 stream | H=-516 sweeps=50 flips=61 cycles=155171 | tile=504000/4382838/4255598/63000/0/252000 | pJ=1330755.0175000005 | faults=5580/2625/1570/1055/1337/28077/3160 degraded=true",
+    "SACHI(n1b) ppb=10000000 retry:2 default | H=-516 sweeps=50 flips=73 cycles=47365 | tile=504000/4383840/4256666/63000/0/252000 | pJ=673014.975 | faults=5419/2515/1433/1082/1237/25977/0 degraded=true",
+    "SACHI(n1b) ppb=10000000 retry:2 stream | H=-516 sweeps=50 flips=61 cycles=155171 | tile=504000/4382838/4255598/63000/0/252000 | pJ=1330755.0175 | faults=5580/2625/1570/1055/1337/28077/3160 degraded=true",
     "SACHI(n2) ppb=0 failfast default | H=-488 sweeps=50 flips=28 cycles=5543 | tile=126000/128754/0/252000/0/63000 | pJ=87482.94 | faults=0/0/0/0/0/0/0 degraded=false",
     "SACHI(n2) ppb=0 failfast stream | H=-488 sweeps=50 flips=28 cycles=45043 | tile=126000/128754/0/252000/0/63000 | pJ=731992.44 | faults=0/0/0/0/0/0/0 degraded=false",
     "SACHI(n2) ppb=0 retry:2 default | H=-488 sweeps=50 flips=28 cycles=5543 | tile=126000/128754/0/252000/0/63000 | pJ=87482.94 | faults=0/0/0/0/0/0/0 degraded=false",
@@ -573,8 +573,8 @@ const FAULT_GOLDENS: &[&str] = &[
     "SACHI(n2) ppb=100000 retry:2 stream | H=-488 sweeps=50 flips=28 cycles=45778 | tile=126000/128754/0/252000/0/63000 | pJ=738570.69 | faults=37/36/35/1/35/735/27 degraded=false",
     "SACHI(n2) ppb=10000000 failfast default | H=-270 sweeps=0 flips=0 cycles=83 | tile=140/148/0/280/0/70 | pJ=13082.7775 | faults=3/2/1/1/0/0/0 degraded=true",
     "SACHI(n2) ppb=10000000 failfast stream | H=-238 sweeps=0 flips=0 cycles=83 | tile=70/72/0/140/0/35 | pJ=8758.32875 | faults=1/1/1/0/0/0/7 degraded=true",
-    "SACHI(n2) ppb=10000000 retry:2 default | H=-516 sweeps=50 flips=73 cycles=31520 | tile=126000/127174/0/252000/0/63000 | pJ=320100.66500000015 | faults=5419/2515/1433/1082/1237/25977/0 degraded=true",
-    "SACHI(n2) ppb=10000000 retry:2 stream | H=-516 sweeps=53 flips=73 cycles=76345 | tile=133560/135246/0/267120/0/66780 | pJ=1031566.6800000005 | faults=5764/2708/1594/1114/1362/28602/3425 degraded=true",
+    "SACHI(n2) ppb=10000000 retry:2 default | H=-516 sweeps=50 flips=73 cycles=31520 | tile=126000/127174/0/252000/0/63000 | pJ=320100.665 | faults=5419/2515/1433/1082/1237/25977/0 degraded=true",
+    "SACHI(n2) ppb=10000000 retry:2 stream | H=-516 sweeps=53 flips=73 cycles=76345 | tile=133560/135246/0/267120/0/66780 | pJ=1031566.6799999999 | faults=5764/2708/1594/1114/1362/28602/3425 degraded=true",
     "SACHI(n3) ppb=0 failfast default | H=-488 sweeps=50 flips=28 cycles=444 | tile=3600/161000/0/315000/0/1800 | pJ=22614.550000000003 | faults=0/0/0/0/0/0/0 degraded=false",
     "SACHI(n3) ppb=0 failfast stream | H=-488 sweeps=50 flips=28 cycles=23424 | tile=10800/161000/0/315000/0/5400 | pJ=678310.675 | faults=0/0/0/0/0/0/0 degraded=false",
     "SACHI(n3) ppb=0 retry:2 default | H=-488 sweeps=50 flips=28 cycles=444 | tile=3600/161000/0/315000/0/1800 | pJ=22614.550000000003 | faults=0/0/0/0/0/0/0 degraded=false",
@@ -585,8 +585,8 @@ const FAULT_GOLDENS: &[&str] = &[
     "SACHI(n3) ppb=100000 retry:2 stream | H=-488 sweeps=50 flips=28 cycles=24054 | tile=10800/161000/0/315000/0/5400 | pJ=683949.175 | faults=30/30/30/0/30/630/34 degraded=false",
     "SACHI(n3) ppb=10000000 failfast default | H=-270 sweeps=0 flips=0 cycles=50 | tile=4/183/0/350/0/2 | pJ=14332.2025 | faults=3/2/1/1/0/0/0 degraded=true",
     "SACHI(n3) ppb=10000000 failfast stream | H=-270 sweeps=0 flips=0 cycles=50 | tile=12/183/0/350/0/6 | pJ=8453.10375 | faults=5/2/1/1/0/0/3 degraded=true",
-    "SACHI(n3) ppb=10000000 retry:2 default | H=-516 sweeps=50 flips=73 cycles=26421 | tile=3600/158419/0/315000/0/1800 | pJ=255197.24000000017 | faults=5419/2515/1433/1082/1237/25977/0 degraded=true",
-    "SACHI(n3) ppb=10000000 retry:2 stream | H=-516 sweeps=54 flips=75 cycles=55956 | tile=11664/170955/0/340200/0/5832 | pJ=1006441.7550000007 | faults=6013/2847/1715/1132/1460/30660/3488 degraded=true",
+    "SACHI(n3) ppb=10000000 retry:2 default | H=-516 sweeps=50 flips=73 cycles=26421 | tile=3600/158419/0/315000/0/1800 | pJ=255197.24 | faults=5419/2515/1433/1082/1237/25977/0 degraded=true",
+    "SACHI(n3) ppb=10000000 retry:2 stream | H=-516 sweeps=54 flips=75 cycles=55956 | tile=11664/170955/0/340200/0/5832 | pJ=1006441.755 | faults=6013/2847/1715/1132/1460/30660/3488 degraded=true",
 ];
 
 #[test]

@@ -109,11 +109,11 @@ const TEMPERED_GOLDENS: &[&str] = &[
     "SACHI(n1b) ber1e-3:retry:2 stream | H=-68 best=0 sweeps=473 flips=2903 | total 1892/15695 | swaps=85/177 restarts=0 | r0 cycles=258370 pJ=1511492.57375 faults=659/649/639/10/635/13335/176/true | r1 cycles=258118 pJ=1510870.74375 faults=663/645/629/16/623/13083/175/true | r2 cycles=258580 pJ=1515333.80375 faults=684/665/646/19/645/13545/152/true | r3 cycles=258937 pJ=1516892.6087500001 faults=711/687/663/24/662/13902/159/true",
     "SACHI(n2) clean default | H=-68 best=0 sweeps=473 flips=3069 | total 1892/15841 | swaps=85/177 restarts=0 | r0 cycles=18230 pJ=459614.30749999994 faults=0/0/0/0/0/0/0/false | r1 cycles=18230 pJ=460116.0474999999 faults=0/0/0/0/0/0/0/false | r2 cycles=18230 pJ=461085.0975 faults=0/0/0/0/0/0/0/false | r3 cycles=18230 pJ=462471.76249999995 faults=0/0/0/0/0/0/0/false",
     "SACHI(n2) clean stream | H=-68 best=0 sweeps=473 flips=3069 | total 1892/15841 | swaps=85/177 restarts=0 | r0 cycles=75231 pJ=1602981.4725 faults=0/0/0/0/0/0/0/false | r1 cycles=75231 pJ=1603483.2125000001 faults=0/0/0/0/0/0/0/false | r2 cycles=75231 pJ=1604452.2625 faults=0/0/0/0/0/0/0/false | r3 cycles=75231 pJ=1605838.9275 faults=0/0/0/0/0/0/0/false",
-    "SACHI(n2) ber1e-3:retry:2 default | H=-68 best=0 sweeps=473 flips=2966 | total 1892/15699 | swaps=85/177 restarts=0 | r0 cycles=31712 pJ=499250.15249999997 faults=675/658/645/13/642/13482/0/true | r1 cycles=31418 pJ=498165.62749999994 faults=674/654/634/20/628/13188/0/true | r2 cycles=31670 pJ=501867.0525 faults=680/661/644/17/640/13440/0/true | r3 cycles=32720 pJ=505531.76249999995 faults=729/710/693/17/690/14490/0/true",
+    "SACHI(n2) ber1e-3:retry:2 default | H=-68 best=0 sweeps=473 flips=2966 | total 1892/15699 | swaps=85/177 restarts=0 | r0 cycles=31712 pJ=499250.15249999997 faults=675/658/645/13/642/13482/0/true | r1 cycles=31418 pJ=498165.62749999994 faults=674/654/634/20/628/13188/0/true | r2 cycles=31670 pJ=501867.05249999993 faults=680/661/644/17/640/13440/0/true | r3 cycles=32720 pJ=505531.76249999995 faults=729/710/693/17/690/14490/0/true",
     "SACHI(n2) ber1e-3:retry:2 stream | H=-68 best=2 sweeps=473 flips=4262 | total 1892/15954 | swaps=90/177 restarts=0 | r0 cycles=89112 pJ=1643238.5975 faults=697/680/663/17/661/13881/631/true | r1 cycles=89448 pJ=1646019.0625 faults=720/698/680/18/677/14217/608/true | r2 cycles=89112 pJ=1645991.0075 faults=687/674/661/13/661/13881/664/false | r3 cycles=88881 pJ=1645236.0725 faults=676/665/654/11/650/13650/681/true",
-    "SACHI(n3) clean default | H=-68 best=0 sweeps=473 flips=3069 | total 1892/15841 | swaps=85/177 restarts=0 | r0 cycles=6878 pJ=386490.8125 faults=0/0/0/0/0/0/0/false | r1 cycles=6878 pJ=386990.8025 faults=0/0/0/0/0/0/0/false | r2 cycles=6878 pJ=387914.5275 faults=0/0/0/0/0/0/0/false | r3 cycles=6878 pJ=389335.03750000003 faults=0/0/0/0/0/0/0/false",
+    "SACHI(n3) clean default | H=-68 best=0 sweeps=473 flips=3069 | total 1892/15841 | swaps=85/177 restarts=0 | r0 cycles=6878 pJ=386490.8125 faults=0/0/0/0/0/0/0/false | r1 cycles=6878 pJ=386990.8025 faults=0/0/0/0/0/0/0/false | r2 cycles=6878 pJ=387914.52749999997 faults=0/0/0/0/0/0/0/false | r3 cycles=6878 pJ=389335.0375 faults=0/0/0/0/0/0/0/false",
     "SACHI(n3) clean stream | H=-68 best=0 sweeps=473 flips=3069 | total 1892/15841 | swaps=85/177 restarts=0 | r0 cycles=40098 pJ=1532750.5775000001 faults=0/0/0/0/0/0/0/false | r1 cycles=40098 pJ=1533250.5675000001 faults=0/0/0/0/0/0/0/false | r2 cycles=40098 pJ=1534174.2925000002 faults=0/0/0/0/0/0/0/false | r3 cycles=40098 pJ=1535594.8025 faults=0/0/0/0/0/0/0/false",
-    "SACHI(n3) ber1e-3:retry:2 default | H=-68 best=0 sweeps=473 flips=2966 | total 1892/15699 | swaps=85/177 restarts=0 | r0 cycles=20360 pJ=426130.22750000004 faults=675/658/645/13/642/13482/0/true | r1 cycles=20066 pJ=425046.8225 faults=674/654/634/20/628/13188/0/true | r2 cycles=20318 pJ=428710.9025 faults=680/661/644/17/640/13440/0/true | r3 cycles=21368 pJ=432386.00750000007 faults=729/710/693/17/690/14490/0/true",
+    "SACHI(n3) ber1e-3:retry:2 default | H=-68 best=0 sweeps=473 flips=2966 | total 1892/15699 | swaps=85/177 restarts=0 | r0 cycles=20360 pJ=426130.22750000004 faults=675/658/645/13/642/13482/0/true | r1 cycles=20066 pJ=425046.8225 faults=674/654/634/20/628/13188/0/true | r2 cycles=20318 pJ=428710.90249999997 faults=680/661/644/17/640/13440/0/true | r3 cycles=21368 pJ=432386.0075 faults=729/710/693/17/690/14490/0/true",
     "SACHI(n3) ber1e-3:retry:2 stream | H=-68 best=2 sweeps=473 flips=4232 | total 1892/15840 | swaps=91/177 restarts=0 | r0 cycles=53895 pJ=1573017.1725 faults=690/673/658/15/657/13797/639/true | r1 cycles=53286 pJ=1572889.1975 faults=664/649/634/15/628/13188/660/true | r2 cycles=53559 pJ=1575313.9175000002 faults=677/659/641/18/641/13461/669/false | r3 cycles=54063 pJ=1576776.5525 faults=707/688/669/19/665/13965/652/true",
 ];
 
