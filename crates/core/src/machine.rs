@@ -462,7 +462,9 @@ impl SachiMachine {
             for (index, (range, round)) in plan.iter().enumerate() {
                 let round_start = total_cycles;
                 let flips_before_round = flips_this_sweep;
-                let copies_before_round = events.copies;
+                // The round's per-update events, added to the tally when
+                // it ends.
+                let (mut decided, mut copies, mut round_rereads) = (0u64, 0u64, 0u64);
                 // --- loading for this round: its bits move storage ->
                 // compute, streamed from DRAM first when the problem
                 // overflows the storage array; the plan counts both ---
@@ -504,7 +506,7 @@ impl SachiMachine {
                     );
                     // Count the cross-tuple re-reads the no-tuple-rep
                     // ablation incurs (none with tuple-rep on).
-                    rereads += tuples.rereads(i);
+                    round_rereads += tuples.rereads(i);
                     // --- fault injection + parity + recovery ---
                     // The hardware compute above is exact; faults strike
                     // the tuple-row *fetch*. One parity bit per tuple row
@@ -574,18 +576,22 @@ impl SachiMachine {
                     }
                     let current = spins.get(i);
                     let new = decide_update(current, h_seen, annealer);
-                    events.annealer_decisions += 1;
+                    decided += 1;
                     if new != current {
                         spins.set(i, new);
                         flips_this_sweep += 1;
                         delta += flip_cost(current, h_sigma);
                         // Fig. 8b update path: adjacency read + relevant
                         // tuple copy writes in the storage array.
-                        events.flips += 1;
-                        events.copies += u128::from(tuples.update_spin(i, new));
+                        copies += tuples.update_spin(i, new);
                         soa.writeback_spin(&tuples, i, new);
                     }
                 }
+                let round_flips = flips_this_sweep - flips_before_round;
+                events.annealer_decisions += u128::from(decided);
+                events.flips += u128::from(round_flips);
+                events.copies += u128::from(copies);
+                rereads += round_rereads;
                 let round_compute = if fail_fast {
                     plan.partial_compute(range.clone(), reached)
                 } else {
@@ -640,9 +646,8 @@ impl SachiMachine {
                         round: round_no,
                         start: total_cycles.get(),
                         end: total_cycles.get(),
-                        events: flips_this_sweep - flips_before_round,
+                        events: round_flips,
                     });
-                    let copies = count_u64(events.copies - copies_before_round);
                     if copies > 0 {
                         spans.push(PhaseSpan {
                             phase: SolvePhase::Writeback,
