@@ -94,6 +94,8 @@ impl PerfModel {
     /// model's range: no uniform plan (see [`RoundPlan::uniform`]).
     pub fn try_iteration(&self, shape: &WorkloadShape) -> Option<IterationEstimate> {
         let plan = RoundPlan::uniform(&self.config, shape)?;
+        let mut steady = SolveEvents::default();
+        self.count_sweeps(&plan, shape, &mut steady, 1, 1);
         Some(IterationEstimate {
             compute_cycles: plan.sweep_compute(),
             load_cycles: plan.sweep_load(1),
@@ -101,7 +103,7 @@ impl PerfModel {
             rounds: plan.rounds_per_sweep,
             fits_in_compute: plan.rounds_per_sweep == 1,
             uses_dram: plan.uses_dram,
-            energy: plan.price(&self.sweep_events(&plan, shape, 1)),
+            energy: plan.price(&steady),
             reuse: self.schedule(shape).max_reuse,
         })
     }
@@ -135,8 +137,8 @@ impl PerfModel {
         let plan = RoundPlan::uniform(&self.config, shape)?;
         let total = plan.solve_cycles(iterations)?;
         let mut events = plan.placement_events();
-        events.add_times(&self.sweep_events(&plan, shape, 0), 1);
-        events.add_times(&self.sweep_events(&plan, shape, 1), iterations.max(1) - 1);
+        self.count_sweeps(&plan, shape, &mut events, 0, 1);
+        self.count_sweeps(&plan, shape, &mut events, 1, iterations.max(1) - 1);
         Some(SolveEstimate {
             iterations,
             total_cycles: total,
@@ -145,33 +147,34 @@ impl PerfModel {
         })
     }
 
-    /// Events of sweep `sweep` of `shape`: every tuple's scheduled
-    /// compute events, the plan's loads, and the update path at the
-    /// assumed flip rate.
-    fn sweep_events(&self, plan: &RoundPlan, shape: &WorkloadShape, sweep: u64) -> SolveEvents {
-        let (spins, n) = (
-            u128::from(shape.spins),
-            u128::from(shape.neighbors_per_spin),
-        );
+    /// Counts `times` sweeps of `shape` numbered `sweep` into `events`:
+    /// every tuple's scheduled compute events, the plan's loads, and the
+    /// update path at the assumed flip rate.
+    fn count_sweeps(
+        &self,
+        plan: &RoundPlan,
+        shape: &WorkloadShape,
+        events: &mut SolveEvents,
+        sweep: u64,
+        times: u64,
+    ) {
+        let (n, times) = (u128::from(shape.neighbors_per_spin), u128::from(times));
+        let tuples = u128::from(shape.spins) * times;
         let tuple = self.schedule(shape);
-        let accesses = spins * u128::from(tuple.accesses);
+        let accesses = tuples * u128::from(tuple.accesses);
         // Update path at the assumed flip rate (a spin has ~n copies).
-        let flips = u128::from(scale_by_fraction(shape.spins, ASSUMED_FLIP_FRACTION));
-        let mut events = SolveEvents {
-            flips,
-            copies: flips * n,
-            rwl_activations: accesses * 2,
-            // Expected discharges: half of the active window per access.
-            rbl_discharges: approx_f64_wide(accesses * u128::from(tuple.active_bits_per_access))
-                * 0.5,
-            fetched_bits: accesses,
-            adder_bit_ops: spins * u128::from(tuple.adder_bit_ops),
-            decisions: spins * u128::from(tuple.decisions),
-            annealer_decisions: spins,
-            ..SolveEvents::default()
-        };
-        plan.count_sweep_loads(&mut events, sweep);
-        events
+        let flips = u128::from(scale_by_fraction(shape.spins, ASSUMED_FLIP_FRACTION)) * times;
+        events.flips += flips;
+        events.copies += flips * n;
+        events.rwl_activations += accesses * 2;
+        // Expected discharges: half of the active window per access.
+        let active = accesses * u128::from(tuple.active_bits_per_access);
+        events.rbl_discharges += approx_f64_wide(active) * 0.5;
+        events.fetched_bits += accesses;
+        events.adder_bit_ops += tuples * u128::from(tuple.adder_bit_ops);
+        events.decisions += tuples * u128::from(tuple.decisions);
+        events.annealer_decisions += tuples;
+        plan.count_sweep_loads(events, sweep, times);
     }
 }
 

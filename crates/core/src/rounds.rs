@@ -38,7 +38,7 @@ use sachi_mem::energy::EnergyComponent::{
 };
 use sachi_mem::energy::EnergyLedger;
 use sachi_mem::sram::TileParams;
-use sachi_mem::units::convert::{approx_f64, approx_f64_wide, count_u64, to_index};
+use sachi_mem::units::convert::{approx_f64_wide, count_u64, to_index};
 use sachi_mem::units::{Bits, Cycles, Picojoules};
 use sachi_workloads::spec::WorkloadShape;
 use std::ops::Range;
@@ -52,9 +52,9 @@ pub fn tuple_cycles(design: DesignKind, n: u64, r: u32, row_bits: u64) -> u64 {
 
 /// The events of one solve that cost energy, counted once and priced
 /// once by [`RoundPlan::price`]. The machine tallies a call's events as
-/// it meters them; `PerfModel` builds the shape's per sweep and scales
-/// them by the sweep count. Counts are `u128`, so a model's scaled
-/// solve cannot overflow where its cycles fit `u64`.
+/// it meters them; `PerfModel` counts the shape's per sweep times the
+/// sweeps. Counts are `u128`, so a model's solve cannot overflow where
+/// its cycles fit `u64`.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct SolveEvents {
     /// Bits of the problem's initial placement into DRAM.
@@ -83,26 +83,6 @@ pub struct SolveEvents {
     pub decisions: u128,
     /// Annealer decisions.
     pub annealer_decisions: u128,
-}
-
-impl SolveEvents {
-    /// Adds `times` copies of `other` (a steady sweep's events over a
-    /// whole solve).
-    pub fn add_times(&mut self, other: &SolveEvents, times: u64) {
-        let n = u128::from(times);
-        self.placement_bits += other.placement_bits * n;
-        self.fill_bits += other.fill_bits * n;
-        self.stream_bits += other.stream_bits * n;
-        self.stream_beats += other.stream_beats * n;
-        self.flips += other.flips * n;
-        self.copies += other.copies * n;
-        self.rwl_activations += other.rwl_activations * n;
-        self.rbl_discharges += other.rbl_discharges * approx_f64(times);
-        self.fetched_bits += other.fetched_bits * n;
-        self.adder_bit_ops += other.adder_bit_ops * n;
-        self.decisions += other.decisions * n;
-        self.annealer_decisions += other.annealer_decisions * n;
-    }
 }
 
 /// One compute-array round and its price.
@@ -357,11 +337,10 @@ impl RoundPlan {
     /// Counts `times` loads of `round` in sweep `sweep` if it pays one
     /// (see [`RoundPlan::load`]): its resident bits filled, plus — when
     /// the problem lives in DRAM — its stream's bits and 64-byte beats.
-    pub fn count_loads(&self, events: &mut SolveEvents, sweep: u64, round: &Round, times: u64) {
+    pub fn count_loads(&self, events: &mut SolveEvents, sweep: u64, round: &Round, times: u128) {
         if self.load(sweep, round) == Cycles::ZERO {
             return;
         }
-        let times = u128::from(times);
         events.fill_bits += u128::from(round.resident_bits) * times;
         if self.uses_dram {
             let bytes = Bits::new(round.storage_bits).to_bytes_ceil();
@@ -371,10 +350,10 @@ impl RoundPlan {
         }
     }
 
-    /// Counts every load of sweep `sweep`.
-    pub(crate) fn count_sweep_loads(&self, events: &mut SolveEvents, sweep: u64) {
+    /// Counts every load of `times` sweeps numbered `sweep`.
+    pub(crate) fn count_sweep_loads(&self, events: &mut SolveEvents, sweep: u64, times: u128) {
         for (round, repeats) in &self.runs {
-            self.count_loads(events, sweep, round, *repeats);
+            self.count_loads(events, sweep, round, u128::from(*repeats) * times);
         }
     }
 
@@ -385,41 +364,28 @@ impl RoundPlan {
     /// when the problem lives there — every fetched bit the storage
     /// array cannot cache; its controller updates once per streamed
     /// beat, priced as an adder op.
-    pub fn price(&self, events: &SolveEvents) -> EnergyLedger {
+    pub fn price(&self, e: &SolveEvents) -> EnergyLedger {
         let tech = &self.config.tech;
         let (movement, adder) = (tech.movement_energy_per_bit(), tech.adder_energy_per_bit());
-        let dram_fetched = if self.uses_dram {
-            events.fetched_bits
-        } else {
-            0
-        };
-        let moved = events.fill_bits + events.fetched_bits + events.flips;
-        let dram = events.placement_bits + events.stream_bits + dram_fetched;
+        let (rbl, write) = (tech.rbl_energy_per_bit(), tech.sram_write_energy_per_bit());
+        let dram_fetched = if self.uses_dram { e.fetched_bits } else { 0 };
+        let moved = e.fill_bits + e.fetched_bits + e.flips;
+        let dram = e.placement_bits + e.stream_bits + dram_fetched;
         let mut ledger = EnergyLedger::new();
         let mut record = |component, unit: Picojoules, count: u128| {
             ledger.record(component, unit * approx_f64_wide(count));
         };
-        record(RwlDrive, tech.rwl_energy_per_bit(), events.rwl_activations);
-        record(
-            SramWrite,
-            tech.sram_write_energy_per_bit(),
-            events.fill_bits + events.copies,
-        );
-        record(SramRead, tech.rbl_energy_per_bit(), events.copies);
+        record(RwlDrive, tech.rwl_energy_per_bit(), e.rwl_activations);
+        record(SramWrite, write, e.fill_bits + e.copies);
+        record(SramRead, rbl, e.copies);
         record(DataMovement, movement, moved);
-        record(NearMemoryAdd, adder, events.adder_bit_ops);
-        record(DecisionLogic, adder, events.decisions);
-        record(
-            Annealer,
-            tech.annealer_energy_per_decision(),
-            events.annealer_decisions,
-        );
+        record(NearMemoryAdd, adder, e.adder_bit_ops);
+        record(DecisionLogic, adder, e.decisions);
+        let annealer = tech.annealer_energy_per_decision();
+        record(Annealer, annealer, e.annealer_decisions);
         record(DramAccess, movement, dram);
-        record(DramController, adder, events.stream_beats);
-        ledger.record(
-            RblDischarge,
-            tech.rbl_energy_per_bit() * events.rbl_discharges,
-        );
+        record(DramController, adder, e.stream_beats);
+        ledger.record(RblDischarge, rbl * e.rbl_discharges);
         ledger
     }
 }
@@ -577,37 +543,31 @@ mod tests {
     }
 
     /// The price is one product per component, so it cannot depend on
-    /// how the counts were reached: a tally built event by event prices
-    /// exactly like one built in a single step.
+    /// how the counts were reached: loads counted one at a time price
+    /// exactly like the same loads counted at once.
     #[test]
     fn a_tally_prices_the_same_however_it_was_summed() {
-        let config = SachiConfig::new(DesignKind::N2);
-        let plan = RoundPlan::for_degrees(&config, 5, &[3, 7, 2, 9]);
-        let step = SolveEvents {
-            fill_bits: 3,
-            flips: 1,
-            copies: 7,
-            rwl_activations: 11,
-            fetched_bits: 13,
-            adder_bit_ops: 17,
-            decisions: 19,
-            annealer_decisions: 1,
-            ..SolveEvents::default()
+        let tiny_storage = CacheHierarchy {
+            compute: CacheGeometry::new(1, 4, 64, 1),
+            storage: CacheGeometry::new(1, 2, 64, 2),
         };
-        let mut by_steps = plan.placement_events();
+        let config = SachiConfig::new(DesignKind::N3).with_hierarchy(tiny_storage);
+        let plan = RoundPlan::for_degrees(&config, 4, &[16; 12]);
+        assert!(plan.uses_dram && plan.rounds_per_sweep > 1);
+        let mut one_by_one = plan.placement_events();
         for _ in 0..1000 {
-            by_steps.add_times(&step, 1);
+            plan.count_sweep_loads(&mut one_by_one, 1, 1);
         }
         let mut at_once = plan.placement_events();
-        at_once.add_times(&step, 1000);
-        assert_eq!(by_steps, at_once);
-        assert_eq!(plan.price(&by_steps), plan.price(&at_once));
-        let movement = plan
-            .price(&at_once)
-            .component(EnergyComponent::DataMovement);
+        plan.count_sweep_loads(&mut at_once, 1, 1000);
+        assert_eq!(one_by_one, at_once);
+        assert_eq!(plan.price(&one_by_one), plan.price(&at_once));
+        let fill = plan.per_sweep(|_, round| round.resident_bits);
+        assert_eq!(at_once.fill_bits, u128::from(fill) * 1000);
         assert_eq!(
-            movement,
-            config.tech.movement_energy_per_bit() * ((3u64 + 13 + 1) * 1000)
+            plan.price(&at_once)
+                .component(EnergyComponent::DataMovement),
+            config.tech.movement_energy_per_bit() * (fill * 1000)
         );
     }
 
