@@ -16,9 +16,10 @@
 //!   pipeline timing), and the production kernel computes `H_σ`
 //!   arithmetically and books the design's tile events in closed form;
 //! * [`rounds`] — [`rounds::RoundPlan`], the one cost model of a sweep's
-//!   compute-array rounds (partition, compute, load, overlap) and the
-//!   energy price list, which the machine bills and the closed-form model
-//!   sums;
+//!   compute-array rounds (partition, compute, load, overlap), and
+//!   [`rounds::RoundPlan::price`], which turns one solve's event counts
+//!   ([`rounds::SolveEvents`]) into energy for the machine and the
+//!   closed-form model alike;
 //! * [`machine`] — [`machine::SachiMachine`], a fully-accounted functional
 //!   machine implementing the shared iterative-solver protocol;
 //! * [`perf`] — the closed-form CPI/energy model used for million-spin

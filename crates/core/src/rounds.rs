@@ -327,7 +327,7 @@ impl RoundPlan {
 
     /// The events of placing the whole problem into DRAM: every solve's
     /// first tally.
-    pub fn placement_events(&self) -> SolveEvents {
+    pub(crate) fn placement_events(&self) -> SolveEvents {
         SolveEvents {
             placement_bits: u128::from(self.storage_bits),
             ..SolveEvents::default()
@@ -337,7 +337,13 @@ impl RoundPlan {
     /// Counts `times` loads of `round` in sweep `sweep` if it pays one
     /// (see [`RoundPlan::load`]): its resident bits filled, plus — when
     /// the problem lives in DRAM — its stream's bits and 64-byte beats.
-    pub fn count_loads(&self, events: &mut SolveEvents, sweep: u64, round: &Round, times: u128) {
+    pub(crate) fn count_loads(
+        &self,
+        events: &mut SolveEvents,
+        sweep: u64,
+        round: &Round,
+        times: u128,
+    ) {
         if self.load(sweep, round) == Cycles::ZERO {
             return;
         }
