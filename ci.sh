@@ -97,13 +97,17 @@ fi
 
 # Model drift report: asserts the closed-form PerfModel reproduces the
 # functional machine's metered compute, load and total cycles exactly,
-# and its rwl/adder/decision/annealer/dram/dram-ctrl energy to 1e-9, on
+# and its rwl/adder/decision/annealer/dram/dram-ctrl energy exactly, on
 # uniform-degree graphs — banked multi-round sweeps and one- and
 # multi-round DRAM streaming included. Its baseline legs hold BRIM's and
 # Ising-CIM's machine reports to their price fed the shape's counts:
-# cycles exact, every energy component to 1e-9.
+# cycles and every energy component exact. The full run adds what the
+# smoke skips: complete(64), (128) and (256), bank counts 2 and 8,
+# ring(256) streaming from DRAM and the 64x64 torus.
 echo "==> disc_drift --smoke"
 cargo run -q -p sachi-bench --bin disc_drift -- --smoke
+echo "==> disc_drift"
+cargo run -q -p sachi-bench --bin disc_drift
 
 # One sweep protocol: every machine `compare` prints (the four SACHI
 # designs and BRIM here; Ising-CIM when its envelope admits the problem)
