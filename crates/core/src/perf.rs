@@ -9,11 +9,11 @@
 //! and prices the shape's event counts through the same
 //! [`RoundPlan::price`]: a solve's counts are the placement, sweep 0 and
 //! the steady sweep's times the remaining sweeps, summed before the one
-//! product per component, so on a shape the machine can run the model's
-//! energy is the machine's wherever the counts are whole. The test
-//! suite pins the two against each other on uniform-degree graphs (the
-//! licence for using the model at scale — verification strategy #3 in
-//! DESIGN.md).
+//! product per component. On a uniform-degree graph the model therefore
+//! equals the machine exactly on every component whose count the shape
+//! fixes. The test suite pins the two against each other on such graphs
+//! (the licence for using the model at scale — verification strategy #3
+//! in DESIGN.md).
 
 use crate::config::SachiConfig;
 use crate::designs::{stationarity, TupleSchedule};
