@@ -86,7 +86,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use sachi_bench::reference::bitcell::BitcellTile;
 use sachi_bench::reference::designs::oracle;
-use sachi_bench::reference::tuple::{AosPlanes, AosStore, AosTuple};
+use sachi_bench::reference::tuple::{AosPlanes, AosStore};
 use sachi_bench::{identity, section, Table};
 use sachi_core::prelude::*;
 use sachi_ising::prelude::*;
@@ -164,26 +164,84 @@ fn ns_per_call(iters: u32, mut f: impl FnMut()) -> f64 {
     start.elapsed().as_secs_f64() * 1e9 / f64::from(iters)
 }
 
-/// A dense tuple with coefficients spanning the full R-bit range.
-fn dense_tuple(degree: usize) -> AosTuple {
+/// A one-row store holding a dense tuple with coefficients spanning the
+/// full R-bit range.
+fn dense_store(degree: usize) -> TupleStore {
     let span = 1i64 << DENSE_R;
     let min = -(1i64 << (DENSE_R - 1));
-    AosTuple {
-        target: 0,
-        neighbors: (1..=degree).map(|j| j as u32).collect(),
-        couplings: (0..degree)
-            .map(|k| ((k as i64 * 37 + 11).rem_euclid(span) + min) as i32)
-            .collect(),
-        neighbor_spins: (0..degree)
-            .map(|k| {
-                if k.is_multiple_of(3) {
-                    Spin::Down
-                } else {
-                    Spin::Up
-                }
-            })
-            .collect(),
-        field: 17,
+    let neighbors: Vec<u32> = (1..=degree).map(|j| j as u32).collect();
+    let couplings: Vec<i32> = (0..degree)
+        .map(|k| ((k as i64 * 37 + 11).rem_euclid(span) + min) as i32)
+        .collect();
+    let neighbor_spins: Vec<Spin> = (0..degree)
+        .map(|k| {
+            if k.is_multiple_of(3) {
+                Spin::Down
+            } else {
+                Spin::Up
+            }
+        })
+        .collect();
+    TupleStore::one_row(&neighbors, &couplings, &neighbor_spins, 17)
+}
+
+/// The tripwire's two ledgers on one design: the scalar oracle's bitcell
+/// tile and context, and the kernel's tile and context with each
+/// compute's static events booked after it, as the machine books a
+/// round's.
+struct Ledgers {
+    kind: DesignKind,
+    bitcells: BitcellTile,
+    tile: SramTile,
+    scalar: ComputeContext,
+    split: ComputeContext,
+}
+
+impl Ledgers {
+    fn new(kind: DesignKind, rows: usize, cols: usize) -> Self {
+        Ledgers {
+            kind,
+            bitcells: BitcellTile::new(rows, cols),
+            tile: SramTile::with_params(TileParams::new(rows, cols)),
+            scalar: ComputeContext::new(),
+            split: ComputeContext::new(),
+        }
+    }
+
+    /// Computes `tuple`'s H both ways, asserts that they agree and that
+    /// the kernel's discharges plus the schedule's static events leave
+    /// both ledgers equal, and returns H.
+    fn check(
+        &mut self,
+        enc: &MixedEncoding,
+        tuple: SpinTuple<'_>,
+        view: TuplePlaneView<'_>,
+        target: Spin,
+    ) -> i64 {
+        let (kind, design) = (self.kind, oracle(self.kind));
+        let hs = design.compute_tuple(&mut self.bitcells, enc, tuple, target, &mut self.scalar);
+        let ho = design.compute_tuple_soa(
+            &mut self.tile,
+            enc,
+            tuple,
+            view,
+            target,
+            &mut self.split,
+            &mut ComputeScratch::new(),
+        );
+        let schedule = design.schedule(tuple.degree() as u64, enc.bits(), ROW_BITS as u64);
+        StaticEvents::of(&schedule).book(&mut self.split, &mut self.tile);
+        assert_eq!(hs, ho, "{kind}: SoA kernel diverged from scalar");
+        assert_eq!(
+            self.scalar, self.split,
+            "{kind}: the split booking diverged from the oracle's ComputeContext"
+        );
+        assert_eq!(
+            self.bitcells.stats(),
+            self.tile.stats(),
+            "{kind}: the split booking diverged from the oracle's TileStats"
+        );
+        hs
     }
 }
 
@@ -245,55 +303,51 @@ impl Measurement {
     }
 }
 
-/// Times one design's H-compute of each of `tuples` (ns per whole
-/// pass), scalar oracle vs SoA kernel; asserts H equality per tuple
-/// first.
+/// Times one design's H-compute of each tuple of `store` (ns per whole
+/// pass), scalar oracle vs SoA kernel, each called as the machine calls
+/// it: on `store.tuple(i)` and, for the kernel, `planes.view(i)`.
+/// Asserts H equality and the split booking per tuple first.
 fn measure_kernel(
     kind: DesignKind,
     enc: &MixedEncoding,
-    tuples: &[AosTuple],
+    store: &TupleStore,
     iters: u32,
 ) -> Measurement {
     let design = oracle(kind);
-    let tuples: Vec<SpinTuple<'_>> = tuples.iter().map(AosTuple::view).collect();
-    let max_degree = tuples.iter().map(SpinTuple::degree).max().unwrap_or(1);
+    let max_degree = store.iter().map(|t| t.degree()).max().unwrap_or(1);
     let (rows, cols) = design.tile_requirements(max_degree, enc.bits(), ROW_BITS);
-    let planes =
-        TuplePlanes::from_tuples(tuples.iter().copied(), enc).expect("bench coefficients fit R");
+    let planes = TuplePlanes::new(store, enc).expect("bench coefficients fit R");
+
+    // Tripwire: the SoA kernel agrees with scalar on H and, with the
+    // static events, on every counter, for every tuple.
+    let mut ledgers = Ledgers::new(kind, rows, cols);
+    for i in 0..store.len() {
+        let (tuple, view) = (store.tuple(i), planes.view(i));
+        let h = ledgers.check(enc, tuple, view, Spin::Up);
+        assert_eq!(h, tuple.local_field(), "{kind}: H diverged from golden");
+    }
+
     let mut bitcells = BitcellTile::new(rows, cols);
     let mut tile = SramTile::with_params(TileParams::new(rows, cols));
     let mut ctx = ComputeContext::new();
     let mut scratch = ComputeScratch::new();
-    let mut soa =
-        |tile: &mut SramTile, ctx: &mut ComputeContext, i: usize, tuple: SpinTuple<'_>| {
-            design.compute_tuple_soa(
-                tile,
-                enc,
-                tuple,
-                planes.view(i),
-                Spin::Up,
-                ctx,
-                &mut scratch,
-            )
-        };
-
-    // Tripwire: the SoA kernel agrees with scalar on H for every tuple.
-    for (i, &tuple) in tuples.iter().enumerate() {
-        let hs = design.compute_tuple(&mut bitcells, enc, tuple, Spin::Up, &mut ctx);
-        let ho = soa(&mut tile, &mut ctx, i, tuple);
-        assert_eq!(hs, ho, "{kind}: SoA kernel diverged from scalar");
-        assert_eq!(hs, tuple.local_field(), "{kind}: H diverged from golden");
-    }
-
     let scalar_ns = ns_per_call(iters, || {
-        for &tuple in &tuples {
-            let h = design.compute_tuple(&mut bitcells, enc, tuple, Spin::Up, &mut ctx);
+        for i in 0..store.len() {
+            let h = design.compute_tuple(&mut bitcells, enc, store.tuple(i), Spin::Up, &mut ctx);
             std::hint::black_box(h);
         }
     });
     let soa_ns = ns_per_call(iters * SOA_REPS, || {
-        for (i, &tuple) in tuples.iter().enumerate() {
-            std::hint::black_box(soa(&mut tile, &mut ctx, i, tuple));
+        for i in 0..store.len() {
+            std::hint::black_box(design.compute_tuple_soa(
+                &mut tile,
+                enc,
+                store.tuple(i),
+                planes.view(i),
+                Spin::Up,
+                &mut ctx,
+                &mut scratch,
+            ));
         }
     });
     Measurement {
@@ -307,8 +361,9 @@ fn measure_kernel(
 /// each step computes the spin's H, then applies the step's flip from
 /// `flips`. The scalar side runs the oracle and refreshes its
 /// copies; the SoA side runs the kernel and also writes the flip back
-/// into the sums. Two untimed lockstep sweeps first assert that both
-/// sides' H equal the golden local field at every step.
+/// into the sums. Two untimed sweeps first assert at every step that
+/// both paths' H equal the golden local field and that the split
+/// booking leaves the oracle's counters.
 fn measure_sweep(
     kind: DesignKind,
     enc: &MixedEncoding,
@@ -335,25 +390,20 @@ fn measure_sweep(
         }
     };
 
-    // Tripwire: two sweeps in lockstep, so every flipped spin flips back
-    // and the sums are checked on both sides of each flip.
-    let mut scalar_st = SweepState::new(graph, init, enc);
-    let mut soa_st = SweepState::new(graph, init, enc);
+    // Tripwire: two sweeps, so every flipped spin flips back and the
+    // sums are checked on both sides of each flip.
+    let mut ledgers = Ledgers::new(kind, rows, cols);
+    let mut st = SweepState::new(graph, init, enc);
     for _ in 0..2 {
         for (i, &flip) in flips.iter().enumerate() {
-            let (hs, ho) = (h_of(&scalar_st, false, i), h_of(&soa_st, true, i));
+            let h = ledgers.check(enc, st.store.tuple(i), st.planes.view(i), st.spins.get(i));
             assert_eq!(
-                hs, ho,
-                "{kind}: SoA kernel diverged from scalar at spin {i}"
-            );
-            assert_eq!(
-                hs,
-                local_field(graph, &scalar_st.spins, i),
+                h,
+                local_field(graph, &st.spins, i),
                 "{kind}: H diverged from golden at spin {i}"
             );
             if flip {
-                scalar_st.flip(i, false);
-                soa_st.flip(i, true);
+                st.flip(i, true);
             }
         }
     }
@@ -834,7 +884,7 @@ fn measure_writeback(
     }
     for i in 0..n {
         assert_eq!(
-            production.store.tuple(i).neighbor_spins,
+            production.store.tuple(i).neighbor_spins(),
             reference.store.tuples()[i].neighbor_spins,
             "{kind} {size}: tuple {i}'s copies diverged"
         );
@@ -1021,7 +1071,7 @@ fn main() {
     let enc = MixedEncoding::new(DENSE_R).expect("R = 8 is a valid resolution");
 
     // Per H-compute: the dense degree-256, R=8 acceptance tuple.
-    let dense = [dense_tuple(DENSE_DEGREE)];
+    let dense = dense_store(DENSE_DEGREE);
     let kernel: Vec<Measurement> = DesignKind::ALL
         .into_iter()
         .map(|kind| measure_kernel(kind, &enc, &dense, kernel_iters))

@@ -70,7 +70,7 @@ fn finish_from_products(
 }
 
 fn layout_spins(tile: &mut BitcellTile, tuple: SpinTuple<'_>) {
-    let bits: Vec<bool> = tuple.neighbor_spins.iter().map(|s| s.bit()).collect();
+    let bits: Vec<bool> = tuple.neighbor_spins().iter().map(|s| s.bit()).collect();
     tile.write_row(0, &bits)
         .expect("tile sized by tile_requirements");
 }
@@ -88,13 +88,13 @@ impl ScalarOracle for SpinStationaryBitMajor {
         let n = tuple.degree();
         let r = enc.bits();
         if n == 0 {
-            return -(i64::from(tuple.field));
+            return -(i64::from(tuple.field()));
         }
         layout_spins(tile, tuple);
         // Phase 1: bit-major — XNOR the r-th bit of every IC before moving
         // to bit r+1. Each cycle drives one J bit and senses one column.
         let encoded: Vec<Vec<bool>> = tuple
-            .couplings
+            .couplings()
             .iter()
             .map(|&j| {
                 enc.encode(i64::from(j))
@@ -119,7 +119,7 @@ impl ScalarOracle for SpinStationaryBitMajor {
         // Phases 3-5.
         let products = queue
             .iter()
-            .zip(tuple.neighbor_spins.iter())
+            .zip(tuple.neighbor_spins().iter())
             .map(|(bits, &s)| {
                 let mut v = enc.decode(bits);
                 if s == Spin::Down {
@@ -127,7 +127,7 @@ impl ScalarOracle for SpinStationaryBitMajor {
                 }
                 v
             });
-        finish_from_products(products, tuple.field, r, ctx)
+        finish_from_products(products, tuple.field(), r, ctx)
     }
 }
 
@@ -144,15 +144,15 @@ impl ScalarOracle for SpinStationaryIcMajor {
         let n = tuple.degree();
         let r = enc.bits();
         if n == 0 {
-            return -(i64::from(tuple.field));
+            return -(i64::from(tuple.field()));
         }
         layout_spins(tile, tuple);
         // Phase 1: IC-major — all bits of one J before the next J, so the
         // queue holds a single (R+1)-bit entry and phase 3 starts after R
         // cycles.
-        let mut acc = i64::from(tuple.field);
+        let mut acc = i64::from(tuple.field());
         let mut queue_entry = vec![false; to_index(r)];
-        for (k, &j) in tuple.couplings.iter().enumerate() {
+        for (k, &j) in tuple.couplings().iter().enumerate() {
             let bits = enc
                 .encode(i64::from(j))
                 .expect("coefficient fits the configured resolution");
@@ -167,7 +167,7 @@ impl ScalarOracle for SpinStationaryIcMajor {
             }
             note_queue(ctx, u64::from(r) + 1);
             let mut v = enc.decode(&queue_entry);
-            if tuple.neighbor_spins[k] == Spin::Down {
+            if tuple.neighbor_spins()[k] == Spin::Down {
                 v += 1;
             }
             acc += v;
@@ -192,10 +192,10 @@ impl ScalarOracle for IcStationary {
         let n = tuple.degree();
         let r = enc.bits();
         if n == 0 {
-            return -(i64::from(tuple.field));
+            return -(i64::from(tuple.field()));
         }
         // Layout: row k holds encode(J_ik).
-        for (k, &j) in tuple.couplings.iter().enumerate() {
+        for (k, &j) in tuple.couplings().iter().enumerate() {
             let bits = enc
                 .encode(i64::from(j))
                 .expect("coefficient fits the configured resolution");
@@ -203,8 +203,8 @@ impl ScalarOracle for IcStationary {
                 .expect("tile sized by tile_requirements");
         }
         // Phase 1: one neighbor per cycle, R columns sensed at once.
-        let mut acc = i64::from(tuple.field);
-        for (k, &s) in tuple.neighbor_spins.iter().enumerate() {
+        let mut acc = i64::from(tuple.field());
+        for (k, &s) in tuple.neighbor_spins().iter().enumerate() {
             let out = tile
                 .compute_xnor(k, s.bit(), 0..to_index(r))
                 .expect("in-bounds by layout");
@@ -238,15 +238,15 @@ impl ScalarOracle for MixedStationary {
         let n = tuple.degree();
         let r = enc.bits();
         if n == 0 {
-            return -(i64::from(tuple.field));
+            return -(i64::from(tuple.field()));
         }
         let group = to_index(r) + 1;
         let per_row = (tile.cols() / group).max(1);
         // Layout: per neighbor, an (R+1)-bit group [J bits..., σ_j bit].
         for (k, (&j, &s)) in tuple
-            .couplings
+            .couplings()
             .iter()
-            .zip(tuple.neighbor_spins.iter())
+            .zip(tuple.neighbor_spins().iter())
             .enumerate()
         {
             let row = k / per_row;
@@ -261,7 +261,7 @@ impl ScalarOracle for MixedStationary {
         // Phase 1: one cycle per occupied row; σ_i on the RWL, the whole
         // used width sensed.
         let rows = n.div_ceil(per_row);
-        let mut acc = i64::from(tuple.field);
+        let mut acc = i64::from(tuple.field());
         let mut k = 0usize;
         for row in 0..rows {
             let in_row = per_row.min(n - row * per_row);

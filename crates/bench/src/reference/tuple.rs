@@ -10,7 +10,7 @@
 //! identical sums after every flip before it times them.
 
 use sachi_core::encoding::{EncodingError, MixedEncoding};
-use sachi_core::tuple::{SpinTuple, TupleSums};
+use sachi_core::tuple::{TupleStore, TupleSums};
 use sachi_ising::graph::IsingGraph;
 use sachi_ising::spin::{Spin, SpinVector};
 use sachi_mem::units::convert::count_u64;
@@ -18,8 +18,6 @@ use sachi_mem::units::convert::count_u64;
 /// One spin's storage-array row, owning its vectors.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AosTuple {
-    /// The spin this tuple computes `H_σ` for.
-    pub target: u32,
     /// Neighbour spin ids.
     pub neighbors: Vec<u32>,
     /// Connecting couplings, aligned with `neighbors`.
@@ -31,16 +29,16 @@ pub struct AosTuple {
 }
 
 impl AosTuple {
-    /// The row as the borrowed [`SpinTuple`] the kernels and oracles
-    /// read.
-    pub fn view(&self) -> SpinTuple<'_> {
-        SpinTuple {
-            target: self.target,
-            neighbors: &self.neighbors,
-            couplings: &self.couplings,
-            neighbor_spins: &self.neighbor_spins,
-            field: self.field,
-        }
+    /// The row as a one-row [`TupleStore`] (spin 0's): its `tuple(0)` is
+    /// the view the kernels and oracles read, built the way the machine
+    /// builds its views.
+    pub fn store(&self) -> TupleStore {
+        TupleStore::one_row(
+            &self.neighbors,
+            &self.couplings,
+            &self.neighbor_spins,
+            self.field,
+        )
     }
 }
 
@@ -69,7 +67,6 @@ impl AosStore {
         let mut adjacency: Vec<Vec<(u32, u32)>> = vec![Vec::new(); n];
         for i in 0..n {
             let mut tuple = AosTuple {
-                target: i as u32,
                 neighbors: Vec::with_capacity(graph.degree(i)),
                 couplings: Vec::with_capacity(graph.degree(i)),
                 neighbor_spins: Vec::with_capacity(graph.degree(i)),

@@ -1,6 +1,7 @@
 //! The scalar design oracles against the golden local field, against
-//! each other, and against the production kernel: identical `H_σ`,
-//! [`ComputeContext`] and tile events on every tuple.
+//! each other, and against the production kernel: identical `H_σ`, and
+//! the kernel's discharges plus the schedule's [`StaticEvents`] give
+//! the oracle's [`ComputeContext`] and tile events on every tuple.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -8,7 +9,7 @@ use rand::SeedableRng;
 use sachi_bench::reference::bitcell::BitcellTile;
 use sachi_bench::reference::designs::oracle;
 use sachi_core::config::DesignKind;
-use sachi_core::designs::{ComputeContext, ComputeScratch};
+use sachi_core::designs::{ComputeContext, ComputeScratch, StaticEvents};
 use sachi_core::encoding::MixedEncoding;
 use sachi_core::tuple::{TuplePlanes, TupleStore};
 use sachi_ising::graph::{topology, GraphBuilder};
@@ -77,6 +78,9 @@ fn soa_kernel_is_bit_identical_to_scalar_oracle() {
                     &mut ctx_o,
                     &mut scratch,
                 );
+                let degree = store.tuple(i).degree() as u64;
+                StaticEvents::of(&design.schedule(degree, enc.bits(), 800))
+                    .book(&mut ctx_o, &mut tile_o);
                 assert_eq!(hs, ho, "{kind} H mismatch at spin {i}");
                 assert_eq!(ctx_s, ctx_o, "{kind} ComputeContext mismatch at spin {i}");
                 assert_eq!(

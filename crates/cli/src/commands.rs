@@ -193,7 +193,8 @@ pub fn estimate(args: &EstimateArgs) -> Result<(), SachiError> {
     let out_of_range = || {
         SachiError::Config(format!(
             "{} at {} spins over {} iterations is outside the model's range \
-             (at most {MAX_SPINS} spins, every count within 64 bits)",
+             (at most {MAX_SPINS} spins, with the storage bits and the solve cycles within \
+             64 bits)",
             args.cop, args.spins, args.iterations
         ))
     };

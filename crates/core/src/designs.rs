@@ -19,19 +19,22 @@
 //! driven bits. Those popcounts and `H_σ` are sums that are linear in
 //! the neighbour spins, and the update path keeps them current per tuple
 //! ([`crate::tuple::TupleSums`]): the kernel reads its tuple's sums in
-//! O(1) and books the [`ComputeContext`] and tile-event deltas in closed
-//! form. The bit-level scalar oracles that lay each tuple into real
-//! bitcells, as Figs. 11–13 draw it, live with the paper's reference
-//! models in the harness crate (`sachi_bench::reference::designs`);
-//! differential tests there hold the kernel equal to them, also after
-//! every flip of a random flip sequence.
+//! O(1), books the bit-line discharges — the only events that depend on
+//! the spins — in closed form, and returns `H_σ`. The bit-level scalar
+//! oracles that lay each tuple into real bitcells, as Figs. 11–13 draw
+//! it, live with the paper's reference models in the harness crate
+//! (`sachi_bench::reference::designs`); differential tests there hold
+//! the kernel's discharges plus the schedule's static events equal to
+//! them, also after every flip of a random flip sequence.
 //!
 //! Each design states its per-tuple closed forms once, in
 //! [`Stationarity::schedule`]: the [`TupleSchedule`] of accesses, XNOR
 //! ops, resident bits, queue, idle time, reuse and adder work that every
 //! compute of an `N`-neighbour tuple at resolution `R` pays whatever its
-//! spins. The kernel books it plus the design's spin-dependent
-//! [`Stationarity::discharges`]; the round plan ([`crate::rounds`]), the
+//! spins. [`StaticEvents::of`] turns it into the [`ComputeContext`] and
+//! tile counters one compute books; the round plan ([`crate::rounds`])
+//! sums those once per round for the machine to book when the round
+//! ends, and prices the round's cycles from the same schedules. The
 //! analytic model ([`crate::perf`]) and the Fig. 11–13 tables read the
 //! same struct, so the machine and the model bill the same per-tuple
 //! events by construction.
@@ -77,9 +80,94 @@ impl ComputeContext {
         ratio_u64(self.xnor_ops, self.rwl_bits_fetched)
     }
 
+    /// Adds `other`'s counters into this one; the queue peak takes the
+    /// larger of the two.
+    pub fn merge(&mut self, other: &ComputeContext) {
+        self.cycles += other.cycles;
+        self.rwl_bits_fetched += other.rwl_bits_fetched;
+        self.xnor_ops += other.xnor_ops;
+        self.adder_bit_ops += other.adder_bit_ops;
+        self.decisions += other.decisions;
+        self.queue_peak_bits = self.queue_peak_bits.max(other.queue_peak_bits);
+    }
+}
+
+/// The spin-independent events of computing a run of tuples: each
+/// tuple's [`TupleSchedule`] booked as [`ComputeContext`] and
+/// [`TileStats`] deltas, summed. Only the bit-line discharges of a
+/// compute depend on its spins; the kernel books those, and everything
+/// else a bit-level run of the schedule books is here.
+/// [`crate::rounds::RoundPlan`] sums these once per round, and the
+/// machine books a round's when the round ends.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct StaticEvents {
+    /// Cycles, RWL bits fetched, XNOR ops, adder ops and decisions,
+    /// summed; the queue peak as a max.
+    pub ctx: ComputeContext,
+    /// RWL activations, bits written and compute accesses, summed; no
+    /// discharges.
+    pub tile: TileStats,
+}
+
+impl StaticEvents {
+    /// The events one compute of a tuple with `schedule` books. A tuple
+    /// without neighbours (a schedule without accesses) computes nothing
+    /// and books nothing, not even its schedule's queue.
     #[inline]
-    fn note_queue(&mut self, bits: u64) {
-        self.queue_peak_bits = self.queue_peak_bits.max(bits);
+    pub fn of(schedule: &TupleSchedule) -> Self {
+        if schedule.accesses == 0 {
+            return StaticEvents::default();
+        }
+        StaticEvents {
+            ctx: ComputeContext {
+                cycles: schedule.accesses,
+                rwl_bits_fetched: schedule.accesses,
+                xnor_ops: schedule.xnor_ops,
+                adder_bit_ops: schedule.adder_bit_ops,
+                decisions: schedule.decisions,
+                queue_peak_bits: schedule.queue_bits,
+            },
+            tile: TileStats {
+                rwl_activations: 2 * schedule.accesses,
+                bits_written: schedule.resident_bits,
+                compute_accesses: schedule.accesses,
+                ..TileStats::default()
+            },
+        }
+    }
+
+    /// Adds `other`'s events into these.
+    pub fn merge(&mut self, other: &StaticEvents) {
+        self.ctx.merge(&other.ctx);
+        self.tile.merge(&other.tile);
+    }
+
+    /// `times` copies of these events: every count scaled, the queue
+    /// peak kept.
+    pub fn repeated(&self, times: u64) -> Self {
+        let (c, t) = (&self.ctx, &self.tile);
+        StaticEvents {
+            ctx: ComputeContext {
+                cycles: c.cycles * times,
+                rwl_bits_fetched: c.rwl_bits_fetched * times,
+                xnor_ops: c.xnor_ops * times,
+                adder_bit_ops: c.adder_bit_ops * times,
+                decisions: c.decisions * times,
+                queue_peak_bits: c.queue_peak_bits,
+            },
+            tile: TileStats {
+                rwl_activations: t.rwl_activations * times,
+                bits_written: t.bits_written * times,
+                compute_accesses: t.compute_accesses * times,
+                ..TileStats::default()
+            },
+        }
+    }
+
+    /// Books these events into `ctx` and onto `tile`.
+    pub fn book(&self, ctx: &mut ComputeContext, tile: &mut SramTile) {
+        ctx.merge(&self.ctx);
+        tile.book(&self.tile);
     }
 }
 
@@ -158,9 +246,9 @@ impl TupleSchedule {
     }
 }
 
-/// A stationarity design: its closed-form schedule and the production
-/// kernel that books it. The four designs are fixed by the paper; obtain
-/// them via [`stationarity`].
+/// A stationarity design: its closed-form schedule, its spin-dependent
+/// discharges and the production kernel that books them. The four
+/// designs are fixed by the paper; obtain them via [`stationarity`].
 pub trait Stationarity {
     /// Which design this is.
     fn kind(&self) -> DesignKind;
@@ -175,7 +263,8 @@ pub trait Stationarity {
     /// A tuple without neighbors computes nothing: its accesses are 0.
     ///
     /// The provided kernel calls this and [`Stationarity::discharges`]
-    /// once per compute and is instantiated in every crate that calls it,
+    /// once per compute (the discharges read the accesses or the XNOR
+    /// ops) and is instantiated in every crate that calls it,
     /// so both are `#[inline]` (with the helpers they call). Out of line,
     /// a downstream kernel gets the whole struct back through memory,
     /// every field computed, which measured about twice the kernel's time.
@@ -190,24 +279,27 @@ pub trait Stationarity {
     /// The production kernel, the one [`crate::machine::SachiMachine`]
     /// runs. It reads the tuple's maintained [`crate::tuple::TupleSums`]
     /// from `view` in O(1) — `H_σ = −(h + Σ J_k·σ_k)` together with the
-    /// popcount sums the discharges are priced from — and books the
-    /// design's [`Stationarity::schedule`] and
-    /// [`Stationarity::discharges`]: the [`ComputeContext`] and
-    /// [`TileStats`] deltas a bit-level run of the design's schedule
-    /// produces on a tile sized by [`Stationarity::tile_requirements`].
-    /// `tile` only receives the booked events and supplies its row
-    /// width. `view` must be the [`crate::tuple::TuplePlanes`] view
-    /// of `tuple` at `enc`'s resolution, kept current under spin updates
-    /// via [`crate::tuple::TuplePlanes::writeback_spin`]. `tuple` is read
-    /// only by a debug check that the view is its own; `scratch` is
-    /// unused.
+    /// popcount sums the discharges are priced from — books the
+    /// design's spin-dependent [`Stationarity::discharges`] on `tile`
+    /// and returns `H_σ`. Everything else a bit-level run of the
+    /// design's schedule books is fixed by the tuple's degree and `R`:
+    /// its [`StaticEvents`], which [`crate::rounds::RoundPlan`] sums per
+    /// round and the machine books once when the round ends. `tile`
+    /// receives the discharges and supplies its row width, which must be
+    /// that of a tile sized by [`Stationarity::tile_requirements`].
+    /// `view` must be the [`crate::tuple::TuplePlanes`] view of `tuple`
+    /// at `enc`'s resolution, kept current under spin updates via
+    /// [`crate::tuple::TuplePlanes::writeback_spin`]. `tuple` is read
+    /// only by a debug check that the view is its own; `ctx` and
+    /// `scratch` are unused.
     ///
     /// Contract against the scalar oracle
     /// (`sachi_bench::reference::designs`, proven by differential
     /// proptests for every design, every R in 2..=32, n3 tuples that
     /// span several rows, and after every flip of random flip
-    /// sequences): identical `H_σ`, identical [`ComputeContext`]
-    /// updates, and identical [`TileStats`] deltas.
+    /// sequences): identical `H_σ`, and the kernel's discharges plus the
+    /// schedule's [`StaticEvents`] equal the oracle's [`ComputeContext`]
+    /// and [`TileStats`] deltas.
     #[allow(clippy::too_many_arguments)]
     fn compute_tuple_soa(
         &self,
@@ -216,7 +308,7 @@ pub trait Stationarity {
         tuple: SpinTuple<'_>,
         view: TuplePlaneView<'_>,
         target: Spin,
-        ctx: &mut ComputeContext,
+        _ctx: &mut ComputeContext,
         _scratch: &mut ComputeScratch,
     ) -> i64 {
         let s = view.sums();
@@ -230,20 +322,7 @@ pub trait Stationarity {
         }
         let schedule = self.schedule(s.n, enc.bits(), count_u64(tile.cols()));
         let (discharges, redundant) = self.discharges(&s, &schedule, target);
-        ctx.cycles += schedule.accesses;
-        ctx.rwl_bits_fetched += schedule.accesses;
-        ctx.xnor_ops += schedule.xnor_ops;
-        ctx.adder_bit_ops += schedule.adder_bit_ops;
-        ctx.decisions += schedule.decisions;
-        ctx.note_queue(schedule.queue_bits);
-        tile.book(&TileStats {
-            rwl_activations: 2 * schedule.accesses,
-            rbl_discharges: discharges,
-            redundant_discharges: redundant,
-            bits_written: schedule.resident_bits,
-            bits_read: 0,
-            compute_accesses: schedule.accesses,
-        });
+        tile.book_discharges(discharges, redundant);
         s.h
     }
 }
@@ -496,6 +575,27 @@ mod tests {
             assert_eq!(s.resident_bits, 0, "{kind}");
             assert_eq!(s.adder_bit_ops + s.decisions, 0, "{kind}");
         }
+    }
+
+    #[test]
+    fn a_tuple_without_neighbors_books_no_static_events() {
+        // n1b's schedule keeps an (R+1)-bit queue even at n = 0; the
+        // compute that never happens must not raise the queue peak.
+        assert_eq!(sched(DesignKind::N1b, 0, 4).queue_bits, 5);
+        for kind in DesignKind::ALL {
+            assert_eq!(
+                StaticEvents::of(&sched(kind, 0, 4)),
+                StaticEvents::default(),
+                "{kind}"
+            );
+        }
+        let one = StaticEvents::of(&sched(DesignKind::N1a, 8, 4));
+        assert_eq!(one.ctx.queue_peak_bits, 40);
+        assert_eq!(one.tile.rwl_activations, 64);
+        let mut twice = one;
+        twice.merge(&one);
+        assert_eq!(twice, one.repeated(2));
+        assert_eq!(twice.ctx.queue_peak_bits, 40, "a peak does not add");
     }
 
     #[test]

@@ -71,7 +71,7 @@ pub mod tuple;
 pub mod prelude {
     pub use crate::config::{DesignKind, FaultProfile, SachiConfig};
     pub use crate::designs::{
-        stationarity, ComputeContext, ComputeScratch, Stationarity, TupleSchedule,
+        stationarity, ComputeContext, ComputeScratch, StaticEvents, Stationarity, TupleSchedule,
     };
     pub use crate::encoding::MixedEncoding;
     pub use crate::ensemble::{EnsembleReport, ReplicaLedger, ReportingMachine};

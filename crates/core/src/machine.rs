@@ -5,9 +5,11 @@
 //! design's production kernel
 //! ([`crate::designs::Stationarity::compute_tuple_soa`]):
 //! `H_σ` from the tuple's maintained sums (exact, enforced by a debug
-//! assertion against the golden local field), and the word-line,
-//! discharge and write events of the design's bit-level schedule booked
-//! on the tile in closed form. Alongside the solve it keeps the books the
+//! assertion against the golden local field), and the events of the
+//! design's bit-level schedule booked on the tile in closed form: the
+//! spin-dependent bit-line discharges by the kernel per compute, the
+//! rest (word-lines, writes, XNOR and adder work, queue) once per round
+//! from the round plan's static events. Alongside the solve it keeps the books the
 //! paper's evaluation needs: cycles (compute, loading, DRAM, with
 //! prefetch overlap), a per-component energy ledger, reuse, redundant
 //! discharges, queue occupancy, and update-path traffic. Energy is
@@ -476,29 +478,29 @@ impl SachiMachine {
                         dram.load(Bits::new(round.storage_bits), inj);
                 }
 
-                // --- compute for this round ---
+                // --- compute for this round: the kernel books each
+                // tuple's discharges, the round's static events are booked
+                // when it ends ---
                 let mut reached = range.len();
                 for (pos, i) in range.clone().enumerate() {
-                    let h_sigma = {
-                        let tuple = tuples.tuple(i);
-                        debug_assert!(
-                            tuple
-                                .neighbors
-                                .iter()
-                                .zip(tuple.neighbor_spins.iter())
-                                .all(|(&j, &s)| s == spins.get(to_index(j))),
-                            "tuple-rep copies stale at spin {i}: the Fig. 8b update path missed a refresh"
-                        );
-                        design.compute_tuple_soa(
-                            &mut tile,
-                            &enc,
-                            tuple,
-                            soa.view(i),
-                            spins.get(i),
-                            &mut ctx,
-                            &mut ComputeScratch,
-                        )
-                    };
+                    let tuple = tuples.tuple(i);
+                    debug_assert!(
+                        tuple
+                            .neighbors()
+                            .iter()
+                            .zip(tuple.neighbor_spins())
+                            .all(|(&j, &s)| s == spins.get(to_index(j))),
+                        "tuple-rep copies stale at spin {i}: the Fig. 8b update path missed a refresh"
+                    );
+                    let h_sigma = design.compute_tuple_soa(
+                        &mut tile,
+                        &enc,
+                        tuple,
+                        soa.view(i),
+                        spins.get(i),
+                        &mut ctx,
+                        &mut ComputeScratch,
+                    );
                     debug_assert_eq!(
                         h_sigma,
                         sachi_ising::hamiltonian::local_field(graph, spins, i),
@@ -516,10 +518,8 @@ impl SachiMachine {
                     // sees the corrupted field, the flip costs the true one.
                     let mut h_seen = h_sigma;
                     if let Some((inj, policy)) = fault.as_mut() {
-                        let tuple_bits = SpinTuple::storage_bits(
-                            count_u64(tuples.tuple(i).degree()),
-                            enc.bits(),
-                        );
+                        let tuple_bits =
+                            SpinTuple::storage_bits(count_u64(tuple.degree()), enc.bits());
                         let mut flips = inj.flips_in_read(tuple_bits);
                         let mut attempts = 0u32;
                         while flips % 2 == 1 {
@@ -563,12 +563,13 @@ impl SachiMachine {
                             // corruption lands on one neighbor slot of
                             // the tuple, inverting that product term.
                             fault_report.undetected += 1;
-                            let t = tuples.tuple(i);
-                            if !t.neighbors.is_empty() {
-                                let slot = inj.pick_index(t.neighbors.len());
-                                if let (Some(&j), Some(s)) =
-                                    (t.couplings.get(slot), t.neighbor_spins.get(slot))
-                                {
+                            let degree = tuple.degree();
+                            if degree > 0 {
+                                let slot = inj.pick_index(degree);
+                                if let (Some(&j), Some(s)) = (
+                                    tuple.couplings().get(slot),
+                                    tuple.neighbor_spins().get(slot),
+                                ) {
                                     h_seen -= 2 * i64::from(j) * s.value();
                                 }
                             }
@@ -592,9 +593,14 @@ impl SachiMachine {
                 events.flips += u128::from(round_flips);
                 events.copies += u128::from(copies);
                 rereads += round_rereads;
+                // A round cut short by a fail-fast abort books only the
+                // tuples that ran.
                 let round_compute = if fail_fast {
+                    plan.partial_events(range.clone(), reached)
+                        .book(&mut ctx, &mut tile);
                     plan.partial_compute(range.clone(), reached)
                 } else {
+                    round.events.book(&mut ctx, &mut tile);
                     round.compute
                 };
                 compute_cycles += round_compute;

@@ -4,7 +4,12 @@
 //! runs of consecutive tuples packed greedily by resident bits (at least
 //! one per tuple) up to the array's capacity. Every per-tuple figure
 //! here is read from the tuple's [`crate::designs::TupleSchedule`], the
-//! one the kernel books. A round computes tile-parallel — SACHI(n1a)
+//! one the kernel prices its discharges with. Each round carries its
+//! tuples' [`StaticEvents`] summed once at planning time — everything a
+//! compute books besides its spin-dependent discharges — so the machine
+//! books a round's schedule with one addition when the round ends, and
+//! a round cut short by a fault abort re-walks only the tuples that ran
+//! ([`RoundPlan::partial_events`]). A round computes tile-parallel — SACHI(n1a)
 //! fills tiles blockwise (Fig. 17(iii)'s imbalance), the others
 //! interleave — for its busiest tile's phase-1 cycles ([`tuple_cycles`],
 //! the schedule's accesses) plus one pipeline fill (the schedule's
@@ -29,7 +34,7 @@
 //! metered counts, `PerfModel` the shape's.
 
 use crate::config::{DesignKind, SachiConfig};
-use crate::designs::stationarity;
+use crate::designs::{stationarity, StaticEvents, TupleSchedule};
 use crate::tuple::SpinTuple;
 use sachi_ising::graph::MAX_SPINS;
 use sachi_mem::energy::EnergyComponent::{
@@ -43,9 +48,9 @@ use sachi_mem::units::{Bits, Cycles, Picojoules};
 use sachi_workloads::spec::WorkloadShape;
 use std::ops::Range;
 
-/// Phase-1 cycles `design`'s kernel books for a tuple of `n` neighbors
-/// at resolution `r` on `row_bits`-wide rows: its schedule's accesses
-/// (none without neighbors).
+/// Phase-1 cycles of one compute under `design` of a tuple of `n`
+/// neighbors at resolution `r` on `row_bits`-wide rows: its schedule's
+/// accesses (none without neighbors).
 pub fn tuple_cycles(design: DesignKind, n: u64, r: u32, row_bits: u64) -> u64 {
     stationarity(design).schedule(n, r, row_bits).accesses
 }
@@ -98,6 +103,8 @@ pub struct Round {
     pub compute: Cycles,
     /// Load cycles when it reloads (zero if it holds no resident bits).
     pub load: Cycles,
+    /// The spin-independent events of computing all its tuples once.
+    pub events: StaticEvents,
 }
 
 /// The round partition of one sweep, priced (see the module docs).
@@ -119,8 +126,10 @@ pub struct RoundPlan {
     tiles: u64,
     fill: u64,
     config: SachiConfig,
-    /// Per-tuple phase-1 cycles of a degree-built plan.
-    tuple_cycles: Vec<u64>,
+    /// Resolution the tuples are planned at.
+    r: u32,
+    /// Per-tuple degrees of a degree-built plan.
+    degrees: Vec<u64>,
 }
 
 impl RoundPlan {
@@ -141,7 +150,8 @@ impl RoundPlan {
             tiles: count_u64(compute.tiles()).max(1),
             fill: widest.fill_cycles(),
             config: config.clone(),
-            tuple_cycles: Vec::new(),
+            r,
+            degrees: Vec::new(),
         }
     }
 
@@ -172,8 +182,8 @@ impl RoundPlan {
         let storage = degrees.iter().map(|&n| SpinTuple::storage_bits(n, r) + n);
         let max_degree = degrees.iter().copied().max().unwrap_or(0);
         let mut plan = Self::empty(config, r, max_degree, storage.sum());
+        plan.degrees = degrees.to_vec();
         let (design, row_bits) = (stationarity(config.design), plan.row_bits());
-        plan.tuple_cycles = Vec::with_capacity(degrees.len());
         let capacity = config.hierarchy.compute.total_bits().get();
         let (mut round, mut first, mut used) = (Round::default(), 0usize, 0u64);
         for (i, &n) in degrees.iter().enumerate() {
@@ -184,11 +194,11 @@ impl RoundPlan {
                 plan.push(std::mem::take(&mut round), compute, 1);
                 (first, used) = (i, 0);
             }
-            plan.tuple_cycles.push(schedule.accesses);
             used += resident.max(1);
             round.tuples += 1;
             round.resident_bits += resident;
             round.storage_bits += SpinTuple::storage_bits(n, r);
+            round.events.merge(&StaticEvents::of(&schedule));
         }
         let compute = plan.partial_compute(first..degrees.len(), degrees.len() - first);
         plan.push(round, compute, 1);
@@ -219,6 +229,7 @@ impl RoundPlan {
                     tuples,
                     resident_bits: tuples * resident,
                     storage_bits: tuples * tuple_storage,
+                    events: StaticEvents::of(&schedule).repeated(tuples),
                     ..Round::default()
                 };
                 let busiest = tuples.div_ceil(plan.tiles) * per_tuple;
@@ -267,15 +278,31 @@ impl RoundPlan {
         }
     }
 
+    /// The schedules of a degree-built plan's tuples over `spins` (none
+    /// past its end).
+    fn schedules(&self, spins: Range<usize>) -> impl Iterator<Item = TupleSchedule> + '_ {
+        let (design, r, row_bits) = (stationarity(self.config.design), self.r, self.row_bits());
+        let degrees = self.degrees.get(spins).unwrap_or_default();
+        degrees
+            .iter()
+            .map(move |&n| design.schedule(n, r, row_bits))
+    }
+
+    /// The first `reached` spins of the round over `spins`.
+    fn ran(spins: Range<usize>, reached: usize) -> Range<usize> {
+        spins.start..spins.start + reached.min(spins.len())
+    }
+
     /// Compute cycles of the round over `spins` when only its first
     /// `reached` tuples ran (all of them, or up to a fault abort): the
     /// busiest tile's cycles plus the fill.
     pub fn partial_compute(&self, spins: Range<usize>, reached: usize) -> Cycles {
         let len = count_u64(spins.len().max(1));
-        let ran = spins.start..spins.start + reached.min(spins.len());
         let mut sums = vec![0u64; to_index(self.tiles)];
-        let costs = self.tuple_cycles.get(ran).unwrap_or_default();
-        for (pos, &cost) in (0u64..).zip(costs) {
+        let costs = self
+            .schedules(Self::ran(spins, reached))
+            .map(|s| s.accesses);
+        for (pos, cost) in (0u64..).zip(costs) {
             let tile = match self.config.design {
                 DesignKind::N1a => (pos * self.tiles).checked_div(len),
                 _ => pos.checked_rem(self.tiles),
@@ -285,6 +312,18 @@ impl RoundPlan {
             }
         }
         Cycles::new(sums.into_iter().max().unwrap_or(0) + self.fill)
+    }
+
+    /// The static events of the round over `spins` when only its first
+    /// `reached` tuples ran: the round's [`Round::events`] when all of
+    /// them did, and otherwise the walk [`RoundPlan::partial_compute`]
+    /// makes for the cycles.
+    pub fn partial_events(&self, spins: Range<usize>, reached: usize) -> StaticEvents {
+        let mut events = StaticEvents::default();
+        for schedule in self.schedules(Self::ran(spins, reached)) {
+            events.merge(&StaticEvents::of(&schedule));
+        }
+        events
     }
 
     /// Sum of `f(index, round)` over one sweep's rounds. Only index 0 is
@@ -448,6 +487,14 @@ mod tests {
                     "{what}"
                 );
                 assert_eq!(uniform.sweep_compute(), walked.sweep_compute(), "{what}");
+                let events = |plan: &RoundPlan| {
+                    let mut sum = StaticEvents::default();
+                    for (_, round) in plan.iter() {
+                        sum.merge(&round.events);
+                    }
+                    sum
+                };
+                assert_eq!(events(&uniform), events(&walked), "{what}");
                 for sweep in [0, 1] {
                     assert_eq!(
                         uniform.sweep_load(sweep),
@@ -593,6 +640,15 @@ mod tests {
             plan.partial_compute(spins.clone(), 1),
             Cycles::new(2 * 4 + fill)
         );
-        assert_eq!(plan.partial_compute(spins, 0), Cycles::new(fill));
+        assert_eq!(plan.partial_compute(spins.clone(), 0), Cycles::new(fill));
+        // The static events walk the same tuples: all of them is the
+        // round's, the first one is its schedule's, none is nothing.
+        let first = StaticEvents::of(&stationarity(DesignKind::N1a).schedule(2, 4, 800));
+        assert_eq!(
+            plan.partial_events(spins.clone(), spins.len()),
+            round.events
+        );
+        assert_eq!(plan.partial_events(spins.clone(), 1), first);
+        assert_eq!(plan.partial_events(spins, 0), StaticEvents::default());
     }
 }

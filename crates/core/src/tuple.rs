@@ -15,7 +15,8 @@
 //! and the adjacency region is a flat copy index of the same length.
 //! [`TupleStore::update_spin`] returns the copies it wrote for the
 //! machine to count, and [`TupleStore::tuple`] lends one row out as a
-//! borrowed [`SpinTuple`].
+//! [`SpinTuple`]: the store and the row index, free to build, whose
+//! slices are cut only when read.
 //! [`TuplePlanes`] mirrors the store as one set of [`TupleSums`] per tuple
 //! (`H`, up neighbours `P`, matching bits `U`, and the static degree and
 //! coupling one-bits), built at map time and kept current on the same
@@ -28,35 +29,72 @@ use sachi_mem::units::convert::count_u64;
 
 /// One spin's tuple: the storage-array row of Fig. 7a, borrowed from the
 /// [`TupleStore`] that holds it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+///
+/// The view is the store and the row index, nothing more: building one
+/// costs nothing, and its slices are cut only when a reader asks for
+/// them. Two views compare equal when their rows hold the same content.
+#[derive(Clone, Copy)]
 pub struct SpinTuple<'a> {
-    /// The spin this tuple computes `H_σ` for.
-    pub target: u32,
-    /// Neighbor spin ids, ascending.
-    pub neighbors: &'a [u32],
-    /// Connecting interaction coefficients, aligned with `neighbors`.
-    pub couplings: &'a [i32],
-    /// *Copies* of the neighboring spin states (tuple-rep makes these
-    /// local; they go stale unless the update path refreshes them).
-    pub neighbor_spins: &'a [Spin],
-    /// External field `h_i`.
-    pub field: i32,
+    store: &'a TupleStore,
+    row: usize,
 }
 
-impl SpinTuple<'_> {
+impl<'a> SpinTuple<'a> {
+    /// The row's positions in the store's flat arrays, which every row
+    /// range lies inside by construction, and its field.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the row is out of the store's range.
+    #[inline]
+    fn row(&self) -> (std::ops::Range<usize>, i32) {
+        let store = self.store;
+        let slots = store.offsets[self.row]..store.offsets[self.row + 1];
+        (slots, store.fields[self.row])
+    }
+
+    /// The spin this tuple computes `H_σ` for.
+    pub fn target(&self) -> u32 {
+        self.row as u32
+    }
+
+    /// Neighbor spin ids, ascending.
+    pub fn neighbors(&self) -> &'a [u32] {
+        self.store.neighbors.get(self.row().0).unwrap_or_default()
+    }
+
+    /// Connecting interaction coefficients, aligned with
+    /// [`SpinTuple::neighbors`].
+    pub fn couplings(&self) -> &'a [i32] {
+        self.store.couplings.get(self.row().0).unwrap_or_default()
+    }
+
+    /// *Copies* of the neighboring spin states (tuple-rep makes these
+    /// local; they go stale unless the update path refreshes them).
+    pub fn neighbor_spins(&self) -> &'a [Spin] {
+        let slots = self.row().0;
+        self.store.neighbor_spins.get(slots).unwrap_or_default()
+    }
+
+    /// External field `h_i`.
+    pub fn field(&self) -> i32 {
+        self.row().1
+    }
+
     /// Local field `H_σ = -Σ J_ij σ_j - h_i` computed **entirely from the
     /// tuple's own copies** — the independence that tuple-rep buys.
     pub fn local_field(&self) -> i64 {
-        let mut h = -(self.field as i64);
-        for (j, s) in self.couplings.iter().zip(self.neighbor_spins.iter()) {
-            h -= *j as i64 * s.value();
+        let mut h = -i64::from(self.field());
+        for (&j, s) in self.couplings().iter().zip(self.neighbor_spins()) {
+            h -= i64::from(j) * s.value();
         }
         h
     }
 
     /// Number of neighbors (the paper's `N` for this tuple).
+    #[inline]
     pub fn degree(&self) -> usize {
-        self.neighbors.len()
+        self.row().0.len()
     }
 
     /// Storage bits of a tuple of `n` neighbors at resolution `r`
@@ -64,6 +102,30 @@ impl SpinTuple<'_> {
     /// field.
     pub fn storage_bits(n: u64, r: u32) -> u64 {
         n * (u64::from(r) + 1) + u64::from(r)
+    }
+}
+
+impl PartialEq for SpinTuple<'_> {
+    fn eq(&self, other: &Self) -> bool {
+        self.target() == other.target()
+            && self.neighbors() == other.neighbors()
+            && self.couplings() == other.couplings()
+            && self.neighbor_spins() == other.neighbor_spins()
+            && self.field() == other.field()
+    }
+}
+
+impl Eq for SpinTuple<'_> {}
+
+impl std::fmt::Debug for SpinTuple<'_> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("SpinTuple")
+            .field("target", &self.target())
+            .field("neighbors", &self.neighbors())
+            .field("couplings", &self.couplings())
+            .field("neighbor_spins", &self.neighbor_spins())
+            .field("field", &self.field())
+            .finish()
     }
 }
 
@@ -179,6 +241,40 @@ impl TupleStore {
         }
     }
 
+    /// A store of one standalone row, spin 0's, holding `neighbors`,
+    /// `couplings`, the copies `neighbor_spins` and `field` as given: the
+    /// input of single-tuple harnesses, read through `tuple(0)` and
+    /// [`TuplePlanes::new`]. Its neighbour ids need not name rows of the
+    /// store, so it has no copy index and takes no spin updates
+    /// ([`TupleStore::update_spin`] and [`TupleStore::copy_slots`] panic
+    /// on a row with neighbours).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the three slices differ in length.
+    pub fn one_row(
+        neighbors: &[u32],
+        couplings: &[i32],
+        neighbor_spins: &[Spin],
+        field: i32,
+    ) -> Self {
+        let n = neighbors.len();
+        assert!(
+            couplings.len() == n && neighbor_spins.len() == n,
+            "a row needs one coupling and one spin copy per neighbour"
+        );
+        TupleStore {
+            offsets: vec![0, n],
+            neighbors: neighbors.to_vec(),
+            couplings: couplings.to_vec(),
+            neighbor_spins: neighbor_spins.to_vec(),
+            fields: vec![field],
+            copies: Vec::new(),
+            tuple_rep: true,
+            rereads: Vec::new(),
+        }
+    }
+
     /// Number of tuples (== spins).
     pub fn len(&self) -> usize {
         self.fields.len()
@@ -194,20 +290,17 @@ impl TupleStore {
         self.tuple_rep
     }
 
-    /// The tuple of spin `i`.
+    /// The tuple of spin `i`: a view of the store and the row index,
+    /// free to build.
     ///
     /// # Panics
     ///
-    /// Panics if `i` is out of range.
+    /// Reading the view panics if `i` is out of range.
     #[inline]
     pub fn tuple(&self, i: usize) -> SpinTuple<'_> {
-        let row = self.offsets[i]..self.offsets[i + 1];
         SpinTuple {
-            target: i as u32,
-            neighbors: &self.neighbors[row.clone()],
-            couplings: &self.couplings[row.clone()],
-            neighbor_spins: &self.neighbor_spins[row],
-            field: self.fields[i],
+            store: self,
+            row: i,
         }
     }
 
@@ -355,15 +448,15 @@ impl TuplePlanes {
         let mut spin_bits = Vec::new();
         for tuple in tuples {
             let mut s = TupleSums {
-                h: -i64::from(tuple.field),
+                h: -i64::from(tuple.field()),
                 n: count_u64(tuple.degree()),
                 ..TupleSums::default()
             };
             for ((&j, &spin), &neighbor) in tuple
-                .couplings
+                .couplings()
                 .iter()
-                .zip(tuple.neighbor_spins.iter())
-                .zip(tuple.neighbors.iter())
+                .zip(tuple.neighbor_spins())
+                .zip(tuple.neighbors())
             {
                 // At most 32 one-bits: R <= 32.
                 let ones = enc.encode_word(i64::from(j))?.count_ones() as u8;
@@ -489,12 +582,12 @@ mod tests {
         assert_eq!(store.len(), 4);
         assert!(!store.is_empty());
         let t1 = store.tuple(1);
-        assert_eq!(t1.target, 1);
+        assert_eq!(t1.target(), 1);
         assert_eq!(t1.degree(), 2);
-        assert_eq!(t1.neighbors, vec![0, 2]);
-        assert_eq!(t1.couplings, vec![3, -2]);
-        assert_eq!(t1.neighbor_spins, vec![Spin::Up, Spin::Up]);
-        assert_eq!(t1.field, 4);
+        assert_eq!(t1.neighbors(), [0, 2]);
+        assert_eq!(t1.couplings(), [3, -2]);
+        assert_eq!(t1.neighbor_spins(), [Spin::Up, Spin::Up]);
+        assert_eq!(t1.field(), 4);
     }
 
     #[test]
@@ -502,8 +595,8 @@ mod tests {
         // J_12 must appear in both tuple 1 and tuple 2 (Fig. 7b).
         let (g, s) = sample();
         let store = TupleStore::new(&g, &s);
-        assert!(store.tuple(1).couplings.contains(&-2));
-        assert!(store.tuple(2).couplings.contains(&-2));
+        assert!(store.tuple(1).couplings().contains(&-2));
+        assert!(store.tuple(2).couplings().contains(&-2));
         assert!(store.tuple_rep());
     }
 
@@ -528,9 +621,9 @@ mod tests {
         // Spin 0 appears in tuples 1 and 3.
         let written = store.update_spin(0, Spin::Down);
         assert_eq!(written, 2);
-        assert_eq!(store.tuple(1).neighbor_spins[0], Spin::Down);
+        assert_eq!(store.tuple(1).neighbor_spins()[0], Spin::Down);
         // Tuple 3's adjacency is canonicalized to [0, 2]: spin 0 is slot 0.
-        assert_eq!(store.tuple(3).neighbor_spins[0], Spin::Down);
+        assert_eq!(store.tuple(3).neighbor_spins()[0], Spin::Down);
         // Fields match a freshly built store on the updated spins.
         let mut s2 = s.clone();
         s2.set(0, Spin::Down);
@@ -577,11 +670,11 @@ mod tests {
     fn recompute(tuple: SpinTuple<'_>, enc: &MixedEncoding) -> TupleSums {
         let r = u64::from(enc.bits());
         let ones: Vec<u64> = tuple
-            .couplings
+            .couplings()
             .iter()
             .map(|&j| u64::from(enc.encode_word(i64::from(j)).unwrap().count_ones()))
             .collect();
-        let up = |k: usize| tuple.neighbor_spins[k] == Spin::Up;
+        let up = |k: usize| tuple.neighbor_spins()[k] == Spin::Up;
         TupleSums {
             h: tuple.local_field(),
             n: tuple.degree() as u64,
@@ -649,13 +742,8 @@ mod tests {
         let neighbor_spins: Vec<Spin> = (0..n)
             .map(|k| if k % 3 == 0 { Spin::Down } else { Spin::Up })
             .collect();
-        let tuple = SpinTuple {
-            target: 0,
-            neighbors: &neighbors,
-            couplings: &couplings,
-            neighbor_spins: &neighbor_spins,
-            field: 2,
-        };
+        let store = TupleStore::one_row(&neighbors, &couplings, &neighbor_spins, 2);
+        let tuple = store.tuple(0);
         let enc = MixedEncoding::new(4).unwrap();
         let planes = TuplePlanes::from_tuples([tuple, tuple], &enc).unwrap();
         for i in 0..2 {
@@ -668,14 +756,8 @@ mod tests {
 
     #[test]
     fn soa_rejects_out_of_range_couplings() {
-        let tuple = SpinTuple {
-            target: 0,
-            neighbors: &[1],
-            couplings: &[1000],
-            neighbor_spins: &[Spin::Up],
-            field: 0,
-        };
+        let store = TupleStore::one_row(&[1], &[1000], &[Spin::Up], 0);
         let enc = MixedEncoding::new(4).unwrap();
-        assert!(TuplePlanes::from_tuples([tuple], &enc).is_err());
+        assert!(TuplePlanes::new(&store, &enc).is_err());
     }
 }

@@ -461,7 +461,9 @@ pub mod topology {
         cols: usize,
         mut weight: impl FnMut(u32, u32) -> i32,
     ) -> Result<IsingGraph, GraphError> {
-        let mut b = GraphBuilder::new(rows * cols);
+        let (across, down) = (rows * cols.saturating_sub(1), rows.saturating_sub(1) * cols);
+        let diagonal = rows.saturating_sub(1) * cols.saturating_sub(1);
+        let mut b = GraphBuilder::with_edge_capacity(rows * cols, across + down + 2 * diagonal);
         let id = |r: usize, c: usize| (r * cols + c) as u32;
         for r in 0..rows {
             for c in 0..cols {
@@ -495,7 +497,8 @@ pub mod topology {
         cols: usize,
         mut weight: impl FnMut(u32, u32) -> i32,
     ) -> Result<IsingGraph, GraphError> {
-        let mut b = GraphBuilder::new(rows * cols);
+        let edges = rows * cols.saturating_sub(1) + rows.saturating_sub(1) * cols;
+        let mut b = GraphBuilder::with_edge_capacity(rows * cols, edges);
         let id = |r: usize, c: usize| (r * cols + c) as u32;
         for r in 0..rows {
             for c in 0..cols {

@@ -2,8 +2,10 @@
 //! Fig. 10). A read bit-line of an 8T row discharges exactly when
 //! `stored XNOR driven` is 1, so every counter a compute schedule books
 //! follows from popcounts of the stored and driven bits: the production
-//! kernel books a whole `H_σ`'s events in closed form through
-//! [`SramTile::book`], and the tile stores no bits. The bit-level
+//! kernel books each `H_σ`'s discharges in closed form through
+//! [`SramTile::book_discharges`], the machine books the rest of a round's
+//! events at once through [`SramTile::book`], and the tile stores no
+//! bits. The bit-level
 //! datapath those closed forms are proven against is
 //! `sachi_bench::reference::bitcell`.
 
@@ -164,9 +166,19 @@ impl SramTile {
 
     /// Books a batch of events computed in closed form — the counters a
     /// sequence of accesses on this tile would have produced. The
-    /// designs' production kernel books its whole `H_σ` this way.
+    /// machine books a round's spin-independent events this way.
     pub fn book(&mut self, delta: &TileStats) {
         self.stats.merge(delta);
+    }
+
+    /// Books the bit-line discharges of one compute, `all` of them of
+    /// which `redundant` on columns that were not sensed: the only
+    /// events of an `H_σ` that depend on the spins, which the designs'
+    /// production kernel books per compute.
+    #[inline]
+    pub fn book_discharges(&mut self, all: u64, redundant: u64) {
+        self.stats.rbl_discharges += all;
+        self.stats.redundant_discharges += redundant;
     }
 }
 
@@ -187,8 +199,11 @@ mod tests {
         };
         t.book(&delta);
         t.book(&delta);
+        t.book_discharges(2, 1);
         let mut want = delta;
         want.merge(&delta);
+        want.rbl_discharges += 2;
+        want.redundant_discharges += 1;
         assert_eq!(*t.stats(), want);
     }
 }

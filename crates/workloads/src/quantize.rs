@@ -39,8 +39,12 @@ pub fn quantize_to_bits(values: &[i64], bits: u32) -> Vec<i32> {
             if v == 0 {
                 return 0;
             }
-            let scaled = (v as i128 * limit as i128) / max_abs as i128;
-            let mut q = scaled as i64;
+            // The quotient is the same in either width; `i64` divides
+            // faster, and `i128` only takes a product that overflows it.
+            let mut q = match v.checked_mul(limit) {
+                Some(product) => product / max_abs,
+                None => ((v as i128 * limit as i128) / max_abs as i128) as i64,
+            };
             if q == 0 {
                 q = v.signum();
             }
@@ -139,5 +143,32 @@ mod tests {
         assert_eq!(q[0], 127);
         assert_eq!(q[1], 63);
         assert_eq!(q[2], -31);
+    }
+
+    /// Products that fit `i64` divide there, the rest in `i128`; either
+    /// way each value quantizes to the `i128` quotient.
+    #[test]
+    fn both_widths_give_the_wide_quotient() {
+        let values = [
+            i64::MAX,
+            i64::MAX / 3,
+            1 << 40,
+            -(1 << 33) - 7,
+            123_456_789,
+            -5,
+            1,
+        ];
+        for bits in [2, 8, 17, 32] {
+            let limit = i128::from((1i64 << (bits - 1)) - 1);
+            let max_abs = i128::from(i64::MAX);
+            let want: Vec<i32> = values
+                .iter()
+                .map(|&v| match (i128::from(v) * limit / max_abs) as i32 {
+                    0 => v.signum() as i32,
+                    q => q,
+                })
+                .collect();
+            assert_eq!(quantize_to_bits(&values, bits), want, "{bits} bits");
+        }
     }
 }

@@ -3,13 +3,16 @@
 //!
 //! The two-path kernel contract (DESIGN.md): for every design, the
 //! production kernel `compute_tuple_soa` — `H_σ` computed arithmetically,
-//! tile events booked in closed form — must be **bit-identical** to the
+//! the spin-dependent discharges booked in closed form — plus the
+//! schedule's `StaticEvents` (the rest of a compute's events, which the
+//! machine books once per round) must be **bit-identical** to the
 //! scalar oracle `compute_tuple`, which lays the tuple into a real tile
 //! and senses it, in its H value, its `ComputeContext` counters (cycles,
 //! RWL fetches, XNOR ops, adder ops, decisions, queue peaks), and the
 //! tile's `TileStats` (activations, discharges, redundancy, reads,
 //! writes) — and its cycle count equals the round plan's per-tuple price
-//! (`rounds::tuple_cycles`). That holds across all four designs, random
+//! (`rounds::tuple_cycles`). A round's static events equal the oracle's
+//! deltas, less the discharges, summed over the tuples that ran. That holds across all four designs, random
 //! tuples, every resolution R ∈ {2..32}, empty and degree-1 tuples, and
 //! row widths narrow enough that n3 tuples span several rows — and on
 //! whole dense and King's graphs after every flip of a random flip
@@ -24,10 +27,10 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use sachi::arch::config::{DesignKind, FaultProfile, SachiConfig};
-use sachi::arch::designs::{ComputeContext, ComputeScratch};
+use sachi::arch::designs::{ComputeContext, ComputeScratch, StaticEvents};
 use sachi::arch::encoding::MixedEncoding;
 use sachi::arch::machine::SachiMachine;
-use sachi::arch::rounds::tuple_cycles;
+use sachi::arch::rounds::{tuple_cycles, RoundPlan};
 use sachi::arch::tuple::{SpinTuple, TuplePlaneView, TuplePlanes, TupleStore};
 use sachi::ising::graph::{topology, GraphBuilder, IsingGraph};
 use sachi::ising::recovery::RecoveryPolicy;
@@ -35,7 +38,7 @@ use sachi::ising::solver::SolveOptions;
 use sachi::ising::spin::{Spin, SpinVector};
 use sachi::mem::cache::{CacheGeometry, CacheHierarchy};
 use sachi::mem::fault::{FaultModel, FaultRate};
-use sachi::mem::sram::{SramTile, TileParams};
+use sachi::mem::sram::{SramTile, TileParams, TileStats};
 use sachi_bench::reference::bitcell::BitcellTile;
 use sachi_bench::reference::designs::oracle;
 use sachi_bench::reference::tuple::AosTuple;
@@ -51,7 +54,6 @@ fn coeff_in_range(raw: u64, r: u32) -> i32 {
 /// Builds a standalone tuple for spin 0 from raw generator output.
 fn build_tuple(r: u32, pairs: &[(u64, bool)], field_raw: u64) -> AosTuple {
     AosTuple {
-        target: 0,
         neighbors: (1..=pairs.len()).map(|j| j as u32).collect(),
         couplings: pairs
             .iter()
@@ -73,17 +75,25 @@ fn row_widths(r: u32) -> [usize; 3] {
 }
 
 /// Runs the scalar oracle and the production kernel on freshly-sized
-/// twin tiles of `row_bits`-bit rows and asserts bit-exact equality of
-/// (H, `ComputeContext`, `TileStats`).
+/// twin tiles of `row_bits`-bit rows, the kernel reading `tuple` from a
+/// one-row store, and asserts bit-exact equality of (H,
+/// `ComputeContext`, `TileStats`).
 fn assert_paths_agree(
     kind: DesignKind,
     enc: &MixedEncoding,
-    tuple: SpinTuple<'_>,
+    tuple: &AosTuple,
     target: Spin,
     row_bits: usize,
 ) {
-    let planes = TuplePlanes::from_tuples([tuple], enc).expect("coefficients fit R bits");
-    assert_kernel_matches_oracle(kind, enc, tuple, planes.view(0), target, row_bits);
+    let store = tuple.store();
+    let planes = TuplePlanes::new(&store, enc).expect("coefficients fit R bits");
+    assert_kernel_matches_oracle(kind, enc, store.tuple(0), planes.view(0), target, row_bits);
+}
+
+/// The static events of one compute of a `degree`-neighbour tuple under
+/// `kind` at resolution `r` on `row_bits`-bit rows.
+fn static_events(kind: DesignKind, degree: usize, r: u32, row_bits: usize) -> StaticEvents {
+    StaticEvents::of(&oracle(kind).schedule(degree as u64, r, row_bits as u64))
 }
 
 /// [`assert_paths_agree`] with the kernel reading `view`, which must be
@@ -113,6 +123,9 @@ fn assert_kernel_matches_oracle(
         &mut ComputeScratch::new(),
     );
     let (r, degree) = (enc.bits(), tuple.degree());
+    // The kernel booked the discharges; the schedule's static events are
+    // the rest of the oracle's deltas.
+    static_events(kind, degree, r, row_bits).book(&mut ctx_soa, &mut tile_soa);
     assert_eq!(
         h_scalar, h_soa,
         "{kind} H diverged (R={r}, degree={degree}, row={row_bits})"
@@ -159,7 +172,7 @@ proptest! {
         let tuple = build_tuple(r, &pairs, field_raw);
         let target = if target_up { Spin::Up } else { Spin::Down };
         for kind in DesignKind::ALL {
-            assert_paths_agree(kind, &enc, tuple.view(), target, row_widths(r)[width]);
+            assert_paths_agree(kind, &enc, &tuple, target, row_widths(r)[width]);
         }
     }
 
@@ -186,7 +199,8 @@ proptest! {
                     build_tuple(r, &pairs, raw)
                 })
                 .collect();
-            let tuples: Vec<SpinTuple<'_>> = tuples.iter().map(AosTuple::view).collect();
+            let stores: Vec<TupleStore> = tuples.iter().map(AosTuple::store).collect();
+            let tuples: Vec<SpinTuple<'_>> = stores.iter().map(|row| row.tuple(0)).collect();
             let max_degree = tuples.iter().map(SpinTuple::degree).max().unwrap_or(1);
             let (rows, cols) = design.tile_requirements(max_degree, r, row_bits);
             let planes = TuplePlanes::from_tuples(tuples.iter().copied(), &enc)
@@ -202,6 +216,7 @@ proptest! {
                 let ho = design.compute_tuple_soa(
                     &mut tile_soa, &enc, tuple, planes.view(i), target, &mut ctx_soa, &mut scratch,
                 );
+                static_events(kind, tuple.degree(), r, row_bits).book(&mut ctx_soa, &mut tile_soa);
                 prop_assert_eq!(hs, ho, "{} H diverged mid-stream", kind);
                 prop_assert_eq!(ctx_scalar, ctx_soa, "{} ComputeContext diverged", kind);
                 prop_assert_eq!(tile_scalar.stats(), tile_soa.stats(), "{} TileStats diverged", kind);
@@ -344,10 +359,10 @@ proptest! {
             prop_assert_eq!(own, fresh.tuple(j), "row {}", j);
             let mut copies = 0;
             for (k, (t, slot)) in store.copy_slots(j).enumerate() {
-                prop_assert_eq!(t, own.neighbors[k] as usize, "copy {} of spin {}", k, j);
+                prop_assert_eq!(t, own.neighbors()[k] as usize, "copy {} of spin {}", k, j);
                 let row = store.tuple(t);
-                prop_assert_eq!(row.neighbors.get(slot), Some(&(j as u32)));
-                prop_assert_eq!(row.neighbor_spins.get(slot), Some(&spins.get(j)));
+                prop_assert_eq!(row.neighbors().get(slot), Some(&(j as u32)));
+                prop_assert_eq!(row.neighbor_spins().get(slot), Some(&spins.get(j)));
                 copies += 1;
             }
             prop_assert_eq!(copies, own.degree(), "spin {}", j);
@@ -366,7 +381,7 @@ fn empty_and_degree_one_tuples_agree_at_every_resolution() {
             for tuple in [&empty, &single_pos, &single_neg] {
                 for target in [Spin::Up, Spin::Down] {
                     for row_bits in row_widths(r) {
-                        assert_paths_agree(kind, &enc, tuple.view(), target, row_bits);
+                        assert_paths_agree(kind, &enc, tuple, target, row_bits);
                     }
                 }
             }
@@ -389,7 +404,72 @@ fn extreme_coefficients_agree() {
         for kind in DesignKind::ALL {
             for target in [Spin::Up, Spin::Down] {
                 for row_bits in row_widths(r) {
-                    assert_paths_agree(kind, &enc, tuple.view(), target, row_bits);
+                    assert_paths_agree(kind, &enc, &tuple, target, row_bits);
+                }
+            }
+        }
+    }
+}
+
+/// The round plan's static events are the oracle's per-tuple deltas
+/// less the discharges, summed: for every design and several
+/// resolutions, on a King's lattice with isolated spins (degrees 0, 3,
+/// 5 and 8) split into many rounds, each round's `events` equal that
+/// sum over its tuples, and `partial_events` of a round cut after its
+/// first `k` tuples equal the sum over those `k`, for every `k`.
+#[test]
+fn round_events_sum_the_oracle_over_the_tuples_that_ran() {
+    let compute = CacheGeometry::new(1, 2, 64, 1);
+    let hierarchy = CacheHierarchy {
+        compute,
+        storage: CacheGeometry::sachi_storage_default(),
+    };
+    for r in [2u32, 5, 13] {
+        let lattice = sums_graph(true, 5, r, u64::from(r));
+        let n = lattice.num_spins() + 3;
+        let graph = lattice
+            .edges()
+            .fold(GraphBuilder::new(n), |b, (i, j, w)| b.edge(i, j, w))
+            .build()
+            .expect("the lattice's edges");
+        let spins = SpinVector::random(n, &mut StdRng::seed_from_u64(u64::from(r)));
+        let store = TupleStore::new(&graph, &spins);
+        let enc = MixedEncoding::new(r).expect("valid resolution");
+        let degrees: Vec<u64> = store.iter().map(|t| t.degree() as u64).collect();
+        for kind in DesignKind::ALL {
+            let design = oracle(kind);
+            let config = SachiConfig::new(kind).with_hierarchy(hierarchy);
+            let plan = RoundPlan::for_degrees(&config, r, &degrees);
+            assert!(plan.iter().count() > 1, "{kind} R={r}: one round");
+            let (rows, cols) = design.tile_requirements(graph.max_degree(), r, compute.row_bits());
+            let per_tuple: Vec<StaticEvents> = (0..n)
+                .map(|i| {
+                    let mut tile = BitcellTile::new(rows, cols);
+                    let mut ctx = ComputeContext::new();
+                    design.compute_tuple(&mut tile, &enc, store.tuple(i), spins.get(i), &mut ctx);
+                    let tile = TileStats {
+                        rbl_discharges: 0,
+                        redundant_discharges: 0,
+                        ..*tile.stats()
+                    };
+                    StaticEvents { ctx, tile }
+                })
+                .collect();
+            for (range, round) in plan.iter() {
+                let sum = |k: usize| {
+                    let mut sum = StaticEvents::default();
+                    for events in &per_tuple[range.start..range.start + k] {
+                        sum.merge(events);
+                    }
+                    sum
+                };
+                assert_eq!(round.events, sum(range.len()), "{kind} R={r} {range:?}");
+                for k in 0..=range.len() {
+                    assert_eq!(
+                        plan.partial_events(range.clone(), k),
+                        sum(k),
+                        "{kind} R={r} {range:?} cut after {k}"
+                    );
                 }
             }
         }

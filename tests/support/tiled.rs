@@ -181,9 +181,9 @@ impl TiledComputeArray {
         let (tile_idx, base_row) = (usize::from(placement.tile), to_index(placement.base_row));
         let tile = &mut self.tiles[tile_idx];
         for (k, (&j, &s)) in tuple
-            .couplings
+            .couplings()
             .iter()
-            .zip(tuple.neighbor_spins.iter())
+            .zip(tuple.neighbor_spins())
             .enumerate()
         {
             let row = base_row + k / self.groups_per_row;
@@ -234,7 +234,7 @@ impl TiledComputeArray {
     ) -> i64 {
         let n = tuple.degree();
         if n == 0 {
-            return -i64::from(tuple.field);
+            return -i64::from(tuple.field());
         }
         assert_eq!(
             self.rows_for_degree(n),
@@ -243,7 +243,7 @@ impl TiledComputeArray {
         );
         let tile = &mut self.tiles[usize::from(placement.tile)];
         let r = to_index(enc.bits());
-        let mut acc = i64::from(tuple.field);
+        let mut acc = i64::from(tuple.field());
         let mut k = 0usize;
         for row_off in 0..to_index(placement.rows) {
             let in_row = self.groups_per_row.min(n - row_off * self.groups_per_row);
@@ -749,13 +749,9 @@ mod tests {
         let before = array.compute_h(p, store.tuple(0), Spin::Up, &enc, &mut ctx);
         // Flip neighbor copy at slot 0 (spin 1 in tuple 0).
         array.update_spin_copy(p, 0, Spin::Down);
-        let mut spins = store.tuple(0).neighbor_spins.to_vec();
-        spins[0] = Spin::Down;
-        let tuple = SpinTuple {
-            neighbor_spins: &spins,
-            ..store.tuple(0)
-        };
-        let after = array.compute_h(p, tuple, Spin::Up, &enc, &mut ctx);
+        let mut flipped = store.clone();
+        flipped.update_spin(1, Spin::Down);
+        let after = array.compute_h(p, flipped.tuple(0), Spin::Up, &enc, &mut ctx);
         assert_ne!(before, after);
         // -(2*1 + 2*1) = -4 before; -(2*(-1) + 2*1) = 0 after.
         assert_eq!(before, -4);
