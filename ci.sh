@@ -54,8 +54,9 @@ echo "==> disc_faults --smoke"
 cargo run -q -p sachi-bench --bin disc_faults -- --smoke
 
 # Kernel/sweep equality tripwire: asserts H equality between the scalar
-# oracle and the SoA production kernel on the dense acceptance tuple, a
-# King's-graph sweep, and a dense sweep — that banked multi-round
+# oracle and the SoA production kernel, and that the kernel's discharges
+# plus the schedule's static events equal the oracle's counters, on the
+# dense acceptance tuple, a King's-graph sweep, and a dense sweep — that banked multi-round
 # sweeps keep the H trajectory and compute cycles bit-identical, that
 # the memoised annealer decision makes the exp-per-decision reference's
 # decisions, that every resident tempered segment returns a fresh

@@ -6,8 +6,9 @@
 //! which lays each tuple into the tile and senses it bit by bit) vs
 //! `compute_tuple_soa` (the kernel the machine runs, which reads the
 //! tuple's maintained [`TupleSums`] from its [`TuplePlanes`] view and
-//! books the oracle's tile events in closed form), on identical inputs
-//! and tile geometry: the oracle pulses a bit-level `BitcellTile`, the
+//! books the spin-dependent discharges in closed form; the machine
+//! books the rest of the oracle's events once per round as the
+//! schedule's [`StaticEvents`]), on identical inputs and tile geometry: the oracle pulses a bit-level `BitcellTile`, the
 //! kernel books onto the machine's `SramTile`. The kernel reads in O(1) because the
 //! update path keeps the sums current, so the sweep rows time what the
 //! machine pays per sweep: the kernel *and* the update path. Both sides
@@ -15,7 +16,9 @@
 //! `update_spin` + `writeback_spin`, the scalar side by refreshing its
 //! copies with `update_spin`. Five granularities:
 //!
-//! * **per H-compute** (`kernel`) — one dense degree-256, R=8 tuple;
+//! * **per H-compute** (`kernel`) — one dense degree-256, R=8 tuple in a
+//!   one-row [`TupleStore`], each side called on `store.tuple(i)` (the
+//!   kernel also on `planes.view(i)`), as the machine calls it;
 //! * **per sweep** (`sweep`) — one full update pass over every spin of a
 //!   King's graph, with the flip sequence's flips;
 //! * **per dense sweep** (`sweep_dense`) — the same over a complete
@@ -57,9 +60,12 @@
 //!   to the solve it simulates.
 //!
 //! Every timed pair is asserted H-identical first, after every flip of
-//! the sequence and against the golden local field (the differential
-//! proptests in `tests/plane_equivalence.rs` prove the full counter
-//! contract; this harness re-checks H as a cheap tripwire), then the
+//! the sequence and against the golden local field, and the kernel's
+//! discharges plus the schedule's static events are asserted to leave
+//! its `ComputeContext` and `TileStats` equal to the oracle's after
+//! every compute (the differential proptests in
+//! `tests/plane_equivalence.rs` prove the full counter contract; this
+//! harness re-checks it as a cheap tripwire), then the
 //! measured ns/call and speedups are printed and written to
 //! `BENCH_perf.json`. The decision row is checked the same way first:
 //! both paths must make the same decisions, keep the same uphill
@@ -149,11 +155,12 @@ const TAX_SHAPES: [(CopKind, &str, usize); 3] = [
 const TAX_DESIGNS: [DesignKind; 2] = [DesignKind::N1a, DesignKind::N3];
 /// The full run's bars on the tax row, per shape and then per design in
 /// [`TAX_DESIGNS`] order: a resident machine's solve takes at most this
-/// multiple of the bare solve's time. Three full runs read 2.07–2.16
-/// (n1a) and 2.02–2.14 (n3) on `md 8192`, 2.05–2.11 and 2.02–2.09 on
-/// `coloring 256`, and 1.79–1.84 and 1.75–1.84 on `sat 40`; each bar is
-/// the highest median plus 20%, rounded up.
-const TAX_BARS: [[f64; 2]; 3] = [[2.60, 2.58], [2.54, 2.52], [2.22, 2.21]];
+/// multiple of the bare solve's time. With the kernel booking only the
+/// discharges and each round's static events booked once, three full
+/// runs read 1.53–1.59 (n1a) and 1.50–1.55 (n3) on `md 8192`, 1.66–1.69
+/// and 1.70–1.75 on `coloring 256`, and 1.36–1.41 and 1.31–1.39 on
+/// `sat 40`; each bar is the highest median plus 20%, rounded up.
+const TAX_BARS: [[f64; 2]; 3] = [[1.91, 1.87], [2.04, 2.11], [1.69, 1.67]];
 
 /// Nanoseconds per call of `f`, amortized over `iters` runs.
 fn ns_per_call(iters: u32, mut f: impl FnMut()) -> f64 {
@@ -1369,7 +1376,8 @@ fn main() {
 
     if smoke {
         println!(
-            "smoke: soa==scalar H equality held for every design at every granularity; \
+            "smoke: soa==scalar H equality and the split booking held for every design at \
+             every granularity; \
              banking left the H trajectory and compute cycles bit-identical; the memoised \
              accept made the reference's decisions; every resident segment matched a fresh \
              machine and the energy of its spins; the build row's graphs matched the pinned \

@@ -82,7 +82,7 @@ impl ComputeContext {
 
     /// Adds `other`'s counters into this one; the queue peak takes the
     /// larger of the two.
-    pub fn merge(&mut self, other: &ComputeContext) {
+    pub(crate) fn merge(&mut self, other: &ComputeContext) {
         self.cycles += other.cycles;
         self.rwl_bits_fetched += other.rwl_bits_fetched;
         self.xnor_ops += other.xnor_ops;
@@ -140,28 +140,6 @@ impl StaticEvents {
     pub fn merge(&mut self, other: &StaticEvents) {
         self.ctx.merge(&other.ctx);
         self.tile.merge(&other.tile);
-    }
-
-    /// `times` copies of these events: every count scaled, the queue
-    /// peak kept.
-    pub fn repeated(&self, times: u64) -> Self {
-        let (c, t) = (&self.ctx, &self.tile);
-        StaticEvents {
-            ctx: ComputeContext {
-                cycles: c.cycles * times,
-                rwl_bits_fetched: c.rwl_bits_fetched * times,
-                xnor_ops: c.xnor_ops * times,
-                adder_bit_ops: c.adder_bit_ops * times,
-                decisions: c.decisions * times,
-                queue_peak_bits: c.queue_peak_bits,
-            },
-            tile: TileStats {
-                rwl_activations: t.rwl_activations * times,
-                bits_written: t.bits_written * times,
-                compute_accesses: t.compute_accesses * times,
-                ..TileStats::default()
-            },
-        }
     }
 
     /// Books these events into `ctx` and onto `tile`.
@@ -594,7 +572,7 @@ mod tests {
         assert_eq!(one.tile.rwl_activations, 64);
         let mut twice = one;
         twice.merge(&one);
-        assert_eq!(twice, one.repeated(2));
+        assert_eq!(twice.tile.rwl_activations, 128);
         assert_eq!(twice.ctx.queue_peak_bits, 40, "a peak does not add");
     }
 

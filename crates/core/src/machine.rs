@@ -9,10 +9,10 @@
 //! design's bit-level schedule booked on the tile in closed form: the
 //! spin-dependent bit-line discharges by the kernel per compute, the
 //! rest (word-lines, writes, XNOR and adder work, queue) once per round
-//! from the round plan's static events. Alongside the solve it keeps the books the
-//! paper's evaluation needs: cycles (compute, loading, DRAM, with
-//! prefetch overlap), a per-component energy ledger, reuse, redundant
-//! discharges, queue occupancy, and update-path traffic. Energy is
+//! from the round plan's static events. Alongside the solve it keeps
+//! the books the paper's evaluation needs: cycles (compute, loading,
+//! DRAM, with prefetch overlap), a per-component energy ledger, reuse,
+//! redundant discharges, queue occupancy, and update-path traffic. Energy is
 //! counted, not summed: the call tallies its events as integer counts in
 //! one [`crate::rounds::SolveEvents`] and prices them once at the end.
 //!
