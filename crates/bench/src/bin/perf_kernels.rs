@@ -8,8 +8,9 @@
 //! tuple's maintained [`TupleSums`] from its [`TuplePlanes`] view and
 //! books the spin-dependent discharges in closed form; the machine
 //! books the rest of the oracle's events once per round as the
-//! schedule's [`StaticEvents`]), on identical inputs and tile geometry: the oracle pulses a bit-level `BitcellTile`, the
-//! kernel books onto the machine's `SramTile`. The kernel reads in O(1) because the
+//! schedule's [`StaticEvents`]), on identical inputs and tile geometry:
+//! the oracle pulses a bit-level `BitcellTile`, the kernel books onto
+//! the machine's `SramTile`. The kernel reads in O(1) because the
 //! update path keeps the sums current, so the sweep rows time what the
 //! machine pays per sweep: the kernel *and* the update path. Both sides
 //! replay one fixed, seeded flip sequence — the SoA side through
