@@ -1,9 +1,10 @@
 //! The harnesses over the paper's reference models, pinned byte for
 //! byte: `fig03_feature_table`, `fig05_reuse_motivation`, `fig10_bitline`,
 //! `fig11_13_schedules`, `fig14_isa`, `disc_conventional`, `fig15_brim`,
-//! `fig15_cim` and `disc_drift --smoke` whole, and `disc_multicore` up
-//! to its replica-parallel section (that section times a threaded
-//! ensemble, so its wall-clock columns differ between runs).
+//! `fig15_cim`, `abl_tuple_rep` and `disc_drift --smoke` whole, and
+//! `disc_multicore` up to its replica-parallel section (that section
+//! times a threaded ensemble, so its wall-clock columns differ between
+//! runs).
 //! `fig15_brim` prints its build and solve timings to stderr, which the
 //! pin ignores. Each golden in `tests/golden/` is the binary's stdout;
 //! regenerate them with
@@ -11,7 +12,8 @@
 //! ```text
 //! cargo build --release -p sachi-bench
 //! for b in fig03_feature_table fig05_reuse_motivation fig10_bitline \
-//!          fig11_13_schedules fig14_isa disc_conventional fig15_brim fig15_cim; do
+//!          fig11_13_schedules fig14_isa disc_conventional fig15_brim fig15_cim \
+//!          abl_tuple_rep; do
 //!   target/release/$b > crates/bench/tests/golden/$b.txt
 //! done
 //! target/release/disc_drift --smoke > crates/bench/tests/golden/disc_drift_smoke.txt
@@ -94,4 +96,12 @@ fn fig15_cim_matches_its_pin() {
 fn disc_drift_smoke_matches_its_pin() {
     let got = stdout_of(env!("CARGO_BIN_EXE_disc_drift"), &["--smoke"]);
     assert_eq!(got, include_str!("golden/disc_drift_smoke.txt"));
+}
+
+/// The one harness that solves with tuple-rep off, so it pins the
+/// store's `rereads` and the machine's re-read count.
+#[test]
+fn abl_tuple_rep_matches_its_pin() {
+    let got = stdout_of(env!("CARGO_BIN_EXE_abl_tuple_rep"), &[]);
+    assert_eq!(got, include_str!("golden/abl_tuple_rep.txt"));
 }

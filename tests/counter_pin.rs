@@ -12,6 +12,9 @@
 //! * `md 64` and `coloring 24`, one replica;
 //! * `md 64` at read BER 1e-4 under fail-fast: every design aborts in
 //!   the middle of its second sweep's only round;
+//! * `md 64` at read BER 1e-3 under `retry` (three re-fetches): parity
+//!   misses some even flip counts, so the job pins the aliased field the
+//!   decision sees (`recovery_undetected` > 0) as well as the re-fetches;
 //! * `md 64` on a compute array that holds a few tuples (multi-round
 //!   sweeps), clean and under the same fail-fast fault, which cuts a
 //!   round short;
@@ -48,6 +51,11 @@ fn jobs(design: DesignKind) -> Vec<(String, JobSpec, bool)> {
         fault_policy: RecoveryPolicy::FailFast,
         ..md.clone()
     };
+    let retry = JobSpec {
+        fault_ber: Some(1e-3),
+        fault_policy: RecoveryPolicy::RefetchRetry { max_retries: 3 },
+        ..md.clone()
+    };
     let coloring = JobSpec {
         cop: CopKind::GraphColoring,
         size: 24,
@@ -70,6 +78,7 @@ fn jobs(design: DesignKind) -> Vec<(String, JobSpec, bool)> {
             failfast.clone(),
             false,
         ),
+        (format!("{key} md 64 ber 1e-3 retry"), retry, false),
         (format!("{key} md 64 tiny"), md, true),
         (
             format!("{key} md 64 tiny ber 1e-4 failfast"),
@@ -118,9 +127,10 @@ fn compute_counters_match_the_pinned_table() {
     }
 }
 
-/// The fail-fast jobs do abort, and the tiny hierarchy does split every
-/// sweep into rounds: otherwise the table would pin neither a cut round
-/// nor a multi-round sweep.
+/// The fail-fast jobs do abort, the retry job does alias past parity,
+/// and the tiny hierarchy does split every sweep into rounds: otherwise
+/// the table would pin neither a cut round, nor an aliased field, nor a
+/// multi-round sweep.
 #[test]
 fn the_pinned_jobs_abort_and_split_as_labelled() {
     for design in DesignKind::ALL {
@@ -130,11 +140,12 @@ fn the_pinned_jobs_abort_and_split_as_labelled() {
                 plan = plan.with_hierarchy(tiny_hierarchy());
             }
             let (result, report) = plan.run_replica(0);
-            assert_eq!(
-                result.degraded,
-                spec.fault_ber.is_some(),
-                "{label}: fail-fast abort"
-            );
+            let failfast =
+                spec.fault_ber.is_some() && spec.fault_policy == RecoveryPolicy::FailFast;
+            assert_eq!(result.degraded, failfast, "{label}: fail-fast abort");
+            if spec.fault_ber.is_some() && !failfast {
+                assert!(report.faults.undetected > 0, "{label}: parity aliases");
+            }
             if tiny {
                 assert!(report.rounds_per_sweep > 1, "{label}: rounds per sweep");
             }
