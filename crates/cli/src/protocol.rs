@@ -218,16 +218,21 @@ fn usage(msg: String) -> SachiError {
 /// Extracts a non-negative integer field. JSON numbers are f64, so
 /// anything non-integral or from 2^53 up (where f64 loses exactness:
 /// 2^53 + 1 reads as 2^53) is rejected rather than silently rounded.
+/// An integer job field: only an integer literal (no fraction, no
+/// exponent) in `0..2^53` is accepted, so no value is rounded on the way
+/// in and every accepted one survives the JSON wire format exactly.
 fn u64_field(v: &JsonValue, what: &str) -> Result<u64, SachiError> {
-    let n = v
-        .as_num()
-        .ok_or_else(|| usage(format!("{what} must be a number")))?;
-    if !n.is_finite() || n < 0.0 || n.fract() != 0.0 || n >= 9_007_199_254_740_992.0 {
-        return Err(usage(format!(
-            "{what} must be a non-negative integer representable in 53 bits"
-        )));
+    if v.as_num().is_none() {
+        return Err(usage(format!("{what} must be a number")));
     }
-    Ok(n as u64)
+    v.as_int()
+        .and_then(|n| u64::try_from(n).ok())
+        .filter(|&n| n < 1 << 53)
+        .ok_or_else(|| {
+            usage(format!(
+                "{what} must be a non-negative integer literal representable in 53 bits"
+            ))
+        })
 }
 
 fn usize_field(v: &JsonValue, what: &str) -> Result<usize, SachiError> {
@@ -810,6 +815,28 @@ mod tests {
             parse_request(&simple_request_body("shutdown")).unwrap(),
             Request::Shutdown
         );
+    }
+
+    /// An integer job field takes integer literals only: a fraction or
+    /// an exponent is refused even where its value is whole, or where
+    /// the f64 the literal parses to would be (`…990.5` rounds to
+    /// `…990`).
+    #[test]
+    fn integer_fields_refuse_fraction_and_exponent_literals() {
+        for body in [
+            "{\"op\":\"solve\",\"job\":{\"seed\":9007199254740990.5}}",
+            "{\"op\":\"solve\",\"job\":{\"seed\":7.0}}",
+            "{\"op\":\"solve\",\"job\":{\"size\":1.5e1}}",
+            "{\"op\":\"solve\",\"job\":{\"restarts\":4E0}}",
+            "{\"op\":\"solve\",\"job\":{\"step_budget\":1e3}}",
+        ] {
+            let err = parse_request(body).unwrap_err();
+            assert_eq!(err.exit_code(), 2, "{body}: {err}");
+        }
+        match parse_request("{\"op\":\"solve\",\"job\":{\"seed\":9007199254740990}}") {
+            Ok(Request::Solve(spec)) => assert_eq!(spec.seed, 9_007_199_254_740_990),
+            other => panic!("an integer literal decodes exactly: {other:?}"),
+        }
     }
 
     #[test]

@@ -165,7 +165,10 @@ pub enum JsonValue {
     Null,
     /// `true` / `false`.
     Bool(bool),
-    /// Any JSON number, as f64.
+    /// A number written as an integer literal (no fraction, no
+    /// exponent) that fits an i64, exactly.
+    Int(i64),
+    /// Any other JSON number, as f64.
     Num(f64),
     /// A string (unescaped).
     Str(String),
@@ -192,10 +195,20 @@ impl JsonValue {
         }
     }
 
-    /// The numeric value, if this is a number.
+    /// The numeric value, if this is a number (an integer literal
+    /// rounds to the nearest f64, as the f64 parse of its text does).
     pub fn as_num(&self) -> Option<f64> {
         match self {
+            JsonValue::Int(v) => Some(*v as f64),
             JsonValue::Num(v) => Some(*v),
+            _ => None,
+        }
+    }
+
+    /// The exact value, if this is an integer literal that fits an i64.
+    pub fn as_int(&self) -> Option<i64> {
+        match self {
+            JsonValue::Int(v) => Some(*v),
             _ => None,
         }
     }
@@ -348,6 +361,7 @@ impl<'a> Parser<'a> {
         while self.peek().is_some_and(|b| b.is_ascii_digit()) {
             self.pos += 1;
         }
+        let integral = !matches!(self.peek(), Some(b'.' | b'e' | b'E'));
         if self.peek() == Some(b'.') {
             self.pos += 1;
             while self.peek().is_some_and(|b| b.is_ascii_digit()) {
@@ -365,6 +379,11 @@ impl<'a> Parser<'a> {
         }
         let text = std::str::from_utf8(&self.bytes[start..self.pos])
             .map_err(|_| self.err("invalid utf-8 in number"))?;
+        if integral {
+            if let Ok(v) = text.parse::<i64>() {
+                return Ok(JsonValue::Int(v));
+            }
+        }
         text.parse::<f64>()
             .map(JsonValue::Num)
             .map_err(|_| self.err(&format!("invalid number '{text}'")))
@@ -597,7 +616,7 @@ fn validate_structure(root: &JsonValue) -> Result<(), String> {
         .and_then(JsonValue::as_obj)
         .ok_or("missing 'gauges' object")?;
     for (name, v) in gauges {
-        if !matches!(v, JsonValue::Num(_) | JsonValue::Null) {
+        if !matches!(v, JsonValue::Int(_) | JsonValue::Num(_) | JsonValue::Null) {
             return Err(format!("gauge '{name}' is not a number"));
         }
     }
@@ -794,8 +813,40 @@ mod tests {
         let v = parse(r#"{"s":"aA\n","n":-1.5e2,"b":true,"x":null}"#).expect("parses");
         assert_eq!(v.get("s").and_then(JsonValue::as_str), Some("aA\n"));
         assert_eq!(v.get("n").and_then(JsonValue::as_num), Some(-150.0));
+        assert_eq!(v.get("n").and_then(JsonValue::as_int), None);
         assert_eq!(v.get("b"), Some(&JsonValue::Bool(true)));
         assert_eq!(v.get("x"), Some(&JsonValue::Null));
+    }
+
+    #[test]
+    fn integer_literals_parse_exactly() {
+        let v = parse(r#"[9007199254740993,-7,-0,1.0,1e2,9223372036854775808]"#).expect("parses");
+        let items = v.as_arr().expect("an array");
+        let ints: Vec<Option<i64>> = items.iter().map(JsonValue::as_int).collect();
+        assert_eq!(
+            ints,
+            [
+                Some(9_007_199_254_740_993),
+                Some(-7),
+                Some(0),
+                None,
+                None,
+                None
+            ]
+        );
+        // Every number still reads as an f64, integer literals too.
+        let nums: Vec<Option<f64>> = items.iter().map(JsonValue::as_num).collect();
+        assert_eq!(
+            nums,
+            [
+                Some(9_007_199_254_740_992.0),
+                Some(-7.0),
+                Some(0.0),
+                Some(1.0),
+                Some(100.0),
+                Some(9_223_372_036_854_775_808.0)
+            ]
+        );
     }
 
     /// A long string of every kind of content: ASCII, 2-, 3- and 4-byte
