@@ -14,8 +14,9 @@
 //! update path keeps the sums current, so the sweep rows time what the
 //! machine pays per sweep: the kernel *and* the update path. Both sides
 //! replay one fixed, seeded flip sequence — the SoA side through
-//! `update_spin` + `writeback_spin`, the scalar side by refreshing its
-//! copies with `update_spin`. Five granularities:
+//! `update_spin` + `writeback_spin`, the scalar side through
+//! `update_spin` alone, which sets the spin state its tuples' neighbour
+//! reads gather. Five granularities:
 //!
 //! * **per H-compute** (`kernel`) — one dense degree-256, R=8 tuple in a
 //!   one-row [`TupleStore`], each side called on `store.tuple(i)` (the
@@ -47,10 +48,12 @@
 //! * **writeback** (`writeback`) — the Fig. 8b update path alone on the
 //!   `build` row's two shapes: the first flips of a seeded anneal,
 //!   recorded once, replayed through `update_spin` + `writeback_spin`
-//!   against the per-tuple reference layout in
-//!   `sachi_bench::reference::tuple`, in alternating rounds; the medians
-//!   and IQRs of both, in ns per flip, and of the per-round ratio are
-//!   recorded;
+//!   (one spin state written, the neighbours' sums moved from the
+//!   flipped spin's own row) against the per-tuple reference layout in
+//!   `sachi_bench::reference::tuple` (a spin copy per slot, refreshed
+//!   through per-spin adjacency lists), in alternating rounds; the
+//!   medians and IQRs of both, in ns per flip, and of the per-round
+//!   ratio are recorded;
 //! * **simulation tax** (`tax`) — a whole `solve_detailed` call on a
 //!   resident SACHI(n1a) and SACHI(n3) machine against the bare
 //!   incremental solve in `sachi_bench::reference::bare` (the shared
@@ -74,8 +77,9 @@
 //! checked first too: every resident segment's `(SolveResult,
 //! RunReport)` must equal a fresh machine's on the same call, and its
 //! energy must equal `hamiltonian::energy` of its spins. The writeback
-//! row's two paths must hold identical sums after every flip and
-//! identical copies at the end. The tax row's two solves must return
+//! row's two paths must hold identical sums after every flip, and at the
+//! end the reference's copies must equal the spins the store's rows
+//! gather. The tax row's two solves must return
 //! the same `SolveResult` every round. The full run asserts the ≥5× acceptance bar on the dense
 //! kernel, the ≥6× bar on the dense SoA sweep for every design, a
 //! memo/reference median ratio ≤ 0.75 on the decision, a
@@ -137,10 +141,11 @@ const WRITEBACK_ROUNDS: u32 = 15;
 /// Flips the writeback row records from each shape's anneal (full run).
 const WRITEBACK_FLIPS: usize = 4096;
 /// The full run's bar on the writeback row: the production update path
-/// (the flat store, popcounts kept from the build) takes at most this
-/// multiple of the per-tuple reference's time on each shape. Four full
-/// runs read 0.61–0.69 on `coloring 256` and 0.57–0.58 on `md 8192`;
-/// the bar leaves at least 20% headroom over the highest.
+/// (the flat store with one state per spin, popcounts kept from the
+/// build) takes at most this multiple of the per-tuple reference's time
+/// on each shape. Three full runs read 0.41–0.43 on `coloring 256` and
+/// 0.46–0.49 on `md 8192`. The bar dates from the store that still kept
+/// a spin copy per slot (0.61–0.69 and 0.57–0.58) and is kept.
 const WRITEBACK_BAR: f64 = 0.85;
 
 /// Alternating rounds of the tax row's two timed solves.
@@ -156,12 +161,12 @@ const TAX_SHAPES: [(CopKind, &str, usize); 3] = [
 const TAX_DESIGNS: [DesignKind; 2] = [DesignKind::N1a, DesignKind::N3];
 /// The full run's bars on the tax row, per shape and then per design in
 /// [`TAX_DESIGNS`] order: a resident machine's solve takes at most this
-/// multiple of the bare solve's time. With the kernel booking only the
-/// discharges and each round's static events booked once, three full
-/// runs read 1.53–1.59 (n1a) and 1.50–1.55 (n3) on `md 8192`, 1.66–1.69
-/// and 1.70–1.75 on `coloring 256`, and 1.36–1.41 and 1.31–1.39 on
-/// `sat 40`; each bar is the highest median plus 20%, rounded up.
-const TAX_BARS: [[f64; 2]; 3] = [[1.91, 1.87], [2.04, 2.11], [1.69, 1.67]];
+/// multiple of the bare solve's time. With the store keeping one state
+/// per spin, three full runs read 1.47–1.50 (n1a) and 1.44 (n3) on
+/// `md 8192`, 1.33–1.40 and 1.32–1.33 on `coloring 256`, and 1.26–1.27
+/// and 1.23–1.30 on `sat 40`; each bar is the highest median plus 20%,
+/// rounded up.
+const TAX_BARS: [[f64; 2]; 3] = [[1.80, 1.73], [1.68, 1.61], [1.53, 1.56]];
 
 /// Nanoseconds per call of `f`, amortized over `iters` runs.
 fn ns_per_call(iters: u32, mut f: impl FnMut()) -> f64 {
@@ -860,7 +865,8 @@ impl ReferenceState {
 /// Records `limit` flips of a seeded anneal of `kind` at `size` (seed 0,
 /// the graph's own resolution), checks that the production update path
 /// and the per-tuple reference hold identical sums after every flip and
-/// identical copies at the end, then times the two replaying the
+/// that the reference's copies equal the store's gathered spins at the
+/// end, then times the two replaying the
 /// sequence `iters` times per reading, in `rounds` alternating rounds.
 /// Every replay toggles the recorded spins, so every step is a flip.
 fn measure_writeback(
@@ -892,9 +898,13 @@ fn measure_writeback(
     }
     for i in 0..n {
         assert_eq!(
-            production.store.tuple(i).neighbor_spins(),
+            production
+                .store
+                .tuple(i)
+                .neighbor_spins()
+                .collect::<Vec<_>>(),
             reference.store.tuples()[i].neighbor_spins,
-            "{kind} {size}: tuple {i}'s copies diverged"
+            "{kind} {size}: tuple {i}'s copies diverged from the spins"
         );
     }
 

@@ -70,7 +70,7 @@ fn finish_from_products(
 }
 
 fn layout_spins(tile: &mut BitcellTile, tuple: SpinTuple<'_>) {
-    let bits: Vec<bool> = tuple.neighbor_spins().iter().map(|s| s.bit()).collect();
+    let bits: Vec<bool> = tuple.neighbor_spins().map(|s| s.bit()).collect();
     tile.write_row(0, &bits)
         .expect("tile sized by tile_requirements");
 }
@@ -117,16 +117,13 @@ impl ScalarOracle for SpinStationaryBitMajor {
         // (minimum size N*(R+1), Sec. IV.D.1).
         note_queue(ctx, count_u64(n) * (u64::from(r) + 1));
         // Phases 3-5.
-        let products = queue
-            .iter()
-            .zip(tuple.neighbor_spins().iter())
-            .map(|(bits, &s)| {
-                let mut v = enc.decode(bits);
-                if s == Spin::Down {
-                    v += 1;
-                }
-                v
-            });
+        let products = queue.iter().zip(tuple.neighbor_spins()).map(|(bits, s)| {
+            let mut v = enc.decode(bits);
+            if s == Spin::Down {
+                v += 1;
+            }
+            v
+        });
         finish_from_products(products, tuple.field(), r, ctx)
     }
 }
@@ -152,7 +149,12 @@ impl ScalarOracle for SpinStationaryIcMajor {
         // cycles.
         let mut acc = i64::from(tuple.field());
         let mut queue_entry = vec![false; to_index(r)];
-        for (k, &j) in tuple.couplings().iter().enumerate() {
+        for (k, (&j, s)) in tuple
+            .couplings()
+            .iter()
+            .zip(tuple.neighbor_spins())
+            .enumerate()
+        {
             let bits = enc
                 .encode(i64::from(j))
                 .expect("coefficient fits the configured resolution");
@@ -167,7 +169,7 @@ impl ScalarOracle for SpinStationaryIcMajor {
             }
             note_queue(ctx, u64::from(r) + 1);
             let mut v = enc.decode(&queue_entry);
-            if tuple.neighbor_spins()[k] == Spin::Down {
+            if s == Spin::Down {
                 v += 1;
             }
             acc += v;
@@ -204,7 +206,7 @@ impl ScalarOracle for IcStationary {
         }
         // Phase 1: one neighbor per cycle, R columns sensed at once.
         let mut acc = i64::from(tuple.field());
-        for (k, &s) in tuple.neighbor_spins().iter().enumerate() {
+        for (k, s) in tuple.neighbor_spins().enumerate() {
             let out = tile
                 .compute_xnor(k, s.bit(), 0..to_index(r))
                 .expect("in-bounds by layout");
@@ -243,10 +245,10 @@ impl ScalarOracle for MixedStationary {
         let group = to_index(r) + 1;
         let per_row = (tile.cols() / group).max(1);
         // Layout: per neighbor, an (R+1)-bit group [J bits..., σ_j bit].
-        for (k, (&j, &s)) in tuple
+        for (k, (&j, s)) in tuple
             .couplings()
             .iter()
-            .zip(tuple.neighbor_spins().iter())
+            .zip(tuple.neighbor_spins())
             .enumerate()
         {
             let row = k / per_row;

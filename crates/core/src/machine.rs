@@ -484,14 +484,6 @@ impl SachiMachine {
                 let mut reached = range.len();
                 for (pos, i) in range.clone().enumerate() {
                     let tuple = tuples.tuple(i);
-                    debug_assert!(
-                        tuple
-                            .neighbors()
-                            .iter()
-                            .zip(tuple.neighbor_spins())
-                            .all(|(&j, &s)| s == spins.get(to_index(j))),
-                        "tuple-rep copies stale at spin {i}: the Fig. 8b update path missed a refresh"
-                    );
                     let h_sigma = design.compute_tuple_soa(
                         &mut tile,
                         &enc,
@@ -566,11 +558,10 @@ impl SachiMachine {
                             let degree = tuple.degree();
                             if degree > 0 {
                                 let slot = inj.pick_index(degree);
-                                if let (Some(&j), Some(s)) = (
-                                    tuple.couplings().get(slot),
-                                    tuple.neighbor_spins().get(slot),
-                                ) {
-                                    h_seen -= 2 * i64::from(j) * s.value();
+                                if let (Some(&j), Some(&k)) =
+                                    (tuple.couplings().get(slot), tuple.neighbors().get(slot))
+                                {
+                                    h_seen -= 2 * i64::from(j) * spins.get(to_index(k)).value();
                                 }
                             }
                         }
@@ -583,7 +574,8 @@ impl SachiMachine {
                         flips_this_sweep += 1;
                         delta += flip_cost(current, h_sigma);
                         // Fig. 8b update path: adjacency read + relevant
-                        // tuple copy writes in the storage array.
+                        // tuple copy writes in the storage array, counted
+                        // by the store.
                         copies += tuples.update_spin(i, new);
                         soa.writeback_spin(&tuples, i, new);
                     }

@@ -9,11 +9,12 @@
 //! The price of tuple-rep is paid on *update*: when spin `j` flips, its
 //! copy inside every tuple that contains it must be refreshed. A dedicated
 //! region of the storage array holds the adjacency matrix; the update path
-//! reads it to find the relevant tuples (Fig. 8b). [`TupleStore`] is that
-//! pair of structures, laid out flat like the graph's CSR: every row's
-//! neighbours, couplings and spin copies sit end to end in one array each,
-//! and the adjacency region is a flat copy index of the same length.
-//! [`TupleStore::update_spin`] returns the copies it wrote for the
+//! reads it to find the relevant tuples (Fig. 8b). [`TupleStore`] holds
+//! the tuples laid out flat like the graph's CSR: every row's neighbours
+//! and couplings sit end to end in one array each. It keeps one state per
+//! spin rather than the hardware's per-row copies, which always equal
+//! it: [`TupleStore::update_spin`] writes that one state and returns the
+//! copies the hardware would write (the flipped spin's degree) for the
 //! machine to count, and [`TupleStore::tuple`] lends one row out as a
 //! [`SpinTuple`]: the store and the row index, free to build, whose
 //! slices are cut only when read.
@@ -69,11 +70,15 @@ impl<'a> SpinTuple<'a> {
         self.store.couplings.get(self.row().0).unwrap_or_default()
     }
 
-    /// *Copies* of the neighboring spin states (tuple-rep makes these
-    /// local; they go stale unless the update path refreshes them).
-    pub fn neighbor_spins(&self) -> &'a [Spin] {
-        let slots = self.row().0;
-        self.store.neighbor_spins.get(slots).unwrap_or_default()
+    /// The neighbouring spin states, aligned with
+    /// [`SpinTuple::neighbors`]: what the row's copies hold on the
+    /// hardware (tuple-rep makes them local; the update path keeps them
+    /// current), gathered from the store's one state per spin.
+    pub fn neighbor_spins(&self) -> impl ExactSizeIterator<Item = Spin> + 'a {
+        let spins = &self.store.spins;
+        self.neighbors()
+            .iter()
+            .map(move |&j| spins.get(j as usize).copied().unwrap_or_default())
     }
 
     /// External field `h_i`.
@@ -81,8 +86,9 @@ impl<'a> SpinTuple<'a> {
         self.row().1
     }
 
-    /// Local field `H_σ = -Σ J_ij σ_j - h_i` computed **entirely from the
-    /// tuple's own copies** — the independence that tuple-rep buys.
+    /// Local field `H_σ = -Σ J_ij σ_j - h_i` computed from the tuple's
+    /// own row — the independence that tuple-rep buys — and the
+    /// neighbour states its copies hold.
     pub fn local_field(&self) -> i64 {
         let mut h = -i64::from(self.field());
         for (&j, s) in self.couplings().iter().zip(self.neighbor_spins()) {
@@ -110,7 +116,7 @@ impl PartialEq for SpinTuple<'_> {
         self.target() == other.target()
             && self.neighbors() == other.neighbors()
             && self.couplings() == other.couplings()
-            && self.neighbor_spins() == other.neighbor_spins()
+            && self.neighbor_spins().eq(other.neighbor_spins())
             && self.field() == other.field()
     }
 }
@@ -123,29 +129,28 @@ impl std::fmt::Debug for SpinTuple<'_> {
             .field("target", &self.target())
             .field("neighbors", &self.neighbors())
             .field("couplings", &self.couplings())
-            .field("neighbor_spins", &self.neighbor_spins())
+            .field("neighbor_spins", &self.neighbor_spins().collect::<Vec<_>>())
             .field("field", &self.field())
             .finish()
     }
 }
 
-/// The storage array's logical content: all tuples plus the adjacency
-/// index used by the update path, each held flat.
+/// The storage array's logical content: all tuples, held flat, and the
+/// spin states their copies hold.
 ///
 /// Row `i` occupies positions `offsets[i]..offsets[i + 1]` of the
-/// neighbour, coupling and spin-copy arrays, in the graph's (ascending)
-/// neighbour order. The copy index has the same shape: its entry
-/// `offsets[j] + k` is the position of `σ_j`'s copy inside the row of
-/// `j`'s neighbour `k`, so one spin's update reads one contiguous range
-/// of it (the adjacency region of Fig. 8b).
+/// neighbour and coupling arrays, in the graph's (ascending) neighbour
+/// order. Row `j` is also `σ_j`'s range of the adjacency region of
+/// Fig. 8b: it names the tuples holding a copy of `σ_j`. Every copy of
+/// a spin holds the same state, so the store keeps that state once, in
+/// `spins`, indexed by spin id.
 #[derive(Debug, Clone)]
 pub struct TupleStore {
     offsets: Vec<usize>,
     neighbors: Vec<u32>,
     couplings: Vec<i32>,
-    neighbor_spins: Vec<Spin>,
     fields: Vec<i32>,
-    copies: Vec<u32>,
+    spins: Vec<Spin>,
     /// Whether tuple-rep is enabled. The ablation (`abl_tuple_rep`)
     /// disables it, which forces cross-tuple re-reads (counted, not
     /// simulated structurally).
@@ -172,8 +177,7 @@ impl TupleStore {
     ///
     /// # Panics
     ///
-    /// Panics if `spins.len() != graph.num_spins()`, or if the graph has
-    /// more than `u32::MAX` directed edges.
+    /// Panics if `spins.len() != graph.num_spins()`.
     pub fn with_tuple_rep(graph: &IsingGraph, spins: &SpinVector, tuple_rep: bool) -> Self {
         assert_eq!(
             spins.len(),
@@ -181,51 +185,31 @@ impl TupleStore {
             "spin vector must match graph size"
         );
         let n = graph.num_spins();
+        let slots = 2 * graph.num_edges();
         let mut offsets = Vec::with_capacity(n + 1);
-        offsets.push(0);
-        for i in 0..n {
-            offsets.push(offsets[i] + graph.degree(i));
-        }
-        let slots = offsets[n];
-        assert!(
-            u32::try_from(slots).is_ok(),
-            "{slots} tuple slots overflow the u32 copy index"
-        );
         let mut neighbors = Vec::with_capacity(slots);
         let mut couplings = Vec::with_capacity(slots);
-        let mut neighbor_spins = Vec::with_capacity(slots);
-        let mut copies = vec![0u32; slots];
-        // The next free copy-index entry of each spin. Rows are written in
-        // ascending order, so spin j's k-th copy lands in the row of its
-        // k-th (ascending) neighbour: entry offsets[j] + k.
-        let mut cursor = offsets[..n].to_vec();
+        let mut fields = Vec::with_capacity(n);
+        offsets.push(0);
         for i in 0..n {
             for (j, w) in graph.neighbors(i) {
-                let j = j as usize;
-                copies[cursor[j]] = neighbors.len() as u32;
-                cursor[j] += 1;
-                neighbors.push(j as u32);
+                neighbors.push(j);
                 couplings.push(w);
-                neighbor_spins.push(spins.get(j));
             }
+            offsets.push(neighbors.len());
+            fields.push(graph.field(i));
         }
-        let fields = (0..n).map(|i| graph.field(i)).collect();
-        // Tuple-rep invariant: copy-index entry k of spin j lies in the row
-        // of j's neighbour k, and that slot holds a copy of σ_j.
-        debug_assert!(
-            (0..n).all(|j| (offsets[j]..offsets[j + 1]).all(|e| {
-                let (owner, pos) = (neighbors[e] as usize, copies[e] as usize);
-                (offsets[owner]..offsets[owner + 1]).contains(&pos) && neighbors[pos] as usize == j
-            })),
-            "tuple-rep construction broke the copy index"
-        );
         let rereads = if tuple_rep {
             Vec::new()
         } else {
             (0..n)
                 .map(|i| {
-                    let row = &neighbors[offsets[i]..offsets[i + 1]];
-                    count_u64(row.iter().filter(|&&j| (j as usize) < i).count())
+                    count_u64(
+                        graph
+                            .neighbors(i)
+                            .filter(|&(j, _)| (j as usize) < i)
+                            .count(),
+                    )
                 })
                 .collect()
         };
@@ -233,21 +217,20 @@ impl TupleStore {
             offsets,
             neighbors,
             couplings,
-            neighbor_spins,
             fields,
-            copies,
+            spins: spins.to_vec(),
             tuple_rep,
             rereads,
         }
     }
 
     /// A store of one standalone row, spin 0's, holding `neighbors`,
-    /// `couplings`, the copies `neighbor_spins` and `field` as given: the
-    /// input of single-tuple harnesses, read through `tuple(0)` and
-    /// [`TuplePlanes::new`]. Its neighbour ids need not name rows of the
-    /// store, so it has no copy index and takes no spin updates
-    /// ([`TupleStore::update_spin`] and [`TupleStore::copy_slots`] panic
-    /// on a row with neighbours).
+    /// `couplings`, the neighbour states `neighbor_spins` and `field` as
+    /// given: the input of single-tuple harnesses, read through `tuple(0)`
+    /// and [`TuplePlanes::new`]. The states are kept indexed by neighbour
+    /// id, so the ids must be distinct (every caller passes `1..=n` or a
+    /// graph row); they need not name rows of the store, so only
+    /// `update_spin(0, ..)` is in range.
     ///
     /// # Panics
     ///
@@ -261,15 +244,19 @@ impl TupleStore {
         let n = neighbors.len();
         assert!(
             couplings.len() == n && neighbor_spins.len() == n,
-            "a row needs one coupling and one spin copy per neighbour"
+            "a row needs one coupling and one spin state per neighbour"
         );
+        let ids = neighbors.iter().map(|&j| j as usize + 1).max().unwrap_or(1);
+        let mut spins = vec![Spin::default(); ids];
+        for (&j, &s) in neighbors.iter().zip(neighbor_spins) {
+            spins[j as usize] = s;
+        }
         TupleStore {
             offsets: vec![0, n],
             neighbors: neighbors.to_vec(),
             couplings: couplings.to_vec(),
-            neighbor_spins: neighbor_spins.to_vec(),
             fields: vec![field],
-            copies: Vec::new(),
+            spins,
             tuple_rep: true,
             rereads: Vec::new(),
         }
@@ -309,25 +296,6 @@ impl TupleStore {
         (0..self.len()).map(|i| self.tuple(i))
     }
 
-    /// Where the copies of `σ_j` live, read from the copy index: one
-    /// `(tuple, slot)` pair per neighbour of `j`, in `j`'s own neighbour
-    /// order, so pair `k` names the row of neighbour `k` and the slot of
-    /// that row holding `σ_j`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `j` is out of range.
-    pub fn copy_slots(&self, j: usize) -> impl Iterator<Item = (usize, usize)> + '_ {
-        let row = self.offsets[j]..self.offsets[j + 1];
-        self.neighbors[row.clone()]
-            .iter()
-            .zip(&self.copies[row])
-            .map(|(&t, &pos)| {
-                let t = t as usize;
-                (t, pos as usize - self.offsets[t])
-            })
-    }
-
     /// The cross-tuple re-reads one compute of tuple `i` needs *without*
     /// tuple-rep (one per neighbor whose shared IC would live only in
     /// the neighbor's tuple — on average half of them under the paper's
@@ -339,24 +307,16 @@ impl TupleStore {
         self.rereads.get(i).copied().unwrap_or(0)
     }
 
-    /// Applies a spin update through the Fig. 8b path: reads `σ_j`'s
-    /// range of the copy index, then refreshes `σ_j`'s copy in every
-    /// relevant tuple. Returns the number of tuple entries written.
+    /// Applies a spin update: sets `σ_j`, which every copy of it reads.
+    /// Returns the tuple entries the Fig. 8b path writes on the hardware,
+    /// one copy in the row of each of `j`'s neighbours: its degree.
     ///
     /// # Panics
     ///
     /// Panics if `j` is out of range.
     pub fn update_spin(&mut self, j: usize, new: Spin) -> u64 {
-        let entries = &self.copies[self.offsets[j]..self.offsets[j + 1]];
-        for &pos in entries {
-            debug_assert_eq!(
-                self.neighbors[pos as usize] as usize,
-                j,
-                "tuple-rep copy index corrupt: an entry of spin {j} points at position {pos}, which holds a different neighbor"
-            );
-            self.neighbor_spins[pos as usize] = new;
-        }
-        count_u64(entries.len())
+        self.spins[j] = new;
+        count_u64(self.offsets[j + 1] - self.offsets[j])
     }
 }
 
@@ -452,7 +412,7 @@ impl TuplePlanes {
                 n: count_u64(tuple.degree()),
                 ..TupleSums::default()
             };
-            for ((&j, &spin), &neighbor) in tuple
+            for ((&j, spin), &neighbor) in tuple
                 .couplings()
                 .iter()
                 .zip(tuple.neighbor_spins())
@@ -516,9 +476,9 @@ impl TuplePlanes {
     /// Mirrors a spin flip: if the copies of `σ_j` change, walks `σ_j`'s
     /// own row of `store` and applies each edge's constants, with the
     /// slot's `ones` kept from the build, to the neighbour's tuple — the
-    /// tuples [`TupleStore::update_spin`] refreshes. Call with the *store
-    /// that built this mirror* (before or after its own update — rows,
-    /// couplings and the copy index are immutable).
+    /// tuples whose copies [`TupleStore::update_spin`] bills. Call with the
+    /// *store that built this mirror* (before or after its own update —
+    /// rows and couplings are immutable).
     ///
     /// # Panics
     ///
@@ -586,7 +546,7 @@ mod tests {
         assert_eq!(t1.degree(), 2);
         assert_eq!(t1.neighbors(), [0, 2]);
         assert_eq!(t1.couplings(), [3, -2]);
-        assert_eq!(t1.neighbor_spins(), [Spin::Up, Spin::Up]);
+        assert!(t1.neighbor_spins().eq([Spin::Up, Spin::Up]));
         assert_eq!(t1.field(), 4);
     }
 
@@ -621,9 +581,9 @@ mod tests {
         // Spin 0 appears in tuples 1 and 3.
         let written = store.update_spin(0, Spin::Down);
         assert_eq!(written, 2);
-        assert_eq!(store.tuple(1).neighbor_spins()[0], Spin::Down);
+        assert_eq!(store.tuple(1).neighbor_spins().next(), Some(Spin::Down));
         // Tuple 3's adjacency is canonicalized to [0, 2]: spin 0 is slot 0.
-        assert_eq!(store.tuple(3).neighbor_spins()[0], Spin::Down);
+        assert_eq!(store.tuple(3).neighbor_spins().next(), Some(Spin::Down));
         // Fields match a freshly built store on the updated spins.
         let mut s2 = s.clone();
         s2.set(0, Spin::Down);
@@ -647,15 +607,16 @@ mod tests {
     fn storage_footprint_formulas() {
         let g = topology::king(3, 3, |_, _| 1).unwrap();
         let s = SpinVector::filled(9, Spin::Up);
-        let store = TupleStore::new(&g, &s);
+        let mut store = TupleStore::new(&g, &s);
         // Center tuple: 8 neighbors, R=4 -> 8*5 + 4 = 44 bits.
         assert_eq!(
             SpinTuple::storage_bits(store.tuple(4).degree() as u64, 4),
             44
         );
-        // Adjacency bits = directed edge count = 2 * edges.
-        let adjacency: usize = (0..9).map(|j| store.copy_slots(j).count()).sum();
-        assert_eq!(adjacency, 2 * g.num_edges());
+        // Copies written by one flip of every spin = directed edge count
+        // = 2 * edges.
+        let copies: u64 = (0..9).map(|j| store.update_spin(j, Spin::Down)).sum();
+        assert_eq!(copies, 2 * g.num_edges() as u64);
     }
 
     #[test]
@@ -674,14 +635,14 @@ mod tests {
             .iter()
             .map(|&j| u64::from(enc.encode_word(i64::from(j)).unwrap().count_ones()))
             .collect();
-        let up = |k: usize| tuple.neighbor_spins()[k] == Spin::Up;
+        let up: Vec<bool> = tuple.neighbor_spins().map(|s| s == Spin::Up).collect();
         TupleSums {
             h: tuple.local_field(),
             n: tuple.degree() as u64,
-            up: (0..tuple.degree()).filter(|&k| up(k)).count() as u64,
+            up: up.iter().filter(|&&u| u).count() as u64,
             ones: ones.iter().sum(),
             matches: (0..tuple.degree())
-                .map(|k| if up(k) { ones[k] } else { r - ones[k] })
+                .map(|k| if up[k] { ones[k] } else { r - ones[k] })
                 .sum(),
         }
     }

@@ -26,7 +26,7 @@ pub fn recompute(enc: &MixedEncoding, tuple: SpinTuple<'_>) -> TupleSums {
         n: tuple.degree() as u64,
         ..TupleSums::default()
     };
-    for (&j, &s) in tuple.couplings().iter().zip(tuple.neighbor_spins()) {
+    for (&j, s) in tuple.couplings().iter().zip(tuple.neighbor_spins()) {
         let bits = enc
             .encode(i64::from(j))
             .expect("coupling fits the resolution");

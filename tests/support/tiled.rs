@@ -180,7 +180,7 @@ impl TiledComputeArray {
         let placement = self.plan_tuple(tuple.degree())?;
         let (tile_idx, base_row) = (usize::from(placement.tile), to_index(placement.base_row));
         let tile = &mut self.tiles[tile_idx];
-        for (k, (&j, &s)) in tuple
+        for (k, (&j, s)) in tuple
             .couplings()
             .iter()
             .zip(tuple.neighbor_spins())
@@ -374,9 +374,10 @@ impl ResidentN3Machine {
 
         let storage_bits_needed: u64 = (0..n)
             .map(|i| {
+                // The tuple plus its range of the adjacency region: one
+                // entry per copy of σ_i.
                 let degree = count_u64(tuples.tuple(i).degree());
-                SpinTuple::storage_bits(degree, enc.bits())
-                    + count_u64(tuples.copy_slots(i).count())
+                SpinTuple::storage_bits(degree, enc.bits()) + degree
             })
             .sum();
         let uses_dram = storage_bits_needed > self.config.hierarchy.storage.total_bits().get();
@@ -490,11 +491,17 @@ impl ResidentN3Machine {
                         );
                         // Compute-array side: refresh the *resident*
                         // copies so later tuples in this round see the
-                        // new value (real bit writes). The store's copy
-                        // index gives the (owner, slot) pairs without
-                        // re-deriving them from the graph.
-                        for (t_idx, slot) in tuples.copy_slots(i) {
-                            if let Some(p) = placements[t_idx] {
+                        // new value (real bit writes). σ_i's copy sits in
+                        // each neighbour's row at i's position in that
+                        // ascending row.
+                        for &t in tuples.tuple(i).neighbors() {
+                            let t = to_index(t);
+                            let slot = tuples
+                                .tuple(t)
+                                .neighbors()
+                                .binary_search(&(i as u32))
+                                .expect("tuple-rep: σ_i has a copy in each neighbour's row");
+                            if let Some(p) = placements[t] {
                                 array.update_spin_copy(p, slot, new);
                             }
                         }
