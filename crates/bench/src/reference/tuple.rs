@@ -4,10 +4,15 @@
 //! and a maintained-sums mirror ([`AosPlanes`]) that recomputes each
 //! edge's coupling popcount on every flip.
 //!
-//! It moves the same copies and the same [`TupleSums`] as the
-//! production `TupleStore::update_spin` + `TuplePlanes::writeback_spin`,
-//! so `perf_kernels` can replay one flip sequence through both and assert
-//! identical sums after every flip before it times them.
+//! It keeps a copy of each neighbour's spin in every row, as the
+//! hardware's tuple-rep layout does; the production `TupleStore` keeps
+//! one state per spin instead and only bills the copies. The two move
+//! the same [`TupleSums`] (`AosPlanes::writeback_spin` against
+//! `TuplePlanes::writeback_spin`), and the copies here always equal
+//! the states the store's rows gather, so `perf_kernels` can replay one
+//! flip sequence through both and assert identical sums after every
+//! flip, and identical neighbour states at the end, before it times
+//! them.
 
 use sachi_core::encoding::{EncodingError, MixedEncoding};
 use sachi_core::tuple::{TupleStore, TupleSums};

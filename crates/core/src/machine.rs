@@ -23,7 +23,11 @@
 //!   as reload traffic. Only the tile's word-line activations and
 //!   bit-line discharges are harvested.
 //! * Spin updates follow the Fig. 8b path: an adjacency read plus one
-//!   copy-write per relevant tuple, billed to the storage array.
+//!   copy-write per relevant tuple, billed to the storage array. The
+//!   copies are billed, not kept: the tuple store holds one state per
+//!   spin and returns the flipped spin's degree as its copy count, and
+//!   an undetected fetch alias reads the aliased neighbour's spin from
+//!   the sweep's spins, the value its copy would hold.
 //! * When the problem exceeds the storage array, each round streams its
 //!   chunk from DRAM (64 B/cycle) with the Sec. IV.A prefetcher
 //!   overlapping the stream with compute.

@@ -192,10 +192,9 @@ impl TupleStore {
         let mut fields = Vec::with_capacity(n);
         offsets.push(0);
         for i in 0..n {
-            for (j, w) in graph.neighbors(i) {
-                neighbors.push(j);
-                couplings.push(w);
-            }
+            let (row, weights) = graph.neighbor_slices(i);
+            neighbors.extend_from_slice(row);
+            couplings.extend_from_slice(weights);
             offsets.push(neighbors.len());
             fields.push(graph.field(i));
         }
@@ -204,12 +203,8 @@ impl TupleStore {
         } else {
             (0..n)
                 .map(|i| {
-                    count_u64(
-                        graph
-                            .neighbors(i)
-                            .filter(|&(j, _)| (j as usize) < i)
-                            .count(),
-                    )
+                    let row = graph.neighbor_slices(i).0;
+                    count_u64(row.iter().filter(|&&j| (j as usize) < i).count())
                 })
                 .collect()
         };

@@ -18,7 +18,7 @@
 //! whole dense and King's graphs after every flip of a random flip
 //! sequence, where the kernel reads sums the update path has kept
 //! current. The flat tuple store itself is held to a fresh build after
-//! random flips, copy index included.
+//! random flips.
 
 #[path = "support/sums.rs"]
 mod sums;
