@@ -143,9 +143,9 @@ const WRITEBACK_FLIPS: usize = 4096;
 /// The full run's bar on the writeback row: the production update path
 /// (the flat store with one state per spin, popcounts kept from the
 /// build) takes at most this multiple of the per-tuple reference's time
-/// on each shape. Three full runs read 0.41–0.43 on `coloring 256` and
-/// 0.46–0.49 on `md 8192`. The bar dates from the store that still kept
-/// a spin copy per slot (0.61–0.69 and 0.57–0.58) and is kept.
+/// on each shape. Six full runs read 0.41–0.43 on `coloring 256` and
+/// 0.46–0.51 on `md 8192`; the bar leaves at least 65% headroom over the
+/// highest.
 const WRITEBACK_BAR: f64 = 0.85;
 
 /// Alternating rounds of the tax row's two timed solves.
@@ -164,8 +164,8 @@ const TAX_DESIGNS: [DesignKind; 2] = [DesignKind::N1a, DesignKind::N3];
 /// multiple of the bare solve's time. With the store keeping one state
 /// per spin, three full runs read 1.47–1.50 (n1a) and 1.44 (n3) on
 /// `md 8192`, 1.33–1.40 and 1.32–1.33 on `coloring 256`, and 1.26–1.27
-/// and 1.23–1.30 on `sat 40`; each bar is the highest median plus 20%,
-/// rounded up.
+/// and 1.23–1.30 on `sat 40`; each bar is the highest of those medians
+/// plus 20%, rounded up.
 const TAX_BARS: [[f64; 2]; 3] = [[1.80, 1.73], [1.68, 1.61], [1.53, 1.56]];
 
 /// Nanoseconds per call of `f`, amortized over `iters` runs.

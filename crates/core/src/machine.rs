@@ -578,8 +578,8 @@ impl SachiMachine {
                         flips_this_sweep += 1;
                         delta += flip_cost(current, h_sigma);
                         // Fig. 8b update path: adjacency read + relevant
-                        // tuple copy writes in the storage array, counted
-                        // by the store.
+                        // tuple copy writes in the storage array; the
+                        // store returns their count.
                         copies += tuples.update_spin(i, new);
                         soa.writeback_spin(&tuples, i, new);
                     }
