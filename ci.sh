@@ -59,7 +59,9 @@ cargo run -q -p sachi-bench --bin disc_faults -- --smoke
 # dense acceptance tuple, a King's-graph sweep, and a dense sweep — that banked multi-round
 # sweeps keep the H trajectory and compute cycles bit-identical, that
 # the memoised annealer decision makes the exp-per-decision reference's
-# decisions, that every resident tempered segment returns a fresh
+# decisions, that `decide_update` makes the pre-memo rule's decisions,
+# uphill counts and next RNG draw on the recorded (σ, H_σ) streams of
+# md 8192 and the serve-small families, that every resident tempered segment returns a fresh
 # machine's (SolveResult, RunReport) with its energy equal to H of its
 # spins, that the build row's problems hash to their entries in the
 # build-identity table, and that the writeback row's update path holds

@@ -32,7 +32,12 @@
 //!   ΔH stream of a recorded King's-graph anneal, against an in-bench
 //!   exp-per-decision reference (the same seeded draw against
 //!   `acceptance_probability`), alternating in one process; the medians
-//!   and IQRs over the rounds and of the per-round ratio are recorded;
+//!   and IQRs over the rounds and of the per-round ratio are recorded.
+//!   Its `decide_update` leg replays the `(σ, H_σ)` streams of seeded
+//!   anneals (`md 8192` and the seven `serve-small` families at their
+//!   sizes, four seeds each) through `decide_update` against the rule as
+//!   written before the memo (sign rule, tie coin, an `exp` per uphill
+//!   draw), with the same spread per stream group;
 //! * **segment** (`segment`) — a tempered rung's work on the SAT-40
 //!   shape: 300 four-sweep hold-schedule `solve_detailed` calls on one
 //!   resident machine, each continuing from the last, against one
@@ -83,6 +88,8 @@
 //! the same `SolveResult` every round. The full run asserts the ≥5× acceptance bar on the dense
 //! kernel, the ≥6× bar on the dense SoA sweep for every design, a
 //! memo/reference median ratio ≤ 0.75 on the decision, a
+//! `decide_update`/reference median ratio within its
+//! [`DECIDE_UPDATE_BARS`] entry on each stream group, a
 //! segmented/single median ratio ≤ 1.20 on the segment row, and a
 //! production/reference median ratio within [`WRITEBACK_BAR`] on each
 //! writeback shape, and a machine/bare median ratio within its
@@ -118,6 +125,35 @@ const DECIDE_ROUNDS: u32 = 15;
 /// The full run's bar on the decision row: the memoised `accept` takes
 /// at most this fraction of the exp-per-decision reference's time.
 const DECIDE_BAR: f64 = 0.75;
+/// Seeds of the decision row's `decide_update` leg: each stream group
+/// replays one seeded anneal per seed (problem, initial spins and
+/// annealer all from that seed).
+const DECIDE_SEEDS: [u64; 4] = [41, 42, 43, 44];
+/// Decisions one timed reading of a `decide_update` stream group
+/// replays at least: a small family's streams repeat until they reach
+/// it.
+const DECIDE_UPDATE_READING: usize = 300_000;
+/// The `decide_update` leg's stream groups: the `oneshot-lattice` job's
+/// COP, then the seven `serve-small` families at their sizes.
+const DECIDE_UPDATE_SHAPES: [(CopKind, &str, usize); 8] = [
+    (CopKind::MolecularDynamics, "md", 8192),
+    (CopKind::TravelingSalesman, "tsp", 8),
+    (CopKind::JobScheduling, "sched", 16),
+    (CopKind::SatThree, "sat", 30),
+    (CopKind::AssetAllocation, "asset", 24),
+    (CopKind::GraphColoring, "coloring", 24),
+    (CopKind::ImageSegmentation, "imgseg", 64),
+    (CopKind::MolecularDynamics, "md", 64),
+];
+/// The full run's bars on the `decide_update` leg, per
+/// [`DECIDE_UPDATE_SHAPES`] entry: `decide_update` takes at most this
+/// fraction of the pre-memo reference's time on the group's streams.
+/// With the sign rule deciding first and the memo holding
+/// probabilities, three full runs read 0.43–0.45 on `md 8192` and
+/// 0.95–0.98, 0.94–0.99, 0.80–0.84, 1.05–1.08, 0.53–0.56, 0.92–0.98 and
+/// 0.70–0.75 on the `serve-small` families; each bar is the highest of
+/// those medians plus 20%, rounded up.
+const DECIDE_UPDATE_BARS: [f64; 8] = [0.54, 1.18, 1.19, 1.02, 1.30, 0.68, 1.18, 0.91];
 /// Sweeps per call of the segment row: a tempered rung's exchange
 /// interval.
 const SEGMENT_SWEEPS: u64 = 4;
@@ -558,23 +594,83 @@ fn reference_accept(annealer: &mut Annealer, delta: i64, uphill: &mut [u64; 2]) 
     accepted
 }
 
-/// Replays `deltas` (one chunk of `n` per sweep, cooling after each)
+/// `decide_update` as written before the memo: the sign rule, then, on
+/// a live annealer, a coin flip on a tie or [`reference_accept`] on an
+/// uphill move. The `decide_update` leg's timing reference and decision
+/// oracle.
+fn reference_decide(
+    annealer: &mut Annealer,
+    current: Spin,
+    h_sigma: i64,
+    uphill: &mut [u64; 2],
+) -> Spin {
+    let desired = update_rule(h_sigma, current);
+    if desired != current || annealer.is_frozen() {
+        return desired;
+    }
+    let delta = flip_cost(current, h_sigma);
+    let flip = if delta == 0 {
+        annealer.rng().gen::<bool>()
+    } else {
+        reference_accept(annealer, delta, uphill)
+    };
+    if flip {
+        current.flipped()
+    } else {
+        current
+    }
+}
+
+/// Replays `stream` (one chunk of `n` per sweep, cooling after each)
 /// through `decide` on a fresh annealer from `options` and returns the
 /// annealer.
-fn replay_decisions(
-    deltas: &[i64],
+fn replay<T: Copy>(
+    stream: &[T],
     n: usize,
     options: &SolveOptions,
-    mut decide: impl FnMut(&mut Annealer, i64),
+    mut decide: impl FnMut(&mut Annealer, T),
 ) -> Annealer {
     let mut annealer = Annealer::new(options.schedule, options.seed);
-    for sweep in deltas.chunks_exact(n) {
-        for &d in sweep {
-            decide(&mut annealer, d);
+    for sweep in stream.chunks_exact(n) {
+        for &item in sweep {
+            decide(&mut annealer, item);
         }
         annealer.cool();
     }
     annealer
+}
+
+/// The `(σ, H_σ)` of every update a seeded anneal of `graph` from `init`
+/// under `options` presents to `decide_update`, one chunk of `n` per
+/// sweep: the production decisions on the maintained sums, stopped by
+/// the sweep driver's rule (no flips in a sweep that started frozen).
+fn record_updates(
+    graph: &IsingGraph,
+    init: &SpinVector,
+    enc: &MixedEncoding,
+    options: &SolveOptions,
+) -> Vec<(Spin, i64)> {
+    let n = graph.num_spins();
+    let mut st = SweepState::new(graph, init, enc);
+    let mut annealer = Annealer::new(options.schedule, options.seed);
+    let mut updates = Vec::new();
+    for _ in 0..options.effective_max_sweeps(n) {
+        let frozen = annealer.is_frozen();
+        let mut flips = 0u32;
+        for i in 0..n {
+            let (current, h) = (st.spins.get(i), st.planes.view(i).sums().h);
+            updates.push((current, h));
+            if decide_update(current, h, &mut annealer) != current {
+                st.flip(i, true);
+                flips += 1;
+            }
+        }
+        annealer.cool();
+        if flips == 0 && frozen {
+            break;
+        }
+    }
+    updates
 }
 
 /// Records the ΔH stream an anneal of `graph` presents to the annealer
@@ -591,34 +687,18 @@ fn measure_decide(
 ) -> DecideRow {
     let n = graph.num_spins();
     let options = SolveOptions::for_graph(graph, 41);
-    let mut st = SweepState::new(graph, init, enc);
-    let mut annealer = Annealer::new(options.schedule, options.seed);
-    let (mut deltas, mut draws) = (Vec::new(), 0u64);
-    for _ in 0..options.effective_max_sweeps(n) {
-        let frozen = annealer.is_frozen();
-        let mut flips = 0u32;
-        for i in 0..n {
-            let (current, h) = (st.spins.get(i), st.planes.view(i).sums().h);
-            let delta = flip_cost(current, h);
-            deltas.push(delta);
-            draws += u64::from(!frozen && delta > 0);
-            if decide_update(current, h, &mut annealer) != current {
-                st.flip(i, true);
-                flips += 1;
-            }
-        }
-        annealer.cool();
-        if flips == 0 && frozen {
-            break;
-        }
-    }
+    let deltas: Vec<i64> = record_updates(graph, init, enc, &options)
+        .into_iter()
+        .map(|(current, h)| flip_cost(current, h))
+        .collect();
 
-    let (mut memo_decisions, mut reference_decisions) = (Vec::new(), Vec::new());
-    let mut memo = replay_decisions(&deltas, n, &options, |a, d| {
+    let (mut memo_decisions, mut reference_decisions, mut draws) = (Vec::new(), Vec::new(), 0u64);
+    let mut memo = replay(&deltas, n, &options, |a, d| {
+        draws += u64::from(d > 0 && !a.is_frozen());
         memo_decisions.push(a.accept(d));
     });
     let mut uphill = [0u64; 2];
-    let mut reference = replay_decisions(&deltas, n, &options, |a, d| {
+    let mut reference = replay(&deltas, n, &options, |a, d| {
         reference_decisions.push(reference_accept(a, d, &mut uphill));
     });
     assert!(
@@ -643,13 +723,13 @@ fn measure_decide(
     let (mut memo_ns, mut reference_ns, mut ratio) = (Vec::new(), Vec::new(), Vec::new());
     for _ in 0..DECIDE_ROUNDS {
         let m = ns_per_call(iters, || {
-            replay_decisions(&deltas, n, &options, |a, d| {
+            replay(&deltas, n, &options, |a, d| {
                 std::hint::black_box(a.accept(std::hint::black_box(d)));
             });
         });
         let r = ns_per_call(iters, || {
             let mut uphill = [0u64; 2];
-            replay_decisions(&deltas, n, &options, |a, d| {
+            replay(&deltas, n, &options, |a, d| {
                 std::hint::black_box(reference_accept(a, std::hint::black_box(d), &mut uphill));
             });
         });
@@ -663,6 +743,134 @@ fn measure_decide(
         memo_ns: Spread::of(memo_ns),
         reference_ns: Spread::of(reference_ns),
         ratio: Spread::of(ratio),
+    }
+}
+
+/// `decide_update` over one stream group of the decision row.
+struct DecideUpdateRow {
+    family: &'static str,
+    size: usize,
+    streams: usize,
+    decisions: usize,
+    /// Uphill proposals on a live annealer: one RNG draw each.
+    draws: u64,
+    /// `decide_update`, ns per decision.
+    update_ns: Spread,
+    /// The pre-memo reference, ns per decision.
+    reference_ns: Spread,
+    /// `decide_update` / reference, per round.
+    ratio: Spread,
+    bar: f64,
+}
+
+/// One recorded anneal of a stream group.
+struct UpdateStream {
+    n: usize,
+    options: SolveOptions,
+    updates: Vec<(Spin, i64)>,
+}
+
+/// ns to replay every stream `iters` times through `decide`, annealer
+/// construction included.
+fn time_replays(
+    streams: &[UpdateStream],
+    iters: usize,
+    mut decide: impl FnMut(&mut Annealer, Spin, i64),
+) -> f64 {
+    ns_per_call(1, || {
+        for _ in 0..iters {
+            for s in streams {
+                replay(&s.updates, s.n, &s.options, |a, (current, h)| {
+                    decide(a, current, std::hint::black_box(h));
+                });
+            }
+        }
+    })
+}
+
+/// Records one anneal of `kind` at `size` per seed, checks on each that
+/// `decide_update` and [`reference_decide`] make the same decisions,
+/// with the same uphill counters and the same next RNG draw, then times
+/// the two over all of them in `rounds` alternating rounds.
+fn measure_decide_update(
+    (kind, family, size): (CopKind, &'static str, usize),
+    seeds: &[u64],
+    rounds: u32,
+    bar: f64,
+) -> DecideUpdateRow {
+    let streams: Vec<UpdateStream> = seeds
+        .iter()
+        .map(|&seed| {
+            let problem = build_cop_problem(kind, size, seed).expect("decide row shapes build");
+            let graph = problem.graph();
+            let n = graph.num_spins();
+            let enc = MixedEncoding::new(graph.bits_required()).expect("graph resolution is valid");
+            let init = SpinVector::random(n, &mut StdRng::seed_from_u64(seed));
+            let options = SolveOptions::for_graph(graph, seed);
+            let updates = record_updates(graph, &init, &enc, &options);
+            UpdateStream {
+                n,
+                options,
+                updates,
+            }
+        })
+        .collect();
+
+    let mut draws = 0;
+    for (s, seed) in streams.iter().zip(seeds) {
+        let (mut got, mut want) = (Vec::new(), Vec::new());
+        let mut production = replay(&s.updates, s.n, &s.options, |a, (current, h)| {
+            got.push(decide_update(current, h, a));
+        });
+        let mut uphill = [0u64; 2];
+        let mut reference = replay(&s.updates, s.n, &s.options, |a, (current, h)| {
+            want.push(reference_decide(a, current, h, &mut uphill));
+        });
+        assert!(
+            got == want,
+            "{family} {size} seed {seed}: decide_update diverged from the pre-memo reference"
+        );
+        assert_eq!(
+            [production.uphill_accepted(), production.uphill_rejected()],
+            uphill,
+            "{family} {size} seed {seed}: uphill counters diverged"
+        );
+        assert_eq!(
+            production.rng().gen::<u64>(),
+            reference.rng().gen::<u64>(),
+            "{family} {size} seed {seed}: RNG streams diverged"
+        );
+        draws += uphill[0] + uphill[1];
+    }
+
+    // The two sides alternate so a noisy neighbour slows both, and the
+    // per-round ratio cancels it.
+    let decisions: usize = streams.iter().map(|s| s.updates.len()).sum();
+    let iters = DECIDE_UPDATE_READING.div_ceil(decisions.max(1));
+    let per_decision = 1.0 / (decisions * iters).max(1) as f64;
+    let (mut update_ns, mut reference_ns, mut ratio) = (Vec::new(), Vec::new(), Vec::new());
+    for _ in 0..rounds {
+        let u = time_replays(&streams, iters, |a, current, h| {
+            std::hint::black_box(decide_update(current, h, a));
+        });
+        let mut uphill = [0u64; 2];
+        let r = time_replays(&streams, iters, |a, current, h| {
+            std::hint::black_box(reference_decide(a, current, h, &mut uphill));
+        });
+        update_ns.push(u * per_decision);
+        reference_ns.push(r * per_decision);
+        ratio.push(u / r);
+    }
+    DecideUpdateRow {
+        family,
+        size,
+        streams: streams.len(),
+        decisions,
+        draws,
+        update_ns: Spread::of(update_ns),
+        reference_ns: Spread::of(reference_ns),
+        ratio: Spread::of(ratio),
+        bar,
     }
 }
 
@@ -1193,6 +1401,34 @@ fn main() {
         ],
     );
 
+    // `decide_update` on recorded (σ, H_σ) streams against the pre-memo
+    // rule, per stream group.
+    let (decide_seeds, decide_rounds) = if smoke {
+        (&DECIDE_SEEDS[..1], 1)
+    } else {
+        (&DECIDE_SEEDS[..], DECIDE_ROUNDS)
+    };
+    let decide_update: Vec<DecideUpdateRow> = DECIDE_UPDATE_SHAPES
+        .into_iter()
+        .zip(DECIDE_UPDATE_BARS)
+        .map(|(shape, bar)| measure_decide_update(shape, decide_seeds, decide_rounds, bar))
+        .collect();
+    for row in &decide_update {
+        section(&format!(
+            "ns per decide_update: {} {}, {} recorded anneals, {} decisions, {} draws, \
+             {decide_rounds} alternating rounds",
+            row.family, row.size, row.streams, row.decisions, row.draws
+        ));
+        print_spreads(
+            "path",
+            [
+                ("decide_update", &row.update_ns, " ns"),
+                ("pre-memo reference", &row.reference_ns, " ns"),
+                ("decide_update / reference", &row.ratio, ""),
+            ],
+        );
+    }
+
     // A tempered rung's resident segments against one call of as many
     // sweeps.
     let segment = if smoke {
@@ -1316,7 +1552,7 @@ fn main() {
         })
         .collect();
     let json = format!(
-        "{{\n  \"kernel\": {{\"degree\": {DENSE_DEGREE}, \"r\": {DENSE_R}, \"rows\": [\n{}\n  ]}},\n  \"sweep\": {{\"lattice\": {lattice}, \"spins\": {}, \"flip_one_in\": {FLIP_ONE_IN}, \"rows\": [\n{}\n  ]}},\n  \"sweep_dense\": {{\"degree\": {dense_degree}, \"r\": {DENSE_R}, \"tuples\": {}, \"flip_one_in\": {FLIP_ONE_IN}, \"rows\": [\n{}\n  ]}},\n  \"sweep_banked\": {{\"rows\": [\n{}\n  ]}},\n  \"decide\": {{\"lattice\": {lattice}, \"decisions\": {}, \"draws\": {}, \"rounds\": {DECIDE_ROUNDS}, \"memo_ns\": {}, \"reference_ns\": {}, \"ratio\": {}}},\n  \"segment\": {{\"cop\": \"sat\", \"size\": 40, \"spins\": {}, \"edges\": {}, \"calls\": {}, \"sweeps_per_call\": {SEGMENT_SWEEPS}, \"rounds\": {}, \"segmented_ms\": {}, \"single_ms\": {}, \"ratio\": {}}},\n  \"build\": {{\"host\": \"{}\", \"rev\": \"{}\", \"rounds\": {}, \"seed\": 0, \"rows\": [\n{}\n  ]}},\n  \"writeback\": {{\"rounds\": {wb_rounds}, \"seed\": 0, \"rows\": [\n{}\n  ]}},\n  \"tax\": {{\"rounds\": {tax_rounds}, \"seed\": 0, \"rows\": [\n{}\n  ]}}\n}}\n",
+        "{{\n  \"kernel\": {{\"degree\": {DENSE_DEGREE}, \"r\": {DENSE_R}, \"rows\": [\n{}\n  ]}},\n  \"sweep\": {{\"lattice\": {lattice}, \"spins\": {}, \"flip_one_in\": {FLIP_ONE_IN}, \"rows\": [\n{}\n  ]}},\n  \"sweep_dense\": {{\"degree\": {dense_degree}, \"r\": {DENSE_R}, \"tuples\": {}, \"flip_one_in\": {FLIP_ONE_IN}, \"rows\": [\n{}\n  ]}},\n  \"sweep_banked\": {{\"rows\": [\n{}\n  ]}},\n  \"decide\": {{\"lattice\": {lattice}, \"decisions\": {}, \"draws\": {}, \"rounds\": {DECIDE_ROUNDS}, \"memo_ns\": {}, \"reference_ns\": {}, \"ratio\": {}, \"decide_update\": {{\"seeds\": {}, \"rounds\": {decide_rounds}, \"rows\": [\n{}\n  ]}}}},\n  \"segment\": {{\"cop\": \"sat\", \"size\": 40, \"spins\": {}, \"edges\": {}, \"calls\": {}, \"sweeps_per_call\": {SEGMENT_SWEEPS}, \"rounds\": {}, \"segmented_ms\": {}, \"single_ms\": {}, \"ratio\": {}}},\n  \"build\": {{\"host\": \"{}\", \"rev\": \"{}\", \"rounds\": {}, \"seed\": 0, \"rows\": [\n{}\n  ]}},\n  \"writeback\": {{\"rounds\": {wb_rounds}, \"seed\": 0, \"rows\": [\n{}\n  ]}},\n  \"tax\": {{\"rounds\": {tax_rounds}, \"seed\": 0, \"rows\": [\n{}\n  ]}}\n}}\n",
         json_rows(&kernel, "ns"),
         graph.num_spins(),
         json_rows(&sweep, "ns"),
@@ -1328,6 +1564,21 @@ fn main() {
         decide.memo_ns.json(),
         decide.reference_ns.json(),
         decide.ratio.json(),
+        decide_seeds.len(),
+        decide_update
+            .iter()
+            .map(|row| format!(
+                "    {{\"cop\": \"{}\", \"size\": {}, \"decisions\": {}, \"draws\": {}, \"decide_update_ns\": {}, \"reference_ns\": {}, \"ratio\": {}}}",
+                row.family,
+                row.size,
+                row.decisions,
+                row.draws,
+                row.update_ns.json(),
+                row.reference_ns.json(),
+                row.ratio.json()
+            ))
+            .collect::<Vec<_>>()
+            .join(",\n"),
         segment.spins,
         segment.edges,
         segment.calls,
@@ -1390,7 +1641,7 @@ fn main() {
             "smoke: soa==scalar H equality and the split booking held for every design at \
              every granularity; \
              banking left the H trajectory and compute cycles bit-identical; the memoised \
-             accept made the reference's decisions; every resident segment matched a fresh \
+             accept and decide_update made the references' decisions; every resident segment matched a fresh \
              machine and the energy of its spins; the build row's graphs matched the pinned \
              build-identity digests; the update path held the per-tuple reference's sums \
              after every flip; every resident machine solve matched the bare solve"
@@ -1417,6 +1668,16 @@ fn main() {
             "memoised accept / exp reference {:.3} is above the {DECIDE_BAR} bar",
             decide.ratio.median
         );
+        for row in &decide_update {
+            assert!(
+                row.ratio.median <= row.bar,
+                "{} {}: decide_update / pre-memo reference {:.3} is above the {} bar",
+                row.family,
+                row.size,
+                row.ratio.median,
+                row.bar
+            );
+        }
         assert!(
             segment.ratio.median <= SEGMENT_BAR,
             "resident segments / single call {:.3} is above the {SEGMENT_BAR} bar",
@@ -1444,6 +1705,7 @@ fn main() {
         println!(
             "acceptance: every design >= 5x on the dense degree-{DENSE_DEGREE} kernel and \
              >= 6x on the dense sweep; memoised accept <= {DECIDE_BAR}x the exp reference; \
+             decide_update within its bar of the pre-memo rule on every stream group; \
              resident segments <= {SEGMENT_BAR}x one call of as many sweeps; update path \
              <= {WRITEBACK_BAR}x the per-tuple reference on every writeback shape; the \
              resident machine within its bar of the bare solve on every tax row"
