@@ -398,7 +398,8 @@ impl TuplePlanes {
         I: IntoIterator<Item = SpinTuple<'a>>,
     {
         let r = u64::from(enc.bits());
-        let mut sums = Vec::new();
+        let tuples = tuples.into_iter();
+        let mut sums = Vec::with_capacity(tuples.size_hint().0);
         let mut ones_per_slot = Vec::new();
         let mut spin_bits = Vec::new();
         for tuple in tuples {
@@ -423,14 +424,13 @@ impl TuplePlanes {
                 if word >= spin_bits.len() {
                     spin_bits.resize(word + 1, 0);
                 }
-                if spin.bit() {
-                    s.up += 1;
-                    s.matches += ones;
-                    spin_bits[word] |= bit;
-                } else {
-                    s.matches += r - ones;
-                    spin_bits[word] &= !bit;
-                }
+                // Arithmetic on the spin bit, not a branch: a random
+                // initial pattern would mispredict every other slot.
+                // `matches` gains `ones` when up and `R − ones` when down.
+                let up = u64::from(spin.bit());
+                s.up += up;
+                s.matches += up * ones + (1 - up) * (r - ones);
+                spin_bits[word] = (spin_bits[word] & !bit) | (bit & up.wrapping_neg());
             }
             sums.push(s);
         }

@@ -8,7 +8,7 @@
 //! RNG stream must drive every machine for their H trajectories to agree.
 
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::{RngCore, SeedableRng};
 
 /// How the temperature descends between sweeps.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -164,21 +164,25 @@ impl Default for Schedule {
 const MEMO_SLOTS: usize = 256;
 
 /// One memo entry: the acceptance probability of `delta` at the
-/// temperature whose bits are `temperature_bits`. `delta == 0` marks an
-/// empty slot; only `delta > 0` is ever looked up.
+/// temperature of `epoch`, and the threshold `p·2⁵³` an uphill draw's
+/// 53 bits are compared against. `delta == 0` marks an empty slot; only
+/// `delta > 0` is ever looked up.
 #[derive(Clone, Copy)]
 struct MemoSlot {
     delta: i64,
-    temperature_bits: u64,
+    epoch: u64,
+    threshold: f64,
     probability: f64,
 }
 
 /// A direct-mapped cache of [`Annealer::acceptance_probability`] keyed
-/// on its full input, `(delta, temperature)`: the "predefined value"
-/// the paper's annealer compares against (Sec. VI.6), filled on first
-/// use instead of by an `exp` per proposal. Because the key holds the
-/// temperature, cooling, freezing and a held rung need no reset. Fixed
-/// size, allocated once per annealer, never grown.
+/// on `(delta, epoch)`, where the epoch counts the temperature changes:
+/// the "predefined value" the paper's annealer compares against
+/// (Sec. VI.6), filled on first use instead of by an `exp` per
+/// proposal, and held as the threshold the draw's 53 bits are compared
+/// with. Cooling or freezing invalidates every slot in O(1) by moving
+/// the epoch; a held rung keeps its slots. Fixed size, allocated once
+/// per annealer, never grown or cleared.
 #[derive(Clone)]
 struct ProbabilityMemo(Box<[MemoSlot; MEMO_SLOTS]>);
 
@@ -186,7 +190,8 @@ impl ProbabilityMemo {
     fn new() -> Self {
         const EMPTY: MemoSlot = MemoSlot {
             delta: 0,
-            temperature_bits: 0,
+            epoch: 0,
+            threshold: 0.0,
             probability: 0.0,
         };
         ProbabilityMemo(Box::new([EMPTY; MEMO_SLOTS]))
@@ -201,8 +206,25 @@ impl std::fmt::Debug for ProbabilityMemo {
     }
 }
 
+/// `2⁵³`: the number of values a uniform `f64` draw takes in `[0, 1)`.
+const DRAW_SCALE: f64 = (1u64 << 53) as f64;
+
+/// The threshold of probability `p ∈ [0, 1]` in draw units: `p·2⁵³`.
+///
+/// A `gen::<f64>()` draw is `m·2⁻⁵³` with `m = next_u64() >> 11`, and
+/// both `m` and `p·2⁵³` are exact in `f64` (`m < 2⁵³`; the product is a
+/// power-of-two scaling), so `m < p·2⁵³` holds exactly when
+/// `m·2⁻⁵³ < p`, and exactly when `m < ⌈p·2⁵³⌉`. Keeping the threshold
+/// as an `f64` costs a miss one multiply; an integer ceiling would cost
+/// two conversions and a compare, which read slower on streams that
+/// mostly miss.
+#[inline]
+fn draw_threshold(probability: f64) -> f64 {
+    probability * DRAW_SCALE
+}
+
 /// The annealer block: current temperature, a seeded RNG and a memo of
-/// the acceptance probability per `(ΔH, temperature)`.
+/// the acceptance threshold per ΔH at the current temperature.
 ///
 /// ```
 /// use sachi_ising::anneal::{Annealer, Schedule};
@@ -216,6 +238,8 @@ impl std::fmt::Debug for ProbabilityMemo {
 pub struct Annealer {
     schedule: Schedule,
     temperature: f64,
+    /// Bumped whenever the temperature's bits change: the memo's key.
+    epoch: u64,
     rng: StdRng,
     memo: ProbabilityMemo,
     uphill_accepted: u64,
@@ -228,6 +252,7 @@ impl Annealer {
         Annealer {
             schedule,
             temperature: schedule.initial_temperature(),
+            epoch: 0,
             rng: StdRng::seed_from_u64(seed),
             memo: ProbabilityMemo::new(),
             uphill_accepted: 0,
@@ -267,37 +292,38 @@ impl Annealer {
     }
 
     /// [`Annealer::acceptance_probability`] read through the annealer's
-    /// memo: bit-identical, without an `exp` once `(delta, temperature)`
-    /// has been seen.
+    /// memo: bit-identical, without an `exp` once `delta` has been seen
+    /// at the current temperature.
     #[inline]
     pub fn probability(&mut self, delta: i64) -> f64 {
         if delta <= 0 {
             1.0
         } else {
-            self.probability_uphill(delta)
+            self.memo_uphill(delta).probability
         }
     }
 
-    /// The memo lookup for `delta > 0`; a miss fills the slot from
-    /// [`Annealer::acceptance_probability`].
+    /// The memo slot of `delta > 0` at the current epoch; a miss fills
+    /// it from [`Annealer::acceptance_probability`].
     #[inline]
-    fn probability_uphill(&mut self, delta: i64) -> f64 {
-        let temperature_bits = self.temperature.to_bits();
-        let index = (delta >> 1) as usize & (MEMO_SLOTS - 1);
+    fn memo_uphill(&mut self, delta: i64) -> MemoSlot {
+        let (index, epoch) = ((delta >> 1) as usize & (MEMO_SLOTS - 1), self.epoch);
         if let Some(slot) = self.memo.0.get(index) {
-            if slot.delta == delta && slot.temperature_bits == temperature_bits {
-                return slot.probability;
+            if slot.delta == delta && slot.epoch == epoch {
+                return *slot;
             }
         }
         let probability = self.acceptance_probability(delta);
-        if let Some(slot) = self.memo.0.get_mut(index) {
-            *slot = MemoSlot {
-                delta,
-                temperature_bits,
-                probability,
-            };
+        let slot = MemoSlot {
+            delta,
+            epoch,
+            threshold: draw_threshold(probability),
+            probability,
+        };
+        if let Some(kept) = self.memo.0.get_mut(index) {
+            *kept = slot;
         }
-        probability
+        slot
     }
 
     /// Metropolis decision for a move with energy change `delta`.
@@ -315,26 +341,39 @@ impl Annealer {
     }
 
     /// The Metropolis draw for an uphill move (`delta > 0`) on a live
-    /// annealer: one `gen::<f64>()` against the memoised probability.
+    /// annealer: the 53 bits of one `gen::<f64>()` draw against the
+    /// memoised threshold `p·2⁵³`, the same decision as `gen::<f64>() <
+    /// p` (see [`draw_threshold`]) from the same RNG word.
     /// [`crate::solver::decide_update`] calls it directly, having
     /// already tested both preconditions.
     #[inline]
     pub(crate) fn accept_live_uphill(&mut self, delta: i64) -> bool {
         debug_assert!(delta > 0 && !self.is_frozen());
-        let accepted = self.rng.gen::<f64>() < self.probability_uphill(delta);
+        let threshold = self.memo_uphill(delta).threshold;
+        // The 53 bits `gen::<f64>()` scales by 2⁻⁵³: below 2⁵³, so the
+        // signed conversion (one instruction on baseline x86-64) is exact.
+        let accepted = ((self.rng.next_u64() >> 11) as i64 as f64) < threshold;
         self.uphill_accepted += u64::from(accepted);
         self.uphill_rejected += u64::from(!accepted);
         accepted
     }
 
-    /// Cools by one schedule step (call once per sweep).
+    /// Moves to `temperature`, starting a new memo epoch if its bits
+    /// differ from the current temperature's.
+    fn set_temperature(&mut self, temperature: f64) {
+        self.epoch += u64::from(temperature.to_bits() != self.temperature.to_bits());
+        self.temperature = temperature;
+    }
+
+    /// Cools by one schedule step (call once per sweep). A held rung's
+    /// step leaves the temperature, and so the memo, as it is.
     pub fn cool(&mut self) {
-        self.temperature = self.schedule.cool_once(self.temperature);
+        self.set_temperature(self.schedule.cool_once(self.temperature));
     }
 
     /// Drops the temperature to zero immediately.
     pub fn freeze(&mut self) {
-        self.temperature = 0.0;
+        self.set_temperature(0.0);
     }
 
     /// Uphill moves accepted so far.
@@ -496,6 +535,123 @@ mod tests {
     #[should_panic(expected = "hold temperature")]
     fn constant_schedule_validates_temperature() {
         let _ = Schedule::constant(0.0, 0.05);
+    }
+
+    /// The threshold decides exactly as the `f64` draw does: for every
+    /// probability, `m < p·2⁵³` equals `m·2⁻⁵³ < p` and `m < ⌈p·2⁵³⌉` at
+    /// the integer threshold, on either side of it and at both ends of
+    /// the draw's range.
+    #[test]
+    fn draw_threshold_decides_as_the_float_draw() {
+        let ulp = 1.0 / DRAW_SCALE;
+        let beside = |p: f64| {
+            [
+                f64::from_bits(p.to_bits() - 1),
+                p,
+                f64::from_bits(p.to_bits() + 1),
+            ]
+        };
+        let mut probabilities = vec![0.0, 1.0, 1.0 - ulp, 1.0 - ulp / 2.0];
+        for k in [1.0, 2.0, 3.0, 1e6, 0.5 * DRAW_SCALE, DRAW_SCALE - 1.0] {
+            probabilities.extend(beside(k * ulp));
+        }
+        probabilities.extend(beside(0.5));
+        probabilities.extend(beside(1.0 - ulp).into_iter().filter(|&p| p <= 1.0));
+        probabilities.extend([f64::MIN_POSITIVE, f64::MIN_POSITIVE / 2.0, 5e-324]);
+        // ΔH/T > 745 underflows the exp to exactly zero.
+        let underflow = Annealer::new(Schedule::constant(1.0, 0.05), 1).acceptance_probability(800);
+        assert_eq!(underflow, 0.0);
+        probabilities.push(underflow);
+
+        let last = (1u64 << 53) - 1;
+        for p in probabilities {
+            let threshold = draw_threshold(p);
+            let ceiling = threshold.ceil() as u64;
+            let near = [
+                ceiling.checked_sub(1),
+                Some(ceiling),
+                ceiling.checked_add(1),
+            ];
+            let draws = near
+                .into_iter()
+                .flatten()
+                .chain([0, last])
+                .filter(|&m| m <= last);
+            for m in draws {
+                let float_draw = (m as f64) * ulp < p;
+                assert_eq!((m as f64) < threshold, float_draw, "p = {p:e}, m = {m}");
+                assert_eq!(m < ceiling, float_draw, "p = {p:e}, m = {m}, ⌈p·2⁵³⌉");
+            }
+        }
+        assert_eq!(draw_threshold(0.0), 0.0, "p = 0 accepts nothing");
+        assert_eq!(draw_threshold(1.0), DRAW_SCALE, "p = 1 accepts every draw");
+    }
+
+    /// The memo slot `delta` maps to.
+    fn slot(a: &Annealer, delta: i64) -> MemoSlot {
+        a.memo.0[(delta >> 1) as usize & (MEMO_SLOTS - 1)]
+    }
+
+    #[test]
+    fn hold_keeps_its_slots_across_cool() {
+        let mut a = Annealer::new(Schedule::constant(3.0, 0.05), 1);
+        let p = a.probability(4);
+        let filled = slot(&a, 4);
+        assert_eq!((filled.delta, filled.epoch), (4, a.epoch));
+        for _ in 0..10 {
+            a.cool();
+        }
+        assert_eq!(
+            slot(&a, 4).epoch,
+            a.epoch,
+            "a hold's cool() keeps the epoch"
+        );
+        assert_eq!(a.probability(4).to_bits(), p.to_bits());
+    }
+
+    #[test]
+    fn cool_and_freeze_invalidate_the_slots() {
+        let mut a = Annealer::new(Schedule::new(8.0, 0.5, 0.1), 1);
+        let hot = a.probability(4);
+        a.cool();
+        assert_ne!(slot(&a, 4).epoch, a.epoch, "cooling starts a new epoch");
+        let cooled = a.probability(4);
+        assert!(cooled < hot);
+        assert_eq!(cooled.to_bits(), a.acceptance_probability(4).to_bits());
+
+        a.freeze();
+        assert_ne!(slot(&a, 4).epoch, a.epoch, "freezing starts a new epoch");
+        assert_eq!(a.probability(4), 0.0);
+        assert_eq!(slot(&a, 4).threshold, 0.0);
+        assert!(!a.accept(4));
+        let epoch = a.epoch;
+        a.freeze();
+        assert_eq!(a.epoch, epoch, "re-freezing at zero keeps the epoch");
+    }
+
+    #[test]
+    fn clone_continues_draw_for_draw() {
+        let deltas = [2, 4, 2, 6, 0, 8, 2, 514, 4, 2, 10, 2];
+        let mut a = Annealer::new(Schedule::new(6.0, 0.8, 0.05), 17);
+        for (k, &d) in deltas.iter().cycle().take(200).enumerate() {
+            if k % 16 == 15 {
+                a.cool();
+            }
+            a.accept(d);
+        }
+        let mut b = a.clone();
+        for (k, &d) in deltas.iter().cycle().take(400).enumerate() {
+            if k % 16 == 15 {
+                a.cool();
+                b.cool();
+            }
+            assert_eq!(a.accept(d), b.accept(d), "step {k}, ΔH = {d}");
+        }
+        assert_eq!(
+            (a.uphill_accepted(), a.uphill_rejected()),
+            (b.uphill_accepted(), b.uphill_rejected())
+        );
+        assert_eq!(a.rng().next_u64(), b.rng().next_u64());
     }
 
     #[test]

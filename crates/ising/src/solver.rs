@@ -22,7 +22,7 @@
 
 use crate::anneal::{Annealer, Schedule};
 use crate::graph::IsingGraph;
-use crate::hamiltonian::{energy, flip_cost, local_field, update_rule};
+use crate::hamiltonian::{energy, flip_cost, local_field};
 use crate::spin::{Spin, SpinVector};
 use crate::tempering::TemperingOptions;
 use rand::Rng;
@@ -231,20 +231,23 @@ impl SolveResult {
 /// Once the annealer freezes, ties keep the current value so sweeps can
 /// reach quiescence and the convergence detector can fire.
 ///
+/// The rule branches once on the flip's cost ΔH = [`flip_cost`]`(σ, H_σ)`:
+/// a downhill flip (ΔH < 0) is exactly the case where the sign rule
+/// disagrees with σ, so it flips; otherwise a frozen annealer keeps the
+/// spin, a tie draws the coin and an uphill move compares one draw with
+/// the annealer's memoised threshold. The draws, their order and the
+/// uphill counters are those of the sign rule followed by the proposal.
+///
 /// Returns the new spin value. Machines presenting the same `h_sigma`
 /// sequence to the same-seeded annealer make identical decisions.
 #[inline]
 pub fn decide_update(current: Spin, h_sigma: i64, annealer: &mut Annealer) -> Spin {
-    let desired = update_rule(h_sigma, current);
-    if desired != current {
-        return desired;
-    }
-    if annealer.is_frozen() {
-        return current;
-    }
-    // Flipping a spin that the sign rule keeps costs ΔH >= 0.
     let delta = flip_cost(current, h_sigma);
-    let flip = if delta == 0 {
+    let flip = if delta < 0 {
+        true
+    } else if annealer.is_frozen() {
+        false
+    } else if delta == 0 {
         // Tie: heat-bath coin flip.
         annealer.rng().gen::<bool>()
     } else {
