@@ -333,6 +333,16 @@ impl Resident {
         // stream) — so one kernel serves clean and faulted runs alike.
         let soa = TuplePlanes::new(&tuples, &enc).expect("encoding sized from graph coefficients");
         let degrees: Vec<u64> = tuples.iter().map(|t| count_u64(t.degree())).collect();
+        // H = ½·Σᵢ σᵢ·(H_σ,i − hᵢ) from the sums just built, in O(n)
+        // instead of a pass over every edge: with H_σ,i = −(hᵢ +
+        // Σⱼ Jᵢⱼσⱼ), the sum counts each edge twice and each field twice.
+        let twice: i64 = tuples
+            .iter()
+            .enumerate()
+            .map(|(i, t)| initial.get(i).value() * (soa.view(i).sums().h - i64::from(t.field())))
+            .sum();
+        let h0 = twice / 2;
+        debug_assert_eq!(h0, energy(graph, initial), "H from the tuple sums");
         Resident {
             graph_id: graph.build_id(),
             plan: RoundPlan::for_degrees(config, enc.bits(), &degrees),
@@ -340,7 +350,7 @@ impl Resident {
             tuples,
             soa,
             spins: initial.clone(),
-            energy: energy(graph, initial),
+            energy: h0,
         }
     }
 

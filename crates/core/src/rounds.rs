@@ -132,6 +132,9 @@ pub struct RoundPlan {
     r: u32,
     /// Per-tuple degrees of a degree-built plan.
     degrees: Vec<u64>,
+    /// A degree-built plan's schedule and static events per degree, for
+    /// every degree up to its largest (or its tuple count, if smaller).
+    by_degree: Vec<(TupleSchedule, StaticEvents)>,
 }
 
 impl RoundPlan {
@@ -154,6 +157,7 @@ impl RoundPlan {
             config: config.clone(),
             r,
             degrees: Vec::new(),
+            by_degree: Vec::new(),
         }
     }
 
@@ -185,11 +189,14 @@ impl RoundPlan {
         let max_degree = degrees.iter().copied().max().unwrap_or(0);
         let mut plan = Self::empty(config, r, max_degree, storage.sum());
         plan.degrees = degrees.to_vec();
-        let (design, row_bits) = (stationarity(config.design), plan.row_bits());
+        // A graph's degrees are few and below its spin count: price each
+        // once, not once per tuple.
+        let tabled = max_degree.min(count_u64(degrees.len()));
+        plan.by_degree = (0..=tabled).map(|n| plan.price_degree(n)).collect();
         let capacity = config.hierarchy.compute.total_bits().get();
         let (mut round, mut first, mut used) = (Round::default(), 0usize, 0u64);
         for (i, &n) in degrees.iter().enumerate() {
-            let schedule = design.schedule(n, r, row_bits);
+            let (schedule, events) = plan.of_degree(n);
             let resident = schedule.resident_bits;
             if round.tuples > 0 && used + resident.max(1) > capacity {
                 let compute = plan.partial_compute(first..i, i - first);
@@ -200,7 +207,7 @@ impl RoundPlan {
             round.tuples += 1;
             round.resident_bits += resident;
             round.storage_bits += SpinTuple::storage_bits(n, r);
-            round.events.merge(&StaticEvents::of(&schedule));
+            round.events.merge(&events);
         }
         let compute = plan.partial_compute(first..degrees.len(), degrees.len() - first);
         plan.push(round, compute, 1);
@@ -279,14 +286,30 @@ impl RoundPlan {
         }
     }
 
-    /// The schedules of a degree-built plan's tuples over `spins` (none
-    /// past its end).
-    fn schedules(&self, spins: Range<usize>) -> impl Iterator<Item = TupleSchedule> + '_ {
-        let (design, r, row_bits) = (stationarity(self.config.design), self.r, self.row_bits());
+    /// The schedule and static events of a tuple of degree `n`.
+    fn price_degree(&self, n: u64) -> (TupleSchedule, StaticEvents) {
+        let schedule = stationarity(self.config.design).schedule(n, self.r, self.row_bits());
+        (schedule, StaticEvents::of(&schedule))
+    }
+
+    /// [`RoundPlan::price_degree`], read from the per-degree table when
+    /// it holds `n`.
+    fn of_degree(&self, n: u64) -> (TupleSchedule, StaticEvents) {
+        usize::try_from(n)
+            .ok()
+            .and_then(|k| self.by_degree.get(k))
+            .copied()
+            .unwrap_or_else(|| self.price_degree(n))
+    }
+
+    /// The schedules and static events of a degree-built plan's tuples
+    /// over `spins` (none past its end).
+    fn schedules(
+        &self,
+        spins: Range<usize>,
+    ) -> impl Iterator<Item = (TupleSchedule, StaticEvents)> + '_ {
         let degrees = self.degrees.get(spins).unwrap_or_default();
-        degrees
-            .iter()
-            .map(move |&n| design.schedule(n, r, row_bits))
+        degrees.iter().map(|&n| self.of_degree(n))
     }
 
     /// The first `reached` spins of the round over `spins`.
@@ -302,7 +325,7 @@ impl RoundPlan {
         let mut sums = vec![0u64; to_index(self.tiles)];
         let costs = self
             .schedules(Self::ran(spins, reached))
-            .map(|s| s.accesses);
+            .map(|(s, _)| s.accesses);
         for (pos, cost) in (0u64..).zip(costs) {
             let tile = match self.config.design {
                 DesignKind::N1a => (pos * self.tiles).checked_div(len),
@@ -321,8 +344,8 @@ impl RoundPlan {
     /// makes for the cycles.
     pub fn partial_events(&self, spins: Range<usize>, reached: usize) -> StaticEvents {
         let mut events = StaticEvents::default();
-        for schedule in self.schedules(Self::ran(spins, reached)) {
-            events.merge(&StaticEvents::of(&schedule));
+        for (_, tuple) in self.schedules(Self::ran(spins, reached)) {
+            events.merge(&tuple);
         }
         events
     }
