@@ -16,7 +16,7 @@
 //! replay one fixed, seeded flip sequence — the SoA side through
 //! `update_spin` + `writeback_spin`, the scalar side through
 //! `update_spin` alone, which sets the spin state its tuples' neighbour
-//! reads gather. Five granularities:
+//! reads gather. The rows:
 //!
 //! * **per H-compute** (`kernel`) — one dense degree-256, R=8 tuple in a
 //!   one-row [`TupleStore`], each side called on `store.tuple(i)` (the
@@ -25,6 +25,10 @@
 //!   King's graph, with the flip sequence's flips;
 //! * **per dense sweep** (`sweep_dense`) — the same over a complete
 //!   graph of degree 256;
+//!
+//!   these three alternate the scalar and SoA sides over
+//!   [`KERNEL_ROUNDS`] rounds and record the medians and IQRs of both
+//!   and of the per-round speedup;
 //! * **banked sweeps** — metered machine cycles on multi-round King's
 //!   lattices, bank_count 1 vs 8, recording how much upload time the
 //!   sram22-style banking removes from the critical path;
@@ -47,7 +51,7 @@
 //! * **problem build** (`build`) — `build_cop_problem` for the dense
 //!   one-shot job's COP (`coloring 256`, 768 spins) and a large lattice
 //!   (`md 8192`), in alternating rounds; the medians and IQRs are
-//!   recorded with the host and the git revision measured. Each built
+//!   recorded. Each built
 //!   graph's digest is checked against the pinned build-identity table
 //!   (`tests/golden/build_identity.txt`) first;
 //! * **writeback** (`writeback`) — the Fig. 8b update path alone on the
@@ -76,7 +80,8 @@
 //! `tests/plane_equivalence.rs` prove the full counter contract; this
 //! harness re-checks it as a cheap tripwire), then the
 //! measured ns/call and speedups are printed and written to
-//! `BENCH_perf.json`. The decision row is checked the same way first:
+//! `BENCH_perf.json`, stamped with the host and the git revision
+//! measured. The decision row is checked the same way first:
 //! both paths must make the same decisions, keep the same uphill
 //! counters and leave the RNG at the same draw. The segment row is
 //! checked first too: every resident segment's `(SolveResult,
@@ -120,6 +125,9 @@ const ROW_BITS: usize = 800;
 /// as the scalar side: it is orders of magnitude cheaper, and a reading
 /// of a few microseconds would time the clock and the warm-up.
 const SOA_REPS: u32 = 50;
+/// Alternating rounds of the `kernel`, `sweep` and `sweep_dense` rows'
+/// scalar and SoA timings.
+const KERNEL_ROUNDS: u32 = 7;
 /// Alternating rounds of the decision row's two timed passes.
 const DECIDE_ROUNDS: u32 = 15;
 /// The full run's bar on the decision row: the memoised `accept` takes
@@ -336,30 +344,46 @@ impl SweepState {
     }
 }
 
+/// One design's scalar-vs-SoA timing over alternating rounds.
 struct Measurement {
     design: String,
-    scalar_ns: f64,
-    soa_ns: f64,
+    scalar_ns: Spread,
+    soa_ns: Spread,
+    /// scalar / SoA, per round.
+    speedup: Spread,
 }
 
 impl Measurement {
-    fn speedup(&self) -> f64 {
-        if self.soa_ns == 0.0 {
-            f64::INFINITY
-        } else {
-            self.scalar_ns / self.soa_ns
+    /// Runs `rounds` alternating rounds of `time(false)` (the scalar
+    /// side) then `time(true)` (the SoA side), each returning ns per
+    /// pass.
+    fn alternate(design: DesignKind, rounds: u32, mut time: impl FnMut(bool) -> f64) -> Self {
+        let (mut scalar_ns, mut soa_ns, mut speedup) = (Vec::new(), Vec::new(), Vec::new());
+        for _ in 0..rounds {
+            let (s, o) = (time(false), time(true));
+            scalar_ns.push(s);
+            soa_ns.push(o);
+            speedup.push(s / o);
+        }
+        Measurement {
+            design: design.to_string(),
+            scalar_ns: Spread::of(scalar_ns),
+            soa_ns: Spread::of(soa_ns),
+            speedup: Spread::of(speedup),
         }
     }
 }
 
 /// Times one design's H-compute of each tuple of `store` (ns per whole
 /// pass), scalar oracle vs SoA kernel, each called as the machine calls
-/// it: on `store.tuple(i)` and, for the kernel, `planes.view(i)`.
-/// Asserts H equality and the split booking per tuple first.
+/// it: on `store.tuple(i)` and, for the kernel, `planes.view(i)`, in
+/// `rounds` alternating rounds. Asserts H equality and the split
+/// booking per tuple first.
 fn measure_kernel(
     kind: DesignKind,
     enc: &MixedEncoding,
     store: &TupleStore,
+    rounds: u32,
     iters: u32,
 ) -> Measurement {
     let design = oracle(kind);
@@ -380,30 +404,35 @@ fn measure_kernel(
     let mut tile = SramTile::with_params(TileParams::new(rows, cols));
     let mut ctx = ComputeContext::new();
     let mut scratch = ComputeScratch::new();
-    let scalar_ns = ns_per_call(iters, || {
-        for i in 0..store.len() {
-            let h = design.compute_tuple(&mut bitcells, enc, store.tuple(i), Spin::Up, &mut ctx);
-            std::hint::black_box(h);
+    Measurement::alternate(kind, rounds, |soa| {
+        if !soa {
+            return ns_per_call(iters, || {
+                for i in 0..store.len() {
+                    let h = design.compute_tuple(
+                        &mut bitcells,
+                        enc,
+                        store.tuple(i),
+                        Spin::Up,
+                        &mut ctx,
+                    );
+                    std::hint::black_box(h);
+                }
+            });
         }
-    });
-    let soa_ns = ns_per_call(iters * SOA_REPS, || {
-        for i in 0..store.len() {
-            std::hint::black_box(design.compute_tuple_soa(
-                &mut tile,
-                enc,
-                store.tuple(i),
-                planes.view(i),
-                Spin::Up,
-                &mut ctx,
-                &mut scratch,
-            ));
-        }
-    });
-    Measurement {
-        design: kind.to_string(),
-        scalar_ns,
-        soa_ns,
-    }
+        ns_per_call(iters * SOA_REPS, || {
+            for i in 0..store.len() {
+                std::hint::black_box(design.compute_tuple_soa(
+                    &mut tile,
+                    enc,
+                    store.tuple(i),
+                    planes.view(i),
+                    Spin::Up,
+                    &mut ctx,
+                    &mut scratch,
+                ));
+            }
+        })
+    })
 }
 
 /// Times one design's sweep over every spin of `graph` (ns per sweep):
@@ -412,13 +441,15 @@ fn measure_kernel(
 /// copies; the SoA side runs the kernel and also writes the flip back
 /// into the sums. Two untimed sweeps first assert at every step that
 /// both paths' H equal the golden local field and that the split
-/// booking leaves the oracle's counters.
+/// booking leaves the oracle's counters. The two sides then alternate
+/// for `rounds` rounds.
 fn measure_sweep(
     kind: DesignKind,
     enc: &MixedEncoding,
     graph: &IsingGraph,
     init: &SpinVector,
     flips: &[bool],
+    rounds: u32,
     iters: u32,
 ) -> Measurement {
     let design = oracle(kind);
@@ -457,8 +488,9 @@ fn measure_sweep(
         }
     }
 
-    let mut time = |soa: bool, reps: u32| {
+    Measurement::alternate(kind, rounds, |soa| {
         let mut st = SweepState::new(graph, init, enc);
+        let reps = if soa { iters * SOA_REPS } else { iters };
         ns_per_call(reps, || {
             for (i, &flip) in flips.iter().enumerate() {
                 std::hint::black_box(h_of(&st, soa, i));
@@ -467,12 +499,7 @@ fn measure_sweep(
                 }
             }
         })
-    };
-    Measurement {
-        design: kind.to_string(),
-        scalar_ns: time(false, iters),
-        soa_ns: time(true, iters * SOA_REPS),
-    }
+    })
 }
 
 struct BankedRow {
@@ -1248,16 +1275,16 @@ fn host() -> String {
     format!("{model}, {threads} threads")
 }
 
-fn json_rows(rows: &[Measurement], unit: &str) -> String {
+fn json_rows(rows: &[Measurement]) -> String {
     let cells: Vec<String> = rows
         .iter()
         .map(|m| {
             format!(
-                "    {{\"design\": \"{}\", \"scalar_{unit}\": {:.1}, \"soa_{unit}\": {:.1}, \"speedup\": {:.2}}}",
+                "    {{\"design\": \"{}\", \"scalar_ns\": {}, \"soa_ns\": {}, \"speedup\": {}}}",
                 m.design,
-                m.scalar_ns,
-                m.soa_ns,
-                m.speedup()
+                m.scalar_ns.json(),
+                m.soa_ns.json(),
+                m.speedup.json()
             )
         })
         .collect();
@@ -1279,13 +1306,13 @@ fn print_spreads<const N: usize>(what: &str, rows: [(&str, &Spread, &str); N]) {
 
 fn print_table(title: &str, rows: &[Measurement]) {
     section(title);
-    let mut t = Table::new(["design", "scalar ns", "SoA ns", "speedup"]);
+    let mut t = Table::new(["design", "scalar ns (IQR)", "SoA ns (IQR)", "speedup (IQR)"]);
     for m in rows {
         t.row([
             m.design.clone(),
-            format!("{:.1}", m.scalar_ns),
-            format!("{:.1}", m.soa_ns),
-            format!("{:.2}x", m.speedup()),
+            format!("{:.1} ({:.1})", m.scalar_ns.median, m.scalar_ns.iqr),
+            format!("{:.1} ({:.1})", m.soa_ns.median, m.soa_ns.iqr),
+            format!("{:.2}x ({:.2})", m.speedup.median, m.speedup.iqr),
         ]);
     }
     t.print();
@@ -1293,14 +1320,20 @@ fn print_table(title: &str, rows: &[Measurement]) {
 
 fn main() {
     let smoke = std::env::args().skip(1).any(|a| a == "--smoke");
-    let (kernel_iters, sweep_iters, lattice) = if smoke { (3, 2, 8) } else { (200, 40, 24) };
+    // Iterations per reading of the kernel and sweep rows, in
+    // `kernel_rounds` alternating rounds.
+    let (kernel_rounds, kernel_iters, sweep_iters, lattice) = if smoke {
+        (1, 3, 2, 8)
+    } else {
+        (KERNEL_ROUNDS, 30, 6, 24)
+    };
     let enc = MixedEncoding::new(DENSE_R).expect("R = 8 is a valid resolution");
 
     // Per H-compute: the dense degree-256, R=8 acceptance tuple.
     let dense = dense_store(DENSE_DEGREE);
     let kernel: Vec<Measurement> = DesignKind::ALL
         .into_iter()
-        .map(|kind| measure_kernel(kind, &enc, &dense, kernel_iters))
+        .map(|kind| measure_kernel(kind, &enc, &dense, kernel_rounds, kernel_iters))
         .collect();
     print_table(
         &format!("ns per H-compute: dense degree-{DENSE_DEGREE}, R={DENSE_R} tuple"),
@@ -1315,7 +1348,17 @@ fn main() {
     let flips = flip_sequence(graph.num_spins(), 43);
     let sweep: Vec<Measurement> = DesignKind::ALL
         .into_iter()
-        .map(|kind| measure_sweep(kind, &enc, &graph, &spins, &flips, sweep_iters))
+        .map(|kind| {
+            measure_sweep(
+                kind,
+                &enc,
+                &graph,
+                &spins,
+                &flips,
+                kernel_rounds,
+                sweep_iters,
+            )
+        })
         .collect();
     print_table(
         &format!(
@@ -1327,7 +1370,7 @@ fn main() {
 
     // Per dense sweep: a complete graph whose couplings span the R-bit
     // range, with the flip sequence.
-    let (dense_degree, dense_iters) = if smoke { (64, 2) } else { (DENSE_DEGREE, 10) };
+    let (dense_degree, dense_iters) = if smoke { (64, 2) } else { (DENSE_DEGREE, 2) };
     let span = 1u32 << DENSE_R;
     let dense_graph = topology::complete(dense_degree + 1, |i, j| {
         ((i * 37 + j * 11 + 13) % span) as i32 - (1 << (DENSE_R - 1))
@@ -1344,6 +1387,7 @@ fn main() {
                 &dense_graph,
                 &dense_spins,
                 &dense_flips,
+                kernel_rounds,
                 dense_iters,
             )
         })
@@ -1552,12 +1596,14 @@ fn main() {
         })
         .collect();
     let json = format!(
-        "{{\n  \"kernel\": {{\"degree\": {DENSE_DEGREE}, \"r\": {DENSE_R}, \"rows\": [\n{}\n  ]}},\n  \"sweep\": {{\"lattice\": {lattice}, \"spins\": {}, \"flip_one_in\": {FLIP_ONE_IN}, \"rows\": [\n{}\n  ]}},\n  \"sweep_dense\": {{\"degree\": {dense_degree}, \"r\": {DENSE_R}, \"tuples\": {}, \"flip_one_in\": {FLIP_ONE_IN}, \"rows\": [\n{}\n  ]}},\n  \"sweep_banked\": {{\"rows\": [\n{}\n  ]}},\n  \"decide\": {{\"lattice\": {lattice}, \"decisions\": {}, \"draws\": {}, \"rounds\": {DECIDE_ROUNDS}, \"memo_ns\": {}, \"reference_ns\": {}, \"ratio\": {}, \"decide_update\": {{\"seeds\": {}, \"rounds\": {decide_rounds}, \"rows\": [\n{}\n  ]}}}},\n  \"segment\": {{\"cop\": \"sat\", \"size\": 40, \"spins\": {}, \"edges\": {}, \"calls\": {}, \"sweeps_per_call\": {SEGMENT_SWEEPS}, \"rounds\": {}, \"segmented_ms\": {}, \"single_ms\": {}, \"ratio\": {}}},\n  \"build\": {{\"host\": \"{}\", \"rev\": \"{}\", \"rounds\": {}, \"seed\": 0, \"rows\": [\n{}\n  ]}},\n  \"writeback\": {{\"rounds\": {wb_rounds}, \"seed\": 0, \"rows\": [\n{}\n  ]}},\n  \"tax\": {{\"rounds\": {tax_rounds}, \"seed\": 0, \"rows\": [\n{}\n  ]}}\n}}\n",
-        json_rows(&kernel, "ns"),
+        "{{\n  \"host\": \"{}\",\n  \"rev\": \"{}\",\n  \"kernel\": {{\"degree\": {DENSE_DEGREE}, \"r\": {DENSE_R}, \"rounds\": {kernel_rounds}, \"rows\": [\n{}\n  ]}},\n  \"sweep\": {{\"lattice\": {lattice}, \"spins\": {}, \"flip_one_in\": {FLIP_ONE_IN}, \"rounds\": {kernel_rounds}, \"rows\": [\n{}\n  ]}},\n  \"sweep_dense\": {{\"degree\": {dense_degree}, \"r\": {DENSE_R}, \"tuples\": {}, \"flip_one_in\": {FLIP_ONE_IN}, \"rounds\": {kernel_rounds}, \"rows\": [\n{}\n  ]}},\n  \"sweep_banked\": {{\"rows\": [\n{}\n  ]}},\n  \"decide\": {{\"lattice\": {lattice}, \"decisions\": {}, \"draws\": {}, \"rounds\": {DECIDE_ROUNDS}, \"memo_ns\": {}, \"reference_ns\": {}, \"ratio\": {}, \"decide_update\": {{\"seeds\": {}, \"rounds\": {decide_rounds}, \"rows\": [\n{}\n  ]}}}},\n  \"segment\": {{\"cop\": \"sat\", \"size\": 40, \"spins\": {}, \"edges\": {}, \"calls\": {}, \"sweeps_per_call\": {SEGMENT_SWEEPS}, \"rounds\": {}, \"segmented_ms\": {}, \"single_ms\": {}, \"ratio\": {}}},\n  \"build\": {{\"rounds\": {}, \"seed\": 0, \"rows\": [\n{}\n  ]}},\n  \"writeback\": {{\"rounds\": {wb_rounds}, \"seed\": 0, \"rows\": [\n{}\n  ]}},\n  \"tax\": {{\"rounds\": {tax_rounds}, \"seed\": 0, \"rows\": [\n{}\n  ]}}\n}}\n",
+        host(),
+        git(&["describe", "--always", "--dirty", "--abbrev=7"]).unwrap_or_else(|| "unknown".into()),
+        json_rows(&kernel),
         graph.num_spins(),
-        json_rows(&sweep, "ns"),
+        json_rows(&sweep),
         dense_graph.num_spins(),
-        json_rows(&sweep_dense, "ns"),
+        json_rows(&sweep_dense),
         banked_json.join(",\n"),
         decide.decisions,
         decide.draws,
@@ -1586,8 +1632,6 @@ fn main() {
         segment.segmented_ms.json(),
         segment.single_ms.json(),
         segment.ratio.json(),
-        host(),
-        git(&["describe", "--always", "--dirty", "--abbrev=7"]).unwrap_or_else(|| "unknown".into()),
         build.rounds,
         BUILD_SHAPES
             .iter()
@@ -1649,18 +1693,18 @@ fn main() {
     } else {
         for m in &kernel {
             assert!(
-                m.speedup() >= 5.0,
+                m.speedup.median >= 5.0,
                 "{}: dense-kernel speedup {:.2}x is below the 5x acceptance bar",
                 m.design,
-                m.speedup()
+                m.speedup.median
             );
         }
         for m in &sweep_dense {
             assert!(
-                m.speedup() >= 6.0,
+                m.speedup.median >= 6.0,
                 "{}: dense sweep speedup {:.2}x is below the 6x acceptance bar",
                 m.design,
-                m.speedup()
+                m.speedup.median
             );
         }
         assert!(
