@@ -63,11 +63,21 @@ impl Standard for i64 {
     }
 }
 
+/// The 53 uniform bits a `gen::<f64>()` draw scales into `[0, 1)`: the
+/// draw is exactly `draw_53(rng) as f64 · 2⁻⁵³` from the same RNG word.
+/// Not part of the real crate's API (its `Standard` `f64` draw takes the
+/// same top 53 bits); exposed so a caller can compare the integer
+/// against a threshold in draw units without restating the format.
+#[inline]
+pub fn draw_53<R: RngCore + ?Sized>(rng: &mut R) -> u64 {
+    rng.next_u64() >> 11
+}
+
 impl Standard for f64 {
     #[inline]
     fn sample<R: RngCore + ?Sized>(rng: &mut R) -> Self {
         // 53 uniform mantissa bits in [0, 1).
-        (rng.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
+        draw_53(rng) as f64 * (1.0 / (1u64 << 53) as f64)
     }
 }
 

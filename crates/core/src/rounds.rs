@@ -55,6 +55,17 @@ pub fn tuple_cycles(design: DesignKind, n: u64, r: u32, row_bits: u64) -> u64 {
     stationarity(design).schedule(n, r, row_bits).accesses
 }
 
+/// The schedule and static events of each of `degrees`, read from a
+/// table indexed by degree that holds every one of them.
+fn priced<'a>(
+    by_degree: &'a [(TupleSchedule, StaticEvents)],
+    degrees: &'a [u64],
+) -> impl Iterator<Item = (TupleSchedule, StaticEvents)> + 'a {
+    degrees
+        .iter()
+        .filter_map(|&n| by_degree.get(to_index(n)).copied())
+}
+
 /// The events of one solve that cost energy, counted once and priced
 /// once by [`RoundPlan::price`]. The machine tallies a call's events as
 /// it meters them; `PerfModel` counts the shape's per sweep times the
@@ -128,12 +139,10 @@ pub struct RoundPlan {
     tiles: u64,
     fill: u64,
     config: SachiConfig,
-    /// Resolution the tuples are planned at.
-    r: u32,
     /// Per-tuple degrees of a degree-built plan.
     degrees: Vec<u64>,
     /// A degree-built plan's schedule and static events per degree, for
-    /// every degree up to its largest (or its tuple count, if smaller).
+    /// every degree up to its largest.
     by_degree: Vec<(TupleSchedule, StaticEvents)>,
 }
 
@@ -155,7 +164,6 @@ impl RoundPlan {
             tiles: count_u64(compute.tiles()).max(1),
             fill: widest.fill_cycles(),
             config: config.clone(),
-            r,
             degrees: Vec::new(),
             by_degree: Vec::new(),
         }
@@ -191,12 +199,18 @@ impl RoundPlan {
         plan.degrees = degrees.to_vec();
         // A graph's degrees are few and below its spin count: price each
         // once, not once per tuple.
-        let tabled = max_degree.min(count_u64(degrees.len()));
-        plan.by_degree = (0..=tabled).map(|n| plan.price_degree(n)).collect();
+        let (design, row_bits) = (stationarity(config.design), plan.row_bits());
+        let by_degree: Vec<_> = (0..=max_degree)
+            .map(|n| {
+                let schedule = design.schedule(n, r, row_bits);
+                (schedule, StaticEvents::of(&schedule))
+            })
+            .collect();
+        plan.by_degree = by_degree.clone();
         let capacity = config.hierarchy.compute.total_bits().get();
         let (mut round, mut first, mut used) = (Round::default(), 0usize, 0u64);
-        for (i, &n) in degrees.iter().enumerate() {
-            let (schedule, events) = plan.of_degree(n);
+        let tuples = degrees.iter().zip(priced(&by_degree, degrees));
+        for (i, (&n, (schedule, events))) in tuples.enumerate() {
             let resident = schedule.resident_bits;
             if round.tuples > 0 && used + resident.max(1) > capacity {
                 let compute = plan.partial_compute(first..i, i - first);
@@ -286,30 +300,13 @@ impl RoundPlan {
         }
     }
 
-    /// The schedule and static events of a tuple of degree `n`.
-    fn price_degree(&self, n: u64) -> (TupleSchedule, StaticEvents) {
-        let schedule = stationarity(self.config.design).schedule(n, self.r, self.row_bits());
-        (schedule, StaticEvents::of(&schedule))
-    }
-
-    /// [`RoundPlan::price_degree`], read from the per-degree table when
-    /// it holds `n`.
-    fn of_degree(&self, n: u64) -> (TupleSchedule, StaticEvents) {
-        usize::try_from(n)
-            .ok()
-            .and_then(|k| self.by_degree.get(k))
-            .copied()
-            .unwrap_or_else(|| self.price_degree(n))
-    }
-
     /// The schedules and static events of a degree-built plan's tuples
     /// over `spins` (none past its end).
     fn schedules(
         &self,
         spins: Range<usize>,
     ) -> impl Iterator<Item = (TupleSchedule, StaticEvents)> + '_ {
-        let degrees = self.degrees.get(spins).unwrap_or_default();
-        degrees.iter().map(|&n| self.of_degree(n))
+        priced(&self.by_degree, self.degrees.get(spins).unwrap_or_default())
     }
 
     /// The first `reached` spins of the round over `spins`.

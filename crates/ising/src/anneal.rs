@@ -8,7 +8,7 @@
 //! RNG stream must drive every machine for their H trajectories to agree.
 
 use rand::rngs::StdRng;
-use rand::{RngCore, SeedableRng};
+use rand::SeedableRng;
 
 /// How the temperature descends between sweeps.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -163,16 +163,16 @@ impl Default for Schedule {
 /// (2, 4, …, 512) land in distinct slots.
 const MEMO_SLOTS: usize = 256;
 
-/// One memo entry: the acceptance probability of `delta` at the
-/// temperature of `epoch`, and the threshold `p·2⁵³` an uphill draw's
-/// 53 bits are compared against. `delta == 0` marks an empty slot; only
-/// `delta > 0` is ever looked up.
+/// One memo entry: the threshold `p·2⁵³` an uphill draw's 53 bits are
+/// compared against, for the acceptance probability `p` of `delta` at
+/// the temperature of `epoch`. The scaling by a power of two is exact,
+/// so `threshold·2⁻⁵³` gives `p` back bit for bit. `delta == 0` marks an
+/// empty slot; only `delta > 0` is ever looked up.
 #[derive(Clone, Copy)]
 struct MemoSlot {
     delta: i64,
     epoch: u64,
     threshold: f64,
-    probability: f64,
 }
 
 /// A direct-mapped cache of [`Annealer::acceptance_probability`] keyed
@@ -192,7 +192,6 @@ impl ProbabilityMemo {
             delta: 0,
             epoch: 0,
             threshold: 0.0,
-            probability: 0.0,
         };
         ProbabilityMemo(Box::new([EMPTY; MEMO_SLOTS]))
     }
@@ -211,7 +210,7 @@ const DRAW_SCALE: f64 = (1u64 << 53) as f64;
 
 /// The threshold of probability `p ∈ [0, 1]` in draw units: `p·2⁵³`.
 ///
-/// A `gen::<f64>()` draw is `m·2⁻⁵³` with `m = next_u64() >> 11`, and
+/// A `gen::<f64>()` draw is `m·2⁻⁵³` with `m = rand::draw_53(rng)`, and
 /// both `m` and `p·2⁵³` are exact in `f64` (`m < 2⁵³`; the product is a
 /// power-of-two scaling), so `m < p·2⁵³` holds exactly when
 /// `m·2⁻⁵³ < p`, and exactly when `m < ⌈p·2⁵³⌉`. Keeping the threshold
@@ -292,14 +291,15 @@ impl Annealer {
     }
 
     /// [`Annealer::acceptance_probability`] read through the annealer's
-    /// memo: bit-identical, without an `exp` once `delta` has been seen
-    /// at the current temperature.
+    /// memo: bit-identical (the slot's threshold scaled back by 2⁻⁵³),
+    /// without an `exp` once `delta` has been seen at the current
+    /// temperature.
     #[inline]
     pub fn probability(&mut self, delta: i64) -> f64 {
         if delta <= 0 {
             1.0
         } else {
-            self.memo_uphill(delta).probability
+            self.memo_uphill(delta).threshold * (1.0 / DRAW_SCALE)
         }
     }
 
@@ -318,7 +318,6 @@ impl Annealer {
             delta,
             epoch,
             threshold: draw_threshold(probability),
-            probability,
         };
         if let Some(kept) = self.memo.0.get_mut(index) {
             *kept = slot;
@@ -352,7 +351,7 @@ impl Annealer {
         let threshold = self.memo_uphill(delta).threshold;
         // The 53 bits `gen::<f64>()` scales by 2⁻⁵³: below 2⁵³, so the
         // signed conversion (one instruction on baseline x86-64) is exact.
-        let accepted = ((self.rng.next_u64() >> 11) as i64 as f64) < threshold;
+        let accepted = (rand::draw_53(&mut self.rng) as i64 as f64) < threshold;
         self.uphill_accepted += u64::from(accepted);
         self.uphill_rejected += u64::from(!accepted);
         accepted
@@ -396,6 +395,7 @@ impl Annealer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::RngCore;
 
     #[test]
     fn schedule_validation() {
@@ -540,7 +540,7 @@ mod tests {
     /// The threshold decides exactly as the `f64` draw does: for every
     /// probability, `m < p·2⁵³` equals `m·2⁻⁵³ < p` and `m < ⌈p·2⁵³⌉` at
     /// the integer threshold, on either side of it and at both ends of
-    /// the draw's range.
+    /// the draw's range; and scaling the threshold back gives `p`.
     #[test]
     fn draw_threshold_decides_as_the_float_draw() {
         let ulp = 1.0 / DRAW_SCALE;
@@ -566,6 +566,7 @@ mod tests {
         let last = (1u64 << 53) - 1;
         for p in probabilities {
             let threshold = draw_threshold(p);
+            assert_eq!((threshold * ulp).to_bits(), p.to_bits(), "p = {p:e}");
             let ceiling = threshold.ceil() as u64;
             let near = [
                 ceiling.checked_sub(1),
