@@ -167,8 +167,12 @@ const MEMO_SLOTS: usize = 256;
 /// compared against, for the acceptance probability `p` of `delta` at
 /// the temperature of `epoch`. The scaling by a power of two is exact,
 /// so `threshold·2⁻⁵³` gives `p` back bit for bit. `delta == 0` marks an
-/// empty slot; only `delta > 0` is ever looked up.
+/// empty slot; only `delta > 0` is ever looked up. Padded to 32 bytes,
+/// so a slot never straddles a cache line and the index scales by a
+/// shift: unpadded 24-byte slots read about 6% slower on the sched 16
+/// stream of `perf_kernels`' `decide_update` leg.
 #[derive(Clone, Copy)]
+#[repr(align(32))]
 struct MemoSlot {
     delta: i64,
     epoch: u64,
