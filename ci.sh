@@ -220,6 +220,17 @@ COTENANT_PID=$!
 wait "$COTENANT_PID"
 same_report plain
 
+# The daemon harvests each job's registry, the one `sachi solve
+# --metrics` prints, so the first jobs' compute-array (l1_) counters
+# are already on /metrics.
+"$SACHI" submit --addr "127.0.0.1:$PORT" --fetch-metrics >"$REPORTS/first.prom"
+cargo run -q -p xtask -- validate-exposition <"$REPORTS/first.prom"
+if ! grep -q '^# TYPE sachi_l1_[a-z0-9_]* counter$' "$REPORTS/first.prom"; then
+  echo "serve smoke: /metrics has no sachi_l1_ counter after the first job" >&2
+  exit 1
+fi
+echo "serve smoke: /metrics carries the first job's l1_ counters"
+
 # Same contract for a replica-exchange job: the coupled rungs must be
 # byte-identical between the daemon's shared pool and the one-shot CLI.
 PTJOB=(--cop sat --size 12 --seed 9 --restarts 3 --step-budget 60000

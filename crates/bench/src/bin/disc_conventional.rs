@@ -9,11 +9,11 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use sachi_bench::reference::l1cache::L1Cache;
 use sachi_bench::reference::runtime::SachiContext;
 use sachi_bench::{percent, section, Table};
 use sachi_core::prelude::*;
 use sachi_ising::prelude::*;
-use sachi_mem::prelude::*;
 use sachi_workloads::prelude::*;
 
 /// A conventional-workload stand-in: mixed sequential / strided / random

@@ -13,10 +13,12 @@
 //! with hit/miss simulation, a [`CacheMode`] register, mode exclusion
 //! (normal accesses are rejected in compute mode and vice versa), and a
 //! flush-on-switch cost — the *real* price of repurposing, which the
-//! `disc_conventional` harness measures.
+//! `disc_conventional` harness measures. No solve runs it: what the
+//! compute array does during a solve is the machine's `l1_` counters
+//! (`RunReport::round_loads`, `RunReport::fill_bits`).
 
-use crate::units::convert::{count_u64, ratio_u64, to_index};
-use crate::units::Cycles;
+use sachi_mem::units::convert::{count_u64, ratio_u64, to_index};
+use sachi_mem::units::Cycles;
 use std::fmt;
 
 /// The special-purpose-register mode of the repurposed L1.
@@ -82,18 +84,6 @@ pub struct CacheStats {
 }
 
 impl CacheStats {
-    /// Exports the counters into `reg` under the `l1_` prefix, plus the
-    /// derived `l1_hit_rate` gauge.
-    pub fn export(&self, reg: &mut sachi_obs::MetricsRegistry) {
-        reg.counter_add("l1_hits", self.hits);
-        reg.counter_add("l1_misses", self.misses);
-        reg.counter_add("l1_evictions", self.evictions);
-        reg.counter_add("l1_mode_switches", self.mode_switches);
-        reg.counter_add("l1_lines_flushed", self.lines_flushed);
-        reg.counter_add("l1_rejected", self.rejected);
-        reg.gauge_set("l1_hit_rate", self.hit_rate());
-    }
-
     /// Hit rate over normal-mode accesses.
     pub fn hit_rate(&self) -> f64 {
         let total = self.hits + self.misses;
@@ -108,7 +98,7 @@ impl CacheStats {
 /// mode register.
 ///
 /// ```
-/// use sachi_mem::l1cache::{Access, CacheMode, L1Cache};
+/// use sachi_bench::reference::l1cache::{Access, CacheMode, L1Cache};
 ///
 /// let mut l1 = L1Cache::new(1024, 2, 64);
 /// assert!(matches!(l1.read(0x40).unwrap(), Access::Miss { .. }));
@@ -147,12 +137,12 @@ impl L1Cache {
             line_bytes.is_power_of_two(),
             "line size must be a power of two"
         );
-        let lines = capacity_bytes / line_bytes;
+        let lines = capacity_bytes.checked_div(line_bytes).unwrap_or(0);
         assert!(
             lines > 0 && lines.is_multiple_of(ways),
             "capacity must hold a whole number of sets"
         );
-        let sets = lines / ways;
+        let sets = lines.checked_div(ways).unwrap_or(0);
         assert!(sets.is_power_of_two(), "set count must be a power of two");
         L1Cache {
             sets,
@@ -198,12 +188,13 @@ impl L1Cache {
         Cycles::new(1)
     }
 
+    /// Splits `addr` into its set and tag. [`L1Cache::new`] asserts a
+    /// non-zero line size and set count, so no division falls back.
     fn index(&self, addr: u64) -> (usize, u64) {
-        let line = addr / count_u64(self.line_bytes);
-        (
-            to_index(line % count_u64(self.sets)),
-            line / count_u64(self.sets),
-        )
+        let sets = count_u64(self.sets);
+        let line = addr.checked_div(count_u64(self.line_bytes)).unwrap_or(0);
+        let set = line.checked_rem(sets).unwrap_or(0);
+        (to_index(set), line.checked_div(sets).unwrap_or(0))
     }
 
     /// Programs the mode register. Entering compute mode flushes the

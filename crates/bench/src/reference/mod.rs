@@ -3,7 +3,8 @@
 //! the bit-level SRAM tile ([`bitcell`], Fig. 10), the scalar design
 //! oracles ([`designs`], Figs. 11–13) the production kernel is proven
 //! against, the `FIST`/`XNORM` ISA ([`isa`], Fig. 14), the host API
-//! ([`runtime`], Sec. VII.3), the multi-core model ([`multicore`],
+//! ([`runtime`], Sec. VII.3) and the normal-mode L1 it hands the array
+//! back to ([`l1cache`], Sec. VII.1), the multi-core model ([`multicore`],
 //! Sec. IV.B.2), the per-tuple storage layout the update path's
 //! writeback is timed against ([`tuple`], Fig. 8b), and the bare
 //! incremental solve the whole machine is timed against ([`bare`]).
@@ -12,6 +13,7 @@ pub mod bare;
 pub mod bitcell;
 pub mod designs;
 pub mod isa;
+pub mod l1cache;
 pub mod multicore;
 pub mod runtime;
 pub mod tuple;

@@ -35,12 +35,12 @@
 //! # Ok::<(), sachi_ising::graph::GraphError>(())
 //! ```
 
+use crate::reference::l1cache::{CacheMode, L1Cache};
 use sachi_core::config::SachiConfig;
 use sachi_core::machine::{RunReport, SachiMachine};
 use sachi_ising::graph::IsingGraph;
 use sachi_ising::solver::{SolveOptions, SolveResult};
 use sachi_ising::spin::SpinVector;
-use sachi_mem::l1cache::{CacheMode, L1Cache};
 use sachi_mem::units::Cycles;
 
 /// A staged problem: what `cudaMalloc` + `cudaMemcpy` would have done.

@@ -4,12 +4,12 @@
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use sachi_bench::reference::l1cache::{Access, CacheMode};
 use sachi_bench::reference::runtime::SachiContext;
 use sachi_core::config::{DesignKind, SachiConfig};
 use sachi_ising::graph::{topology, IsingGraph};
 use sachi_ising::solver::{CpuReferenceSolver, IterativeSolver, SolveOptions};
 use sachi_ising::spin::SpinVector;
-use sachi_mem::l1cache::CacheMode;
 use sachi_mem::units::Cycles;
 fn setup() -> (IsingGraph, SpinVector, SolveOptions) {
     let g = topology::king(5, 5, |i, j| ((i + j) % 5) as i32 + 1).unwrap();
@@ -46,10 +46,7 @@ fn launch_flushes_warm_cache_and_restores_normal_mode() {
     assert_eq!(launch.mode_switch_cycles, Cycles::new(34));
     // Normal mode resumed; the warm lines are gone (cold restart).
     assert_eq!(ctx.l1().mode(), CacheMode::Normal);
-    assert!(matches!(
-        ctx.l1_mut().read(0).unwrap(),
-        sachi_mem::l1cache::Access::Miss { .. }
-    ));
+    assert!(matches!(ctx.l1_mut().read(0).unwrap(), Access::Miss { .. }));
 }
 
 #[test]

@@ -6,7 +6,6 @@ use sachi_baselines::prelude::*;
 use sachi_core::prelude::*;
 use sachi_ising::graph::MAX_SPINS;
 use sachi_ising::prelude::*;
-use sachi_mem::l1cache::{CacheMode, L1Cache};
 use sachi_mem::prelude::*;
 use sachi_obs::prelude::*;
 use sachi_obs::table::{ratio, Table};
@@ -63,14 +62,7 @@ fn plan_for(args: &SolveArgs) -> Result<JobPlan, SachiError> {
 /// `sachi solve`.
 pub fn solve(args: &SolveArgs) -> Result<(), SachiError> {
     let plan = plan_for(args)?;
-    // SACHI repurposes the host's L1 data array as the compute substrate
-    // (Sec. VII.1): claim it around the ensemble so the exported l1_*
-    // metrics carry the real mode-switch and flush accounting of that
-    // handover.
-    let mut l1 = L1Cache::typical_l1();
-    l1.set_mode(CacheMode::IsingCompute);
     let outcome = plan.run(args.threads);
-    l1.set_mode(CacheMode::Normal);
     let report = &outcome.report.reports[outcome.best.best_index];
 
     match args.metrics {
@@ -78,9 +70,9 @@ pub fn solve(args: &SolveArgs) -> Result<(), SachiError> {
         // machine-readable snapshot, so scripts can pipe stdout straight
         // into a parser. Fold order is replica order, never completion
         // order, so the snapshot is identical at any --threads value.
+        // It is the registry the daemon harvests from the same job.
         Some(format) => {
-            let mut reg = outcome.metrics();
-            l1.stats().export(&mut reg);
+            let reg = outcome.metrics();
             match format {
                 MetricsFormat::Json => print!("{}", write_snapshot(&reg, &report.phase_spans)),
                 MetricsFormat::Prom => print!("{}", write_exposition(&reg)),

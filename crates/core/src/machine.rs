@@ -82,6 +82,30 @@ pub struct FaultReport {
 }
 
 impl FaultReport {
+    /// Accumulates a later segment's `other` into `self` (see
+    /// [`RunReport::absorb`]): counts add, degradation is sticky.
+    /// Destructured field by field like `RunReport::absorb`.
+    fn absorb(&mut self, other: FaultReport) {
+        let FaultReport {
+            injected_flips,
+            corrupted_fetches,
+            detected,
+            undetected,
+            retries,
+            refetch_cycles,
+            dram_corrupted_bits,
+            degraded,
+        } = other;
+        self.injected_flips += injected_flips;
+        self.corrupted_fetches += corrupted_fetches;
+        self.detected += detected;
+        self.undetected += undetected;
+        self.retries += retries;
+        self.refetch_cycles += refetch_cycles;
+        self.dram_corrupted_bits += dram_corrupted_bits;
+        self.degraded |= degraded;
+    }
+
     /// Exports the counters into `reg` under the `recovery_` prefix.
     pub fn export(&self, reg: &mut MetricsRegistry) {
         reg.counter_add("recovery_injected_flips", self.injected_flips);
@@ -136,6 +160,13 @@ pub struct RunReport {
     pub cross_tuple_rereads: u64,
     /// Prefetches issued by the DRAM controller.
     pub prefetches: u64,
+    /// Round loads into the compute array, the repurposed L1: every
+    /// round of sweep 0, and every round of each later sweep when the
+    /// problem needs more than one.
+    pub round_loads: u64,
+    /// Bits written into the compute array: the round loads' resident
+    /// bits plus fault re-fetches.
+    pub fill_bits: u64,
     /// Fault-injection and recovery accounting (all zeros without a
     /// fault profile).
     pub faults: FaultReport,
@@ -160,8 +191,9 @@ impl RunReport {
     }
 
     /// Exports the whole report into `reg`: `machine_` counters for the
-    /// design-level accounting, plus the embedded SRAM (`sram_`), DRAM
-    /// (`dram_`), recovery (`recovery_`) counters and energy gauges.
+    /// design-level accounting, `l1_` counters for the compute array,
+    /// plus the embedded SRAM (`sram_`), DRAM (`dram_`), recovery
+    /// (`recovery_`) counters and energy gauges.
     /// Counters and histograms fold additively across replicas; gauges
     /// are per-run summaries the ensemble fold recomputes from counter
     /// sums afterwards.
@@ -177,6 +209,8 @@ impl RunReport {
         reg.counter_add("machine_adjacency_reads", self.adjacency_reads);
         reg.counter_add("machine_cross_tuple_rereads", self.cross_tuple_rereads);
         reg.counter_add("machine_prefetches", self.prefetches);
+        reg.counter_add("l1_round_loads", self.round_loads);
+        reg.counter_add("l1_fill_bits", self.fill_bits);
         reg.observe("machine_queue_peak_bits", self.queue_peak_bits);
         reg.observe("replica_total_cycles", self.total_cycles.get());
         reg.observe("replica_rounds_per_sweep", self.rounds_per_sweep);
@@ -199,47 +233,70 @@ impl RunReport {
     /// describe the machine and must match. `other`'s phase spans are
     /// appended after this report's: shifted by its pre-absorb
     /// `total_cycles` and `sweeps`, so the merged trace stays ordered.
+    /// `other` is destructured field by field, so a field added without
+    /// a merge rule does not compile.
     pub fn absorb(&mut self, other: &RunReport) {
-        debug_assert_eq!(self.design, other.design, "segments share one machine");
-        debug_assert_eq!(self.resolution_bits, other.resolution_bits);
+        let RunReport {
+            design,
+            resolution_bits,
+            sweeps,
+            rounds_per_sweep,
+            compute_cycles,
+            load_cycles,
+            total_cycles,
+            wall_time,
+            ref energy,
+            reuse: _,
+            xnor_ops,
+            rwl_bits_fetched,
+            redundant_discharges,
+            queue_peak_bits,
+            spin_copy_updates,
+            adjacency_reads,
+            cross_tuple_rereads,
+            prefetches,
+            round_loads,
+            fill_bits,
+            faults,
+            ref tile,
+            ref dram,
+            ref phase_spans,
+        } = *other;
+        debug_assert_eq!(self.design, design, "segments share one machine");
+        debug_assert_eq!(self.resolution_bits, resolution_bits);
         let (cycle_offset, sweep_offset) = (self.total_cycles.get(), self.sweeps);
         self.phase_spans
-            .extend(other.phase_spans.iter().map(|span| PhaseSpan {
+            .extend(phase_spans.iter().map(|span| PhaseSpan {
                 sweep: span.sweep + sweep_offset,
                 start: span.start + cycle_offset,
                 end: span.end + cycle_offset,
                 ..*span
             }));
-        self.sweeps += other.sweeps;
-        self.rounds_per_sweep = self.rounds_per_sweep.max(other.rounds_per_sweep);
-        self.compute_cycles += other.compute_cycles;
-        self.load_cycles += other.load_cycles;
-        self.total_cycles += other.total_cycles;
-        self.wall_time = self.wall_time + other.wall_time;
-        self.energy.merge(&other.energy);
-        self.xnor_ops += other.xnor_ops;
-        self.rwl_bits_fetched += other.rwl_bits_fetched;
+        self.sweeps += sweeps;
+        self.rounds_per_sweep = self.rounds_per_sweep.max(rounds_per_sweep);
+        self.compute_cycles += compute_cycles;
+        self.load_cycles += load_cycles;
+        self.total_cycles += total_cycles;
+        self.wall_time = self.wall_time + wall_time;
+        self.energy.merge(energy);
+        self.xnor_ops += xnor_ops;
+        self.rwl_bits_fetched += rwl_bits_fetched;
         self.reuse = if self.rwl_bits_fetched > 0 {
             ratio_u64(self.xnor_ops, self.rwl_bits_fetched)
         } else {
             0.0
         };
-        self.redundant_discharges += other.redundant_discharges;
-        self.queue_peak_bits = self.queue_peak_bits.max(other.queue_peak_bits);
-        self.spin_copy_updates += other.spin_copy_updates;
-        self.adjacency_reads += other.adjacency_reads;
-        self.cross_tuple_rereads += other.cross_tuple_rereads;
-        self.prefetches += other.prefetches;
-        self.tile.merge(&other.tile);
-        self.dram.merge(&other.dram);
-        self.faults.injected_flips += other.faults.injected_flips;
-        self.faults.corrupted_fetches += other.faults.corrupted_fetches;
-        self.faults.detected += other.faults.detected;
-        self.faults.undetected += other.faults.undetected;
-        self.faults.retries += other.faults.retries;
-        self.faults.refetch_cycles += other.faults.refetch_cycles;
-        self.faults.dram_corrupted_bits += other.faults.dram_corrupted_bits;
-        self.faults.degraded |= other.faults.degraded;
+        self.redundant_discharges += redundant_discharges;
+        self.queue_peak_bits = self.queue_peak_bits.max(queue_peak_bits);
+        self.spin_copy_updates += spin_copy_updates;
+        self.adjacency_reads += adjacency_reads;
+        self.cross_tuple_rereads += cross_tuple_rereads;
+        self.prefetches += prefetches;
+        self.round_loads += round_loads;
+        self.fill_bits += fill_bits;
+        self.tile.merge(tile);
+        self.dram.merge(dram);
+        self.faults.absorb(faults);
     }
 }
 
@@ -722,6 +779,8 @@ impl SachiMachine {
             adjacency_reads: count_u64(events.flips),
             cross_tuple_rereads: rereads,
             prefetches: dram.stats().prefetches_issued,
+            round_loads: count_u64(events.round_loads),
+            fill_bits: count_u64(events.fill_bits),
             faults: fault_report,
             tile: *stats,
             dram: dram.stats(),

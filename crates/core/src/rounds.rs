@@ -75,6 +75,9 @@ fn priced<'a>(
 pub struct SolveEvents {
     /// Bits of the problem's initial placement into DRAM.
     pub placement_bits: u128,
+    /// Round loads into the compute array. They cost nothing by
+    /// themselves: each one's price is its fill and stream bits.
+    pub round_loads: u128,
     /// Bits moved from the storage array into the compute array and
     /// written there: round loads' resident bits and fault refetches.
     pub fill_bits: u128,
@@ -407,6 +410,7 @@ impl RoundPlan {
         if self.load(sweep, round) == Cycles::ZERO {
             return;
         }
+        events.round_loads += times;
         events.fill_bits += u128::from(round.resident_bits) * times;
         if self.uses_dram {
             let bytes = Bits::new(round.storage_bits).to_bytes_ceil();
@@ -580,6 +584,7 @@ mod tests {
         assert_eq!(
             events,
             SolveEvents {
+                round_loads: 1,
                 fill_bits: 64,
                 stream_bits: 1024,
                 stream_beats: 2,

@@ -1145,6 +1145,65 @@ mod tests {
         assert!(!plain.is_coupled());
     }
 
+    /// A tempered rung's report is the sum of its segments' reports
+    /// (`RunReport::absorb`), the compute-array counts included. On a
+    /// plan that fits the array, every segment, quench included, loads
+    /// its one round once.
+    #[test]
+    fn a_tempered_job_counts_each_segment_round_load() {
+        use sachi_ising::solver::IterativeSolver;
+
+        /// A rung's machine that keeps each segment's report apart.
+        struct Segments<'a> {
+            machine: SachiMachine,
+            rung: usize,
+            reports: &'a Mutex<Vec<Vec<RunReport>>>,
+        }
+        impl IterativeSolver for Segments<'_> {
+            fn solve(
+                &mut self,
+                graph: &IsingGraph,
+                initial: &SpinVector,
+                options: &SolveOptions,
+            ) -> SolveResult {
+                let (result, report) = self.machine.solve_detailed(graph, initial, options);
+                self.reports.lock().unwrap()[self.rung].push(report);
+                result
+            }
+        }
+
+        let spec = JobSpec {
+            tempering: true,
+            restarts: 3,
+            ..small_spec(CopKind::SatThree, 5)
+        };
+        let plan = JobPlan::from_spec(&spec).unwrap();
+        let outcome = plan.run_solo();
+        let reports = Mutex::new(vec![Vec::new(); plan.replica_count()]);
+        let best = EnsembleRunner::new(plan.replica_count())
+            .with_threads(1)
+            .run(plan.graph(), plan.init(), plan.options(), |rung| Segments {
+                machine: SachiMachine::new(plan.config().clone()),
+                rung,
+                reports: &reports,
+            });
+        assert_eq!(best, outcome.best);
+        let reports = reports.into_inner().unwrap();
+        for (rung, segments) in reports.iter().enumerate() {
+            assert!(segments.len() > 1, "rung {rung} ran one segment");
+            for segment in segments {
+                assert_eq!(segment.rounds_per_sweep, 1);
+                assert_eq!(segment.round_loads, 1);
+            }
+            let merged = &outcome.report.reports[rung];
+            assert_eq!(merged.round_loads, segments.len() as u64);
+            let fill: u64 = segments.iter().map(|r| r.fill_bits).sum();
+            assert_eq!(merged.fill_bits, fill);
+        }
+        let segments = reports.iter().map(Vec::len).sum::<usize>() as u64;
+        assert_eq!(outcome.metrics().counter("l1_round_loads"), segments);
+    }
+
     #[test]
     fn poison_job_degrades_only_itself() {
         // A plan whose init does not match the graph panics the machine

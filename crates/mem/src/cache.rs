@@ -17,7 +17,7 @@ use crate::units::Bits;
 /// assert_eq!(l1.tiles(), 16);
 /// assert_eq!(l1.rows_per_tile(), 100);
 /// assert_eq!(l1.row_bits(), 800);            // 100 ICs x 8 bits
-/// assert_eq!(l1.tile_bits().get(), 80_000);  // 10 KB minus nothing: 10 KB = 81920... see note
+/// assert_eq!(l1.tile_bits().get(), 80_000);
 /// ```
 ///
 /// Note on tile size: the paper quotes "16 tiles, each tile (size 10KB)

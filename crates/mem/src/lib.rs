@@ -45,7 +45,6 @@ pub mod cache;
 pub mod dram;
 pub mod energy;
 pub mod fault;
-pub mod l1cache;
 pub mod params;
 pub mod sram;
 pub mod units;
@@ -56,7 +55,6 @@ pub mod prelude {
     pub use crate::dram::DramController;
     pub use crate::energy::{EnergyComponent, EnergyLedger};
     pub use crate::fault::{FaultCounters, FaultInjector, FaultModel, FaultRate};
-    pub use crate::l1cache::{Access, CacheMode, CacheStats, L1Cache};
     pub use crate::params::TechnologyParams;
     pub use crate::sram::{SramTile, TileParams, TileStats};
     pub use crate::units::{Bits, Cycles, Nanoseconds, Picojoules};

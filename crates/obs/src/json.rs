@@ -6,7 +6,7 @@
 //! {
 //!   "schema": "sachi.metrics.v1",
 //!   "counters": { "sram_rbl_discharges": 123 },
-//!   "gauges": { "l1_hit_rate": 0.5 },
+//!   "gauges": { "machine_reuse": 0.5 },
 //!   "histograms": {
 //!     "replica_total_cycles": {
 //!       "count": 4, "sum": 4096,

@@ -9,6 +9,7 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use sachi::prelude::*;
+use sachi_bench::reference::l1cache::Access;
 use sachi_bench::reference::runtime::{ProblemHandle, SachiContext};
 
 fn main() {

@@ -8,6 +8,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use sachi::prelude::*;
 use sachi::workloads::lucas;
+use sachi_bench::reference::l1cache::{Access, CacheMode};
 use sachi_bench::reference::multicore::{MulticoreModel, Partition};
 use sachi_bench::reference::runtime::SachiContext;
 

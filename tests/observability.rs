@@ -13,7 +13,6 @@
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use sachi::mem::l1cache::{CacheMode, L1Cache};
 use sachi::obs::json;
 use sachi::prelude::*;
 
@@ -248,19 +247,31 @@ fn solve_metrics(
 
 #[test]
 fn solve_snapshot_covers_every_subsystem() {
-    // Assembled exactly as `sachi solve --metrics json` assembles it,
-    // the snapshot must pass the strict solve-schema validation: every
+    // The snapshot `sachi solve --metrics json` prints is the job's own
+    // registry, `JobOutcome::metrics`, the one the daemon harvests per
+    // job. Alone, it must pass the strict solve-schema validation: every
     // required counter prefix (sram_, l1_, dram_, machine_, solver_,
     // recovery_) present, structure well-formed, spans recorded.
-    let (mut reg, spans) = solve_metrics(2, 3, 11, 7);
-    let mut l1 = L1Cache::typical_l1();
-    let _ = l1.set_mode(CacheMode::IsingCompute);
-    let _ = l1.set_mode(CacheMode::Normal);
-    l1.stats().export(&mut reg);
+    let spec = JobSpec {
+        cop: CopKind::MolecularDynamics,
+        size: 64,
+        restarts: 2,
+        ..JobSpec::default()
+    };
+    let plan = JobPlan::from_spec(&spec)
+        .expect("a valid job")
+        .with_phase_trace();
+    let outcome = plan.run(2);
+    let reg = outcome.metrics();
+    let spans = &outcome.report.reports[outcome.best.best_index].phase_spans;
 
-    let doc = write_snapshot(&reg, &spans);
+    let doc = write_snapshot(&reg, spans);
     json::validate_solve_snapshot(&doc).expect("solve snapshot covers every subsystem");
     validate_exposition(&write_exposition(&reg)).expect("prom exposition of same registry");
+    // The l1_ series count what the compute array did: one load per
+    // replica for a problem that fits it.
+    assert_eq!(reg.counter("l1_round_loads"), 2);
+    assert!(reg.counter("l1_fill_bits") > 0);
 
     assert!(!spans.is_empty(), "phase tracing records spans");
     assert_eq!(

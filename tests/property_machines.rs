@@ -159,6 +159,8 @@ fn assert_machines_agree(
     assert_eq!(s.rounds_per_sweep, r.rounds_per_sweep);
     assert_eq!(s.compute_cycles, r.compute_cycles);
     assert_eq!(s.load_cycles, r.load_cycles);
+    assert_eq!(s.round_loads, r.round_loads);
+    assert_eq!(s.fill_bits, r.fill_bits);
     assert_eq!(s.total_cycles, r.total_cycles);
     assert_eq!(s.xnor_ops, r.xnor_ops);
     assert_eq!(s.rwl_bits_fetched, r.rwl_bits_fetched);

@@ -390,6 +390,7 @@ impl ResidentN3Machine {
 
         let mut compute_cycles = Cycles::ZERO;
         let mut load_cycles = Cycles::ZERO;
+        let (mut round_loads, mut fill_bits) = (0u64, 0u64);
         let mut annealer_decisions = 0u64;
         let mut total_flips = 0u64;
         let mut sweeps = 0u64;
@@ -430,6 +431,8 @@ impl ResidentN3Machine {
                             count_u64(tuples.tuple(i).degree()) * (u64::from(enc.bits()) + 1);
                     }
                     resident_chunk = Some(round);
+                    round_loads += 1;
+                    fill_bits += layout_bits;
                     // One row per cycle per bank (bank_count == 1 is the
                     // unbanked schedule, cycle-identical by div_ceil(1)).
                     let rows = layout_bits.div_ceil(count_u64(geometry.row_bits()));
@@ -590,6 +593,8 @@ impl ResidentN3Machine {
             adjacency_reads,
             cross_tuple_rereads: 0,
             prefetches: 0,
+            round_loads,
+            fill_bits,
             faults: sachi_core::machine::FaultReport::default(),
             tile: stats,
             dram: sachi_mem::dram::DramStats::default(),
