@@ -39,6 +39,13 @@ cargo run -q -p xtask -- analyze --json 2>/dev/null \
 echo "==> cargo test -q"
 cargo test -q --workspace
 
+# The builders' index arithmetic and saturating folds must also hold
+# with overflow checks and debug_assert! compiled out: rerun the builder
+# oracle, the build-identity table and the kernel/oracle equivalence in
+# release.
+echo "==> cargo test --release (builders, build identity, plane equivalence)"
+cargo test --release -q --test builder_oracle --test build_identity --test plane_equivalence
+
 # The ensemble determinism contract must hold with the worker pool to
 # itself and under heavy harness contention: run the suite serially and
 # with 8 concurrent test threads.

@@ -322,7 +322,11 @@ impl RunReport {
 /// Like the hardware, the machine maps a problem into its storage array
 /// once and keeps it there: the [`TupleStore`], its [`TuplePlanes`]
 /// mirror, the encoding, the round partition, the spin vector and its
-/// energy survive between [`SachiMachine::solve_detailed`] calls. A
+/// energy survive between [`SachiMachine::solve_detailed`] calls. The
+/// store holds no copy of the problem: it reads every tuple row from the
+/// graph's own CSR, shared by an O(1) clone, so the replicas of one job
+/// (one machine each) all read the one CSR the build produced and own
+/// only their spins, sums and plan. A
 /// later call on the **same build** of the graph (the same
 /// [`IsingGraph::build_id`]: the graph itself or a clone of it) reuses
 /// that state after an O(1) check. Only the spins that differ from the
@@ -389,7 +393,9 @@ impl Resident {
         // they are drawn after it returns (tuple-fetch parity and the DRAM
         // stream) — so one kernel serves clean and faulted runs alike.
         let soa = TuplePlanes::new(&tuples, &enc).expect("encoding sized from graph coefficients");
-        let degrees: Vec<u64> = tuples.iter().map(|t| count_u64(t.degree())).collect();
+        let degrees = (0..graph.num_spins())
+            .map(|i| count_u64(graph.degree(i)))
+            .collect();
         // H = ½·Σᵢ σᵢ·(H_σ,i − hᵢ) from the sums just built, in O(n)
         // instead of a pass over every edge: with H_σ,i = −(hᵢ +
         // Σⱼ Jᵢⱼσⱼ), the sum counts each edge twice and each field twice.
@@ -402,7 +408,7 @@ impl Resident {
         debug_assert_eq!(h0, energy(graph, initial), "H from the tuple sums");
         Resident {
             graph_id: graph.build_id(),
-            plan: RoundPlan::for_degrees(config, enc.bits(), &degrees),
+            plan: RoundPlan::for_degrees(config, enc.bits(), degrees),
             enc,
             tuples,
             soa,

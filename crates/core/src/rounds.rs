@@ -174,7 +174,13 @@ impl RoundPlan {
 
     /// Appends `repeats` copies of `round` at `compute` cycles, pricing
     /// its load.
-    fn push(&mut self, mut round: Round, compute: Cycles, repeats: u64) {
+    fn push(&mut self, round: Round, compute: Cycles, repeats: u64) {
+        let round = self.loaded(round, compute);
+        self.runs.push((round, repeats));
+    }
+
+    /// `round` at `compute` cycles, with its load priced.
+    fn loaded(&self, mut round: Round, compute: Cycles) -> Round {
         let tech = &self.config.tech;
         if round.resident_bits > 0 {
             let rows = round.resident_bits.div_ceil(self.row_bits());
@@ -186,7 +192,7 @@ impl RoundPlan {
             }
         }
         round.compute = compute;
-        self.runs.push((round, repeats));
+        round
     }
 
     fn row_bits(&self) -> u64 {
@@ -194,30 +200,33 @@ impl RoundPlan {
     }
 
     /// Plans a problem whose tuples have the given degrees, in spin
-    /// order, at resolution `r`.
-    pub fn for_degrees(config: &SachiConfig, r: u32, degrees: &[u64]) -> Self {
+    /// order, at resolution `r`. The plan keeps `degrees` to price
+    /// partial rounds.
+    pub fn for_degrees(config: &SachiConfig, r: u32, degrees: Vec<u64>) -> Self {
         let storage = degrees.iter().map(|&n| SpinTuple::storage_bits(n, r) + n);
         let max_degree = degrees.iter().copied().max().unwrap_or(0);
         let mut plan = Self::empty(config, r, max_degree, storage.sum());
-        plan.degrees = degrees.to_vec();
         // A graph's degrees are few and below its spin count: price each
         // once, not once per tuple.
         let (design, row_bits) = (stationarity(config.design), plan.row_bits());
-        let by_degree: Vec<_> = (0..=max_degree)
+        plan.by_degree = (0..=max_degree)
             .map(|n| {
                 let schedule = design.schedule(n, r, row_bits);
                 (schedule, StaticEvents::of(&schedule))
             })
             .collect();
-        plan.by_degree = by_degree.clone();
+        plan.degrees = degrees;
         let capacity = config.hierarchy.compute.total_bits().get();
-        let (mut round, mut first, mut used) = (Round::default(), 0usize, 0u64);
-        let tuples = degrees.iter().zip(priced(&by_degree, degrees));
+        let (mut runs, mut round, mut first, mut used) = (Vec::new(), Round::default(), 0, 0u64);
+        let tuples = plan
+            .degrees
+            .iter()
+            .zip(priced(&plan.by_degree, &plan.degrees));
         for (i, (&n, (schedule, events))) in tuples.enumerate() {
             let resident = schedule.resident_bits;
             if round.tuples > 0 && used + resident.max(1) > capacity {
                 let compute = plan.partial_compute(first..i, i - first);
-                plan.push(std::mem::take(&mut round), compute, 1);
+                runs.push((plan.loaded(std::mem::take(&mut round), compute), 1));
                 (first, used) = (i, 0);
             }
             used += resident.max(1);
@@ -226,8 +235,10 @@ impl RoundPlan {
             round.storage_bits += SpinTuple::storage_bits(n, r);
             round.events.merge(&events);
         }
-        let compute = plan.partial_compute(first..degrees.len(), degrees.len() - first);
-        plan.push(round, compute, 1);
+        let spins = plan.degrees.len();
+        let compute = plan.partial_compute(first..spins, spins - first);
+        runs.push((plan.loaded(round, compute), 1));
+        plan.runs = runs;
         plan.rounds_per_sweep = plan.per_sweep(|_, _| 1);
         plan
     }
@@ -495,8 +506,7 @@ mod tests {
             for (spins, n, r) in [(1u64, 0u64, 2u32), (7, 3, 4), (12, 11, 3), (40, 39, 6)] {
                 let uniform =
                     RoundPlan::uniform(&config, &WorkloadShape::new(spins, n, r)).unwrap();
-                let degrees = vec![n; to_index(spins)];
-                let walked = RoundPlan::for_degrees(&config, r, &degrees);
+                let walked = RoundPlan::for_degrees(&config, r, vec![n; to_index(spins)]);
                 let what = format!("{} {spins}x{n}@{r}", config.design);
                 assert_eq!(uniform.rounds_per_sweep, walked.rounds_per_sweep, "{what}");
                 assert_eq!(uniform.uses_dram, walked.uses_dram, "{what}");
@@ -547,7 +557,7 @@ mod tests {
         let plan = RoundPlan::for_degrees(
             &SachiConfig::new(DesignKind::N2).with_hierarchy(small),
             4,
-            &[16; 12],
+            vec![16; 12],
         );
         assert!(plan.rounds_per_sweep > 1);
         let rounds: Vec<&Round> = plan.iter().map(|(_, round)| round).collect();
@@ -571,7 +581,7 @@ mod tests {
             storage: CacheGeometry::new(1, 2, 64, 2),
         };
         let config = SachiConfig::new(DesignKind::N3).with_hierarchy(tiny_storage);
-        let plan = RoundPlan::for_degrees(&config, 4, &[16; 12]);
+        let plan = RoundPlan::for_degrees(&config, 4, vec![16; 12]);
         assert!(plan.uses_dram && plan.rounds_per_sweep > 1);
         let round = Round {
             resident_bits: 64,
@@ -623,7 +633,7 @@ mod tests {
             storage: CacheGeometry::new(1, 2, 64, 2),
         };
         let config = SachiConfig::new(DesignKind::N3).with_hierarchy(tiny_storage);
-        let plan = RoundPlan::for_degrees(&config, 4, &[16; 12]);
+        let plan = RoundPlan::for_degrees(&config, 4, vec![16; 12]);
         assert!(plan.uses_dram && plan.rounds_per_sweep > 1);
         let mut one_by_one = plan.placement_events();
         for _ in 0..1000 {
@@ -645,7 +655,7 @@ mod tests {
     #[test]
     fn a_cut_round_bills_only_the_tuples_that_ran() {
         let config = SachiConfig::new(DesignKind::N1a);
-        let plan = RoundPlan::for_degrees(&config, 4, &[2, 5, 1, 3, 4]);
+        let plan = RoundPlan::for_degrees(&config, 4, vec![2, 5, 1, 3, 4]);
         let (spins, round) = plan.iter().next().expect("one round");
         assert_eq!(
             plan.partial_compute(spins.clone(), spins.len()),

@@ -9,9 +9,10 @@
 //! The price of tuple-rep is paid on *update*: when spin `j` flips, its
 //! copy inside every tuple that contains it must be refreshed. A dedicated
 //! region of the storage array holds the adjacency matrix; the update path
-//! reads it to find the relevant tuples (Fig. 8b). [`TupleStore`] holds
-//! the tuples laid out flat like the graph's CSR: every row's neighbours
-//! and couplings sit end to end in one array each. It keeps one state per
+//! reads it to find the relevant tuples (Fig. 8b). [`TupleStore`] reads
+//! every tuple where the graph's CSR holds it: row `i` of the store *is*
+//! row `i` of the graph, shared with every other replica that maps the
+//! same build, so a job holds its couplings once. It keeps one state per
 //! spin rather than the hardware's per-row copies, which always equal
 //! it: [`TupleStore::update_spin`] writes that one state and returns the
 //! copies the hardware would write (the flipped spin's degree) for the
@@ -41,33 +42,20 @@ pub struct SpinTuple<'a> {
 }
 
 impl<'a> SpinTuple<'a> {
-    /// The row's positions in the store's flat arrays, which every row
-    /// range lies inside by construction, and its field.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the row is out of the store's range.
-    #[inline]
-    fn row(&self) -> (std::ops::Range<usize>, i32) {
-        let store = self.store;
-        let slots = store.offsets[self.row]..store.offsets[self.row + 1];
-        (slots, store.fields[self.row])
-    }
-
     /// The spin this tuple computes `H_σ` for.
     pub fn target(&self) -> u32 {
         self.row as u32
     }
 
-    /// Neighbor spin ids, ascending.
+    /// Neighbor spin ids, ascending: the graph's own row.
     pub fn neighbors(&self) -> &'a [u32] {
-        self.store.neighbors.get(self.row().0).unwrap_or_default()
+        self.store.graph.neighbor_slices(self.row).0
     }
 
     /// Connecting interaction coefficients, aligned with
     /// [`SpinTuple::neighbors`].
     pub fn couplings(&self) -> &'a [i32] {
-        self.store.couplings.get(self.row().0).unwrap_or_default()
+        self.store.graph.neighbor_slices(self.row).1
     }
 
     /// The neighbouring spin states, aligned with
@@ -83,7 +71,7 @@ impl<'a> SpinTuple<'a> {
 
     /// External field `h_i`.
     pub fn field(&self) -> i32 {
-        self.row().1
+        self.store.graph.field(self.row)
     }
 
     /// Local field `H_σ = -Σ J_ij σ_j - h_i` computed from the tuple's
@@ -100,7 +88,7 @@ impl<'a> SpinTuple<'a> {
     /// Number of neighbors (the paper's `N` for this tuple).
     #[inline]
     pub fn degree(&self) -> usize {
-        self.row().0.len()
+        self.store.graph.degree(self.row)
     }
 
     /// Storage bits of a tuple of `n` neighbors at resolution `r`
@@ -135,21 +123,22 @@ impl std::fmt::Debug for SpinTuple<'_> {
     }
 }
 
-/// The storage array's logical content: all tuples, held flat, and the
-/// spin states their copies hold.
+/// The storage array's logical content: all tuples, read where the
+/// graph holds them, and the spin states their copies hold.
 ///
-/// Row `i` occupies positions `offsets[i]..offsets[i + 1]` of the
-/// neighbour and coupling arrays, in the graph's (ascending) neighbour
-/// order. Row `j` is also `σ_j`'s range of the adjacency region of
-/// Fig. 8b: it names the tuples holding a copy of `σ_j`. Every copy of
-/// a spin holds the same state, so the store keeps that state once, in
-/// `spins`, indexed by spin id.
+/// The store holds the mapped [`IsingGraph`] (an O(1) clone sharing the
+/// caller's CSR) and no row arrays of its own: row `i` is the graph's
+/// row `i`, read through its `neighbor_slices`, `field` and `degree`, in
+/// ascending neighbour order. Row `j` is also `σ_j`'s range of the
+/// adjacency region of Fig. 8b: it names the tuples holding a copy of
+/// `σ_j`. Every copy of a spin holds the same state, so the store keeps
+/// that state once, in `spins`, indexed by spin id.
 #[derive(Debug, Clone)]
 pub struct TupleStore {
-    offsets: Vec<usize>,
-    neighbors: Vec<u32>,
-    couplings: Vec<i32>,
-    fields: Vec<i32>,
+    graph: IsingGraph,
+    /// The rows the store lends out: the graph's first `rows` (all of
+    /// them, or spin 0's alone for [`TupleStore::one_row`]).
+    rows: usize,
     spins: Vec<Spin>,
     /// Whether tuple-rep is enabled. The ablation (`abl_tuple_rep`)
     /// disables it, which forces cross-tuple re-reads (counted, not
@@ -172,8 +161,8 @@ impl TupleStore {
         Self::with_tuple_rep(graph, spins, true)
     }
 
-    /// Builds the store with explicit tuple-rep setting, in one pass over
-    /// the graph's rows.
+    /// Builds the store with explicit tuple-rep setting: a clone of the
+    /// graph, which shares its rows, and a copy of the spins.
     ///
     /// # Panics
     ///
@@ -185,19 +174,6 @@ impl TupleStore {
             "spin vector must match graph size"
         );
         let n = graph.num_spins();
-        let slots = 2 * graph.num_edges();
-        let mut offsets = Vec::with_capacity(n + 1);
-        let mut neighbors = Vec::with_capacity(slots);
-        let mut couplings = Vec::with_capacity(slots);
-        let mut fields = Vec::with_capacity(n);
-        offsets.push(0);
-        for i in 0..n {
-            let (row, weights) = graph.neighbor_slices(i);
-            neighbors.extend_from_slice(row);
-            couplings.extend_from_slice(weights);
-            offsets.push(neighbors.len());
-            fields.push(graph.field(i));
-        }
         let rereads = if tuple_rep {
             Vec::new()
         } else {
@@ -209,10 +185,8 @@ impl TupleStore {
                 .collect()
         };
         TupleStore {
-            offsets,
-            neighbors,
-            couplings,
-            fields,
+            graph: graph.clone(),
+            rows: n,
             spins: spins.to_vec(),
             tuple_rep,
             rereads,
@@ -220,16 +194,18 @@ impl TupleStore {
     }
 
     /// A store of one standalone row, spin 0's, holding `neighbors`,
-    /// `couplings`, the neighbour states `neighbor_spins` and `field` as
-    /// given: the input of single-tuple harnesses, read through `tuple(0)`
-    /// and [`TuplePlanes::new`]. The states are kept indexed by neighbour
-    /// id, so the ids must be distinct (every caller passes `1..=n` or a
-    /// graph row); they need not name rows of the store, so only
-    /// `update_spin(0, ..)` is in range.
+    /// `couplings`, the neighbour states `neighbor_spins` and `field`
+    /// exactly as given: the input of single-tuple harnesses, read
+    /// through `tuple(0)` and [`TuplePlanes::new`]. The row is built as a
+    /// star on spin 0 through the graph's CSR fill, so its ids must be
+    /// nonzero and strictly ascending (every caller passes `1..=n`). The
+    /// coefficients are taken as given, `i32::MIN` included: a row at
+    /// 32 bits may hold the encoding's whole range.
     ///
     /// # Panics
     ///
-    /// Panics if the three slices differ in length.
+    /// Panics if the three slices differ in length, or if an id is zero,
+    /// repeated or out of order.
     pub fn one_row(
         neighbors: &[u32],
         couplings: &[i32],
@@ -242,29 +218,32 @@ impl TupleStore {
             "a row needs one coupling and one spin state per neighbour"
         );
         let ids = neighbors.iter().map(|&j| j as usize + 1).max().unwrap_or(1);
+        let mut fields = vec![0; ids];
+        fields[0] = field;
+        let star = neighbors.iter().zip(couplings).map(|(&j, &w)| (0, j, w));
+        let graph = IsingGraph::from_sorted_edges(fields, star)
+            .expect("a row's neighbour ids must be nonzero and strictly ascending");
         let mut spins = vec![Spin::default(); ids];
         for (&j, &s) in neighbors.iter().zip(neighbor_spins) {
             spins[j as usize] = s;
         }
         TupleStore {
-            offsets: vec![0, n],
-            neighbors: neighbors.to_vec(),
-            couplings: couplings.to_vec(),
-            fields: vec![field],
+            graph,
+            rows: 1,
             spins,
             tuple_rep: true,
             rereads: Vec::new(),
         }
     }
 
-    /// Number of tuples (== spins).
+    /// Number of tuples (== spins, or 1 for [`TupleStore::one_row`]).
     pub fn len(&self) -> usize {
-        self.fields.len()
+        self.rows
     }
 
     /// True if the store holds no tuples.
     pub fn is_empty(&self) -> bool {
-        self.fields.is_empty()
+        self.rows == 0
     }
 
     /// Whether tuple-rep is enabled.
@@ -308,10 +287,10 @@ impl TupleStore {
     ///
     /// # Panics
     ///
-    /// Panics if `j` is out of range.
+    /// Panics if `j` is out of the graph's range.
     pub fn update_spin(&mut self, j: usize, new: Spin) -> u64 {
         self.spins[j] = new;
-        count_u64(self.offsets[j + 1] - self.offsets[j])
+        count_u64(self.graph.degree(j))
     }
 }
 
@@ -342,9 +321,9 @@ pub struct TupleSums {
 /// [`TupleSums`], kept current under spin flips.
 ///
 /// The mirror is built once at map time, which validates every coupling
-/// against the encoding and keeps each slot's `ones` in the store's flat
+/// against the encoding and keeps each slot's `ones` in the graph's CSR
 /// slot order. After that, [`TuplePlanes::writeback_spin`] walks the
-/// flipped spin's own row of the store (the Fig. 8b update path reaches
+/// flipped spin's own row of the graph (the Fig. 8b update path reaches
 /// the same tuples) and applies one edge's constants to each neighbour's
 /// tuple, so a design kernel reads its tuple's sums in O(1) instead of
 /// re-reading every edge on every sweep. Tuple-rep stores each edge's
@@ -356,8 +335,8 @@ pub struct TupleSums {
 pub struct TuplePlanes {
     bits: u32,
     sums: Vec<TupleSums>,
-    /// Per slot, in the order the tuples were mirrored (the store's flat
-    /// order): the popcount of the slot coupling's R-bit word.
+    /// Per slot, in the order the tuples were mirrored (for a store, the
+    /// graph's CSR slots): the popcount of the slot coupling's R-bit word.
     ones: Vec<u8>,
     /// One bit per spin id: the value the mirrored copies of that spin
     /// hold (up = 1).
@@ -384,7 +363,8 @@ impl TuplePlanes {
     ///
     /// Returns an error if any coupling is out of range for `enc`.
     pub fn new(store: &TupleStore, enc: &MixedEncoding) -> Result<Self, EncodingError> {
-        Self::from_tuples(store.iter(), enc)
+        let slots = store.iter().map(|t| t.degree()).sum();
+        Self::mirror(store.iter(), slots, enc)
     }
 
     /// Builds the mirror from an explicit tuple sequence (tests and
@@ -397,10 +377,19 @@ impl TuplePlanes {
     where
         I: IntoIterator<Item = SpinTuple<'a>>,
     {
+        Self::mirror(tuples, 0, enc)
+    }
+
+    /// Mirrors `tuples`, with room for `slots` slot popcounts reserved
+    /// up front.
+    fn mirror<'a, I>(tuples: I, slots: usize, enc: &MixedEncoding) -> Result<Self, EncodingError>
+    where
+        I: IntoIterator<Item = SpinTuple<'a>>,
+    {
         let r = u64::from(enc.bits());
         let tuples = tuples.into_iter();
         let mut sums = Vec::with_capacity(tuples.size_hint().0);
-        let mut ones_per_slot = Vec::new();
+        let mut ones_per_slot = Vec::with_capacity(slots);
         let mut spin_bits = Vec::new();
         for tuple in tuples {
             let mut s = TupleSums {
@@ -430,7 +419,10 @@ impl TuplePlanes {
                 let up = u64::from(spin.bit());
                 s.up += up;
                 s.matches += up * ones + (1 - up) * (r - ones);
-                spin_bits[word] = (spin_bits[word] & !bit) | (bit & up.wrapping_neg());
+                // Always present: the arena was just grown to cover `word`.
+                if let Some(w) = spin_bits.get_mut(word) {
+                    *w = (*w & !bit) | (bit & up.wrapping_neg());
+                }
             }
             sums.push(s);
         }
@@ -469,11 +461,11 @@ impl TuplePlanes {
     }
 
     /// Mirrors a spin flip: if the copies of `σ_j` change, walks `σ_j`'s
-    /// own row of `store` and applies each edge's constants, with the
-    /// slot's `ones` kept from the build, to the neighbour's tuple — the
-    /// tuples whose copies [`TupleStore::update_spin`] bills. Call with the
-    /// *store that built this mirror* (before or after its own update —
-    /// rows and couplings are immutable).
+    /// own row of the store's graph and applies each edge's constants,
+    /// with the slot's `ones` kept from the build, to the neighbour's
+    /// tuple — the tuples whose copies [`TupleStore::update_spin`] bills.
+    /// Call with the *store that built this mirror* (before or after its
+    /// own update — rows and couplings are immutable).
     ///
     /// # Panics
     ///
@@ -490,11 +482,11 @@ impl TuplePlanes {
         }
         *word ^= bit;
         let r = u64::from(self.bits);
-        let row = store.offsets[j]..store.offsets[j + 1];
-        for ((&t, &coupling), &ones) in store.neighbors[row.clone()]
+        let (neighbors, couplings) = store.graph.neighbor_slices(j);
+        for ((&t, &coupling), &ones) in neighbors
             .iter()
-            .zip(&store.couplings[row.clone()])
-            .zip(&self.ones[row])
+            .zip(couplings)
+            .zip(&self.ones[store.graph.slots(j)])
         {
             let ones = u64::from(ones);
             let s = &mut self.sums[t as usize];
@@ -543,6 +535,64 @@ mod tests {
         assert_eq!(t1.couplings(), [3, -2]);
         assert!(t1.neighbor_spins().eq([Spin::Up, Spin::Up]));
         assert_eq!(t1.field(), 4);
+    }
+
+    #[test]
+    fn every_row_is_the_graphs_own_row() {
+        let g = topology::king(4, 5, |a, b| (a + b) as i32 % 5 - 2).unwrap();
+        let s = SpinVector::filled(g.num_spins(), Spin::Up);
+        for store in [
+            TupleStore::new(&g, &s),
+            TupleStore::with_tuple_rep(&g, &s, false),
+        ] {
+            assert_eq!(store.len(), g.num_spins());
+            assert_eq!(store.graph.build_id(), g.build_id());
+            for i in 0..g.num_spins() {
+                let (neighbors, couplings) = g.neighbor_slices(i);
+                let tuple = store.tuple(i);
+                assert!(
+                    std::ptr::eq(tuple.neighbors().as_ptr(), neighbors.as_ptr()),
+                    "row {i}"
+                );
+                assert!(
+                    std::ptr::eq(tuple.couplings().as_ptr(), couplings.as_ptr()),
+                    "row {i}"
+                );
+                assert_eq!(tuple.field(), g.field(i));
+                assert_eq!(tuple.degree(), g.degree(i));
+            }
+        }
+    }
+
+    #[test]
+    fn one_row_returns_its_given_row_exactly() {
+        let neighbors = [1, 2, 5, 9];
+        let couplings = [i32::MIN, -3, 0, i32::MAX];
+        let states = [Spin::Down, Spin::Up, Spin::Up, Spin::Down];
+        let store = TupleStore::one_row(&neighbors, &couplings, &states, -7);
+        assert_eq!(store.len(), 1);
+        let tuple = store.tuple(0);
+        assert_eq!(tuple.target(), 0);
+        assert_eq!(tuple.neighbors(), neighbors);
+        assert_eq!(tuple.couplings(), couplings);
+        assert!(tuple.neighbor_spins().eq(states));
+        assert_eq!(tuple.field(), -7);
+        assert_eq!(store.iter().count(), 1);
+        let empty = TupleStore::one_row(&[], &[], &[], 4);
+        assert_eq!((empty.len(), empty.tuple(0).degree()), (1, 0));
+        assert_eq!(empty.tuple(0).field(), 4);
+    }
+
+    #[test]
+    #[should_panic(expected = "neighbour ids must be nonzero and strictly ascending")]
+    fn one_row_refuses_a_repeated_id() {
+        let _ = TupleStore::one_row(&[1, 2, 2], &[1, 1, 1], &[Spin::Up; 3], 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "neighbour ids must be nonzero and strictly ascending")]
+    fn one_row_refuses_a_zero_id() {
+        let _ = TupleStore::one_row(&[0, 1], &[1, 1], &[Spin::Up; 2], 0);
     }
 
     #[test]

@@ -11,12 +11,15 @@
 //! [`GraphBuilder::build`] freezes an edge list into that layout in
 //! O(E log E) with no per-row allocation: one pass normalizes the edges
 //! in place, one sort orders them (and exposes duplicates as neighbours),
-//! and one pass over the sorted list writes every row in neighbour
-//! order. Coefficients must lie in `i32::MIN + 1 ..= i32::MAX`, the range
-//! whose negations the 32-bit mixed encoding can also hold.
+//! and [`IsingGraph::from_sorted_edges`], the one CSR fill, writes every
+//! row in neighbour order from the sorted list. Coefficients must lie in
+//! `i32::MIN + 1 ..= i32::MAX`, the range whose negations the 32-bit
+//! mixed encoding can also hold.
 
 use std::fmt;
+use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 /// The next [`IsingGraph::build_id`]: one per [`GraphBuilder::build`] in
 /// this process.
@@ -43,6 +46,12 @@ pub enum GraphError {
         /// Endpoints of the duplicated edge.
         edge: (u32, u32),
     },
+    /// An edge of a list [`IsingGraph::from_sorted_edges`] reads was not
+    /// `(i, j)` with `i < j`, or came before the edge preceding it.
+    EdgeOutOfOrder {
+        /// The edge as supplied.
+        edge: (u32, u32),
+    },
     /// A coupling or field was `i32::MIN`. The mixed encoding stores a
     /// coefficient's negation too, and `-i32::MIN` does not fit 32 bits.
     UnencodableCoefficient {
@@ -64,6 +73,12 @@ impl fmt::Display for GraphError {
             GraphError::DuplicateEdge { edge } => {
                 write!(f, "duplicate edge ({}, {})", edge.0, edge.1)
             }
+            GraphError::EdgeOutOfOrder { edge } => write!(
+                f,
+                "edge ({}, {}) is out of order; a sorted edge list holds each edge \
+                 as (i, j) with i < j, in ascending (i, j) order",
+                edge.0, edge.1
+            ),
             GraphError::UnencodableCoefficient { what, site } => {
                 if *what == "field" {
                     write!(f, "{what} of vertex {}", site.0)?;
@@ -90,6 +105,12 @@ pub const MAX_SPINS: u64 = 1 << 32;
 /// Whether `n` spins exceed [`MAX_SPINS`].
 pub fn exceeds_max_spins(n: usize) -> bool {
     u64::try_from(n).map_or(true, |n| n > MAX_SPINS)
+}
+
+/// A shared slice of `len` zeros, allocated once (the iterator's exact
+/// length lets the slice be written in place).
+fn zeroed<T: Default + Clone>(len: usize) -> Arc<[T]> {
+    std::iter::repeat_n(T::default(), len).collect()
 }
 
 /// Incremental builder for [`IsingGraph`] ([C-BUILDER]).
@@ -159,12 +180,10 @@ impl GraphBuilder {
     /// Validates and freezes into a CSR [`IsingGraph`].
     ///
     /// One pass normalizes every edge to `(min, max)` in place, one sort
-    /// orders them, and one pass over the sorted list writes every row
-    /// in ascending neighbour order: row `v` receives its neighbours
-    /// below `v` from the edges that start before `v`, then its
-    /// neighbours above `v` from the edges that start at `v`. Two builds
-    /// of the same graph therefore compare equal whatever the insertion
-    /// order (text-format round-trips rely on this).
+    /// orders them, and [`IsingGraph::from_sorted_edges`] writes every
+    /// row from the sorted list. Two builds of the same graph therefore
+    /// compare equal whatever the insertion order (text-format
+    /// round-trips rely on this).
     ///
     /// # Errors
     ///
@@ -200,63 +219,29 @@ impl GraphBuilder {
                 site: (v, v),
             });
         }
+        // Sorted, a duplicate is the repeat of the edge before it, which
+        // the fill reports: the smallest duplicated pair comes first.
         self.edges.sort_unstable_by_key(|&(i, j, _)| (i, j));
-        if let Some(pair) = self
-            .edges
-            .windows(2)
-            .find(|p| (p[0].0, p[0].1) == (p[1].0, p[1].1))
-        {
-            return Err(GraphError::DuplicateEdge {
-                edge: (pair[0].0, pair[0].1),
-            });
-        }
-
-        // Degree count, then the CSR fill (both directions) in one pass.
-        let mut cursor = vec![0usize; n];
-        for &(i, j, _) in &self.edges {
-            cursor[i as usize] += 1;
-            cursor[j as usize] += 1;
-        }
-        let mut offsets = Vec::with_capacity(n + 1);
-        let mut running = 0usize;
-        offsets.push(0usize);
-        for c in &mut cursor {
-            let start = running;
-            running += *c;
-            offsets.push(running);
-            *c = start;
-        }
-        let mut neighbors = vec![0u32; running];
-        let mut weights = vec![0i32; running];
-        for &(i, j, w) in &self.edges {
-            let (iu, ju) = (i as usize, j as usize);
-            neighbors[cursor[iu]] = j;
-            weights[cursor[iu]] = w;
-            cursor[iu] += 1;
-            neighbors[cursor[ju]] = i;
-            weights[cursor[ju]] = w;
-            cursor[ju] += 1;
-        }
-        Ok(IsingGraph {
-            offsets,
-            neighbors,
-            weights,
-            fields: self.fields,
-            build_id: NEXT_BUILD_ID.fetch_add(1, Ordering::Relaxed),
-        })
+        IsingGraph::from_sorted_edges(self.fields, self.edges.iter().copied())
     }
 }
 
 /// An immutable Ising problem graph (CSR adjacency, `i32` coefficients).
 ///
-/// Equality is content equality (neighbors, couplings, fields); the
-/// [`IsingGraph::build_id`] takes no part in it.
+/// Each CSR array is a shared slice: a clone costs O(1), reads the same
+/// rows and keeps the [`IsingGraph::build_id`], while a row read costs
+/// no more than from an owned `Vec` (the slice's address and length sit
+/// in the graph itself). Equality is content equality (neighbors,
+/// couplings, fields); the build id takes no part in it.
 #[derive(Debug, Clone)]
 pub struct IsingGraph {
-    offsets: Vec<usize>,
-    neighbors: Vec<u32>,
-    weights: Vec<i32>,
-    fields: Vec<i32>,
+    offsets: Arc<[usize]>,
+    neighbors: Arc<[u32]>,
+    weights: Arc<[i32]>,
+    fields: Arc<[i32]>,
+    /// The largest `|J_ij|` or `|h_i|`, taken by the fill that wrote the
+    /// arrays (so a function of their content).
+    max_abs: i64,
     build_id: u64,
 }
 
@@ -272,8 +257,98 @@ impl PartialEq for IsingGraph {
 impl Eq for IsingGraph {}
 
 impl IsingGraph {
-    /// The identity of the [`GraphBuilder::build`] call that made this
-    /// graph, unique within the process and shared by its clones.
+    /// Writes the CSR of `fields.len()` spins from `edges`, each an
+    /// undirected edge `(i, j, J_ij)` with `i < j`, in strictly ascending
+    /// `(i, j)` order: the one CSR fill behind [`GraphBuilder::build`]
+    /// (after its sort) and the QUBO build.
+    ///
+    /// One pass checks the list, counts degrees and takes the largest
+    /// absolute coefficient; one pass writes every row in ascending
+    /// neighbour order: row `v` receives its neighbours below `v` from
+    /// the edges that start before `v`, then its neighbours above `v`
+    /// from the edges that start at `v`. The iterator is cloned for the
+    /// first pass.
+    ///
+    /// The fill checks structure only: refusing `i32::MIN`, which the
+    /// encoding cannot negate, is the caller's job ([`GraphBuilder::build`]
+    /// and the QUBO build do; a standalone 32-bit test row may hold it).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`GraphError`] for the first edge in list order with an
+    /// out-of-range endpoint, a self-loop, a repeat of the edge before it
+    /// ([`GraphError::DuplicateEdge`]), or `i > j` or a place before the
+    /// edge preceding it ([`GraphError::EdgeOutOfOrder`]).
+    pub fn from_sorted_edges<I>(fields: Vec<i32>, edges: I) -> Result<Self, GraphError>
+    where
+        I: IntoIterator<Item = (u32, u32, i32)>,
+        I::IntoIter: Clone,
+    {
+        let n = fields.len();
+        let edges = edges.into_iter();
+        let mut max_abs = fields
+            .iter()
+            .map(|&h| i64::from(h).abs())
+            .max()
+            .unwrap_or(0);
+        // Degree count, then the CSR fill (both directions) in one pass.
+        let mut cursor = vec![0usize; n];
+        let mut last = None;
+        for (i, j, w) in edges.clone() {
+            for vertex in [i, j] {
+                if vertex as usize >= n {
+                    return Err(GraphError::VertexOutOfRange { vertex, n });
+                }
+            }
+            if i == j {
+                return Err(GraphError::SelfLoop { vertex: i });
+            }
+            let pair = Some((i, j));
+            if last == pair {
+                return Err(GraphError::DuplicateEdge { edge: (i, j) });
+            }
+            if i > j || last > pair {
+                return Err(GraphError::EdgeOutOfOrder { edge: (i, j) });
+            }
+            last = pair;
+            cursor[i as usize] += 1;
+            cursor[j as usize] += 1;
+            max_abs = max_abs.max(i64::from(w).abs());
+        }
+        // Each array is written in place in its shared allocation.
+        let mut offsets = zeroed(n + 1);
+        let ends = Arc::get_mut(&mut offsets).expect("a fresh slice is unshared");
+        let mut running = 0usize;
+        for (c, end) in cursor.iter_mut().zip(&mut ends[1..]) {
+            let start = running;
+            running += *c;
+            *end = running;
+            *c = start;
+        }
+        let (mut neighbors, mut weights) = (zeroed(running), zeroed(running));
+        let row = Arc::get_mut(&mut neighbors).expect("a fresh slice is unshared");
+        let coupling = Arc::get_mut(&mut weights).expect("a fresh slice is unshared");
+        for (i, j, w) in edges {
+            let (iu, ju) = (i as usize, j as usize);
+            row[cursor[iu]] = j;
+            coupling[cursor[iu]] = w;
+            cursor[iu] += 1;
+            row[cursor[ju]] = i;
+            coupling[cursor[ju]] = w;
+            cursor[ju] += 1;
+        }
+        Ok(IsingGraph {
+            offsets,
+            neighbors,
+            weights,
+            fields: fields.into(),
+            max_abs,
+            build_id: NEXT_BUILD_ID.fetch_add(1, Ordering::Relaxed),
+        })
+    }
+
+    /// The identity of the build that made this graph, unique within
+    /// the process and shared by its clones.
     ///
     /// A graph is immutable, so two graphs with the same id have the
     /// same content: a machine that keeps a problem mapped can recognise
@@ -293,13 +368,26 @@ impl IsingGraph {
         self.neighbors.len() / 2
     }
 
+    /// The positions of vertex `i`'s row in the CSR: one slot per
+    /// neighbour, the rows end to end in vertex order, so the slots of
+    /// all rows number the directed edges `0..2 * num_edges()`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i >= num_spins()`.
+    #[inline]
+    pub fn slots(&self, i: usize) -> Range<usize> {
+        self.offsets[i]..self.offsets[i + 1]
+    }
+
     /// Degree of vertex `i`.
     ///
     /// # Panics
     ///
     /// Panics if `i >= num_spins()`.
+    #[inline]
     pub fn degree(&self, i: usize) -> usize {
-        self.offsets[i + 1] - self.offsets[i]
+        self.slots(i).len()
     }
 
     /// Maximum degree across vertices (the paper's `N`).
@@ -323,6 +411,7 @@ impl IsingGraph {
     /// # Panics
     ///
     /// Panics if `i >= num_spins()`.
+    #[inline]
     pub fn field(&self, i: usize) -> i32 {
         self.fields[i]
     }
@@ -333,10 +422,10 @@ impl IsingGraph {
     ///
     /// Panics if `i >= num_spins()`.
     pub fn neighbors(&self, i: usize) -> Neighbors<'_> {
-        let range = self.offsets[i]..self.offsets[i + 1];
+        let (neighbors, weights) = self.neighbor_slices(i);
         Neighbors {
-            neighbors: &self.neighbors[range.clone()],
-            weights: &self.weights[range],
+            neighbors,
+            weights,
             index: 0,
         }
     }
@@ -349,26 +438,16 @@ impl IsingGraph {
     /// # Panics
     ///
     /// Panics if `i >= num_spins()`.
+    #[inline]
     pub fn neighbor_slices(&self, i: usize) -> (&[u32], &[i32]) {
-        let range = self.offsets[i]..self.offsets[i + 1];
+        let range = self.slots(i);
         (&self.neighbors[range.clone()], &self.weights[range])
     }
 
-    /// The largest absolute coefficient (over `J_ij` and `h_i`).
+    /// The largest absolute coefficient (over `J_ij` and `h_i`), taken
+    /// once by the fill that built the graph: O(1).
     pub fn max_abs_coefficient(&self) -> i64 {
-        let j = self
-            .weights
-            .iter()
-            .map(|w| (*w as i64).abs())
-            .max()
-            .unwrap_or(0);
-        let h = self
-            .fields
-            .iter()
-            .map(|h| (*h as i64).abs())
-            .max()
-            .unwrap_or(0);
-        j.max(h)
+        self.max_abs
     }
 
     /// Minimum two's-complement resolution `R` (in bits) that represents
@@ -775,10 +854,106 @@ mod tests {
         let rebuilt = build();
         assert_eq!(copy.build_id(), g.build_id());
         assert_ne!(rebuilt.build_id(), g.build_id());
+        // A clone reads the very rows of the original; a rebuild has its own.
+        for i in 0..g.num_spins() {
+            let row = |graph: &IsingGraph| graph.neighbor_slices(i).0.as_ptr();
+            let couplings = |graph: &IsingGraph| graph.neighbor_slices(i).1.as_ptr();
+            assert!(std::ptr::eq(row(&copy), row(&g)), "row {i}");
+            assert!(std::ptr::eq(couplings(&copy), couplings(&g)), "row {i}");
+            assert!(!std::ptr::eq(row(&rebuilt), row(&g)), "row {i}");
+        }
         // Equality is content equality either way.
         assert_eq!(copy, g);
         assert_eq!(rebuilt, g);
         assert_ne!(king(3, 3, |_, _| 1).unwrap(), g);
+    }
+
+    #[test]
+    fn the_sorted_fill_checks_structure_in_list_order() {
+        let fill = |n: usize, edges: &[(u32, u32, i32)]| {
+            IsingGraph::from_sorted_edges(vec![0; n], edges.iter().copied())
+        };
+        assert_eq!(
+            fill(3, &[(0, 1, 1), (0, 1, 2), (2, 1, 1)]),
+            Err(GraphError::DuplicateEdge { edge: (0, 1) })
+        );
+        assert_eq!(
+            fill(3, &[(0, 2, 1), (0, 1, 2)]),
+            Err(GraphError::EdgeOutOfOrder { edge: (0, 1) })
+        );
+        assert_eq!(
+            fill(3, &[(2, 1, 1)]),
+            Err(GraphError::EdgeOutOfOrder { edge: (2, 1) })
+        );
+        assert_eq!(
+            fill(3, &[(1, 1, 1), (0, 7, 1)]),
+            Err(GraphError::SelfLoop { vertex: 1 })
+        );
+        assert_eq!(
+            fill(3, &[(0, 3, 1)]),
+            Err(GraphError::VertexOutOfRange { vertex: 3, n: 3 })
+        );
+        assert!(GraphError::EdgeOutOfOrder { edge: (2, 1) }
+            .to_string()
+            .contains("edge (2, 1) is out of order"));
+        // A sorted list fills the rows the builder writes.
+        let sorted = fill(4, &[(0, 1, 3), (0, 3, 1), (1, 2, -2), (2, 3, 5)]).unwrap();
+        let built = GraphBuilder::new(4)
+            .edge(2, 3, 5)
+            .edge(1, 0, 3)
+            .edge(2, 1, -2)
+            .edge(3, 0, 1)
+            .build()
+            .unwrap();
+        assert_eq!(sorted, built);
+        assert_eq!(sorted.slots(2), 4..6);
+        assert_eq!(sorted.max_abs_coefficient(), 5);
+    }
+
+    /// The largest absolute coefficient by a scan over every row.
+    fn scanned_max_abs(g: &IsingGraph) -> i64 {
+        let couplings = (0..g.num_spins()).flat_map(|i| g.neighbor_slices(i).1.iter().copied());
+        let fields = (0..g.num_spins()).map(|i| g.field(i));
+        couplings
+            .chain(fields)
+            .map(|c| i64::from(c).abs())
+            .max()
+            .unwrap_or(0)
+    }
+
+    /// A coefficient: small, or one of the widest the graph stores.
+    fn coefficient(select: u8, small: i32) -> i32 {
+        match select {
+            0 => i32::MAX,
+            1 => -i32::MAX,
+            _ => small,
+        }
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn the_stored_coefficient_range_is_a_scan(
+            n in 0usize..9,
+            edges in proptest::collection::vec((0u32..9, 0u32..9, 0u8..8, -9i32..10), 0..20),
+            fields in proptest::collection::vec((0u32..9, 0u8..8, -9i32..10), 0..5),
+        ) {
+            let mut builder = GraphBuilder::new(n);
+            let mut seen = std::collections::BTreeSet::new();
+            for &(i, j, select, w) in &edges {
+                let (i, j) = (i % n.max(1) as u32, j % n.max(1) as u32);
+                if i != j && seen.insert((i.min(j), i.max(j))) {
+                    builder.push_edge(i, j, coefficient(select, w));
+                }
+            }
+            for &(v, select, h) in &fields {
+                if (v as usize) < n {
+                    builder = builder.field(v, coefficient(select, h));
+                }
+            }
+            let g = builder.build().expect("a valid edge list builds");
+            proptest::prop_assert_eq!(g.max_abs_coefficient(), scanned_max_abs(&g));
+            proptest::prop_assert_eq!(g.clone().max_abs_coefficient(), scanned_max_abs(&g));
+        }
     }
 
     #[test]

@@ -64,6 +64,9 @@ fn file_numbered(e: &GraphError) -> GraphError {
         GraphError::DuplicateEdge { edge } => GraphError::DuplicateEdge {
             edge: (one(edge.0), one(edge.1)),
         },
+        GraphError::EdgeOutOfOrder { edge } => GraphError::EdgeOutOfOrder {
+            edge: (one(edge.0), one(edge.1)),
+        },
         GraphError::UnencodableCoefficient { what, site } => GraphError::UnencodableCoefficient {
             what,
             site: (one(site.0), one(site.1)),

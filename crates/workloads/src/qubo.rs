@@ -17,14 +17,17 @@
 //!
 //! The build is one pass per stage and keeps no map: quadratic terms
 //! accumulate in a flat list in insertion order; [`QuboBuilder::build`]
-//! sorts them by `(i, j)` with two stable counting passes, folds each
-//! run of repeats in insertion order, and hands the merged couplings to
-//! [`GraphBuilder`], which writes the CSR in one pass. The constants
-//! fold into `K = Σc + 2Σl + 4·const`, so the built problem keeps only
-//! its graph and `K`: [`QuboProblem::objective`] is `(H(σ) + K) / 4`.
+//! orders them by `(i, j)` with one stable counting scatter by `i` and a
+//! stable sort of each row by `j`, folds each run of repeats in
+//! insertion order, and writes the CSR straight from that merged list
+//! through [`IsingGraph::from_sorted_edges`], the fill
+//! [`sachi_ising::graph::GraphBuilder::build`] runs after its sort. The
+//! constants fold into `K = Σc + 2Σl + 4·const`, so the built problem
+//! keeps only its graph and `K`: [`QuboProblem::objective`] is
+//! `(H(σ) + K) / 4`.
 
 use crate::encode::{checked_coefficient, EncodeError};
-use sachi_ising::graph::{GraphBuilder, IsingGraph};
+use sachi_ising::graph::{GraphError, IsingGraph};
 use sachi_ising::hamiltonian::energy;
 use sachi_ising::spin::{Spin, SpinVector};
 
@@ -125,12 +128,31 @@ impl QuboBuilder {
     /// folded with `saturating_add` in insertion order (so saturation
     /// lands exactly where a running per-pair sum would put it).
     fn merged_terms(&self) -> Vec<Term> {
-        // Stable counting sorts, least significant key first: by `j`,
-        // then by `i`. Ties keep insertion order.
-        let mut by_column = vec![(0, 0, 0); self.quadratic.len()];
-        scatter_by(&self.quadratic, self.n, |t| t.1, &mut by_column);
+        // One stable counting scatter by `i`, then a stable sort of each
+        // row by `j`: ties keep insertion order, as in a sort by `(i, j)`.
+        let mut next = vec![0usize; self.n];
+        for t in &self.quadratic {
+            let k = t.0 as usize;
+            next[k] = next[k].saturating_add(1);
+        }
+        let mut start = 0usize;
+        for slot in &mut next {
+            let count = *slot;
+            *slot = start;
+            start = start.saturating_add(count);
+        }
         let mut sorted = vec![(0, 0, 0); self.quadratic.len()];
-        scatter_by(&by_column, self.n, |t| t.0, &mut sorted);
+        for &t in &self.quadratic {
+            let k = t.0 as usize;
+            sorted[next[k]] = t;
+            next[k] = next[k].saturating_add(1);
+        }
+        // Each cursor now ends its row.
+        let mut start = 0;
+        for &end in &next {
+            sorted[start..end].sort_by_key(|t| t.1);
+            start = end;
+        }
         sorted.dedup_by(|later, kept| {
             let repeat = (later.0, later.1) == (kept.0, kept.1);
             if repeat {
@@ -146,12 +168,13 @@ impl QuboBuilder {
     ///
     /// # Errors
     ///
-    /// Returns [`EncodeError::CoefficientOverflow`] for the first
+    /// In this order: [`EncodeError::CoefficientOverflow`] for the first
     /// coupling (in `(i, j)` order), then the first field (in variable
     /// order), that leaves the `i32` range the graph stores (the
-    /// conversion is exact or it fails — it never clamps), and wraps
-    /// the graph-construction error for a coefficient of exactly
-    /// `i32::MIN`, which the encoding cannot negate.
+    /// conversion is exact or it fails — it never clamps); then
+    /// [`GraphError::UnencodableCoefficient`] for the first coupling, then
+    /// the first field, of exactly `i32::MIN`, which the encoding cannot
+    /// negate.
     pub fn build(&self) -> Result<QuboProblem, EncodeError> {
         let terms = self.merged_terms();
         let mut h: Vec<i64> = self.linear.iter().map(|l| l.saturating_mul(2)).collect();
@@ -161,43 +184,39 @@ impl QuboBuilder {
         for &l in &self.linear {
             offset = offset.saturating_add(i128::from(l).saturating_mul(2));
         }
-        let mut builder = GraphBuilder::with_edge_capacity(self.n, terms.len());
+        let mut unencodable = None;
         for &(i, j, c) in &terms {
-            if c != 0 {
-                builder.push_edge(i, j, checked_coefficient("coupling", c.saturating_neg())?);
+            let coupling = checked_coefficient("coupling", c.saturating_neg())?;
+            if coupling == i32::MIN && unencodable.is_none() {
+                unencodable = Some((i, j));
             }
             h[i as usize] = h[i as usize].saturating_add(c);
             h[j as usize] = h[j as usize].saturating_add(c);
             offset = offset.saturating_add(i128::from(c));
         }
-        for (i, &hi) in h.iter().enumerate() {
-            builder = builder.field(i as u32, checked_coefficient("field", hi.saturating_neg())?);
+        let fields = h
+            .iter()
+            .map(|&hi| checked_coefficient("field", hi.saturating_neg()))
+            .collect::<Result<Vec<i32>, _>>()?;
+        let unencodable = unencodable.map(|site| ("coupling", site)).or_else(|| {
+            let v = fields.iter().position(|&h| h == i32::MIN)? as u32;
+            Some(("field", (v, v)))
+        });
+        if let Some((what, site)) = unencodable {
+            return Err(GraphError::UnencodableCoefficient { what, site }.into());
         }
+        // Every coupling `J = −c` fits `i32` (checked above); a zero one
+        // is no edge.
+        let edges = terms.iter().filter_map(|&(i, j, c)| {
+            i32::try_from(c.saturating_neg())
+                .ok()
+                .filter(|&w| w != 0)
+                .map(|w| (i, j, w))
+        });
         Ok(QuboProblem {
-            graph: builder.build()?,
+            graph: IsingGraph::from_sorted_edges(fields, edges)?,
             offset,
         })
-    }
-}
-
-/// Writes `terms` into `out` stably ordered by `key(term)`, every key
-/// below `n`.
-fn scatter_by(terms: &[Term], n: usize, key: impl Fn(&Term) -> u32, out: &mut [Term]) {
-    let mut next = vec![0usize; n];
-    for t in terms {
-        let k = key(t) as usize;
-        next[k] = next[k].saturating_add(1);
-    }
-    let mut start = 0usize;
-    for slot in &mut next {
-        let count = *slot;
-        *slot = start;
-        start = start.saturating_add(count);
-    }
-    for &t in terms {
-        let k = key(&t) as usize;
-        out[next[k]] = t;
-        next[k] = next[k].saturating_add(1);
     }
 }
 

@@ -427,7 +427,7 @@ fn round_events_sum_the_oracle_over_the_tuples_that_ran() {
         for kind in DesignKind::ALL {
             let design = oracle(kind);
             let config = SachiConfig::new(kind).with_hierarchy(hierarchy);
-            let plan = RoundPlan::for_degrees(&config, r, &degrees);
+            let plan = RoundPlan::for_degrees(&config, r, degrees.clone());
             assert!(plan.iter().count() > 1, "{kind} R={r}: one round");
             let (rows, cols) = design.tile_requirements(graph.max_degree(), r, compute.row_bits());
             let per_tuple: Vec<StaticEvents> = (0..n)
