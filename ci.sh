@@ -55,6 +55,14 @@ cargo test -q --test ensemble_determinism -- --test-threads=1
 echo "==> ensemble determinism (--test-threads=8)"
 cargo test -q --test ensemble_determinism -- --test-threads=8
 
+# Replica ensembles in the figure harnesses: fig17 asserts identical
+# results at every thread count for plain and replica-exchange
+# ensembles; fig16 runs plain and tempered SACHI(n3) ensembles per COP.
+echo "==> fig17_scalability --threads 2"
+cargo run -q --release -p sachi-bench --bin fig17_scalability -- --threads 2
+echo "==> fig16_solvers --threads 2"
+cargo run -q --release -p sachi-bench --bin fig16_solvers -- --threads 2
+
 # Fast fault-injection sweep: asserts the zero-rate identity and the
 # thread-count independence of the fault stream on a small instance.
 echo "==> disc_faults --smoke"
@@ -120,31 +128,39 @@ echo "==> disc_drift"
 cargo run -q -p sachi-bench --bin disc_drift
 
 # One sweep protocol: every machine `compare` prints (the four SACHI
-# designs and BRIM here; Ising-CIM when its envelope admits the problem)
-# runs the shared sweep driver, so each row's H and iters must equal the
-# `CPU golden` row's.
-echo "==> sachi compare --cop md --size 64 (every machine row matches CPU golden)"
-COMPARE=$(cargo run -q -p sachi-cli --bin sachi -- compare --cop md --size 64)
-echo "$COMPARE"
-awk '
-  /^-+$/ { table = 1; next }
-  !table { next }
-  $1 == "CPU" && $2 == "golden" { gh = $3; gi = $4; next }
-  { n++; name[n] = $1; h[n] = $2; it[n] = $3 }
-  END {
-    if (gh == "" || n < 5) {
-      printf "compare: want a CPU golden row and >= 5 machine rows, got %d\n", n > "/dev/stderr"
-      exit 1
-    }
-    for (k = 1; k <= n; k++) {
-      if (h[k] != gh || it[k] != gi) {
-        printf "compare: %s H=%s iters=%s, CPU golden H=%s iters=%s\n", \
-          name[k], h[k], it[k], gh, gi > "/dev/stderr"
-        bad = 1
+# designs, and BRIM and Ising-CIM when their envelopes admit the
+# problem) runs the shared sweep driver, so each row's H and iters must
+# equal the `CPU golden` row's. `compare` runs the job `solve` runs, so
+# the same holds for a tempered replica ensemble's best replica.
+every_row_matches_golden() {
+  local rows=$1
+  shift
+  echo "==> sachi compare $* (every machine row matches CPU golden)"
+  local table
+  table=$(cargo run -q -p sachi-cli --bin sachi -- compare "$@")
+  echo "$table"
+  awk -v rows="$rows" '
+    /^-+$/ { table = 1; next }
+    !table { next }
+    $1 == "CPU" && $2 == "golden" { gh = $3; gi = $4; next }
+    { n++; name[n] = $1; h[n] = $2; it[n] = $3 }
+    END {
+      if (gh == "" || n < rows) {
+        printf "compare: want a CPU golden row and >= %d machine rows, got %d\n", rows, n > "/dev/stderr"
+        exit 1
       }
-    }
-    exit bad
-  }' <<<"$COMPARE"
+      for (k = 1; k <= n; k++) {
+        if (h[k] != gh || it[k] != gi) {
+          printf "compare: %s H=%s iters=%s, CPU golden H=%s iters=%s\n", \
+            name[k], h[k], it[k], gh, gi > "/dev/stderr"
+          bad = 1
+        }
+      }
+      exit bad
+    }' <<<"$table"
+}
+every_row_matches_golden 5 --cop md --size 64
+every_row_matches_golden 4 --cop sat --size 20 --restarts 3 --tempering
 
 # Observability smoke: a real solve's --metrics json snapshot must pass
 # the sachi.metrics.v1 schema validation, including counter coverage of

@@ -29,23 +29,6 @@ struct Sweep {
     bers: &'static [f64],
 }
 
-fn ensemble(
-    graph: &IsingGraph,
-    init: &SpinVector,
-    opts: &SolveOptions,
-    config: &SachiConfig,
-    replicas: usize,
-    threads: usize,
-) -> (sachi_ising::ensemble::BestOf, EnsembleReport) {
-    let ledger = ReplicaLedger::new(replicas);
-    let best_of = EnsembleRunner::new(replicas)
-        .with_threads(threads)
-        .run(graph, init, opts, |k| {
-            ReportingMachine::new(SachiMachine::new(config.clone()), k, &ledger)
-        });
-    (best_of, ledger.finish())
-}
-
 fn main() {
     let smoke = std::env::args().skip(1).any(|a| a == "--smoke");
     let sweep = if smoke {
@@ -82,11 +65,12 @@ fn main() {
     ]);
     for design in DesignKind::ALL {
         let clean_config = SachiConfig::new(design);
-        let (golden, _) = ensemble(&graph, &init, &opts, &clean_config, sweep.replicas, 2);
+        let golden = run_ensemble(&clean_config, &graph, &init, &opts, sweep.replicas, 2).best;
         for &ber in sweep.bers {
             let model = FaultModel::new(FAULT_SEED).with_read_ber(FaultRate::from_probability(ber));
             let config = clean_config.clone().with_fault(FaultProfile::new(model));
-            let (best_of, report) = ensemble(&graph, &init, &opts, &config, sweep.replicas, 2);
+            let outcome = run_ensemble(&config, &graph, &init, &opts, sweep.replicas, 2);
+            let (best_of, report) = (outcome.best, outcome.report);
             if ber == 0.0 {
                 // Zero-rate identity: an inert fault model must not
                 // perturb the ensemble in any way.
@@ -94,10 +78,10 @@ fn main() {
             }
             // Determinism: the fault trajectory may not depend on the
             // worker-thread count.
-            let (rerun, rerun_report) = ensemble(&graph, &init, &opts, &config, sweep.replicas, 1);
-            assert_eq!(best_of, rerun, "thread count changed faulted results");
+            let rerun = run_ensemble(&config, &graph, &init, &opts, sweep.replicas, 1);
+            assert_eq!(best_of, rerun.best, "thread count changed faulted results");
             assert_eq!(
-                report.faults_injected, rerun_report.faults_injected,
+                report.faults_injected, rerun.report.faults_injected,
                 "thread count changed the fault stream"
             );
             let undetected: u64 = report.reports.iter().map(|r| r.faults.undetected).sum();

@@ -94,15 +94,9 @@ fn main() {
     ]);
     let mut first: Option<(sachi_ising::ensemble::BestOf, f64)> = None;
     for &threads in &thread_counts {
-        let ledger = ReplicaLedger::new(replicas);
-        let (best_of, wall) = timed(|| {
-            EnsembleRunner::new(replicas)
-                .with_threads(threads)
-                .run(&small, &init, &opts, |k| {
-                    ReportingMachine::new(SachiMachine::new(config.clone()), k, &ledger)
-                })
-        });
-        let report = ledger.finish();
+        let (outcome, wall) =
+            timed(|| run_ensemble(&config, &small, &init, &opts, replicas, threads));
+        let (best_of, report) = (outcome.best, outcome.report);
         let partition = model
             .estimate(&small, &Partition::contiguous(small.num_spins(), threads))
             .speedup_vs_single;

@@ -50,22 +50,17 @@ fn sachi_ensemble(workload: &dyn Workload, restarts: usize, tempered: bool) -> (
             restarts,
         ));
     }
-    let mut runner = EnsembleRunner::new(restarts);
-    if let Some(t) = threads_arg() {
-        runner = runner.with_threads(t);
-    }
-    let ledger = ReplicaLedger::new(restarts);
     let config = SachiConfig::new(DesignKind::N3);
-    let best_of = runner.run(graph, &init, &opts, |k| {
-        ReportingMachine::new(SachiMachine::new(config.clone()), k, &ledger)
-    });
-    let best_acc = best_of
+    let threads = threads_arg().unwrap_or(0);
+    let outcome = run_ensemble(&config, graph, &init, &opts, restarts, threads);
+    let best_acc = outcome
+        .best
         .replicas
         .iter()
         .map(|r| workload.accuracy(&r.spins))
         .fold(0.0f64, f64::max);
-    let sim_ns: f64 = ledger
-        .finish()
+    let sim_ns: f64 = outcome
+        .report
         .reports
         .iter()
         .map(|r| r.wall_time.get())

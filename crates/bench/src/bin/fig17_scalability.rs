@@ -85,15 +85,8 @@ fn main() {
         "identical?",
     ]);
     for &t in &thread_counts {
-        let ledger = ReplicaLedger::new(replicas);
-        let (best_of, wall) = timed(|| {
-            EnsembleRunner::new(replicas)
-                .with_threads(t)
-                .run(graph, &init, &opts, |k| {
-                    ReportingMachine::new(SachiMachine::new(config.clone()), k, &ledger)
-                })
-        });
-        let report = ledger.finish();
+        let (outcome, wall) = timed(|| run_ensemble(&config, graph, &init, &opts, replicas, t));
+        let (best_of, report) = (outcome.best, outcome.report);
         let bound = report.ideal_speedup(t);
         if ideal.is_none() {
             ideal = Some(report);
@@ -132,15 +125,8 @@ fn main() {
     let mut pt_baseline: Option<(sachi_ising::ensemble::BestOf, f64)> = None;
     let mut pt_table = Table::new(["threads", "wall-clock", "speedup", "swaps", "identical?"]);
     for &t in &thread_counts {
-        let ledger = ReplicaLedger::new(replicas);
-        let (best_of, wall) = timed(|| {
-            EnsembleRunner::new(replicas)
-                .with_threads(t)
-                .run(graph, &init, &pt_opts, |k| {
-                    ReportingMachine::new(SachiMachine::new(config.clone()), k, &ledger)
-                })
-        });
-        drop(ledger);
+        let (outcome, wall) = timed(|| run_ensemble(&config, graph, &init, &pt_opts, replicas, t));
+        let best_of = outcome.best;
         let (identical, secs1) = match &pt_baseline {
             None => (true, wall.as_secs_f64()),
             Some((b, s1)) => (*b == best_of, *s1),

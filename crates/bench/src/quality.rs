@@ -132,13 +132,8 @@ pub fn run_cell_tempered(case: &CorpusCase, design: DesignKind, sweep_budget: u6
         graph,
         rungs,
     ));
-    let ledger = ReplicaLedger::new(rungs);
-    let best_of = EnsembleRunner::new(rungs)
-        .with_threads(1)
-        .run(graph, &init, &opts, |k| {
-            ReportingMachine::new(SachiMachine::new(SachiConfig::new(design)), k, &ledger)
-        });
-    let report = ledger.finish();
+    let outcome = run_ensemble(&SachiConfig::new(design), graph, &init, &opts, rungs, 1);
+    let (best_of, report) = (outcome.best, outcome.report);
     let total_cycles = report
         .reports
         .iter()

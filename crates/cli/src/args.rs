@@ -28,7 +28,7 @@ pub enum MetricsFormat {
 pub enum Command {
     /// `sachi solve ...` — functional solve with a full report.
     Solve(SolveArgs),
-    /// `sachi compare ...` — run every machine on one problem.
+    /// `sachi compare ...` — run the solve job on every machine.
     Compare(SolveArgs),
     /// `sachi estimate ...` — analytic model at arbitrary scale.
     Estimate(EstimateArgs),
@@ -469,7 +469,11 @@ USAGE:
                   exposition; --trace-phases adds hierarchical
                   upload/round/h_compute/update/writeback/prefetch spans,
                   metered in solver cycles, to the snapshot.)
-  sachi compare  <same flags>         run every machine on one problem
+  sachi compare  <same flags>         run the solve job on every machine
+                 (each SACHI design runs the job's replicas, coupled
+                  with --tempering, on --threads workers and reports
+                  its best replica; BRIM and Ising-CIM price the best
+                  replica of the CPU golden model's ensemble)
   sachi estimate [--cop ...] [--spins N] [--design ...] [--resolution R]
                  [--iterations I] [--hierarchy ...]
   sachi serve    [--port P] [--threads T] [--queue-depth Q]

@@ -3,6 +3,7 @@
 use crate::args::{EstimateArgs, MetricsFormat, SolveArgs};
 use crate::protocol;
 use sachi_baselines::prelude::*;
+use sachi_core::ensemble::worker_threads;
 use sachi_core::prelude::*;
 use sachi_ising::graph::MAX_SPINS;
 use sachi_ising::prelude::*;
@@ -109,11 +110,18 @@ pub fn compare(args: &SolveArgs) -> Result<(), SachiError> {
                 .to_string(),
         ));
     }
+    // Every row runs the job `solve` runs: the plan's replicas (coupled
+    // when it tempers) at the requested thread count, reporting its
+    // best replica.
     let plan = plan_for(args)?;
     let (graph, init, opts) = (plan.graph(), plan.init(), plan.options());
+    let replicas = plan.replica_count();
     println!("problem: {} ({} spins)", plan.name(), graph.num_spins());
 
-    let golden = CpuReferenceSolver::new().solve(graph, init, opts);
+    let golden = EnsembleRunner::new(replicas)
+        .with_threads(worker_threads(args.threads))
+        .run_reference(graph, init, opts);
+    let golden = golden.best();
     let mut table = Table::new(["machine", "H", "iters", "cycles", "energy", "reuse"]);
     let mut machine_row =
         |machine: &str, result: &SolveResult, cycles: Cycles, energy: Picojoules, reuse: f64| {
@@ -131,17 +139,19 @@ pub fn compare(args: &SolveArgs) -> Result<(), SachiError> {
             design,
             ..plan.config().clone()
         };
-        let (result, report) = SachiMachine::new(config).solve_detailed(graph, init, opts);
+        let outcome = run_ensemble(&config, graph, init, opts, replicas, args.threads);
+        let result = outcome.best.best();
         assert_eq!(
             result.energy, golden.energy,
             "machines must match the golden model"
         );
+        let report = &outcome.report.reports[outcome.best.best_index];
         let (cycles, energy) = (report.total_cycles, report.energy.total());
-        machine_row(design.label(), &result, cycles, energy, report.reuse);
+        machine_row(design.label(), result, cycles, energy, report.reuse);
     }
     // BRIM and Ising-CIM compute the exact local field, so their sweep
-    // is the golden one: each prices the golden solve.
-    let counts = SolveCounts::of(graph, &golden);
+    // is the golden one: each prices the golden best.
+    let counts = SolveCounts::of(graph, golden);
     let (brim, cim) = (BrimMachine::new(), CimMachine::new());
     for (machine, priced) in [
         (
@@ -155,7 +165,7 @@ pub fn compare(args: &SolveArgs) -> Result<(), SachiError> {
     ] {
         match priced {
             Ok(Price { cycles, energy }) => {
-                machine_row(machine, &golden, cycles, energy.total(), BASELINE_REUSE);
+                machine_row(machine, golden, cycles, energy.total(), BASELINE_REUSE);
             }
             Err(e) => println!("{machine} skipped: {e}"),
         }

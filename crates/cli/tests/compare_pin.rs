@@ -27,6 +27,10 @@
 //!   case $a in *kings*) (cd /tmp && sachi compare $a) ;; *) sachi compare $a ;; esac
 //! done > crates/cli/tests/golden/compare.txt
 //! ```
+//!
+//! Every row runs the job `sachi solve` runs: a second test checks the
+//! SACHI(n3) row against `sachi solve --design n3` on plain and tempered
+//! ensembles.
 
 use std::path::Path;
 use std::process::Command;
@@ -57,22 +61,27 @@ fn kings_dimacs(side: usize) -> String {
     )
 }
 
-/// Runs `sachi compare <args>` in `dir`, asserts it succeeded, and
-/// returns the pinned entry: the command line, then its stdout.
-fn compare_in(dir: &Path, args: &[&str]) -> String {
+/// Runs `sachi <args>` in `dir`, asserts it succeeded, and returns its
+/// stdout.
+fn sachi_in(dir: &Path, args: &[&str]) -> String {
     let out = Command::new(env!("CARGO_BIN_EXE_sachi"))
-        .arg("compare")
         .args(args)
         .current_dir(dir)
         .output()
         .expect("run sachi");
     assert!(
         out.status.success(),
-        "sachi compare {}: {}",
+        "sachi {}: {}",
         args.join(" "),
         String::from_utf8_lossy(&out.stderr)
     );
-    let stdout = String::from_utf8(out.stdout).expect("utf-8 stdout");
+    String::from_utf8(out.stdout).expect("utf-8 stdout")
+}
+
+/// The pinned entry of `sachi compare <args>` run in `dir`: the command
+/// line, then its stdout.
+fn compare_in(dir: &Path, args: &[&str]) -> String {
+    let stdout = sachi_in(dir, &[&["compare"], args].concat());
     format!("== sachi compare {}\n{stdout}", args.join(" "))
 }
 
@@ -94,4 +103,32 @@ fn compare_output_matches_the_pinned_table() {
     got.push_str(&compare_in(&kings, &["--file", "kings.dimacs"]));
     std::fs::remove_dir_all(&kings).expect("remove the King's lattice directory");
     assert_eq!(got, include_str!("golden/compare.txt"));
+}
+
+#[test]
+fn the_n3_row_is_the_solve_result() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+    for job in [
+        "--cop md --size 64",
+        "--cop sat --size 20 --restarts 3",
+        "--cop sat --size 20 --restarts 4 --tempering",
+    ] {
+        let job: Vec<&str> = job.split(' ').collect();
+        let table = sachi_in(&root, &[&["compare"], &job[..]].concat());
+        let row: Vec<&str> = table
+            .lines()
+            .find_map(|l| l.trim_start().strip_prefix("SACHI(n3)"))
+            .expect("an n3 row")
+            .split_whitespace()
+            .take(2)
+            .collect();
+        let report = sachi_in(&root, &[&["solve", "--design", "n3"], &job[..]].concat());
+        let result = report
+            .lines()
+            .find_map(|l| l.strip_prefix("result  : H = "))
+            .expect("a result line");
+        let (h, rest) = result.split_once("  (").expect("H, then iterations");
+        let iters = rest.split_once(' ').expect("an iteration count").0;
+        assert_eq!(row, [h, iters], "{}", job.join(" "));
+    }
 }

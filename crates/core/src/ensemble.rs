@@ -1,20 +1,20 @@
-//! Thread-safe per-replica performance accounting for parallel
-//! replica ensembles.
-//!
-//! The functional machines report cycle/energy accounting through
-//! [`RunReport`]; when [`sachi_ising::ensemble::EnsembleRunner`] fans
-//! replicas out over worker threads, those reports arrive from many
-//! threads in completion order. [`ReplicaLedger`] collects them into
-//! replica-indexed slots behind a mutex, and [`EnsembleReport`] folds
-//! them into the aggregate the multicore cross-check needs: serial
-//! cycle cost, critical-path cycle cost at a given thread count, and a
-//! merged energy ledger. `disc_multicore` and `fig17_scalability`
-//! compare the resulting replica-parallel speedups against the
-//! partition-parallel estimates of the multi-core model
-//! (`sachi_bench::reference::multicore`).
+//! Replica ensembles of SACHI machines (independent restarts, Sec. V;
+//! replicas on several cores, Sec. IV.B.2): [`run_ensemble`] runs every
+//! one, for `sachi solve`, the daemon, `sachi compare`, the harnesses
+//! and the tests. Independent replicas are pure [`run_replica`] calls
+//! folded by [`JobOutcome::reduce`], as the `sachi serve` pool folds
+//! the replicas it runs itself; tempered rungs run the exchange engine
+//! on [`ReportingMachine`]s, and a [`ReplicaLedger`] merges each rung's
+//! segment reports. [`EnsembleReport`]'s serial and critical-path cycle
+//! costs feed the multicore cross-check (`disc_multicore`,
+//! `fig17_scalability`).
 
+use crate::config::SachiConfig;
+use crate::error::SachiError;
 use crate::machine::{RunReport, SachiMachine};
+use sachi_ising::ensemble::{BestOf, EnsembleRunner};
 use sachi_ising::graph::IsingGraph;
+use sachi_ising::recovery::RecoveryPolicy;
 use sachi_ising::solver::{IterativeSolver, SolveOptions, SolveResult};
 use sachi_ising::spin::SpinVector;
 use sachi_mem::energy::EnergyLedger;
@@ -22,6 +22,124 @@ use sachi_mem::units::convert::{count_u64, ratio_u64};
 use sachi_mem::units::Cycles;
 use sachi_obs::MetricsRegistry;
 use std::sync::Mutex;
+
+/// Runs `replicas` SACHI replicas of one problem on `threads` workers
+/// (0 = every core) and folds them into an unscored outcome (`accuracy`
+/// is NaN); with [`SolveOptions::tempering`] set they are coupled rungs.
+/// The outcome is the same at any thread count.
+///
+/// # Panics
+///
+/// Panics if `replicas == 0` or a machine panics.
+pub fn run_ensemble(
+    config: &SachiConfig,
+    graph: &IsingGraph,
+    initial: &SpinVector,
+    options: &SolveOptions,
+    replicas: usize,
+    threads: usize,
+) -> JobOutcome {
+    let runner = EnsembleRunner::new(replicas).with_threads(worker_threads(threads));
+    if options.tempering.is_none() {
+        return JobOutcome::reduce(runner.map(|k| run_replica(config, graph, initial, options, k)));
+    }
+    let ledger = ReplicaLedger::new(replicas);
+    let best = runner.run(graph, initial, options, |k| {
+        ReportingMachine::new(SachiMachine::new(config.clone()), k, &ledger)
+    });
+    JobOutcome {
+        best,
+        report: ledger.finish(),
+        accuracy: f64::NAN,
+    }
+}
+
+/// Runs independent replica `k` on a fresh machine, with the seed
+/// [`EnsembleRunner::replica_options`] derives. Pure in its arguments,
+/// so the `sachi serve` pool may run it on any worker at any
+/// co-tenancy: the multi-tenant determinism contract rests on it.
+pub fn run_replica(
+    config: &SachiConfig,
+    graph: &IsingGraph,
+    initial: &SpinVector,
+    options: &SolveOptions,
+    k: usize,
+) -> (SolveResult, RunReport) {
+    let options = EnsembleRunner::replica_options(options, k);
+    SachiMachine::new(config.clone()).solve_detailed(graph, initial, &options)
+}
+
+/// The worker count for a requested thread count: 0 means every
+/// available core.
+pub fn worker_threads(requested: usize) -> usize {
+    if requested == 0 {
+        EnsembleRunner::available_threads()
+    } else {
+        requested
+    }
+}
+
+/// The completed job: ensemble verdict, folded report, and the domain
+/// accuracy of the winning spins.
+#[derive(Debug)]
+pub struct JobOutcome {
+    /// Per-replica results and the ensemble verdict.
+    pub best: BestOf,
+    /// Folded per-replica reports (cycles, energy, fault aggregates).
+    pub report: EnsembleReport,
+    /// Domain accuracy of the best replica's spins (1.0 = optimal; NaN
+    /// when nothing scored it, see
+    /// [`JobPlan::is_scored`](crate::serve::JobPlan::is_scored)).
+    pub accuracy: f64,
+}
+
+impl JobOutcome {
+    /// Folds independent replicas' `(result, report)` pairs, in replica
+    /// order, into an unscored outcome: the one fold, wherever they ran.
+    pub fn reduce(pairs: Vec<(SolveResult, RunReport)>) -> Self {
+        let (results, reports): (Vec<_>, Vec<_>) = pairs.into_iter().unzip();
+        JobOutcome {
+            best: BestOf::reduce(results),
+            report: EnsembleReport::fold(reports),
+            accuracy: f64::NAN,
+        }
+    }
+
+    /// The metrics snapshot `sachi solve --metrics` exports: the folded
+    /// ensemble registry plus every replica's solver counters, in
+    /// replica order (thread-count unobservable).
+    pub fn metrics(&self) -> MetricsRegistry {
+        let mut reg = self.report.metrics();
+        for r in &self.best.replicas {
+            r.export_metrics(&mut reg);
+        }
+        for (name, value) in self.best.stats.export_tempering_metrics() {
+            reg.counter_add(name, value);
+        }
+        reg
+    }
+
+    /// The typed fault verdict `sachi solve` exits with, when fault
+    /// injection was configured: fail-fast detection maps to
+    /// [`SachiError::FaultDetected`], a fully-degraded ensemble to
+    /// [`SachiError::FaultBudgetExhausted`]. `None` means the job
+    /// solved despite (or without) faults.
+    pub fn fault_error(&self, policy: RecoveryPolicy) -> Option<SachiError> {
+        if policy == RecoveryPolicy::FailFast && self.report.degraded_replicas > 0 {
+            return Some(SachiError::FaultDetected {
+                detected: self.report.faults_detected,
+            });
+        }
+        let replicas = u64::try_from(self.best.replicas.len()).unwrap_or(u64::MAX);
+        if self.report.degraded_replicas >= replicas {
+            return Some(SachiError::FaultBudgetExhausted {
+                degraded: self.report.degraded_replicas,
+                replicas,
+            });
+        }
+        None
+    }
+}
 
 /// Thread-safe collection point for per-replica [`RunReport`]s.
 ///
@@ -115,11 +233,9 @@ pub struct EnsembleReport {
 
 impl EnsembleReport {
     /// Folds per-replica reports (in replica order) into the ensemble
-    /// report. Public so external schedulers — the `sachi serve` job
-    /// pool packs replicas from different jobs onto one worker pool —
-    /// apply the exact fold [`ReplicaLedger::finish`] applies, keeping
-    /// reports byte-identical regardless of which host ran the
-    /// replicas.
+    /// report: the fold both [`JobOutcome::reduce`] and
+    /// [`ReplicaLedger::finish`] apply, so a report is byte-identical
+    /// whichever path or host ran the replicas.
     pub fn fold(reports: Vec<RunReport>) -> Self {
         let mut serial = Cycles::ZERO;
         let mut longest = Cycles::ZERO;
@@ -214,6 +330,7 @@ impl EnsembleReport {
 /// deposits its [`RunReport`] into a [`ReplicaLedger`] — the factory
 /// product that lets `EnsembleRunner::run` drive hardware machines
 /// while their accounting is folded thread-safely on the side.
+/// [`run_ensemble`] runs its tempered rungs on it.
 #[derive(Debug)]
 pub struct ReportingMachine<'a> {
     machine: SachiMachine,
@@ -248,10 +365,9 @@ impl IterativeSolver for ReportingMachine<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::{DesignKind, SachiConfig};
+    use crate::config::DesignKind;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
-    use sachi_ising::ensemble::EnsembleRunner;
     use sachi_ising::graph::topology;
 
     fn setup() -> (IsingGraph, SpinVector, SolveOptions) {
@@ -266,13 +382,9 @@ mod tests {
     fn parallel_machine_ensemble_matches_golden_and_folds_reports() {
         let (g, init, opts) = setup();
         let replicas = 5;
-        let ledger = ReplicaLedger::new(replicas);
         let config = SachiConfig::new(DesignKind::N3);
-        let best_of = EnsembleRunner::new(replicas)
-            .with_threads(4)
-            .run(&g, &init, &opts, |k| {
-                ReportingMachine::new(SachiMachine::new(config.clone()), k, &ledger)
-            });
+        let outcome = run_ensemble(&config, &g, &init, &opts, replicas, 4);
+        let (best_of, report) = (outcome.best, outcome.report);
         // Machines through the threaded ensemble equal the one-thread
         // golden ensemble bit-for-bit.
         let reference = EnsembleRunner::new(replicas)
@@ -280,7 +392,6 @@ mod tests {
             .run_reference(&g, &init, &opts);
         assert_eq!(best_of, reference);
 
-        let report = ledger.finish();
         assert_eq!(report.reports.len(), replicas);
         let sum: Cycles = report.reports.iter().map(|r| r.total_cycles).sum();
         assert_eq!(report.serial_cycles, sum);
@@ -295,14 +406,8 @@ mod tests {
     #[test]
     fn scheduled_cycles_interpolate_between_serial_and_critical_path() {
         let (g, init, opts) = setup();
-        let ledger = ReplicaLedger::new(4);
         let config = SachiConfig::new(DesignKind::N2);
-        let _ = EnsembleRunner::new(4)
-            .with_threads(2)
-            .run(&g, &init, &opts, |k| {
-                ReportingMachine::new(SachiMachine::new(config.clone()), k, &ledger)
-            });
-        let report = ledger.finish();
+        let report = run_ensemble(&config, &g, &init, &opts, 4, 2).report;
         assert_eq!(report.scheduled_cycles(1), report.serial_cycles);
         let two = report.scheduled_cycles(2);
         assert!(two <= report.serial_cycles && two >= report.max_replica_cycles);

@@ -25,8 +25,9 @@
 //! * [`perf`] — the closed-form CPI/energy model used for million-spin
 //!   sweeps (pinned against the machine by parity tests);
 //! * [`config`] — machine configuration and the Sec. VII.2 cache presets;
-//! * [`ensemble`] — thread-safe per-replica [`machine::RunReport`]
-//!   folding for parallel replica ensembles;
+//! * [`ensemble`] — [`ensemble::run_ensemble`], the one function that
+//!   runs a replica ensemble of machines, and the fold of its
+//!   per-replica [`machine::RunReport`]s;
 //! * [`serve`] — the job lowering and worker pool behind `sachi solve`
 //!   and `sachi serve`.
 //!
@@ -74,14 +75,16 @@ pub mod prelude {
         stationarity, ComputeContext, ComputeScratch, StaticEvents, Stationarity, TupleSchedule,
     };
     pub use crate::encoding::MixedEncoding;
-    pub use crate::ensemble::{EnsembleReport, ReplicaLedger, ReportingMachine};
+    pub use crate::ensemble::{
+        run_ensemble, EnsembleReport, JobOutcome, ReplicaLedger, ReportingMachine,
+    };
     pub use crate::error::{SachiError, ServerReason};
     pub use crate::machine::{FaultReport, RunReport, SachiMachine};
     pub use crate::perf::{IterationEstimate, PerfModel, SolveEstimate};
     pub use crate::rounds::RoundPlan;
     pub use crate::serve::{
-        build_cop_problem, CopProblem, JobHandle, JobLimits, JobOutcome, JobPlan, JobResult,
-        JobSpec, SolverPool, INIT_SEED_SALT,
+        build_cop_problem, CopProblem, JobHandle, JobLimits, JobPlan, JobResult, JobSpec,
+        SolverPool, INIT_SEED_SALT,
     };
     pub use crate::tuple::{SpinTuple, TuplePlaneView, TuplePlanes, TupleStore, TupleSums};
 }

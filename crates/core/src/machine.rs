@@ -357,9 +357,7 @@ struct Resident {
     soa: TuplePlanes,
     /// The round partition and each round's price.
     plan: RoundPlan,
-    /// The spins the tuple copies currently hold.
-    spins: SpinVector,
-    /// H of `spins`.
+    /// H of the spins the tuple copies hold.
     energy: i64,
 }
 
@@ -412,7 +410,6 @@ impl Resident {
             enc,
             tuples,
             soa,
-            spins: initial.clone(),
             energy: h0,
         }
     }
@@ -428,11 +425,10 @@ impl Resident {
     /// energy by its flip cost at the field the sums hold before its
     /// writeback.
     fn reseat(&mut self, initial: &SpinVector) {
-        for i in 0..initial.len() {
-            let (old, new) = (self.spins.get(i), initial.get(i));
+        for (i, new) in initial.iter().enumerate() {
+            let old = self.tuples.spin(i);
             if old != new {
                 self.energy += flip_cost(old, self.soa.view(i).sums().h);
-                self.spins.set(i, new);
                 self.tuples.update_spin(i, new);
                 self.soa.writeback_spin(&self.tuples, i, new);
             }
@@ -486,7 +482,6 @@ impl SachiMachine {
             mut tuples,
             mut soa,
             plan,
-            spins: _,
             energy: h0,
         } = resident;
         let mut ctx = ComputeContext::new();
@@ -792,13 +787,20 @@ impl SachiMachine {
             dram: dram.stats(),
             phase_spans: spans,
         };
+        debug_assert!(
+            result
+                .spins
+                .iter()
+                .enumerate()
+                .all(|(i, s)| tuples.spin(i) == s),
+            "the store holds the result's spins"
+        );
         self.resident = Some(Resident {
             graph_id,
             enc,
             tuples,
             soa,
             plan,
-            spins: result.spins.clone(),
             energy: result.energy,
         });
         (result, report)

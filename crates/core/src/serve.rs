@@ -14,15 +14,15 @@
 //! job is one [`JobPlan::run_replica`] call, whose result is a pure
 //! function of `(spec, k)` alone: no thread identity, queue position,
 //! or co-tenant job can reach it. Both front ends run that call and
-//! reduce with the one fold (`reduce_outcome`: [`BestOf::reduce`] and
-//! [`EnsembleReport::fold`], in replica order). [`JobPlan::run`] maps
-//! it over [`EnsembleRunner::map`]; the pool queues it per replica and
-//! writes each result into the slot named by its index. A pooled job is
-//! therefore byte-identical to [`JobPlan::run`] by construction, at any
-//! thread count and under any co-tenancy. A coupled (tempering) job
-//! runs [`JobPlan::run_solo`] on one pool worker, the same exchange
-//! engine `sachi solve` runs. `tests/ensemble_determinism.rs`
-//! proptests both under mixed-workload batching.
+//! reduce with the one fold, [`JobOutcome::reduce`]. [`JobPlan::run`]
+//! is [`run_ensemble`] plus scoring, which maps the call over its
+//! replicas; the pool queues it per replica and writes each result into
+//! the slot named by its index. A pooled job is therefore
+//! byte-identical to [`JobPlan::run`] by construction, at any thread
+//! count and under any co-tenancy. A coupled (tempering) job runs
+//! [`JobPlan::run_solo`] on one pool worker, the same exchange engine
+//! `sachi solve` runs. `tests/ensemble_determinism.rs` proptests both
+//! under mixed-workload batching.
 //!
 //! # Isolation
 //!
@@ -32,18 +32,16 @@
 //! worker thread survives to run the next queued replica.
 
 use crate::config::{DesignKind, FaultProfile, SachiConfig};
-use crate::ensemble::{EnsembleReport, ReplicaLedger, ReportingMachine};
+use crate::ensemble::{self, run_ensemble, worker_threads, JobOutcome};
 use crate::error::{SachiError, ServerReason};
-use crate::machine::{RunReport, SachiMachine};
+use crate::machine::RunReport;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use sachi_ising::prelude::{
-    BestOf, EnsembleRunner, IsingGraph, LadderKind, RecoveryPolicy, SolveOptions, SolveResult,
-    SpinVector, TemperingOptions,
+    IsingGraph, LadderKind, RecoveryPolicy, SolveOptions, SolveResult, SpinVector, TemperingOptions,
 };
 use sachi_mem::cache::CacheHierarchy;
 use sachi_mem::fault::{FaultModel, FaultRate};
-use sachi_obs::registry::MetricsRegistry;
 use sachi_workloads::prelude::{
     AssetAllocation, ColoringInstance, ColoringWorkload, Connectivity, CopKind, ImageSegmentation,
     MolecularDynamics, SatInstance, SatWorkload, SchedulingInstance, SchedulingWorkload,
@@ -524,33 +522,23 @@ impl JobPlan {
         self.options.tempering.is_some()
     }
 
-    /// Runs replica `k` on a fresh machine. Pure in `(plan, k)`: the
-    /// same call returns the same bytes on any thread, in any host, at
-    /// any co-tenancy — the multi-tenant determinism contract rests on
-    /// this function. Only meaningful for uncoupled plans (the
-    /// tempering engine owns replica scheduling for coupled ones).
+    /// [`ensemble::run_replica`] `k` of an uncoupled plan: pure in
+    /// `(plan, k)`.
     pub fn run_replica(&self, k: usize) -> (SolveResult, RunReport) {
-        let options = EnsembleRunner::replica_options(&self.options, k);
-        let mut machine = SachiMachine::new(self.config.clone());
-        machine.solve_detailed(self.graph(), &self.init, &options)
+        ensemble::run_replica(&self.config, self.graph(), &self.init, &self.options, k)
     }
 
     /// Runs the whole job in-process on `threads` workers (0 = every
-    /// core) and reduces it. An uncoupled plan maps
-    /// [`JobPlan::run_replica`] over its replicas and folds them with the
-    /// pool's own reduction, so it is the pooled job by construction;
-    /// coupled (tempering) plans go through the exchange engine. The
-    /// outcome is the same at any thread count.
+    /// core), [`run_ensemble`], and scores it.
     pub fn run(&self, threads: usize) -> JobOutcome {
-        let runner = EnsembleRunner::new(self.replicas).with_threads(worker_threads(threads));
-        if !self.is_coupled() {
-            return reduce_outcome(self, runner.map(|k| self.run_replica(k)));
-        }
-        let ledger = ReplicaLedger::new(self.replicas);
-        let best = runner.run(self.graph(), &self.init, &self.options, |k| {
-            ReportingMachine::new(SachiMachine::new(self.config.clone()), k, &ledger)
-        });
-        self.outcome(best, ledger.finish())
+        self.score(run_ensemble(
+            &self.config,
+            self.graph(),
+            &self.init,
+            &self.options,
+            self.replicas,
+            threads,
+        ))
     }
 
     /// [`JobPlan::run`] on one thread: the reference the pooled path
@@ -560,85 +548,12 @@ impl JobPlan {
         self.run(1)
     }
 
-    /// Scores the reduced ensemble into the job outcome.
-    fn outcome(&self, best: BestOf, report: EnsembleReport) -> JobOutcome {
-        let accuracy = match &self.problem {
-            PlanProblem::Scored(w) => w.accuracy(&best.best().spins),
-            PlanProblem::Bare(_) => f64::NAN,
-        };
-        JobOutcome {
-            best,
-            report,
-            accuracy,
+    /// Scores the winning spins of a reduced ensemble.
+    fn score(&self, mut outcome: JobOutcome) -> JobOutcome {
+        if let PlanProblem::Scored(w) = &self.problem {
+            outcome.accuracy = w.accuracy(&outcome.best.best().spins);
         }
-    }
-}
-
-/// The worker count for a requested thread count: 0 means every
-/// available core.
-pub fn worker_threads(requested: usize) -> usize {
-    if requested == 0 {
-        EnsembleRunner::available_threads()
-    } else {
-        requested
-    }
-}
-
-/// Reduces per-replica `(result, report)` pairs, in replica order, to
-/// the job outcome: the one fold of an uncoupled job, whether its
-/// replicas ran in [`JobPlan::run`] or on the pool.
-fn reduce_outcome(plan: &JobPlan, pairs: Vec<(SolveResult, RunReport)>) -> JobOutcome {
-    let (results, reports): (Vec<_>, Vec<_>) = pairs.into_iter().unzip();
-    plan.outcome(BestOf::reduce(results), EnsembleReport::fold(reports))
-}
-
-/// The completed job: ensemble verdict, folded report, and the domain
-/// accuracy of the winning spins.
-#[derive(Debug)]
-pub struct JobOutcome {
-    /// Per-replica results and the ensemble verdict.
-    pub best: BestOf,
-    /// Folded per-replica reports (cycles, energy, fault aggregates).
-    pub report: EnsembleReport,
-    /// Domain accuracy of the best replica's spins (1.0 = optimal; NaN
-    /// when the plan has no scorer, see [`JobPlan::is_scored`]).
-    pub accuracy: f64,
-}
-
-impl JobOutcome {
-    /// The metrics snapshot `sachi solve --metrics` exports: the folded
-    /// ensemble registry plus every replica's solver counters, in
-    /// replica order (thread-count unobservable).
-    pub fn metrics(&self) -> MetricsRegistry {
-        let mut reg = self.report.metrics();
-        for r in &self.best.replicas {
-            r.export_metrics(&mut reg);
-        }
-        for (name, value) in self.best.stats.export_tempering_metrics() {
-            reg.counter_add(name, value);
-        }
-        reg
-    }
-
-    /// The typed fault verdict `sachi solve` exits with, when fault
-    /// injection was configured: fail-fast detection maps to
-    /// [`SachiError::FaultDetected`], a fully-degraded ensemble to
-    /// [`SachiError::FaultBudgetExhausted`]. `None` means the job
-    /// solved despite (or without) faults.
-    pub fn fault_error(&self, policy: RecoveryPolicy) -> Option<SachiError> {
-        if policy == RecoveryPolicy::FailFast && self.report.degraded_replicas > 0 {
-            return Some(SachiError::FaultDetected {
-                detected: self.report.faults_detected,
-            });
-        }
-        let replicas = u64::try_from(self.best.replicas.len()).unwrap_or(u64::MAX);
-        if self.report.degraded_replicas >= replicas {
-            return Some(SachiError::FaultBudgetExhausted {
-                degraded: self.report.degraded_replicas,
-                replicas,
-            });
-        }
-        None
+        outcome
     }
 }
 
@@ -696,7 +611,8 @@ struct PoolShared {
 }
 
 /// A fixed set of worker threads running replicas from *many* jobs —
-/// the multi-tenant generalization of [`EnsembleRunner`]. Replicas
+/// the multi-tenant generalization of
+/// [`EnsembleRunner`](sachi_ising::ensemble::EnsembleRunner). Replicas
 /// from different jobs interleave freely on the same workers; because
 /// [`JobPlan::run_replica`] is pure in `(plan, k)`, the interleaving is
 /// unobservable in any job's result.
@@ -900,7 +816,7 @@ fn complete_job(job: &Arc<JobState>) {
             }
         }
     }
-    send_result(job, Ok(reduce_outcome(&job.plan, pairs)));
+    send_result(job, Ok(job.plan.score(JobOutcome::reduce(pairs))));
 }
 
 /// The worker thread body: pop a task (blocking on the condvar), run
@@ -947,6 +863,8 @@ fn worker_loop(shared: &Arc<PoolShared>) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::machine::SachiMachine;
+    use sachi_ising::prelude::EnsembleRunner;
 
     fn small_spec(cop: CopKind, seed: u64) -> JobSpec {
         JobSpec {

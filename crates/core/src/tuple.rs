@@ -281,6 +281,15 @@ impl TupleStore {
         self.rereads.get(i).copied().unwrap_or(0)
     }
 
+    /// The state `σ_j` every copy of it holds.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `j` is out of the graph's range.
+    pub fn spin(&self, j: usize) -> Spin {
+        *self.spins.get(j).expect("spin id within the store's graph")
+    }
+
     /// Applies a spin update: sets `σ_j`, which every copy of it reads.
     /// Returns the tuple entries the Fig. 8b path writes on the hardware,
     /// one copy in the row of each of `j`'s neighbours: its degree.

@@ -280,7 +280,8 @@ impl EnsembleRunner {
     /// it. A replica-exchange run ([`SolveOptions::tempering`]) calls
     /// its rung's solver once per exchange segment and once for the
     /// quench, so a sink that sees more than one record per replica
-    /// must merge them.
+    /// must merge them (`sachi_core::ensemble::run_ensemble` does so for
+    /// SACHI machines).
     ///
     /// Plain replicas run through [`EnsembleRunner::map`] and reduce
     /// with [`BestOf::reduce`], so the output is independent of thread

@@ -108,25 +108,6 @@ fn n3_config(fault: Option<FaultProfile>) -> SachiConfig {
     }
 }
 
-/// Runs a machine ensemble, returning the results plus the folded
-/// per-replica accounting.
-fn machine_ensemble(
-    graph: &IsingGraph,
-    init: &SpinVector,
-    opts: &SolveOptions,
-    replicas: usize,
-    threads: usize,
-    config: &SachiConfig,
-) -> (sachi::ising::ensemble::BestOf, EnsembleReport) {
-    let ledger = ReplicaLedger::new(replicas);
-    let best_of = EnsembleRunner::new(replicas)
-        .with_threads(threads)
-        .run(graph, init, opts, |k| {
-            ReportingMachine::new(SachiMachine::new(config.clone()), k, &ledger)
-        });
-    (best_of, ledger.finish())
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
@@ -142,14 +123,12 @@ proptest! {
         let opts = SolveOptions::for_graph(&graph, master).with_max_sweeps(60);
         let replicas = 3usize;
 
-        let (golden, golden_report) =
-            machine_ensemble(&graph, &init, &opts, replicas, 2, &n3_config(None));
+        let golden = run_ensemble(&n3_config(None), &graph, &init, &opts, replicas, 2);
         let inert = FaultProfile::new(FaultModel::new(fault_seed));
-        let (faulted, faulted_report) =
-            machine_ensemble(&graph, &init, &opts, replicas, 2, &n3_config(Some(inert)));
+        let faulted = run_ensemble(&n3_config(Some(inert)), &graph, &init, &opts, replicas, 2);
 
-        prop_assert_eq!(&faulted, &golden);
-        for (got, want) in faulted_report.reports.iter().zip(&golden_report.reports) {
+        prop_assert_eq!(&faulted.best, &golden.best);
+        for (got, want) in faulted.report.reports.iter().zip(&golden.report.reports) {
             prop_assert_eq!(got, want);
             prop_assert_eq!(got.faults, FaultReport::default());
         }
@@ -170,23 +149,14 @@ proptest! {
             FaultModel::new(fault_seed).with_read_ber(FaultRate::from_probability(1e-3)),
         );
 
-        let (reference, reference_report) =
-            machine_ensemble(&graph, &init, &opts, replicas, 1, &n3_config(Some(profile.clone())));
-        let (threaded, threaded_report) =
-            machine_ensemble(&graph, &init, &opts, replicas, 8, &n3_config(Some(profile)));
+        let reference =
+            run_ensemble(&n3_config(Some(profile.clone())), &graph, &init, &opts, replicas, 1);
+        let threaded = run_ensemble(&n3_config(Some(profile)), &graph, &init, &opts, replicas, 8);
 
-        prop_assert_eq!(&threaded, &reference);
-        prop_assert_eq!(
-            threaded_report.reports.len(),
-            reference_report.reports.len()
-        );
-        for (got, want) in threaded_report.reports.iter().zip(&reference_report.reports) {
-            prop_assert_eq!(&got.faults, &want.faults);
-        }
-        prop_assert_eq!(threaded_report.faults_injected, reference_report.faults_injected);
-        prop_assert_eq!(threaded_report.faults_detected, reference_report.faults_detected);
-        prop_assert_eq!(threaded_report.fault_retries, reference_report.fault_retries);
-        prop_assert_eq!(threaded_report.degraded_replicas, reference_report.degraded_replicas);
+        prop_assert_eq!(&threaded.best, &reference.best);
+        // The whole folded report: every replica's `FaultReport` and the
+        // fault aggregates included.
+        prop_assert_eq!(&threaded.report, &reference.report);
     }
 }
 
@@ -361,6 +331,27 @@ proptest! {
         pool.join();
         assert_same_outcome(&pooled.expect("pooled job completes"), &solo, &format!("{spec:?} pooled"));
     }
+
+    /// `run_ensemble` is the replica ensemble wired by hand, every
+    /// replica a `ReportingMachine` folded by a `ReplicaLedger`: the same
+    /// results and report at 1 and 3 threads, for every design, with
+    /// faults, tempering and the phase trace.
+    #[test]
+    fn run_ensemble_matches_the_ledger_wiring(spec in job_spec_strategy(), trace in any::<bool>()) {
+        let plan = JobPlan::from_spec(&spec).expect("spec strategy yields valid jobs");
+        let plan = if trace { plan.with_phase_trace() } else { plan };
+        let (config, replicas) = (plan.config(), plan.replica_count());
+        let ledger = ReplicaLedger::new(replicas);
+        let best = EnsembleRunner::new(replicas).run(plan.graph(), plan.init(), plan.options(), |k| {
+            ReportingMachine::new(SachiMachine::new(config.clone()), k, &ledger)
+        });
+        let report = ledger.finish();
+        for threads in [1usize, 3] {
+            let got = run_ensemble(config, plan.graph(), plan.init(), plan.options(), replicas, threads);
+            prop_assert_eq!(&got.best, &best, "{:?} threads {}", spec, threads);
+            prop_assert_eq!(&got.report, &report, "{:?} threads {}", spec, threads);
+        }
+    }
 }
 
 proptest! {
@@ -427,20 +418,12 @@ proptest! {
         // neither that nor the worker layout may reach the results or
         // the per-rung accounting.
         let config = SachiConfig::new(DesignKind::N2).with_phase_trace();
-        let (machine_reference, machine_report) =
-            machine_ensemble(&graph, &init, &opts, rungs, 1, &config);
-        prop_assert_eq!(&machine_reference, &reference);
+        let machine = run_ensemble(&config, &graph, &init, &opts, rungs, 1);
+        prop_assert_eq!(&machine.best, &reference);
         for threads in [2usize, 8] {
-            let (got, report) = machine_ensemble(&graph, &init, &opts, rungs, threads, &config);
-            prop_assert_eq!(&got, &reference, "machine threads = {}", threads);
-            prop_assert_eq!(&report.reports, &machine_report.reports);
-            prop_assert_eq!(report.serial_cycles, machine_report.serial_cycles);
-            prop_assert_eq!(report.max_replica_cycles, machine_report.max_replica_cycles);
-            prop_assert_eq!(&report.energy, &machine_report.energy);
-            prop_assert_eq!(report.faults_detected, machine_report.faults_detected);
-            prop_assert_eq!(report.faults_injected, machine_report.faults_injected);
-            prop_assert_eq!(report.fault_retries, machine_report.fault_retries);
-            prop_assert_eq!(report.degraded_replicas, machine_report.degraded_replicas);
+            let got = run_ensemble(&config, &graph, &init, &opts, rungs, threads);
+            prop_assert_eq!(&got.best, &reference, "machine threads = {}", threads);
+            prop_assert_eq!(&got.report, &machine.report, "machine threads = {}", threads);
         }
     }
 

@@ -115,10 +115,7 @@ fn threaded_ensembles_match_sequential_golden_runs_on_every_design() {
 
     for design in DesignKind::ALL {
         let config = SachiConfig::new(design);
-        let best_of =
-            EnsembleRunner::new(replicas)
-                .with_threads(4)
-                .run(graph, &init, &opts, |_| SachiMachine::new(config.clone()));
+        let best_of = run_ensemble(&config, graph, &init, &opts, replicas, 4).best;
         assert_eq!(best_of.replicas.len(), replicas);
         for (k, (got, reference)) in best_of.replicas.iter().zip(&goldens).enumerate() {
             let label = format!("{} replica {k}", design.label());

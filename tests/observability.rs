@@ -7,8 +7,8 @@
 //! histogram bucket boundaries are all pinned here against full-document
 //! golden strings. The final proptest pins the tentpole determinism
 //! claim end-to-end: folding per-replica registries through
-//! `ReplicaLedger`/`EnsembleReport::metrics` yields byte-identical
-//! snapshots at every worker-thread count.
+//! `JobOutcome::metrics` yields byte-identical snapshots at every
+//! worker-thread count.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -215,9 +215,8 @@ fn frustrated_graph(rows: usize, cols: usize, salt: u64) -> IsingGraph {
     .expect("king graph construction")
 }
 
-/// Runs a SACHI-machine ensemble the way the CLI does (ledger folding
-/// in replica order) and returns the folded registry plus the best
-/// replica's phase spans.
+/// Runs a SACHI-machine ensemble the way the CLI does and returns its
+/// registry plus the best replica's phase spans.
 fn solve_metrics(
     threads: usize,
     replicas: usize,
@@ -229,20 +228,11 @@ fn solve_metrics(
     let init = SpinVector::random(graph.num_spins(), &mut rng);
     let opts = SolveOptions::for_graph(&graph, master).with_max_sweeps(60);
     let config = SachiConfig::new(DesignKind::N3).with_phase_trace();
-    let ledger = ReplicaLedger::new(replicas);
-    let best_of =
-        EnsembleRunner::new(replicas)
-            .with_threads(threads)
-            .run(&graph, &init, &opts, |k| {
-                ReportingMachine::new(SachiMachine::new(config.clone()), k, &ledger)
-            });
-    let ensemble = ledger.finish();
-    let mut reg = ensemble.metrics();
-    for r in &best_of.replicas {
-        r.export_metrics(&mut reg);
-    }
-    let spans = ensemble.reports[best_of.best_index].phase_spans.clone();
-    (reg, spans)
+    let outcome = run_ensemble(&config, &graph, &init, &opts, replicas, threads);
+    let spans = outcome.report.reports[outcome.best.best_index]
+        .phase_spans
+        .clone();
+    (outcome.metrics(), spans)
 }
 
 #[test]
@@ -305,13 +295,7 @@ fn tempered_report_spans_form_one_ordered_timeline() {
     let config = SachiConfig::new(DesignKind::N2)
         .with_hierarchy(hierarchy)
         .with_phase_trace();
-    let ledger = ReplicaLedger::new(3);
-    let _ = EnsembleRunner::new(3)
-        .with_threads(2)
-        .run(&graph, &init, &opts, |k| {
-            ReportingMachine::new(SachiMachine::new(config.clone()), k, &ledger)
-        });
-    let ensemble = ledger.finish();
+    let ensemble = run_ensemble(&config, &graph, &init, &opts, 3, 2).report;
     for (r, report) in ensemble.reports.iter().enumerate() {
         let spans = &report.phase_spans;
         let uploads = spans
@@ -352,11 +336,10 @@ fn tempered_report_spans_form_one_ordered_timeline() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
-    /// The tentpole determinism claim, end to end: per-replica metric
-    /// registries folded through `ReplicaLedger` / `EnsembleReport::
-    /// metrics` compare equal — and serialize byte-identically — at
-    /// every worker-thread count, so `--threads` is unobservable in
-    /// `--metrics` output.
+    /// The determinism claim, end to end: per-replica metric registries
+    /// folded through `JobOutcome::metrics` compare equal — and
+    /// serialize byte-identically — at every worker-thread count, so
+    /// `--threads` is unobservable in `--metrics` output.
     #[test]
     fn metrics_fold_is_thread_count_independent(
         salt in 0u64..200,

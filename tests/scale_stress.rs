@@ -100,13 +100,9 @@ fn ensemble_smoke_4_threads_at_1600_atoms() {
     let opts = SolveOptions::for_graph(graph, 13).with_max_sweeps(15);
     let replicas = 4usize;
 
-    let ledger = ReplicaLedger::new(replicas);
     let config = SachiConfig::new(DesignKind::N3);
-    let best_of = EnsembleRunner::new(replicas)
-        .with_threads(4)
-        .run(graph, &init, &opts, |k| {
-            ReportingMachine::new(SachiMachine::new(config.clone()), k, &ledger)
-        });
+    let outcome = run_ensemble(&config, graph, &init, &opts, replicas, 4);
+    let (best_of, report) = (outcome.best, outcome.report);
 
     let reference = EnsembleRunner::new(replicas)
         .with_threads(1)
@@ -115,7 +111,6 @@ fn ensemble_smoke_4_threads_at_1600_atoms() {
 
     assert_eq!(best_of.stats.replicas as usize, replicas);
     assert!(w.accuracy(&best_of.best().spins) > 0.8);
-    let report = ledger.finish();
     assert_eq!(report.reports.len(), replicas);
     assert!(report.serial_cycles >= report.max_replica_cycles);
     assert!(report.ideal_speedup(4) >= 1.0);

@@ -3,7 +3,7 @@
 //! hierarchies.
 //!
 //! Each cell runs the coupled tempering engine on hardware machines
-//! through [`ReportingMachine`], so the pinned values cover both the
+//! through [`run_ensemble`], so the pinned values cover both the
 //! exchange engine (swaps, restarts, best-rung reduction) and every
 //! rung's whole-run machine accounting (cycles, energy, faults). Any
 //! change to how rungs are scheduled or how machine state is carried
@@ -53,13 +53,8 @@ fn tempered_cell(design: DesignKind, faulted: bool, streaming: bool, threads: us
     if streaming {
         config = config.with_hierarchy(streaming_hierarchy());
     }
-    let ledger = ReplicaLedger::new(rungs);
-    let best_of = EnsembleRunner::new(rungs)
-        .with_threads(threads)
-        .run(graph, &init, &opts, |r| {
-            ReportingMachine::new(SachiMachine::new(config.clone()), r, &ledger)
-        });
-    let report = ledger.finish();
+    let outcome = run_ensemble(&config, graph, &init, &opts, rungs, threads);
+    let (best_of, report) = (outcome.best, outcome.report);
     let best = best_of.best();
     let stats = best_of.stats;
     let mut line = format!(
